@@ -182,21 +182,38 @@ class Model:
         return batch_mean(losses)
 
     def stage2_sentence_loss(
-        self, example: Example, alpha: float, beta: float, stats: dict | None = None
+        self, example: Example, alpha: float, beta: float, stats: dict | None = None,
+        memo: dict | None = None, key=None,
     ) -> Tensor:
+        """``memo`` maps ``key`` to the sentence's frozen prefix, the encoder's
+        pooled [CLS] and the aggregator output; the prefix is computed only
+        when the key is missing. Valid only while the encoder and the
+        aggregator are frozen: their outputs then carry no tape."""
         ts = self.tokenize(example)
-        eo = encode(ts, self.registry, self.cfg)
-        fused = aggregate_single(eo, ts.attention_mask, self.registry, self.cfg)
+        prefix = None if memo is None else memo.get(key)
+        if prefix is None:
+            eo = encode(ts, self.registry, self.cfg)
+            prefix = (eo.pooled, aggregate_single(eo, ts.attention_mask, self.registry, self.cfg))
+            if memo is not None:
+                memo[key] = prefix
+        pooled, fused = prefix
         switched = switch_train(fused, ts.lang, self.registry, self.cfg)
-        rel_ce = self._relation_ce(ts, eo.pooled, switched)
+        rel_ce = self._relation_ce(ts, pooled, switched)
         entity_ces = self._entity_ces(ts, switched)
         _tally(stats, rel_ce, entity_ces)
         return sentence_ere_loss(rel_ce, entity_ces, alpha, beta)
 
     def stage2_batch_loss(
-        self, batch: list[Example], alpha: float, beta: float, stats: dict | None = None
+        self, batch: list[Example], alpha: float, beta: float, stats: dict | None = None,
+        memo: dict | None = None, keys: list | None = None,
     ) -> Tensor:
-        return batch_mean([self.stage2_sentence_loss(ex, alpha, beta, stats) for ex in batch])
+        """``memo`` and ``keys`` (one per sentence) as in stage2_sentence_loss."""
+        if keys is None:
+            if memo is not None:
+                raise ValueError("a frozen-prefix memo needs one key per sentence")
+            keys = [None] * len(batch)
+        return batch_mean([self.stage2_sentence_loss(ex, alpha, beta, stats, memo, key)
+                           for ex, key in zip(batch, keys)])
 
     # -- prediction --------------------------------------------------------
 
@@ -270,9 +287,12 @@ class Model:
             )
         if snap.get("relations") != list(languages.schema.relations):
             raise CheckpointError("checkpoint relation inventory does not match the corpus registry")
-        model_doc = dict(snap["model"])
-        model_doc["sub_layers"] = tuple(model_doc["sub_layers"])
-        cfg = ModelConfig(**model_doc)
+        try:
+            model_doc = dict(snap["model"])
+            model_doc["sub_layers"] = tuple(model_doc["sub_layers"])
+            cfg = ModelConfig(**model_doc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint model config is malformed: {exc!r}") from None
         model = cls.build(cfg, languages, init_seed=0)
         model.registry.load_arrays(arrays)
         model.stage = int(snap.get("stage", 0))

@@ -107,10 +107,19 @@ def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": base64.b64encode(payload).decode("ascii")}
 
 
-def _decode_array(rec: dict) -> np.ndarray:
-    raw = base64.b64decode(rec["data"])
-    a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return a.reshape([int(x) for x in rec["shape"]])
+def _decode_array(name: str, rec: dict) -> np.ndarray:
+    try:
+        raw = base64.b64decode(rec["data"], validate=True)
+        shape = [int(x) for x in rec["shape"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"array {name!r} is malformed: {exc!r}") from None
+    need = int(np.prod(shape))
+    if min(shape, default=0) < 0 or len(raw) != 8 * need:
+        raise CheckpointError(f"array {name!r} holds {len(raw)} payload bytes, but shape {shape} needs {8 * need}")
+    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(a).all():
+        raise CheckpointError(f"array {name!r} holds non-finite values")
+    return a
 
 
 def save_checkpoint(path: str | Path, config: dict, registry: ParamRegistry, extra: dict | None = None) -> None:
@@ -133,9 +142,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {p} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {p} is not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version: {doc.get('version')!r}")
-    params = {name: _decode_array(rec) for name, rec in doc["params"].items()}
+    for section in ("config", "params"):
+        if not isinstance(doc.get(section), dict):
+            raise CheckpointError(f"checkpoint {p} has no {section!r} object")
+    params = {name: _decode_array(name, rec) for name, rec in doc["params"].items()}
     return doc["config"], params, doc.get("extra")
 
 
@@ -144,4 +158,4 @@ def encode_extra_arrays(arrays: dict[str, np.ndarray]) -> dict:
 
 
 def decode_extra_arrays(recs: dict) -> dict[str, np.ndarray]:
-    return {name: _decode_array(rec) for name, rec in recs.items()}
+    return {name: _decode_array(name, rec) for name, rec in recs.items()}

@@ -34,7 +34,10 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.op = op
-        self._parents = _parents
+        # A result that needs no gradient is a leaf of the tape: nothing
+        # upstream of it can receive a gradient through it, so backward()
+        # never has to walk that far.
+        self._parents = _parents if requires_grad else ()
         self._backward = None
 
     @property

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .corpus import Corpus, Example, sample_stage1_batch
+from .corpus import Corpus, sample_stage1_batch
 from .errors import CheckpointError, ConfigError, NumericsError
 from .evaluation import evaluate_model
 from .model import Model
@@ -107,6 +107,15 @@ def train_stage1(
         opt.load_state_arrays(decode_extra_arrays(resume_extra["optimizer"]), int(resume_extra["step_count"]))
         rng = _restore_rng(json.loads(resume_extra["rng_state"]))
 
+    def stage1_extra(epochs_done: int) -> dict:
+        return {
+            "stage": 1,
+            "epochs_done": epochs_done,
+            "step_count": opt.step_count,
+            "optimizer": encode_extra_arrays(opt.state_arrays()),
+            "rng_state": json.dumps(_rng_state(rng), sort_keys=True),
+        }
+
     per_epoch = steps_per_epoch(len(corpus.train), s * tc.batch_size)
     step = opt.step_count
     ckpt_path = out / "stage1.ckpt"
@@ -129,19 +138,10 @@ def train_stage1(
             log.log(stage=1, epoch=epoch, step=step, loss=value,
                     relation_ce=stats.get("relation_ce", 0.0) / n,
                     entity_ce=stats.get("entity_ce", 0.0) / n, lr=tc.lr)
-        extra = {
-            "stage": 1,
-            "epochs_done": epoch + 1,
-            "step_count": opt.step_count,
-            "optimizer": encode_extra_arrays(opt.state_arrays()),
-            "rng_state": json.dumps(_rng_state(rng), sort_keys=True),
-        }
-        model.save(ckpt_path, run_cfg, extra)
+        model.save(ckpt_path, run_cfg, stage1_extra(epoch + 1))
         log.log(stage=1, epoch=epoch, epoch_seconds=round(time.time() - t0, 3))
     if tc.stage1_epochs == 0 or start_epoch >= tc.stage1_epochs:
-        model.save(ckpt_path, run_cfg, {"stage": 1, "epochs_done": start_epoch, "step_count": opt.step_count,
-                                        "optimizer": encode_extra_arrays(opt.state_arrays()),
-                                        "rng_state": json.dumps(_rng_state(rng), sort_keys=True)})
+        model.save(ckpt_path, run_cfg, stage1_extra(start_epoch))
     log.save(out / "stage1_log.jsonl")
     return ckpt_path
 
@@ -169,10 +169,15 @@ def train_stage2(
 
     opt = AdamW(model.registry, lr=tc.lr, weight_decay=tc.weight_decay, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps)
     rng = np.random.default_rng(np.random.PCG64(tc.seed + 2))
-    by_lang: dict[int, list[Example]] = {}
-    for ex in corpus.train:
-        by_lang.setdefault(ex.lang, []).append(ex)
+    # positions in corpus.train, which key the frozen-prefix memo: a loaded
+    # corpus does not enforce unique example ids
+    by_lang: dict[int, list[int]] = {}
+    for pos, ex in enumerate(corpus.train):
+        by_lang.setdefault(ex.lang, []).append(pos)
     lang_ids = sorted(by_lang)
+    # the encoder and the aggregator are frozen for the whole call, so each
+    # drawn sentence's (pooled [CLS], aggregator output) is computed once
+    memo: dict[int, tuple] = {}
 
     per_epoch = steps_per_epoch(len(corpus.train), tc.batch_size)
     ckpt_path = out / "stage2.ckpt"
@@ -183,14 +188,15 @@ def train_stage2(
     for epoch in range(tc.stage2_max_epochs):
         t0 = time.time()
         for _ in range(per_epoch):
-            batch = []
+            keys = []
             for _ in range(tc.batch_size):
                 lid = lang_ids[int(rng.integers(len(lang_ids)))]
                 pool = by_lang[lid]
-                batch.append(pool[int(rng.integers(len(pool)))])
+                keys.append(pool[int(rng.integers(len(pool)))])
+            batch = [corpus.train[pos] for pos in keys]
             opt.zero_grad()
             stats: dict = {}
-            loss = model.stage2_batch_loss(batch, tc.alpha, tc.beta, stats)
+            loss = model.stage2_batch_loss(batch, tc.alpha, tc.beta, stats, memo, keys)
             value = loss.item()
             _check_finite(value, 2, step)
             loss.backward()
@@ -217,7 +223,8 @@ def train_stage2(
         if dev_f1 >= best_f1:
             # ties keep the most recent parameters
             best_f1 = dev_f1
-            best_arrays = {n: t.data.copy() for n, t in model.registry.items()}
+            # only the trainable set moves; the frozen set needs no snapshot
+            best_arrays = {n: model.registry[n].data.copy() for n in plan.trainable}
         if improved:
             epochs_without_gain = 0
         else:

@@ -1,12 +1,17 @@
 """End-to-end CLI workflow on a miniature corpus: every command, determinism
 byte-for-byte, and the exit-code contract."""
 
+import base64
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relmux
 from relmux.cli import main
 
 LANGS_DOC = {
@@ -191,6 +196,52 @@ class TestEval:
         rc = main(["eval", "--ckpt", str(tmp_path / "none.ckpt"), "--corpus", str(ws / "corpus"),
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+
+
+def _drop_params(doc):
+    del doc["params"]
+
+
+def _truncate_payload(doc):
+    rec = next(iter(doc["params"].values()))
+    rec["data"] = base64.b64encode(base64.b64decode(rec["data"])[:-8]).decode("ascii")
+
+
+def _poison_value(doc):
+    rec = next(iter(doc["params"].values()))
+    values = np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8").copy()
+    values[0] = np.nan
+    rec["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
+def _drop_model_config(doc):
+    del doc["config"]["model"]
+
+
+def _unknown_model_field(doc):
+    doc["config"]["model"]["bogus"] = 1
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("corrupt", [_drop_params, _truncate_payload, _poison_value,
+                                         _drop_model_config, _unknown_model_field])
+    def test_eval_exits_2_with_one_line(self, workspace, tmp_path, corrupt):
+        ws, _, _ = workspace
+        doc = json.loads((ws / "run" / "stage2.ckpt").read_text(encoding="utf-8"))
+        corrupt(doc)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        src = Path(relmux.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "relmux.cli", "eval", "--ckpt", str(bad), "--corpus", str(ws / "corpus"),
+             "--out", str(tmp_path / "ev")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestInspectRouter:

@@ -156,8 +156,7 @@ class TestDecodeSpans:
 
     def test_sequential_rule_with_bruteforce_diagnostic(self, rng):
         # the decode rule is sequential by construction; the exhaustive
-        # pair-argmax runs alongside and its divergence rate is only logged
-        diverged = 0
+        # pair-argmax may pick another span, but never one that scores less
         for _ in range(200):
             start = rng.normal(size=6)
             end = rng.normal(size=6)
@@ -168,10 +167,7 @@ class TestDecodeSpans:
             assert head == (seq_start, seq_end)
             pair = oracle_pair_argmax(start, end)
             assert pair[0] <= pair[1]
-            if pair != head:
-                diverged += 1
-        # diagnostic: summed-score argmax may disagree; both stay valid spans
-        assert 0 <= diverged <= 200
+            assert start[pair[0]] + end[pair[1]] >= start[head[0]] + end[head[1]]
 
 
 class TestOraclePairArgmax:

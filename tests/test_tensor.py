@@ -193,6 +193,31 @@ class TestPlumbingOps:
         assert np.array_equal(g1, x.grad)
 
 
+class TestTapeLinks:
+    def test_non_grad_result_records_no_parents(self, rng):
+        a = Tensor(rng.normal(size=(2, 3)))
+        b = Tensor(rng.normal(size=(3, 2)))
+        w = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+        frozen = T.tanh(T.matmul(a, b))
+        assert frozen._parents == () and frozen._backward is None
+        # a result that needs a gradient still links every input, frozen or not
+        mixed = T.matmul(frozen, w)
+        assert mixed._parents == (frozen, w)
+
+    def test_toposort_stops_at_frozen_prefix(self, rng):
+        frozen_w = Tensor(rng.normal(size=(4, 4)))
+        w = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 4)))
+        prefix = T.relu(T.matmul(T.tanh(T.matmul(x, frozen_w)), frozen_w))
+        loss = T.tsum(T.matmul(prefix, w))
+        order = T._toposort(loss)
+        assert not [node for node in order if not node.requires_grad and node._parents]
+        # the frozen prefix is one leaf; x and frozen_w are never reached
+        assert [node.op for node in order if not node.requires_grad] == ["relu"]
+        loss.backward()
+        assert np.array_equal(w.grad, prefix.data.sum(axis=0, keepdims=True).T)
+
+
 class TestAdamW:
     def _registry(self, value: float) -> ParamRegistry:
         reg = ParamRegistry()

@@ -214,6 +214,81 @@ class TestStage2:
             assert stops
 
 
+def stage2_frozen_model(corpus, cfg, init_seed=0):
+    """A fresh model frozen the way train_stage2 freezes it."""
+    model = Model.build(replace(cfg.model), corpus.registry, init_seed=init_seed)
+    model.registry.freeze(model.stage2_freeze_plan().frozen)
+    return model
+
+
+class TestFrozenPrefixMemo:
+    def _loss_and_grads(self, model, batch, memo=None, keys=None):
+        model.registry.zero_grad()
+        loss = model.stage2_batch_loss(batch, 2.0, 1.0, None, memo, keys)
+        loss.backward()
+        grads = {n: t.grad.copy() for n, t in model.registry.items() if t.grad is not None}
+        return loss.data.copy(), grads
+
+    def test_warm_memo_is_bitwise_equal_to_no_memo(self):
+        corpus = tiny_corpus()
+        model = stage2_frozen_model(corpus, tiny_run_cfg())
+        keys = [0, 3, 0, 7, 3]  # repeats hit the memo inside one batch, too
+        batch = [corpus.train[k] for k in keys]
+        plain_loss, plain_grads = self._loss_and_grads(model, batch)
+        memo: dict = {}
+        self._loss_and_grads(model, batch, memo, keys)
+        assert sorted(memo) == [0, 3, 7]
+        warm_loss, warm_grads = self._loss_and_grads(model, batch, memo, keys)
+        assert plain_loss.tobytes() == warm_loss.tobytes()
+        assert plain_grads.keys() == warm_grads.keys()
+        assert set(plain_grads) <= set(model.stage2_freeze_plan().trainable)
+        for name, g in plain_grads.items():
+            assert g.tobytes() == warm_grads[name].tobytes(), name
+
+    def test_hit_makes_no_encode_call(self, monkeypatch):
+        import relmux.model as model_mod
+
+        corpus = tiny_corpus()
+        model = stage2_frozen_model(corpus, tiny_run_cfg())
+        calls = []
+        encode = model_mod.encode
+        monkeypatch.setattr(model_mod, "encode", lambda *a, **kw: calls.append(1) or encode(*a, **kw))
+        memo: dict = {}
+        batch = [corpus.train[2], corpus.train[5]]
+        model.stage2_batch_loss(batch, 2.0, 1.0, None, memo, [2, 5])
+        assert len(calls) == 2
+        model.stage2_batch_loss(batch, 2.0, 1.0, None, memo, [2, 5])
+        assert len(calls) == 2
+
+    def test_memo_without_keys_rejected(self):
+        corpus = tiny_corpus()
+        model = stage2_frozen_model(corpus, tiny_run_cfg())
+        with pytest.raises(ValueError):
+            model.stage2_batch_loss(corpus.train[:2], 2.0, 1.0, None, {})
+
+    def test_shared_id_examples_get_separate_entries(self, tmp_path):
+        corpus = tiny_corpus()
+        first = corpus.train[0]
+        other = next(e for e in corpus.train if e.lang == first.lang and e.tokens != first.tokens)
+        twin = replace(other, id=first.id)
+        small = replace(corpus, train=[first, twin], dev=corpus.dev[:4])
+        model = Model.build(replace(tiny_run_cfg().model), small.registry, init_seed=0)
+        model.stage = 1
+        memos = []
+        batch_loss = model.stage2_batch_loss
+
+        def spy(batch, alpha, beta, stats=None, memo=None, keys=None):
+            memos.append(memo)
+            return batch_loss(batch, alpha, beta, stats, memo, keys)
+
+        model.stage2_batch_loss = spy
+        train_stage2(model, small, tiny_run_cfg(stage2_max_epochs=1), tmp_path, TrainLog())
+        memo = memos[0]
+        assert all(m is memo for m in memos)
+        assert sorted(memo) == [0, 1]
+        assert not np.array_equal(memo[0][1].data, memo[1][1].data)
+
+
 class TestLossProperties:
     def test_loss_nonnegative(self, rng):
         # cross-entropy terms are nonnegative, so the weighted sum must be too
