@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from .config import RunConfig
@@ -147,7 +146,7 @@ def _monolingual_corpus(corpus: Corpus, lang: LanguageSpec) -> Corpus:
     )
 
     def remap(examples):
-        return [dc_replace(ex, lang=0) for ex in examples if ex.lang == keep]
+        return [replace(ex, lang=0) for ex in examples if ex.lang == keep]
 
     return Corpus(
         registry=registry,
@@ -187,7 +186,7 @@ def _restrict_corpus(corpus: Corpus, keep_ids: list[int]) -> Corpus:
     )
 
     def remap_examples(examples):
-        return [dc_replace(ex, lang=remap[ex.lang]) for ex in examples if ex.lang in remap]
+        return [replace(ex, lang=remap[ex.lang]) for ex in examples if ex.lang in remap]
 
     return Corpus(
         registry=registry,

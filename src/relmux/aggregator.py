@@ -3,8 +3,10 @@ sentence representations.
 
 During stage-1 training the hidden states of a group of sentences in different
 languages are concatenated along the token axis and attended jointly, so every
-token sees tokens of the other sentences; the output is split back at the
-sentence boundaries. At evaluation time each sentence passes through alone.
+token sees tokens of the other sentences; each output row stays at its
+sentence position. A stage-1 batch stacks its groups as (G, s*m, d) and
+attends within every group in one pass. At evaluation time each sentence
+passes through alone.
 Single head, scaled by 1/sqrt(d), no output projection or residual; PAD keys
 are masked out.
 """
@@ -15,9 +17,9 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
-from .encoder import EncoderOutput
+from .encoder import EncoderOutput, masked_attention
 from .params import ParamRegistry, matrix_init
-from .tensor import NEG_INF, Tensor
+from .tensor import Tensor
 
 AGGREGATOR_PARAMS = ("aggregator.w_q", "aggregator.w_k", "aggregator.w_v")
 
@@ -28,43 +30,20 @@ def build_aggregator_params(reg: ParamRegistry, cfg: ModelConfig, rng: np.random
         reg.add(name, matrix_init(rng, d, d))
 
 
-def aggregate(
-    members: list[EncoderOutput],
-    masks: list[np.ndarray],
-    reg: ParamRegistry,
-    cfg: ModelConfig,
-) -> list[Tensor]:
-    """Attend over the concatenation of all member sentences; split back per sentence."""
-    if not members:
-        raise ValueError("empty aggregation group")
-    if len(members) != len(masks):
-        raise ValueError("one attention mask per group member required")
-    lengths = [eo.hidden.shape[0] for eo in members]
-    for eo, mask in zip(members, masks):
-        if mask.shape[0] != eo.hidden.shape[0]:
-            raise ValueError(
-                f"member boundary mismatch: hidden {eo.hidden.shape} vs mask {mask.shape}"
-            )
-    h_cat = members[0].hidden if len(members) == 1 else T.concat([eo.hidden for eo in members], axis=0)
-    total = sum(lengths)
-    key_mask = np.concatenate(masks)
-    q = T.matmul(h_cat, reg["aggregator.w_q"])
-    k = T.matmul(h_cat, reg["aggregator.w_k"])
-    v = T.matmul(h_cat, reg["aggregator.w_v"])
-    scale = 1.0 / np.sqrt(cfg.d_model)
-    mask_row = Tensor(np.where(key_mask, 0.0, NEG_INF).reshape(1, total))
-    attn = T.softmax_rows(T.add(T.mul(T.matmul(q, T.transpose(k)), scale), mask_row))
-    fused = T.matmul(attn, v)
-    if len(members) == 1:
-        return [fused]
-    outputs = []
-    offset = 0
-    for length in lengths:
-        outputs.append(T.narrow(fused, 0, offset, length))
-        offset += length
-    return outputs
+def aggregate(hidden: Tensor, key_mask: np.ndarray, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
+    """Attend within each of the n groups of ``hidden``, (n, L, d): a group's
+    L rows are its member sentences concatenated along the token axis.
+    ``key_mask`` is (n, L), False on PAD. Groups never attend to each other.
+    Returns (n, L, d)."""
+    key_mask = np.asarray(key_mask, dtype=bool)
+    if hidden.data.ndim != 3 or key_mask.shape != hidden.shape[:2]:
+        raise ValueError(f"group boundary mismatch: hidden {hidden.shape} vs key mask {key_mask.shape}")
+    q, k, v = (T.matmul(hidden, reg[name]) for name in AGGREGATOR_PARAMS)
+    return masked_attention(q, k, v, key_mask)
 
 
 def aggregate_single(member: EncoderOutput, mask: np.ndarray, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
     """Evaluation path: a group of one sentence."""
-    return aggregate([member], [mask], reg, cfg)[0]
+    m, d = member.hidden.shape
+    fused = aggregate(T.reshape(member.hidden, (1, m, d)), np.asarray(mask).reshape(1, m), reg, cfg)
+    return T.reshape(fused, (m, d))

@@ -8,7 +8,7 @@ comment; the architecture is identical, only the dimensions shrink.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
@@ -111,9 +111,6 @@ class RunConfig:
             corpus_dir=doc.get("corpus_dir", ""),
             out_dir=doc.get("out_dir", ""),
         )
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
 
 
 def load_run_config(path: str | Path) -> RunConfig:

@@ -147,8 +147,8 @@ def pad_to(ts: TokenizedSentence, m: int) -> TokenizedSentence:
 
 @dataclass
 class EncoderOutput:
-    hidden: Tensor   # (m, d)
-    pooled: Tensor   # (1, d), the [CLS] row
+    hidden: Tensor   # (n*m, d): the rows of n sentences of m positions
+    pooled: Tensor   # (n, d), each sentence's [CLS] row
 
 
 def build_encoder_params(reg: ParamRegistry, cfg: ModelConfig, rng: np.random.Generator) -> None:
@@ -182,52 +182,64 @@ def encoder_param_names(cfg: ModelConfig) -> list[str]:
     return names
 
 
-def _attention(x: Tensor, reg: ParamRegistry, prefix: str, cfg: ModelConfig) -> Tensor:
-    # operates on PAD-free rows; see encode()
-    head_dim = cfg.d_model // cfg.n_heads
-    scale = 1.0 / np.sqrt(head_dim)
-    q = T.add(T.matmul(x, reg[f"{prefix}.w_q"]), reg[f"{prefix}.b_q"])
-    k = T.add(T.matmul(x, reg[f"{prefix}.w_k"]), reg[f"{prefix}.b_k"])
-    v = T.add(T.matmul(x, reg[f"{prefix}.w_v"]), reg[f"{prefix}.b_v"])
-    heads = []
-    for h in range(cfg.n_heads):
-        qh = T.narrow(q, 1, h * head_dim, head_dim)
-        kh = T.narrow(k, 1, h * head_dim, head_dim)
-        vh = T.narrow(v, 1, h * head_dim, head_dim)
-        scores = T.mul(T.matmul(qh, T.transpose(kh)), scale)
-        heads.append(T.matmul(T.softmax_rows(scores), vh))
-    merged = T.concat(heads, axis=1)
-    return T.add(T.matmul(merged, reg[f"{prefix}.w_o"]), reg[f"{prefix}.b_o"])
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> Tensor:
+    """Scaled dot-product attention over a stack of b independent (m, k)
+    blocks, (b, m, k) each: one block per sequence and head. ``key_mask`` is
+    (b, m), False on keys that nobody may attend to (PAD); their scores get
+    NEG_INF added. Returns (b, m, k)."""
+    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
+    if not key_mask.all():
+        scores = T.add(scores, Tensor(np.where(key_mask, 0.0, NEG_INF)[:, None, :]))
+    return T.matmul(T.softmax_rows(scores), v)
 
 
-def encode(ts: TokenizedSentence, reg: ParamRegistry, cfg: ModelConfig) -> EncoderOutput:
-    """Run the encoder over the real (non-PAD) prefix and splice exact-zero rows
-    back in for PAD positions: padding can then never perturb real rows."""
-    ids = ts.input_ids
-    if ids.max() >= cfg.vocab_size:
-        raise DataValidationError(f"token id {int(ids.max())} out of vocabulary range {cfg.vocab_size}")
-    m = ids.shape[0]
-    real = int(ts.attention_mask.sum())
-    if not ts.attention_mask[:real].all():
-        raise DataValidationError("attention mask must be contiguous: PAD only trails")
+def encode_batch(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelConfig) -> EncoderOutput:
+    """Encode n sentences at once. Each is padded to the longest real (non-PAD)
+    length m; the row-wise ops run once over all n*m rows, attention runs per
+    sentence and head under a PAD key mask, and PAD rows are zeroed at the
+    end."""
+    reals = []
+    for ts in sentences:
+        if ts.input_ids.max() >= cfg.vocab_size:
+            raise DataValidationError(
+                f"token id {int(ts.input_ids.max())} out of vocabulary range {cfg.vocab_size}")
+        real = int(ts.attention_mask.sum())
+        if not ts.attention_mask[:real].all():
+            raise DataValidationError("attention mask must be contiguous: PAD only trails")
+        reals.append(real)
+    n, m = len(sentences), max(reals)
+    positions = np.arange(m)
+    key_mask = positions < np.array(reals)[:, None]
+    ids = np.full((n, m), PAD_ID, dtype=np.intp)
+    for row, ts, real in zip(ids, sentences, reals):
+        row[:real] = ts.input_ids[:real]
     x = T.add(
-        T.gather_rows(reg["encoder.tok_emb"], ids[:real]),
-        T.narrow(reg["encoder.pos_emb"], 0, 0, real),
+        T.gather_rows(reg["encoder.tok_emb"], ids.reshape(-1)),
+        T.gather_rows(reg["encoder.pos_emb"], np.tile(positions, n)),
     )
+    head_mask = np.repeat(key_mask, cfg.n_heads, axis=0)
     for b in range(cfg.n_blocks):
         p = f"encoder.block{b}"
         a = T.layer_norm(x, reg[f"{p}.ln1.gain"], reg[f"{p}.ln1.bias"])
-        x = T.add(x, _attention(a, reg, p, cfg))
+        q, k, v = (T.add(T.matmul(a, reg[f"{p}.w_{name}"]), reg[f"{p}.b_{name}"]) for name in "qkv")
+        heads = (T.split_heads(t, n, cfg.n_heads) for t in (q, k, v))
+        attn = T.merge_heads(masked_attention(*heads, head_mask), cfg.n_heads)
+        x = T.add(x, T.add(T.matmul(attn, reg[f"{p}.w_o"]), reg[f"{p}.b_o"]))
         f = T.layer_norm(x, reg[f"{p}.ln2.gain"], reg[f"{p}.ln2.bias"])
         ff = T.add(T.matmul(f, reg[f"{p}.w_ffn1"]), reg[f"{p}.b_ffn1"])
         ff = T.add(T.matmul(T.relu(ff), reg[f"{p}.w_ffn2"]), reg[f"{p}.b_ffn2"])
         x = T.add(x, ff)
-    if m > real:
-        x = T.concat([x, Tensor(np.zeros((m - real, cfg.d_model)))], axis=0)
-    return EncoderOutput(hidden=x, pooled=T.narrow(x, 0, 0, 1))
+    if not key_mask.all():
+        x = T.mul(x, Tensor(key_mask.reshape(-1, 1).astype(np.float64)))
+    return EncoderOutput(hidden=x, pooled=T.gather_rows(x, np.arange(n) * m))
 
 
-def encode_batch(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelConfig) -> list[EncoderOutput]:
-    """Encode a batch padded to a common length (PAD masking makes padding inert)."""
-    m = max(ts.length for ts in sentences)
-    return [encode(pad_to(ts, m), reg, cfg) for ts in sentences]
+def encode(ts: TokenizedSentence, reg: ParamRegistry, cfg: ModelConfig) -> EncoderOutput:
+    """A batch of one, run over the real (non-PAD) prefix only; exact-zero rows
+    are spliced back in for PAD positions, so padding can never perturb real
+    rows."""
+    out = encode_batch([ts], reg, cfg)
+    pad = ts.length - out.hidden.shape[0]
+    if pad:
+        out.hidden = T.concat([out.hidden, Tensor(np.zeros((pad, cfg.d_model)))], axis=0)
+    return out

@@ -22,7 +22,6 @@ from .params import ParamRegistry, embedding_init, matrix_init
 from .tensor import NEG_INF, Tensor
 
 ENTITY_KEYS = ("hs", "he", "ts", "te")
-SENTINEL_SPAN = (-1, -1)
 
 
 def build_head_params(reg: ParamRegistry, cfg: ModelConfig, rng: np.random.Generator) -> None:
@@ -71,12 +70,15 @@ def entity_scores(
     """Four per-position score vectors of length m, specials masked to NEG_INF.
 
     Each token feature is concatenated with the relation embedding, projected
-    down, squashed by tanh, then projected to a scalar score.
+    down, squashed by tanh, then projected to a scalar score. Several
+    sentences of equal length score at once: ``relation_emb`` holds one row
+    per sentence and ``features`` their stacked positions.
     """
     m = features.shape[0]
-    if relation_emb.shape != (1, features.shape[1]):
+    k = relation_emb.shape[0]
+    if relation_emb.data.ndim != 2 or relation_emb.shape[1] != features.shape[1] or m % k:
         raise T.ShapeError(f"relation embedding shape {relation_emb.shape} invalid for features {features.shape}")
-    paired = T.concat([features, T.repeat_rows(relation_emb, m)], axis=1)
+    paired = T.concat([features, T.repeat_rows(relation_emb, m // k)], axis=1)
     mask = Tensor(np.asarray(position_mask, dtype=np.float64).reshape(m, 1))
     scores: dict[str, Tensor] = {}
     for key in ENTITY_KEYS:

@@ -19,18 +19,19 @@ import numpy as np
 from . import tensor as T
 from .aggregator import AGGREGATOR_PARAMS, aggregate, aggregate_single, build_aggregator_params
 from .config import ModelConfig, RunConfig
-from .corpus import Example, LanguageRegistry
+from .corpus import SENTINEL_SPAN, Example, LanguageRegistry
 from .encoder import (
     TokenizedSentence,
     Vocab,
     build_encoder_params,
     encode,
+    encode_batch,
     encoder_param_names,
-    pad_to,
     tokenize,
 )
 from .errors import CheckpointError, ConfigError
 from .heads import (
+    ENTITY_KEYS,
     TriplePrediction,
     build_head_params,
     check_gold_allowed,
@@ -43,8 +44,6 @@ from .heads import (
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
 from .switcher import build_switcher_params, switch_eval, switch_train, switcher_param_names
 from .tensor import Tensor
-
-SENTINEL_SPAN = (-1, -1)
 
 
 def sentence_ere_loss(relation_ce: Tensor, entity_ces: list[Tensor], alpha: float, beta: float) -> Tensor:
@@ -63,14 +62,6 @@ def batch_mean(losses: list[Tensor]) -> Tensor:
         raise ValueError("empty batch")
     total = losses[0] if len(losses) == 1 else T.add_n(losses)
     return T.mul(total, 1.0 / len(losses))
-
-
-def _tally(stats: dict | None, rel_ce: Tensor, entity_ces: list[Tensor]) -> None:
-    if stats is None:
-        return
-    stats["relation_ce"] = stats.get("relation_ce", 0.0) + rel_ce.item()
-    stats["entity_ce"] = stats.get("entity_ce", 0.0) + sum(t.item() for t in entity_ces)
-    stats["sentences"] = stats.get("sentences", 0) + 1
 
 
 @dataclass
@@ -132,54 +123,65 @@ class Model:
     def tokenize(self, example: Example) -> TokenizedSentence:
         return tokenize(example, self.vocab, self.cfg.max_len, self.cfg.lang_prefix)
 
-    def _relation_ce(self, ts: TokenizedSentence, pooled_encoder: Tensor, features: Tensor) -> Tensor:
-        allowed = self.languages.schema.allowed[ts.lang]
-        check_gold_allowed(ts.relation, allowed, ts.example_id)
-        pooled = pooled_encoder if self.cfg.relation_pooled_from == "encoder" else T.narrow(features, 0, 0, 1)
-        logits = relation_logits(pooled, self.registry)
-        return T.cross_entropy(logits, ts.relation)
-
-    def _entity_ces(self, ts: TokenizedSentence, features: Tensor) -> list[Tensor]:
-        if ts.relation == 0:
-            return []
-        rel_emb = T.narrow(self.registry["relation.emb"], 0, ts.relation, 1)
-        mask = ts.content_position_mask(features.shape[0])
-        scores = entity_scores(features, rel_emb, mask, self.registry)
-        golds = {
-            "hs": ts.head_span[0],
-            "he": ts.head_span[1],
-            "ts": ts.tail_span[0],
-            "te": ts.tail_span[1],
-        }
-        return [T.cross_entropy(scores[key], golds[key]) for key in ("hs", "he", "ts", "te")]
+    def _ere_loss(
+        self, tss: list[TokenizedSentence], pooled_encoder: Tensor, features: Tensor,
+        alpha: float, beta: float, stats: dict | None,
+    ) -> Tensor:
+        """Joint loss summed over n sentences. ``features`` holds their
+        (n*m, d) rows and ``pooled_encoder`` their (n, d) encoder [CLS] rows.
+        The relation term is one row-wise cross entropy over all n; each
+        entity key is one over the sentences that bear entities."""
+        n = len(tss)
+        m, d = features.shape[0] // n, features.shape[1]
+        allowed = self.languages.schema.allowed
+        for ts in tss:
+            check_gold_allowed(ts.relation, allowed[ts.lang], ts.example_id)
+        rels = np.array([ts.relation for ts in tss])
+        if self.cfg.relation_pooled_from == "encoder":
+            pooled = pooled_encoder
+        else:
+            pooled = T.gather_rows(features, np.arange(n) * m)
+        rel_ce = T.cross_entropy(relation_logits(pooled, self.registry), rels)
+        entity_ces = []
+        bearing = np.flatnonzero(rels)
+        if bearing.size:
+            if bearing.size < n:
+                rows = T.gather_rows(T.reshape(features, (n, m * d)), bearing)
+                features = T.reshape(rows, (bearing.size * m, d))
+            rel_emb = T.gather_rows(self.registry["relation.emb"], rels[bearing])
+            mask = np.concatenate([tss[i].content_position_mask(m) for i in bearing])
+            scores = entity_scores(features, rel_emb, mask, self.registry)
+            golds = np.array([tss[i].head_span + tss[i].tail_span for i in bearing])
+            entity_ces = [T.add_n([T.cross_entropy(scores[key], golds[:, j])
+                                   for j, key in enumerate(ENTITY_KEYS)])]
+        if stats is not None:
+            stats["relation_ce"] = stats.get("relation_ce", 0.0) + rel_ce.item()
+            stats["entity_ce"] = stats.get("entity_ce", 0.0) + sum(t.item() for t in entity_ces)
+            stats["sentences"] = stats.get("sentences", 0) + n
+        return sentence_ere_loss(rel_ce, entity_ces, alpha, beta)
 
     # -- stage losses ------------------------------------------------------
-
-    def stage1_group_losses(
-        self, group: list[Example], alpha: float, beta: float, stats: dict | None = None
-    ) -> list[Tensor]:
-        """Per-sentence joint losses for one concatenation group."""
-        tss = [self.tokenize(ex) for ex in group]
-        m = max(ts.length for ts in tss)
-        tss = [pad_to(ts, m) for ts in tss]
-        encoded = [encode(ts, self.registry, self.cfg) for ts in tss]
-        masks = [ts.attention_mask for ts in tss]
-        fused = aggregate(encoded, masks, self.registry, self.cfg)
-        losses = []
-        for ts, eo, feats in zip(tss, encoded, fused):
-            rel_ce = self._relation_ce(ts, eo.pooled, feats)
-            entity_ces = self._entity_ces(ts, feats)
-            _tally(stats, rel_ce, entity_ces)
-            losses.append(sentence_ere_loss(rel_ce, entity_ces, alpha, beta))
-        return losses
 
     def stage1_batch_loss(
         self, groups: list[list[Example]], alpha: float, beta: float, stats: dict | None = None
     ) -> Tensor:
-        losses: list[Tensor] = []
-        for group in groups:
-            losses.extend(self.stage1_group_losses(group, alpha, beta, stats))
-        return batch_mean(losses)
+        """Mean joint loss over the sentences of equal-size concatenation
+        groups. The whole batch makes one encoder and one aggregator pass:
+        every sentence is padded to the batch's longest, and the aggregator
+        attends within each group's s*m concatenated rows."""
+        s = len(groups[0])
+        if any(len(group) != s for group in groups):
+            raise ValueError("stage-1 concatenation groups must all have the same size")
+        tss = [self.tokenize(ex) for group in groups for ex in group]
+        eo = encode_batch(tss, self.registry, self.cfg)
+        rows, d = eo.hidden.shape
+        m = rows // len(tss)
+        key_mask = np.arange(m) < np.array([ts.length for ts in tss])[:, None]
+        grouped = T.reshape(eo.hidden, (len(groups), s * m, d))
+        fused = aggregate(grouped, key_mask.reshape(len(groups), s * m), self.registry, self.cfg)
+        fused = T.reshape(fused, (rows, d))
+        loss = self._ere_loss(tss, eo.pooled, fused, alpha, beta, stats)
+        return T.mul(loss, 1.0 / len(tss))
 
     def stage2_sentence_loss(
         self, example: Example, alpha: float, beta: float, stats: dict | None = None,
@@ -198,10 +200,7 @@ class Model:
                 memo[key] = prefix
         pooled, fused = prefix
         switched = switch_train(fused, ts.lang, self.registry, self.cfg)
-        rel_ce = self._relation_ce(ts, pooled, switched)
-        entity_ces = self._entity_ces(ts, switched)
-        _tally(stats, rel_ce, entity_ces)
-        return sentence_ere_loss(rel_ce, entity_ces, alpha, beta)
+        return self._ere_loss([ts], pooled, switched, alpha, beta, stats)
 
     def stage2_batch_loss(
         self, batch: list[Example], alpha: float, beta: float, stats: dict | None = None,

@@ -5,14 +5,17 @@ row-major numpy float64 array. Operations record a backward closure; calling
 ``backward()`` on a scalar walks the tape in reverse topological order and
 accumulates gradients into every reachable tensor with ``requires_grad``.
 
-The engine is deliberately small: 2-D matmul, elementwise arithmetic with
-broadcasting, row softmax, layer norm, relu/tanh, cross entropy, and the
+The engine is deliberately small: matmul over batched matrices, elementwise
+arithmetic with broadcasting, row softmax, layer norm, relu/tanh, row-wise
+cross entropy, the split/merge of attention heads, and the
 slicing/concatenation plumbing the model needs. No higher-order derivatives.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import NumericsError
 
 # Additive mask value standing in for -infinity. exp(NEG_INF + s) underflows
 # to exactly 0.0 for any score s of sane magnitude, so masked positions get
@@ -117,6 +120,8 @@ def _needs_grad(*tensors: Tensor) -> bool:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcasted gradient back to the operand's shape."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -162,26 +167,32 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes; leading (batch) axes broadcast."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data, _needs_grad(a, b), (a, b), "matmul")
+    try:
+        data = a.data @ b.data
+    except ValueError:
+        raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}") from None
+    out = Tensor(data, _needs_grad(a, b), (a, b), "matmul")
 
     def _bw(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     out._backward = _bw if out.requires_grad else None
     return out
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-    out = Tensor(a.data.T.copy(), a.requires_grad, (a,), "transpose")
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose expects at least 2 axes, got {a.shape}")
+    out = Tensor(np.swapaxes(a.data, -1, -2).copy(), a.requires_grad, (a,), "transpose")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g.T)
+        out._backward = lambda g: a._accumulate(np.swapaxes(g, -1, -2))
     return out
 
 
@@ -241,12 +252,13 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 
 
 def repeat_rows(a: Tensor, n: int) -> Tensor:
-    """Tile a (1, d) row into (n, d); gradient sums back over the copies."""
-    if a.data.ndim != 2 or a.shape[0] != 1:
-        raise ShapeError(f"repeat_rows expects shape (1, d), got {a.shape}")
+    """Repeat each row of a (k, d) tensor n times, into (k*n, d); the
+    gradient sums back over the copies."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"repeat_rows expects shape (k, d), got {a.shape}")
     out = Tensor(np.repeat(a.data, n, axis=0), a.requires_grad, (a,), "repeat_rows")
     if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g.sum(axis=0, keepdims=True))
+        out._backward = lambda g: a._accumulate(g.reshape(a.shape[0], n, a.shape[1]).sum(axis=1))
     return out
 
 
@@ -254,6 +266,36 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(a.data.reshape(shape).copy(), a.requires_grad, (a,), "reshape")
     if out.requires_grad:
         out._backward = lambda g: a._accumulate(g.reshape(a.shape))
+    return out
+
+
+def split_heads(a: Tensor, n_seq: int, n_heads: int) -> Tensor:
+    """Rows of ``n_seq`` stacked sequences, (n_seq*m, n_heads*k), to one
+    (m, k) block per sequence and head: (n_seq*n_heads, m, k). Head h owns
+    columns [h*k, (h+1)*k), the layout merge_heads restores."""
+    if a.data.ndim != 2 or a.shape[0] % n_seq or a.shape[1] % n_heads:
+        raise ShapeError(f"cannot split {a.shape} into {n_seq} sequences of {n_heads} heads")
+    rows, d = a.shape
+    m, k = rows // n_seq, d // n_heads
+    split = a.data.reshape(n_seq, m, n_heads, k).transpose(0, 2, 1, 3).reshape(n_seq * n_heads, m, k)
+    out = Tensor(split, a.requires_grad, (a,), "split_heads")
+    if out.requires_grad:
+        out._backward = lambda g: a._accumulate(
+            g.reshape(n_seq, n_heads, m, k).transpose(0, 2, 1, 3).reshape(rows, d))
+    return out
+
+
+def merge_heads(a: Tensor, n_heads: int) -> Tensor:
+    """Inverse of split_heads: (n_seq*n_heads, m, k) to (n_seq*m, n_heads*k)."""
+    if a.data.ndim != 3 or a.shape[0] % n_heads:
+        raise ShapeError(f"cannot merge {a.shape} over {n_heads} heads")
+    blocks, m, k = a.shape
+    n_seq = blocks // n_heads
+    merged = a.data.reshape(n_seq, n_heads, m, k).transpose(0, 2, 1, 3).reshape(n_seq * m, n_heads * k)
+    out = Tensor(merged, a.requires_grad, (a,), "merge_heads")
+    if out.requires_grad:
+        out._backward = lambda g: a._accumulate(
+            g.reshape(n_seq, m, n_heads, k).transpose(0, 2, 1, 3).reshape(a.shape))
     return out
 
 
@@ -304,12 +346,12 @@ def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the trailing dimension, stabilized by max subtraction.
 
     Rows are nonnegative and sum to 1 within accumulated rounding. NaN input
-    is rejected rather than propagated.
+    raises NumericsError rather than propagating.
     """
     if a.data.ndim < 1 or a.shape[-1] < 1:
         raise ShapeError(f"softmax_rows needs a trailing dimension, got {a.shape}")
     if np.isnan(a.data).any():
-        raise ValueError("softmax_rows: NaN in input")
+        raise NumericsError("softmax_rows: NaN in input")
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
@@ -352,35 +394,42 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
     return out
 
 
-def cross_entropy(logits: Tensor, gold: int, mask: np.ndarray | None = None) -> Tensor:
-    """Negative log softmax probability of the gold class.
+def cross_entropy(logits: Tensor, gold, mask: np.ndarray | None = None) -> Tensor:
+    """Negative log softmax probability of the gold class, summed over rows.
 
-    ``logits`` may be any shape that ravels to the class axis. ``mask`` is an
-    optional additive mask (0 for allowed, NEG_INF for excluded); a masked
-    gold index is an unsatisfiable target and raises.
+    ``gold`` is one class index, or a vector of one index per row. ``logits``
+    may be any shape that ravels to ``(len(gold), n_classes)``. ``mask`` is an
+    optional additive mask of the same size (0 for allowed, NEG_INF for
+    excluded); a masked gold index is an unsatisfiable target and raises.
     """
-    flat = logits.data.reshape(-1)
-    n = flat.size
-    if not 0 <= gold < n:
-        raise IndexError(f"gold index {gold} out of range for {n} classes")
-    if np.isnan(flat).any():
-        raise ValueError("cross_entropy: NaN in logits")
+    gold = np.asarray(gold, dtype=np.intp).reshape(-1)
+    rows = np.arange(gold.size)
+    if gold.size == 0 or logits.size % gold.size:
+        raise ShapeError(f"logits {logits.shape} do not split into {gold.size} rows")
+    z = logits.data.reshape(gold.size, -1)
+    n = z.shape[1]
+    if gold.min() < 0 or gold.max() >= n:
+        raise IndexError(f"gold index {gold.tolist()} out of range for {n} classes")
+    if np.isnan(z).any():
+        raise NumericsError("cross_entropy: NaN in logits")
     if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64).reshape(-1)
-        if mask.shape != flat.shape:
-            raise ShapeError(f"mask shape {mask.shape} does not match logits {flat.shape}")
-        if mask[gold] != 0.0:
-            raise ValueError(f"gold index {gold} is masked out")
-        flat = flat + mask
-    shifted = flat - flat.max()
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.size != z.size:
+            raise ShapeError(f"mask shape {mask.shape} does not match logits {logits.shape}")
+        mask = mask.reshape(z.shape)
+        if (mask[rows, gold] != 0.0).any():
+            raise ValueError(f"gold index {gold.tolist()} is masked out")
+        z = z + mask
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum()
-    loss = -(shifted[gold] - np.log(e.sum()))
+    total = e.sum(axis=-1)
+    p = e / total[:, None]
+    loss = -(shifted[rows, gold] - np.log(total)).sum()
     out = Tensor(loss, logits.requires_grad, (logits,), "cross_entropy")
 
     def _bw(g):
         d = p.copy()
-        d[gold] -= 1.0
+        d[rows, gold] -= 1.0
         logits._accumulate((float(g) * d).reshape(logits.shape))
 
     out._backward = _bw if out.requires_grad else None

@@ -130,6 +130,8 @@ def train_stage1(
             value = loss.item()
             _check_finite(value, 1, step)
             loss.backward()
+            # release the step's tape now, not when the next step rebinds it
+            del loss
             if tc.clip_norm > 0:
                 opt.clip_grad_norm(tc.clip_norm)
             opt.step()
@@ -200,6 +202,7 @@ def train_stage2(
             value = loss.item()
             _check_finite(value, 2, step)
             loss.backward()
+            del loss
             if model.cfg.routing == "identity":
                 # one-hot routing reaches only the batch languages' sub-modules;
                 # the rest take a zero-gradient step rather than tripping the

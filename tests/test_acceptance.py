@@ -73,6 +73,7 @@ def benchmark_runs(tmp_path_factory):
     gen = GeneratorConfig(family_share=0.85)
     runs = []
     for seed in BENCHMARK_SEEDS:
+        t0 = time.time()
         corpus = generate_corpus(registry_in.languages, registry_in.schema, seed=100 + seed, gen=gen)
         cfg = replace(base_cfg, train=replace(base_cfg.train, seed=seed))
         out = tmp / f"seed{seed}"
@@ -103,6 +104,7 @@ def benchmark_runs(tmp_path_factory):
                 "dev_stage2": dev_stage2,
                 "test_stage2": test_stage2,
                 "mono_test": mono_test,
+                "seconds": time.time() - t0,
             }
         )
     return runs
@@ -448,6 +450,16 @@ def test_router_family_structure(benchmark_runs):
     assert mean_jac >= 0.5
 
 
+# Wall time of the whole benchmark fixture (3 seeds, a shared and a monolingual
+# model each), measured at BENCHMARK_FIXTURE_MEASURED_S on a 2-core x86 sandbox
+# with batched stage-1 training; the bound leaves 2.5x for host speed drift.
+# Never raise it to get a pass: a slower suite is the regression this catches.
+BENCHMARK_FIXTURE_MEASURED_S = 81.0
+BENCHMARK_FIXTURE_BOUND_S = 2.5 * BENCHMARK_FIXTURE_MEASURED_S
+
+
 def test_benchmark_runtime_is_desk_scale(benchmark_runs):
-    # the whole 3-seed benchmark fixture trains 6 models; spot check it stayed sane
     assert len(benchmark_runs) == 3
+    seconds = [round(run["seconds"], 1) for run in benchmark_runs]
+    print(f"benchmark fixture: {sum(seconds):.1f}s over 3 seeds {seconds} (bound {BENCHMARK_FIXTURE_BOUND_S:.0f}s)")
+    assert sum(seconds) < BENCHMARK_FIXTURE_BOUND_S

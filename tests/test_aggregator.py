@@ -56,8 +56,7 @@ class TestAggregate:
         reg = build_reg(cfg, seed=7)
         h1, h2 = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
         m1, m2 = np.ones(3, dtype=bool), np.ones(2, dtype=bool)
-        outs = aggregate([eo(h1), eo(h2)], [m1, m2], reg, cfg)
-        got = np.concatenate([o.data for o in outs], axis=0)
+        got = aggregate(Tensor(np.concatenate([h1, h2])[None]), np.concatenate([m1, m2])[None], reg, cfg).data[0]
         want = oracle_attention(
             np.concatenate([h1, h2]),
             reg["aggregator.w_q"].data,
@@ -88,8 +87,8 @@ class TestAggregate:
         h = rng.normal(size=(3, 4))
         mask = np.ones(3, dtype=bool)
         a = aggregate_single(eo(h), mask, reg, cfg)
-        b = aggregate([eo(h)], [mask], reg, cfg)[0]
-        assert np.array_equal(a.data, b.data)
+        b = aggregate(Tensor(h[None]), mask[None], reg, cfg)
+        assert np.array_equal(a.data, b.data[0])
 
     def test_pad_extension_invariance(self, rng):
         # appending masked PAD rows (exact zeros, as the encoder emits) leaves
@@ -118,17 +117,17 @@ class TestAggregate:
         cfg = toy_cfg()
         reg = build_reg(cfg)
         with pytest.raises(ValueError, match="boundary"):
-            aggregate([eo(rng.normal(size=(3, 4)))], [np.ones(2, dtype=bool)], reg, cfg)
+            aggregate(Tensor(rng.normal(size=(1, 3, 4))), np.ones((1, 2), dtype=bool), reg, cfg)
 
     def test_group_order_permutation_symmetric(self, rng):
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=9)
         h1, h2 = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
-        masks = [np.ones(3, dtype=bool), np.ones(2, dtype=bool)]
-        fwd = aggregate([eo(h1), eo(h2)], masks, reg, cfg)
-        rev = aggregate([eo(h2), eo(h1)], list(reversed(masks)), reg, cfg)
-        assert np.allclose(fwd[0].data, rev[1].data, atol=1e-12)
-        assert np.allclose(fwd[1].data, rev[0].data, atol=1e-12)
+        mask = np.ones((1, 5), dtype=bool)
+        fwd = aggregate(Tensor(np.concatenate([h1, h2])[None]), mask, reg, cfg).data[0]
+        rev = aggregate(Tensor(np.concatenate([h2, h1])[None]), mask, reg, cfg).data[0]
+        assert np.allclose(fwd[:3], rev[2:], atol=1e-12)
+        assert np.allclose(fwd[3:], rev[:2], atol=1e-12)
 
     def test_attention_rows_are_stochastic(self, rng):
         # re-derive the attention matrix and verify row sums over unmasked keys
@@ -149,10 +148,20 @@ class TestAggregate:
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=11)
         h1, h2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        masks = [np.ones(3, dtype=bool), np.ones(3, dtype=bool)]
-        grouped = aggregate([eo(h1), eo(h2)], masks, reg, cfg)
-        solo1 = aggregate_single(eo(h1), masks[0], reg, cfg)
-        assert not np.allclose(grouped[0].data, solo1.data)
+        grouped = aggregate(Tensor(np.concatenate([h1, h2])[None]), np.ones((1, 6), dtype=bool), reg, cfg)
+        solo1 = aggregate_single(eo(h1), np.ones(3, dtype=bool), reg, cfg)
+        assert not np.allclose(grouped.data[0, :3], solo1.data)
+
+    def test_stacked_groups_do_not_attend_to_each_other(self, rng):
+        # n groups in one call equal n separate calls; PAD keys stay masked
+        cfg = toy_cfg()
+        reg = build_reg(cfg, seed=12)
+        h1, h2 = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+        m1, m2 = np.array([True, True, True, False]), np.ones(4, dtype=bool)
+        stacked = aggregate(Tensor(np.stack([h1, h2])), np.stack([m1, m2]), reg, cfg)
+        for group, h, mask in ((0, h1, m1), (1, h2, m2)):
+            alone = aggregate_single(eo(h), mask, reg, cfg)
+            assert np.allclose(stacked.data[group][mask], alone.data[mask], atol=1e-12)
 
     def test_gradient_vs_finite_differences(self, rng):
         cfg = toy_cfg()

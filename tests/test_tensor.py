@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relmux import tensor as T
+from relmux.errors import NumericsError
 from relmux.gradcheck import finite_diff_check
 from relmux.optim import AdamW
 from relmux.oracles import oracle_adamw_step, oracle_cross_entropy
@@ -36,6 +37,32 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
             T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))))
 
+    def test_batched_gradient_vs_finite_differences(self, rng):
+        a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 5)))
+        report = finite_diff_check(lambda: T.tsum(T.mul(T.matmul(a, b), w)), {"a": a, "b": b}, max_coords=24)
+        assert report.max_rel_error < 1e-6
+
+    def test_broadcast_weight_gradient_vs_finite_differences(self, rng):
+        # a 2-D weight shared by every matrix of the batch sums its gradient
+        a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 5)))
+        report = finite_diff_check(lambda: T.tsum(T.mul(T.matmul(a, b), w)), {"a": a, "b": b}, max_coords=24)
+        assert report.max_rel_error < 1e-6
+        assert b.grad.shape == (4, 5)
+
+    def test_batched_equals_per_matrix_products(self, rng):
+        a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
+        out = T.matmul(Tensor(a), Tensor(b)).data
+        for i in range(3):
+            assert np.allclose(out[i], a[i] @ b[i], atol=1e-14)
+
+    def test_batch_shape_mismatch_rejected(self, rng):
+        with pytest.raises(ShapeError, match=r"\(3, 2, 4\).*\(2, 4, 5\)"):
+            T.matmul(Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros((2, 4, 5))))
+
 
 class TestSoftmaxRows:
     def test_symmetry(self):
@@ -53,7 +80,7 @@ class TestSoftmaxRows:
         assert out.data[1] == pytest.approx(0.0, abs=1e-300)
 
     def test_nan_input_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(NumericsError, match="NaN"):
             T.softmax_rows(Tensor([np.nan, 0.0]))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
@@ -158,6 +185,71 @@ class TestCrossEntropy:
         with pytest.raises(IndexError):
             T.cross_entropy(Tensor([1.0, 2.0]), 5)
 
+    def test_rowwise_is_sum_of_single_rows(self, rng):
+        logits = rng.normal(size=(3, 4))
+        gold = np.array([2, 0, 3])
+        mask = np.zeros((3, 4))
+        mask[0, 1] = mask[2, 0] = NEG_INF
+        got = T.cross_entropy(Tensor(logits), gold, mask).item()
+        want = sum(T.cross_entropy(Tensor(logits[i]), int(gold[i]), mask[i]).item() for i in range(3))
+        assert got == pytest.approx(want, abs=1e-14)
+
+    def test_rowwise_gradient_vs_finite_differences(self, rng):
+        # logits shaped (rows*classes, 1), as per-position scores arrive
+        logits = Tensor(rng.normal(size=(12, 1)), requires_grad=True)
+        gold = np.array([2, 0, 3])
+        mask = np.zeros(12)
+        mask[[1, 8]] = NEG_INF
+        report = finite_diff_check(lambda: T.cross_entropy(logits, gold, mask), {"logits": logits})
+        assert report.max_rel_error < 1e-6
+        assert logits.grad[1, 0] == 0.0 and logits.grad[8, 0] == 0.0
+
+    def test_rowwise_masked_gold_rejected(self):
+        with pytest.raises(ValueError, match="masked"):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), [0, 1], np.array([[0.0, 0.0, 0.0], [0.0, NEG_INF, 0.0]]))
+
+    def test_rows_must_divide_logits(self):
+        with pytest.raises(ShapeError):
+            T.cross_entropy(Tensor(np.zeros(5)), [0, 1])
+
+    def test_nan_logits_raise_numerics_error(self):
+        with pytest.raises(NumericsError, match="NaN"):
+            T.cross_entropy(Tensor([np.nan, 0.0]), 1)
+
+
+class TestHeads:
+    def test_split_heads_layout(self, rng):
+        # 2 sequences of 3 positions, 2 heads of 2 columns
+        x = rng.normal(size=(6, 4))
+        split = T.split_heads(Tensor(x), 2, 2).data
+        assert split.shape == (4, 3, 2)
+        for seq in range(2):
+            for head in range(2):
+                assert np.array_equal(split[seq * 2 + head], x[seq * 3:(seq + 1) * 3, head * 2:(head + 1) * 2])
+
+    def test_merge_inverts_split(self, rng):
+        x = rng.normal(size=(6, 4))
+        assert np.array_equal(T.merge_heads(T.split_heads(Tensor(x), 2, 2), 2).data, x)
+
+    def test_split_merge_gradients(self, rng):
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        blocks = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 6)))
+
+        def f():
+            # split, mix each (sequence, head) block, merge back
+            mixed = T.matmul(T.matmul(T.split_heads(x, 2, 2), T.transpose(T.split_heads(x, 2, 2))), blocks)
+            return T.tsum(T.mul(T.merge_heads(mixed, 2), w))
+
+        report = finite_diff_check(f, {"x": x, "blocks": blocks}, max_coords=24)
+        assert report.max_rel_error < 1e-6
+
+    def test_indivisible_split_rejected(self):
+        with pytest.raises(ShapeError):
+            T.split_heads(Tensor(np.zeros((5, 4))), 2, 2)
+        with pytest.raises(ShapeError):
+            T.merge_heads(Tensor(np.zeros((3, 2, 2))), 2)
+
 
 class TestPlumbingOps:
     def test_composite_gradients(self, rng):
@@ -172,6 +264,15 @@ class TestPlumbingOps:
             return T.tsum(T.mul(r, r))
 
         report = finite_diff_check(f, {"table": table}, max_coords=15)
+        assert report.max_rel_error < 1e-6
+
+    def test_repeat_rows_of_several_rows(self, rng):
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 3)))
+        out = T.repeat_rows(a, 4)
+        assert np.array_equal(out.data[:4], np.tile(a.data[:1], (4, 1)))
+        assert np.array_equal(out.data[4:], np.tile(a.data[1:], (4, 1)))
+        report = finite_diff_check(lambda: T.tsum(T.mul(T.repeat_rows(a, 4), w)), {"a": a})
         assert report.max_rel_error < 1e-6
 
     def test_backward_requires_scalar(self, rng):

@@ -9,8 +9,11 @@ import pytest
 from relmux import tensor as T
 from relmux.config import ModelConfig, RunConfig, TrainConfig
 from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus
+from relmux.aggregator import aggregate
+from relmux.encoder import encode
 from relmux.errors import NumericsError
 from relmux.gradcheck import finite_diff_check
+from relmux.heads import ENTITY_KEYS, entity_scores, relation_logits
 from relmux.model import Model, batch_mean, sentence_ere_loss
 from relmux.params import load_checkpoint
 from relmux.training import TrainLog, train_stage1, train_stage2
@@ -37,6 +40,34 @@ def tiny_run_cfg(**train_kw):
                           n_sub_modules=3, sub_layers=(2, 1, 1), bottleneck=32, eval_top_k=2),
         train=TrainConfig(**train),
     )
+
+
+def composed_stage1_loss(model, groups, alpha, beta):
+    """The stage-1 loss composed one sentence at a time: each sentence encoded
+    alone, each group aggregated over its members' concatenated rows, and each
+    sentence's heads and joint loss computed alone."""
+    reg, cfg = model.registry, model.cfg
+    losses = []
+    for group in groups:
+        tss = [model.tokenize(ex) for ex in group]
+        encoded = [encode(ts, reg, cfg) for ts in tss]
+        total = sum(ts.length for ts in tss)
+        h_cat = T.reshape(T.concat([eo.hidden for eo in encoded], axis=0), (1, total, cfg.d_model))
+        fused = T.reshape(aggregate(h_cat, np.ones((1, total), dtype=bool), reg, cfg), (total, cfg.d_model))
+        offset = 0
+        for ts, eo in zip(tss, encoded):
+            feats = T.narrow(fused, 0, offset, ts.length)
+            offset += ts.length
+            pooled = eo.pooled if cfg.relation_pooled_from == "encoder" else T.narrow(feats, 0, 0, 1)
+            rel_ce = T.cross_entropy(relation_logits(pooled, reg), ts.relation)
+            entity_ces = []
+            if ts.relation != 0:
+                rel_emb = T.narrow(reg["relation.emb"], 0, ts.relation, 1)
+                scores = entity_scores(feats, rel_emb, ts.content_position_mask(), reg)
+                golds = ts.head_span + ts.tail_span
+                entity_ces = [T.cross_entropy(scores[key], g) for key, g in zip(ENTITY_KEYS, golds)]
+            losses.append(sentence_ere_loss(rel_ce, entity_ces, alpha, beta))
+    return batch_mean(losses)
 
 
 class TestLossFormula:
@@ -110,15 +141,51 @@ class TestStage1:
             assert np.array_equal(m1.registry[name].data, m2.registry[name].data)
 
     def test_s1_reduces_to_per_sentence_training(self, tmp_path):
-        # building groups of one sentence must produce per-sentence joint losses
+        # a group of one sentence must produce that sentence's joint loss
         corpus = tiny_corpus()
         cfg = tiny_run_cfg(concat_sentences=1, stage1_epochs=1)
         model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
-        group_loss = model.stage1_group_losses([corpus.train[0]], 2.0, 1.0)
-        assert len(group_loss) == 1
         # an equivalent manual single-sentence pipeline gives the same value
+        manual = composed_stage1_loss(model, [[corpus.train[0]]], 2.0, 1.0)
         solo = model.stage1_batch_loss([[corpus.train[0]]], 2.0, 1.0)
-        assert solo.item() == pytest.approx(group_loss[0].item(), abs=1e-15)
+        assert solo.item() == pytest.approx(manual.item(), abs=1e-15)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("pooled_from", ["encoder", "switched"])
+    def test_batched_loss_matches_single_sentence_composition(self, s, pooled_from):
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg()
+        model = Model.build(replace(cfg.model, relation_pooled_from=pooled_from),
+                            corpus.registry, init_seed=3)
+        model.registry.freeze([n for n in model.registry.names() if n.startswith("switcher.")])
+        # distinct languages within a group; no_relation and entity-bearing
+        # sentences alternate
+        pools = {}
+        for ex in corpus.train:
+            pools.setdefault((ex.lang, ex.relation != 0), []).append(ex)
+        groups = [[pools[((g + j) % 3, (g + j) % 2 == 1)][g // 3] for j in range(s)] for g in range(6)]
+        batch = [ex for group in groups for ex in group]
+        assert len({len(ex.tokens) for ex in batch}) > 1
+        assert any(ex.relation == 0 for ex in batch) and any(ex.relation != 0 for ex in batch)
+
+        def grads(f):
+            model.registry.zero_grad()
+            loss = f()
+            loss.backward()
+            return loss.item(), {n: t.grad.copy() for n, t in model.registry.items() if t.grad is not None}
+
+        got, got_grads = grads(lambda: model.stage1_batch_loss(groups, 2.0, 1.0))
+        want, want_grads = grads(lambda: composed_stage1_loss(model, groups, 2.0, 1.0))
+        assert got == pytest.approx(want, abs=1e-12)
+        assert set(got_grads) == set(want_grads)
+        for name, g in want_grads.items():
+            assert np.allclose(got_grads[name], g, rtol=0.0, atol=1e-12), name
+
+    def test_unequal_groups_rejected(self):
+        corpus = tiny_corpus()
+        model = Model.build(replace(tiny_run_cfg().model), corpus.registry, init_seed=0)
+        with pytest.raises(ValueError, match="same size"):
+            model.stage1_batch_loss([corpus.train[:2], corpus.train[2:3]], 2.0, 1.0)
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         corpus = tiny_corpus()
@@ -140,7 +207,7 @@ class TestStage1:
         cfg = tiny_run_cfg(lr=3e-3, stage1_epochs=1)
         model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
         model.registry["encoder.tok_emb"].data[:] = np.nan
-        with pytest.raises((NumericsError, ValueError)):
+        with pytest.raises(NumericsError):
             train_stage1(model, corpus, cfg, tmp_path, TrainLog())
 
 
