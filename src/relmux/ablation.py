@@ -67,6 +67,12 @@ def _execute(jobs: list[tuple[str, Corpus, RunConfig, str]], n_workers: int) -> 
     return dict(results)
 
 
+def _sweep(jobs_list: list[tuple[str, Corpus, RunConfig, str]], n_workers: int) -> list[dict]:
+    """Run every variant and collect its rows, in job order."""
+    results = _execute(jobs_list, n_workers)
+    return [row for variant, *_ in jobs_list for row in _rows(variant, results[variant])]
+
+
 def _rows(variant: str, scores: dict[str, float], languages: list[str] | None = None) -> list[dict]:
     rows = []
     for code, f1 in scores.items():
@@ -99,11 +105,7 @@ def ablate_concat_count(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs:
             continue
         variant_cfg = replace(run_cfg, train=replace(run_cfg.train, concat_sentences=s))
         jobs_list.append((f"s={s}", corpus, variant_cfg, str(out_dir / f"s{s}")))
-    results = _execute(jobs_list, jobs)
-    rows = []
-    for variant, _, _, _ in jobs_list:
-        rows += _rows(variant, results[variant])
-    return rows
+    return _sweep(jobs_list, jobs)
 
 
 def ablate_topk_sweep(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs: int = 1) -> list[dict]:
@@ -126,34 +128,7 @@ def ablate_layer_numbers(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs
         variant_cfg = replace(run_cfg, model=replace(run_cfg.model, sub_layers=layers))
         jobs_list.append((f"layers={depth_a}-{depth_b}", corpus, variant_cfg,
                           str(out_dir / f"layers_{depth_a}-{depth_b}")))
-    results = _execute(jobs_list, jobs)
-    rows = []
-    for variant, _, _, _ in jobs_list:
-        rows += _rows(variant, results[variant])
-    return rows
-
-
-def _monolingual_corpus(corpus: Corpus, lang: LanguageSpec) -> Corpus:
-    """Restrict a corpus to one language, re-registered with a single dense id."""
-    keep = lang.id
-    languages = [
-        LanguageSpec(0, lang.code, lang.word_order, lang.family, lang.resource_size, lang.vocab)
-    ]
-    allowed = corpus.registry.schema.allowed[[keep], :]
-    registry = LanguageRegistry(
-        languages=languages,
-        schema=RelationSchema(relations=corpus.registry.schema.relations, allowed=allowed),
-    )
-
-    def remap(examples):
-        return [replace(ex, lang=0) for ex in examples if ex.lang == keep]
-
-    return Corpus(
-        registry=registry,
-        train=remap(corpus.train),
-        dev=remap(corpus.dev),
-        test=remap(corpus.test),
-    )
+    return _sweep(jobs_list, jobs)
 
 
 def ablate_mono_vs_multi(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs: int = 1) -> list[dict]:
@@ -161,7 +136,7 @@ def ablate_mono_vs_multi(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs
     jobs_list = [("multilingual", corpus, run_cfg, str(out_dir / "multi"))]
     mono_langs = []
     for lang in corpus.registry.languages:
-        mono_corpus = _monolingual_corpus(corpus, lang)
+        mono_corpus = _restrict_corpus(corpus, [lang.id])
         mono_cfg = _fresh_model_cfg(replace(run_cfg, train=replace(run_cfg.train, concat_sentences=1)))
         jobs_list.append((f"mono_{lang.code}", mono_corpus, mono_cfg, str(out_dir / f"mono_{lang.code}")))
         mono_langs.append(lang.code)
@@ -211,11 +186,7 @@ def ablate_language_groups(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jo
             continue
         sub = _restrict_corpus(corpus, sorted(ids))
         jobs_list.append((name, sub, _fresh_model_cfg(run_cfg), str(out_dir / name)))
-    results = _execute(jobs_list, jobs)
-    rows = []
-    for variant, _, _, _ in jobs_list:
-        rows += _rows(variant, results[variant])
-    return rows
+    return _sweep(jobs_list, jobs)
 
 
 def ablate_no_selection(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs: int = 1) -> list[dict]:
@@ -229,11 +200,7 @@ def ablate_no_selection(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs:
         ("routed", corpus, run_cfg, str(out_dir / "routed")),
         ("one_per_language", corpus, identity_cfg, str(out_dir / "one_per_language")),
     ]
-    results = _execute(jobs_list, jobs)
-    rows = []
-    for variant, _, _, _ in jobs_list:
-        rows += _rows(variant, results[variant])
-    return rows
+    return _sweep(jobs_list, jobs)
 
 
 def run_ablation(name: str, corpus: Corpus, run_cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> list[dict]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
-from .encoder import EncoderOutput, masked_attention
+from .encoder import masked_attention
 from .params import ParamRegistry, matrix_init
 from .tensor import Tensor
 
@@ -41,9 +41,3 @@ def aggregate(hidden: Tensor, key_mask: np.ndarray, reg: ParamRegistry, cfg: Mod
     q, k, v = (T.matmul(hidden, reg[name]) for name in AGGREGATOR_PARAMS)
     return masked_attention(q, k, v, key_mask)
 
-
-def aggregate_single(member: EncoderOutput, mask: np.ndarray, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
-    """Evaluation path: a group of one sentence."""
-    m, d = member.hidden.shape
-    fused = aggregate(T.reshape(member.hidden, (1, m, d)), np.asarray(mask).reshape(1, m), reg, cfg)
-    return T.reshape(fused, (m, d))

@@ -125,26 +125,6 @@ def tokenize(example: Example, vocab: Vocab, max_len: int, lang_prefix: bool = T
     )
 
 
-def pad_to(ts: TokenizedSentence, m: int) -> TokenizedSentence:
-    if m < ts.length:
-        raise DataValidationError(f"cannot pad length {ts.length} down to {m}")
-    if m == ts.length:
-        return ts
-    ids = np.concatenate([ts.input_ids, np.full(m - ts.length, PAD_ID, dtype=np.intp)])
-    mask = np.concatenate([ts.attention_mask, np.zeros(m - ts.length, dtype=bool)])
-    return TokenizedSentence(
-        example_id=ts.example_id,
-        lang=ts.lang,
-        input_ids=ids,
-        attention_mask=mask,
-        head_span=ts.head_span,
-        tail_span=ts.tail_span,
-        relation=ts.relation,
-        content_start=ts.content_start,
-        n_content=ts.n_content,
-    )
-
-
 @dataclass
 class EncoderOutput:
     hidden: Tensor   # (n*m, d): the rows of n sentences of m positions

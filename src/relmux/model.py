@@ -5,9 +5,11 @@ Two pipelines share the same parameters. Stage-1 training concatenates groups
 of sentences in different languages through the cross-sentence aggregator and
 trains everything jointly; stage-2 training runs single sentences through the
 aggregator and the language switcher while the encoder and aggregator stay
-frozen. Prediction follows the trained stage: encode, aggregate, optionally
-switch with top-k routing, classify the relation under the language mask, then
-decode the spans conditioned on the predicted relation.
+frozen. Stage 2 and prediction share one single-sentence forward, ``_prefix``:
+encode, then aggregate the sentence as a group of one. Prediction then follows
+the trained stage: optionally switch with top-k routing, classify the relation
+under the language mask, then decode the spans conditioned on the predicted
+relation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .aggregator import AGGREGATOR_PARAMS, aggregate, aggregate_single, build_aggregator_params
+from .aggregator import AGGREGATOR_PARAMS, aggregate, build_aggregator_params
 from .config import ModelConfig, RunConfig
 from .corpus import SENTINEL_SPAN, Example, LanguageRegistry
 from .encoder import (
@@ -123,6 +125,29 @@ class Model:
     def tokenize(self, example: Example) -> TokenizedSentence:
         return tokenize(example, self.vocab, self.cfg.max_len, self.cfg.lang_prefix)
 
+    def _prefix(self, ts: TokenizedSentence) -> tuple[Tensor, Tensor]:
+        """One sentence's encoder [CLS] row, (1, d), and aggregator output,
+        (m, d): the encoder, then the aggregator on a group of one."""
+        eo = encode(ts, self.registry, self.cfg)
+        m, d = eo.hidden.shape
+        fused = aggregate(T.reshape(eo.hidden, (1, m, d)), ts.attention_mask.reshape(1, m), self.registry, self.cfg)
+        return eo.pooled, T.reshape(fused, (m, d))
+
+    def _pooled(self, pooled_encoder: Tensor, features: Tensor, n: int) -> Tensor:
+        """The (n, d) vectors the relation head reads: the encoder [CLS] rows,
+        or the first of each sentence's m feature rows."""
+        if self.cfg.relation_pooled_from == "encoder":
+            return pooled_encoder
+        return T.gather_rows(features, np.arange(n) * (features.shape[0] // n))
+
+    def _entity_scores(self, tss: list[TokenizedSentence], features: Tensor, relations) -> dict[str, Tensor]:
+        """Entity scores of n sentences, (n*m, d) feature rows, each
+        conditioned on the embedding of its relation."""
+        m = features.shape[0] // len(tss)
+        rel_emb = T.gather_rows(self.registry["relation.emb"], relations)
+        mask = np.concatenate([ts.content_position_mask(m) for ts in tss])
+        return entity_scores(features, rel_emb, mask, self.registry)
+
     def _ere_loss(
         self, tss: list[TokenizedSentence], pooled_encoder: Tensor, features: Tensor,
         alpha: float, beta: float, stats: dict | None,
@@ -137,20 +162,14 @@ class Model:
         for ts in tss:
             check_gold_allowed(ts.relation, allowed[ts.lang], ts.example_id)
         rels = np.array([ts.relation for ts in tss])
-        if self.cfg.relation_pooled_from == "encoder":
-            pooled = pooled_encoder
-        else:
-            pooled = T.gather_rows(features, np.arange(n) * m)
-        rel_ce = T.cross_entropy(relation_logits(pooled, self.registry), rels)
+        rel_ce = T.cross_entropy(relation_logits(self._pooled(pooled_encoder, features, n), self.registry), rels)
         entity_ces = []
         bearing = np.flatnonzero(rels)
         if bearing.size:
             if bearing.size < n:
                 rows = T.gather_rows(T.reshape(features, (n, m * d)), bearing)
                 features = T.reshape(rows, (bearing.size * m, d))
-            rel_emb = T.gather_rows(self.registry["relation.emb"], rels[bearing])
-            mask = np.concatenate([tss[i].content_position_mask(m) for i in bearing])
-            scores = entity_scores(features, rel_emb, mask, self.registry)
+            scores = self._entity_scores([tss[i] for i in bearing], features, rels[bearing])
             golds = np.array([tss[i].head_span + tss[i].tail_span for i in bearing])
             entity_ces = [T.add_n([T.cross_entropy(scores[key], golds[:, j])
                                    for j, key in enumerate(ENTITY_KEYS)])]
@@ -183,36 +202,28 @@ class Model:
         loss = self._ere_loss(tss, eo.pooled, fused, alpha, beta, stats)
         return T.mul(loss, 1.0 / len(tss))
 
-    def stage2_sentence_loss(
-        self, example: Example, alpha: float, beta: float, stats: dict | None = None,
-        memo: dict | None = None, key=None,
-    ) -> Tensor:
-        """``memo`` maps ``key`` to the sentence's frozen prefix, the encoder's
-        pooled [CLS] and the aggregator output; the prefix is computed only
-        when the key is missing. Valid only while the encoder and the
-        aggregator are frozen: their outputs then carry no tape."""
-        ts = self.tokenize(example)
-        prefix = None if memo is None else memo.get(key)
-        if prefix is None:
-            eo = encode(ts, self.registry, self.cfg)
-            prefix = (eo.pooled, aggregate_single(eo, ts.attention_mask, self.registry, self.cfg))
-            if memo is not None:
-                memo[key] = prefix
-        pooled, fused = prefix
-        switched = switch_train(fused, ts.lang, self.registry, self.cfg)
-        return self._ere_loss([ts], pooled, switched, alpha, beta, stats)
-
     def stage2_batch_loss(
         self, batch: list[Example], alpha: float, beta: float, stats: dict | None = None,
         memo: dict | None = None, keys: list | None = None,
     ) -> Tensor:
-        """``memo`` and ``keys`` (one per sentence) as in stage2_sentence_loss."""
-        if keys is None:
-            if memo is not None:
-                raise ValueError("a frozen-prefix memo needs one key per sentence")
-            keys = [None] * len(batch)
-        return batch_mean([self.stage2_sentence_loss(ex, alpha, beta, stats, memo, key)
-                           for ex, key in zip(batch, keys)])
+        """Mean joint loss over single sentences, each through the aggregator
+        alone and the switcher's training mix. ``memo`` maps ``keys`` (one per
+        sentence) to the sentence's frozen prefix; the prefix is computed
+        only when its key is missing. Valid only while the encoder and the
+        aggregator are frozen: their outputs then carry no tape."""
+        if memo is None:
+            memo, keys = {}, range(len(batch))
+        elif keys is None:
+            raise ValueError("a frozen-prefix memo needs one key per sentence")
+        losses = []
+        for ex, key in zip(batch, keys):
+            ts = self.tokenize(ex)
+            if key not in memo:
+                memo[key] = self._prefix(ts)
+            pooled, fused = memo[key]
+            switched = switch_train(fused, ts.lang, self.registry, self.cfg)
+            losses.append(self._ere_loss([ts], pooled, switched, alpha, beta, stats))
+        return batch_mean(losses)
 
     # -- prediction --------------------------------------------------------
 
@@ -220,16 +231,11 @@ class Model:
         """Deterministic triple prediction; spans are reported in content-token
         coordinates so they compare directly with gold spans."""
         ts = self.tokenize(example)
-        eo = encode(ts, self.registry, self.cfg)
-        fused = aggregate_single(eo, ts.attention_mask, self.registry, self.cfg)
+        pooled, features = self._prefix(ts)
         if self.stage >= 2:
-            features, _ = switch_eval(fused, ts.lang, self.registry, self.cfg, top_k)
-        else:
-            features = fused
-        pooled = eo.pooled if self.cfg.relation_pooled_from == "encoder" else T.narrow(features, 0, 0, 1)
-        logits = relation_logits(pooled, self.registry).data.reshape(-1)
-        allowed = self.languages.schema.allowed[ts.lang]
-        relation = masked_argmax_relation(logits, allowed)
+            features, _ = switch_eval(features, ts.lang, self.registry, self.cfg, top_k)
+        logits = relation_logits(self._pooled(pooled, features, 1), self.registry).data.reshape(-1)
+        relation = masked_argmax_relation(logits, self.languages.schema.allowed[ts.lang])
         if relation == 0:
             return TriplePrediction(
                 example_id=example.id,
@@ -238,9 +244,7 @@ class Model:
                 tail_span=SENTINEL_SPAN,
                 relation_logits=logits,
             )
-        rel_emb = T.narrow(self.registry["relation.emb"], 0, relation, 1)
-        mask = ts.content_position_mask(features.shape[0])
-        scores = entity_scores(features, rel_emb, mask, self.registry)
+        scores = self._entity_scores([ts], features, [relation])
         score_arrays = {key: t.data.reshape(-1).copy() for key, t in scores.items()}
         head, tail = decode_spans(score_arrays)
         shift = ts.content_start

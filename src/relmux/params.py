@@ -76,12 +76,6 @@ class ParamRegistry:
     def is_frozen(self, name: str) -> bool:
         return name in self._frozen
 
-    def frozen_names(self) -> set[str]:
-        return set(self._frozen)
-
-    def trainable_names(self) -> list[str]:
-        return [n for n in self._params if n not in self._frozen]
-
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None

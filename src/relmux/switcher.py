@@ -99,8 +99,10 @@ def apply_submodule(t_idx: int, h: Tensor, reg: ParamRegistry, cfg: ModelConfig)
 
 
 def mix_with_weights(h: Tensor, weights: list[tuple[int, Tensor | float]], reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
-    """Weighted sum of sub-module outputs. Zero weights are skipped so a one-hot
-    mix is bitwise identical to the single sub-module's output."""
+    """Weighted sum of sub-module outputs. Float zero weights are skipped, so a
+    one-hot mix is bitwise identical to the single sub-module's output; a
+    Tensor weight always runs its sub-module, which then gets a gradient
+    (exactly zero where the weight is zero)."""
     terms = []
     for t_idx, w in weights:
         if isinstance(w, float) and w == 0.0:
@@ -115,12 +117,8 @@ def mix_with_weights(h: Tensor, weights: list[tuple[int, Tensor | float]], reg: 
 def switch_train(h: Tensor, lang: int, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
     """Training mix over all T sub-modules, differentiable through the router."""
     probs = route(lang, reg, cfg)
-    weighted = []
-    for t_idx in range(cfg.n_sub_modules):
-        w = T.narrow(probs, 1, t_idx, 1)  # (1,1) broadcasts over (m,d)
-        weighted.append((t_idx, w))
-    terms = [T.mul(apply_submodule(t, h, reg, cfg), w) for t, w in weighted]
-    return T.add_n(terms)
+    # each (1,1) weight broadcasts over (m,d)
+    return mix_with_weights(h, [(t, T.narrow(probs, 1, t, 1)) for t in range(cfg.n_sub_modules)], reg, cfg)
 
 
 def switch_eval(h: Tensor, lang: int, reg: ParamRegistry, cfg: ModelConfig, k: int | None = None) -> tuple[Tensor, SwitchDecision]:

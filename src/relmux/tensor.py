@@ -72,22 +72,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # Operator sugar; the free functions below do the work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -141,13 +125,6 @@ def add(a: Tensor, b) -> Tensor:
             b._accumulate(_unbroadcast(g, b.shape))
 
     out._backward = _bw if out.requires_grad else None
-    return out
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data, a.requires_grad, (a,), "neg")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(-g)
     return out
 
 

@@ -203,14 +203,6 @@ def train_stage2(
             _check_finite(value, 2, step)
             loss.backward()
             del loss
-            if model.cfg.routing == "identity":
-                # one-hot routing reaches only the batch languages' sub-modules;
-                # the rest take a zero-gradient step rather than tripping the
-                # optimizer's missing-grad check
-                for name in opt.m:
-                    p = model.registry[name]
-                    if p.grad is None and name.startswith("switcher.sub"):
-                        p.grad = np.zeros_like(p.data)
             if tc.clip_norm > 0:
                 opt.clip_grad_norm(tc.clip_norm)
             opt.step()

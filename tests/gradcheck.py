@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor
+from relmux.tensor import Tensor
 
 
 @dataclass

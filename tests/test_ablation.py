@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 from relmux.ablation import run_ablation
-from relmux.aggregator import aggregate_single
 from relmux.config import ModelConfig, RunConfig, TrainConfig
 from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus
-from relmux.encoder import encode
 from relmux.heads import masked_argmax_relation, relation_logits
 from relmux.switcher import switch_train
 
@@ -59,10 +57,9 @@ class TestDrivers:
 
         def predict_train_mode(exm):
             ts = model.tokenize(exm)
-            eo = encode(ts, model.registry, model.cfg)
-            fused = aggregate_single(eo, ts.attention_mask, model.registry, model.cfg)
+            pooled, fused = model._prefix(ts)
             feats = switch_train(fused, ts.lang, model.registry, model.cfg)
-            logits = relation_logits(eo.pooled, model.registry).data
+            logits = relation_logits(pooled, model.registry).data
             return masked_argmax_relation(logits, model.languages.schema.allowed[ts.lang])
 
         for exm in corpus.test[:20]:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from relmux import tensor as T
-from relmux.ablation import _monolingual_corpus, train_two_stage
+from relmux.ablation import _restrict_corpus, train_two_stage
 from relmux.cli import main as cli_main
 from relmux.config import ModelConfig, load_run_config
 from relmux.corpus import (
@@ -31,7 +31,6 @@ from relmux.corpus import (
     generate_corpus,
 )
 from relmux.evaluation import evaluate_model
-from relmux.gradcheck import finite_diff_check
 from relmux.model import Model, batch_mean, sentence_ere_loss
 from relmux.params import ParamRegistry, load_checkpoint
 from relmux.switcher import (
@@ -46,6 +45,8 @@ from relmux.switcher import (
 )
 from relmux.tensor import Tensor
 from relmux.training import TrainLog, train_stage1, train_stage2
+
+from gradcheck import finite_diff_check
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BENCHMARK_SEEDS = (1, 2, 3)
@@ -86,7 +87,7 @@ def benchmark_runs(tmp_path_factory):
         test_stage2 = evaluate_model(model, corpus.test, corpus.registry)
 
         lowest = min(corpus.registry.languages, key=lambda l: l.resource_size)
-        mono_corpus = _monolingual_corpus(corpus, lowest)
+        mono_corpus = _restrict_corpus(corpus, [lowest.id])
         mono_cfg = replace(
             cfg,
             train=replace(cfg.train, concat_sentences=1),

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from relmux import tensor as T
-from relmux.aggregator import aggregate, aggregate_single, build_aggregator_params
+from relmux.aggregator import aggregate, build_aggregator_params
 from relmux.config import ModelConfig
-from relmux.encoder import EncoderOutput
-from relmux.gradcheck import finite_diff_check
-from relmux.oracles import compare, oracle_attention
 from relmux.params import ParamRegistry
 from relmux.tensor import Tensor
+
+from gradcheck import finite_diff_check
+from oracles import compare, oracle_attention
 
 
 def toy_cfg(d=4):
@@ -28,9 +28,11 @@ def build_reg(cfg, seed=0):
     return reg
 
 
-def eo(data):
-    t = Tensor(np.asarray(data, dtype=np.float64))
-    return EncoderOutput(hidden=t, pooled=T.narrow(t, 0, 0, 1))
+def group_of_one(h, mask, reg, cfg):
+    """One sentence's (m, d) rows through ``aggregate`` as a group of one."""
+    h = h if isinstance(h, Tensor) else Tensor(np.asarray(h, dtype=np.float64))
+    m, d = h.shape
+    return T.reshape(aggregate(T.reshape(h, (1, m, d)), np.asarray(mask).reshape(1, m), reg, cfg), (m, d))
 
 
 class TestAggregate:
@@ -40,7 +42,7 @@ class TestAggregate:
         reg["aggregator.w_q"].data[:] = 0.0
         reg["aggregator.w_k"].data[:] = 0.0
         h = rng.normal(size=(3, 4))
-        out = aggregate_single(eo(h), np.ones(3, dtype=bool), reg, cfg)
+        out = group_of_one(h, np.ones(3, dtype=bool), reg, cfg)
         v = h @ reg["aggregator.w_v"].data
         assert np.allclose(out.data, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
@@ -48,7 +50,7 @@ class TestAggregate:
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=5)
         h = rng.normal(size=(1, 4))
-        out = aggregate_single(eo(h), np.ones(1, dtype=bool), reg, cfg)
+        out = group_of_one(h, np.ones(1, dtype=bool), reg, cfg)
         assert np.allclose(out.data, h @ reg["aggregator.w_v"].data, atol=1e-14)
 
     def test_group_matches_straight_line_oracle(self, rng):
@@ -74,21 +76,12 @@ class TestAggregate:
             reg = build_reg(cfg, seed=seed)
             h = r.normal(size=(4, 4))
             mask = np.array([True, True, True, False])
-            out = aggregate_single(eo(h), mask, reg, cfg)
+            out = group_of_one(h, mask, reg, cfg)
             want = oracle_attention(
                 h, reg["aggregator.w_q"].data, reg["aggregator.w_k"].data,
                 reg["aggregator.w_v"].data, mask,
             )
             assert compare(f"seed{seed}", out.data[:3], want[:3], 1e-10).passed
-
-    def test_aggregate_single_equals_group_of_one(self, rng):
-        cfg = toy_cfg()
-        reg = build_reg(cfg, seed=2)
-        h = rng.normal(size=(3, 4))
-        mask = np.ones(3, dtype=bool)
-        a = aggregate_single(eo(h), mask, reg, cfg)
-        b = aggregate(Tensor(h[None]), mask[None], reg, cfg)
-        assert np.array_equal(a.data, b.data[0])
 
     def test_pad_extension_invariance(self, rng):
         # appending masked PAD rows (exact zeros, as the encoder emits) leaves
@@ -96,10 +89,10 @@ class TestAggregate:
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=6)
         h = rng.normal(size=(3, 4))
-        base = aggregate_single(eo(h), np.ones(3, dtype=bool), reg, cfg)
+        base = group_of_one(h, np.ones(3, dtype=bool), reg, cfg)
         extended = np.concatenate([h, np.zeros((2, 4))])
         mask = np.array([True, True, True, False, False])
-        padded = aggregate_single(eo(extended), mask, reg, cfg)
+        padded = group_of_one(extended, mask, reg, cfg)
         assert np.allclose(base.data, padded.data[:3], atol=1e-12)
 
     def test_pad_keys_masked(self, rng):
@@ -109,8 +102,8 @@ class TestAggregate:
         h_pad = h.copy()
         h_pad[3] = 99.0  # garbage in the PAD row
         mask = np.array([True, True, True, False])
-        a = aggregate_single(eo(h), mask, reg, cfg)
-        b = aggregate_single(eo(h_pad), mask, reg, cfg)
+        a = group_of_one(h, mask, reg, cfg)
+        b = group_of_one(h_pad, mask, reg, cfg)
         assert np.array_equal(a.data[:3], b.data[:3])
 
     def test_member_boundary_mismatch_rejected(self, rng):
@@ -149,7 +142,7 @@ class TestAggregate:
         reg = build_reg(cfg, seed=11)
         h1, h2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         grouped = aggregate(Tensor(np.concatenate([h1, h2])[None]), np.ones((1, 6), dtype=bool), reg, cfg)
-        solo1 = aggregate_single(eo(h1), np.ones(3, dtype=bool), reg, cfg)
+        solo1 = group_of_one(h1, np.ones(3, dtype=bool), reg, cfg)
         assert not np.allclose(grouped.data[0, :3], solo1.data)
 
     def test_stacked_groups_do_not_attend_to_each_other(self, rng):
@@ -160,7 +153,7 @@ class TestAggregate:
         m1, m2 = np.array([True, True, True, False]), np.ones(4, dtype=bool)
         stacked = aggregate(Tensor(np.stack([h1, h2])), np.stack([m1, m2]), reg, cfg)
         for group, h, mask in ((0, h1, m1), (1, h2, m2)):
-            alone = aggregate_single(eo(h), mask, reg, cfg)
+            alone = group_of_one(h, mask, reg, cfg)
             assert np.allclose(stacked.data[group][mask], alone.data[mask], atol=1e-12)
 
     def test_gradient_vs_finite_differences(self, rng):
@@ -171,8 +164,7 @@ class TestAggregate:
         params = {"h": h, **dict(reg.items())}
 
         def f():
-            out = aggregate_single(EncoderOutput(hidden=h, pooled=T.narrow(h, 0, 0, 1)),
-                                   np.ones(3, dtype=bool), reg, cfg)
+            out = group_of_one(h, np.ones(3, dtype=bool), reg, cfg)
             return T.tsum(T.mul(out, w))
 
         report = finite_diff_check(f, params, max_coords=6, rng=np.random.default_rng(0))

@@ -20,7 +20,8 @@ from relmux.corpus import (
     save_corpus,
 )
 from relmux.errors import ConfigError, DataValidationError
-from relmux.oracles import CHI2_CRIT_999, chi_square_stat
+
+from oracles import CHI2_CRIT_999, chi_square_stat
 
 
 def make_languages(sizes=(400, 200, 100, 50)):

@@ -15,16 +15,36 @@ from relmux.encoder import (
     Vocab,
     build_encoder_params,
     encode,
-    pad_to,
     tokenize,
 )
 from relmux.errors import DataValidationError
-from relmux.gradcheck import finite_diff_check
-from relmux.oracles import compare, oracle_encoder_forward
 from relmux.params import ParamRegistry
+
+from gradcheck import finite_diff_check
+from oracles import compare, oracle_encoder_forward
 
 
 CONTENT = [f"tok{i}" for i in range(10)]
+
+
+def pad_to(ts: TokenizedSentence, m: int) -> TokenizedSentence:
+    if m < ts.length:
+        raise DataValidationError(f"cannot pad length {ts.length} down to {m}")
+    if m == ts.length:
+        return ts
+    ids = np.concatenate([ts.input_ids, np.full(m - ts.length, PAD_ID, dtype=np.intp)])
+    mask = np.concatenate([ts.attention_mask, np.zeros(m - ts.length, dtype=bool)])
+    return TokenizedSentence(
+        example_id=ts.example_id,
+        lang=ts.lang,
+        input_ids=ids,
+        attention_mask=mask,
+        head_span=ts.head_span,
+        tail_span=ts.tail_span,
+        relation=ts.relation,
+        content_start=ts.content_start,
+        n_content=ts.n_content,
+    )
 
 
 def make_vocab(n_langs=2):

@@ -9,7 +9,6 @@ from relmux import tensor as T
 from relmux.config import ModelConfig
 from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus
 from relmux.errors import DataValidationError
-from relmux.gradcheck import finite_diff_check
 from relmux.heads import (
     build_head_params,
     check_gold_allowed,
@@ -19,9 +18,11 @@ from relmux.heads import (
     relation_logits,
 )
 from relmux.model import Model
-from relmux.oracles import compare, oracle_entity_scores, oracle_pair_argmax, oracle_relation_logits
 from relmux.params import ParamRegistry
 from relmux.tensor import NEG_INF, Tensor
+
+from gradcheck import finite_diff_check
+from oracles import compare, oracle_entity_scores, oracle_pair_argmax, oracle_relation_logits
 
 
 def toy_cfg(**kw):
@@ -229,11 +230,7 @@ class TestPredict:
         corpus, model = tiny_setup
         ex = next(e for e in corpus.train if e.relation != 0)
         ts = model.tokenize(ex)
-        from relmux.encoder import encode
-        from relmux.aggregator import aggregate_single
-
-        eo = encode(ts, model.registry, model.cfg)
-        feats = aggregate_single(eo, ts.attention_mask, model.registry, model.cfg)
+        _, feats = model._prefix(ts)
         mask = ts.content_position_mask(feats.shape[0])
         out = {}
         for rel in (1, 2):

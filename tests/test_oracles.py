@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from relmux.oracles import (
+from oracles import (
     CHI2_CRIT_999,
     chi_square_stat,
     compare,

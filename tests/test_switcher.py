@@ -7,7 +7,6 @@ import pytest
 from relmux import tensor as T
 from relmux.config import ModelConfig
 from relmux.errors import ConfigError
-from relmux.oracles import compare, oracle_adapter
 from relmux.params import ParamRegistry
 from relmux.switcher import (
     apply_submodule,
@@ -21,6 +20,8 @@ from relmux.switcher import (
     top_k_decision,
 )
 from relmux.tensor import Tensor
+
+from oracles import compare, oracle_adapter
 
 
 def toy_cfg(**kw):

@@ -12,12 +12,14 @@ from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus
 from relmux.aggregator import aggregate
 from relmux.encoder import encode
 from relmux.errors import NumericsError
-from relmux.gradcheck import finite_diff_check
-from relmux.heads import ENTITY_KEYS, entity_scores, relation_logits
+from relmux.heads import ENTITY_KEYS, entity_scores, masked_argmax_relation, relation_logits
 from relmux.model import Model, batch_mean, sentence_ere_loss
 from relmux.params import load_checkpoint
+from relmux.switcher import switch_eval
 from relmux.training import TrainLog, train_stage1, train_stage2
 from relmux.tensor import Tensor
+
+from gradcheck import finite_diff_check
 
 
 def tiny_corpus(seed=5, sizes=(32, 28, 20)):
@@ -68,6 +70,28 @@ def composed_stage1_loss(model, groups, alpha, beta):
                 entity_ces = [T.cross_entropy(scores[key], g) for key, g in zip(ENTITY_KEYS, golds)]
             losses.append(sentence_ere_loss(rel_ce, entity_ces, alpha, beta))
     return batch_mean(losses)
+
+
+def composed_predict(model, ex, k):
+    """One prediction's relation logits and entity scores (None when it
+    predicts no relation), composed straight: encode, aggregate as a group of
+    one, switch_eval from stage 2 on, the relation head and the masked argmax,
+    then the entity scores under the predicted relation."""
+    reg, cfg = model.registry, model.cfg
+    ts = model.tokenize(ex)
+    m, d = ts.length, cfg.d_model
+    eo = encode(ts, reg, cfg)
+    feats = T.reshape(aggregate(T.reshape(eo.hidden, (1, m, d)), ts.attention_mask[None], reg, cfg), (m, d))
+    if model.stage >= 2:
+        feats, _ = switch_eval(feats, ts.lang, reg, cfg, k)
+    pooled = eo.pooled if cfg.relation_pooled_from == "encoder" else T.narrow(feats, 0, 0, 1)
+    logits = relation_logits(pooled, reg).data.reshape(-1)
+    relation = masked_argmax_relation(logits, model.languages.schema.allowed[ts.lang])
+    if relation == 0:
+        return logits, None
+    rel_emb = T.narrow(reg["relation.emb"], 0, relation, 1)
+    scores = entity_scores(feats, rel_emb, ts.content_position_mask(), reg)
+    return logits, {key: t.data.reshape(-1) for key, t in scores.items()}
 
 
 class TestLossFormula:
@@ -395,20 +419,42 @@ class TestLossProperties:
 class TestConditioningOnTrainedModel:
     def test_relation_embedding_permutation_changes_scores(self, trained):
         corpus, cfg, model, *_ = trained
-        from relmux.aggregator import aggregate_single
-        from relmux.encoder import encode
         from relmux.heads import entity_scores
 
         ex = next(e for e in corpus.train if e.relation != 0)
         ts = model.tokenize(ex)
-        eo = encode(ts, model.registry, model.cfg)
-        feats = aggregate_single(eo, ts.attention_mask, model.registry, model.cfg)
+        _, feats = model._prefix(ts)
         mask = ts.content_position_mask(feats.shape[0])
         outputs = {}
         for rel in (1, 2):
             emb = T.narrow(model.registry["relation.emb"], 0, rel, 1)
             outputs[rel] = entity_scores(feats, emb, mask, model.registry)["hs"].data.copy()
         assert not np.allclose(outputs[1], outputs[2])
+
+
+class TestPredictComposition:
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("pooled_from", ["encoder", "switched"])
+    def test_predict_is_bitwise_the_straight_composition(self, stage, pooled_from):
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg()
+        model = Model.build(replace(cfg.model, relation_pooled_from=pooled_from), corpus.registry, init_seed=4)
+        model.stage = stage
+        top_ks = range(1, model.cfg.n_sub_modules + 1) if stage == 2 else [None]
+        scored = 0
+        for ex in corpus.dev[:12]:
+            for k in top_ks:
+                pred = model.predict(ex, top_k=k, dump_scores=True)
+                logits, scores = composed_predict(model, ex, k)
+                assert pred.relation_logits.tobytes() == logits.tobytes()
+                if scores is None:
+                    assert pred.relation == 0 and pred.entity_scores is None
+                    continue
+                scored += 1
+                assert pred.entity_scores.keys() == scores.keys()
+                for key, want in scores.items():
+                    assert pred.entity_scores[key].tobytes() == want.tobytes(), key
+        assert scored > 0
 
 
 class TestCheckpointRoundTrip:
