@@ -4,9 +4,9 @@ sentence representations.
 During stage-1 training the hidden states of a group of sentences in different
 languages are concatenated along the token axis and attended jointly, so every
 token sees tokens of the other sentences; each output row stays at its
-sentence position. A stage-1 batch stacks its groups as (G, s*m, d) and
-attends within every group in one pass. At evaluation time each sentence
-passes through alone.
+sentence position. A batch stacks its groups as (G, s*m, d) and attends
+within every group in one pass. In stage-2 training and at evaluation time
+each sentence is a group of its own.
 Single head, scaled by 1/sqrt(d), no output projection or residual; PAD keys
 are masked out.
 """

@@ -173,7 +173,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> T
     return T.matmul(T.softmax_rows(scores), v)
 
 
-def encode_batch(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelConfig) -> EncoderOutput:
+def encode(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelConfig) -> EncoderOutput:
     """Encode n sentences at once. Each is padded to the longest real (non-PAD)
     length m; the row-wise ops run once over all n*m rows, attention runs per
     sentence and head under a PAD key mask, and PAD rows are zeroed at the
@@ -213,13 +213,3 @@ def encode_batch(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: Mo
         x = T.mul(x, Tensor(key_mask.reshape(-1, 1).astype(np.float64)))
     return EncoderOutput(hidden=x, pooled=T.gather_rows(x, np.arange(n) * m))
 
-
-def encode(ts: TokenizedSentence, reg: ParamRegistry, cfg: ModelConfig) -> EncoderOutput:
-    """A batch of one, run over the real (non-PAD) prefix only; exact-zero rows
-    are spliced back in for PAD positions, so padding can never perturb real
-    rows."""
-    out = encode_batch([ts], reg, cfg)
-    pad = ts.length - out.hidden.shape[0]
-    if pad:
-        out.hidden = T.concat([out.hidden, Tensor(np.zeros((pad, cfg.d_model)))], axis=0)
-    return out

@@ -1,15 +1,16 @@
 """Full model assembly: parameter construction, forward pipelines, the joint
 loss, prediction, freeze plans, and checkpoint round-trips.
 
-Two pipelines share the same parameters. Stage-1 training concatenates groups
-of sentences in different languages through the cross-sentence aggregator and
-trains everything jointly; stage-2 training runs single sentences through the
-aggregator and the language switcher while the encoder and aggregator stay
-frozen. Stage 2 and prediction share one single-sentence forward, ``_prefix``:
-encode, then aggregate the sentence as a group of one. Prediction then follows
-the trained stage: optionally switch with top-k routing, classify the relation
-under the language mask, then decode the spans conditioned on the predicted
-relation.
+Both training stages and prediction share one forward, ``_forward``: encode n
+sentences in one pass, padded to the longest, then aggregate within each group
+of s consecutive sentences. Stage-1 training concatenates groups of sentences
+in different languages through the cross-sentence aggregator and trains
+everything jointly; stage-2 training aggregates each sentence alone (s = 1)
+and mixes all rows of the batch through the language switcher at once, while
+the encoder and aggregator stay frozen. Prediction runs one sentence through
+the same forward, then follows the trained stage: optionally switch with
+top-k routing, classify the relation under the language mask, then decode the
+spans conditioned on the predicted relation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .encoder import (
     Vocab,
     build_encoder_params,
     encode,
-    encode_batch,
     encoder_param_names,
     tokenize,
 )
@@ -57,13 +57,6 @@ def sentence_ere_loss(relation_ce: Tensor, entity_ces: list[Tensor], alpha: floa
         entity_sum = entity_ces[0] if len(entity_ces) == 1 else T.add_n(entity_ces)
         loss = T.add(T.mul(entity_sum, alpha / 2.0), loss)
     return loss
-
-
-def batch_mean(losses: list[Tensor]) -> Tensor:
-    if not losses:
-        raise ValueError("empty batch")
-    total = losses[0] if len(losses) == 1 else T.add_n(losses)
-    return T.mul(total, 1.0 / len(losses))
 
 
 @dataclass
@@ -125,13 +118,20 @@ class Model:
     def tokenize(self, example: Example) -> TokenizedSentence:
         return tokenize(example, self.vocab, self.cfg.max_len, self.cfg.lang_prefix)
 
-    def _prefix(self, ts: TokenizedSentence) -> tuple[Tensor, Tensor]:
-        """One sentence's encoder [CLS] row, (1, d), and aggregator output,
-        (m, d): the encoder, then the aggregator on a group of one."""
-        eo = encode(ts, self.registry, self.cfg)
-        m, d = eo.hidden.shape
-        fused = aggregate(T.reshape(eo.hidden, (1, m, d)), ts.attention_mask.reshape(1, m), self.registry, self.cfg)
-        return eo.pooled, T.reshape(fused, (m, d))
+    def _forward(self, tss: list[TokenizedSentence], s: int) -> tuple[Tensor, Tensor]:
+        """The encoder [CLS] rows, (n, d), and the aggregator output, (n*m, d),
+        of n sentences. One encoder pass pads every sentence to the longest
+        real length m; the aggregator then attends within each group of s
+        consecutive sentences' concatenated rows, never to PAD. A lone
+        sentence is never padded."""
+        eo = encode(tss, self.registry, self.cfg)
+        rows, d = eo.hidden.shape
+        m = rows // len(tss)
+        key_mask = np.arange(m) < np.array([ts.attention_mask.sum() for ts in tss])[:, None]
+        groups = len(tss) // s
+        fused = aggregate(T.reshape(eo.hidden, (groups, s * m, d)), key_mask.reshape(groups, s * m),
+                          self.registry, self.cfg)
+        return eo.pooled, T.reshape(fused, (rows, d))
 
     def _pooled(self, pooled_encoder: Tensor, features: Tensor, n: int) -> Tensor:
         """The (n, d) vectors the relation head reads: the encoder [CLS] rows,
@@ -152,7 +152,7 @@ class Model:
         self, tss: list[TokenizedSentence], pooled_encoder: Tensor, features: Tensor,
         alpha: float, beta: float, stats: dict | None,
     ) -> Tensor:
-        """Joint loss summed over n sentences. ``features`` holds their
+        """Joint loss averaged over n sentences. ``features`` holds their
         (n*m, d) rows and ``pooled_encoder`` their (n, d) encoder [CLS] rows.
         The relation term is one row-wise cross entropy over all n; each
         entity key is one over the sentences that bear entities."""
@@ -177,7 +177,7 @@ class Model:
             stats["relation_ce"] = stats.get("relation_ce", 0.0) + rel_ce.item()
             stats["entity_ce"] = stats.get("entity_ce", 0.0) + sum(t.item() for t in entity_ces)
             stats["sentences"] = stats.get("sentences", 0) + n
-        return sentence_ere_loss(rel_ce, entity_ces, alpha, beta)
+        return T.mul(sentence_ere_loss(rel_ce, entity_ces, alpha, beta), 1.0 / n)
 
     # -- stage losses ------------------------------------------------------
 
@@ -185,45 +185,25 @@ class Model:
         self, groups: list[list[Example]], alpha: float, beta: float, stats: dict | None = None
     ) -> Tensor:
         """Mean joint loss over the sentences of equal-size concatenation
-        groups. The whole batch makes one encoder and one aggregator pass:
-        every sentence is padded to the batch's longest, and the aggregator
-        attends within each group's s*m concatenated rows."""
+        groups, each group aggregated over its members' rows."""
         s = len(groups[0])
         if any(len(group) != s for group in groups):
             raise ValueError("stage-1 concatenation groups must all have the same size")
         tss = [self.tokenize(ex) for group in groups for ex in group]
-        eo = encode_batch(tss, self.registry, self.cfg)
-        rows, d = eo.hidden.shape
-        m = rows // len(tss)
-        key_mask = np.arange(m) < np.array([ts.length for ts in tss])[:, None]
-        grouped = T.reshape(eo.hidden, (len(groups), s * m, d))
-        fused = aggregate(grouped, key_mask.reshape(len(groups), s * m), self.registry, self.cfg)
-        fused = T.reshape(fused, (rows, d))
-        loss = self._ere_loss(tss, eo.pooled, fused, alpha, beta, stats)
-        return T.mul(loss, 1.0 / len(tss))
+        pooled, fused = self._forward(tss, s)
+        return self._ere_loss(tss, pooled, fused, alpha, beta, stats)
 
     def stage2_batch_loss(
-        self, batch: list[Example], alpha: float, beta: float, stats: dict | None = None,
-        memo: dict | None = None, keys: list | None = None,
+        self, batch: list[Example], alpha: float, beta: float, stats: dict | None = None
     ) -> Tensor:
         """Mean joint loss over single sentences, each through the aggregator
-        alone and the switcher's training mix. ``memo`` maps ``keys`` (one per
-        sentence) to the sentence's frozen prefix; the prefix is computed
-        only when its key is missing. Valid only while the encoder and the
-        aggregator are frozen: their outputs then carry no tape."""
-        if memo is None:
-            memo, keys = {}, range(len(batch))
-        elif keys is None:
-            raise ValueError("a frozen-prefix memo needs one key per sentence")
-        losses = []
-        for ex, key in zip(batch, keys):
-            ts = self.tokenize(ex)
-            if key not in memo:
-                memo[key] = self._prefix(ts)
-            pooled, fused = memo[key]
-            switched = switch_train(fused, ts.lang, self.registry, self.cfg)
-            losses.append(self._ere_loss([ts], pooled, switched, alpha, beta, stats))
-        return batch_mean(losses)
+        alone, then every row through the switcher's training mix under its
+        sentence's language."""
+        tss = [self.tokenize(ex) for ex in batch]
+        pooled, fused = self._forward(tss, 1)
+        langs = np.repeat([ts.lang for ts in tss], fused.shape[0] // len(tss))
+        switched = switch_train(fused, langs, self.registry, self.cfg)
+        return self._ere_loss(tss, pooled, switched, alpha, beta, stats)
 
     # -- prediction --------------------------------------------------------
 
@@ -231,7 +211,7 @@ class Model:
         """Deterministic triple prediction; spans are reported in content-token
         coordinates so they compare directly with gold spans."""
         ts = self.tokenize(example)
-        pooled, features = self._prefix(ts)
+        pooled, features = self._forward([ts], 1)
         if self.stage >= 2:
             features, _ = switch_eval(features, ts.lang, self.registry, self.cfg, top_k)
         logits = relation_logits(self._pooled(pooled, features, 1), self.registry).data.reshape(-1)

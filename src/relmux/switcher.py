@@ -49,15 +49,17 @@ def switcher_param_names(cfg: ModelConfig) -> list[str]:
     return names
 
 
-def route(lang: int, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
-    """Routing probabilities for a language, differentiable w.r.t. the router."""
-    if not 0 <= lang < cfg.n_languages:
-        raise DataValidationError(f"unknown language id {lang}")
+def route(lang, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
+    """Routing probabilities, differentiable w.r.t. the router: (1, T) for
+    one language id, or (rows, T) for one id per row."""
+    langs = np.atleast_1d(np.asarray(lang, dtype=np.intp))
+    if langs.min() < 0 or langs.max() >= cfg.n_languages:
+        raise DataValidationError(f"unknown language id in {sorted(set(langs.tolist()))}")
     if cfg.routing == "identity":
-        probs = np.zeros((1, cfg.n_sub_modules))
-        probs[0, lang % cfg.n_sub_modules] = 1.0
+        probs = np.zeros((langs.size, cfg.n_sub_modules))
+        probs[np.arange(langs.size), langs % cfg.n_sub_modules] = 1.0
         return Tensor(probs)
-    emb = T.narrow(reg["switcher.lang_emb"], 0, lang, 1)
+    emb = T.gather_rows(reg["switcher.lang_emb"], langs)
     return T.softmax_rows(T.matmul(emb, reg["switcher.w_router"]))
 
 
@@ -114,10 +116,12 @@ def mix_with_weights(h: Tensor, weights: list[tuple[int, Tensor | float]], reg: 
     return terms[0] if len(terms) == 1 else T.add_n(terms)
 
 
-def switch_train(h: Tensor, lang: int, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
-    """Training mix over all T sub-modules, differentiable through the router."""
+def switch_train(h: Tensor, lang, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
+    """Training mix over all T sub-modules, differentiable through the router.
+    ``lang`` is one language id for all rows of ``h``, or one id per row, so
+    each sub-module runs once over rows of several languages."""
     probs = route(lang, reg, cfg)
-    # each (1,1) weight broadcasts over (m,d)
+    # each (1, 1) or (rows, 1) weight broadcasts over (rows, d)
     return mix_with_weights(h, [(t, T.narrow(probs, 1, t, 1)) for t in range(cfg.n_sub_modules)], reg, cfg)
 
 

@@ -59,8 +59,11 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: backward closures hand the same array, or a view of
+            # it, to several parents, and a later += must not reach them all
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode sweep from this scalar through the recorded tape."""

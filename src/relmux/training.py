@@ -3,8 +3,8 @@
 Stage 1 trains everything jointly on randomly concatenated groups of sentences
 in different languages. Stage 2 reloads the stage-1 checkpoint, freezes the
 encoder and the aggregator, and fine-tunes the switcher, the router, the
-relation classifier and embeddings, and the entity matrices on per-sentence
-batches, early-stopping on dev triple micro-F1 and keeping the best-dev
+relation classifier and embeddings, and the entity matrices on batches of
+single sentences, early-stopping on dev triple micro-F1 and keeping the best-dev
 parameters.
 
 Both stages checkpoint at epoch boundaries with enough state (optimizer
@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
-from .corpus import Corpus, sample_stage1_batch
+from .config import RunConfig, TrainConfig
+from .corpus import Corpus, Example, sample_stage1_batch
 from .errors import CheckpointError, ConfigError, NumericsError
 from .evaluation import evaluate_model
 from .model import Model
@@ -55,6 +55,28 @@ class TrainLog:
 def _check_finite(loss_value: float, stage: int, step: int) -> None:
     if not np.isfinite(loss_value):
         raise NumericsError(f"stage {stage} loss became {loss_value} at step {step}")
+
+
+def _train_step(
+    opt: AdamW, batch_loss, batch: list, tc: TrainConfig, log: TrainLog, stage: int, epoch: int, step: int
+) -> int:
+    """One optimizer step on ``batch``'s mean loss; returns the new step count."""
+    opt.zero_grad()
+    stats: dict = {}
+    loss = batch_loss(batch, tc.alpha, tc.beta, stats)
+    value = loss.item()
+    _check_finite(value, stage, step)
+    loss.backward()
+    # release the step's tape before the optimizer step, not on return
+    del loss
+    if tc.clip_norm > 0:
+        opt.clip_grad_norm(tc.clip_norm)
+    opt.step()
+    n = max(1, stats.get("sentences", 1))
+    log.log(stage=stage, epoch=epoch, step=step + 1, loss=value,
+            relation_ce=stats.get("relation_ce", 0.0) / n,
+            entity_ce=stats.get("entity_ce", 0.0) / n, lr=tc.lr)
+    return step + 1
 
 
 def _rng_state(rng: np.random.Generator) -> dict:
@@ -124,22 +146,7 @@ def train_stage1(
         t0 = time.time()
         for _ in range(per_epoch):
             groups = sample_stage1_batch(corpus.train, s, tc.batch_size, rng)
-            opt.zero_grad()
-            stats: dict = {}
-            loss = model.stage1_batch_loss(groups, tc.alpha, tc.beta, stats)
-            value = loss.item()
-            _check_finite(value, 1, step)
-            loss.backward()
-            # release the step's tape now, not when the next step rebinds it
-            del loss
-            if tc.clip_norm > 0:
-                opt.clip_grad_norm(tc.clip_norm)
-            opt.step()
-            step += 1
-            n = max(1, stats.get("sentences", 1))
-            log.log(stage=1, epoch=epoch, step=step, loss=value,
-                    relation_ce=stats.get("relation_ce", 0.0) / n,
-                    entity_ce=stats.get("entity_ce", 0.0) / n, lr=tc.lr)
+            step = _train_step(opt, model.stage1_batch_loss, groups, tc, log, 1, epoch, step)
         model.save(ckpt_path, run_cfg, stage1_extra(epoch + 1))
         log.log(stage=1, epoch=epoch, epoch_seconds=round(time.time() - t0, 3))
     if tc.stage1_epochs == 0 or start_epoch >= tc.stage1_epochs:
@@ -171,15 +178,10 @@ def train_stage2(
 
     opt = AdamW(model.registry, lr=tc.lr, weight_decay=tc.weight_decay, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps)
     rng = np.random.default_rng(np.random.PCG64(tc.seed + 2))
-    # positions in corpus.train, which key the frozen-prefix memo: a loaded
-    # corpus does not enforce unique example ids
-    by_lang: dict[int, list[int]] = {}
-    for pos, ex in enumerate(corpus.train):
-        by_lang.setdefault(ex.lang, []).append(pos)
+    by_lang: dict[int, list[Example]] = {}
+    for ex in corpus.train:
+        by_lang.setdefault(ex.lang, []).append(ex)
     lang_ids = sorted(by_lang)
-    # the encoder and the aggregator are frozen for the whole call, so each
-    # drawn sentence's (pooled [CLS], aggregator output) is computed once
-    memo: dict[int, tuple] = {}
 
     per_epoch = steps_per_epoch(len(corpus.train), tc.batch_size)
     ckpt_path = out / "stage2.ckpt"
@@ -190,27 +192,11 @@ def train_stage2(
     for epoch in range(tc.stage2_max_epochs):
         t0 = time.time()
         for _ in range(per_epoch):
-            keys = []
+            batch = []
             for _ in range(tc.batch_size):
-                lid = lang_ids[int(rng.integers(len(lang_ids)))]
-                pool = by_lang[lid]
-                keys.append(pool[int(rng.integers(len(pool)))])
-            batch = [corpus.train[pos] for pos in keys]
-            opt.zero_grad()
-            stats: dict = {}
-            loss = model.stage2_batch_loss(batch, tc.alpha, tc.beta, stats, memo, keys)
-            value = loss.item()
-            _check_finite(value, 2, step)
-            loss.backward()
-            del loss
-            if tc.clip_norm > 0:
-                opt.clip_grad_norm(tc.clip_norm)
-            opt.step()
-            step += 1
-            n = max(1, stats.get("sentences", 1))
-            log.log(stage=2, epoch=epoch, step=step, loss=value,
-                    relation_ce=stats.get("relation_ce", 0.0) / n,
-                    entity_ce=stats.get("entity_ce", 0.0) / n, lr=tc.lr)
+                pool = by_lang[lang_ids[int(rng.integers(len(lang_ids)))]]
+                batch.append(pool[int(rng.integers(len(pool)))])
+            step = _train_step(opt, model.stage2_batch_loss, batch, tc, log, 2, epoch, step)
         report = evaluate_model(model, corpus.dev, corpus.registry)
         dev_f1 = report.overall.triple_f1
         log.log(stage=2, epoch=epoch, dev_triple_f1=dev_f1, epoch_seconds=round(time.time() - t0, 3))

@@ -55,15 +55,25 @@ class TestDrivers:
 
         model, snap, _ = Model.load(tmp_path / "base" / "stage2.ckpt", corpus.registry)
 
-        def predict_train_mode(exm):
+        t_total = model.cfg.n_sub_modules
+        scored = 0
+        for exm in corpus.test[:20]:
+            pred = model.predict(exm, top_k=t_total, dump_scores=True)
             ts = model.tokenize(exm)
-            pooled, fused = model._prefix(ts)
+            pooled, fused = model._forward([ts], 1)
             feats = switch_train(fused, ts.lang, model.registry, model.cfg)
             logits = relation_logits(pooled, model.registry).data
-            return masked_argmax_relation(logits, model.languages.schema.allowed[ts.lang])
-
-        for exm in corpus.test[:20]:
-            assert predict_train_mode(exm) == model.predict(exm, top_k=3).relation
+            assert pred.relation == masked_argmax_relation(logits, model.languages.schema.allowed[ts.lang])
+            if pred.relation == 0:
+                continue
+            scored += 1
+            # the entity scores read the mixed features, whatever the relation head reads
+            want = model._entity_scores([ts], feats, [pred.relation])
+            content = ts.content_position_mask() == 0.0
+            for key, t in want.items():
+                gap = np.abs(pred.entity_scores[key] - t.data.reshape(-1))[content].max()
+                assert gap <= 1e-12, (key, gap)
+        assert scored > 0
 
     def test_layer_numbers_variants(self, mini, tmp_path):
         corpus, cfg = mini

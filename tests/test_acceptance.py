@@ -31,7 +31,7 @@ from relmux.corpus import (
     generate_corpus,
 )
 from relmux.evaluation import evaluate_model
-from relmux.model import Model, batch_mean, sentence_ere_loss
+from relmux.model import Model, sentence_ere_loss
 from relmux.params import ParamRegistry, load_checkpoint
 from relmux.switcher import (
     apply_submodule,
@@ -47,6 +47,7 @@ from relmux.tensor import Tensor
 from relmux.training import TrainLog, train_stage1, train_stage2
 
 from gradcheck import finite_diff_check
+from test_training import batch_mean
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BENCHMARK_SEEDS = (1, 2, 3)

@@ -11,6 +11,7 @@ from relmux.encoder import (
     CLS_ID,
     PAD_ID,
     SEP_ID,
+    EncoderOutput,
     TokenizedSentence,
     Vocab,
     build_encoder_params,
@@ -45,6 +46,17 @@ def pad_to(ts: TokenizedSentence, m: int) -> TokenizedSentence:
         content_start=ts.content_start,
         n_content=ts.n_content,
     )
+
+
+def encode_one(ts: TokenizedSentence, reg: ParamRegistry, cfg: ModelConfig) -> EncoderOutput:
+    """One sentence through the batched encoder, over its real (non-PAD)
+    prefix only; exact-zero rows are spliced back in for PAD positions, so
+    padding can never perturb real rows."""
+    out = encode([ts], reg, cfg)
+    pad = ts.length - out.hidden.shape[0]
+    if pad:
+        out.hidden = T.concat([out.hidden, T.Tensor(np.zeros((pad, cfg.d_model)))], axis=0)
+    return out
 
 
 def make_vocab(n_langs=2):
@@ -132,7 +144,7 @@ class TestEncode:
         cfg = toy_cfg()
         reg = build_registry(cfg)
         ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        out = encode(ts, reg, cfg)
+        out = encode_one(ts, reg, cfg)
         assert out.hidden.shape == (ts.length, cfg.d_model)
         assert out.pooled.shape == (1, cfg.d_model)
 
@@ -140,14 +152,14 @@ class TestEncode:
         cfg = toy_cfg()
         reg = build_registry(cfg)
         ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        out = encode(ts, reg, cfg)
+        out = encode_one(ts, reg, cfg)
         assert np.array_equal(out.pooled.data[0], out.hidden.data[0])
 
     def test_changing_pad_id_never_changes_non_pad_rows(self):
         cfg = toy_cfg()
         reg = build_registry(cfg)
         ts = pad_to(tokenize(make_example(), make_vocab(), max_len=cfg.max_len), 9)
-        base = encode(ts, reg, cfg).hidden.data[:6].copy()
+        base = encode_one(ts, reg, cfg).hidden.data[:6].copy()
         hacked = ts.input_ids.copy()
         hacked[-1] = 7  # arbitrary non-pad id in a PAD slot
         ts2 = TokenizedSentence(
@@ -155,15 +167,15 @@ class TestEncode:
             attention_mask=ts.attention_mask, head_span=ts.head_span, tail_span=ts.tail_span,
             relation=ts.relation, content_start=ts.content_start, n_content=ts.n_content,
         )
-        out2 = encode(ts2, reg, cfg).hidden.data[:6]
+        out2 = encode_one(ts2, reg, cfg).hidden.data[:6]
         assert np.array_equal(base, out2)
 
     def test_pad_extension_invariance(self):
         cfg = toy_cfg()
         reg = build_registry(cfg)
         ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        out = encode(ts, reg, cfg)
-        padded = encode(pad_to(ts, 12), reg, cfg)
+        out = encode_one(ts, reg, cfg)
+        padded = encode_one(pad_to(ts, 12), reg, cfg)
         assert np.allclose(out.hidden.data, padded.hidden.data[: ts.length], atol=0)
         assert np.array_equal(out.pooled.data, padded.pooled.data)
 
@@ -173,14 +185,14 @@ class TestEncode:
         ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
         ts.input_ids[2] = cfg.vocab_size + 5
         with pytest.raises(DataValidationError):
-            encode(ts, reg, cfg)
+            encode_one(ts, reg, cfg)
 
     def test_matches_straight_line_oracle(self):
         # single block, d=4, 2 heads, 3 content tokens, seeded weights
         cfg = toy_cfg(d_model=4, n_blocks=1, n_heads=2, ffn_dim=8)
         reg = build_registry(cfg, seed=42)
         ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        got = encode(ts, reg, cfg).hidden.data
+        got = encode_one(ts, reg, cfg).hidden.data
         params = {name: t.data for name, t in reg.items()}
         want = oracle_encoder_forward(ts.input_ids, ts.attention_mask, params, cfg.n_blocks, cfg.n_heads)
         report = compare("encoder_forward", got, want, tolerance=1e-10)
@@ -194,7 +206,7 @@ class TestEncode:
         weights = T.Tensor(np.random.default_rng(5).normal(size=(ts.length, cfg.d_model)))
         params = dict(reg.items())
         report = finite_diff_check(
-            lambda: T.tsum(T.mul(encode(ts, reg, cfg).hidden, weights)),
+            lambda: T.tsum(T.mul(encode_one(ts, reg, cfg).hidden, weights)),
             params,
             max_coords=4,
             rng=np.random.default_rng(0),

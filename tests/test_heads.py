@@ -230,7 +230,7 @@ class TestPredict:
         corpus, model = tiny_setup
         ex = next(e for e in corpus.train if e.relation != 0)
         ts = model.tokenize(ex)
-        _, feats = model._prefix(ts)
+        _, feats = model._forward([ts], 1)
         mask = ts.content_position_mask(feats.shape[0])
         out = {}
         for rel in (1, 2):

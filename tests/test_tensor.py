@@ -319,6 +319,16 @@ class TestTapeLinks:
         loss.backward()
         assert np.array_equal(w.grad, prefix.data.sum(axis=0, keepdims=True).T)
 
+    def test_shared_upstream_gradient_is_not_aliased(self):
+        # add hands its one upstream array to both parents; a's later second
+        # contribution must not reach b's gradient through that shared array
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        loss = T.tsum(T.add(T.add(a, b), T.mul(a, 2.0)))
+        loss.backward()
+        assert np.array_equal(a.grad, np.full(3, 3.0))
+        assert np.array_equal(b.grad, np.ones(3))
+
 
 class TestAdamW:
     def _registry(self, value: float) -> ParamRegistry:

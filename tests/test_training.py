@@ -10,16 +10,16 @@ from relmux import tensor as T
 from relmux.config import ModelConfig, RunConfig, TrainConfig
 from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus
 from relmux.aggregator import aggregate
-from relmux.encoder import encode
 from relmux.errors import NumericsError
 from relmux.heads import ENTITY_KEYS, entity_scores, masked_argmax_relation, relation_logits
-from relmux.model import Model, batch_mean, sentence_ere_loss
+from relmux.model import Model, sentence_ere_loss
 from relmux.params import load_checkpoint
-from relmux.switcher import switch_eval
+from relmux.switcher import switch_eval, switch_train
 from relmux.training import TrainLog, train_stage1, train_stage2
 from relmux.tensor import Tensor
 
 from gradcheck import finite_diff_check
+from test_encoder import encode_one
 
 
 def tiny_corpus(seed=5, sizes=(32, 28, 20)):
@@ -44,6 +44,28 @@ def tiny_run_cfg(**train_kw):
     )
 
 
+def batch_mean(losses: list[Tensor]) -> Tensor:
+    if not losses:
+        raise ValueError("empty batch")
+    total = losses[0] if len(losses) == 1 else T.add_n(losses)
+    return T.mul(total, 1.0 / len(losses))
+
+
+def composed_sentence_loss(model, ts, pooled_encoder, feats, alpha, beta):
+    """One sentence's joint loss from its encoder [CLS] row and its (m, d)
+    features, each entity key its own cross entropy."""
+    reg, cfg = model.registry, model.cfg
+    pooled = pooled_encoder if cfg.relation_pooled_from == "encoder" else T.narrow(feats, 0, 0, 1)
+    rel_ce = T.cross_entropy(relation_logits(pooled, reg), ts.relation)
+    entity_ces = []
+    if ts.relation != 0:
+        rel_emb = T.narrow(reg["relation.emb"], 0, ts.relation, 1)
+        scores = entity_scores(feats, rel_emb, ts.content_position_mask(), reg)
+        golds = ts.head_span + ts.tail_span
+        entity_ces = [T.cross_entropy(scores[key], g) for key, g in zip(ENTITY_KEYS, golds)]
+    return sentence_ere_loss(rel_ce, entity_ces, alpha, beta)
+
+
 def composed_stage1_loss(model, groups, alpha, beta):
     """The stage-1 loss composed one sentence at a time: each sentence encoded
     alone, each group aggregated over its members' concatenated rows, and each
@@ -52,7 +74,7 @@ def composed_stage1_loss(model, groups, alpha, beta):
     losses = []
     for group in groups:
         tss = [model.tokenize(ex) for ex in group]
-        encoded = [encode(ts, reg, cfg) for ts in tss]
+        encoded = [encode_one(ts, reg, cfg) for ts in tss]
         total = sum(ts.length for ts in tss)
         h_cat = T.reshape(T.concat([eo.hidden for eo in encoded], axis=0), (1, total, cfg.d_model))
         fused = T.reshape(aggregate(h_cat, np.ones((1, total), dtype=bool), reg, cfg), (total, cfg.d_model))
@@ -60,15 +82,23 @@ def composed_stage1_loss(model, groups, alpha, beta):
         for ts, eo in zip(tss, encoded):
             feats = T.narrow(fused, 0, offset, ts.length)
             offset += ts.length
-            pooled = eo.pooled if cfg.relation_pooled_from == "encoder" else T.narrow(feats, 0, 0, 1)
-            rel_ce = T.cross_entropy(relation_logits(pooled, reg), ts.relation)
-            entity_ces = []
-            if ts.relation != 0:
-                rel_emb = T.narrow(reg["relation.emb"], 0, ts.relation, 1)
-                scores = entity_scores(feats, rel_emb, ts.content_position_mask(), reg)
-                golds = ts.head_span + ts.tail_span
-                entity_ces = [T.cross_entropy(scores[key], g) for key, g in zip(ENTITY_KEYS, golds)]
-            losses.append(sentence_ere_loss(rel_ce, entity_ces, alpha, beta))
+            losses.append(composed_sentence_loss(model, ts, eo.pooled, feats, alpha, beta))
+    return batch_mean(losses)
+
+
+def composed_stage2_loss(model, batch, alpha, beta):
+    """The stage-2 loss composed one sentence at a time: each sentence encoded
+    and aggregated alone, unpadded, switched under its own language, and its
+    heads and joint loss computed alone."""
+    reg, cfg = model.registry, model.cfg
+    losses = []
+    for ex in batch:
+        ts = model.tokenize(ex)
+        m, d = ts.length, cfg.d_model
+        eo = encode_one(ts, reg, cfg)
+        fused = T.reshape(aggregate(T.reshape(eo.hidden, (1, m, d)), ts.attention_mask[None], reg, cfg), (m, d))
+        feats = switch_train(fused, ts.lang, reg, cfg)
+        losses.append(composed_sentence_loss(model, ts, eo.pooled, feats, alpha, beta))
     return batch_mean(losses)
 
 
@@ -80,7 +110,7 @@ def composed_predict(model, ex, k):
     reg, cfg = model.registry, model.cfg
     ts = model.tokenize(ex)
     m, d = ts.length, cfg.d_model
-    eo = encode(ts, reg, cfg)
+    eo = encode_one(ts, reg, cfg)
     feats = T.reshape(aggregate(T.reshape(eo.hidden, (1, m, d)), ts.attention_mask[None], reg, cfg), (m, d))
     if model.stage >= 2:
         feats, _ = switch_eval(feats, ts.lang, reg, cfg, k)
@@ -305,79 +335,42 @@ class TestStage2:
             assert stops
 
 
-def stage2_frozen_model(corpus, cfg, init_seed=0):
-    """A fresh model frozen the way train_stage2 freezes it."""
-    model = Model.build(replace(cfg.model), corpus.registry, init_seed=init_seed)
-    model.registry.freeze(model.stage2_freeze_plan().frozen)
-    return model
-
-
-class TestFrozenPrefixMemo:
-    def _loss_and_grads(self, model, batch, memo=None, keys=None):
-        model.registry.zero_grad()
-        loss = model.stage2_batch_loss(batch, 2.0, 1.0, None, memo, keys)
-        loss.backward()
-        grads = {n: t.grad.copy() for n, t in model.registry.items() if t.grad is not None}
-        return loss.data.copy(), grads
-
-    def test_warm_memo_is_bitwise_equal_to_no_memo(self):
+class TestBatchedStage2:
+    @pytest.mark.parametrize("routing", ["learned", "identity"])
+    @pytest.mark.parametrize("pooled_from", ["encoder", "switched"])
+    def test_batch_matches_sentence_at_a_time(self, pooled_from, routing):
+        """One padded pass over a batch of mixed lengths and languages gives
+        the loss and every gradient of the sentence-at-a-time composition.
+        Nothing is frozen, so a gradient leaking through PAD rows into the
+        encoder or the aggregator would show too."""
         corpus = tiny_corpus()
-        model = stage2_frozen_model(corpus, tiny_run_cfg())
-        keys = [0, 3, 0, 7, 3]  # repeats hit the memo inside one batch, too
-        batch = [corpus.train[k] for k in keys]
-        plain_loss, plain_grads = self._loss_and_grads(model, batch)
-        memo: dict = {}
-        self._loss_and_grads(model, batch, memo, keys)
-        assert sorted(memo) == [0, 3, 7]
-        warm_loss, warm_grads = self._loss_and_grads(model, batch, memo, keys)
-        assert plain_loss.tobytes() == warm_loss.tobytes()
-        assert plain_grads.keys() == warm_grads.keys()
-        assert set(plain_grads) <= set(model.stage2_freeze_plan().trainable)
-        for name, g in plain_grads.items():
-            assert g.tobytes() == warm_grads[name].tobytes(), name
+        cfg = replace(tiny_run_cfg().model, relation_pooled_from=pooled_from, routing=routing)
+        model = Model.build(cfg, corpus.registry, init_seed=6)
+        lang_emb = model.registry["switcher.lang_emb"]
+        # spread the languages' routing apart; at init it is near uniform
+        lang_emb.data = np.random.default_rng(7).normal(size=lang_emb.shape)
+        by_lang = {}
+        for ex in corpus.train:
+            by_lang.setdefault(ex.lang, []).append(ex)
+        batch = [by_lang[lang][i] for i in range(2) for lang in sorted(by_lang)]
+        batch.append(next(ex for ex in corpus.train if ex.relation == 0))
+        assert len({len(ex.tokens) for ex in batch}) > 1
+        assert len({ex.lang for ex in batch}) >= 2
+        assert {ex.relation == 0 for ex in batch} == {True, False}
 
-    def test_hit_makes_no_encode_call(self, monkeypatch):
-        import relmux.model as model_mod
+        def loss_and_grads(loss_fn):
+            model.registry.zero_grad()
+            loss = loss_fn()
+            loss.backward()
+            return loss.item(), {n: t.grad.copy() for n, t in model.registry.items() if t.grad is not None}
 
-        corpus = tiny_corpus()
-        model = stage2_frozen_model(corpus, tiny_run_cfg())
-        calls = []
-        encode = model_mod.encode
-        monkeypatch.setattr(model_mod, "encode", lambda *a, **kw: calls.append(1) or encode(*a, **kw))
-        memo: dict = {}
-        batch = [corpus.train[2], corpus.train[5]]
-        model.stage2_batch_loss(batch, 2.0, 1.0, None, memo, [2, 5])
-        assert len(calls) == 2
-        model.stage2_batch_loss(batch, 2.0, 1.0, None, memo, [2, 5])
-        assert len(calls) == 2
-
-    def test_memo_without_keys_rejected(self):
-        corpus = tiny_corpus()
-        model = stage2_frozen_model(corpus, tiny_run_cfg())
-        with pytest.raises(ValueError):
-            model.stage2_batch_loss(corpus.train[:2], 2.0, 1.0, None, {})
-
-    def test_shared_id_examples_get_separate_entries(self, tmp_path):
-        corpus = tiny_corpus()
-        first = corpus.train[0]
-        other = next(e for e in corpus.train if e.lang == first.lang and e.tokens != first.tokens)
-        twin = replace(other, id=first.id)
-        small = replace(corpus, train=[first, twin], dev=corpus.dev[:4])
-        model = Model.build(replace(tiny_run_cfg().model), small.registry, init_seed=0)
-        model.stage = 1
-        memos = []
-        batch_loss = model.stage2_batch_loss
-
-        def spy(batch, alpha, beta, stats=None, memo=None, keys=None):
-            memos.append(memo)
-            return batch_loss(batch, alpha, beta, stats, memo, keys)
-
-        model.stage2_batch_loss = spy
-        train_stage2(model, small, tiny_run_cfg(stage2_max_epochs=1), tmp_path, TrainLog())
-        memo = memos[0]
-        assert all(m is memo for m in memos)
-        assert sorted(memo) == [0, 1]
-        assert not np.array_equal(memo[0][1].data, memo[1][1].data)
+        got_loss, got = loss_and_grads(lambda: model.stage2_batch_loss(batch, 2.0, 1.0))
+        want_loss, want = loss_and_grads(lambda: composed_stage2_loss(model, batch, 2.0, 1.0))
+        assert abs(got_loss - want_loss) <= 1e-12
+        assert got.keys() == want.keys()
+        assert "encoder.tok_emb" in got and "switcher.sub0.layer0.w_up" in got
+        for name, g in want.items():
+            assert np.abs(got[name] - g).max() <= 1e-12, name
 
 
 class TestLossProperties:
@@ -423,7 +416,7 @@ class TestConditioningOnTrainedModel:
 
         ex = next(e for e in corpus.train if e.relation != 0)
         ts = model.tokenize(ex)
-        _, feats = model._prefix(ts)
+        _, feats = model._forward([ts], 1)
         mask = ts.content_position_mask(feats.shape[0])
         outputs = {}
         for rel in (1, 2):
