@@ -8,7 +8,8 @@ comment; the architecture is identical, only the dimensions shrink.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -34,6 +35,8 @@ class ModelConfig:
     n_relations: int = 0
 
     def validate(self) -> None:
+        if self.n_heads < 1:
+            raise ConfigError("n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.bottleneck <= self.d_model:
@@ -72,6 +75,10 @@ class TrainConfig:
     log_every: int = 20
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"train.{f.name} must be finite, got {value}")
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError("alpha and beta must be positive")
         if self.concat_sentences < 1:
@@ -100,6 +107,8 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
         model_doc = dict(doc.get("model", {}))
         if "sub_layers" in model_doc:
             model_doc["sub_layers"] = tuple(model_doc["sub_layers"])
@@ -123,7 +132,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     try:
         cfg = RunConfig.from_json(doc)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config {p}: unknown or malformed keys ({exc})") from exc
     cfg.validate()
     return cfg

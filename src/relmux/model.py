@@ -8,9 +8,9 @@ in different languages through the cross-sentence aggregator and trains
 everything jointly; stage-2 training aggregates each sentence alone (s = 1)
 and mixes all rows of the batch through the language switcher at once, while
 the encoder and aggregator stay frozen. Prediction runs one sentence through
-the same forward, then follows the trained stage: optionally switch with
-top-k routing, classify the relation under the language mask, then decode the
-spans conditioned on the predicted relation.
+the same forward, recording no tape, then follows the trained stage:
+optionally switch with top-k routing, classify the relation under the
+language mask, then decode the spans conditioned on the predicted relation.
 """
 
 from __future__ import annotations
@@ -207,9 +207,11 @@ class Model:
 
     # -- prediction --------------------------------------------------------
 
+    @T.no_grad()
     def predict(self, example: Example, top_k: int | None = None, dump_scores: bool = False) -> TriplePrediction:
         """Deterministic triple prediction; spans are reported in content-token
-        coordinates so they compare directly with gold spans."""
+        coordinates so they compare directly with gold spans. Nothing here is
+        differentiated, so the forward records no tape."""
         ts = self.tokenize(example)
         pooled, features = self._forward([ts], 1)
         if self.stage >= 2:

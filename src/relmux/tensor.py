@@ -4,6 +4,8 @@ Every value in the model (parameters and activations) is a Tensor wrapping a
 row-major numpy float64 array. Operations record a backward closure; calling
 ``backward()`` on a scalar walks the tape in reverse topological order and
 accumulates gradients into every reachable tensor with ``requires_grad``.
+Inside a ``no_grad()`` scope no op records anything: prediction computes the
+same values without building a tape that nothing would walk.
 
 The engine is deliberately small: matmul over batched matrices, elementwise
 arithmetic with broadcasting, row softmax, layer norm, relu/tanh, row-wise
@@ -12,6 +14,8 @@ slicing/concatenation plumbing the model needs. No higher-order derivatives.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -101,8 +105,32 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+# False inside a no_grad() scope: every op result is then a tape-free leaf.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Ops inside the scope record no tape: their results get
+    ``requires_grad=False`` and no parents, whatever their inputs. Tensors
+    made directly, such as parameters, keep the flag they are given. The
+    previous setting comes back on exit, also when the body raises. The flag
+    is one per process, not per thread: relmux runs single-threaded."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _needs_grad(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
+    if not _grad_enabled:
+        return False
+    for t in tensors:
+        if t.requires_grad:
+            return True
+    return False
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -170,7 +198,7 @@ def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.data.ndim < 2:
         raise ShapeError(f"transpose expects at least 2 axes, got {a.shape}")
-    out = Tensor(np.swapaxes(a.data, -1, -2).copy(), a.requires_grad, (a,), "transpose")
+    out = Tensor(np.swapaxes(a.data, -1, -2).copy(), _needs_grad(a), (a,), "transpose")
     if out.requires_grad:
         out._backward = lambda g: a._accumulate(np.swapaxes(g, -1, -2))
     return out
@@ -183,7 +211,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     if start < 0 or start + length > a.shape[axis]:
         raise ShapeError(f"narrow [{start}:{start + length}) out of range for {a.shape} axis {axis}")
     sl = (slice(start, start + length), slice(None)) if axis == 0 else (slice(None), slice(start, start + length))
-    out = Tensor(a.data[sl].copy(), a.requires_grad, (a,), "narrow")
+    out = Tensor(a.data[sl].copy(), _needs_grad(a), (a,), "narrow")
 
     def _bw(g):
         full = np.zeros_like(a.data)
@@ -220,7 +248,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         raise ShapeError("gather_rows expects a flat index list")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"gather_rows index out of range for table {table.shape}")
-    out = Tensor(table.data[idx].copy(), table.requires_grad, (table,), "gather_rows")
+    out = Tensor(table.data[idx].copy(), _needs_grad(table), (table,), "gather_rows")
 
     def _bw(g):
         full = np.zeros_like(table.data)
@@ -236,14 +264,14 @@ def repeat_rows(a: Tensor, n: int) -> Tensor:
     gradient sums back over the copies."""
     if a.data.ndim != 2:
         raise ShapeError(f"repeat_rows expects shape (k, d), got {a.shape}")
-    out = Tensor(np.repeat(a.data, n, axis=0), a.requires_grad, (a,), "repeat_rows")
+    out = Tensor(np.repeat(a.data, n, axis=0), _needs_grad(a), (a,), "repeat_rows")
     if out.requires_grad:
         out._backward = lambda g: a._accumulate(g.reshape(a.shape[0], n, a.shape[1]).sum(axis=1))
     return out
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.reshape(shape).copy(), a.requires_grad, (a,), "reshape")
+    out = Tensor(a.data.reshape(shape).copy(), _needs_grad(a), (a,), "reshape")
     if out.requires_grad:
         out._backward = lambda g: a._accumulate(g.reshape(a.shape))
     return out
@@ -258,7 +286,7 @@ def split_heads(a: Tensor, n_seq: int, n_heads: int) -> Tensor:
     rows, d = a.shape
     m, k = rows // n_seq, d // n_heads
     split = a.data.reshape(n_seq, m, n_heads, k).transpose(0, 2, 1, 3).reshape(n_seq * n_heads, m, k)
-    out = Tensor(split, a.requires_grad, (a,), "split_heads")
+    out = Tensor(split, _needs_grad(a), (a,), "split_heads")
     if out.requires_grad:
         out._backward = lambda g: a._accumulate(
             g.reshape(n_seq, n_heads, m, k).transpose(0, 2, 1, 3).reshape(rows, d))
@@ -272,17 +300,10 @@ def merge_heads(a: Tensor, n_heads: int) -> Tensor:
     blocks, m, k = a.shape
     n_seq = blocks // n_heads
     merged = a.data.reshape(n_seq, n_heads, m, k).transpose(0, 2, 1, 3).reshape(n_seq * m, n_heads * k)
-    out = Tensor(merged, a.requires_grad, (a,), "merge_heads")
+    out = Tensor(merged, _needs_grad(a), (a,), "merge_heads")
     if out.requires_grad:
         out._backward = lambda g: a._accumulate(
             g.reshape(n_seq, m, n_heads, k).transpose(0, 2, 1, 3).reshape(a.shape))
-    return out
-
-
-def tsum(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(), a.requires_grad, (a,), "sum")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(np.full_like(a.data, float(g)))
     return out
 
 
@@ -307,7 +328,7 @@ def add_n(tensors: list[Tensor]) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), a.requires_grad, (a,), "relu")
+    out = Tensor(np.maximum(a.data, 0.0), _needs_grad(a), (a,), "relu")
     if out.requires_grad:
         # subgradient 0 at exactly 0
         out._backward = lambda g: a._accumulate(g * (a.data > 0.0))
@@ -316,7 +337,7 @@ def relu(a: Tensor) -> Tensor:
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
-    out = Tensor(t, a.requires_grad, (a,), "tanh")
+    out = Tensor(t, _needs_grad(a), (a,), "tanh")
     if out.requires_grad:
         out._backward = lambda g: a._accumulate(g * (1.0 - t * t))
     return out
@@ -335,7 +356,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p, a.requires_grad, (a,), "softmax_rows")
+    out = Tensor(p, _needs_grad(a), (a,), "softmax_rows")
 
     def _bw(g):
         dot = (g * p).sum(axis=-1, keepdims=True)
@@ -352,9 +373,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
         raise ShapeError("layer_norm over a single feature is degenerate")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # Each row mean is a sum over the row divided by d: the same add.reduce
+    # and true_divide that ndarray.mean runs, bit for bit, without its
+    # Python-level overhead.
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
     out = Tensor(gain.data * y + bias.data, _needs_grad(x, gain, bias), (x, gain, bias), "layer_norm")
@@ -366,8 +390,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
             bias._accumulate(_unbroadcast(g, bias.shape))
         if x.requires_grad:
             gy = g * gain.data
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * y).mean(axis=-1, keepdims=True)
+            m1 = gy.sum(axis=-1, keepdims=True) / d
+            m2 = (gy * y).sum(axis=-1, keepdims=True) / d
             x._accumulate((gy - m1 - y * m2) * inv)
 
     out._backward = _bw if out.requires_grad else None
@@ -405,7 +429,7 @@ def cross_entropy(logits: Tensor, gold, mask: np.ndarray | None = None) -> Tenso
     total = e.sum(axis=-1)
     p = e / total[:, None]
     loss = -(shifted[rows, gold] - np.log(total)).sum()
-    out = Tensor(loss, logits.requires_grad, (logits,), "cross_entropy")
+    out = Tensor(loss, _needs_grad(logits), (logits,), "cross_entropy")
 
     def _bw(g):
         d = p.copy()

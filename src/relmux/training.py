@@ -39,13 +39,6 @@ class TrainLog:
     def log(self, **kv) -> None:
         self.lines.append(kv)
 
-    def epoch_mean_losses(self, stage: int) -> list[float]:
-        by_epoch: dict[int, list[float]] = {}
-        for line in self.lines:
-            if line.get("stage") == stage and "loss" in line:
-                by_epoch.setdefault(line["epoch"], []).append(line["loss"])
-        return [float(np.mean(by_epoch[e])) for e in sorted(by_epoch)]
-
     def save(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8") as fh:
             for line in self.lines:

@@ -5,6 +5,7 @@ step, re-evaluates the loss, and compares the central-difference estimate with
 the gradient produced by the tape. Relative error uses a guarded denominator:
 coordinates where both estimates are below ``floor`` count as agreeing (pure
 rounding noise on a true-zero gradient would otherwise dominate the ratio).
+``tsum`` reduces a tensor to the scalar loss such checks differentiate.
 """
 
 from __future__ import annotations
@@ -15,6 +16,14 @@ from typing import Callable
 import numpy as np
 
 from relmux.tensor import Tensor
+
+
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every entry of ``a``, as a scalar on the tape."""
+    out = Tensor(a.data.sum(), a.requires_grad, (a,), "sum")
+    if out.requires_grad:
+        out._backward = lambda g: a._accumulate(np.full_like(a.data, float(g)))
+    return out
 
 
 @dataclass

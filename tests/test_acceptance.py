@@ -46,7 +46,7 @@ from relmux.switcher import (
 from relmux.tensor import Tensor
 from relmux.training import TrainLog, train_stage1, train_stage2
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, tsum
 from test_training import batch_mean
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -171,20 +171,20 @@ def test_criterion_gradient_integrity():
     # (a) every tensor-engine primitive
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    worst["matmul"] = finite_diff_check(lambda: T.tsum(T.matmul(a, b)), {"a": a, "b": b}).max_rel_error
+    worst["matmul"] = finite_diff_check(lambda: tsum(T.matmul(a, b)), {"a": a, "b": b}).max_rel_error
     x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     w = Tensor(rng.normal(size=(2, 6)))
     worst["softmax"] = finite_diff_check(
-        lambda: T.tsum(T.mul(T.softmax_rows(x), w)), {"x": x}
+        lambda: tsum(T.mul(T.softmax_rows(x), w)), {"x": x}
     ).max_rel_error
     g = Tensor(rng.normal(size=6), requires_grad=True)
     bias = Tensor(rng.normal(size=6), requires_grad=True)
     worst["layer_norm"] = finite_diff_check(
-        lambda: T.tsum(T.mul(T.layer_norm(x, g, bias), w)), {"x": x, "g": g, "b": bias}
+        lambda: tsum(T.mul(T.layer_norm(x, g, bias), w)), {"x": x, "g": g, "b": bias}
     ).max_rel_error
     y = Tensor(rng.normal(size=(2, 6)) + 0.1, requires_grad=True)
-    worst["relu"] = finite_diff_check(lambda: T.tsum(T.relu(y)), {"y": y}).max_rel_error
-    worst["tanh"] = finite_diff_check(lambda: T.tsum(T.tanh(x)), {"x": x}).max_rel_error
+    worst["relu"] = finite_diff_check(lambda: tsum(T.relu(y)), {"y": y}).max_rel_error
+    worst["tanh"] = finite_diff_check(lambda: tsum(T.tanh(x)), {"x": x}).max_rel_error
     lg = Tensor(rng.normal(size=5), requires_grad=True)
     worst["cross_entropy"] = finite_diff_check(lambda: T.cross_entropy(lg, 2), {"lg": lg}).max_rel_error
 

@@ -10,7 +10,7 @@ from relmux.config import ModelConfig
 from relmux.params import ParamRegistry
 from relmux.tensor import Tensor
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, tsum
 from oracles import compare, oracle_attention
 
 
@@ -165,7 +165,7 @@ class TestAggregate:
 
         def f():
             out = group_of_one(h, np.ones(3, dtype=bool), reg, cfg)
-            return T.tsum(T.mul(out, w))
+            return tsum(T.mul(out, w))
 
         report = finite_diff_check(f, params, max_coords=6, rng=np.random.default_rng(0))
         assert report.max_rel_error < 1e-4

@@ -133,6 +133,24 @@ class TestTrain:
         rc = main(["train", "--stage", "1", "--config", str(cfgp), "--out", str(tmp_path / "r")])
         assert rc == 2
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        dict(RUN_DOC, model="ab"),
+        dict(RUN_DOC, model=dict(RUN_DOC["model"], n_heads=0)),
+        dict(RUN_DOC, train=dict(RUN_DOC["train"], lr=float("nan"))),
+    ], ids=["non_object_document", "non_object_model", "zero_heads", "nan_lr"])
+    def test_malformed_config_rejected_before_training(self, workspace, tmp_path, capsys, doc):
+        ws, _, _ = workspace
+        if isinstance(doc, dict):
+            doc = dict(doc, corpus_dir=str(ws / "corpus"))
+        cfgp = tmp_path / "bad.json"
+        cfgp.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["train", "--stage", "1", "--config", str(cfgp), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert not (tmp_path / "r").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
     def test_train_rerun_identical_checkpoint(self, workspace, tmp_path):
         ws, _, config = workspace
         rc = main(["train", "--stage", "1", "--config", str(config), "--out", str(tmp_path / "again")])

@@ -21,7 +21,7 @@ from relmux.encoder import (
 from relmux.errors import DataValidationError
 from relmux.params import ParamRegistry
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, tsum
 from oracles import compare, oracle_encoder_forward
 
 
@@ -206,7 +206,7 @@ class TestEncode:
         weights = T.Tensor(np.random.default_rng(5).normal(size=(ts.length, cfg.d_model)))
         params = dict(reg.items())
         report = finite_diff_check(
-            lambda: T.tsum(T.mul(encode_one(ts, reg, cfg).hidden, weights)),
+            lambda: tsum(T.mul(encode_one(ts, reg, cfg).hidden, weights)),
             params,
             max_coords=4,
             rng=np.random.default_rng(0),

@@ -2,6 +2,7 @@
 against central finite differences, and the optimizer contracts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from relmux.optim import AdamW
 from relmux.params import ParamRegistry
 from relmux.tensor import NEG_INF, ShapeError, Tensor
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, tsum
 from oracles import oracle_adamw_step, oracle_cross_entropy
 
 
@@ -31,7 +32,7 @@ class TestMatmul:
     def test_gradient_vs_finite_differences(self, rng):
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        report = finite_diff_check(lambda: T.tsum(T.matmul(a, b)), {"a": a, "b": b}, max_coords=12)
+        report = finite_diff_check(lambda: tsum(T.matmul(a, b)), {"a": a, "b": b}, max_coords=12)
         assert report.max_rel_error < 1e-6
 
     def test_shape_mismatch_names_both_shapes(self, rng):
@@ -42,7 +43,7 @@ class TestMatmul:
         a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 5)))
-        report = finite_diff_check(lambda: T.tsum(T.mul(T.matmul(a, b), w)), {"a": a, "b": b}, max_coords=24)
+        report = finite_diff_check(lambda: tsum(T.mul(T.matmul(a, b), w)), {"a": a, "b": b}, max_coords=24)
         assert report.max_rel_error < 1e-6
 
     def test_broadcast_weight_gradient_vs_finite_differences(self, rng):
@@ -50,7 +51,7 @@ class TestMatmul:
         a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 5)))
-        report = finite_diff_check(lambda: T.tsum(T.mul(T.matmul(a, b), w)), {"a": a, "b": b}, max_coords=24)
+        report = finite_diff_check(lambda: tsum(T.mul(T.matmul(a, b), w)), {"a": a, "b": b}, max_coords=24)
         assert report.max_rel_error < 1e-6
         assert b.grad.shape == (4, 5)
 
@@ -100,7 +101,7 @@ class TestSoftmaxRows:
     def test_gradient(self, rng):
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 5)))
-        report = finite_diff_check(lambda: T.tsum(T.mul(T.softmax_rows(x), w)), {"x": x})
+        report = finite_diff_check(lambda: tsum(T.mul(T.softmax_rows(x), w)), {"x": x})
         assert report.max_rel_error < 1e-6
 
 
@@ -124,7 +125,7 @@ class TestLayerNorm:
         bias = Tensor(rng.normal(size=8), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 8)))
         report = finite_diff_check(
-            lambda: T.tsum(T.mul(T.layer_norm(x, gain, bias), w)),
+            lambda: tsum(T.mul(T.layer_norm(x, gain, bias), w)),
             {"x": x, "gain": gain, "bias": bias},
             max_coords=16,
         )
@@ -137,7 +138,7 @@ class TestActivations:
 
     def test_relu_subgradient_zero_at_zero(self):
         x = Tensor([0.0], requires_grad=True)
-        T.tsum(T.relu(x)).backward()
+        tsum(T.relu(x)).backward()
         assert x.grad[0] == 0.0
 
     def test_tanh_zero(self):
@@ -145,7 +146,7 @@ class TestActivations:
 
     def test_tanh_gradient_high_precision(self):
         x = Tensor([0.5], requires_grad=True)
-        report = finite_diff_check(lambda: T.tsum(T.tanh(x)), {"x": x}, step=1e-6)
+        report = finite_diff_check(lambda: tsum(T.tanh(x)), {"x": x}, step=1e-6)
         assert report.max_rel_error < 1e-8
 
 
@@ -240,7 +241,7 @@ class TestHeads:
         def f():
             # split, mix each (sequence, head) block, merge back
             mixed = T.matmul(T.matmul(T.split_heads(x, 2, 2), T.transpose(T.split_heads(x, 2, 2))), blocks)
-            return T.tsum(T.mul(T.merge_heads(mixed, 2), w))
+            return tsum(T.mul(T.merge_heads(mixed, 2), w))
 
         report = finite_diff_check(f, {"x": x, "blocks": blocks}, max_coords=24)
         assert report.max_rel_error < 1e-6
@@ -262,7 +263,7 @@ class TestPlumbingOps:
             c = T.concat([h, h], axis=1)
             n = T.narrow(c, 1, 1, 3)
             r = T.repeat_rows(T.narrow(n, 0, 0, 1), 3)
-            return T.tsum(T.mul(r, r))
+            return tsum(T.mul(r, r))
 
         report = finite_diff_check(f, {"table": table}, max_coords=15)
         assert report.max_rel_error < 1e-6
@@ -273,7 +274,7 @@ class TestPlumbingOps:
         out = T.repeat_rows(a, 4)
         assert np.array_equal(out.data[:4], np.tile(a.data[:1], (4, 1)))
         assert np.array_equal(out.data[4:], np.tile(a.data[1:], (4, 1)))
-        report = finite_diff_check(lambda: T.tsum(T.mul(T.repeat_rows(a, 4), w)), {"a": a})
+        report = finite_diff_check(lambda: tsum(T.mul(T.repeat_rows(a, 4), w)), {"a": a})
         assert report.max_rel_error < 1e-6
 
     def test_backward_requires_scalar(self, rng):
@@ -286,7 +287,7 @@ class TestPlumbingOps:
 
         def loss():
             y = T.matmul(x, x)
-            return T.tsum(T.add_n([y, T.mul(y, -1.0), T.mul(y, 2.0)]))
+            return tsum(T.add_n([y, T.mul(y, -1.0), T.mul(y, 2.0)]))
 
         loss().backward()
         g1 = x.grad.copy()
@@ -311,7 +312,7 @@ class TestTapeLinks:
         w = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
         x = Tensor(rng.normal(size=(3, 4)))
         prefix = T.relu(T.matmul(T.tanh(T.matmul(x, frozen_w)), frozen_w))
-        loss = T.tsum(T.matmul(prefix, w))
+        loss = tsum(T.matmul(prefix, w))
         order = T._toposort(loss)
         assert not [node for node in order if not node.requires_grad and node._parents]
         # the frozen prefix is one leaf; x and frozen_w are never reached
@@ -324,10 +325,89 @@ class TestTapeLinks:
         # contribution must not reach b's gradient through that shared array
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
-        loss = T.tsum(T.add(T.add(a, b), T.mul(a, 2.0)))
+        loss = tsum(T.add(T.add(a, b), T.mul(a, 2.0)))
         loss.backward()
         assert np.array_equal(a.grad, np.full(3, 3.0))
         assert np.array_equal(b.grad, np.ones(3))
+
+
+class TestNoGrad:
+    def test_results_of_trainable_inputs_record_no_tape(self, rng):
+        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        gain = Tensor(np.ones(3), requires_grad=True)
+        bias = Tensor(np.zeros(3), requires_grad=True)
+        with T.no_grad():
+            h = T.matmul(x, w)
+            outs = [h, T.add(h, x), T.relu(h), T.reshape(h, (3, 2)), T.layer_norm(h, gain, bias),
+                    T.softmax_rows(h), T.gather_rows(w, [2, 0]), T.cross_entropy(h, [0, 1])]
+        for out in outs:
+            assert not out.requires_grad and out._parents == () and out._backward is None, out.op
+        # the same op outside the scope links its inputs again
+        assert T.matmul(x, w)._parents == (x, w)
+
+    def test_flag_restored_after_nesting_and_after_raise(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not T.relu(x).requires_grad
+        assert T.relu(x).requires_grad
+        with pytest.raises(NumericsError):
+            with T.no_grad():
+                with T.no_grad():
+                    T.softmax_rows(Tensor([[np.nan, 0.0]]))
+        assert T.relu(x).requires_grad
+
+    def test_registry_leaf_made_inside_stays_trainable(self):
+        reg = ParamRegistry()
+        with T.no_grad():
+            w = reg.add("w", np.ones((2, 2)))
+        assert w.requires_grad
+        loss = tsum(T.matmul(Tensor(np.ones((1, 2))), w))
+        loss.backward()
+        assert np.array_equal(w.grad, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (5, 7), (12, 64), (3, 129)])
+    def test_layer_norm_row_sums_match_mean_bitwise(self, rng, shape):
+        x = Tensor(rng.normal(size=shape) * 3.0 + 1.5, requires_grad=True)
+        gain = Tensor(rng.normal(size=shape[1]))
+        bias = Tensor(rng.normal(size=shape[1]))
+        g = rng.normal(size=shape)
+        out = T.layer_norm(x, gain, bias)
+        tsum(T.mul(out, Tensor(g))).backward()
+        # the ndarray.mean formulation
+        xc = x.data - x.data.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + T.LN_EPS)
+        y = xc * inv
+        gy = g * gain.data
+        dx = (gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True)) * inv
+        assert out.data.tobytes() == (gain.data * y + bias.data).tobytes()
+        assert x.grad.tobytes() == dx.tobytes()
+
+    def test_stage2_step_after_predict_is_unchanged(self):
+        from relmux.model import Model
+        from relmux.training import TrainLog, _train_step
+        from test_training import tiny_corpus, tiny_run_cfg
+
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg()
+        batch = corpus.train[:8]
+
+        def step(predict_first: bool):
+            model = Model.build(replace(cfg.model), corpus.registry, init_seed=2)
+            model.registry.freeze(model.stage2_freeze_plan().frozen)
+            model.stage = 2
+            if predict_first:
+                for ex in corpus.dev[:4]:
+                    model.predict(ex)
+            opt = AdamW(model.registry, lr=cfg.train.lr)
+            _train_step(opt, model.stage2_batch_loss, batch, cfg.train, TrainLog(), 2, 0, 0)
+            return {n: (t.grad.tobytes(), t.data.tobytes()) for n, t in model.registry.items() if t.grad is not None}
+
+        plain, after_predict = step(False), step(True)
+        assert "switcher.sub0.layer0.w_up" in plain
+        assert after_predict == plain
 
 
 class TestAdamW:
@@ -389,7 +469,7 @@ class TestAdamW:
             data = r.normal(size=(4, 4))
             for _ in range(20):
                 opt.zero_grad()
-                loss = T.tsum(T.mul(T.matmul(reg["w"], Tensor(data)), T.matmul(reg["w"], Tensor(data))))
+                loss = tsum(T.mul(T.matmul(reg["w"], Tensor(data)), T.matmul(reg["w"], Tensor(data))))
                 loss.backward()
                 opt.step()
             return reg["w"].data.copy()
@@ -400,6 +480,6 @@ class TestAdamW:
 class TestFiniteDiffCheck:
     def test_square_function(self):
         x = Tensor([3.0], requires_grad=True)
-        report = finite_diff_check(lambda: T.tsum(T.mul(x, x)), {"x": x})
+        report = finite_diff_check(lambda: tsum(T.mul(x, x)), {"x": x})
         assert x.grad[0] == pytest.approx(6.0, abs=1e-9)
         assert report.max_rel_error < 1e-7

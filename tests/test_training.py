@@ -44,6 +44,15 @@ def tiny_run_cfg(**train_kw):
     )
 
 
+def epoch_mean_losses(log: TrainLog, stage: int) -> list[float]:
+    """The mean step loss of each epoch of ``stage``, in epoch order."""
+    by_epoch: dict[int, list[float]] = {}
+    for line in log.lines:
+        if line.get("stage") == stage and "loss" in line:
+            by_epoch.setdefault(line["epoch"], []).append(line["loss"])
+    return [float(np.mean(by_epoch[e])) for e in sorted(by_epoch)]
+
+
 def batch_mean(losses: list[Tensor]) -> Tensor:
     if not losses:
         raise ValueError("empty batch")
@@ -173,7 +182,7 @@ class TestStage1:
         model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
         log = TrainLog()
         train_stage1(model, corpus, cfg, tmp_path, log)
-        means = log.epoch_mean_losses(1)
+        means = epoch_mean_losses(log, 1)
         assert len(means) == 6
         for a, b in zip(means, means[1:]):
             assert b < a
