@@ -34,6 +34,10 @@ class ModelConfig:
     n_languages: int = 0
     n_relations: int = 0
 
+    @classmethod
+    def from_json(cls, doc) -> "ModelConfig":
+        return _typed_config(cls, doc, "model")
+
     def validate(self) -> None:
         if self.n_heads < 1:
             raise ConfigError("n_heads must be >= 1")
@@ -69,10 +73,8 @@ class TrainConfig:
     stage1_epochs: int = 5
     stage2_max_epochs: int = 8
     patience: int = 2            # early stopping on dev triple-F1
-    clip_norm: float = 0.0       # 0 disables clipping
     max_concat_tokens: int = 256  # cap on s * max_len in stage-1 groups
     seed: int = 0
-    log_every: int = 20
 
     def validate(self) -> None:
         for f in fields(self):
@@ -109,17 +111,33 @@ class RunConfig:
     def from_json(cls, doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):
             raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        model_doc = dict(doc.get("model", {}))
-        if "sub_layers" in model_doc:
-            model_doc["sub_layers"] = tuple(model_doc["sub_layers"])
-        model = ModelConfig(**model_doc)
-        train = TrainConfig(**doc.get("train", {}))
         return cls(
-            model=model,
-            train=train,
+            model=ModelConfig.from_json(doc.get("model", {})),
+            train=_typed_config(TrainConfig, doc.get("train", {}), "train"),
             corpus_dir=doc.get("corpus_dir", ""),
             out_dir=doc.get("out_dir", ""),
         )
+
+
+def _typed_config(cls, doc, section: str):
+    """``cls`` from a JSON object whose every value has its default's type: a
+    bool is not an int, an int may fill a float, and a tuple takes a list of
+    ints."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {', '.join(unknown)}")
+    defaults = cls()
+    values = dict(doc)
+    for name, value in doc.items():
+        want = type(getattr(defaults, name))
+        if want is tuple and isinstance(value, list) and all(type(v) is int for v in value):
+            values[name] = tuple(value)
+        elif type(value) is not want and not (want is float and type(value) is int):
+            kind = "list of ints" if want is tuple else want.__name__
+            raise ConfigError(f"{section}.{name} must be {kind}, got {value!r}")
+    return cls(**values)
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -130,10 +148,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
-    try:
-        cfg = RunConfig.from_json(doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config {p}: unknown or malformed keys ({exc})") from exc
+    cfg = RunConfig.from_json(doc)
     cfg.validate()
     return cfg
 

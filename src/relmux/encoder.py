@@ -151,17 +151,6 @@ def build_encoder_params(reg: ParamRegistry, cfg: ModelConfig, rng: np.random.Ge
         reg.add(f"{p}.b_ffn2", np.zeros(d))
 
 
-def encoder_param_names(cfg: ModelConfig) -> list[str]:
-    names = ["encoder.tok_emb", "encoder.pos_emb"]
-    for b in range(cfg.n_blocks):
-        p = f"encoder.block{b}"
-        names += [f"{p}.ln1.gain", f"{p}.ln1.bias"]
-        names += [f"{p}.{n}" for n in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o")]
-        names += [f"{p}.ln2.gain", f"{p}.ln2.bias"]
-        names += [f"{p}.w_ffn1", f"{p}.b_ffn1", f"{p}.w_ffn2", f"{p}.b_ffn2"]
-    return names
-
-
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> Tensor:
     """Scaled dot-product attention over a stack of b independent (m, k)
     blocks, (b, m, k) each: one block per sequence and head. ``key_mask`` is

@@ -162,10 +162,9 @@ def evaluate_model(
     examples: list[Example],
     registry: LanguageRegistry,
     top_k: int | None = None,
-    dump_scores: bool = False,
 ) -> MetricsReport:
     """Predict every example and assemble the metrics report."""
-    preds = [model.predict(ex, top_k=top_k, dump_scores=dump_scores) for ex in examples]
+    preds = [model.predict(ex, top_k=top_k) for ex in examples]
     return report_from_predictions(preds, examples, registry, model=model)
 
 

@@ -33,13 +33,6 @@ def build_head_params(reg: ParamRegistry, cfg: ModelConfig, rng: np.random.Gener
         reg.add(f"entity.{key}.w_index", matrix_init(rng, d, 1))
 
 
-def head_param_names(cfg: ModelConfig) -> list[str]:
-    names = ["relation.w_cls", "relation.emb"]
-    for key in ENTITY_KEYS:
-        names += [f"entity.{key}.w_down", f"entity.{key}.w_index"]
-    return names
-
-
 def relation_logits(pooled: Tensor, reg: ParamRegistry) -> Tensor:
     """Unmasked relation logits from the pooled vector (used for the training loss)."""
     return T.matmul(pooled, reg["relation.w_cls"])

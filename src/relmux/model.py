@@ -20,17 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .aggregator import AGGREGATOR_PARAMS, aggregate, build_aggregator_params
+from .aggregator import aggregate, build_aggregator_params
 from .config import ModelConfig, RunConfig
 from .corpus import SENTINEL_SPAN, Example, LanguageRegistry
-from .encoder import (
-    TokenizedSentence,
-    Vocab,
-    build_encoder_params,
-    encode,
-    encoder_param_names,
-    tokenize,
-)
+from .encoder import TokenizedSentence, Vocab, build_encoder_params, encode, tokenize
 from .errors import CheckpointError, ConfigError
 from .heads import (
     ENTITY_KEYS,
@@ -39,12 +32,11 @@ from .heads import (
     check_gold_allowed,
     decode_spans,
     entity_scores,
-    head_param_names,
     masked_argmax_relation,
     relation_logits,
 )
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
-from .switcher import build_switcher_params, switch_eval, switch_train, switcher_param_names
+from .switcher import ROUTER_PARAMS, build_switcher_params, switch_eval, switch_train
 from .tensor import Tensor
 
 
@@ -54,8 +46,7 @@ def sentence_ere_loss(relation_ce: Tensor, entity_ces: list[Tensor], alpha: floa
     relation term."""
     loss = T.mul(relation_ce, beta)
     if entity_ces:
-        entity_sum = entity_ces[0] if len(entity_ces) == 1 else T.add_n(entity_ces)
-        loss = T.add(T.mul(entity_sum, alpha / 2.0), loss)
+        loss = T.add(T.mul(T.add_n(entity_ces), alpha / 2.0), loss)
     return loss
 
 
@@ -63,16 +54,6 @@ def sentence_ere_loss(relation_ce: Tensor, entity_ces: list[Tensor], alpha: floa
 class FreezePlan:
     frozen: list[str]
     trainable: list[str]
-
-    def check_partition(self, registry: ParamRegistry) -> None:
-        names = set(registry.names())
-        frozen, trainable = set(self.frozen), set(self.trainable)
-        if frozen & trainable:
-            raise ConfigError(f"freeze plan overlap: {sorted(frozen & trainable)[:4]}")
-        if frozen | trainable != names:
-            missing = names - (frozen | trainable)
-            extra = (frozen | trainable) - names
-            raise ConfigError(f"freeze plan does not cover registry: missing={sorted(missing)[:4]} extra={sorted(extra)[:4]}")
 
 
 class Model:
@@ -101,17 +82,14 @@ class Model:
         return cls(cfg, languages, vocab, registry)
 
     def stage2_freeze_plan(self) -> FreezePlan:
-        frozen = encoder_param_names(self.cfg) + list(AGGREGATOR_PARAMS)
-        switcher = switcher_param_names(self.cfg)
-        if self.cfg.routing == "identity":
-            # the routing tables are vestigial when every language owns a sub-module
-            router = [n for n in switcher if n in ("switcher.lang_emb", "switcher.w_router")]
-            frozen += router
-            switcher = [n for n in switcher if n not in router]
-        trainable = switcher + head_param_names(self.cfg)
-        plan = FreezePlan(frozen=frozen, trainable=trainable)
-        plan.check_partition(self.registry)
-        return plan
+        """Stage 2 freezes every ``encoder.`` and ``aggregator.`` parameter, and
+        under identity routing the router, whose tables are vestigial when every
+        language owns a sub-module; the rest trains. The two lists split the
+        registry by construction."""
+        router = ROUTER_PARAMS if self.cfg.routing == "identity" else ()
+        names = self.registry.names()
+        frozen = [n for n in names if n.startswith(("encoder.", "aggregator.")) or n in router]
+        return FreezePlan(frozen=frozen, trainable=[n for n in names if n not in frozen])
 
     # -- shared forward pieces --------------------------------------------
 
@@ -171,8 +149,7 @@ class Model:
                 features = T.reshape(rows, (bearing.size * m, d))
             scores = self._entity_scores([tss[i] for i in bearing], features, rels[bearing])
             golds = np.array([tss[i].head_span + tss[i].tail_span for i in bearing])
-            entity_ces = [T.add_n([T.cross_entropy(scores[key], golds[:, j])
-                                   for j, key in enumerate(ENTITY_KEYS)])]
+            entity_ces = [T.cross_entropy(scores[key], golds[:, j]) for j, key in enumerate(ENTITY_KEYS)]
         if stats is not None:
             stats["relation_ce"] = stats.get("relation_ce", 0.0) + rel_ce.item()
             stats["entity_ce"] = stats.get("entity_ce", 0.0) + sum(t.item() for t in entity_ces)
@@ -273,10 +250,8 @@ class Model:
         if snap.get("relations") != list(languages.schema.relations):
             raise CheckpointError("checkpoint relation inventory does not match the corpus registry")
         try:
-            model_doc = dict(snap["model"])
-            model_doc["sub_layers"] = tuple(model_doc["sub_layers"])
-            cfg = ModelConfig(**model_doc)
-        except (KeyError, TypeError, ValueError) as exc:
+            cfg = ModelConfig.from_json(snap["model"])
+        except (KeyError, ConfigError) as exc:
             raise CheckpointError(f"checkpoint model config is malformed: {exc!r}") from None
         model = cls.build(cfg, languages, init_seed=0)
         model.registry.load_arrays(arrays)

@@ -38,7 +38,7 @@ class AdamW:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         for name, t in registry.items():
-            if not registry.is_frozen(name):
+            if t.requires_grad:
                 self.m[name] = np.zeros_like(t.data)
                 self.v[name] = np.zeros_like(t.data)
 
@@ -63,22 +63,6 @@ class AdamW:
             v += (1.0 - self.beta2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.data -= self.lr * (update + self.weight_decay * p.data)
-
-    def clip_grad_norm(self, max_norm: float) -> float:
-        """Scale all unfrozen gradients so their global L2 norm is <= max_norm."""
-        total = 0.0
-        for name in self.m:
-            g = self.registry[name].grad
-            if g is not None:
-                total += float((g * g).sum())
-        norm = float(np.sqrt(total))
-        if norm > max_norm > 0.0:
-            scale = max_norm / norm
-            for name in self.m:
-                g = self.registry[name].grad
-                if g is not None:
-                    g *= scale
-        return norm
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}

@@ -39,7 +39,6 @@ def embedding_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 class ParamRegistry:
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
-        self._frozen: set[str] = set()
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
@@ -66,15 +65,10 @@ class ParamRegistry:
     def freeze(self, names) -> None:
         for name in names:
             self._params[name].requires_grad = False
-            self._frozen.add(name)
 
     def unfreeze_all(self) -> None:
         for t in self._params.values():
             t.requires_grad = True
-        self._frozen.clear()
-
-    def is_frozen(self, name: str) -> bool:
-        return name in self._frozen
 
     def zero_grad(self) -> None:
         for t in self._params.values():

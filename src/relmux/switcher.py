@@ -40,15 +40,6 @@ def build_switcher_params(reg: ParamRegistry, cfg: ModelConfig, rng: np.random.G
             reg.add(f"{p}.ln.bias", np.zeros(d))
 
 
-def switcher_param_names(cfg: ModelConfig) -> list[str]:
-    names = list(ROUTER_PARAMS)
-    for t, depth in enumerate(cfg.sub_layers):
-        for layer in range(depth):
-            p = f"switcher.sub{t}.layer{layer}"
-            names += [f"{p}.w_up", f"{p}.w_down", f"{p}.ln.gain", f"{p}.ln.bias"]
-    return names
-
-
 def route(lang, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
     """Routing probabilities, differentiable w.r.t. the router: (1, T) for
     one language id, or (rows, T) for one id per row."""

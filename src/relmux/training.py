@@ -29,7 +29,6 @@ from .evaluation import evaluate_model
 from .model import Model
 from .optim import AdamW
 from .params import decode_extra_arrays, encode_extra_arrays
-from .switcher import switcher_param_names
 
 
 @dataclass
@@ -62,8 +61,6 @@ def _train_step(
     loss.backward()
     # release the step's tape before the optimizer step, not on return
     del loss
-    if tc.clip_norm > 0:
-        opt.clip_grad_norm(tc.clip_norm)
     opt.step()
     n = max(1, stats.get("sentences", 1))
     log.log(stage=stage, epoch=epoch, step=step + 1, loss=value,
@@ -111,7 +108,7 @@ def train_stage1(
         )
     # stage 1 never runs the switcher, so its parameters sit frozen until stage 2
     model.registry.unfreeze_all()
-    model.registry.freeze(switcher_param_names(model.cfg))
+    model.registry.freeze(n for n in model.registry.names() if n.startswith("switcher."))
     opt = AdamW(model.registry, lr=tc.lr, weight_decay=tc.weight_decay, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps)
     rng = np.random.default_rng(np.random.PCG64(tc.seed + 1))
     start_epoch = 0

@@ -138,7 +138,10 @@ class TestTrain:
         dict(RUN_DOC, model="ab"),
         dict(RUN_DOC, model=dict(RUN_DOC["model"], n_heads=0)),
         dict(RUN_DOC, train=dict(RUN_DOC["train"], lr=float("nan"))),
-    ], ids=["non_object_document", "non_object_model", "zero_heads", "nan_lr"])
+        dict(RUN_DOC, model=dict(RUN_DOC["model"], d_model="x")),
+        dict(RUN_DOC, train=dict(RUN_DOC["train"], batch_size=2.5)),
+    ], ids=["non_object_document", "non_object_model", "zero_heads", "nan_lr",
+            "string_d_model", "fractional_batch_size"])
     def test_malformed_config_rejected_before_training(self, workspace, tmp_path, capsys, doc):
         ws, _, _ = workspace
         if isinstance(doc, dict):

@@ -9,12 +9,13 @@ import pytest
 from relmux import tensor as T
 from relmux.config import ModelConfig, RunConfig, TrainConfig
 from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus
-from relmux.aggregator import aggregate
+from relmux.aggregator import aggregate, build_aggregator_params
+from relmux.encoder import build_encoder_params
 from relmux.errors import NumericsError
-from relmux.heads import ENTITY_KEYS, entity_scores, masked_argmax_relation, relation_logits
+from relmux.heads import ENTITY_KEYS, build_head_params, entity_scores, masked_argmax_relation, relation_logits
 from relmux.model import Model, sentence_ere_loss
-from relmux.params import load_checkpoint
-from relmux.switcher import switch_eval, switch_train
+from relmux.params import ParamRegistry, load_checkpoint
+from relmux.switcher import build_switcher_params, switch_eval, switch_train
 from relmux.training import TrainLog, train_stage1, train_stage2
 from relmux.tensor import Tensor
 
@@ -42,6 +43,14 @@ def tiny_run_cfg(**train_kw):
                           n_sub_modules=3, sub_layers=(2, 1, 1), bottleneck=32, eval_top_k=2),
         train=TrainConfig(**train),
     )
+
+
+def built_names(cfg: ModelConfig, *builders) -> list[str]:
+    """The parameter names that ``builders`` register into a fresh registry."""
+    reg = ParamRegistry()
+    for build in builders:
+        build(reg, cfg, np.random.default_rng(0))
+    return reg.names()
 
 
 def epoch_mean_losses(log: TrainLog, stage: int) -> list[float]:
@@ -265,6 +274,15 @@ class TestStage1:
         for name in straight.registry.names():
             assert np.array_equal(straight.registry[name].data, model2.registry[name].data), name
 
+    def test_stage1_freezes_exactly_the_switcher(self, tmp_path):
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg(stage1_epochs=0)
+        model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+        model.registry.freeze(model.stage2_freeze_plan().frozen)
+        train_stage1(model, corpus, cfg, tmp_path, TrainLog())
+        frozen = [n for n, t in model.registry.items() if not t.requires_grad]
+        assert sorted(frozen) == sorted(built_names(model.cfg, build_switcher_params))
+
     def test_nan_loss_aborts(self, tmp_path):
         corpus = tiny_corpus()
         cfg = tiny_run_cfg(lr=3e-3, stage1_epochs=1)
@@ -299,11 +317,21 @@ class TestStage2:
                  if not np.array_equal(model.registry[n].data, stage1_arrays[n])]
         assert moved
 
-    def test_freeze_plan_partitions_registry(self, trained):
-        corpus, cfg, model, *_ = trained
-        plan = model.stage2_freeze_plan()
-        assert set(plan.frozen) | set(plan.trainable) == set(model.registry.names())
-        assert not set(plan.frozen) & set(plan.trainable)
+    def test_freeze_plan_partitions_registry(self):
+        # the encoder and aggregator freeze, the switcher and heads train;
+        # identity routing also freezes its vestigial router
+        corpus = tiny_corpus()
+        for routing in ("learned", "identity"):
+            model = Model.build(replace(tiny_run_cfg().model, routing=routing), corpus.registry, init_seed=0)
+            frozen = built_names(model.cfg, build_encoder_params, build_aggregator_params)
+            trainable = built_names(model.cfg, build_switcher_params, build_head_params)
+            if routing == "identity":
+                router = ["switcher.lang_emb", "switcher.w_router"]
+                frozen += router
+                trainable = [n for n in trainable if n not in router]
+            plan = model.stage2_freeze_plan()
+            assert sorted(plan.frozen) == sorted(frozen), routing
+            assert sorted(plan.trainable) == sorted(trainable), routing
 
     def test_router_gradients_nonzero_after_first_step(self, trained):
         corpus, cfg, model, *_ = trained
