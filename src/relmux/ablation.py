@@ -39,12 +39,11 @@ ABLATION_NAMES = (
 )
 
 
-def train_two_stage(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, stage2: bool = True) -> Model:
+def train_two_stage(corpus: Corpus, run_cfg: RunConfig, out_dir: Path) -> Model:
     model = Model.build(replace(run_cfg.model), corpus.registry, init_seed=run_cfg.train.seed)
     log = TrainLog()
     train_stage1(model, corpus, run_cfg, out_dir, log)
-    if stage2:
-        train_stage2(model, corpus, run_cfg, out_dir, log)
+    train_stage2(model, corpus, run_cfg, out_dir, log)
     return model
 
 

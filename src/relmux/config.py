@@ -111,12 +111,11 @@ class RunConfig:
     def from_json(cls, doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):
             raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        return cls(
+        return _typed_config(cls, dict(
+            doc,
             model=ModelConfig.from_json(doc.get("model", {})),
             train=_typed_config(TrainConfig, doc.get("train", {}), "train"),
-            corpus_dir=doc.get("corpus_dir", ""),
-            out_dir=doc.get("out_dir", ""),
-        )
+        ), "config")
 
 
 def _typed_config(cls, doc, section: str):

@@ -9,14 +9,16 @@ the model also predicts no_relation. Pooling every metric over one population
 makes the dominance chain triple <= min(relation, entity pair) hold by
 construction; the report writer still checks it and refuses to emit a
 violating report. With one prediction per sentence every micro-F1 here
-coincides with accuracy.
+coincides with accuracy, so the whole report is built from one table of
+per-sentence outcomes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,14 +32,14 @@ class MetricsInvariantError(RelmuxError):
     """A produced evaluation violated a structural metric invariant."""
 
 
-@dataclass
-class TripleScore:
+class TripleScore(NamedTuple):
+    """One sentence's outcomes, in the order of ``LanguageMetrics``'s F1s."""
+
     relation_ok: bool
-    entity_bearing: bool            # gold carries real spans
-    head_ok: bool
-    tail_ok: bool
     pair_ok: bool
     triple_ok: bool
+    head_ok: bool
+    tail_ok: bool
 
 
 def score_triple(pred: TriplePrediction, gold: Example) -> TripleScore:
@@ -49,14 +51,7 @@ def score_triple(pred: TriplePrediction, gold: Example) -> TripleScore:
     head_ok = pred.head_span == gold.head_span
     tail_ok = pred.tail_span == gold.tail_span
     pair_ok = head_ok and tail_ok
-    return TripleScore(
-        relation_ok=relation_ok,
-        entity_bearing=gold.relation != 0,
-        head_ok=head_ok,
-        tail_ok=tail_ok,
-        pair_ok=pair_ok,
-        triple_ok=pair_ok and relation_ok,
-    )
+    return TripleScore(relation_ok, pair_ok, pair_ok and relation_ok, head_ok, tail_ok)
 
 
 def micro_f1(tp: int, fp: int, fn: int) -> float:
@@ -64,26 +59,6 @@ def micro_f1(tp: int, fp: int, fn: int) -> float:
         raise ValueError("counts must be nonnegative")
     denom = 2 * tp + fp + fn
     return 2.0 * tp / denom if denom else 0.0
-
-
-@dataclass
-class _Counts:
-    n_sentences: int = 0
-    n_entity_bearing: int = 0
-    rel_correct: int = 0
-    head_tp: int = 0
-    tail_tp: int = 0
-    pair_tp: int = 0
-    triple_tp: int = 0
-
-    def add(self, score: TripleScore) -> None:
-        self.n_sentences += 1
-        self.n_entity_bearing += int(score.entity_bearing)
-        self.rel_correct += int(score.relation_ok)
-        self.head_tp += int(score.head_ok)
-        self.tail_tp += int(score.tail_ok)
-        self.pair_tp += int(score.pair_ok)
-        self.triple_tp += int(score.triple_ok)
 
 
 @dataclass
@@ -96,32 +71,18 @@ class LanguageMetrics:
     n_sentences: int
     n_entity_bearing: int
 
+    @classmethod
+    def from_outcomes(cls, outcomes: np.ndarray, gold_relations: np.ndarray) -> "LanguageMetrics":
+        """Metrics of the sentences with these ``(n, 5)`` outcome rows (columns
+        in ``TripleScore`` order) and gold relations. Each sentence carries one
+        prediction, so a wrong one is both a false positive and a false
+        negative."""
+        n = len(outcomes)
+        f1s = [micro_f1(tp, n - tp, n - tp) for tp in outcomes.sum(axis=0).tolist()]
+        return cls(*f1s, n_sentences=n, n_entity_bearing=int(np.count_nonzero(gold_relations)))
+
     def to_json(self) -> dict:
-        return {
-            "relation_f1": self.relation_f1,
-            "entity_pair_f1": self.entity_pair_f1,
-            "triple_f1": self.triple_f1,
-            "head_f1": self.head_f1,
-            "tail_f1": self.tail_f1,
-            "n_sentences": self.n_sentences,
-            "n_entity_bearing": self.n_entity_bearing,
-        }
-
-
-def _metrics_from_counts(c: _Counts) -> LanguageMetrics:
-    def pooled_f1(tp: int) -> float:
-        wrong = c.n_sentences - tp
-        return micro_f1(tp, wrong, wrong)
-
-    return LanguageMetrics(
-        relation_f1=pooled_f1(c.rel_correct),
-        entity_pair_f1=pooled_f1(c.pair_tp),
-        triple_f1=pooled_f1(c.triple_tp),
-        head_f1=pooled_f1(c.head_tp),
-        tail_f1=pooled_f1(c.tail_tp),
-        n_sentences=c.n_sentences,
-        n_entity_bearing=c.n_entity_bearing,
-    )
+        return asdict(self)
 
 
 @dataclass
@@ -146,15 +107,7 @@ class MetricsReport:
                 )
 
     def to_json(self) -> dict:
-        return {
-            "per_language": {c: m.to_json() for c, m in self.per_language.items()},
-            "overall": self.overall.to_json(),
-            "macro_avg": self.macro_avg,
-            "relation_grid": self.relation_grid,
-            "router_heatmap": self.router_heatmap,
-            "heatmap_languages": self.heatmap_languages,
-            "config_snapshot": self.config_snapshot,
-        }
+        return asdict(self)
 
 
 def evaluate_model(
@@ -174,47 +127,41 @@ def report_from_predictions(
     registry: LanguageRegistry,
     model=None,
 ) -> MetricsReport:
-    by_lang: dict[int, _Counts] = {l.id: _Counts() for l in registry.languages}
-    overall = _Counts()
-    grid: dict[int, dict[int, dict[str, int]]] = {
-        l.id: {r: {"tp": 0, "fp": 0, "fn": 0, "support": 0} for r in range(registry.n_relations)}
-        for l in registry.languages
-    }
-    for pred, gold in zip(preds, examples):
-        score = score_triple(pred, gold)
-        by_lang[gold.lang].add(score)
-        overall.add(score)
-        cell = grid[gold.lang]
-        cell[gold.relation]["support"] += 1
-        if pred.relation == gold.relation:
-            cell[gold.relation]["tp"] += 1
-        else:
-            cell[gold.relation]["fn"] += 1
-            cell[pred.relation]["fp"] += 1
+    if len(preds) != len(examples):
+        raise ValueError(f"{len(preds)} predictions for {len(examples)} examples")
+    # one row per sentence: language, gold relation, predicted relation, outcomes
+    table = np.array(
+        [(g.lang, g.relation, p.relation, *score_triple(p, g)) for p, g in zip(preds, examples)],
+        dtype=np.intp,
+    ).reshape(-1, 3 + len(TripleScore._fields))
+    langs, gold, predicted = table[:, :3].T
+    outcomes = table[:, 3:]
 
-    per_language = {
-        registry.languages[lid].code: _metrics_from_counts(c)
-        for lid, c in sorted(by_lang.items())
-        if c.n_sentences > 0
-    }
+    # relation grid counts per (language, relation); a wrong prediction is a
+    # false positive of the relation it predicted
+    support, tp, fp = np.zeros((3, registry.n_languages, registry.n_relations), dtype=np.intp)
+    right = gold == predicted
+    np.add.at(support, (langs, gold), 1)
+    np.add.at(tp, (langs[right], gold[right]), 1)
+    np.add.at(fp, (langs[~right], predicted[~right]), 1)
+
+    per_language: dict[str, LanguageMetrics] = {}
+    relation_grid: dict[str, dict[str, dict]] = {}
+    for lang in registry.languages:
+        rows = langs == lang.id
+        if not rows.any():
+            continue
+        per_language[lang.code] = LanguageMetrics.from_outcomes(outcomes[rows], gold[rows])
+        cells = zip(registry.schema.relations, support[lang.id].tolist(), tp[lang.id].tolist(),
+                    fp[lang.id].tolist())
+        relation_grid[lang.code] = {  # zero-support cells are absent, not zero
+            name: {"f1": micro_f1(t, f, s - t), "support": s} for name, s, t, f in cells if s
+        }
     keys = ("relation_f1", "entity_pair_f1", "triple_f1", "head_f1", "tail_f1")
     macro = {
         k: float(np.mean([getattr(m, k) for m in per_language.values()])) if per_language else 0.0
         for k in keys
     }
-    relation_grid: dict[str, dict[str, dict]] = {}
-    for lid, cells in grid.items():
-        code = registry.languages[lid].code
-        if by_lang[lid].n_sentences == 0:
-            continue
-        relation_grid[code] = {}
-        for rid, cnt in cells.items():
-            if cnt["support"] == 0:
-                continue  # zero-support cells are absent, not zero
-            relation_grid[code][registry.schema.relations[rid]] = {
-                "f1": micro_f1(cnt["tp"], cnt["fp"], cnt["fn"]),
-                "support": cnt["support"],
-            }
 
     router = None
     heat_langs = None
@@ -223,7 +170,7 @@ def report_from_predictions(
     snapshot = model.config_snapshot() if model is not None else {}
     report = MetricsReport(
         per_language=per_language,
-        overall=_metrics_from_counts(overall),
+        overall=LanguageMetrics.from_outcomes(outcomes, gold),
         macro_avg=macro,
         relation_grid=relation_grid,
         router_heatmap=None if router is None else [[float(x) for x in row] for row in router],
@@ -258,21 +205,14 @@ def export_router_heatmap(model, path: str | Path) -> np.ndarray:
 def format_report_table(report: MetricsReport) -> str:
     header = f"{'language':<10} {'rel_f1':>8} {'pair_f1':>8} {'triple_f1':>10} {'head_f1':>8} {'tail_f1':>8} {'n':>6}"
     lines = [header, "-" * len(header)]
-    for code, m in report.per_language.items():
+    rows = [(code, m.to_json()) for code, m in report.per_language.items()]
+    # the AVG row has no sentence count; its blank column is stripped
+    rows += [("micro", report.overall.to_json()), ("AVG", dict(report.macro_avg, n_sentences=""))]
+    for label, v in rows:
         lines.append(
-            f"{code:<10} {m.relation_f1:>8.4f} {m.entity_pair_f1:>8.4f} {m.triple_f1:>10.4f} "
-            f"{m.head_f1:>8.4f} {m.tail_f1:>8.4f} {m.n_sentences:>6}"
+            f"{label:<10} {v['relation_f1']:>8.4f} {v['entity_pair_f1']:>8.4f} {v['triple_f1']:>10.4f} "
+            f"{v['head_f1']:>8.4f} {v['tail_f1']:>8.4f} {v['n_sentences']:>6}".rstrip()
         )
-    m = report.overall
-    lines.append(
-        f"{'micro':<10} {m.relation_f1:>8.4f} {m.entity_pair_f1:>8.4f} {m.triple_f1:>10.4f} "
-        f"{m.head_f1:>8.4f} {m.tail_f1:>8.4f} {m.n_sentences:>6}"
-    )
-    lines.append(
-        f"{'AVG':<10} {report.macro_avg['relation_f1']:>8.4f} {report.macro_avg['entity_pair_f1']:>8.4f} "
-        f"{report.macro_avg['triple_f1']:>10.4f} {report.macro_avg['head_f1']:>8.4f} "
-        f"{report.macro_avg['tail_f1']:>8.4f}"
-    )
     return "\n".join(lines)
 
 

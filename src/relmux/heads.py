@@ -99,7 +99,7 @@ def decode_spans(score_arrays: dict[str, np.ndarray]) -> tuple[tuple[int, int], 
 class TriplePrediction:
     example_id: str
     relation: int
-    head_span: tuple[int, int]   # in tokenized coordinates (sentinel for no_relation)
+    head_span: tuple[int, int]   # content-token coordinates, as gold (sentinel for no_relation)
     tail_span: tuple[int, int]
     relation_logits: np.ndarray
     entity_scores: dict[str, np.ndarray] | None = None

@@ -60,9 +60,8 @@ def routing_probs(lang: int, reg: ParamRegistry, cfg: ModelConfig) -> np.ndarray
 
 @dataclass(frozen=True)
 class SwitchDecision:
-    """Routing probabilities plus the retained top-k set with renormalized weights."""
+    """The retained top-k set with renormalized weights."""
 
-    probs: tuple[float, ...]
     retained: tuple[int, ...]
     weights: tuple[float, ...]
 
@@ -77,7 +76,7 @@ def top_k_decision(probs: np.ndarray, k: int) -> SwitchDecision:
     retained = tuple(sorted(int(i) for i in order[:k]))
     kept = flat[list(retained)]
     weights = kept / kept.sum()
-    return SwitchDecision(probs=tuple(flat), retained=retained, weights=tuple(weights))
+    return SwitchDecision(retained=retained, weights=tuple(weights))
 
 
 def apply_submodule(t_idx: int, h: Tensor, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:

@@ -398,13 +398,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
     return out
 
 
-def cross_entropy(logits: Tensor, gold, mask: np.ndarray | None = None) -> Tensor:
+def cross_entropy(logits: Tensor, gold) -> Tensor:
     """Negative log softmax probability of the gold class, summed over rows.
 
     ``gold`` is one class index, or a vector of one index per row. ``logits``
-    may be any shape that ravels to ``(len(gold), n_classes)``. ``mask`` is an
-    optional additive mask of the same size (0 for allowed, NEG_INF for
-    excluded); a masked gold index is an unsatisfiable target and raises.
+    may be any shape that ravels to ``(len(gold), n_classes)``.
     """
     gold = np.asarray(gold, dtype=np.intp).reshape(-1)
     rows = np.arange(gold.size)
@@ -416,14 +414,6 @@ def cross_entropy(logits: Tensor, gold, mask: np.ndarray | None = None) -> Tenso
         raise IndexError(f"gold index {gold.tolist()} out of range for {n} classes")
     if np.isnan(z).any():
         raise NumericsError("cross_entropy: NaN in logits")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.size != z.size:
-            raise ShapeError(f"mask shape {mask.shape} does not match logits {logits.shape}")
-        mask = mask.reshape(z.shape)
-        if (mask[rows, gold] != 0.0).any():
-            raise ValueError(f"gold index {gold.tolist()} is masked out")
-        z = z + mask
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1)

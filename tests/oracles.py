@@ -196,6 +196,64 @@ def oracle_cross_entropy(logits: np.ndarray, gold: int) -> float:
     return float(-np.log(_softmax_row(logits)[gold]))
 
 
+def oracle_report(rows: list[tuple], languages: list[str], relations: list[str]) -> dict:
+    """Per-language, overall, macro-average and per-relation metrics of one
+    prediction per sentence.
+
+    Each row is (language, gold relation, gold head, gold tail, predicted
+    relation, predicted head, predicted tail), with languages and relations
+    given by name and spans as (start, end) pairs. With one prediction per
+    sentence a wrong one is both a false positive and a false negative, so
+    every pooled F1 is the share of sentences that are right.
+    """
+
+    def accuracy(right: int, n: int) -> float:
+        return right / n if n else 0.0
+
+    def metrics(subset: list[tuple]) -> dict:
+        relation = pair = triple = head = tail = bearing = 0
+        for _, gold_rel, gold_head, gold_tail, pred_rel, pred_head, pred_tail in subset:
+            head_ok = gold_head == pred_head
+            tail_ok = gold_tail == pred_tail
+            relation += gold_rel == pred_rel
+            pair += head_ok and tail_ok
+            triple += head_ok and tail_ok and gold_rel == pred_rel
+            head += head_ok
+            tail += tail_ok
+            bearing += gold_rel != relations[0]
+        n = len(subset)
+        return {
+            "relation_f1": accuracy(relation, n),
+            "entity_pair_f1": accuracy(pair, n),
+            "triple_f1": accuracy(triple, n),
+            "head_f1": accuracy(head, n),
+            "tail_f1": accuracy(tail, n),
+            "n_sentences": n,
+            "n_entity_bearing": bearing,
+        }
+
+    per_language = {}
+    grid = {}
+    for code in languages:
+        subset = [row for row in rows if row[0] == code]
+        if not subset:
+            continue
+        per_language[code] = metrics(subset)
+        grid[code] = {}
+        for name in relations:
+            support = sum(1 for row in subset if row[1] == name)
+            tp = sum(1 for row in subset if row[1] == name and row[4] == name)
+            fp = sum(1 for row in subset if row[1] != name and row[4] == name)
+            fn = support - tp
+            if support:
+                grid[code][name] = {"f1": 2.0 * tp / (2 * tp + fp + fn), "support": support}
+    macro = {}
+    for key in ("relation_f1", "entity_pair_f1", "triple_f1", "head_f1", "tail_f1"):
+        values = [m[key] for m in per_language.values()]
+        macro[key] = sum(values) / len(values) if values else 0.0
+    return {"per_language": per_language, "overall": metrics(rows), "macro_avg": macro, "relation_grid": grid}
+
+
 def numeric_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central differences of a scalar function of a plain numpy array."""
     x = np.asarray(x, dtype=np.float64)

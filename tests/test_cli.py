@@ -140,12 +140,13 @@ class TestTrain:
         dict(RUN_DOC, train=dict(RUN_DOC["train"], lr=float("nan"))),
         dict(RUN_DOC, model=dict(RUN_DOC["model"], d_model="x")),
         dict(RUN_DOC, train=dict(RUN_DOC["train"], batch_size=2.5)),
+        dict(RUN_DOC, corpus_dir=5),
     ], ids=["non_object_document", "non_object_model", "zero_heads", "nan_lr",
-            "string_d_model", "fractional_batch_size"])
+            "string_d_model", "fractional_batch_size", "corpus_dir_int"])
     def test_malformed_config_rejected_before_training(self, workspace, tmp_path, capsys, doc):
         ws, _, _ = workspace
         if isinstance(doc, dict):
-            doc = dict(doc, corpus_dir=str(ws / "corpus"))
+            doc = {"corpus_dir": str(ws / "corpus"), **doc}
         cfgp = tmp_path / "bad.json"
         cfgp.write_text(json.dumps(doc), encoding="utf-8")
         rc = main(["train", "--stage", "1", "--config", str(cfgp), "--out", str(tmp_path / "r")])

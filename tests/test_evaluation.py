@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relmux.corpus import Example, LanguageRegistry, LanguageSpec, RelationSchema
@@ -20,6 +20,8 @@ from relmux.evaluation import (
     write_report,
 )
 from relmux.heads import TriplePrediction
+
+from oracles import oracle_report
 
 
 def make_registry(n_langs=2):
@@ -159,6 +161,12 @@ class TestReports:
         want = (report.per_language["valo"].triple_f1 + report.per_language["koru"].triple_f1) / 2
         assert report.macro_avg["triple_f1"] == pytest.approx(want)
 
+    def test_short_prediction_list_rejected(self):
+        registry = make_registry()
+        golds = [ex(id=f"e{i}") for i in range(4)]
+        with pytest.raises(ValueError, match="3 predictions for 4 examples"):
+            report_from_predictions([pred(g) for g in golds[:3]], golds, registry)
+
     def test_write_report_files(self, tmp_path):
         registry = make_registry()
         golds = [ex(id=f"e{i}", relation=1) for i in range(4)]
@@ -182,6 +190,62 @@ class TestReports:
 
         rec = json.loads(lines[0])
         assert rec["gold"]["relation"] == "has-kind" and rec["pred"]["relation"] == "has-kind"
+
+
+SPANS = [(0, 0), (0, 1), (1, 1), (3, 3), (3, 4)]
+SENTENCES = st.tuples(
+    st.sampled_from([0, 1]),                    # language
+    st.integers(0, 2), st.integers(0, 2),       # gold and predicted relation
+    st.sampled_from(SPANS), st.sampled_from(SPANS),   # gold head and tail
+    st.sampled_from(SPANS), st.sampled_from(SPANS),   # predicted head and tail
+)
+
+
+class TestReportAgainstOracle:
+    @given(st.lists(SENTENCES, max_size=30))
+    @example([])
+    @example([(1, 2, 1, (0, 1), (3, 3), (0, 1), (3, 4))])   # valo has no sentences
+    def test_report_matches_oracle(self, sentences):
+        registry = make_registry()
+        relations = list(registry.schema.relations)
+        golds, preds, rows = [], [], []
+        for i, (lang, gold_rel, pred_rel, gold_head, gold_tail, pred_head, pred_tail) in enumerate(sentences):
+            g = ex(id=f"e{i}", lang=lang, relation=gold_rel, head=gold_head, tail=gold_tail)
+            p = pred(g, relation=pred_rel, head=pred_head, tail=pred_tail)
+            golds.append(g)
+            preds.append(p)
+            rows.append((registry.languages[lang].code, relations[g.relation], g.head_span, g.tail_span,
+                         relations[p.relation], p.head_span, p.tail_span))
+        got = report_from_predictions(preds, golds, registry).to_json()
+        want = oracle_report(rows, [l.code for l in registry.languages], relations)
+        for key in ("per_language", "overall", "relation_grid"):
+            assert got[key] == want[key]
+        assert got["macro_avg"] == pytest.approx(want["macro_avg"], abs=1e-15)
+
+    def test_table_and_grid_bytes_pinned(self, tmp_path):
+        registry = make_registry()
+        golds = [ex(id="a", lang=0, relation=1), ex(id="b", lang=0, relation=2), ex(id="c", lang=0, relation=0),
+                 ex(id="d", lang=1, relation=1), ex(id="e", lang=1, relation=0)]
+        preds = [pred(golds[0]), pred(golds[1], relation=1), pred(golds[2]),
+                 pred(golds[3], head=(1, 1)), pred(golds[4], relation=2, head=(0, 0), tail=(2, 2))]
+        report = report_from_predictions(preds, golds, registry)
+        assert format_report_table(report) == (
+            "language     rel_f1  pair_f1  triple_f1  head_f1  tail_f1      n\n"
+            "----------------------------------------------------------------\n"
+            "valo         0.6667   1.0000     0.6667   1.0000   1.0000      3\n"
+            "koru         0.5000   0.0000     0.0000   0.0000   0.5000      2\n"
+            "micro        0.6000   0.6000     0.4000   0.6000   0.8000      5\n"
+            "AVG          0.5833   0.5000     0.3333   0.5000   0.7500"
+        )
+        write_report(report, tmp_path)
+        assert (tmp_path / "relation_grid.csv").read_text(encoding="utf-8") == (
+            "language,relation,f1,support\n"
+            "koru,has-kind,1.0,1\n"
+            "koru,no_relation,0.0,1\n"
+            "valo,has-kind,0.6666666666666666,1\n"
+            "valo,locat-in,0.0,1\n"
+            "valo,no_relation,1.0,1\n"
+        )
 
 
 class TestHeatmapExport:

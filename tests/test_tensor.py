@@ -13,7 +13,7 @@ from relmux import tensor as T
 from relmux.errors import NumericsError
 from relmux.optim import AdamW
 from relmux.params import ParamRegistry
-from relmux.tensor import NEG_INF, ShapeError, Tensor
+from relmux.tensor import ShapeError, Tensor
 
 from gradcheck import finite_diff_check, tsum
 from oracles import oracle_adamw_step, oracle_cross_entropy
@@ -172,17 +172,6 @@ class TestCrossEntropy:
         expected = p - np.array([1.0, 0.0, 0.0])
         assert np.allclose(logits.grad, expected, atol=1e-14)
 
-    def test_additive_mask_excludes_classes(self):
-        logits = Tensor([1.0, 2.0, 3.0])
-        mask = np.array([0.0, NEG_INF, 0.0])
-        loss = T.cross_entropy(logits, 0, mask)
-        want = -math.log(math.exp(1.0) / (math.exp(1.0) + math.exp(3.0)))
-        assert loss.item() == pytest.approx(want, abs=1e-12)
-
-    def test_masked_gold_rejected(self):
-        with pytest.raises(ValueError, match="masked"):
-            T.cross_entropy(Tensor([1.0, 2.0]), 1, np.array([0.0, NEG_INF]))
-
     def test_gold_out_of_range(self):
         with pytest.raises(IndexError):
             T.cross_entropy(Tensor([1.0, 2.0]), 5)
@@ -190,25 +179,16 @@ class TestCrossEntropy:
     def test_rowwise_is_sum_of_single_rows(self, rng):
         logits = rng.normal(size=(3, 4))
         gold = np.array([2, 0, 3])
-        mask = np.zeros((3, 4))
-        mask[0, 1] = mask[2, 0] = NEG_INF
-        got = T.cross_entropy(Tensor(logits), gold, mask).item()
-        want = sum(T.cross_entropy(Tensor(logits[i]), int(gold[i]), mask[i]).item() for i in range(3))
+        got = T.cross_entropy(Tensor(logits), gold).item()
+        want = sum(T.cross_entropy(Tensor(logits[i]), int(gold[i])).item() for i in range(3))
         assert got == pytest.approx(want, abs=1e-14)
 
     def test_rowwise_gradient_vs_finite_differences(self, rng):
         # logits shaped (rows*classes, 1), as per-position scores arrive
         logits = Tensor(rng.normal(size=(12, 1)), requires_grad=True)
         gold = np.array([2, 0, 3])
-        mask = np.zeros(12)
-        mask[[1, 8]] = NEG_INF
-        report = finite_diff_check(lambda: T.cross_entropy(logits, gold, mask), {"logits": logits})
+        report = finite_diff_check(lambda: T.cross_entropy(logits, gold), {"logits": logits})
         assert report.max_rel_error < 1e-6
-        assert logits.grad[1, 0] == 0.0 and logits.grad[8, 0] == 0.0
-
-    def test_rowwise_masked_gold_rejected(self):
-        with pytest.raises(ValueError, match="masked"):
-            T.cross_entropy(Tensor(np.zeros((2, 3))), [0, 1], np.array([[0.0, 0.0, 0.0], [0.0, NEG_INF, 0.0]]))
 
     def test_rows_must_divide_logits(self):
         with pytest.raises(ShapeError):
