@@ -29,16 +29,6 @@ from .evaluation import evaluate_model
 from .model import Model
 from .training import TrainLog, train_stage1, train_stage2
 
-ABLATION_NAMES = (
-    "concat_count",
-    "topk_sweep",
-    "layer_numbers",
-    "mono_vs_multi",
-    "language_groups",
-    "no_selection_T_experts",
-)
-
-
 def train_two_stage(corpus: Corpus, run_cfg: RunConfig, out_dir: Path) -> Model:
     model = Model.build(replace(run_cfg.model), corpus.registry, init_seed=run_cfg.train.seed)
     log = TrainLog()
@@ -51,10 +41,13 @@ def _run_variant(job: tuple[str, Corpus, RunConfig, str]) -> tuple[str, dict[str
     """Train one variant and score its test split; top-level so workers can pickle it."""
     variant, corpus, run_cfg, out_dir = job
     model = train_two_stage(corpus, run_cfg, Path(out_dir))
-    report = evaluate_model(model, corpus.test, corpus.registry)
-    scores = {code: m.triple_f1 for code, m in report.per_language.items()}
-    scores["AVG"] = report.macro_avg["triple_f1"]
-    return variant, scores
+    return variant, _test_scores(model, corpus)
+
+
+def _test_scores(model: Model, corpus: Corpus, top_k: int | None = None) -> dict[str, float]:
+    """Test triple-F1 per language code, and the macro average under ``AVG``."""
+    report = evaluate_model(model, corpus.test, corpus.registry, top_k=top_k)
+    return {**{code: m.triple_f1 for code, m in report.per_language.items()}, "AVG": report.macro_avg["triple_f1"]}
 
 
 def _execute(jobs: list[tuple[str, Corpus, RunConfig, str]], n_workers: int) -> dict[str, dict[str, float]]:
@@ -109,13 +102,8 @@ def ablate_concat_count(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs:
 
 def ablate_topk_sweep(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs: int = 1) -> list[dict]:
     model = train_two_stage(corpus, run_cfg, out_dir / "base")
-    rows = []
-    for k in range(1, run_cfg.model.n_sub_modules + 1):
-        report = evaluate_model(model, corpus.test, corpus.registry, top_k=k)
-        scores = {code: m.triple_f1 for code, m in report.per_language.items()}
-        scores["AVG"] = report.macro_avg["triple_f1"]
-        rows += _rows(f"k={k}", scores)
-    return rows
+    return [row for k in range(1, run_cfg.model.n_sub_modules + 1)
+            for row in _rows(f"k={k}", _test_scores(model, corpus, top_k=k))]
 
 
 def ablate_layer_numbers(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs: int = 1) -> list[dict]:
@@ -202,20 +190,23 @@ def ablate_no_selection(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs:
     return _sweep(jobs_list, jobs)
 
 
+DRIVERS = {
+    "concat_count": ablate_concat_count,
+    "topk_sweep": ablate_topk_sweep,
+    "layer_numbers": ablate_layer_numbers,
+    "mono_vs_multi": ablate_mono_vs_multi,
+    "language_groups": ablate_language_groups,
+    "no_selection_T_experts": ablate_no_selection,
+}
+ABLATION_NAMES = tuple(DRIVERS)
+
+
 def run_ablation(name: str, corpus: Corpus, run_cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> list[dict]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    drivers = {
-        "concat_count": ablate_concat_count,
-        "topk_sweep": ablate_topk_sweep,
-        "layer_numbers": ablate_layer_numbers,
-        "mono_vs_multi": ablate_mono_vs_multi,
-        "language_groups": ablate_language_groups,
-        "no_selection_T_experts": ablate_no_selection,
-    }
-    if name not in drivers:
+    if name not in DRIVERS:
         raise ConfigError(f"unknown ablation {name!r}; choose from {', '.join(ABLATION_NAMES)}")
-    rows = drivers[name](corpus, run_cfg, out, jobs=jobs)
+    rows = DRIVERS[name](corpus, run_cfg, out, jobs=jobs)
     write_rows_csv(rows, out / f"{name}.csv")
     (out / f"{name}.json").write_text(json.dumps(rows, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     return rows

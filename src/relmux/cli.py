@@ -25,10 +25,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .ablation import ABLATION_NAMES, run_ablation
-from .config import RunConfig, load_run_config, save_config_snapshot
-from .corpus import LanguageRegistry, generate_corpus, load_corpus, GeneratorConfig
+from .config import RunConfig, load_run_config, read_json_object, save_config_snapshot
+from .corpus import SPLITS, GeneratorConfig, LanguageRegistry, generate_corpus, load_corpus, save_corpus
+from .encoder import Vocab
 from .errors import ConfigError, DataValidationError, NumericsError, RelmuxError
-from .evaluation import dump_predictions, evaluate_model, export_router_heatmap, write_report
+from .evaluation import dump_predictions, evaluate_model, export_router_heatmap, report_from_predictions, write_report
 from .model import Model
 from .training import TrainLog, run_summary, train_stage1, train_stage2
 
@@ -49,29 +50,18 @@ def _resolve_out(path: str) -> Path:
 def _load_lang_schema(langs_path: str, schema_path: str) -> LanguageRegistry:
     """The language registry and relation schema may live in one file or two;
     both flags may point at the same JSON document."""
-    langs_doc = json.loads(Path(langs_path).read_text(encoding="utf-8"))
+    doc = read_json_object(langs_path, "language registry")
     if schema_path and schema_path != langs_path:
-        schema_doc = json.loads(Path(schema_path).read_text(encoding="utf-8"))
-        merged = dict(langs_doc)
-        for key in ("relations", "allowed"):
-            if key in schema_doc:
-                merged[key] = schema_doc[key]
-        langs_doc = merged
-    return LanguageRegistry.from_json(langs_doc)
+        schema_doc = read_json_object(schema_path, "relation schema")
+        doc.update((key, schema_doc[key]) for key in ("relations", "allowed") if key in schema_doc)
+    return LanguageRegistry.from_json(doc)
 
 
 def cmd_generate(args) -> int:
     out = _resolve_out(args.out)
     registry_in = _load_lang_schema(args.langs, args.schema or args.langs)
-    gen = GeneratorConfig()
-    if args.no_relation_fraction is not None:
-        gen.no_relation_fraction = args.no_relation_fraction
-    if args.family_share is not None:
-        gen.family_share = args.family_share
+    gen = GeneratorConfig(no_relation_fraction=args.no_relation_fraction, family_share=args.family_share)
     corpus = generate_corpus(registry_in.languages, registry_in.schema, seed=args.seed, gen=gen)
-    from .corpus import save_corpus
-    from .encoder import Vocab
-
     save_corpus(out, corpus)
     vocab = Vocab(corpus.registry.content_vocab(), corpus.registry.n_languages)
     vocab.save(out / "vocab.txt")
@@ -83,7 +73,7 @@ def cmd_generate(args) -> int:
     )
     print(f"{'language':<10} {'train':>7} {'dev':>6} {'test':>6}")
     for lang in corpus.registry.languages:
-        counts = [sum(1 for e in corpus.split(s) if e.lang == lang.id) for s in ("train", "dev", "test")]
+        counts = [sum(1 for e in corpus.split(s) if e.lang == lang.id) for s in SPLITS]
         print(f"{lang.code:<10} {counts[0]:>7} {counts[1]:>6} {counts[2]:>6}")
     print(f"wrote corpus to {out}")
     return 0
@@ -143,8 +133,6 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--topk must be in [1, {model.cfg.n_sub_modules}]")
     examples = corpus.split(args.split)
     preds = [model.predict(ex, top_k=args.topk, dump_scores=args.dump_scores) for ex in examples]
-    from .evaluation import report_from_predictions
-
     report = report_from_predictions(preds, examples, corpus.registry, model=model)
     write_report(report, out)
     dump_predictions(preds, examples, corpus.registry, out / "predictions.jsonl", include_scores=args.dump_scores)
@@ -185,8 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", default=None, help="relation schema JSON (may equal --langs)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-relation-fraction", type=float, default=None, dest="no_relation_fraction")
-    p.add_argument("--family-share", type=float, default=None, dest="family_share")
+    p.add_argument("--no-relation-fraction", type=float, default=GeneratorConfig.no_relation_fraction,
+                   dest="no_relation_fraction")
+    p.add_argument("--family-share", type=float, default=GeneratorConfig.family_share, dest="family_share")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("train", help="run one training stage")
@@ -201,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--split", choices=("train", "dev", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--topk", type=int, default=None)
     p.add_argument("--dump-scores", action="store_true", dest="dump_scores")
     p.add_argument("--out", required=True)

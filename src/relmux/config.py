@@ -109,8 +109,6 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
         return _typed_config(cls, dict(
             doc,
             model=ModelConfig.from_json(doc.get("model", {})),
@@ -139,15 +137,23 @@ def _typed_config(cls, doc, section: str):
     return cls(**values)
 
 
-def load_run_config(path: str | Path) -> RunConfig:
+def read_json_object(path: str | Path, what: str, error: type[ConfigError] = ConfigError) -> dict:
+    """The JSON object in the file at ``path``; a missing file, text that is
+    not JSON, or a document that is not an object raises ``error``."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+    if not p.is_file():
+        raise error(f"{what} file not found: {p}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
-    cfg = RunConfig.from_json(doc)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise error(f"{what} {p} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} {p} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_run_config(path: str | Path) -> RunConfig:
+    cfg = RunConfig.from_json(read_json_object(path, "config"))
     cfg.validate()
     return cfg
 

@@ -17,17 +17,19 @@ live together in one JSON config with a schema_version field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .config import read_json_object
 from .errors import ConfigError, DataValidationError
 
 SCHEMA_VERSION = 1
 NO_RELATION = "no_relation"
 SENTINEL_SPAN = (-1, -1)
 WORD_ORDERS = ("SVO", "SOV", "VSO")
+SPLITS = ("train", "dev", "test")
 
 # Disjoint syllable alphabets per token role keep every surface form
 # unambiguous: an entity token can never collide with a cue or filler.
@@ -150,11 +152,7 @@ class LanguageRegistry:
         raise DataValidationError(f"unknown language code {code!r}")
 
     def content_vocab(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for lang in self.languages:
-            for tok in lang.vocab:
-                seen.setdefault(tok)
-        return sorted(seen)
+        return sorted({tok for lang in self.languages for tok in lang.vocab})
 
     def to_json(self) -> dict:
         return {
@@ -178,28 +176,33 @@ class LanguageRegistry:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LanguageRegistry":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"registry must be a JSON object, got {type(doc).__name__}")
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(f"unsupported registry schema_version: {doc.get('schema_version')!r}")
-        languages = [
-            LanguageSpec(
+        languages = []
+        for i, rec in enumerate(_typed(doc, "languages", list, "registry", item=dict)):
+            where = f"registry.languages[{i}]"
+            code = _typed(rec, "code", str, where)
+            languages.append(LanguageSpec(
                 id=i,
-                code=rec["code"],
-                word_order=rec["word_order"],
-                family=rec.get("family", rec["code"]),
-                resource_size=int(rec["resource_size"]),
-                vocab=tuple(rec.get("vocab", ())),
-            )
-            for i, rec in enumerate(doc["languages"])
-        ]
-        relations = tuple(doc["relations"])
+                code=code,
+                word_order=_typed(rec, "word_order", str, where),
+                family=_typed(rec, "family", str, where, default=code),
+                resource_size=_typed(rec, "resource_size", int, where),
+                vocab=tuple(_typed(rec, "vocab", list, where, item=str, default=[])),
+            ))
+        relations = tuple(_typed(doc, "relations", list, "registry", item=str))
         allowed = np.zeros((len(languages), len(relations)), dtype=bool)
-        allowed_doc = doc.get("allowed", {})
+        allowed_doc = _typed(doc, "allowed", dict, "registry", default={})
+        unknown = sorted(set(allowed_doc) - {lang.code for lang in languages})
+        if unknown:
+            raise ConfigError(f"allowed names unknown languages: {', '.join(unknown)}")
         for lang in languages:
-            names = allowed_doc.get(lang.code)
-            if names is None:
+            if lang.code not in allowed_doc:
                 allowed[lang.id, :] = True
                 continue
-            for name in names:
+            for name in _typed(allowed_doc, lang.code, list, "registry.allowed", item=str):
                 if name not in relations:
                     raise ConfigError(f"allowed mask for {lang.code} names unknown relation {name!r}")
                 allowed[lang.id, relations.index(name)] = True
@@ -213,10 +216,21 @@ class LanguageRegistry:
 
     @classmethod
     def load(cls, path: str | Path) -> "LanguageRegistry":
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"registry file not found: {p}")
-        return cls.from_json(json.loads(p.read_text(encoding="utf-8")))
+        return cls.from_json(read_json_object(path, "registry"))
+
+
+def _typed(doc: dict, key: str, kind: type, where: str, item: type | None = None, default=None):
+    """``doc[key]``, which must have type ``kind`` (a list of ``item``s, if
+    given), so a bool is not an int; without a default a missing key is an error."""
+    if key not in doc:
+        if default is None:
+            raise ConfigError(f"{where} lacks {key!r}")
+        return default
+    value = doc[key]
+    if type(value) is not kind or (item is not None and any(type(v) is not item for v in value)):
+        of = f" of {item.__name__}" if item is not None else ""
+        raise ConfigError(f"{where}.{key} must be {kind.__name__}{of}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -232,24 +246,25 @@ class Corpus:
     surfaces: dict[tuple[int, int], tuple[str, ...]] | None = None
 
     def split(self, name: str) -> list[Example]:
-        return {"train": self.train, "dev": self.dev, "test": self.test}[name]
+        return {split: getattr(self, split) for split in SPLITS}[name]
 
 
 # ---------------------------------------------------------------------------
 # Synthetic generation
 
+N_ENTITY_CONCEPTS = 40
+# dev and test each take this share of a language's sentences, rounded, and
+# train takes the rest: an 80/10/10 split that leaves train at least one
+HELD_OUT_FRACTION = 0.1
+FILLER_PROB = 0.5  # chance of a filler word before each constituent and at the end
+
 
 @dataclass
 class GeneratorConfig:
-    n_entity_concepts: int = 40
     no_relation_fraction: float = 0.1
     family_share: float = 0.4  # fraction of surface forms shared within a family
-    split_ratio: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    filler_prob: float = 0.5
 
     def validate(self) -> None:
-        if abs(sum(self.split_ratio) - 1.0) > 1e-9:
-            raise ConfigError("split ratios must sum to 1")
         if not 0.0 <= self.no_relation_fraction < 1.0:
             raise ConfigError("no_relation_fraction must be in [0, 1)")
         if not 0.0 <= self.family_share <= 1.0:
@@ -283,8 +298,7 @@ class _SurfaceBank:
 
 def _resolve_surfaces(
     languages: list[LanguageSpec],
-    n_concepts: int,
-    relations: tuple[str, ...],
+    n_relations: int,
     family_share: float,
     rng: np.random.Generator,
 ) -> tuple[dict, dict, dict]:
@@ -294,52 +308,29 @@ def _resolve_surfaces(
     whole family shares a common surface; otherwise each member language gets
     its own. Different families never share forms.
     """
-    families = sorted({l.family for l in languages})
-    ent_bank = _SurfaceBank(_ENTITY_SYLLABLES, rng)
-    cue_bank = _SurfaceBank(_CUE_SYLLABLES, rng)
+    members: dict[str, list[int]] = {}
+    for l in languages:
+        members.setdefault(l.family, []).append(l.id)
+    families = [members[fam] for fam in sorted(members)]
+
+    def share(keys: range, bank: _SurfaceBank) -> dict[tuple[int, int], tuple[str, ...]]:
+        table = {}
+        for key in keys:
+            for ids in families:
+                shared = bank.surface() if rng.random() < family_share else None
+                for lid in ids:
+                    table[(lid, key)] = shared or bank.surface()
+        return table
+
+    entity_surface = share(range(N_ENTITY_CONCEPTS), _SurfaceBank(_ENTITY_SYLLABLES, rng))
+    cue_surface = share(range(1, n_relations), _SurfaceBank(_CUE_SYLLABLES, rng))
     fill_bank = _SurfaceBank(_FILLER_SYLLABLES, rng)
-
-    entity_surface: dict[tuple[int, int], tuple[str, ...]] = {}
-    for c in range(n_concepts):
-        for fam in families:
-            members = [l for l in languages if l.family == fam]
-            if rng.random() < family_share:
-                shared = ent_bank.surface()
-                for l in members:
-                    entity_surface[(l.id, c)] = shared
-            else:
-                for l in members:
-                    entity_surface[(l.id, c)] = ent_bank.surface()
-
-    cue_surface: dict[tuple[int, int], tuple[str, ...]] = {}
-    for r in range(1, len(relations)):
-        for fam in families:
-            members = [l for l in languages if l.family == fam]
-            if rng.random() < family_share:
-                shared = cue_bank.surface()
-                for l in members:
-                    cue_surface[(l.id, r)] = shared
-            else:
-                for l in members:
-                    cue_surface[(l.id, r)] = cue_bank.surface()
-
     fillers: dict[int, list[str]] = {}
-    for fam in families:
-        members = [l for l in languages if l.family == fam]
+    for ids in families:
         shared_pool = [fill_bank.word(1) for _ in range(3)]
-        for l in members:
-            own = [fill_bank.word(1) for _ in range(3)]
-            fillers[l.id] = shared_pool + own
+        for lid in ids:
+            fillers[lid] = shared_pool + [fill_bank.word(1) for _ in range(3)]
     return entity_surface, cue_surface, fillers
-
-
-def _split_counts(total: int, ratio: tuple[float, float, float]) -> tuple[int, int, int]:
-    n_dev = round(total * ratio[1])
-    n_test = round(total * ratio[2])
-    n_train = total - n_dev - n_test
-    if n_train <= 0:
-        raise ConfigError(f"resource size {total} too small for split ratio {ratio}")
-    return n_train, n_dev, n_test
 
 
 def _render(
@@ -348,7 +339,6 @@ def _render(
     obj: tuple[str, ...],
     cue: tuple[str, ...] | None,
     fillers: list[str],
-    filler_prob: float,
     rng: np.random.Generator,
 ) -> tuple[list[str], tuple[int, int], tuple[int, int]]:
     """Order constituents per the language's word order and record entity spans."""
@@ -367,7 +357,7 @@ def _render(
     tokens: list[str] = []
     head_span = tail_span = SENTINEL_SPAN
     for role, words in parts:
-        if rng.random() < filler_prob:
+        if rng.random() < FILLER_PROB:
             tokens.append(fillers[int(rng.integers(len(fillers)))])
         start = len(tokens)
         tokens.extend(words)
@@ -376,7 +366,7 @@ def _render(
             head_span = (start, end)
         elif role == "O":
             tail_span = (start, end)
-    if rng.random() < filler_prob:
+    if rng.random() < FILLER_PROB:
         tokens.append(fillers[int(rng.integers(len(fillers)))])
     return tokens, head_span, tail_span
 
@@ -397,95 +387,81 @@ def generate_corpus(
     gen.validate()
     if not languages:
         raise ConfigError("need at least one language")
-    registry_probe = LanguageRegistry(languages=list(languages), schema=schema)  # validates
+    LanguageRegistry(languages=list(languages), schema=schema)  # validates
     rng = np.random.default_rng(np.random.PCG64(seed))
 
-    relations = schema.relations
-    content_rel = list(range(1, len(relations)))
+    content_rel = list(range(1, len(schema.relations)))
     entity_surface, cue_surface, fillers = _resolve_surfaces(
-        registry_probe.languages, gen.n_entity_concepts, relations, gen.family_share, rng
+        languages, len(schema.relations), gen.family_share, rng
     )
 
-    # Per-language sentence budgets.
-    budgets = {}
-    for lang in languages:
-        n_train, n_dev, n_test = _split_counts(lang.resource_size, gen.split_ratio)
-        budgets[lang.id] = {"train": n_train, "dev": n_dev, "test": n_test}
+    # Per-language, per-split sentence budgets, with and without a relation.
     need_rel: dict[tuple[int, str], int] = {}
     need_null: dict[tuple[int, str], int] = {}
     for lang in languages:
-        for split_name, total in budgets[lang.id].items():
-            n_null = round(total * gen.no_relation_fraction)
-            need_null[(lang.id, split_name)] = n_null
-            need_rel[(lang.id, split_name)] = total - n_null
+        n_held = round(lang.resource_size * HELD_OUT_FRACTION)
+        for split, total in zip(SPLITS, (lang.resource_size - 2 * n_held, n_held, n_held)):
+            need_null[(lang.id, split)] = round(total * gen.no_relation_fraction)
+            need_rel[(lang.id, split)] = total - need_null[(lang.id, split)]
 
     # Frame pools, split-partitioned for disjointness. Top up until every
     # language can fill its budget from frames whose relation it allows.
     def draw_frame(existing: set, null: bool) -> tuple[int, int, int]:
         for _ in range(100000):
             r = 0 if null else content_rel[int(rng.integers(len(content_rel)))]
-            s = int(rng.integers(gen.n_entity_concepts))
-            o = int(rng.integers(gen.n_entity_concepts))
+            s = int(rng.integers(N_ENTITY_CONCEPTS))
+            o = int(rng.integers(N_ENTITY_CONCEPTS))
             if s == o:
                 continue
             f = (s, r, o)
             if f not in existing:
                 existing.add(f)
                 return f
-        raise ConfigError("frame space exhausted; raise n_entity_concepts")
+        raise ConfigError("frame space exhausted; reduce resource sizes")
 
     def build_pools(null: bool, needs: dict) -> dict[str, list]:
-        pools: dict[str, list] = {"train": [], "dev": [], "test": []}
         seen: set = set()
-        for split_name in ("train", "dev", "test"):
-            for _ in range(max(needs[(l.id, split_name)] for l in languages)):
-                pools[split_name].append(draw_frame(seen, null))
-        # top up per-language shortfalls caused by the allowed-relation mask
-        for split_name in ("train", "dev", "test"):
+        pools = {
+            split: [draw_frame(seen, null) for _ in range(max(needs[(l.id, split)] for l in languages))]
+            for split in SPLITS
+        }
+        # top up per-language shortfalls caused by the allowed-relation mask;
+        # the finite frame space bounds the loop, as draw_frame raises once it is spent
+        for split in SPLITS:
             for lang in languages:
-                def usable() -> int:
-                    return sum(1 for (_, r, _) in pools[split_name] if schema.allowed[lang.id, r])
-
-                guard = 0
-                while usable() < needs[(lang.id, split_name)]:
-                    pools[split_name].append(draw_frame(seen, null))
-                    guard += 1
-                    if guard > 200000:
-                        raise ConfigError("cannot satisfy per-language frame demand")
+                usable = sum(1 for (_, r, _) in pools[split] if schema.allowed[lang.id, r])
+                while usable < needs[(lang.id, split)]:
+                    frame = draw_frame(seen, null)
+                    pools[split].append(frame)
+                    usable += schema.allowed[lang.id, frame[1]]
         return pools
 
     rel_pools = build_pools(False, need_rel)
     null_pools = build_pools(True, need_null)
 
-    splits: dict[str, list[Example]] = {"train": [], "dev": [], "test": []}
-    frames_used: dict[str, list[tuple[int, int, int]]] = {"train": [], "dev": [], "test": []}
-    for split_name in ("train", "dev", "test"):
+    examples: dict[str, list[Example]] = {split: [] for split in SPLITS}
+    frames_used: dict[str, list[tuple[int, int, int]]] = {split: [] for split in SPLITS}
+    for split in SPLITS:
         for lang in languages:
-            frames = [f for f in rel_pools[split_name] if schema.allowed[lang.id, f[1]]]
+            frames = [f for f in rel_pools[split] if schema.allowed[lang.id, f[1]]]
             order = rng.permutation(len(frames))
-            chosen = [frames[i] for i in order[: need_rel[(lang.id, split_name)]]]
-            nulls = list(null_pools[split_name])
+            chosen = [frames[i] for i in order[: need_rel[(lang.id, split)]]]
+            nulls = null_pools[split]
             order = rng.permutation(len(nulls))
-            chosen += [nulls[i] for i in order[: need_null[(lang.id, split_name)]]]
+            chosen += [nulls[i] for i in order[: need_null[(lang.id, split)]]]
             order = rng.permutation(len(chosen))
             for serial, i in enumerate(order):
                 s, r, o = chosen[i]
-                frames_used[split_name].append((s, r, o))
+                frames_used[split].append((s, r, o))
                 cue = cue_surface[(lang.id, r)] if r != 0 else None
                 tokens, head, tail = _render(
-                    lang,
-                    entity_surface[(lang.id, s)],
-                    entity_surface[(lang.id, o)],
-                    cue,
-                    fillers[lang.id],
-                    gen.filler_prob,
-                    rng,
+                    lang, entity_surface[(lang.id, s)], entity_surface[(lang.id, o)], cue, fillers[lang.id], rng
                 )
                 if r == 0:
                     head = tail = SENTINEL_SPAN
-                splits[split_name].append(
+                examples[split].append(
                     Example(
-                        id=f"{lang.code}-{split_name}-{serial:05d}",
+                        id=f"{lang.code}-{split}-{serial:05d}",
                         lang=lang.id,
                         tokens=tuple(tokens),
                         head_span=head,
@@ -495,41 +471,20 @@ def generate_corpus(
                 )
 
     # realized per-language vocabularies
-    realized: list[LanguageSpec] = []
-    for lang in languages:
-        inventory: dict[str, None] = {}
-        for (lid, _), surf in sorted(entity_surface.items()):
-            if lid == lang.id:
-                for tok in surf:
-                    inventory.setdefault(tok)
-        for (lid, _), surf in sorted(cue_surface.items()):
-            if lid == lang.id:
-                for tok in surf:
-                    inventory.setdefault(tok)
-        for tok in fillers[lang.id]:
-            inventory.setdefault(tok)
-        realized.append(
-            LanguageSpec(
-                id=lang.id,
-                code=lang.code,
-                word_order=lang.word_order,
-                family=lang.family,
-                resource_size=lang.resource_size,
-                vocab=tuple(sorted(inventory)),
-            )
-        )
-    registry = LanguageRegistry(languages=realized, schema=schema)
+    inventory = {lang.id: set(fillers[lang.id]) for lang in languages}
+    for table in (entity_surface, cue_surface):
+        for (lid, _), surf in table.items():
+            inventory[lid].update(surf)
+    realized = [replace(lang, vocab=tuple(sorted(inventory[lang.id]))) for lang in languages]
     corpus = Corpus(
-        registry=registry,
-        train=splits["train"],
-        dev=splits["dev"],
-        test=splits["test"],
+        registry=LanguageRegistry(languages=realized, schema=schema),
+        **examples,
         frames=frames_used,
-        surfaces=dict(entity_surface),
+        surfaces=entity_surface,
     )
-    for split_name in ("train", "dev", "test"):
-        for ex in corpus.split(split_name):
-            ex.validate(schema, where=split_name)
+    for split in SPLITS:
+        for ex in corpus.split(split):
+            ex.validate(schema, where=split)
     return corpus
 
 
@@ -611,19 +566,14 @@ def save_corpus(out_dir: str | Path, corpus: Corpus) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus.registry.save(out / "registry.json")
-    for split_name in ("train", "dev", "test"):
-        save_examples(out / f"{split_name}.txt", corpus.split(split_name), corpus.registry)
+    for split in SPLITS:
+        save_examples(out / f"{split}.txt", corpus.split(split), corpus.registry)
 
 
 def load_corpus(corpus_dir: str | Path) -> Corpus:
     d = Path(corpus_dir)
     registry = LanguageRegistry.load(d / "registry.json")
-    return Corpus(
-        registry=registry,
-        train=load_examples(d / "train.txt", registry),
-        dev=load_examples(d / "dev.txt", registry),
-        test=load_examples(d / "test.txt", registry),
-    )
+    return Corpus(registry=registry, **{split: load_examples(d / f"{split}.txt", registry) for split in SPLITS})
 
 
 # ---------------------------------------------------------------------------

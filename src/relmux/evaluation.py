@@ -54,6 +54,17 @@ def score_triple(pred: TriplePrediction, gold: Example) -> TripleScore:
     return TripleScore(relation_ok, pair_ok, pair_ok and relation_ok, head_ok, tail_ok)
 
 
+def _paired(preds: list[TriplePrediction], examples: list[Example]) -> list[tuple[TriplePrediction, Example]]:
+    """Each prediction with its example; unequal lengths or a prediction made
+    for another example are an error."""
+    if len(preds) != len(examples):
+        raise ValueError(f"{len(preds)} predictions for {len(examples)} examples")
+    for pred, gold in zip(preds, examples):
+        if pred.example_id != gold.id:
+            raise ValueError(f"prediction {pred.example_id} paired with example {gold.id}")
+    return list(zip(preds, examples))
+
+
 def micro_f1(tp: int, fp: int, fn: int) -> float:
     if tp < 0 or fp < 0 or fn < 0:
         raise ValueError("counts must be nonnegative")
@@ -127,11 +138,9 @@ def report_from_predictions(
     registry: LanguageRegistry,
     model=None,
 ) -> MetricsReport:
-    if len(preds) != len(examples):
-        raise ValueError(f"{len(preds)} predictions for {len(examples)} examples")
     # one row per sentence: language, gold relation, predicted relation, outcomes
     table = np.array(
-        [(g.lang, g.relation, p.relation, *score_triple(p, g)) for p, g in zip(preds, examples)],
+        [(g.lang, g.relation, p.relation, *score_triple(p, g)) for p, g in _paired(preds, examples)],
         dtype=np.intp,
     ).reshape(-1, 3 + len(TripleScore._fields))
     langs, gold, predicted = table[:, :3].T
@@ -241,8 +250,9 @@ def dump_predictions(
     include_scores: bool = False,
 ) -> None:
     """One JSON record per sentence with the gold and predicted triple."""
+    pairs = _paired(preds, examples)
     with Path(path).open("w", encoding="utf-8") as fh:
-        for pred, gold in zip(preds, examples):
+        for pred, gold in pairs:
             rec = {
                 "id": gold.id,
                 "lang": registry.languages[gold.lang].code,

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_json_object
 from .errors import CheckpointError
 from .tensor import Tensor
 
@@ -123,20 +124,12 @@ def save_checkpoint(path: str | Path, config: dict, registry: ParamRegistry, ext
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict | None]:
-    p = Path(path)
-    if not p.exists():
-        raise CheckpointError(f"checkpoint not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint {p} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"checkpoint {p} is not a JSON object")
+    doc = read_json_object(path, "checkpoint", CheckpointError)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version: {doc.get('version')!r}")
     for section in ("config", "params"):
         if not isinstance(doc.get(section), dict):
-            raise CheckpointError(f"checkpoint {p} has no {section!r} object")
+            raise CheckpointError(f"checkpoint {path} has no {section!r} object")
     params = {name: _decode_array(name, rec) for name, rec in doc["params"].items()}
     return doc["config"], params, doc.get("extra")
 

@@ -109,6 +109,48 @@ class TestGenerate:
         rc = main(["generate", "--langs", str(bad), "--seed", "0", "--out", str(tmp_path / "c")])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[1, 2]",
+        json.dumps({k: v for k, v in LANGS_DOC.items() if k != "languages"}),
+        json.dumps({k: v for k, v in LANGS_DOC.items() if k != "relations"}),
+        json.dumps(dict(LANGS_DOC, languages=[{"code": "valo", "family": "valic", "resource_size": 30}])),
+        json.dumps(dict(LANGS_DOC, languages=[dict(LANGS_DOC["languages"][0], resource_size="lots")])),
+        json.dumps(dict(LANGS_DOC, languages=[dict(LANGS_DOC["languages"][0], resource_size=True)])),
+        json.dumps(dict(LANGS_DOC, languages=5)),
+        json.dumps(dict(LANGS_DOC, allowed=["no_relation", "has-kind"])),
+        json.dumps(dict(LANGS_DOC, allowed=dict(LANGS_DOC["allowed"], zahrr=["no_relation"]))),
+        json.dumps(dict(LANGS_DOC, relations=["no_relation", 7])),
+        None,
+    ], ids=["not_json", "non_object_document", "no_languages", "no_relations", "no_word_order",
+            "string_resource_size", "bool_resource_size", "languages_not_a_list", "allowed_not_an_object",
+            "allowed_unknown_language", "non_string_relation", "missing_file"])
+    def test_malformed_registry_exits_2_with_one_line(self, tmp_path, capsys, text):
+        langs = tmp_path / "langs.json"
+        if text is not None:
+            langs.write_text(text, encoding="utf-8")
+        rc = main(["generate", "--langs", str(langs), "--seed", "0", "--out", str(tmp_path / "c")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_corrupt_corpus_registry_exits_2_with_one_line(self, workspace, tmp_path, capsys, command):
+        ws, _, config = workspace
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("train.txt", "dev.txt", "test.txt"):
+            (corpus / name).write_bytes((ws / "corpus" / name).read_bytes())
+        (corpus / "registry.json").write_text('{"schema_version": 1, "languages": [', encoding="utf-8")
+        if command == "eval":
+            argv = ["eval", "--ckpt", str(ws / "run" / "stage2.ckpt")]
+        else:
+            argv = ["train", "--stage", "1", "--config", str(config)]
+        rc = main(argv + ["--corpus", str(corpus), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+
 
 class TestTrain:
     def test_outputs_exist(self, workspace):

@@ -1,8 +1,10 @@
 """Corpus generation and I/O: determinism, invariants, split arithmetic,
 word-order rendering, group sampling statistics, and error surfaces."""
 
+import hashlib
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from relmux.corpus import (
 from relmux.errors import ConfigError, DataValidationError
 
 from oracles import CHI2_CRIT_999, chi_square_stat
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_languages(sizes=(400, 200, 100, 50)):
@@ -154,10 +158,31 @@ class TestGeneration:
         with pytest.raises(ConfigError, match="languages"):
             sample_stage1_batch(mono.train, 2, 4, np.random.default_rng(0))
 
-    def test_bad_split_for_tiny_resource(self):
-        langs = make_languages((4, 200, 100, 50))
-        with pytest.raises(ConfigError):
-            generate_corpus(langs, make_schema(), seed=0, gen=GeneratorConfig(split_ratio=(0.2, 0.4, 0.4)))
+    def test_tiniest_resource_keeps_one_training_sentence(self):
+        # dev and test each round 10% of one sentence to zero, so train keeps it
+        corpus = generate_corpus(make_languages((1, 200, 100, 50)), make_schema(), seed=0)
+        assert [sum(e.lang == 0 for e in corpus.split(s)) for s in ("train", "dev", "test")] == [1, 0, 0]
+
+
+# SHA-256 over the files save_corpus writes for two seeded specs: any change to
+# what a seed generates moves a hash, so only a change meant to move the corpus
+# re-records them.
+PINNED_CORPORA = [
+    ("benchmark_langs.json", 100, {"family_share": 0.85}, "bd93d79703af5280386590726b63c49491e5cd76ba2c705d1b85beba3216270f"),
+    ("overfit_langs.json", 0, {}, "65f114b48e40f4d61b979a9ccea6c29c136b52f847e308e0bb7c335588167dd4"),
+]
+
+
+@pytest.mark.parametrize("spec, seed, gen_kw, expected", PINNED_CORPORA,
+                         ids=[spec for spec, *_ in PINNED_CORPORA])
+def test_generated_corpus_matches_pinned_hash(spec, seed, gen_kw, expected, tmp_path):
+    registry = LanguageRegistry.load(CONFIGS / spec)
+    corpus = generate_corpus(registry.languages, registry.schema, seed=seed, gen=GeneratorConfig(**gen_kw))
+    save_corpus(tmp_path, corpus)
+    h = hashlib.sha256()
+    for name in ("registry.json", "train.txt", "dev.txt", "test.txt"):
+        h.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
+    assert h.hexdigest() == expected
 
 
 class TestExampleIO:

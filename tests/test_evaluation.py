@@ -191,6 +191,21 @@ class TestReports:
         rec = json.loads(lines[0])
         assert rec["gold"]["relation"] == "has-kind" and rec["pred"]["relation"] == "has-kind"
 
+    def test_dump_predictions_refuses_short_prediction_list(self, tmp_path):
+        registry = make_registry()
+        golds = [ex(id=f"e{i}") for i in range(3)]
+        with pytest.raises(ValueError, match="2 predictions for 3 examples"):
+            dump_predictions([pred(g) for g in golds[:2]], golds, registry, tmp_path / "p.jsonl")
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_dump_predictions_refuses_prediction_for_another_example(self, tmp_path):
+        registry = make_registry()
+        golds = [ex(id=f"e{i}") for i in range(3)]
+        preds = [pred(golds[0]), pred(golds[2]), pred(golds[1])]
+        with pytest.raises(ValueError, match="prediction e2 paired with example e1"):
+            dump_predictions(preds, golds, registry, tmp_path / "p.jsonl")
+        assert not (tmp_path / "p.jsonl").exists()
+
 
 SPANS = [(0, 0), (0, 1), (1, 1), (3, 3), (3, 4)]
 SENTENCES = st.tuples(
