@@ -30,7 +30,7 @@ from .model import Model
 from .training import TrainLog, train_stage1, train_stage2
 
 def train_two_stage(corpus: Corpus, run_cfg: RunConfig, out_dir: Path) -> Model:
-    model = Model.build(replace(run_cfg.model), corpus.registry, init_seed=run_cfg.train.seed)
+    model = Model.build(run_cfg.model, corpus.registry, init_seed=run_cfg.train.seed)
     log = TrainLog()
     train_stage1(model, corpus, run_cfg, out_dir, log)
     train_stage2(model, corpus, run_cfg, out_dir, log)
@@ -84,12 +84,6 @@ def write_rows_csv(rows: list[dict], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _fresh_model_cfg(run_cfg: RunConfig, **model_kw) -> RunConfig:
-    # corpus-derived sizes reset so the new corpus can fill them in
-    model = replace(run_cfg.model, vocab_size=0, n_languages=0, n_relations=0, **model_kw)
-    return replace(run_cfg, model=model)
-
-
 def ablate_concat_count(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs: int = 1) -> list[dict]:
     jobs_list = []
     for s in (1, 2, 3, 4):
@@ -124,7 +118,7 @@ def ablate_mono_vs_multi(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs
     mono_langs = []
     for lang in corpus.registry.languages:
         mono_corpus = _restrict_corpus(corpus, [lang.id])
-        mono_cfg = _fresh_model_cfg(replace(run_cfg, train=replace(run_cfg.train, concat_sentences=1)))
+        mono_cfg = replace(run_cfg, train=replace(run_cfg.train, concat_sentences=1))
         jobs_list.append((f"mono_{lang.code}", mono_corpus, mono_cfg, str(out_dir / f"mono_{lang.code}")))
         mono_langs.append(lang.code)
     results = _execute(jobs_list, jobs)
@@ -172,7 +166,7 @@ def ablate_language_groups(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jo
         if len(ids) < 2:
             continue
         sub = _restrict_corpus(corpus, sorted(ids))
-        jobs_list.append((name, sub, _fresh_model_cfg(run_cfg), str(out_dir / name)))
+        jobs_list.append((name, sub, run_cfg, str(out_dir / name)))
     return _sweep(jobs_list, jobs)
 
 
@@ -180,9 +174,8 @@ def ablate_no_selection(corpus: Corpus, run_cfg: RunConfig, out_dir: Path, jobs:
     """Learned routing over T sub-modules vs one dedicated sub-module per language."""
     n = corpus.registry.n_languages
     depth = run_cfg.model.sub_layers[0]
-    identity_cfg = _fresh_model_cfg(
-        run_cfg, routing="identity", n_sub_modules=n, sub_layers=tuple([depth] * n)
-    )
+    identity_model = replace(run_cfg.model, routing="identity", n_sub_modules=n, sub_layers=(depth,) * n)
+    identity_cfg = replace(run_cfg, model=identity_model)
     jobs_list = [
         ("routed", corpus, run_cfg, str(out_dir / "routed")),
         ("one_per_language", corpus, identity_cfg, str(out_dir / "one_per_language")),

@@ -105,7 +105,7 @@ def cmd_train(args) -> int:
                 raise ConfigError("--resume for stage 1 expects a stage-1 training checkpoint")
             ckpt = train_stage1(model, corpus, cfg, out, log, resume_extra=extra)
         else:
-            model = Model.build(replace(cfg.model), corpus.registry, init_seed=cfg.train.seed)
+            model = Model.build(cfg.model, corpus.registry, init_seed=cfg.train.seed)
             ckpt = train_stage1(model, corpus, cfg, out, log)
     else:
         if not args.resume:

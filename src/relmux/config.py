@@ -22,23 +22,19 @@ class ModelConfig:
     n_heads: int = 4
     ffn_dim: int = 128
     max_len: int = 48            # full-scale reference: 256
-    lang_prefix: bool = True     # prepend a [LANG_n] token after [CLS]
     n_sub_modules: int = 6       # T
     sub_layers: tuple[int, ...] = (2, 2, 2, 1, 1, 1)
     bottleneck: int = 128        # b > d; full-scale reference: 1024 at d=768
     eval_top_k: int = 3
     routing: str = "learned"     # "learned" (language-embedding router) or "identity"
-    relation_pooled_from: str = "encoder"  # or "switched": pool after aggregator+switcher
-    # filled in from the corpus at build time
-    vocab_size: int = 0
-    n_languages: int = 0
-    n_relations: int = 0
 
     @classmethod
     def from_json(cls, doc) -> "ModelConfig":
         return _typed_config(cls, doc, "model")
 
     def validate(self) -> None:
+        if self.d_model < 2 or self.ffn_dim < 1 or self.n_blocks < 1:
+            raise ConfigError("d_model must be >= 2, and ffn_dim and n_blocks >= 1")
         if self.n_heads < 1:
             raise ConfigError("n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
@@ -53,10 +49,6 @@ class ModelConfig:
             raise ConfigError(f"eval_top_k must be in [1, {self.n_sub_modules}]")
         if self.routing not in ("learned", "identity"):
             raise ConfigError("routing must be 'learned' or 'identity'")
-        if self.routing == "identity" and self.n_languages and self.n_sub_modules != self.n_languages:
-            raise ConfigError("identity routing requires exactly one sub-module per language")
-        if self.relation_pooled_from not in ("encoder", "switched"):
-            raise ConfigError("relation_pooled_from must be 'encoder' or 'switched'")
 
 
 @dataclass
@@ -67,13 +59,9 @@ class TrainConfig:
     batch_size: int = 16
     lr: float = 1e-3             # full-scale reference: 3e-5
     weight_decay: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     stage1_epochs: int = 5
     stage2_max_epochs: int = 8
     patience: int = 2            # early stopping on dev triple-F1
-    max_concat_tokens: int = 256  # cap on s * max_len in stage-1 groups
     seed: int = 0
 
     def validate(self) -> None:
@@ -87,6 +75,8 @@ class TrainConfig:
             raise ConfigError("concat_sentences must be >= 1")
         if self.batch_size < 1 or self.stage1_epochs < 0 or self.stage2_max_epochs < 1:
             raise ConfigError("invalid epoch/batch settings")
+        if self.patience < 1:
+            raise ConfigError("patience must be >= 1")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
 

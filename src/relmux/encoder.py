@@ -1,7 +1,7 @@
 """Trainable transformer encoder producing per-token and pooled representations.
 
 Input layout is [CLS] [LANG_n] content... [SEP] [PAD]..., gold spans shifted by
-the number of prepended specials. The encoder is token + learned position
+the two prepended specials. The encoder is token + learned position
 embeddings followed by pre-norm blocks (multi-head self-attention with PAD key
 masking, then a feed-forward, each with a residual). The pooled vector is the
 [CLS] row of the final hidden states, taken verbatim.
@@ -23,6 +23,7 @@ from .tensor import NEG_INF, Tensor
 
 PAD, CLS, SEP = "[PAD]", "[CLS]", "[SEP]"
 PAD_ID, CLS_ID, SEP_ID = 0, 1, 2
+CONTENT_START = 2  # [CLS] [LANG_n] precede every sentence's content
 
 
 class Vocab:
@@ -76,7 +77,6 @@ class TokenizedSentence:
     head_span: tuple[int, int]   # shifted, or sentinel
     tail_span: tuple[int, int]
     relation: int
-    content_start: int
     n_content: int
 
     @property
@@ -87,30 +87,27 @@ class TokenizedSentence:
         """Additive mask: 0 on content positions, NEG_INF on specials and padding."""
         m = m or self.length
         mask = np.full(m, NEG_INF)
-        mask[self.content_start : self.content_start + self.n_content] = 0.0
+        mask[CONTENT_START : CONTENT_START + self.n_content] = 0.0
         return mask
 
 
-def tokenize(example: Example, vocab: Vocab, max_len: int, lang_prefix: bool = True) -> TokenizedSentence:
+def tokenize(example: Example, vocab: Vocab, max_len: int) -> TokenizedSentence:
     if not example.tokens:
         raise DataValidationError(f"example {example.id} has no content tokens")
-    n_prefix = 2 if lang_prefix else 1
-    needed = n_prefix + len(example.tokens) + 1
+    needed = CONTENT_START + len(example.tokens) + 1
     if needed > max_len:
         raise DataValidationError(
             f"example {example.id}: {len(example.tokens)} content tokens need length "
             f"{needed} > max_len {max_len}; refusing to truncate gold spans"
         )
-    ids = [CLS_ID]
-    if lang_prefix:
-        ids.append(vocab.lang_token_id(example.lang))
+    ids = [CLS_ID, vocab.lang_token_id(example.lang)]
     ids += [vocab.id_of(tok) for tok in example.tokens]
     ids.append(SEP_ID)
 
     def shift(span: tuple[int, int]) -> tuple[int, int]:
         if span == (-1, -1):
             return span
-        return (span[0] + n_prefix, span[1] + n_prefix)
+        return (span[0] + CONTENT_START, span[1] + CONTENT_START)
 
     return TokenizedSentence(
         example_id=example.id,
@@ -120,7 +117,6 @@ def tokenize(example: Example, vocab: Vocab, max_len: int, lang_prefix: bool = T
         head_span=shift(example.head_span),
         tail_span=shift(example.tail_span),
         relation=example.relation,
-        content_start=n_prefix,
         n_content=len(example.tokens),
     )
 
@@ -131,9 +127,9 @@ class EncoderOutput:
     pooled: Tensor   # (n, d), each sentence's [CLS] row
 
 
-def build_encoder_params(reg: ParamRegistry, cfg: ModelConfig, rng: np.random.Generator) -> None:
+def build_encoder_params(reg: ParamRegistry, cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> None:
     d, ffn = cfg.d_model, cfg.ffn_dim
-    reg.add("encoder.tok_emb", embedding_init(rng, cfg.vocab_size, d))
+    reg.add("encoder.tok_emb", embedding_init(rng, vocab_size, d))
     reg.add("encoder.pos_emb", embedding_init(rng, cfg.max_len, d))
     for b in range(cfg.n_blocks):
         p = f"encoder.block{b}"
@@ -167,11 +163,12 @@ def encode(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelCon
     length m; the row-wise ops run once over all n*m rows, attention runs per
     sentence and head under a PAD key mask, and PAD rows are zeroed at the
     end."""
+    vocab_size = reg["encoder.tok_emb"].shape[0]
     reals = []
     for ts in sentences:
-        if ts.input_ids.max() >= cfg.vocab_size:
+        if ts.input_ids.max() >= vocab_size:
             raise DataValidationError(
-                f"token id {int(ts.input_ids.max())} out of vocabulary range {cfg.vocab_size}")
+                f"token id {int(ts.input_ids.max())} out of vocabulary range {vocab_size}")
         real = int(ts.attention_mask.sum())
         if not ts.attention_mask[:real].all():
             raise DataValidationError("attention mask must be contiguous: PAD only trails")

@@ -1,6 +1,6 @@
 """Relation classification and relation-conditioned entity span extraction.
 
-The relation is predicted first, by projecting the pooled sentence vector; at
+The relation is predicted first, by projecting the encoder's [CLS] row; at
 evaluation time relations unattested in the sentence's language are masked out
 before the argmax. Entity recognition then scores every token position four
 ways (head-start, head-end, tail-start, tail-end) from the token feature
@@ -24,10 +24,10 @@ from .tensor import NEG_INF, Tensor
 ENTITY_KEYS = ("hs", "he", "ts", "te")
 
 
-def build_head_params(reg: ParamRegistry, cfg: ModelConfig, rng: np.random.Generator) -> None:
+def build_head_params(reg: ParamRegistry, cfg: ModelConfig, n_relations: int, rng: np.random.Generator) -> None:
     d = cfg.d_model
-    reg.add("relation.w_cls", matrix_init(rng, d, cfg.n_relations))
-    reg.add("relation.emb", embedding_init(rng, cfg.n_relations, d))
+    reg.add("relation.w_cls", matrix_init(rng, d, n_relations))
+    reg.add("relation.emb", embedding_init(rng, n_relations, d))
     for key in ENTITY_KEYS:
         reg.add(f"entity.{key}.w_down", matrix_init(rng, 2 * d, d))
         reg.add(f"entity.{key}.w_index", matrix_init(rng, d, 1))

@@ -9,8 +9,9 @@ everything jointly; stage-2 training aggregates each sentence alone (s = 1)
 and mixes all rows of the batch through the language switcher at once, while
 the encoder and aggregator stay frozen. Prediction runs one sentence through
 the same forward, recording no tape, then follows the trained stage:
-optionally switch with top-k routing, classify the relation under the
-language mask, then decode the spans conditioned on the predicted relation.
+optionally switch with top-k routing, classify the relation from the encoder
+[CLS] row under the language mask, then decode the spans conditioned on the
+predicted relation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import tensor as T
 from .aggregator import aggregate, build_aggregator_params
 from .config import ModelConfig, RunConfig
 from .corpus import SENTINEL_SPAN, Example, LanguageRegistry
-from .encoder import TokenizedSentence, Vocab, build_encoder_params, encode, tokenize
+from .encoder import CONTENT_START, TokenizedSentence, Vocab, build_encoder_params, encode, tokenize
 from .errors import CheckpointError, ConfigError
 from .heads import (
     ENTITY_KEYS,
@@ -68,17 +69,18 @@ class Model:
 
     @classmethod
     def build(cls, cfg: ModelConfig, languages: LanguageRegistry, init_seed: int) -> "Model":
-        vocab = Vocab(languages.content_vocab(), languages.n_languages)
-        cfg.vocab_size = len(vocab)
-        cfg.n_languages = languages.n_languages
-        cfg.n_relations = languages.n_relations
+        """A freshly initialized model; the vocabulary, language and relation
+        counts come from ``languages``, and ``cfg`` is left as it is."""
         cfg.validate()
+        if cfg.routing == "identity" and cfg.n_sub_modules != languages.n_languages:
+            raise ConfigError("identity routing requires exactly one sub-module per language")
+        vocab = Vocab(languages.content_vocab(), languages.n_languages)
         rng = np.random.default_rng(np.random.PCG64(init_seed))
         registry = ParamRegistry()
-        build_encoder_params(registry, cfg, rng)
+        build_encoder_params(registry, cfg, len(vocab), rng)
         build_aggregator_params(registry, cfg, rng)
-        build_switcher_params(registry, cfg, rng)
-        build_head_params(registry, cfg, rng)
+        build_switcher_params(registry, cfg, languages.n_languages, rng)
+        build_head_params(registry, cfg, languages.n_relations, rng)
         return cls(cfg, languages, vocab, registry)
 
     def stage2_freeze_plan(self) -> FreezePlan:
@@ -94,7 +96,7 @@ class Model:
     # -- shared forward pieces --------------------------------------------
 
     def tokenize(self, example: Example) -> TokenizedSentence:
-        return tokenize(example, self.vocab, self.cfg.max_len, self.cfg.lang_prefix)
+        return tokenize(example, self.vocab, self.cfg.max_len)
 
     def _forward(self, tss: list[TokenizedSentence], s: int) -> tuple[Tensor, Tensor]:
         """The encoder [CLS] rows, (n, d), and the aggregator output, (n*m, d),
@@ -110,13 +112,6 @@ class Model:
         fused = aggregate(T.reshape(eo.hidden, (groups, s * m, d)), key_mask.reshape(groups, s * m),
                           self.registry, self.cfg)
         return eo.pooled, T.reshape(fused, (rows, d))
-
-    def _pooled(self, pooled_encoder: Tensor, features: Tensor, n: int) -> Tensor:
-        """The (n, d) vectors the relation head reads: the encoder [CLS] rows,
-        or the first of each sentence's m feature rows."""
-        if self.cfg.relation_pooled_from == "encoder":
-            return pooled_encoder
-        return T.gather_rows(features, np.arange(n) * (features.shape[0] // n))
 
     def _entity_scores(self, tss: list[TokenizedSentence], features: Tensor, relations) -> dict[str, Tensor]:
         """Entity scores of n sentences, (n*m, d) feature rows, each
@@ -140,7 +135,7 @@ class Model:
         for ts in tss:
             check_gold_allowed(ts.relation, allowed[ts.lang], ts.example_id)
         rels = np.array([ts.relation for ts in tss])
-        rel_ce = T.cross_entropy(relation_logits(self._pooled(pooled_encoder, features, n), self.registry), rels)
+        rel_ce = T.cross_entropy(relation_logits(pooled_encoder, self.registry), rels)
         entity_ces = []
         bearing = np.flatnonzero(rels)
         if bearing.size:
@@ -193,7 +188,7 @@ class Model:
         pooled, features = self._forward([ts], 1)
         if self.stage >= 2:
             features, _ = switch_eval(features, ts.lang, self.registry, self.cfg, top_k)
-        logits = relation_logits(self._pooled(pooled, features, 1), self.registry).data.reshape(-1)
+        logits = relation_logits(pooled, self.registry).data.reshape(-1)
         relation = masked_argmax_relation(logits, self.languages.schema.allowed[ts.lang])
         if relation == 0:
             return TriplePrediction(
@@ -206,12 +201,11 @@ class Model:
         scores = self._entity_scores([ts], features, [relation])
         score_arrays = {key: t.data.reshape(-1).copy() for key, t in scores.items()}
         head, tail = decode_spans(score_arrays)
-        shift = ts.content_start
         return TriplePrediction(
             example_id=example.id,
             relation=relation,
-            head_span=(head[0] - shift, head[1] - shift),
-            tail_span=(tail[0] - shift, tail[1] - shift),
+            head_span=(head[0] - CONTENT_START, head[1] - CONTENT_START),
+            tail_span=(tail[0] - CONTENT_START, tail[1] - CONTENT_START),
             relation_logits=logits,
             entity_scores=score_arrays if dump_scores else None,
         )

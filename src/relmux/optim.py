@@ -6,8 +6,8 @@ Update rule per unfrozen parameter p with gradient g:
     v <- beta2*v + (1-beta2)*g^2
     p <- p - lr * ( m_hat / (sqrt(v_hat) + eps) + weight_decay * p )
 
-where m_hat, v_hat are bias-corrected. Frozen parameters are never touched and
-carry no moment buffers.
+where m_hat, v_hat are bias-corrected, beta1 = 0.9, beta2 = 0.999 and
+eps = 1e-8. Frozen parameters are never touched and carry no moment buffers.
 """
 
 from __future__ import annotations
@@ -18,21 +18,14 @@ from .params import ParamRegistry
 
 
 class AdamW:
-    def __init__(
-        self,
-        registry: ParamRegistry,
-        lr: float = 1e-3,
-        weight_decay: float = 0.1,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, registry: ParamRegistry, lr: float = 1e-3, weight_decay: float = 0.1) -> None:
         self.registry = registry
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         # moment buffers exist for exactly the unfrozen set
         self.m: dict[str, np.ndarray] = {}

@@ -25,11 +25,11 @@ from .tensor import Tensor
 ROUTER_PARAMS = ("switcher.lang_emb", "switcher.w_router")
 
 
-def build_switcher_params(reg: ParamRegistry, cfg: ModelConfig, rng: np.random.Generator) -> None:
+def build_switcher_params(reg: ParamRegistry, cfg: ModelConfig, n_languages: int, rng: np.random.Generator) -> None:
     d, b = cfg.d_model, cfg.bottleneck
     # near-zero language embeddings start every language at uniform routing, so
     # selection structure is driven by the data rather than by init noise
-    reg.add("switcher.lang_emb", 0.01 * embedding_init(rng, cfg.n_languages, d))
+    reg.add("switcher.lang_emb", 0.01 * embedding_init(rng, n_languages, d))
     reg.add("switcher.w_router", matrix_init(rng, d, cfg.n_sub_modules))
     for t, depth in enumerate(cfg.sub_layers):
         for layer in range(depth):
@@ -44,7 +44,7 @@ def route(lang, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
     """Routing probabilities, differentiable w.r.t. the router: (1, T) for
     one language id, or (rows, T) for one id per row."""
     langs = np.atleast_1d(np.asarray(lang, dtype=np.intp))
-    if langs.min() < 0 or langs.max() >= cfg.n_languages:
+    if langs.min() < 0 or langs.max() >= reg["switcher.lang_emb"].shape[0]:
         raise DataValidationError(f"unknown language id in {sorted(set(langs.tolist()))}")
     if cfg.routing == "identity":
         probs = np.zeros((langs.size, cfg.n_sub_modules))
@@ -127,5 +127,5 @@ def switch_eval(h: Tensor, lang: int, reg: ParamRegistry, cfg: ModelConfig, k: i
 
 def router_matrix(reg: ParamRegistry, cfg: ModelConfig) -> np.ndarray:
     """Full (T, n_languages) matrix of routing probabilities."""
-    cols = [routing_probs(n, reg, cfg) for n in range(cfg.n_languages)]
+    cols = [routing_probs(n, reg, cfg) for n in range(reg["switcher.lang_emb"].shape[0])]
     return np.stack(cols, axis=1)

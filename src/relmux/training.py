@@ -30,6 +30,8 @@ from .model import Model
 from .optim import AdamW
 from .params import decode_extra_arrays, encode_extra_arrays
 
+MAX_CONCAT_TOKENS = 256  # cap on s * max_len in a stage-1 concatenation group
+
 
 @dataclass
 class TrainLog:
@@ -101,15 +103,15 @@ def train_stage1(
         raise ConfigError(
             f"concat_sentences={s} but only {n_langs_present} languages present in the training split"
         )
-    if s * model.cfg.max_len > tc.max_concat_tokens:
+    if s * model.cfg.max_len > MAX_CONCAT_TOKENS:
         raise ConfigError(
             f"stage-1 concatenation of {s} x max_len {model.cfg.max_len} tokens exceeds "
-            f"max_concat_tokens {tc.max_concat_tokens}"
+            f"the cap of {MAX_CONCAT_TOKENS}"
         )
     # stage 1 never runs the switcher, so its parameters sit frozen until stage 2
     model.registry.unfreeze_all()
     model.registry.freeze(n for n in model.registry.names() if n.startswith("switcher."))
-    opt = AdamW(model.registry, lr=tc.lr, weight_decay=tc.weight_decay, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps)
+    opt = AdamW(model.registry, tc.lr, tc.weight_decay)
     rng = np.random.default_rng(np.random.PCG64(tc.seed + 1))
     start_epoch = 0
     if resume_extra is not None:
@@ -166,7 +168,7 @@ def train_stage2(
     model.registry.freeze(plan.frozen)
     model.stage = 2
 
-    opt = AdamW(model.registry, lr=tc.lr, weight_decay=tc.weight_decay, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps)
+    opt = AdamW(model.registry, tc.lr, tc.weight_decay)
     rng = np.random.default_rng(np.random.PCG64(tc.seed + 2))
     by_lang: dict[int, list[Example]] = {}
     for ex in corpus.train:

@@ -89,11 +89,7 @@ def benchmark_runs(tmp_path_factory):
 
         lowest = min(corpus.registry.languages, key=lambda l: l.resource_size)
         mono_corpus = _restrict_corpus(corpus, [lowest.id])
-        mono_cfg = replace(
-            cfg,
-            train=replace(cfg.train, concat_sentences=1),
-            model=replace(cfg.model, vocab_size=0, n_languages=0, n_relations=0),
-        )
+        mono_cfg = replace(cfg, train=replace(cfg.train, concat_sentences=1))
         mono_model = train_two_stage(mono_corpus, mono_cfg, out / "mono")
         mono_test = evaluate_model(mono_model, mono_corpus.test, mono_corpus.registry)
         runs.append(
@@ -221,16 +217,16 @@ def test_criterion_switcher_algebra():
     cfg = ModelConfig(
         d_model=8, n_blocks=1, n_heads=2, ffn_dim=16, max_len=8,
         n_sub_modules=6, sub_layers=(2, 2, 2, 1, 1, 1), bottleneck=12, eval_top_k=3,
-        vocab_size=8, n_languages=4, n_relations=3,
     )
+    n_languages = 4
     reg = ParamRegistry()
-    build_switcher_params(reg, cfg, np.random.default_rng(3))
+    build_switcher_params(reg, cfg, n_languages, np.random.default_rng(3))
     reg["switcher.lang_emb"].data = np.random.default_rng(4).normal(size=reg["switcher.lang_emb"].shape)
     rng = np.random.default_rng(5)
     h = Tensor(rng.normal(size=(5, 8)))
 
     full_gap = 0.0
-    for lang in range(cfg.n_languages):
+    for lang in range(n_languages):
         train_out = switch_train(h, lang, reg, cfg)
         eval_out, _ = switch_eval(h, lang, reg, cfg, k=cfg.n_sub_modules)
         full_gap = max(full_gap, float(np.abs(train_out.data - eval_out.data).max()))
@@ -239,7 +235,7 @@ def test_criterion_switcher_algebra():
     exact = np.array_equal(one_hot.data, apply_submodule(2, h, reg, cfg).data)
 
     nested = True
-    for lang in range(cfg.n_languages):
+    for lang in range(n_languages):
         probs = routing_probs(lang, reg, cfg)
         prev: set = set()
         for k in range(1, cfg.n_sub_modules + 1):

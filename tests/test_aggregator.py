@@ -18,7 +18,6 @@ def toy_cfg(d=4):
     return ModelConfig(
         d_model=d, n_blocks=1, n_heads=2, ffn_dim=8, max_len=16,
         n_sub_modules=3, sub_layers=(1, 1, 1), bottleneck=d + 2, eval_top_k=2,
-        vocab_size=10, n_languages=2, n_relations=3,
     )
 
 

@@ -183,8 +183,15 @@ class TestTrain:
         dict(RUN_DOC, model=dict(RUN_DOC["model"], d_model="x")),
         dict(RUN_DOC, train=dict(RUN_DOC["train"], batch_size=2.5)),
         dict(RUN_DOC, corpus_dir=5),
+        dict(RUN_DOC, model=dict(RUN_DOC["model"], d_model=1, n_heads=1, bottleneck=2)),
+        dict(RUN_DOC, model=dict(RUN_DOC["model"], d_model=0)),
+        dict(RUN_DOC, model=dict(RUN_DOC["model"], d_model=-4, bottleneck=-1)),
+        dict(RUN_DOC, model=dict(RUN_DOC["model"], ffn_dim=0)),
+        dict(RUN_DOC, model=dict(RUN_DOC["model"], n_blocks=-1)),
+        dict(RUN_DOC, train=dict(RUN_DOC["train"], patience=0)),
     ], ids=["non_object_document", "non_object_model", "zero_heads", "nan_lr",
-            "string_d_model", "fractional_batch_size", "corpus_dir_int"])
+            "string_d_model", "fractional_batch_size", "corpus_dir_int", "one_wide_d_model",
+            "zero_d_model", "negative_d_model", "zero_ffn_dim", "negative_n_blocks", "zero_patience"])
     def test_malformed_config_rejected_before_training(self, workspace, tmp_path, capsys, doc):
         ws, _, _ = workspace
         if isinstance(doc, dict):
@@ -196,6 +203,18 @@ class TestTrain:
         assert not (tmp_path / "r").exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
+
+    def test_concat_over_token_cap_rejected(self, workspace, tmp_path, capsys):
+        # 2 sentences x max_len 200 exceeds the 256-token stage-1 cap
+        ws, _, _ = workspace
+        doc = dict(RUN_DOC, corpus_dir=str(ws / "corpus"), model=dict(RUN_DOC["model"], max_len=200))
+        cfgp = tmp_path / "long.json"
+        cfgp.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["train", "--stage", "1", "--config", str(cfgp), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert not (tmp_path / "r" / "stage1.ckpt").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "256" in err[0]
 
     def test_train_rerun_identical_checkpoint(self, workspace, tmp_path):
         ws, _, config = workspace

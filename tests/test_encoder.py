@@ -9,6 +9,7 @@ from relmux.config import ModelConfig
 from relmux.corpus import Example
 from relmux.encoder import (
     CLS_ID,
+    CONTENT_START,
     PAD_ID,
     SEP_ID,
     EncoderOutput,
@@ -43,7 +44,6 @@ def pad_to(ts: TokenizedSentence, m: int) -> TokenizedSentence:
         head_span=ts.head_span,
         tail_span=ts.tail_span,
         relation=ts.relation,
-        content_start=ts.content_start,
         n_content=ts.n_content,
     )
 
@@ -71,7 +71,6 @@ def toy_cfg(**kw):
     defaults = dict(
         d_model=8, n_blocks=1, n_heads=2, ffn_dim=16, max_len=16,
         n_sub_modules=3, sub_layers=(1, 1, 1), bottleneck=12, eval_top_k=2,
-        vocab_size=len(make_vocab()), n_languages=2, n_relations=3,
     )
     defaults.update(kw)
     return ModelConfig(**defaults)
@@ -79,7 +78,7 @@ def toy_cfg(**kw):
 
 def build_registry(cfg, seed=0):
     reg = ParamRegistry()
-    build_encoder_params(reg, cfg, np.random.default_rng(seed))
+    build_encoder_params(reg, cfg, len(make_vocab()), np.random.default_rng(seed))
     return reg
 
 
@@ -108,12 +107,7 @@ class TestTokenize:
         assert ts.input_ids[0] == CLS_ID and ts.input_ids[1] == 3 and ts.input_ids[-1] == SEP_ID
         assert ts.head_span == (2, 3)
         assert ts.tail_span == (4, 4)
-        assert ts.content_start == 2 and ts.n_content == 3
-
-    def test_without_lang_prefix_shift_is_one(self):
-        ts = tokenize(make_example(), make_vocab(), max_len=16, lang_prefix=False)
-        assert ts.length == 5
-        assert ts.head_span == (1, 2)
+        assert CONTENT_START == 2 and ts.n_content == 3
 
     def test_empty_content_rejected(self):
         ex = Example(id="e", lang=0, tokens=(), head_span=(-1, -1), tail_span=(-1, -1), relation=0)
@@ -129,7 +123,7 @@ class TestTokenize:
         ex = make_example()
         v = make_vocab()
         ts = tokenize(ex, v, max_len=16)
-        content_ids = ts.input_ids[ts.content_start : ts.content_start + ts.n_content]
+        content_ids = ts.input_ids[CONTENT_START : CONTENT_START + ts.n_content]
         assert tuple(v.tokens[i] for i in content_ids) == ex.tokens
 
     def test_attention_mask_false_exactly_on_pad(self):
@@ -165,7 +159,7 @@ class TestEncode:
         ts2 = TokenizedSentence(
             example_id=ts.example_id, lang=ts.lang, input_ids=hacked,
             attention_mask=ts.attention_mask, head_span=ts.head_span, tail_span=ts.tail_span,
-            relation=ts.relation, content_start=ts.content_start, n_content=ts.n_content,
+            relation=ts.relation, n_content=ts.n_content,
         )
         out2 = encode_one(ts2, reg, cfg).hidden.data[:6]
         assert np.array_equal(base, out2)
@@ -183,7 +177,7 @@ class TestEncode:
         cfg = toy_cfg()
         reg = build_registry(cfg)
         ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        ts.input_ids[2] = cfg.vocab_size + 5
+        ts.input_ids[2] = len(make_vocab()) + 5
         with pytest.raises(DataValidationError):
             encode_one(ts, reg, cfg)
 

@@ -29,7 +29,6 @@ def toy_cfg(**kw):
     defaults = dict(
         d_model=4, n_blocks=1, n_heads=2, ffn_dim=8, max_len=16,
         n_sub_modules=3, sub_layers=(1, 1, 1), bottleneck=6, eval_top_k=2,
-        vocab_size=10, n_languages=2, n_relations=5,
     )
     defaults.update(kw)
     return ModelConfig(**defaults)
@@ -37,7 +36,7 @@ def toy_cfg(**kw):
 
 def build_reg(cfg, seed=0):
     reg = ParamRegistry()
-    build_head_params(reg, cfg, np.random.default_rng(seed))
+    build_head_params(reg, cfg, 5, np.random.default_rng(seed))
     return reg
 
 
@@ -190,7 +189,7 @@ def tiny_setup():
     rels = ("no_relation", "has-kind", "locat-in")
     schema = RelationSchema(relations=rels, allowed=np.ones((2, 3), dtype=bool))
     corpus = generate_corpus(langs, schema, seed=2)
-    cfg = toy_cfg(d_model=8, ffn_dim=16, bottleneck=12, n_relations=3, max_len=24)
+    cfg = toy_cfg(d_model=8, ffn_dim=16, bottleneck=12, max_len=24)
     model = Model.build(cfg, corpus.registry, init_seed=0)
     return corpus, model
 

@@ -29,15 +29,14 @@ def toy_cfg(**kw):
     defaults = dict(
         d_model=4, n_blocks=1, n_heads=2, ffn_dim=8, max_len=16,
         n_sub_modules=3, sub_layers=(2, 1, 1), bottleneck=6, eval_top_k=2,
-        vocab_size=10, n_languages=3, n_relations=3,
     )
     defaults.update(kw)
     return ModelConfig(**defaults)
 
 
-def build_reg(cfg, seed=0):
+def build_reg(cfg, seed=0, n_languages=3):
     reg = ParamRegistry()
-    build_switcher_params(reg, cfg, np.random.default_rng(seed))
+    build_switcher_params(reg, cfg, n_languages, np.random.default_rng(seed))
     return reg
 
 
@@ -64,9 +63,9 @@ class TestRoute:
         cfg = toy_cfg()
         for seed in range(1000):
             reg = ParamRegistry()
-            build_switcher_params(reg, cfg, np.random.default_rng(seed))
+            build_switcher_params(reg, cfg, 3, np.random.default_rng(seed))
             reg["switcher.lang_emb"].data *= 100.0  # exaggerate the logits
-            p = routing_probs(seed % cfg.n_languages, reg, cfg)
+            p = routing_probs(seed % 3, reg, cfg)
             assert abs(p.sum() - 1.0) < 1e-12
 
     def test_unknown_language_rejected(self):
@@ -185,8 +184,8 @@ class TestSwitch:
         assert np.allclose(got.data, want.data, atol=1e-15)
 
     def _forced_probs_cfg(self, logits):
-        cfg = toy_cfg(n_sub_modules=len(logits), sub_layers=(1,) * len(logits), n_languages=2)
-        reg = build_reg(cfg, seed=13)
+        cfg = toy_cfg(n_sub_modules=len(logits), sub_layers=(1,) * len(logits))
+        reg = build_reg(cfg, seed=13, n_languages=2)
         reg["switcher.lang_emb"].data[0] = 0.0
         reg["switcher.lang_emb"].data[0, 0] = 1.0
         reg["switcher.w_router"].data[:] = 0.0
@@ -197,8 +196,8 @@ class TestSwitch:
         # || eval(k) - train || <= 2 * leftover_mass * max_t ||E_t(h)||
         for seed in range(20):
             r = np.random.default_rng(seed)
-            cfg = toy_cfg(n_sub_modules=5, sub_layers=(1, 1, 1, 1, 1), n_languages=2)
-            reg = build_reg(cfg, seed=seed)
+            cfg = toy_cfg(n_sub_modules=5, sub_layers=(1, 1, 1, 1, 1))
+            reg = build_reg(cfg, seed=seed, n_languages=2)
             reg["switcher.lang_emb"].data *= 30.0
             h = Tensor(r.normal(size=(3, 4)))
             full = switch_train(h, 0, reg, cfg).data
@@ -250,5 +249,5 @@ class TestSwitch:
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=12)
         mat = router_matrix(reg, cfg)
-        assert mat.shape == (cfg.n_sub_modules, cfg.n_languages)
+        assert mat.shape == (cfg.n_sub_modules, 3)
         assert np.allclose(mat.sum(axis=0), 1.0, atol=1e-9)

@@ -428,7 +428,7 @@ class TestAdamW:
     def test_single_step_matches_hand_rolled_oracle(self):
         reg = self._registry(1.0)
         lr, wd, b1, b2, eps = 1e-2, 0.1, 0.9, 0.999, 1e-8
-        opt = AdamW(reg, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+        opt = AdamW(reg, lr=lr, weight_decay=wd)
         reg["p"].grad = np.array([0.5])
         opt.step()
         want = oracle_adamw_step(1.0, 0.5, lr, wd, b1, b2, eps)

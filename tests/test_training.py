@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from relmux import tensor as T
+from relmux.ablation import _restrict_corpus
 from relmux.config import ModelConfig, RunConfig, TrainConfig
 from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus
 from relmux.aggregator import aggregate, build_aggregator_params
@@ -15,7 +16,7 @@ from relmux.errors import NumericsError
 from relmux.heads import ENTITY_KEYS, build_head_params, entity_scores, masked_argmax_relation, relation_logits
 from relmux.model import Model, sentence_ere_loss
 from relmux.params import ParamRegistry, load_checkpoint
-from relmux.switcher import build_switcher_params, switch_eval, switch_train
+from relmux.switcher import build_switcher_params, router_matrix, switch_eval, switch_train
 from relmux.training import TrainLog, train_stage1, train_stage2
 from relmux.tensor import Tensor
 
@@ -45,11 +46,15 @@ def tiny_run_cfg(**train_kw):
     )
 
 
-def built_names(cfg: ModelConfig, *builders) -> list[str]:
-    """The parameter names that ``builders`` register into a fresh registry."""
+def built_names(model: Model, *builders) -> list[str]:
+    """The parameter names that ``builders`` register into a fresh registry,
+    each given the size it takes from ``model``'s corpus."""
+    langs = model.languages
+    sizes = {build_encoder_params: (len(model.vocab),), build_switcher_params: (langs.n_languages,),
+             build_head_params: (langs.n_relations,)}
     reg = ParamRegistry()
     for build in builders:
-        build(reg, cfg, np.random.default_rng(0))
+        build(reg, model.cfg, *sizes.get(build, ()), np.random.default_rng(0))
     return reg.names()
 
 
@@ -72,9 +77,8 @@ def batch_mean(losses: list[Tensor]) -> Tensor:
 def composed_sentence_loss(model, ts, pooled_encoder, feats, alpha, beta):
     """One sentence's joint loss from its encoder [CLS] row and its (m, d)
     features, each entity key its own cross entropy."""
-    reg, cfg = model.registry, model.cfg
-    pooled = pooled_encoder if cfg.relation_pooled_from == "encoder" else T.narrow(feats, 0, 0, 1)
-    rel_ce = T.cross_entropy(relation_logits(pooled, reg), ts.relation)
+    reg = model.registry
+    rel_ce = T.cross_entropy(relation_logits(pooled_encoder, reg), ts.relation)
     entity_ces = []
     if ts.relation != 0:
         rel_emb = T.narrow(reg["relation.emb"], 0, ts.relation, 1)
@@ -132,14 +136,31 @@ def composed_predict(model, ex, k):
     feats = T.reshape(aggregate(T.reshape(eo.hidden, (1, m, d)), ts.attention_mask[None], reg, cfg), (m, d))
     if model.stage >= 2:
         feats, _ = switch_eval(feats, ts.lang, reg, cfg, k)
-    pooled = eo.pooled if cfg.relation_pooled_from == "encoder" else T.narrow(feats, 0, 0, 1)
-    logits = relation_logits(pooled, reg).data.reshape(-1)
+    logits = relation_logits(eo.pooled, reg).data.reshape(-1)
     relation = masked_argmax_relation(logits, model.languages.schema.allowed[ts.lang])
     if relation == 0:
         return logits, None
     rel_emb = T.narrow(reg["relation.emb"], 0, relation, 1)
     scores = entity_scores(feats, rel_emb, ts.content_position_mask(), reg)
     return logits, {key: t.data.reshape(-1) for key, t in scores.items()}
+
+
+class TestBuild:
+    def test_models_built_from_one_config_stay_independent(self):
+        # the sizes come from each model's own corpus; building a second model
+        # on a one-language corpus must not resize the first one's config
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg().model
+        before = replace(cfg)
+        first = Model.build(cfg, corpus.registry, init_seed=0)
+        first.stage = 2
+        examples = [next(ex for ex in corpus.dev if ex.lang == lang) for lang in range(3)]
+        want = [first.predict(ex).relation_logits for ex in examples]
+        Model.build(cfg, _restrict_corpus(corpus, [0]).registry, init_seed=0)
+        assert router_matrix(first.registry, first.cfg).shape == (3, 3)
+        for ex, logits in zip(examples, want):
+            assert first.predict(ex).relation_logits.tobytes() == logits.tobytes()
+        assert first.cfg == before
 
 
 class TestLossFormula:
@@ -162,7 +183,7 @@ class TestLossFormula:
     def test_beta_zero_kills_relation_gradient(self):
         corpus = tiny_corpus()
         cfg = tiny_run_cfg()
-        model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
         batch = [e for e in corpus.train if e.relation != 0][:2]
         model.registry.zero_grad()
         loss = model.stage1_batch_loss([batch], alpha=2.0, beta=0.0)
@@ -188,7 +209,7 @@ class TestStage1:
     def test_epoch_losses_decrease_on_overfit_corpus(self, tmp_path):
         corpus = tiny_corpus()
         cfg = tiny_run_cfg(stage1_epochs=6, batch_size=8)
-        model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
         log = TrainLog()
         train_stage1(model, corpus, cfg, tmp_path, log)
         means = epoch_mean_losses(log, 1)
@@ -201,7 +222,7 @@ class TestStage1:
         cfg = tiny_run_cfg()
 
         def run(out):
-            model = Model.build(replace(cfg.model), corpus.registry, init_seed=cfg.train.seed)
+            model = Model.build(cfg.model, corpus.registry, init_seed=cfg.train.seed)
             log = TrainLog()
             train_stage1(model, corpus, cfg, out, log)
             return model, [l["loss"] for l in log.lines if "loss" in l]
@@ -216,19 +237,16 @@ class TestStage1:
         # a group of one sentence must produce that sentence's joint loss
         corpus = tiny_corpus()
         cfg = tiny_run_cfg(concat_sentences=1, stage1_epochs=1)
-        model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
         # an equivalent manual single-sentence pipeline gives the same value
         manual = composed_stage1_loss(model, [[corpus.train[0]]], 2.0, 1.0)
         solo = model.stage1_batch_loss([[corpus.train[0]]], 2.0, 1.0)
         assert solo.item() == pytest.approx(manual.item(), abs=1e-15)
 
     @pytest.mark.parametrize("s", [1, 2])
-    @pytest.mark.parametrize("pooled_from", ["encoder", "switched"])
-    def test_batched_loss_matches_single_sentence_composition(self, s, pooled_from):
+    def test_batched_loss_matches_single_sentence_composition(self, s):
         corpus = tiny_corpus()
-        cfg = tiny_run_cfg()
-        model = Model.build(replace(cfg.model, relation_pooled_from=pooled_from),
-                            corpus.registry, init_seed=3)
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=3)
         model.registry.freeze([n for n in model.registry.names() if n.startswith("switcher.")])
         # distinct languages within a group; no_relation and entity-bearing
         # sentences alternate
@@ -255,18 +273,18 @@ class TestStage1:
 
     def test_unequal_groups_rejected(self):
         corpus = tiny_corpus()
-        model = Model.build(replace(tiny_run_cfg().model), corpus.registry, init_seed=0)
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=0)
         with pytest.raises(ValueError, match="same size"):
             model.stage1_batch_loss([corpus.train[:2], corpus.train[2:3]], 2.0, 1.0)
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         corpus = tiny_corpus()
         cfg = tiny_run_cfg(stage1_epochs=4)
-        straight = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+        straight = Model.build(cfg.model, corpus.registry, init_seed=0)
         train_stage1(straight, corpus, cfg, tmp_path / "straight", TrainLog())
 
         cfg_short = replace(cfg, train=replace(cfg.train, stage1_epochs=2))
-        part = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+        part = Model.build(cfg.model, corpus.registry, init_seed=0)
         train_stage1(part, corpus, cfg_short, tmp_path / "resumed", TrainLog())
         model2, snap, extra = Model.load(tmp_path / "resumed" / "stage1.ckpt", corpus.registry)
         assert extra is not None and extra["epochs_done"] == 2
@@ -277,16 +295,16 @@ class TestStage1:
     def test_stage1_freezes_exactly_the_switcher(self, tmp_path):
         corpus = tiny_corpus()
         cfg = tiny_run_cfg(stage1_epochs=0)
-        model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
         model.registry.freeze(model.stage2_freeze_plan().frozen)
         train_stage1(model, corpus, cfg, tmp_path, TrainLog())
         frozen = [n for n, t in model.registry.items() if not t.requires_grad]
-        assert sorted(frozen) == sorted(built_names(model.cfg, build_switcher_params))
+        assert sorted(frozen) == sorted(built_names(model, build_switcher_params))
 
     def test_nan_loss_aborts(self, tmp_path):
         corpus = tiny_corpus()
         cfg = tiny_run_cfg(lr=3e-3, stage1_epochs=1)
-        model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
         model.registry["encoder.tok_emb"].data[:] = np.nan
         with pytest.raises(NumericsError):
             train_stage1(model, corpus, cfg, tmp_path, TrainLog())
@@ -297,7 +315,7 @@ def trained(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("stage2")
     corpus = tiny_corpus()
     cfg = tiny_run_cfg(stage1_epochs=2, stage2_max_epochs=3)
-    model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+    model = Model.build(cfg.model, corpus.registry, init_seed=0)
     log = TrainLog()
     ck1 = train_stage1(model, corpus, cfg, tmp, log)
     stage1_arrays = {n: t.data.copy() for n, t in model.registry.items()}
@@ -323,8 +341,8 @@ class TestStage2:
         corpus = tiny_corpus()
         for routing in ("learned", "identity"):
             model = Model.build(replace(tiny_run_cfg().model, routing=routing), corpus.registry, init_seed=0)
-            frozen = built_names(model.cfg, build_encoder_params, build_aggregator_params)
-            trainable = built_names(model.cfg, build_switcher_params, build_head_params)
+            frozen = built_names(model, build_encoder_params, build_aggregator_params)
+            trainable = built_names(model, build_switcher_params, build_head_params)
             if routing == "identity":
                 router = ["switcher.lang_emb", "switcher.w_router"]
                 frozen += router
@@ -352,7 +370,7 @@ class TestStage2:
     def test_stage2_requires_stage1_model(self, tmp_path):
         corpus = tiny_corpus()
         cfg = tiny_run_cfg()
-        fresh = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+        fresh = Model.build(cfg.model, corpus.registry, init_seed=0)
         from relmux.errors import CheckpointError
 
         with pytest.raises(CheckpointError):
@@ -361,7 +379,7 @@ class TestStage2:
     def test_early_stopping_respects_patience(self, tmp_path):
         corpus = tiny_corpus()
         cfg = tiny_run_cfg(stage1_epochs=1, stage2_max_epochs=8, patience=1)
-        model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
         log = TrainLog()
         train_stage1(model, corpus, cfg, tmp_path, log)
         train_stage2(model, corpus, cfg, tmp_path, log)
@@ -374,14 +392,13 @@ class TestStage2:
 
 class TestBatchedStage2:
     @pytest.mark.parametrize("routing", ["learned", "identity"])
-    @pytest.mark.parametrize("pooled_from", ["encoder", "switched"])
-    def test_batch_matches_sentence_at_a_time(self, pooled_from, routing):
+    def test_batch_matches_sentence_at_a_time(self, routing):
         """One padded pass over a batch of mixed lengths and languages gives
         the loss and every gradient of the sentence-at-a-time composition.
         Nothing is frozen, so a gradient leaking through PAD rows into the
         encoder or the aggregator would show too."""
         corpus = tiny_corpus()
-        cfg = replace(tiny_run_cfg().model, relation_pooled_from=pooled_from, routing=routing)
+        cfg = replace(tiny_run_cfg().model, routing=routing)
         model = Model.build(cfg, corpus.registry, init_seed=6)
         lang_emb = model.registry["switcher.lang_emb"]
         # spread the languages' routing apart; at init it is near uniform
@@ -425,25 +442,13 @@ class TestLossProperties:
     def test_log_lines_carry_components_and_lr(self, tmp_path):
         corpus = tiny_corpus()
         cfg = tiny_run_cfg(stage1_epochs=1)
-        model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
         log = TrainLog()
         train_stage1(model, corpus, cfg, tmp_path, log)
         step_lines = [l for l in log.lines if "loss" in l]
         assert step_lines
         for line in step_lines:
             assert {"stage", "step", "loss", "relation_ce", "entity_ce", "lr"} <= set(line)
-
-    def test_relation_pooling_source_flag_changes_behavior(self):
-        corpus = tiny_corpus()
-        cfg = tiny_run_cfg()
-        model = Model.build(replace(cfg.model), corpus.registry, init_seed=3)
-        model.stage = 2
-        ex = corpus.train[0]
-        enc_pred = model.predict(ex)
-        model.cfg.relation_pooled_from = "switched"
-        sw_pred = model.predict(ex)
-        model.cfg.relation_pooled_from = "encoder"
-        assert not np.array_equal(enc_pred.relation_logits, sw_pred.relation_logits)
 
 
 class TestConditioningOnTrainedModel:
@@ -464,11 +469,9 @@ class TestConditioningOnTrainedModel:
 
 class TestPredictComposition:
     @pytest.mark.parametrize("stage", [1, 2])
-    @pytest.mark.parametrize("pooled_from", ["encoder", "switched"])
-    def test_predict_is_bitwise_the_straight_composition(self, stage, pooled_from):
+    def test_predict_is_bitwise_the_straight_composition(self, stage):
         corpus = tiny_corpus()
-        cfg = tiny_run_cfg()
-        model = Model.build(replace(cfg.model, relation_pooled_from=pooled_from), corpus.registry, init_seed=4)
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=4)
         model.stage = stage
         top_ks = range(1, model.cfg.n_sub_modules + 1) if stage == 2 else [None]
         scored = 0
@@ -493,7 +496,7 @@ class TestCheckpointRoundTrip:
 
         corpus = tiny_corpus()
         cfg = tiny_run_cfg(stage1_epochs=1)
-        model = Model.build(replace(cfg.model), corpus.registry, init_seed=0)
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
         train_stage1(model, corpus, cfg, tmp_path, TrainLog())
         before = evaluate_model(model, corpus.dev, corpus.registry)
         again, snap, extra = Model.load(tmp_path / "stage1.ckpt", corpus.registry)
