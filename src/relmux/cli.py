@@ -2,11 +2,11 @@
 
 Subcommands cover the whole workflow:
 
-  generate        synthesize a multilingual corpus from a language + schema spec
-  train           stage-1 or stage-2 training (stage 2 resumes a stage-1 checkpoint)
-  eval            score a checkpoint on a corpus split and write reports
-  ablate          run a named ablation sweep
-  inspect-router  export the router selection heatmap CSV
+  generate  synthesize a multilingual corpus from a language + schema spec
+  train     stage-1 or stage-2 training (stage 2 resumes a stage-1 checkpoint)
+  eval      score a checkpoint on a corpus split and write reports, with the
+            router heatmap CSV for a learned-routing stage-2 checkpoint
+  ablate    run a named ablation sweep
 
 Every command is deterministic given (config, seed, inputs), writes its
 resolved config snapshot next to its outputs, and never mutates input files.
@@ -154,15 +154,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def cmd_inspect_router(args) -> int:
-    corpus = load_corpus(args.corpus)
-    model, snap, _ = Model.load(args.ckpt, corpus.registry)
-    out_path = Path(args.out) if args.out else Path(args.ckpt).with_suffix(".router.csv")
-    export_router_heatmap(model, out_path)
-    print(f"router heatmap written to {out_path}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="relmux", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -204,12 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="parallel variant runs")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ablate)
-
-    p = sub.add_parser("inspect-router", help="export the router heatmap CSV")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_inspect_router)
 
     return parser
 

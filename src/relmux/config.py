@@ -14,6 +14,8 @@ from pathlib import Path
 
 from .errors import ConfigError
 
+MAX_CONCAT_TOKENS = 256  # cap on s * max_len in a stage-1 concatenation group
+
 
 @dataclass
 class ModelConfig:
@@ -91,6 +93,11 @@ class RunConfig:
     def validate(self) -> None:
         self.model.validate()
         self.train.validate()
+        s, max_len = self.train.concat_sentences, self.model.max_len
+        if s * max_len > MAX_CONCAT_TOKENS:
+            raise ConfigError(
+                f"stage-1 concatenation of {s} x max_len {max_len} tokens exceeds the cap of {MAX_CONCAT_TOKENS}"
+            )
 
     def to_json(self) -> dict:
         doc = asdict(self)

@@ -577,32 +577,31 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
 
 
 # ---------------------------------------------------------------------------
-# Stage-1 group sampling
+# Training-batch sampling
 
 
-def sample_stage1_batch(
-    examples: list[Example],
-    s: int,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> list[list[Example]]:
-    """Sample ``batch_size`` groups of ``s`` sentences with pairwise-distinct
-    languages: uniform over languages first, then uniform within the language.
+def language_pools(items: list) -> list[list]:
+    """``items`` grouped by their ``.lang``, in language-id order; a language
+    with no items gets no pool."""
+    by_lang: dict[int, list] = {}
+    for item in items:
+        by_lang.setdefault(item.lang, []).append(item)
+    return [by_lang[lang] for lang in sorted(by_lang)]
+
+
+def sample_stage1_batch(pools: list[list], s: int, batch_size: int, rng: np.random.Generator) -> list[list]:
+    """Sample ``batch_size`` groups of ``s`` items from ``language_pools``
+    output, with pairwise-distinct languages: uniform over languages first,
+    then uniform within the language. Stage 1 concatenates each group; stage 2
+    draws groups of one.
     """
-    if s < 1:
-        raise ConfigError("group size s must be >= 1")
-    by_lang: dict[int, list[Example]] = {}
-    for ex in examples:
-        by_lang.setdefault(ex.lang, []).append(ex)
-    lang_ids = sorted(by_lang)
-    if s > len(lang_ids):
-        raise ConfigError(f"s={s} exceeds the {len(lang_ids)} languages present in the split")
-    groups: list[list[Example]] = []
+    if not 1 <= s <= len(pools):
+        raise ConfigError(f"group size s={s} must be in [1, {len(pools)}], the languages present in the split")
+    groups: list[list] = []
     for _ in range(batch_size):
-        picked = rng.choice(len(lang_ids), size=s, replace=False)
         group = []
-        for i in picked:
-            sentences = by_lang[lang_ids[int(i)]]
-            group.append(sentences[int(rng.integers(len(sentences)))])
+        for i in rng.choice(len(pools), size=s, replace=False):
+            pool = pools[int(i)]
+            group.append(pool[int(rng.integers(len(pool)))])
         groups.append(group)
     return groups

@@ -154,24 +154,23 @@ class Model:
     # -- stage losses ------------------------------------------------------
 
     def stage1_batch_loss(
-        self, groups: list[list[Example]], alpha: float, beta: float, stats: dict | None = None
+        self, groups: list[list[TokenizedSentence]], alpha: float, beta: float, stats: dict | None = None
     ) -> Tensor:
         """Mean joint loss over the sentences of equal-size concatenation
         groups, each group aggregated over its members' rows."""
         s = len(groups[0])
         if any(len(group) != s for group in groups):
             raise ValueError("stage-1 concatenation groups must all have the same size")
-        tss = [self.tokenize(ex) for group in groups for ex in group]
+        tss = [ts for group in groups for ts in group]
         pooled, fused = self._forward(tss, s)
         return self._ere_loss(tss, pooled, fused, alpha, beta, stats)
 
     def stage2_batch_loss(
-        self, batch: list[Example], alpha: float, beta: float, stats: dict | None = None
+        self, tss: list[TokenizedSentence], alpha: float, beta: float, stats: dict | None = None
     ) -> Tensor:
         """Mean joint loss over single sentences, each through the aggregator
         alone, then every row through the switcher's training mix under its
         sentence's language."""
-        tss = [self.tokenize(ex) for ex in batch]
         pooled, fused = self._forward(tss, 1)
         langs = np.repeat([ts.lang for ts in tss], fused.shape[0] // len(tss))
         switched = switch_train(fused, langs, self.registry, self.cfg)

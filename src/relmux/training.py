@@ -5,7 +5,9 @@ in different languages. Stage 2 reloads the stage-1 checkpoint, freezes the
 encoder and the aggregator, and fine-tunes the switcher, the router, the
 relation classifier and embeddings, and the entity matrices on batches of
 single sentences, early-stopping on dev triple micro-F1 and keeping the best-dev
-parameters.
+parameters. Each stage tokenizes the train split once into per-language pools,
+and one sampler draws every batch: groups of s in stage 1, groups of one in
+stage 2.
 
 Both stages checkpoint at epoch boundaries with enough state (optimizer
 moments, rng state, epoch counter) that an interrupted stage-1 run resumed
@@ -23,14 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, TrainConfig
-from .corpus import Corpus, Example, sample_stage1_batch
-from .errors import CheckpointError, ConfigError, NumericsError
+from .corpus import Corpus, language_pools, sample_stage1_batch
+from .errors import CheckpointError, NumericsError
 from .evaluation import evaluate_model
 from .model import Model
 from .optim import AdamW
 from .params import decode_extra_arrays, encode_extra_arrays
-
-MAX_CONCAT_TOKENS = 256  # cap on s * max_len in a stage-1 concatenation group
 
 
 @dataclass
@@ -93,21 +93,12 @@ def train_stage1(
     resume_extra: dict | None = None,
 ) -> Path:
     """Run (or resume) stage-1 training; writes stage1.ckpt at every epoch end."""
+    run_cfg.validate()
     tc = run_cfg.train
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log = log if log is not None else TrainLog()
     s = tc.concat_sentences
-    n_langs_present = len({ex.lang for ex in corpus.train})
-    if s > n_langs_present:
-        raise ConfigError(
-            f"concat_sentences={s} but only {n_langs_present} languages present in the training split"
-        )
-    if s * model.cfg.max_len > MAX_CONCAT_TOKENS:
-        raise ConfigError(
-            f"stage-1 concatenation of {s} x max_len {model.cfg.max_len} tokens exceeds "
-            f"the cap of {MAX_CONCAT_TOKENS}"
-        )
     # stage 1 never runs the switcher, so its parameters sit frozen until stage 2
     model.registry.unfreeze_all()
     model.registry.freeze(n for n in model.registry.names() if n.startswith("switcher."))
@@ -130,6 +121,7 @@ def train_stage1(
             "rng_state": json.dumps(_rng_state(rng), sort_keys=True),
         }
 
+    pools = language_pools([model.tokenize(ex) for ex in corpus.train])
     per_epoch = steps_per_epoch(len(corpus.train), s * tc.batch_size)
     step = opt.step_count
     ckpt_path = out / "stage1.ckpt"
@@ -137,7 +129,7 @@ def train_stage1(
     for epoch in range(start_epoch, tc.stage1_epochs):
         t0 = time.time()
         for _ in range(per_epoch):
-            groups = sample_stage1_batch(corpus.train, s, tc.batch_size, rng)
+            groups = sample_stage1_batch(pools, s, tc.batch_size, rng)
             step = _train_step(opt, model.stage1_batch_loss, groups, tc, log, 1, epoch, step)
         model.save(ckpt_path, run_cfg, stage1_extra(epoch + 1))
         log.log(stage=1, epoch=epoch, epoch_seconds=round(time.time() - t0, 3))
@@ -170,11 +162,7 @@ def train_stage2(
 
     opt = AdamW(model.registry, tc.lr, tc.weight_decay)
     rng = np.random.default_rng(np.random.PCG64(tc.seed + 2))
-    by_lang: dict[int, list[Example]] = {}
-    for ex in corpus.train:
-        by_lang.setdefault(ex.lang, []).append(ex)
-    lang_ids = sorted(by_lang)
-
+    pools = language_pools([model.tokenize(ex) for ex in corpus.train])
     per_epoch = steps_per_epoch(len(corpus.train), tc.batch_size)
     ckpt_path = out / "stage2.ckpt"
     best_f1 = -1.0
@@ -184,10 +172,7 @@ def train_stage2(
     for epoch in range(tc.stage2_max_epochs):
         t0 = time.time()
         for _ in range(per_epoch):
-            batch = []
-            for _ in range(tc.batch_size):
-                pool = by_lang[lang_ids[int(rng.integers(len(lang_ids)))]]
-                batch.append(pool[int(rng.integers(len(pool)))])
+            batch = [ts for (ts,) in sample_stage1_batch(pools, 1, tc.batch_size, rng)]
             step = _train_step(opt, model.stage2_batch_loss, batch, tc, log, 2, epoch, step)
         report = evaluate_model(model, corpus.dev, corpus.registry)
         dev_f1 = report.overall.triple_f1

@@ -212,7 +212,7 @@ class TestTrain:
         cfgp.write_text(json.dumps(doc), encoding="utf-8")
         rc = main(["train", "--stage", "1", "--config", str(cfgp), "--out", str(tmp_path / "r")])
         assert rc == 2
-        assert not (tmp_path / "r" / "stage1.ckpt").exists()
+        assert not (tmp_path / "r").exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ") and "256" in err[0]
 
@@ -325,26 +325,6 @@ class TestCorruptCheckpoint:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: "), proc.stderr
         assert "Traceback" not in proc.stderr
-
-
-class TestInspectRouter:
-    def test_heatmap_export(self, workspace, tmp_path):
-        ws, _, _ = workspace
-        out = tmp_path / "router.csv"
-        rc = main(["inspect-router", "--ckpt", str(ws / "run" / "stage2.ckpt"),
-                   "--corpus", str(ws / "corpus"), "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("sub_module,")
-        assert len(lines) == 1 + 3  # T rows
-        cols = np.array([[float(x) for x in l.split(",")[1:]] for l in lines[1:]])
-        assert np.allclose(cols.sum(axis=0), 1.0, atol=1e-9)
-
-    def test_stage1_checkpoint_rejected(self, workspace, tmp_path):
-        ws, _, _ = workspace
-        rc = main(["inspect-router", "--ckpt", str(ws / "run" / "stage1.ckpt"),
-                   "--corpus", str(ws / "corpus"), "--out", str(tmp_path / "r.csv")])
-        assert rc == 2
 
 
 class TestInputImmutability:

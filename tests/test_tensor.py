@@ -372,10 +372,10 @@ class TestNoGrad:
 
         corpus = tiny_corpus()
         cfg = tiny_run_cfg()
-        batch = corpus.train[:8]
 
         def step(predict_first: bool):
             model = Model.build(replace(cfg.model), corpus.registry, init_seed=2)
+            batch = [model.tokenize(ex) for ex in corpus.train[:8]]
             model.registry.freeze(model.stage2_freeze_plan().frozen)
             model.stage = 2
             if predict_first:

@@ -9,7 +9,7 @@ import pytest
 from relmux import tensor as T
 from relmux.ablation import _restrict_corpus
 from relmux.config import ModelConfig, RunConfig, TrainConfig
-from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus
+from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus, language_pools
 from relmux.aggregator import aggregate, build_aggregator_params
 from relmux.encoder import build_encoder_params
 from relmux.errors import NumericsError
@@ -184,7 +184,7 @@ class TestLossFormula:
         corpus = tiny_corpus()
         cfg = tiny_run_cfg()
         model = Model.build(cfg.model, corpus.registry, init_seed=0)
-        batch = [e for e in corpus.train if e.relation != 0][:2]
+        batch = [model.tokenize(e) for e in corpus.train if e.relation != 0][:2]
         model.registry.zero_grad()
         loss = model.stage1_batch_loss([batch], alpha=2.0, beta=0.0)
         loss.backward()
@@ -196,7 +196,8 @@ class TestLossFormula:
         cfg = tiny_run_cfg()
         model = Model.build(replace(cfg.model, d_model=8, ffn_dim=16, bottleneck=12),
                             corpus.registry, init_seed=1)
-        groups = [[corpus.train[0], next(e for e in corpus.train if e.lang != corpus.train[0].lang)]]
+        pair = [corpus.train[0], next(e for e in corpus.train if e.lang != corpus.train[0].lang)]
+        groups = [[model.tokenize(e) for e in pair]]
         params = {n: t for n, t in model.registry.items() if not n.startswith("switcher.")}
         report = finite_diff_check(
             lambda: model.stage1_batch_loss(groups, 2.0, 1.0),
@@ -240,7 +241,7 @@ class TestStage1:
         model = Model.build(cfg.model, corpus.registry, init_seed=0)
         # an equivalent manual single-sentence pipeline gives the same value
         manual = composed_stage1_loss(model, [[corpus.train[0]]], 2.0, 1.0)
-        solo = model.stage1_batch_loss([[corpus.train[0]]], 2.0, 1.0)
+        solo = model.stage1_batch_loss([[model.tokenize(corpus.train[0])]], 2.0, 1.0)
         assert solo.item() == pytest.approx(manual.item(), abs=1e-15)
 
     @pytest.mark.parametrize("s", [1, 2])
@@ -264,7 +265,8 @@ class TestStage1:
             loss.backward()
             return loss.item(), {n: t.grad.copy() for n, t in model.registry.items() if t.grad is not None}
 
-        got, got_grads = grads(lambda: model.stage1_batch_loss(groups, 2.0, 1.0))
+        tokenized = [[model.tokenize(ex) for ex in group] for group in groups]
+        got, got_grads = grads(lambda: model.stage1_batch_loss(tokenized, 2.0, 1.0))
         want, want_grads = grads(lambda: composed_stage1_loss(model, groups, 2.0, 1.0))
         assert got == pytest.approx(want, abs=1e-12)
         assert set(got_grads) == set(want_grads)
@@ -275,7 +277,8 @@ class TestStage1:
         corpus = tiny_corpus()
         model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=0)
         with pytest.raises(ValueError, match="same size"):
-            model.stage1_batch_loss([corpus.train[:2], corpus.train[2:3]], 2.0, 1.0)
+            model.stage1_batch_loss([[model.tokenize(ex) for ex in group]
+                                     for group in (corpus.train[:2], corpus.train[2:3])], 2.0, 1.0)
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         corpus = tiny_corpus()
@@ -354,7 +357,7 @@ class TestStage2:
     def test_router_gradients_nonzero_after_first_step(self, trained):
         corpus, cfg, model, *_ = trained
         model.registry.zero_grad()
-        batch = corpus.train[:4]
+        batch = [model.tokenize(ex) for ex in corpus.train[:4]]
         loss = model.stage2_batch_loss(batch, 2.0, 1.0)
         loss.backward()
         assert np.linalg.norm(model.registry["switcher.lang_emb"].grad) > 0
@@ -403,10 +406,8 @@ class TestBatchedStage2:
         lang_emb = model.registry["switcher.lang_emb"]
         # spread the languages' routing apart; at init it is near uniform
         lang_emb.data = np.random.default_rng(7).normal(size=lang_emb.shape)
-        by_lang = {}
-        for ex in corpus.train:
-            by_lang.setdefault(ex.lang, []).append(ex)
-        batch = [by_lang[lang][i] for i in range(2) for lang in sorted(by_lang)]
+        pools = language_pools(corpus.train)
+        batch = [pool[i] for i in range(2) for pool in pools]
         batch.append(next(ex for ex in corpus.train if ex.relation == 0))
         assert len({len(ex.tokens) for ex in batch}) > 1
         assert len({ex.lang for ex in batch}) >= 2
@@ -418,7 +419,8 @@ class TestBatchedStage2:
             loss.backward()
             return loss.item(), {n: t.grad.copy() for n, t in model.registry.items() if t.grad is not None}
 
-        got_loss, got = loss_and_grads(lambda: model.stage2_batch_loss(batch, 2.0, 1.0))
+        tokenized = [model.tokenize(ex) for ex in batch]
+        got_loss, got = loss_and_grads(lambda: model.stage2_batch_loss(tokenized, 2.0, 1.0))
         want_loss, want = loss_and_grads(lambda: composed_stage2_loss(model, batch, 2.0, 1.0))
         assert abs(got_loss - want_loss) <= 1e-12
         assert got.keys() == want.keys()
