@@ -26,7 +26,10 @@ from pathlib import Path
 
 from .ablation import ABLATION_NAMES, run_ablation
 from .config import RunConfig, load_run_config, read_json_object, save_config_snapshot
-from .corpus import SPLITS, GeneratorConfig, LanguageRegistry, generate_corpus, load_corpus, save_corpus
+from .corpus import (
+    SPLITS, Corpus, GeneratorConfig, LanguageRegistry, check_group_size, generate_corpus, load_corpus,
+    save_corpus,
+)
 from .encoder import Vocab
 from .errors import ConfigError, DataValidationError, NumericsError, RelmuxError
 from .evaluation import dump_predictions, evaluate_model, export_router_heatmap, report_from_predictions, write_report
@@ -38,11 +41,15 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _resolve_out(path: str) -> Path:
+def _out_path(path: str) -> Path:
+    """``path``, under RELMUX_OUT_ROOT when it is relative and the variable is set."""
     root = os.environ.get("RELMUX_OUT_ROOT")
     p = Path(path)
-    if root and not p.is_absolute():
-        p = Path(root) / p
+    return Path(root) / p if root and not p.is_absolute() else p
+
+
+def _resolve_out(path: str) -> Path:
+    p = _out_path(path)
     p.mkdir(parents=True, exist_ok=True)
     return p
 
@@ -79,7 +86,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_run(args) -> tuple[RunConfig, Path]:
+def _load_run(args) -> tuple[RunConfig, Corpus]:
+    """The validated run config, its ``out_dir`` the resolved ``--out``, and
+    its corpus. The output directory is not created yet: a command creates
+    it once every check that can reject the run has passed."""
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
@@ -87,32 +97,37 @@ def _load_run(args) -> tuple[RunConfig, Path]:
         cfg = replace(cfg, corpus_dir=args.corpus)
     if not cfg.corpus_dir:
         raise ConfigError("no corpus directory: set corpus_dir in the config or pass --corpus")
-    out = _resolve_out(args.out)
-    cfg = replace(cfg, out_dir=str(out))
+    cfg = replace(cfg, out_dir=str(_out_path(args.out)))
     cfg.validate()
-    return cfg, out
+    return cfg, load_corpus(cfg.corpus_dir)
 
 
 def cmd_train(args) -> int:
-    cfg, out = _load_run(args)
-    corpus = load_corpus(cfg.corpus_dir)
-    save_config_snapshot(cfg, out / "config_snapshot.json")
-    log = TrainLog()
+    cfg, corpus = _load_run(args)
+    # stage 1 draws groups of concat_sentences languages, stage 2 groups of one
+    check_group_size(cfg.train.concat_sentences if args.stage == 1 else 1, len({ex.lang for ex in corpus.train}))
     if args.stage == 1:
         if args.resume:
             model, snap, extra = Model.load(args.resume, corpus.registry)
             if extra is None or extra.get("stage") != 1:
                 raise ConfigError("--resume for stage 1 expects a stage-1 training checkpoint")
-            ckpt = train_stage1(model, corpus, cfg, out, log, resume_extra=extra)
         else:
-            model = Model.build(cfg.model, corpus.registry, init_seed=cfg.train.seed)
-            ckpt = train_stage1(model, corpus, cfg, out, log)
+            model, extra = Model.build(cfg.model, corpus.registry, init_seed=cfg.train.seed), None
     else:
         if not args.resume:
             raise ConfigError("stage 2 requires --resume pointing at a stage-1 checkpoint")
         model, snap, extra = Model.load(args.resume, corpus.registry)
         if model.stage < 1:
             raise ConfigError("--resume checkpoint has not completed stage 1")
+    # a sentence the model cannot take fails here, not after --out exists
+    for ex in corpus.train + corpus.dev:
+        model.tokenize(ex)
+    out = _resolve_out(cfg.out_dir)
+    save_config_snapshot(cfg, out / "config_snapshot.json")
+    log = TrainLog()
+    if args.stage == 1:
+        ckpt = train_stage1(model, corpus, cfg, out, log, resume_extra=extra)
+    else:
         ckpt = train_stage2(model, corpus, cfg, out, log)
     report = evaluate_model(model, corpus.dev, corpus.registry)
     run_summary(out, cfg, {
@@ -146,8 +161,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, out = _load_run(args)
-    corpus = load_corpus(cfg.corpus_dir)
+    cfg, corpus = _load_run(args)
+    out = _resolve_out(cfg.out_dir)
     save_config_snapshot(cfg, out / "config_snapshot.json")
     rows = run_ablation(args.name, corpus, cfg, out, jobs=args.jobs)
     print(f"ablation {args.name}: {len(rows)} rows written to {out / (args.name + '.csv')}")

@@ -589,18 +589,27 @@ def language_pools(items: list) -> list[list]:
     return [by_lang[lang] for lang in sorted(by_lang)]
 
 
+def check_group_size(s: int, n_languages: int) -> None:
+    """A group of ``s`` pairwise-distinct languages needs 1 <= s <= the
+    number of languages present in the split."""
+    if not 1 <= s <= n_languages:
+        raise ConfigError(f"group size s={s} must be in [1, {n_languages}], the languages present in the split")
+
+
 def sample_stage1_batch(pools: list[list], s: int, batch_size: int, rng: np.random.Generator) -> list[list]:
     """Sample ``batch_size`` groups of ``s`` items from ``language_pools``
     output, with pairwise-distinct languages: uniform over languages first,
     then uniform within the language. Stage 1 concatenates each group; stage 2
     draws groups of one.
     """
-    if not 1 <= s <= len(pools):
-        raise ConfigError(f"group size s={s} must be in [1, {len(pools)}], the languages present in the split")
+    check_group_size(s, len(pools))
     groups: list[list] = []
     for _ in range(batch_size):
         group = []
-        for i in rng.choice(len(pools), size=s, replace=False):
+        # a choice of one consumes the stream as one integers draw, at a
+        # seventh of the cost
+        langs = [rng.integers(len(pools))] if s == 1 else rng.choice(len(pools), size=s, replace=False)
+        for i in langs:
             pool = pools[int(i)]
             group.append(pool[int(rng.integers(len(pool)))])
         groups.append(group)

@@ -79,7 +79,8 @@ class ParamRegistry:
         return {name: t.data for name, t in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy values in-place; names and shapes must match the registry exactly."""
+        """Take ``arrays`` as the parameter values, without a copy; names and
+        shapes must match the registry exactly."""
         missing = [n for n in self._params if n not in arrays]
         extra = [n for n in arrays if n not in self._params]
         if missing or extra:
@@ -88,7 +89,7 @@ class ParamRegistry:
             a = arrays[name]
             if tuple(a.shape) != t.shape:
                 raise CheckpointError(f"shape mismatch for {name}: checkpoint {a.shape} vs model {t.shape}")
-            t.data = np.array(a, dtype=np.float64)
+            t.data = np.asarray(a, dtype=np.float64)
 
 
 def _encode_array(a: np.ndarray) -> dict:

@@ -259,6 +259,23 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return out
 
 
+def scatter_rows(a: Tensor, indices, rows: int, fill: float) -> Tensor:
+    """The inverse of gather_rows: a (rows, ...) result holding row j of
+    ``a`` at row ``indices[j]`` and ``fill`` everywhere else. The indices
+    must be distinct; the gradient gathers back from them."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1 or idx.size != a.shape[0]:
+        raise ShapeError(f"scatter_rows needs one index per row of {a.shape}, got {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ShapeError(f"scatter_rows index out of range for {rows} rows")
+    data = np.full((rows,) + a.shape[1:], fill)
+    data[idx] = a.data
+    out = Tensor(data, _needs_grad(a), (a,), "scatter_rows")
+    if out.requires_grad:
+        out._backward = lambda g: a._accumulate(g[idx])
+    return out
+
+
 def repeat_rows(a: Tensor, n: int) -> Tensor:
     """Repeat each row of a (k, d) tensor n times, into (k*n, d); the
     gradient sums back over the copies."""

@@ -9,6 +9,13 @@ parameters. Each stage tokenizes the train split once into per-language pools,
 and one sampler draws every batch: groups of s in stage 1, groups of one in
 stage 2.
 
+Right after freezing, stage 2 computes the frozen encoder and aggregator
+output of every training sentence once (``Model.frozen_prefix``, in passes of
+at most ``batch_size`` sentences of one length), and its pools hold that
+table's entries, so a step runs only the switcher and the heads. The table
+lives as long as the ``train_stage2`` call. The per-epoch dev evaluation
+still predicts one sentence per call through the whole forward.
+
 Both stages checkpoint at epoch boundaries with enough state (optimizer
 moments, rng state, epoch counter) that an interrupted stage-1 run resumed
 from its last checkpoint reproduces the uninterrupted run bit for bit.
@@ -162,7 +169,7 @@ def train_stage2(
 
     opt = AdamW(model.registry, tc.lr, tc.weight_decay)
     rng = np.random.default_rng(np.random.PCG64(tc.seed + 2))
-    pools = language_pools([model.tokenize(ex) for ex in corpus.train])
+    pools = language_pools(model.frozen_prefix([model.tokenize(ex) for ex in corpus.train], tc.batch_size))
     per_epoch = steps_per_epoch(len(corpus.train), tc.batch_size)
     ckpt_path = out / "stage2.ckpt"
     best_f1 = -1.0
@@ -172,7 +179,7 @@ def train_stage2(
     for epoch in range(tc.stage2_max_epochs):
         t0 = time.time()
         for _ in range(per_epoch):
-            batch = [ts for (ts,) in sample_stage1_batch(pools, 1, tc.batch_size, rng)]
+            batch = [entry for (entry,) in sample_stage1_batch(pools, 1, tc.batch_size, rng)]
             step = _train_step(opt, model.stage2_batch_loss, batch, tc, log, 2, epoch, step)
         report = evaluate_model(model, corpus.dev, corpus.registry)
         dev_f1 = report.overall.triple_f1

@@ -4,6 +4,7 @@ byte-for-byte, and the exit-code contract."""
 import base64
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +217,38 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ") and "256" in err[0]
 
+    def test_rejected_run_leaves_no_output_directory(self, workspace, tmp_path, capsys):
+        ws, _, config = workspace
+        valo = LANGS_DOC["languages"][0]
+        one = dict(LANGS_DOC, languages=[valo], allowed={"valo": LANGS_DOC["allowed"]["valo"]})
+        langs = tmp_path / "one.json"
+        langs.write_text(json.dumps(one), encoding="utf-8")
+        assert main(["generate", "--langs", str(langs), "--seed", "3", "--out", str(tmp_path / "corpus")]) == 0
+        shutil.copytree(ws / "corpus", tmp_path / "untrained")
+        train = tmp_path / "untrained" / "train.txt"
+        train.write_text(train.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(dict(json.loads(config.read_text()), model=dict(RUN_DOC["model"], max_len=4))),
+                         encoding="utf-8")
+        stage1 = str(ws / "run" / "stage1.ckpt")
+        runs = {
+            "one language for groups of two": (2, ["--stage", "1", "--corpus", str(tmp_path / "corpus")]),
+            "no training sentence": (2, ["--stage", "2", "--resume", stage1, "--corpus", str(tmp_path / "untrained")]),
+            "stage 2 without --resume": (2, ["--stage", "2"]),
+            "checkpoint of other languages": (2, ["--stage", "2", "--resume", stage1,
+                                                  "--corpus", str(tmp_path / "corpus")]),
+            # argparse keeps the last --config
+            "sentences longer than max_len": (3, ["--stage", "1", "--config", str(short)]),
+        }
+        prefix = {2: "config error: ", 3: "data validation error: "}
+        for i, (why, (code, argv)) in enumerate(runs.items()):
+            capsys.readouterr()
+            out = tmp_path / f"r{i}"
+            assert main(["train", "--config", str(config), *argv, "--out", str(out)]) == code, why
+            assert not out.exists(), why
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(prefix[code]), why
+
     def test_train_rerun_identical_checkpoint(self, workspace, tmp_path):
         ws, _, config = workspace
         rc = main(["train", "--stage", "1", "--config", str(config), "--out", str(tmp_path / "again")])
@@ -297,6 +330,16 @@ def _poison_value(doc):
     rec["data"] = base64.b64encode(values.tobytes()).decode("ascii")
 
 
+def _flatten_param(doc):
+    # the payload stays whole, so only the shape check can catch it
+    rec = doc["params"]["relation.w_cls"]
+    rec["shape"] = [int(np.prod(rec["shape"]))]
+
+
+def _drop_param(doc):
+    del doc["params"]["relation.w_cls"]
+
+
 def _drop_model_config(doc):
     del doc["config"]["model"]
 
@@ -306,8 +349,8 @@ def _unknown_model_field(doc):
 
 
 class TestCorruptCheckpoint:
-    @pytest.mark.parametrize("corrupt", [_drop_params, _truncate_payload, _poison_value,
-                                         _drop_model_config, _unknown_model_field])
+    @pytest.mark.parametrize("corrupt", [_drop_params, _truncate_payload, _poison_value, _flatten_param,
+                                         _drop_param, _drop_model_config, _unknown_model_field])
     def test_eval_exits_2_with_one_line(self, workspace, tmp_path, corrupt):
         ws, _, _ = workspace
         doc = json.loads((ws / "run" / "stage2.ckpt").read_text(encoding="utf-8"))

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relmux import tensor as T
-from relmux.errors import NumericsError
+from relmux.errors import CheckpointError, NumericsError
 from relmux.optim import AdamW
 from relmux.params import ParamRegistry
 from relmux.tensor import ShapeError, Tensor
@@ -375,9 +375,9 @@ class TestNoGrad:
 
         def step(predict_first: bool):
             model = Model.build(replace(cfg.model), corpus.registry, init_seed=2)
-            batch = [model.tokenize(ex) for ex in corpus.train[:8]]
             model.registry.freeze(model.stage2_freeze_plan().frozen)
             model.stage = 2
+            batch = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train[:8]], cfg.train.batch_size)
             if predict_first:
                 for ex in corpus.dev[:4]:
                     model.predict(ex)
@@ -439,6 +439,66 @@ class TestAdamW:
         opt = AdamW(reg)
         with pytest.raises(ValueError, match="missing gradient"):
             opt.step()
+
+    def test_flat_step_is_bitwise_the_per_parameter_rule(self, rng):
+        shapes = {"w": (3, 4), "b": (4,), "frozen": (2, 2), "emb": (5, 3), "gain": (1,)}
+        lr, wd = 3e-3, 0.1
+        reg = ParamRegistry()
+        for name, shape in shapes.items():
+            reg.add(name, rng.normal(size=shape))
+        reg.freeze(["frozen"])
+        want = {n: reg[n].data.copy() for n in shapes if n != "frozen"}
+        moments = {n: (np.zeros(shapes[n]), np.zeros(shapes[n])) for n in want}
+        opt = AdamW(reg, lr=lr, weight_decay=wd)
+        for t in range(1, 6):
+            for name in shapes:
+                reg[name].grad = rng.normal(size=shapes[name]) * 10.0 ** rng.integers(-3, 3)
+            opt.step()
+            for name, p in want.items():
+                # the rule one parameter at a time, as the optimizer once applied it
+                g, (m, v) = reg[name].grad, moments[name]
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * (g * g)
+                update = (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+                p -= lr * (update + wd * p)
+            for name, p in want.items():
+                assert reg[name].data.tobytes() == p.tobytes(), (t, name)
+                assert opt.m[name].tobytes() == moments[name][0].tobytes()
+                assert opt.v[name].tobytes() == moments[name][1].tobytes()
+
+    def test_loaded_state_continues_bitwise(self, rng):
+        def registry():
+            reg = ParamRegistry()
+            reg.add("w", np.arange(6.0).reshape(2, 3))
+            reg.add("b", np.ones(3))
+            return reg
+
+        grads = [{"w": rng.normal(size=(2, 3)), "b": rng.normal(size=3)} for _ in range(4)]
+
+        def steps(opt, reg, todo):
+            for g in todo:
+                for name, value in g.items():
+                    reg[name].grad = value
+                opt.step()
+
+        straight_reg = registry()
+        straight = AdamW(straight_reg)
+        steps(straight, straight_reg, grads)
+        part_reg = registry()
+        part = AdamW(part_reg)
+        steps(part, part_reg, grads[:2])
+        saved = {name: a.copy() for name, a in part.state_arrays().items()}
+        resumed = AdamW(part_reg)
+        resumed.load_state_arrays(saved, part.step_count)
+        steps(resumed, part_reg, grads[2:])
+        for name in ("w", "b"):
+            assert part_reg[name].data.tobytes() == straight_reg[name].data.tobytes()
+        with pytest.raises(CheckpointError):
+            AdamW(registry()).load_state_arrays(dict(saved, **{"m.w": np.zeros(6)}), 2)
+        with pytest.raises(CheckpointError):
+            AdamW(registry()).load_state_arrays({k: a for k, a in saved.items() if k != "v.b"}, 2)
 
     def test_two_identical_runs_bitwise_equal(self, rng):
         def run():

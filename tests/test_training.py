@@ -357,7 +357,7 @@ class TestStage2:
     def test_router_gradients_nonzero_after_first_step(self, trained):
         corpus, cfg, model, *_ = trained
         model.registry.zero_grad()
-        batch = [model.tokenize(ex) for ex in corpus.train[:4]]
+        batch = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train[:4]], cfg.train.batch_size)
         loss = model.stage2_batch_loss(batch, 2.0, 1.0)
         loss.backward()
         assert np.linalg.norm(model.registry["switcher.lang_emb"].grad) > 0
@@ -393,25 +393,38 @@ class TestStage2:
             assert stops
 
 
+def stage2_frozen_model(routing="learned", seed=6):
+    """A tiny model frozen for stage 2, and its corpus."""
+    corpus = tiny_corpus()
+    model = Model.build(replace(tiny_run_cfg().model, routing=routing), corpus.registry, init_seed=seed)
+    model.registry.freeze(model.stage2_freeze_plan().frozen)
+    model.stage = 2
+    return corpus, model
+
+
 class TestBatchedStage2:
     @pytest.mark.parametrize("routing", ["learned", "identity"])
     def test_batch_matches_sentence_at_a_time(self, routing):
-        """One padded pass over a batch of mixed lengths and languages gives
-        the loss and every gradient of the sentence-at-a-time composition.
-        Nothing is frozen, so a gradient leaking through PAD rows into the
-        encoder or the aggregator would show too."""
+        """A batch drawn from a frozen-prefix table, of several languages,
+        holding one sentence twice and one without a relation, gives the
+        loss and every gradient of the sentence-at-a-time composition, both
+        when its relation-bearing sentences differ in length and when they
+        share one. Nothing is frozen, so the table passes gradients on to
+        the encoder and the aggregator, and a row gathered from the wrong
+        place would show there too."""
         corpus = tiny_corpus()
         cfg = replace(tiny_run_cfg().model, routing=routing)
         model = Model.build(cfg, corpus.registry, init_seed=6)
         lang_emb = model.registry["switcher.lang_emb"]
         # spread the languages' routing apart; at init it is near uniform
         lang_emb.data = np.random.default_rng(7).normal(size=lang_emb.shape)
-        pools = language_pools(corpus.train)
-        batch = [pool[i] for i in range(2) for pool in pools]
-        batch.append(next(ex for ex in corpus.train if ex.relation == 0))
-        assert len({len(ex.tokens) for ex in batch}) > 1
-        assert len({ex.lang for ex in batch}) >= 2
-        assert {ex.relation == 0 for ex in batch} == {True, False}
+        bearing = [ex for ex in corpus.train if ex.relation != 0]
+        langs_at = {n: {ex.lang for ex in bearing if len(ex.tokens) == n} for n in {len(ex.tokens) for ex in bearing}}
+        common = max(langs_at, key=lambda n: len(langs_at[n]))
+        no_relation = next(ex for ex in corpus.train if ex.relation == 0)
+        mixed = [pool[i] for i in range(2) for pool in language_pools(corpus.train)] + [no_relation]
+        equal = [pool[i] for pool in language_pools([ex for ex in bearing if len(ex.tokens) == common])
+                 for i in range(min(2, len(pool)))] + [no_relation]
 
         def loss_and_grads(loss_fn):
             model.registry.zero_grad()
@@ -419,14 +432,61 @@ class TestBatchedStage2:
             loss.backward()
             return loss.item(), {n: t.grad.copy() for n, t in model.registry.items() if t.grad is not None}
 
-        tokenized = [model.tokenize(ex) for ex in batch]
-        got_loss, got = loss_and_grads(lambda: model.stage2_batch_loss(tokenized, 2.0, 1.0))
-        want_loss, want = loss_and_grads(lambda: composed_stage2_loss(model, batch, 2.0, 1.0))
-        assert abs(got_loss - want_loss) <= 1e-12
-        assert got.keys() == want.keys()
-        assert "encoder.tok_emb" in got and "switcher.sub0.layer0.w_up" in got
-        for name, g in want.items():
-            assert np.abs(got[name] - g).max() <= 1e-12, name
+        for batch, bearing_lengths in ((mixed, "several"), (equal, "one")):
+            lengths = {len(ex.tokens) for ex in batch if ex.relation != 0}
+            assert (len(lengths) > 1) == (bearing_lengths == "several")
+            assert len({ex.lang for ex in batch}) >= 2
+            assert {ex.relation == 0 for ex in batch} == {True, False}
+            again = next(i for i, ex in enumerate(batch) if ex.relation != 0)
+
+            def table_loss():
+                # a fresh table per loss: its rows hold the last backward's gradients
+                entries = model.frozen_prefix([model.tokenize(ex) for ex in batch], 2)
+                return model.stage2_batch_loss(entries + [entries[again]], 2.0, 1.0)
+
+            got_loss, got = loss_and_grads(table_loss)
+            want_loss, want = loss_and_grads(lambda: composed_stage2_loss(model, batch + [batch[again]], 2.0, 1.0))
+            assert abs(got_loss - want_loss) <= 1e-12, bearing_lengths
+            assert got.keys() == want.keys()
+            assert "encoder.tok_emb" in got and "switcher.sub0.layer0.w_up" in got
+            for name, g in want.items():
+                assert np.abs(got[name] - g).max() <= 1e-12, (bearing_lengths, name)
+
+    def test_chunked_table_is_bitwise_the_whole_bucket_table(self):
+        corpus, model = stage2_frozen_model()
+        tss = [model.tokenize(ex) for ex in corpus.train]
+        chunk = 3
+        lengths = [ts.length for ts in tss]
+        assert max(lengths.count(n) for n in set(lengths)) > chunk
+        chunked = model.frozen_prefix(tss, chunk)
+        whole = model.frozen_prefix(tss, len(tss))
+        for ts, a, b in zip(tss, chunked, whole):
+            assert a.ts is ts and b.ts is ts and a.length == b.length == ts.length
+            assert a.table.pooled.data[a.index].tobytes() == b.table.pooled.data[b.index].tobytes()
+            rows_a = a.table.rows.data[a.start : a.start + a.length]
+            rows_b = b.table.rows.data[b.start : b.start + b.length]
+            assert rows_a.tobytes() == rows_b.tobytes()
+
+    def test_step_runs_no_frozen_layer(self, monkeypatch):
+        import relmux.model
+
+        corpus, model = stage2_frozen_model()
+        entries = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train], 8)
+
+        def frozen_layer(*args, **kwargs):
+            raise AssertionError("a stage-2 step ran a frozen layer")
+
+        monkeypatch.setattr(relmux.model, "encode", frozen_layer)
+        monkeypatch.setattr(relmux.model, "aggregate", frozen_layer)
+        loss = model.stage2_batch_loss(entries[:8], 2.0, 1.0)
+        frozen = {id(t) for n, t in model.registry.items() if n.startswith(("encoder.", "aggregator."))}
+        tape = T._toposort(loss)
+        assert len(tape) > 1
+        assert not any(id(node) in frozen for node in tape)
+        # the table's rows reach the tape only as leaves
+        assert all(node.requires_grad or not node._parents for node in tape)
+        loss.backward()
+        assert all(t.grad is None for _, t in model.registry.items() if id(t) in frozen)
 
 
 class TestLossProperties:
@@ -493,6 +553,20 @@ class TestPredictComposition:
 
 
 class TestCheckpointRoundTrip:
+    def test_load_draws_no_init_and_keeps_every_bit(self, tmp_path, monkeypatch):
+        corpus = tiny_corpus()
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=3)
+        model.save(tmp_path / "m.ckpt")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("Model.load drew a random initialization")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        again, _, _ = Model.load(tmp_path / "m.ckpt", corpus.registry)
+        assert again.registry.names() == model.registry.names()
+        for name, t in model.registry.items():
+            assert again.registry[name].data.tobytes() == t.data.tobytes(), name
+
     def test_save_load_eval_reproduces_metrics(self, tmp_path):
         from relmux.evaluation import evaluate_model
 
