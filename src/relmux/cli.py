@@ -147,7 +147,7 @@ def cmd_eval(args) -> int:
     if args.topk is not None and not 1 <= args.topk <= model.cfg.n_sub_modules:
         raise ConfigError(f"--topk must be in [1, {model.cfg.n_sub_modules}]")
     examples = corpus.split(args.split)
-    preds = [model.predict(ex, top_k=args.topk, dump_scores=args.dump_scores) for ex in examples]
+    preds = model.predict_all(examples, top_k=args.topk, dump_scores=args.dump_scores)
     report = report_from_predictions(preds, examples, corpus.registry, model=model)
     write_report(report, out)
     dump_predictions(preds, examples, corpus.registry, out / "predictions.jsonl", include_scores=args.dump_scores)

@@ -128,7 +128,7 @@ def evaluate_model(
     top_k: int | None = None,
 ) -> MetricsReport:
     """Predict every example and assemble the metrics report."""
-    preds = [model.predict(ex, top_k=top_k) for ex in examples]
+    preds = model.predict_all(examples, top_k=top_k)
     return report_from_predictions(preds, examples, registry, model=model)
 
 

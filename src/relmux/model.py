@@ -20,12 +20,13 @@ entity scorers over those real rows only; the entity cross entropy alone
 lays the scores out padded, with NEG_INF off each sentence's rows. Both
 stages share one joint loss, ``_ere_loss``.
 
-Prediction runs one sentence through the same forward, recording no tape,
-then follows the trained stage: optionally switch with top-k routing,
-classify the relation from the encoder [CLS] row under the language mask,
-then decode the spans conditioned on the predicted relation. Stage 2's dev
-evaluations predict this way too, one sentence per call, and do not read the
-table.
+Prediction reads the same kind of table, built per call over the examples
+to predict and recording no tape: ``predict_all`` encodes them once, one
+pass per exact length, and from stage 2 on takes each language's top-k
+decision once. ``predict`` then follows the trained stage for one sentence
+of the table: optionally switch its real rows with its language's decision,
+classify the relation from its encoder [CLS] row under the language mask,
+then decode the spans conditioned on the predicted relation.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ from .heads import (
     relation_logits,
 )
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
-from .switcher import ROUTER_PARAMS, build_switcher_params, switch_eval, switch_train
+from .switcher import (
+    ROUTER_PARAMS, SwitchDecision, build_switcher_params, eval_decisions, switch_eval, switch_train,
+)
 from .tensor import NEG_INF, Tensor
 
 
@@ -161,8 +164,8 @@ class Model:
         """The encoder [CLS] rows, (n, d), and the aggregator output, (n*m, d),
         of n sentences. One encoder pass pads every sentence to the longest
         real length m; the aggregator then attends within each group of s
-        consecutive sentences' concatenated rows, never to PAD. A lone
-        sentence is never padded."""
+        consecutive sentences' concatenated rows, never to PAD. Sentences of
+        one length are never padded."""
         eo = encode(tss, self.registry, self.cfg)
         rows, d = eo.hidden.shape
         m = rows // len(tss)
@@ -294,19 +297,39 @@ class Model:
     # -- prediction --------------------------------------------------------
 
     @T.no_grad()
-    def predict(self, example: Example, top_k: int | None = None, dump_scores: bool = False) -> TriplePrediction:
-        """Deterministic triple prediction; spans are reported in content-token
-        coordinates so they compare directly with gold spans. Nothing here is
-        differentiated, so the forward records no tape."""
-        ts = self.tokenize(example)
-        pooled, features = self._forward([ts], 1)
-        if self.stage >= 2:
-            features, _ = switch_eval(features, ts.lang, self.registry, self.cfg, top_k)
+    def predict_all(
+        self, examples: list[Example], top_k: int | None = None, dump_scores: bool = False
+    ) -> list[TriplePrediction]:
+        """One prediction per example, in order. The examples are tokenized
+        and encoded once, as one ``frozen_prefix`` table with one pass per
+        exact length, and from stage 2 on each language's top-k decision is
+        taken once; ``predict`` then runs the switcher and the heads of one
+        sentence at a time. Nothing here is differentiated, so no op records
+        a tape."""
+        if not examples:
+            return []
+        entries = self.frozen_prefix([self.tokenize(ex) for ex in examples], len(examples))
+        decisions = eval_decisions(self.registry, self.cfg, top_k) if self.stage >= 2 else None
+        return [self.predict(entry, decisions, dump_scores) for entry in entries]
+
+    def predict(
+        self, entry: PrefixEntry, decisions: list[SwitchDecision] | None, dump_scores: bool = False
+    ) -> TriplePrediction:
+        """Deterministic triple prediction for one entry of ``predict_all``'s
+        table, inside its no-tape scope; ``decisions`` holds each language's
+        top-k decision, or None before stage 2, which has no switcher. Spans
+        are reported in content-token coordinates so they compare directly
+        with gold spans."""
+        ts = entry.ts
+        pooled = T.narrow(entry.table.pooled, 0, entry.index, 1)
+        features = T.narrow(entry.table.rows, 0, entry.start, entry.length)
+        if decisions is not None:
+            features = switch_eval(features, decisions[ts.lang], self.registry, self.cfg)
         logits = relation_logits(pooled, self.registry).data.reshape(-1)
         relation = masked_argmax_relation(logits, self.languages.schema.allowed[ts.lang])
         if relation == 0:
             return TriplePrediction(
-                example_id=example.id,
+                example_id=ts.example_id,
                 relation=0,
                 head_span=SENTINEL_SPAN,
                 tail_span=SENTINEL_SPAN,
@@ -316,7 +339,7 @@ class Model:
         score_arrays = {key: t.data.reshape(-1).copy() for key, t in scores.items()}
         head, tail = decode_spans(score_arrays)
         return TriplePrediction(
-            example_id=example.id,
+            example_id=ts.example_id,
             relation=relation,
             head_span=(head[0] - CONTENT_START, head[1] - CONTENT_START),
             tail_span=(tail[0] - CONTENT_START, tail[1] - CONTENT_START),

@@ -8,6 +8,9 @@ Update rule per unfrozen parameter p with gradient g:
 
 where m_hat, v_hat are bias-corrected, beta1 = 0.9, beta2 = 0.999 and
 eps = 1e-8. Frozen parameters are never touched and carry no moment buffers.
+An unfrozen parameter that got no gradient (a batch with no relation-bearing
+sentence never reaches the entity scorers) steps as if its gradient were
+zero: its moments decay and weight decay still applies.
 
 The moments of all unfrozen parameters live in two flat buffers, and
 ``m[name]``/``v[name]`` are views into them. A step concatenates the
@@ -57,10 +60,7 @@ class AdamW:
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
         params = [self.registry[name] for name in self._slices]
-        for name, p in zip(self._slices, params):
-            if p.grad is None:
-                raise ValueError(f"missing gradient for unfrozen parameter {name}")
-        g = np.concatenate([p.grad.reshape(-1) for p in params])
+        g = np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.reshape(-1) for p in params])
         m, v = self._m, self._v
         m *= self.beta1
         m += (1.0 - self.beta1) * g

@@ -6,8 +6,10 @@ sub-module is a stack of residual bottleneck blocks LN(relu(h W_u) W_d + h).
 Training mixes all T sub-module outputs by their routing probabilities, which
 keeps the router differentiable; evaluation keeps only the k most probable
 sub-modules and renormalizes their weights, so k = T reproduces the training
-mix exactly. With identity routing every language owns one dedicated
-sub-module and the router parameters are unused.
+mix exactly. Routing depends on the language alone, so ``eval_decisions``
+decides every language's top-k set once and ``switch_eval`` applies one.
+With identity routing every language owns one dedicated sub-module and the
+router parameters are unused.
 """
 
 from __future__ import annotations
@@ -115,17 +117,22 @@ def switch_train(h: Tensor, lang, reg: ParamRegistry, cfg: ModelConfig) -> Tenso
     return mix_with_weights(h, [(t, T.narrow(probs, 1, t, 1)) for t in range(cfg.n_sub_modules)], reg, cfg)
 
 
-def switch_eval(h: Tensor, lang: int, reg: ParamRegistry, cfg: ModelConfig, k: int | None = None) -> tuple[Tensor, SwitchDecision]:
-    """Evaluation mix over the retained top-k sub-modules with renormalized weights."""
-    k = cfg.eval_top_k if k is None else k
-    decision = top_k_decision(routing_probs(lang, reg, cfg), k)
+def switch_eval(h: Tensor, decision: SwitchDecision, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
+    """Evaluation mix over a decision's retained sub-modules with its renormalized weights."""
     pairs: list[tuple[int, Tensor | float]] = [
         (t_idx, float(w)) for t_idx, w in zip(decision.retained, decision.weights)
     ]
-    return mix_with_weights(h, pairs, reg, cfg), decision
+    return mix_with_weights(h, pairs, reg, cfg)
 
 
 def router_matrix(reg: ParamRegistry, cfg: ModelConfig) -> np.ndarray:
     """Full (T, n_languages) matrix of routing probabilities."""
     cols = [routing_probs(n, reg, cfg) for n in range(reg["switcher.lang_emb"].shape[0])]
     return np.stack(cols, axis=1)
+
+
+def eval_decisions(reg: ParamRegistry, cfg: ModelConfig, k: int | None = None) -> list[SwitchDecision]:
+    """Each language's top-k decision, indexed by language id, from the columns
+    of ``router_matrix``; k defaults to the configured ``eval_top_k``."""
+    k = cfg.eval_top_k if k is None else k
+    return [top_k_decision(col, k) for col in router_matrix(reg, cfg).T]

@@ -242,13 +242,14 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Row lookup table[i] for each index; gradient scatter-adds into the table."""
+    """Row lookup table[i] for each index, a new array (a fancy index never
+    aliases its source); gradient scatter-adds into the table."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("gather_rows expects a flat index list")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"gather_rows index out of range for table {table.shape}")
-    out = Tensor(table.data[idx].copy(), _needs_grad(table), (table,), "gather_rows")
+    out = Tensor(table.data[idx], _needs_grad(table), (table,), "gather_rows")
 
     def _bw(g):
         full = np.zeros_like(table.data)

@@ -57,8 +57,8 @@ class TestDrivers:
 
         t_total = model.cfg.n_sub_modules
         scored = 0
-        for exm in corpus.test[:20]:
-            pred = model.predict(exm, top_k=t_total, dump_scores=True)
+        examples = corpus.test[:20]
+        for exm, pred in zip(examples, model.predict_all(examples, top_k=t_total, dump_scores=True)):
             ts = model.tokenize(exm)
             pooled, fused = model._forward([ts], 1)
             feats = switch_train(fused, ts.lang, model.registry, model.cfg)

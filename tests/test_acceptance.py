@@ -229,7 +229,7 @@ def test_criterion_switcher_algebra():
     full_gap = 0.0
     for lang in range(n_languages):
         train_out = switch_train(h, lang, reg, cfg)
-        eval_out, _ = switch_eval(h, lang, reg, cfg, k=cfg.n_sub_modules)
+        eval_out = switch_eval(h, top_k_decision(routing_probs(lang, reg, cfg), cfg.n_sub_modules), reg, cfg)
         full_gap = max(full_gap, float(np.abs(train_out.data - eval_out.data).max()))
 
     one_hot = mix_with_weights(h, [(0, 0.0), (1, 0.0), (2, 1.0), (3, 0.0), (4, 0.0), (5, 0.0)], reg, cfg)
@@ -317,8 +317,7 @@ def test_overfit_model_emits_sentinels_for_no_relation(overfit_run):
     corpus = overfit_run["corpus"]
     null_golds = [e for e in corpus.train if e.relation == 0]
     assert null_golds
-    for ex in null_golds:
-        pred = model.predict(ex)
+    for pred in model.predict_all(null_golds):
         assert pred.relation == 0
         assert pred.head_span == (-1, -1) and pred.tail_span == (-1, -1)
 

@@ -199,8 +199,7 @@ class TestPredict:
     def test_predict_deterministic(self, tiny_setup):
         corpus, model = tiny_setup
         ex = corpus.train[0]
-        a = model.predict(ex)
-        b = model.predict(ex)
+        a, b = (model.predict_all([ex])[0] for _ in range(2))
         assert (a.relation, a.head_span, a.tail_span) == (b.relation, b.head_span, b.tail_span)
         assert np.array_equal(a.relation_logits, b.relation_logits)
 
@@ -209,7 +208,7 @@ class TestPredict:
         # force no_relation by masking everything else out
         model.languages.schema.allowed[:, 1:] = False
         try:
-            pred = model.predict(corpus.train[0])
+            pred = model.predict_all([corpus.train[0]])[0]
             assert pred.relation == 0
             assert pred.head_span == (-1, -1) and pred.tail_span == (-1, -1)
         finally:
@@ -217,8 +216,7 @@ class TestPredict:
 
     def test_predicted_spans_lie_in_content(self, tiny_setup):
         corpus, model = tiny_setup
-        for ex in corpus.train[:10]:
-            pred = model.predict(ex)
+        for ex, pred in zip(corpus.train[:10], model.predict_all(corpus.train[:10])):
             if pred.relation == 0:
                 continue
             n = len(ex.tokens)

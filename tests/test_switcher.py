@@ -166,7 +166,8 @@ class TestSwitch:
         reg = build_reg(cfg, seed=8)
         h = Tensor(rng.normal(size=(4, 4)))
         train_out = switch_train(h, 2, reg, cfg)
-        eval_out, decision = switch_eval(h, 2, reg, cfg, k=cfg.n_sub_modules)
+        decision = top_k_decision(routing_probs(2, reg, cfg), cfg.n_sub_modules)
+        eval_out = switch_eval(h, decision, reg, cfg)
         assert decision.retained == tuple(range(cfg.n_sub_modules))
         assert np.allclose(train_out.data, eval_out.data, atol=1e-12)
 
@@ -207,7 +208,8 @@ class TestSwitch:
                 for t in range(cfg.n_sub_modules)
             )
             for k in range(1, 6):
-                out, decision = switch_eval(h, 0, reg, cfg, k=k)
+                decision = top_k_decision(probs, k)
+                out = switch_eval(h, decision, reg, cfg)
                 leftover = 1.0 - probs[list(decision.retained)].sum()
                 gap = float(np.linalg.norm(out.data - full))
                 assert gap <= 2.0 * leftover * max_norm + 1e-12
@@ -218,7 +220,7 @@ class TestSwitch:
         full = switch_train(h, 0, reg, cfg).data
         gaps = []
         for k in range(1, 6):
-            out, _ = switch_eval(h, 0, reg, cfg, k=k)
+            out = switch_eval(h, top_k_decision(routing_probs(0, reg, cfg), k), reg, cfg)
             gaps.append(float(np.linalg.norm(out.data - full)))
         for a, b in zip(gaps, gaps[1:]):
             assert b <= a + 1e-12

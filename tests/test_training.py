@@ -13,11 +13,15 @@ from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus, languag
 from relmux.aggregator import aggregate, build_aggregator_params
 from relmux.encoder import build_encoder_params
 from relmux.errors import NumericsError
+from relmux.evaluation import evaluate_model
 from relmux.heads import ENTITY_KEYS, build_head_params, entity_scores, masked_argmax_relation, relation_logits
 from relmux.model import Model, sentence_ere_loss
+from relmux.optim import AdamW
 from relmux.params import ParamRegistry, load_checkpoint
-from relmux.switcher import build_switcher_params, router_matrix, switch_eval, switch_train
-from relmux.training import TrainLog, train_stage1, train_stage2
+from relmux.switcher import (
+    build_switcher_params, eval_decisions, router_matrix, routing_probs, switch_eval, switch_train, top_k_decision,
+)
+from relmux.training import TrainLog, _train_step, train_stage1, train_stage2
 from relmux.tensor import Tensor
 
 from gradcheck import finite_diff_check
@@ -135,7 +139,8 @@ def composed_predict(model, ex, k):
     eo = encode_one(ts, reg, cfg)
     feats = T.reshape(aggregate(T.reshape(eo.hidden, (1, m, d)), ts.attention_mask[None], reg, cfg), (m, d))
     if model.stage >= 2:
-        feats, _ = switch_eval(feats, ts.lang, reg, cfg, k)
+        decision = top_k_decision(routing_probs(ts.lang, reg, cfg), cfg.eval_top_k if k is None else k)
+        feats = switch_eval(feats, decision, reg, cfg)
     logits = relation_logits(eo.pooled, reg).data.reshape(-1)
     relation = masked_argmax_relation(logits, model.languages.schema.allowed[ts.lang])
     if relation == 0:
@@ -155,11 +160,11 @@ class TestBuild:
         first = Model.build(cfg, corpus.registry, init_seed=0)
         first.stage = 2
         examples = [next(ex for ex in corpus.dev if ex.lang == lang) for lang in range(3)]
-        want = [first.predict(ex).relation_logits for ex in examples]
+        want = [pred.relation_logits for pred in first.predict_all(examples)]
         Model.build(cfg, _restrict_corpus(corpus, [0]).registry, init_seed=0)
         assert router_matrix(first.registry, first.cfg).shape == (3, 3)
-        for ex, logits in zip(examples, want):
-            assert first.predict(ex).relation_logits.tobytes() == logits.tobytes()
+        for pred, logits in zip(first.predict_all(examples), want):
+            assert pred.relation_logits.tobytes() == logits.tobytes()
         assert first.cfg == before
 
 
@@ -324,6 +329,55 @@ def trained(tmp_path_factory):
     stage1_arrays = {n: t.data.copy() for n, t in model.registry.items()}
     ck2 = train_stage2(model, corpus, cfg, tmp, log)
     return corpus, cfg, model, stage1_arrays, ck1, ck2, log
+
+
+class TestNoRelationBatch:
+    """A batch with no relation-bearing sentence gives the entity scorers,
+    and in stage 2 the switcher, no gradient; the step still runs."""
+
+    @staticmethod
+    def _no_relation_by_language(model, corpus):
+        by_lang: dict[int, list] = {}
+        for ex in corpus.train:
+            if ex.relation == 0:
+                by_lang.setdefault(ex.lang, []).append(model.tokenize(ex))
+        return by_lang
+
+    @staticmethod
+    def _decayed_only(model, name, before, tc):
+        # no gradient and zero moments: the update is weight decay alone
+        return model.registry[name].data.tobytes() == (before - (tc.weight_decay * before) * tc.lr).tobytes()
+
+    def test_stage1_step(self):
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg()
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
+        model.registry.freeze(n for n in model.registry.names() if n.startswith("switcher."))
+        by_lang = self._no_relation_by_language(model, corpus)
+        groups = [[by_lang[0][0], by_lang[1][0]], [by_lang[2][0], by_lang[0][1]]]
+        before = model.registry["entity.hs.w_down"].data.copy()
+        opt = AdamW(model.registry, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
+        step = _train_step(opt, model.stage1_batch_loss, groups, cfg.train, TrainLog(), 1, 0, 0)
+        assert step == 1
+        assert model.registry["entity.hs.w_down"].grad is None
+        assert self._decayed_only(model, "entity.hs.w_down", before, cfg.train)
+
+    def test_stage2_step(self):
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg()
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
+        model.registry.freeze(model.stage2_freeze_plan().frozen)
+        model.stage = 2
+        tss = [ts for group in self._no_relation_by_language(model, corpus).values() for ts in group]
+        batch = model.frozen_prefix(tss, cfg.train.batch_size)
+        names = ("entity.te.w_index", "switcher.sub0.layer0.w_up")
+        before = {n: model.registry[n].data.copy() for n in names}
+        opt = AdamW(model.registry, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
+        assert _train_step(opt, model.stage2_batch_loss, batch, cfg.train, TrainLog(), 2, 0, 0) == 1
+        for name in names:
+            assert model.registry[name].grad is None, name
+            assert self._decayed_only(model, name, before[name], cfg.train), name
+        assert model.registry["relation.w_cls"].grad is not None
 
 
 class TestStage2:
@@ -532,14 +586,20 @@ class TestConditioningOnTrainedModel:
 class TestPredictComposition:
     @pytest.mark.parametrize("stage", [1, 2])
     def test_predict_is_bitwise_the_straight_composition(self, stage):
+        # the whole dev split goes through one table, so sentences of one
+        # length share an encoder pass; each prediction must still be the
+        # one-sentence composition bit for bit
         corpus = tiny_corpus()
         model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=4)
         model.stage = stage
+        lengths = [len(ex.tokens) for ex in corpus.dev]
+        assert len(set(lengths)) < len(lengths)
         top_ks = range(1, model.cfg.n_sub_modules + 1) if stage == 2 else [None]
         scored = 0
-        for ex in corpus.dev[:12]:
-            for k in top_ks:
-                pred = model.predict(ex, top_k=k, dump_scores=True)
+        for k in top_ks:
+            preds = model.predict_all(corpus.dev, top_k=k, dump_scores=True)
+            assert [p.example_id for p in preds] == [ex.id for ex in corpus.dev]
+            for ex, pred in zip(corpus.dev, preds):
                 logits, scores = composed_predict(model, ex, k)
                 assert pred.relation_logits.tobytes() == logits.tobytes()
                 if scores is None:
@@ -550,6 +610,59 @@ class TestPredictComposition:
                 for key, want in scores.items():
                     assert pred.entity_scores[key].tobytes() == want.tobytes(), key
         assert scored > 0
+
+    @pytest.mark.parametrize("routing", ["learned", "identity"])
+    def test_eval_decisions_are_each_languages_top_k(self, routing):
+        corpus = tiny_corpus()
+        cfg = replace(tiny_run_cfg().model, routing=routing)
+        model = Model.build(cfg, corpus.registry, init_seed=4)
+        reg = model.registry
+        reg["switcher.lang_emb"].data = np.random.default_rng(7).normal(size=reg["switcher.lang_emb"].shape)
+        n_langs = corpus.registry.n_languages
+        assert eval_decisions(reg, cfg) == eval_decisions(reg, cfg, cfg.eval_top_k)
+        for k in range(1, cfg.n_sub_modules + 1):
+            decisions = eval_decisions(reg, cfg, k)
+            assert len(decisions) == n_langs
+            for lang in range(n_langs):
+                want = top_k_decision(routing_probs(lang, reg, cfg), k)
+                assert decisions[lang] == want
+
+
+class TestPredictionCalls:
+    """The benchmark harness times and counts predictions by replacing
+    ``model.predict`` on the instance, so every evaluation path must call it
+    once per example, in order."""
+
+    @staticmethod
+    def _record(model) -> list[str]:
+        seen: list[str] = []
+        predict = model.predict
+
+        def recorded(entry, *a, **kw):
+            seen.append(entry.ts.example_id)
+            return predict(entry, *a, **kw)
+
+        model.predict = recorded
+        return seen
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_evaluate_model_calls_the_instance_predict_once_per_example(self, stage):
+        corpus = tiny_corpus()
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=4)
+        model.stage = stage
+        seen = self._record(model)
+        report = evaluate_model(model, corpus.test, corpus.registry, top_k=1)
+        assert seen == [ex.id for ex in corpus.test]
+        assert report.overall.n_sentences == len(corpus.test)
+
+    def test_stage2_dev_eval_calls_the_instance_predict_once_per_example(self, tmp_path):
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg()  # two epochs, and patience enough for both
+        model = Model.build(cfg.model, corpus.registry, init_seed=4)
+        model.stage = 1
+        seen = self._record(model)
+        train_stage2(model, corpus, cfg, tmp_path)
+        assert seen == [ex.id for ex in corpus.dev] * 2
 
 
 class TestCheckpointRoundTrip:
