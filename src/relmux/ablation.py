@@ -195,10 +195,10 @@ ABLATION_NAMES = tuple(DRIVERS)
 
 
 def run_ablation(name: str, corpus: Corpus, run_cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> list[dict]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if name not in DRIVERS:
         raise ConfigError(f"unknown ablation {name!r}; choose from {', '.join(ABLATION_NAMES)}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rows = DRIVERS[name](corpus, run_cfg, out, jobs=jobs)
     write_rows_csv(rows, out / f"{name}.csv")
     (out / f"{name}.json").write_text(json.dumps(rows, sort_keys=True, indent=1) + "\n", encoding="utf-8")

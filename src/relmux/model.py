@@ -22,11 +22,12 @@ stages share one joint loss, ``_ere_loss``.
 
 Prediction reads the same kind of table, built per call over the examples
 to predict and recording no tape: ``predict_all`` encodes them once, one
-pass per exact length, and from stage 2 on takes each language's top-k
-decision once. ``predict`` then follows the trained stage for one sentence
-of the table: optionally switch its real rows with its language's decision,
+pass per exact length. From stage 2 on it takes each language's top-k
+decision once and switches that language's real rows in a few passes of at
+most ``_SWITCH_PASS`` sentences, writing them back into the call's own
+table. ``predict`` then runs only the heads for one sentence of the table:
 classify the relation from its encoder [CLS] row under the language mask,
-then decode the spans conditioned on the predicted relation.
+then decode the spans from its rows conditioned on the predicted relation.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from . import tensor as T
 from .aggregator import aggregate, build_aggregator_params
 from .config import ModelConfig, RunConfig
-from .corpus import SENTINEL_SPAN, Example, LanguageRegistry
+from .corpus import SENTINEL_SPAN, Example, LanguageRegistry, language_pools
 from .encoder import CONTENT_START, TokenizedSentence, Vocab, build_encoder_params, encode, tokenize
 from .errors import CheckpointError, ConfigError
 from .heads import (
@@ -52,10 +53,12 @@ from .heads import (
     relation_logits,
 )
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
-from .switcher import (
-    ROUTER_PARAMS, SwitchDecision, build_switcher_params, eval_decisions, switch_eval, switch_train,
-)
+from .switcher import ROUTER_PARAMS, build_switcher_params, eval_decisions, switch_eval, switch_train
 from .tensor import NEG_INF, Tensor
+
+# sentences of one language per switcher pass in prediction; bounds the
+# rows a pass gathers and switches
+_SWITCH_PASS = 64
 
 
 def sentence_ere_loss(relation_ce: Tensor, entity_ces: list[Tensor], alpha: float, beta: float) -> Tensor:
@@ -302,29 +305,34 @@ class Model:
     ) -> list[TriplePrediction]:
         """One prediction per example, in order. The examples are tokenized
         and encoded once, as one ``frozen_prefix`` table with one pass per
-        exact length, and from stage 2 on each language's top-k decision is
-        taken once; ``predict`` then runs the switcher and the heads of one
-        sentence at a time. Nothing here is differentiated, so no op records
-        a tape."""
+        exact length. From stage 2 on each language's top-k decision is taken
+        once, and ``switch_eval`` applies it to the real rows of at most
+        ``_SWITCH_PASS`` of that language's sentences per pass; the switched
+        rows overwrite their frozen ones in this call's table, which nothing
+        else holds. ``predict`` then runs the heads of one sentence at a
+        time. Nothing here is differentiated, so no op records a tape."""
         if not examples:
             return []
         entries = self.frozen_prefix([self.tokenize(ex) for ex in examples], len(examples))
-        decisions = eval_decisions(self.registry, self.cfg, top_k) if self.stage >= 2 else None
-        return [self.predict(entry, decisions, dump_scores) for entry in entries]
+        if self.stage >= 2:
+            decisions = eval_decisions(self.registry, self.cfg, top_k)
+            rows = entries[0].table.rows.data
+            for pool in language_pools(entries):
+                decision = decisions[pool[0].lang]
+                for c in range(0, len(pool), _SWITCH_PASS):
+                    part = pool[c : c + _SWITCH_PASS]
+                    idx = _row_spans(np.array([e.start for e in part]), np.array([e.length for e in part]))
+                    rows[idx] = switch_eval(Tensor(rows[idx]), decision, self.registry, self.cfg).data
+        return [self.predict(entry, dump_scores) for entry in entries]
 
-    def predict(
-        self, entry: PrefixEntry, decisions: list[SwitchDecision] | None, dump_scores: bool = False
-    ) -> TriplePrediction:
+    def predict(self, entry: PrefixEntry, dump_scores: bool = False) -> TriplePrediction:
         """Deterministic triple prediction for one entry of ``predict_all``'s
-        table, inside its no-tape scope; ``decisions`` holds each language's
-        top-k decision, or None before stage 2, which has no switcher. Spans
-        are reported in content-token coordinates so they compare directly
-        with gold spans."""
+        table, inside its no-tape scope, whose rows are already switched from
+        stage 2 on; only the heads run here. Spans are reported in
+        content-token coordinates so they compare directly with gold spans."""
         ts = entry.ts
         pooled = T.narrow(entry.table.pooled, 0, entry.index, 1)
         features = T.narrow(entry.table.rows, 0, entry.start, entry.length)
-        if decisions is not None:
-            features = switch_eval(features, decisions[ts.lang], self.registry, self.cfg)
         logits = relation_logits(pooled, self.registry).data.reshape(-1)
         relation = masked_argmax_relation(logits, self.languages.schema.allowed[ts.lang])
         if relation == 0:

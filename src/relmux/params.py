@@ -8,13 +8,16 @@ Checkpoint files are single JSON documents: a version string, the resolved
 config snapshot, every named parameter as (shape, base64 little-endian float64
 payload), and an optional opaque ``extra`` section (optimizer moments, rng
 state) used to resume training at epoch boundaries. Serialization is byte
-deterministic: identical state produces identical files.
+deterministic: identical state produces identical files. A checkpoint is
+written to a temporary file beside it and then renamed over it, so a write
+that fails or is killed halfway leaves the previous checkpoint whole.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +124,13 @@ def save_checkpoint(path: str | Path, config: dict, registry: ParamRegistry, ext
     if extra is not None:
         doc["extra"] = extra
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text, encoding="utf-8")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict | None]:

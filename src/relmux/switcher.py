@@ -7,7 +7,8 @@ Training mixes all T sub-module outputs by their routing probabilities, which
 keeps the router differentiable; evaluation keeps only the k most probable
 sub-modules and renormalizes their weights, so k = T reproduces the training
 mix exactly. Routing depends on the language alone, so ``eval_decisions``
-decides every language's top-k set once and ``switch_eval`` applies one.
+decides every language's top-k set once, and ``switch_eval`` applies one
+decision to all of a language's rows in a pass.
 With identity routing every language owns one dedicated sub-module and the
 router parameters are unused.
 """
@@ -118,7 +119,9 @@ def switch_train(h: Tensor, lang, reg: ParamRegistry, cfg: ModelConfig) -> Tenso
 
 
 def switch_eval(h: Tensor, decision: SwitchDecision, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
-    """Evaluation mix over a decision's retained sub-modules with its renormalized weights."""
+    """Evaluation mix over a decision's retained sub-modules with its
+    renormalized weights, applied to every row of ``h``; each retained
+    sub-module runs once over all of them."""
     pairs: list[tuple[int, Tensor | float]] = [
         (t_idx, float(w)) for t_idx, w in zip(decision.retained, decision.weights)
     ]

@@ -116,6 +116,14 @@ class TestDrivers:
         with pytest.raises(ConfigError):
             run_ablation("bogus", corpus, cfg, tmp_path)
 
+    def test_unknown_name_leaves_no_directory(self, mini, tmp_path):
+        corpus, cfg = mini
+        from relmux.errors import ConfigError
+
+        with pytest.raises(ConfigError):
+            run_ablation("bogus", corpus, cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_shared_seeds_across_variants(self, mini, tmp_path):
         # the same seed drives every variant: two runs of the same sweep agree
         corpus, cfg = mini

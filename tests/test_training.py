@@ -2,6 +2,7 @@
 and the degenerate s=1 contract."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from relmux.encoder import build_encoder_params
 from relmux.errors import NumericsError
 from relmux.evaluation import evaluate_model
 from relmux.heads import ENTITY_KEYS, build_head_params, entity_scores, masked_argmax_relation, relation_logits
-from relmux.model import Model, sentence_ere_loss
+from relmux.model import _SWITCH_PASS, Model, sentence_ere_loss
 from relmux.optim import AdamW
 from relmux.params import ParamRegistry, load_checkpoint
 from relmux.switcher import (
@@ -584,6 +585,29 @@ class TestConditioningOnTrainedModel:
 
 
 class TestPredictComposition:
+    @staticmethod
+    def _assert_bitwise_the_composition(model, examples):
+        """Every prediction of ``examples``, at every k from stage 2 on, has
+        the relation logits and dumped entity scores of ``composed_predict``
+        bit for bit, and some predict a relation."""
+        top_ks = range(1, model.cfg.n_sub_modules + 1) if model.stage == 2 else [None]
+        scored = 0
+        for k in top_ks:
+            want = {ex.id: composed_predict(model, ex, k) for ex in examples}
+            preds = model.predict_all(examples, top_k=k, dump_scores=True)
+            assert [p.example_id for p in preds] == [ex.id for ex in examples]
+            for pred in preds:
+                logits, scores = want[pred.example_id]
+                assert pred.relation_logits.tobytes() == logits.tobytes()
+                if scores is None:
+                    assert pred.relation == 0 and pred.entity_scores is None
+                    continue
+                scored += 1
+                assert pred.entity_scores.keys() == scores.keys()
+                for key, value in scores.items():
+                    assert pred.entity_scores[key].tobytes() == value.tobytes(), key
+        assert scored > 0
+
     @pytest.mark.parametrize("stage", [1, 2])
     def test_predict_is_bitwise_the_straight_composition(self, stage):
         # the whole dev split goes through one table, so sentences of one
@@ -594,22 +618,21 @@ class TestPredictComposition:
         model.stage = stage
         lengths = [len(ex.tokens) for ex in corpus.dev]
         assert len(set(lengths)) < len(lengths)
-        top_ks = range(1, model.cfg.n_sub_modules + 1) if stage == 2 else [None]
-        scored = 0
-        for k in top_ks:
-            preds = model.predict_all(corpus.dev, top_k=k, dump_scores=True)
-            assert [p.example_id for p in preds] == [ex.id for ex in corpus.dev]
-            for ex, pred in zip(corpus.dev, preds):
-                logits, scores = composed_predict(model, ex, k)
-                assert pred.relation_logits.tobytes() == logits.tobytes()
-                if scores is None:
-                    assert pred.relation == 0 and pred.entity_scores is None
-                    continue
-                scored += 1
-                assert pred.entity_scores.keys() == scores.keys()
-                for key, want in scores.items():
-                    assert pred.entity_scores[key].tobytes() == want.tobytes(), key
-        assert scored > 0
+        self._assert_bitwise_the_composition(model, corpus.dev)
+
+    def test_languages_switched_over_several_passes_are_bitwise_the_composition(self):
+        # the dev split repeated until every language's sentences fill more
+        # than one switcher pass; each pass writes its rows back into the
+        # shared table, so a row switched twice or by another language's
+        # decision, or a pass that skips rows, shows as a changed score
+        corpus = tiny_corpus()
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=4)
+        model.stage = 2
+        per_lang = np.bincount([ex.lang for ex in corpus.dev])
+        assert per_lang.min() > 0
+        examples = corpus.dev * (_SWITCH_PASS // int(per_lang.min()) + 1)
+        assert (np.bincount([ex.lang for ex in examples]) > _SWITCH_PASS).all()
+        self._assert_bitwise_the_composition(model, examples)
 
     @pytest.mark.parametrize("routing", ["learned", "identity"])
     def test_eval_decisions_are_each_languages_top_k(self, routing):
@@ -679,6 +702,29 @@ class TestCheckpointRoundTrip:
         assert again.registry.names() == model.registry.names()
         for name, t in model.registry.items():
             assert again.registry[name].data.tobytes() == t.data.tobytes(), name
+
+    def test_save_failing_halfway_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        corpus = tiny_corpus()
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=3)
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        before = path.read_bytes()
+        model.stage = 2  # a checkpoint of other bytes
+        real_write_text = Path.write_text
+
+        def write_half(self, text, *a, **kw):
+            real_write_text(self, text[: len(text) // 2], *a, **kw)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half)
+        with pytest.raises(OSError):
+            model.save(path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+        monkeypatch.undo()
+        model.save(path)
+        assert path.read_bytes() != before
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_save_load_eval_reproduces_metrics(self, tmp_path):
         from relmux.evaluation import evaluate_model
