@@ -10,6 +10,8 @@ Subcommands cover the whole workflow:
 
 Every command is deterministic given (config, seed, inputs), writes its
 resolved config snapshot next to its outputs, and never mutates input files.
+A command creates its --out directory only once its inputs have passed every
+check that can reject them.
 Exit codes: 0 success, 2 usage/config error, 3 data validation error,
 4 numerical failure. The RELMUX_OUT_ROOT environment variable supplies the
 default parent directory for --out paths.
@@ -32,9 +34,9 @@ from .corpus import (
 )
 from .encoder import Vocab
 from .errors import ConfigError, DataValidationError, NumericsError, RelmuxError
-from .evaluation import dump_predictions, evaluate_model, export_router_heatmap, report_from_predictions, write_report
+from .evaluation import dump_predictions, evaluate_model, report_from_predictions, write_report
 from .model import Model
-from .training import TrainLog, run_summary, train_stage1, train_stage2
+from .training import TrainLog, run_summary, stage1_resume_state, train_stage1, train_stage2
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -65,10 +67,10 @@ def _load_lang_schema(langs_path: str, schema_path: str) -> LanguageRegistry:
 
 
 def cmd_generate(args) -> int:
-    out = _resolve_out(args.out)
     registry_in = _load_lang_schema(args.langs, args.schema or args.langs)
     gen = GeneratorConfig(no_relation_fraction=args.no_relation_fraction, family_share=args.family_share)
     corpus = generate_corpus(registry_in.languages, registry_in.schema, seed=args.seed, gen=gen)
+    out = _resolve_out(args.out)
     save_corpus(out, corpus)
     vocab = Vocab(corpus.registry.content_vocab(), corpus.registry.n_languages)
     vocab.save(out / "vocab.txt")
@@ -102,26 +104,30 @@ def _load_run(args) -> tuple[RunConfig, Corpus]:
     return cfg, load_corpus(cfg.corpus_dir)
 
 
-def cmd_train(args) -> int:
-    cfg, corpus = _load_run(args)
-    # stage 1 draws groups of concat_sentences languages, stage 2 groups of one
-    check_group_size(cfg.train.concat_sentences if args.stage == 1 else 1, len({ex.lang for ex in corpus.train}))
-    if args.stage == 1:
-        if args.resume:
-            model, snap, extra = Model.load(args.resume, corpus.registry)
-            if extra is None or extra.get("stage") != 1:
-                raise ConfigError("--resume for stage 1 expects a stage-1 training checkpoint")
-        else:
-            model, extra = Model.build(cfg.model, corpus.registry, init_seed=cfg.train.seed), None
-    else:
-        if not args.resume:
-            raise ConfigError("stage 2 requires --resume pointing at a stage-1 checkpoint")
-        model, snap, extra = Model.load(args.resume, corpus.registry)
-        if model.stage < 1:
-            raise ConfigError("--resume checkpoint has not completed stage 1")
-    # a sentence the model cannot take fails here, not after --out exists
+def _check_inputs(model: Model, corpus: Corpus, group_size: int) -> None:
+    """Reject a run that training would reject, before its --out exists: a
+    train split whose languages cannot fill groups of ``group_size``, or a
+    train or dev sentence that ``model`` cannot take."""
+    check_group_size(group_size, len({ex.lang for ex in corpus.train}))
     for ex in corpus.train + corpus.dev:
         model.tokenize(ex)
+
+
+def cmd_train(args) -> int:
+    cfg, corpus = _load_run(args)
+    extra = None
+    if args.resume:
+        model, _, extra = Model.load(args.resume, corpus.registry)
+        if args.stage == 1:
+            stage1_resume_state(extra)
+        elif model.stage < 1:
+            raise ConfigError("--resume checkpoint has not completed stage 1")
+    elif args.stage == 1:
+        model = Model.build(cfg.model, corpus.registry, init_seed=cfg.train.seed)
+    else:
+        raise ConfigError("stage 2 requires --resume pointing at a stage-1 checkpoint")
+    # stage 1 draws groups of concat_sentences languages, stage 2 groups of one
+    _check_inputs(model, corpus, cfg.train.concat_sentences if args.stage == 1 else 1)
     out = _resolve_out(cfg.out_dir)
     save_config_snapshot(cfg, out / "config_snapshot.json")
     log = TrainLog()
@@ -141,18 +147,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _resolve_out(args.out)
     corpus = load_corpus(args.corpus)
-    model, snap, _ = Model.load(args.ckpt, corpus.registry)
+    model, _, _ = Model.load(args.ckpt, corpus.registry)
     if args.topk is not None and not 1 <= args.topk <= model.cfg.n_sub_modules:
         raise ConfigError(f"--topk must be in [1, {model.cfg.n_sub_modules}]")
     examples = corpus.split(args.split)
     preds = model.predict_all(examples, top_k=args.topk, dump_scores=args.dump_scores)
     report = report_from_predictions(preds, examples, corpus.registry, model=model)
+    out = _resolve_out(args.out)
     write_report(report, out)
     dump_predictions(preds, examples, corpus.registry, out / "predictions.jsonl", include_scores=args.dump_scores)
-    if model.stage >= 2 and model.cfg.routing == "learned":
-        export_router_heatmap(model, out / "router_heatmap.csv")
     snapshot = {"ckpt": str(args.ckpt), "split": args.split, "topk": args.topk}
     (out / "eval_snapshot.json").write_text(json.dumps(snapshot, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     print(f"split={args.split} micro triple-F1 {report.overall.triple_f1:.4f} "
@@ -162,6 +166,8 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg, corpus = _load_run(args)
+    _check_inputs(Model.build(cfg.model, corpus.registry, init_seed=cfg.train.seed), corpus,
+                  cfg.train.concat_sentences)
     out = _resolve_out(cfg.out_dir)
     save_config_snapshot(cfg, out / "config_snapshot.json")
     rows = run_ablation(args.name, corpus, cfg, out, jobs=args.jobs)

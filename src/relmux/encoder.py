@@ -5,6 +5,9 @@ the two prepended specials. The encoder is token + learned position
 embeddings followed by pre-norm blocks (multi-head self-attention with PAD key
 masking, then a feed-forward, each with a residual). The pooled vector is the
 [CLS] row of the final hidden states, taken verbatim.
+
+A tokenized sentence holds only its real tokens. ``encode`` alone pads: it
+lays a batch out at its longest length and hands on the PAD key mask it builds.
 """
 
 from __future__ import annotations
@@ -72,8 +75,7 @@ class Vocab:
 class TokenizedSentence:
     example_id: str
     lang: int
-    input_ids: np.ndarray        # (m,) int
-    attention_mask: np.ndarray   # (m,) bool, False exactly on [PAD]
+    input_ids: np.ndarray        # (m,) int, real tokens only
     head_span: tuple[int, int]   # shifted, or sentinel
     tail_span: tuple[int, int]
     relation: int
@@ -113,7 +115,6 @@ def tokenize(example: Example, vocab: Vocab, max_len: int) -> TokenizedSentence:
         example_id=example.id,
         lang=example.lang,
         input_ids=np.asarray(ids, dtype=np.intp),
-        attention_mask=np.ones(len(ids), dtype=bool),
         head_span=shift(example.head_span),
         tail_span=shift(example.tail_span),
         relation=example.relation,
@@ -123,8 +124,9 @@ def tokenize(example: Example, vocab: Vocab, max_len: int) -> TokenizedSentence:
 
 @dataclass
 class EncoderOutput:
-    hidden: Tensor   # (n*m, d): the rows of n sentences of m positions
-    pooled: Tensor   # (n, d), each sentence's [CLS] row
+    hidden: Tensor          # (n*m, d): the rows of n sentences of m positions
+    pooled: Tensor          # (n, d), each sentence's [CLS] row
+    key_mask: np.ndarray    # (n, m) bool, False exactly on PAD
 
 
 def build_encoder_params(reg: ParamRegistry, cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> None:
@@ -159,26 +161,19 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> T
 
 
 def encode(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelConfig) -> EncoderOutput:
-    """Encode n sentences at once. Each is padded to the longest real (non-PAD)
-    length m; the row-wise ops run once over all n*m rows, attention runs per
-    sentence and head under a PAD key mask, and PAD rows are zeroed at the
-    end."""
-    vocab_size = reg["encoder.tok_emb"].shape[0]
-    reals = []
-    for ts in sentences:
-        if ts.input_ids.max() >= vocab_size:
-            raise DataValidationError(
-                f"token id {int(ts.input_ids.max())} out of vocabulary range {vocab_size}")
-        real = int(ts.attention_mask.sum())
-        if not ts.attention_mask[:real].all():
-            raise DataValidationError("attention mask must be contiguous: PAD only trails")
-        reals.append(real)
-    n, m = len(sentences), max(reals)
+    """Encode n sentences at once. Each is padded to the longest length m; the
+    row-wise ops run once over all n*m rows, attention runs per sentence and
+    head under the PAD key mask, and PAD rows are zeroed at the end."""
+    lengths = np.array([ts.length for ts in sentences])
+    n, m = len(sentences), int(lengths.max())
     positions = np.arange(m)
-    key_mask = positions < np.array(reals)[:, None]
+    key_mask = positions < lengths[:, None]
     ids = np.full((n, m), PAD_ID, dtype=np.intp)
-    for row, ts, real in zip(ids, sentences, reals):
-        row[:real] = ts.input_ids[:real]
+    for row, ts in zip(ids, sentences):
+        row[: ts.length] = ts.input_ids
+    vocab_size = reg["encoder.tok_emb"].shape[0]
+    if ids.max() >= vocab_size:
+        raise DataValidationError(f"token id {int(ids.max())} out of vocabulary range {vocab_size}")
     x = T.add(
         T.gather_rows(reg["encoder.tok_emb"], ids.reshape(-1)),
         T.gather_rows(reg["encoder.pos_emb"], np.tile(positions, n)),
@@ -197,5 +192,5 @@ def encode(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelCon
         x = T.add(x, ff)
     if not key_mask.all():
         x = T.mul(x, Tensor(key_mask.reshape(-1, 1).astype(np.float64)))
-    return EncoderOutput(hidden=x, pooled=T.gather_rows(x, np.arange(n) * m))
+    return EncoderOutput(hidden=x, pooled=T.gather_rows(x, np.arange(n) * m), key_mask=key_mask)
 

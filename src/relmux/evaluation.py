@@ -11,6 +11,8 @@ construction; the report writer still checks it and refuses to emit a
 violating report. With one prediction per sentence every micro-F1 here
 coincides with accuracy, so the whole report is built from one table of
 per-sentence outcomes.
+A report carries the router heatmap of a learned-routing stage-2 model, and
+the writer writes ``router_heatmap.csv`` exactly when the report carries one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Example, LanguageRegistry
-from .errors import CheckpointError, RelmuxError
+from .errors import RelmuxError
 from .heads import TriplePrediction
 from .switcher import router_matrix
 
@@ -172,43 +174,25 @@ def report_from_predictions(
         for k in keys
     }
 
-    router = None
-    heat_langs = None
+    router = heat_langs = None
     if model is not None and model.stage >= 2 and model.cfg.routing == "learned":
-        router, heat_langs = heatmap_with_language_order(model)
+        # router probabilities (T, N), language columns by resource size descending
+        langs = model.languages.languages
+        order = sorted(range(len(langs)), key=lambda i: (-langs[i].resource_size, langs[i].code))
+        router = router_matrix(model.registry, model.cfg)[:, order].tolist()
+        heat_langs = [langs[i].code for i in order]
     snapshot = model.config_snapshot() if model is not None else {}
     report = MetricsReport(
         per_language=per_language,
         overall=LanguageMetrics.from_outcomes(outcomes, gold),
         macro_avg=macro,
         relation_grid=relation_grid,
-        router_heatmap=None if router is None else [[float(x) for x in row] for row in router],
+        router_heatmap=router,
         heatmap_languages=heat_langs,
         config_snapshot=snapshot,
     )
     report.check_invariants()
     return report
-
-
-def heatmap_with_language_order(model) -> tuple[np.ndarray, list[str]]:
-    """Router probabilities (T, N) with language columns ordered by resource
-    size descending."""
-    matrix = router_matrix(model.registry, model.cfg)
-    langs = model.languages.languages
-    order = sorted(range(len(langs)), key=lambda i: (-langs[i].resource_size, langs[i].code))
-    return matrix[:, order], [langs[i].code for i in order]
-
-
-def export_router_heatmap(model, path: str | Path) -> np.ndarray:
-    """Write the selection-probability heatmap CSV for a stage-2 checkpoint."""
-    if model.stage < 2:
-        raise CheckpointError("router heatmap requires a stage-2 checkpoint; the router is untrained")
-    matrix, codes = heatmap_with_language_order(model)
-    lines = ["sub_module," + ",".join(codes)]
-    for t in range(matrix.shape[0]):
-        lines.append(f"sub_{t + 1}," + ",".join(repr(float(x)) for x in matrix[t]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return matrix
 
 
 def format_report_table(report: MetricsReport) -> str:
@@ -226,7 +210,8 @@ def format_report_table(report: MetricsReport) -> str:
 
 
 def write_report(report: MetricsReport, out_dir: str | Path) -> None:
-    """Persist the machine-readable report, the human table, and the grid CSV."""
+    """Persist the machine-readable report, the human table, the grid CSV,
+    and the router heatmap CSV when the report carries one."""
     report.check_invariants()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -240,6 +225,11 @@ def write_report(report: MetricsReport, out_dir: str | Path) -> None:
             cell = report.relation_grid[code][rel]
             grid_lines.append(f"{code},{rel},{repr(float(cell['f1']))},{cell['support']}")
     (out / "relation_grid.csv").write_text("\n".join(grid_lines) + "\n", encoding="utf-8")
+    if report.router_heatmap is not None:
+        heat_lines = ["sub_module," + ",".join(report.heatmap_languages)]
+        for t, row in enumerate(report.router_heatmap):
+            heat_lines.append(f"sub_{t + 1}," + ",".join(repr(float(x)) for x in row))
+        (out / "router_heatmap.csv").write_text("\n".join(heat_lines) + "\n", encoding="utf-8")
 
 
 def dump_predictions(

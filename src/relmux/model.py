@@ -1,11 +1,12 @@
-"""Full model assembly: parameter construction, forward pipelines, the joint
-loss, prediction, freeze plans, and checkpoint round-trips.
+"""Full model assembly: parameter construction, the stage switch, forward
+pipelines, the joint loss, prediction, and checkpoint round-trips.
+``enter_stage`` alone decides, by name prefix, what a training stage freezes.
 
 Both training stages and prediction share one forward, ``_forward``: encode n
 sentences in one pass, padded to the longest, then aggregate within each group
-of s consecutive sentences. Stage-1 training concatenates groups of sentences
-in different languages through the cross-sentence aggregator and trains
-everything jointly.
+of s consecutive sentences under the PAD key mask that ``encode`` built.
+Stage-1 training concatenates groups of sentences in different languages
+through the cross-sentence aggregator and trains everything jointly.
 
 Stage 2 freezes the encoder and the aggregator, so their output for a
 sentence never changes during the stage. ``frozen_prefix`` computes it once
@@ -69,12 +70,6 @@ def sentence_ere_loss(relation_ce: Tensor, entity_ces: list[Tensor], alpha: floa
     if entity_ces:
         loss = T.add(T.mul(T.add_n(entity_ces), alpha / 2.0), loss)
     return loss
-
-
-@dataclass
-class FreezePlan:
-    frozen: list[str]
-    trainable: list[str]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,15 +143,16 @@ class Model:
         build_head_params(registry, cfg, languages.n_relations, rng)
         return cls(cfg, languages, vocab, registry)
 
-    def stage2_freeze_plan(self) -> FreezePlan:
-        """Stage 2 freezes every ``encoder.`` and ``aggregator.`` parameter, and
-        under identity routing the router, whose tables are vestigial when every
-        language owns a sub-module; the rest trains. The two lists split the
-        registry by construction."""
-        router = ROUTER_PARAMS if self.cfg.routing == "identity" else ()
-        names = self.registry.names()
-        frozen = [n for n in names if n.startswith(("encoder.", "aggregator.")) or n in router]
-        return FreezePlan(frozen=frozen, trainable=[n for n in names if n not in frozen])
+    def enter_stage(self, stage: int) -> None:
+        """Enter training stage 1 or 2: stage 1 freezes the ``switcher.`` names,
+        which it never runs; stage 2 the ``encoder.`` and ``aggregator.`` names,
+        and under identity routing the router, whose tables are then vestigial.
+        Every other parameter trains."""
+        frozen = ("switcher.",) if stage == 1 else ("encoder.", "aggregator.")
+        router = ROUTER_PARAMS if stage == 2 and self.cfg.routing == "identity" else ()
+        self.stage = stage
+        self.registry.unfreeze_all()
+        self.registry.freeze(n for n in self.registry.names() if n.startswith(frozen) or n in router)
 
     # -- shared forward pieces --------------------------------------------
 
@@ -171,10 +167,8 @@ class Model:
         one length are never padded."""
         eo = encode(tss, self.registry, self.cfg)
         rows, d = eo.hidden.shape
-        m = rows // len(tss)
-        key_mask = np.arange(m) < np.array([ts.attention_mask.sum() for ts in tss])[:, None]
         groups = len(tss) // s
-        fused = aggregate(T.reshape(eo.hidden, (groups, s * m, d)), key_mask.reshape(groups, s * m),
+        fused = aggregate(T.reshape(eo.hidden, (groups, rows // groups, d)), eo.key_mask.reshape(groups, -1),
                           self.registry, self.cfg)
         return eo.pooled, T.reshape(fused, (rows, d))
 
@@ -259,10 +253,10 @@ class Model:
         length at a time, at most ``chunk`` of them per pass, so no PAD row
         is computed and how many share a pass does not change a value.
 
-        Nothing here turns the tape off: under stage 2's freeze plan no op
+        Nothing here turns the tape off: under stage 2's freezing no op
         records one, and a model with trainable encoder or aggregator
         parameters gets a table that passes their gradients on."""
-        lengths = np.array([int(ts.attention_mask.sum()) for ts in tss])
+        lengths = np.array([ts.length for ts in tss])
         order: list[int] = []
         pooled, rows = [], []
         for length in sorted(set(lengths.tolist())):
@@ -395,5 +389,7 @@ class Model:
             raise CheckpointError(f"checkpoint model config is malformed: {exc!r}") from None
         model = cls._assemble(cfg, languages, _NoDraw())
         model.registry.load_arrays(arrays)
-        model.stage = int(snap.get("stage", 0))
+        model.stage = snap.get("stage", 0)
+        if type(model.stage) is not int or model.stage not in (0, 1, 2):
+            raise CheckpointError(f"checkpoint stage must be 0, 1 or 2, got {model.stage!r}")
         return model, snap, extra

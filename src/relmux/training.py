@@ -1,13 +1,14 @@
 """Two-stage training orchestration.
 
-Stage 1 trains everything jointly on randomly concatenated groups of sentences
-in different languages. Stage 2 reloads the stage-1 checkpoint, freezes the
-encoder and the aggregator, and fine-tunes the switcher, the router, the
-relation classifier and embeddings, and the entity matrices on batches of
-single sentences, early-stopping on dev triple micro-F1 and keeping the best-dev
-parameters. Each stage tokenizes the train split once into per-language pools,
-and one sampler draws every batch: groups of s in stage 1, groups of one in
-stage 2.
+Stage 1 trains everything but the switcher jointly on randomly concatenated
+groups of sentences in different languages. Stage 2 reloads the stage-1
+checkpoint, freezes the encoder and the aggregator, and fine-tunes the
+switcher, the router, the relation classifier and embeddings, and the entity
+matrices on batches of single sentences, early-stopping on dev triple
+micro-F1 and keeping the best-dev parameters. Each stage starts with
+``Model.enter_stage``, which decides what it freezes, tokenizes the train
+split once into per-language pools, and draws every batch with one sampler:
+groups of s in stage 1, groups of one in stage 2.
 
 Right after freezing, stage 2 computes the frozen encoder and aggregator
 output of every training sentence once (``Model.frozen_prefix``, in passes of
@@ -88,6 +89,22 @@ def _restore_rng(state: dict) -> np.random.Generator:
     return rng
 
 
+def stage1_resume_state(extra) -> tuple[int, int, dict[str, np.ndarray], np.random.Generator]:
+    """The epochs done, optimizer step count and moments, and sampling rng of a
+    stage-1 checkpoint's ``extra`` section; any other section raises CheckpointError."""
+    if not isinstance(extra, dict) or extra.get("stage") != 1:
+        raise CheckpointError("resume checkpoint is not a stage-1 training state")
+    try:
+        counts = extra["epochs_done"], extra["step_count"]
+        if any(type(c) is not int or c < 0 for c in counts):
+            raise ValueError(f"epochs_done and step_count must be counts, got {counts}")
+        moments = decode_extra_arrays(extra["optimizer"])
+        rng = _restore_rng(json.loads(extra["rng_state"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"stage-1 resume state is malformed: {exc!r}") from None
+    return *counts, moments, rng
+
+
 def steps_per_epoch(n_train: int, sentences_per_batch: int) -> int:
     return max(1, int(np.ceil(n_train / sentences_per_batch)))
 
@@ -102,23 +119,19 @@ def train_stage1(
 ) -> Path:
     """Run (or resume) stage-1 training; writes stage1.ckpt at every epoch end."""
     run_cfg.validate()
+    resume = None if resume_extra is None else stage1_resume_state(resume_extra)
     tc = run_cfg.train
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log = log if log is not None else TrainLog()
     s = tc.concat_sentences
-    # stage 1 never runs the switcher, so its parameters sit frozen until stage 2
-    model.registry.unfreeze_all()
-    model.registry.freeze(n for n in model.registry.names() if n.startswith("switcher."))
+    model.enter_stage(1)
     opt = AdamW(model.registry, tc.lr, tc.weight_decay)
     rng = np.random.default_rng(np.random.PCG64(tc.seed + 1))
     start_epoch = 0
-    if resume_extra is not None:
-        if resume_extra.get("stage") != 1:
-            raise CheckpointError("resume checkpoint is not a stage-1 training state")
-        start_epoch = int(resume_extra["epochs_done"])
-        opt.load_state_arrays(decode_extra_arrays(resume_extra["optimizer"]), int(resume_extra["step_count"]))
-        rng = _restore_rng(json.loads(resume_extra["rng_state"]))
+    if resume is not None:
+        start_epoch, step_count, moments, rng = resume
+        opt.load_state_arrays(moments, step_count)
 
     def stage1_extra(epochs_done: int) -> dict:
         return {
@@ -133,7 +146,6 @@ def train_stage1(
     per_epoch = steps_per_epoch(len(corpus.train), s * tc.batch_size)
     step = opt.step_count
     ckpt_path = out / "stage1.ckpt"
-    model.stage = 1
     for epoch in range(start_epoch, tc.stage1_epochs):
         t0 = time.time()
         for _ in range(per_epoch):
@@ -162,12 +174,7 @@ def train_stage2(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log = log if log is not None else TrainLog()
-
-    plan = model.stage2_freeze_plan()
-    model.registry.unfreeze_all()
-    model.registry.freeze(plan.frozen)
-    model.stage = 2
-
+    model.enter_stage(2)
     opt = AdamW(model.registry, tc.lr, tc.weight_decay)
     rng = np.random.default_rng(np.random.PCG64(tc.seed + 2))
     pools = language_pools(model.frozen_prefix([model.tokenize(ex) for ex in corpus.train], tc.batch_size))
@@ -190,7 +197,7 @@ def train_stage2(
             # ties keep the most recent parameters
             best_f1 = dev_f1
             # only the trainable set moves; the frozen set needs no snapshot
-            best_arrays = {n: model.registry[n].data.copy() for n in plan.trainable}
+            best_arrays = {n: t.data.copy() for n, t in model.registry.items() if t.requires_grad}
         if improved:
             epochs_without_gain = 0
         else:

@@ -249,6 +249,38 @@ class TestTrain:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(prefix[code]), why
 
+    def test_rejected_generate_eval_and_ablate_leave_no_output_directory(self, workspace, tmp_path, capsys):
+        ws, langs, config = workspace
+        bad_langs = tmp_path / "bad.json"
+        bad_langs.write_text(json.dumps({"schema_version": 99}), encoding="utf-8")
+        valo = LANGS_DOC["languages"][0]
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps(dict(LANGS_DOC, languages=[valo], allowed={"valo": LANGS_DOC["allowed"]["valo"]})),
+                       encoding="utf-8")
+        assert main(["generate", "--langs", str(one), "--seed", "3", "--out", str(tmp_path / "one_corpus")]) == 0
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(dict(json.loads(config.read_text()), model=dict(RUN_DOC["model"], max_len=6))),
+                         encoding="utf-8")
+        stage2 = str(ws / "run" / "stage2.ckpt")
+        corpus = str(ws / "corpus")
+        runs = {
+            "generate from a malformed registry": (2, ["generate", "--langs", str(bad_langs)]),
+            "eval at a k over T": (2, ["eval", "--ckpt", stage2, "--corpus", corpus, "--topk", "99"]),
+            "eval of a missing checkpoint": (2, ["eval", "--ckpt", str(tmp_path / "none.ckpt"), "--corpus", corpus]),
+            "ablate with sentences longer than max_len": (3, ["ablate", "--name", "topk_sweep",
+                                                              "--config", str(short)]),
+            "ablate with one language for groups of two": (2, ["ablate", "--name", "topk_sweep", "--config",
+                                                               str(config), "--corpus", str(tmp_path / "one_corpus")]),
+        }
+        prefix = {2: "config error: ", 3: "data validation error: "}
+        for i, (why, (code, argv)) in enumerate(runs.items()):
+            capsys.readouterr()
+            out = tmp_path / f"r{i}"
+            assert main([*argv, "--out", str(out)]) == code, why
+            assert not out.exists(), why
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(prefix[code]), why
+
     def test_train_rerun_identical_checkpoint(self, workspace, tmp_path):
         ws, _, config = workspace
         rc = main(["train", "--stage", "1", "--config", str(config), "--out", str(tmp_path / "again")])
@@ -348,9 +380,42 @@ def _unknown_model_field(doc):
     doc["config"]["model"]["bogus"] = 1
 
 
+def _stage_word(doc):
+    doc["config"]["stage"] = "two"
+
+
+def _stage_list(doc):
+    doc["config"]["stage"] = [2]
+
+
+def _stage_null(doc):
+    doc["config"]["stage"] = None
+
+
+def _stage_fraction(doc):
+    doc["config"]["stage"] = 2.5
+
+
+def _extra_string(doc):
+    doc["extra"] = "stage 1"
+
+
+def _epochs_done_word(doc):
+    doc["extra"]["epochs_done"] = "x"
+
+
+def _rng_state_not_json(doc):
+    doc["extra"]["rng_state"] = "{not json"
+
+
+def _drop_optimizer(doc):
+    del doc["extra"]["optimizer"]
+
+
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize("corrupt", [_drop_params, _truncate_payload, _poison_value, _flatten_param,
-                                         _drop_param, _drop_model_config, _unknown_model_field])
+                                         _drop_param, _drop_model_config, _unknown_model_field,
+                                         _stage_word, _stage_list, _stage_null, _stage_fraction])
     def test_eval_exits_2_with_one_line(self, workspace, tmp_path, corrupt):
         ws, _, _ = workspace
         doc = json.loads((ws / "run" / "stage2.ckpt").read_text(encoding="utf-8"))
@@ -368,6 +433,21 @@ class TestCorruptCheckpoint:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: "), proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("corrupt", [_extra_string, _epochs_done_word, _rng_state_not_json, _drop_optimizer])
+    def test_stage1_resume_exits_2_with_one_line(self, workspace, tmp_path, capsys, corrupt):
+        ws, _, config = workspace
+        doc = json.loads((ws / "run" / "stage1.ckpt").read_text(encoding="utf-8"))
+        corrupt(doc)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["train", "--stage", "1", "--config", str(config), "--resume", str(bad),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert not (tmp_path / "r").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
 
 
 class TestInputImmutability:

@@ -1,5 +1,6 @@
-"""Tokenizer layout and span shifting, encoder shapes, PAD invariance, the
-independent forward-pass oracle, and the whole-encoder gradient check."""
+"""Tokenizer layout and span shifting, encoder shapes, PAD invariance of a
+short sentence batched with a longer one, the independent forward-pass
+oracle, and the whole-encoder gradient check."""
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from relmux.encoder import (
     CONTENT_START,
     PAD_ID,
     SEP_ID,
-    EncoderOutput,
-    TokenizedSentence,
     Vocab,
     build_encoder_params,
     encode,
@@ -27,36 +26,6 @@ from oracles import compare, oracle_encoder_forward
 
 
 CONTENT = [f"tok{i}" for i in range(10)]
-
-
-def pad_to(ts: TokenizedSentence, m: int) -> TokenizedSentence:
-    if m < ts.length:
-        raise DataValidationError(f"cannot pad length {ts.length} down to {m}")
-    if m == ts.length:
-        return ts
-    ids = np.concatenate([ts.input_ids, np.full(m - ts.length, PAD_ID, dtype=np.intp)])
-    mask = np.concatenate([ts.attention_mask, np.zeros(m - ts.length, dtype=bool)])
-    return TokenizedSentence(
-        example_id=ts.example_id,
-        lang=ts.lang,
-        input_ids=ids,
-        attention_mask=mask,
-        head_span=ts.head_span,
-        tail_span=ts.tail_span,
-        relation=ts.relation,
-        n_content=ts.n_content,
-    )
-
-
-def encode_one(ts: TokenizedSentence, reg: ParamRegistry, cfg: ModelConfig) -> EncoderOutput:
-    """One sentence through the batched encoder, over its real (non-PAD)
-    prefix only; exact-zero rows are spliced back in for PAD positions, so
-    padding can never perturb real rows."""
-    out = encode([ts], reg, cfg)
-    pad = ts.length - out.hidden.shape[0]
-    if pad:
-        out.hidden = T.concat([out.hidden, T.Tensor(np.zeros((pad, cfg.d_model)))], axis=0)
-    return out
 
 
 def make_vocab(n_langs=2):
@@ -80,6 +49,15 @@ def build_registry(cfg, seed=0):
     reg = ParamRegistry()
     build_encoder_params(reg, cfg, len(make_vocab()), np.random.default_rng(seed))
     return reg
+
+
+def short_and_long(cfg):
+    """A 6-token sentence and a 10-token one, so that batched after the long
+    one the short one is padded by 4 positions."""
+    vocab = make_vocab()
+    short = tokenize(make_example(), vocab, max_len=cfg.max_len)
+    long = tokenize(make_example(tokens=CONTENT[3:10], head=(0, 0), tail=(6, 6)), vocab, max_len=cfg.max_len)
+    return short, long
 
 
 class TestVocab:
@@ -126,11 +104,6 @@ class TestTokenize:
         content_ids = ts.input_ids[CONTENT_START : CONTENT_START + ts.n_content]
         assert tuple(v.tokens[i] for i in content_ids) == ex.tokens
 
-    def test_attention_mask_false_exactly_on_pad(self):
-        ts = pad_to(tokenize(make_example(), make_vocab(), max_len=16), 10)
-        assert ts.attention_mask.sum() == 6
-        assert not ts.attention_mask[6:].any()
-        assert (ts.input_ids[6:] == PAD_ID).all()
 
 
 class TestEncode:
@@ -138,40 +111,47 @@ class TestEncode:
         cfg = toy_cfg()
         reg = build_registry(cfg)
         ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        out = encode_one(ts, reg, cfg)
+        out = encode([ts], reg, cfg)
         assert out.hidden.shape == (ts.length, cfg.d_model)
         assert out.pooled.shape == (1, cfg.d_model)
 
     def test_pooled_is_cls_row_exactly(self):
         cfg = toy_cfg()
         reg = build_registry(cfg)
-        ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        out = encode_one(ts, reg, cfg)
-        assert np.array_equal(out.pooled.data[0], out.hidden.data[0])
+        short, long = short_and_long(cfg)
+        out = encode([long, short], reg, cfg)
+        assert np.array_equal(out.pooled.data, out.hidden.data[[0, long.length]])
+
+    def test_key_mask_false_exactly_on_pad(self):
+        cfg = toy_cfg()
+        reg = build_registry(cfg)
+        short, long = short_and_long(cfg)
+        out = encode([long, short], reg, cfg)
+        assert out.key_mask.tolist() == [[True] * 10, [True] * 6 + [False] * 4]
+        # PAD rows come out zero
+        assert not out.hidden.data[long.length + short.length :].any()
+        assert out.hidden.data[: long.length + short.length].all(axis=1).all()
 
     def test_changing_pad_id_never_changes_non_pad_rows(self):
+        # a PAD key gets attention weight exactly 0 and a PAD row is zeroed,
+        # so no value of the PAD embedding can reach any output row
         cfg = toy_cfg()
         reg = build_registry(cfg)
-        ts = pad_to(tokenize(make_example(), make_vocab(), max_len=cfg.max_len), 9)
-        base = encode_one(ts, reg, cfg).hidden.data[:6].copy()
-        hacked = ts.input_ids.copy()
-        hacked[-1] = 7  # arbitrary non-pad id in a PAD slot
-        ts2 = TokenizedSentence(
-            example_id=ts.example_id, lang=ts.lang, input_ids=hacked,
-            attention_mask=ts.attention_mask, head_span=ts.head_span, tail_span=ts.tail_span,
-            relation=ts.relation, n_content=ts.n_content,
-        )
-        out2 = encode_one(ts2, reg, cfg).hidden.data[:6]
-        assert np.array_equal(base, out2)
+        short, long = short_and_long(cfg)
+        base = encode([long, short], reg, cfg).hidden.data.copy()
+        reg["encoder.tok_emb"].data[PAD_ID] += np.random.default_rng(1).normal(0.0, 5.0, cfg.d_model)
+        assert np.array_equal(encode([long, short], reg, cfg).hidden.data, base)
 
     def test_pad_extension_invariance(self):
+        # the short sentence's rows, padded in a batch, are its rows encoded alone
         cfg = toy_cfg()
         reg = build_registry(cfg)
-        ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        out = encode_one(ts, reg, cfg)
-        padded = encode_one(pad_to(ts, 12), reg, cfg)
-        assert np.allclose(out.hidden.data, padded.hidden.data[: ts.length], atol=0)
-        assert np.array_equal(out.pooled.data, padded.pooled.data)
+        short, long = short_and_long(cfg)
+        alone = encode([short], reg, cfg)
+        batched = encode([long, short], reg, cfg)
+        rows = batched.hidden.data[long.length : long.length + short.length]
+        assert np.allclose(rows, alone.hidden.data, rtol=0, atol=1e-12)
+        assert np.allclose(batched.pooled.data[1], alone.pooled.data[0], rtol=0, atol=1e-12)
 
     def test_out_of_vocab_id_rejected(self):
         cfg = toy_cfg()
@@ -179,16 +159,16 @@ class TestEncode:
         ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
         ts.input_ids[2] = len(make_vocab()) + 5
         with pytest.raises(DataValidationError):
-            encode_one(ts, reg, cfg)
+            encode([ts], reg, cfg)
 
     def test_matches_straight_line_oracle(self):
         # single block, d=4, 2 heads, 3 content tokens, seeded weights
         cfg = toy_cfg(d_model=4, n_blocks=1, n_heads=2, ffn_dim=8)
         reg = build_registry(cfg, seed=42)
         ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        got = encode_one(ts, reg, cfg).hidden.data
+        got = encode([ts], reg, cfg).hidden.data
         params = {name: t.data for name, t in reg.items()}
-        want = oracle_encoder_forward(ts.input_ids, ts.attention_mask, params, cfg.n_blocks, cfg.n_heads)
+        want = oracle_encoder_forward(ts.input_ids, np.ones(ts.length, dtype=bool), params, cfg.n_blocks, cfg.n_heads)
         report = compare("encoder_forward", got, want, tolerance=1e-10)
         assert report.passed, report
 
@@ -200,7 +180,7 @@ class TestEncode:
         weights = T.Tensor(np.random.default_rng(5).normal(size=(ts.length, cfg.d_model)))
         params = dict(reg.items())
         report = finite_diff_check(
-            lambda: tsum(T.mul(encode_one(ts, reg, cfg).hidden, weights)),
+            lambda: tsum(T.mul(encode([ts], reg, cfg).hidden, weights)),
             params,
             max_coords=4,
             rng=np.random.default_rng(0),

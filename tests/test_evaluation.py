@@ -1,4 +1,5 @@
-"""Scoring rules, micro-F1, report structure and invariants, heatmap export."""
+"""Scoring rules, micro-F1, report structure and invariants, and the router
+heatmap a report carries and writes."""
 
 import numpy as np
 import pytest
@@ -6,13 +7,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relmux.corpus import Example, LanguageRegistry, LanguageSpec, RelationSchema
-from relmux.errors import CheckpointError
 from relmux.evaluation import (
     MetricsInvariantError,
     MetricsReport,
     LanguageMetrics,
     dump_predictions,
-    export_router_heatmap,
     format_report_table,
     micro_f1,
     report_from_predictions,
@@ -20,6 +19,7 @@ from relmux.evaluation import (
     write_report,
 )
 from relmux.heads import TriplePrediction
+from relmux.switcher import router_matrix
 
 from oracles import oracle_report
 
@@ -264,30 +264,43 @@ class TestReportAgainstOracle:
 
 
 class TestHeatmapExport:
-    def test_stage1_checkpoint_rejected(self, tmp_path):
+    @staticmethod
+    def _written_report(tmp_path, stage, routing="learned"):
+        """The report of a ``stage`` model of ``routing`` on two sentences,
+        written to ``tmp_path``."""
         from relmux.config import ModelConfig
         from relmux.model import Model
 
         registry = make_registry()
+        n = 2 if routing == "identity" else 3
         cfg = ModelConfig(d_model=8, n_blocks=1, n_heads=2, ffn_dim=16, max_len=16,
-                          n_sub_modules=3, sub_layers=(1, 1, 1), bottleneck=12, eval_top_k=2)
+                          n_sub_modules=n, sub_layers=(1,) * n, bottleneck=12, eval_top_k=2, routing=routing)
         model = Model.build(cfg, registry, init_seed=0)
-        model.stage = 1
-        with pytest.raises(CheckpointError, match="router"):
-            export_router_heatmap(model, tmp_path / "h.csv")
+        model.stage = stage
+        golds = [ex(id="e0", lang=0), ex(id="e1", lang=1)]
+        report = report_from_predictions([pred(g) for g in golds], golds, registry, model=model)
+        write_report(report, tmp_path)
+        return report, model
+
+    def test_untrained_router_writes_no_heatmap(self, tmp_path):
+        # only a learned router trained in stage 2 has a heatmap to show
+        for stage, routing in ((0, "learned"), (1, "learned"), (2, "identity")):
+            out = tmp_path / f"{stage}-{routing}"
+            report, _ = self._written_report(out, stage, routing)
+            assert report.router_heatmap is None and report.heatmap_languages is None
+            assert (out / "report.json").exists()
+            assert not (out / "router_heatmap.csv").exists(), (stage, routing)
 
     def test_heatmap_shape_columns_and_sums(self, tmp_path):
-        from relmux.config import ModelConfig
-        from relmux.model import Model
-
-        registry = make_registry()
-        cfg = ModelConfig(d_model=8, n_blocks=1, n_heads=2, ffn_dim=16, max_len=16,
-                          n_sub_modules=3, sub_layers=(1, 1, 1), bottleneck=12, eval_top_k=2)
-        model = Model.build(cfg, registry, init_seed=0)
-        model.stage = 2
-        matrix = export_router_heatmap(model, tmp_path / "h.csv")
+        report, model = self._written_report(tmp_path, 2)
+        matrix = np.array(report.router_heatmap)
         assert matrix.shape == (3, 2)
         assert np.allclose(matrix.sum(axis=0), 1.0, atol=1e-9)
-        lines = (tmp_path / "h.csv").read_text().splitlines()
-        assert lines[0] == "sub_module,valo,koru"  # resource-descending order
+        assert report.heatmap_languages == ["valo", "koru"]  # resource-descending order
+        lines = (tmp_path / "router_heatmap.csv").read_text().splitlines()
+        assert lines[0] == "sub_module,valo,koru"
         assert len(lines) == 4
+        # each cell is the router probability, written in full
+        probs = router_matrix(model.registry, model.cfg)
+        for t, line in enumerate(lines[1:]):
+            assert line == f"sub_{t + 1}," + ",".join(repr(float(x)) for x in probs[t])

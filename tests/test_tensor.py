@@ -384,8 +384,7 @@ class TestNoGrad:
 
         def step(predict_first: bool):
             model = Model.build(replace(cfg.model), corpus.registry, init_seed=2)
-            model.registry.freeze(model.stage2_freeze_plan().frozen)
-            model.stage = 2
+            model.enter_stage(2)
             batch = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train[:8]], cfg.train.batch_size)
             if predict_first:
                 model.predict_all(corpus.dev[:4])

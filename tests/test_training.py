@@ -12,7 +12,7 @@ from relmux.ablation import _restrict_corpus
 from relmux.config import ModelConfig, RunConfig, TrainConfig
 from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus, language_pools
 from relmux.aggregator import aggregate, build_aggregator_params
-from relmux.encoder import build_encoder_params
+from relmux.encoder import build_encoder_params, encode
 from relmux.errors import NumericsError
 from relmux.evaluation import evaluate_model
 from relmux.heads import ENTITY_KEYS, build_head_params, entity_scores, masked_argmax_relation, relation_logits
@@ -26,7 +26,6 @@ from relmux.training import TrainLog, _train_step, train_stage1, train_stage2
 from relmux.tensor import Tensor
 
 from gradcheck import finite_diff_check
-from test_encoder import encode_one
 
 
 def tiny_corpus(seed=5, sizes=(32, 28, 20)):
@@ -101,7 +100,7 @@ def composed_stage1_loss(model, groups, alpha, beta):
     losses = []
     for group in groups:
         tss = [model.tokenize(ex) for ex in group]
-        encoded = [encode_one(ts, reg, cfg) for ts in tss]
+        encoded = [encode([ts], reg, cfg) for ts in tss]
         total = sum(ts.length for ts in tss)
         h_cat = T.reshape(T.concat([eo.hidden for eo in encoded], axis=0), (1, total, cfg.d_model))
         fused = T.reshape(aggregate(h_cat, np.ones((1, total), dtype=bool), reg, cfg), (total, cfg.d_model))
@@ -122,8 +121,8 @@ def composed_stage2_loss(model, batch, alpha, beta):
     for ex in batch:
         ts = model.tokenize(ex)
         m, d = ts.length, cfg.d_model
-        eo = encode_one(ts, reg, cfg)
-        fused = T.reshape(aggregate(T.reshape(eo.hidden, (1, m, d)), ts.attention_mask[None], reg, cfg), (m, d))
+        eo = encode([ts], reg, cfg)
+        fused = T.reshape(aggregate(T.reshape(eo.hidden, (1, m, d)), np.ones((1, m), dtype=bool), reg, cfg), (m, d))
         feats = switch_train(fused, ts.lang, reg, cfg)
         losses.append(composed_sentence_loss(model, ts, eo.pooled, feats, alpha, beta))
     return batch_mean(losses)
@@ -137,8 +136,8 @@ def composed_predict(model, ex, k):
     reg, cfg = model.registry, model.cfg
     ts = model.tokenize(ex)
     m, d = ts.length, cfg.d_model
-    eo = encode_one(ts, reg, cfg)
-    feats = T.reshape(aggregate(T.reshape(eo.hidden, (1, m, d)), ts.attention_mask[None], reg, cfg), (m, d))
+    eo = encode([ts], reg, cfg)
+    feats = T.reshape(aggregate(T.reshape(eo.hidden, (1, m, d)), np.ones((1, m), dtype=bool), reg, cfg), (m, d))
     if model.stage >= 2:
         decision = top_k_decision(routing_probs(ts.lang, reg, cfg), cfg.eval_top_k if k is None else k)
         feats = switch_eval(feats, decision, reg, cfg)
@@ -254,7 +253,7 @@ class TestStage1:
     def test_batched_loss_matches_single_sentence_composition(self, s):
         corpus = tiny_corpus()
         model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=3)
-        model.registry.freeze([n for n in model.registry.names() if n.startswith("switcher.")])
+        model.enter_stage(1)
         # distinct languages within a group; no_relation and entity-bearing
         # sentences alternate
         pools = {}
@@ -305,7 +304,7 @@ class TestStage1:
         corpus = tiny_corpus()
         cfg = tiny_run_cfg(stage1_epochs=0)
         model = Model.build(cfg.model, corpus.registry, init_seed=0)
-        model.registry.freeze(model.stage2_freeze_plan().frozen)
+        model.enter_stage(2)
         train_stage1(model, corpus, cfg, tmp_path, TrainLog())
         frozen = [n for n, t in model.registry.items() if not t.requires_grad]
         assert sorted(frozen) == sorted(built_names(model, build_switcher_params))
@@ -353,7 +352,7 @@ class TestNoRelationBatch:
         corpus = tiny_corpus()
         cfg = tiny_run_cfg()
         model = Model.build(cfg.model, corpus.registry, init_seed=0)
-        model.registry.freeze(n for n in model.registry.names() if n.startswith("switcher."))
+        model.enter_stage(1)
         by_lang = self._no_relation_by_language(model, corpus)
         groups = [[by_lang[0][0], by_lang[1][0]], [by_lang[2][0], by_lang[0][1]]]
         before = model.registry["entity.hs.w_down"].data.copy()
@@ -367,8 +366,7 @@ class TestNoRelationBatch:
         corpus = tiny_corpus()
         cfg = tiny_run_cfg()
         model = Model.build(cfg.model, corpus.registry, init_seed=0)
-        model.registry.freeze(model.stage2_freeze_plan().frozen)
-        model.stage = 2
+        model.enter_stage(2)
         tss = [ts for group in self._no_relation_by_language(model, corpus).values() for ts in group]
         batch = model.frozen_prefix(tss, cfg.train.batch_size)
         names = ("entity.te.w_index", "switcher.sub0.layer0.w_up")
@@ -385,17 +383,18 @@ class TestStage2:
 
     def test_frozen_set_bitwise_identical(self, trained):
         corpus, cfg, model, stage1_arrays, ck1, ck2, log = trained
-        plan = model.stage2_freeze_plan()
-        for name in plan.frozen:
+        frozen = built_names(model, build_encoder_params, build_aggregator_params)
+        for name in frozen:
             assert np.array_equal(model.registry[name].data, stage1_arrays[name]), name
         # and the trainable set did move
-        moved = [n for n in plan.trainable
-                 if not np.array_equal(model.registry[n].data, stage1_arrays[n])]
+        moved = [n for n in model.registry.names()
+                 if n not in frozen and not np.array_equal(model.registry[n].data, stage1_arrays[n])]
         assert moved
 
-    def test_freeze_plan_partitions_registry(self):
+    def test_stage2_freezes_exactly_the_encoder_and_aggregator(self):
         # the encoder and aggregator freeze, the switcher and heads train;
-        # identity routing also freezes its vestigial router
+        # identity routing also freezes its vestigial router. Entering stage 2
+        # from stage 1 unfreezes the switcher.
         corpus = tiny_corpus()
         for routing in ("learned", "identity"):
             model = Model.build(replace(tiny_run_cfg().model, routing=routing), corpus.registry, init_seed=0)
@@ -405,9 +404,13 @@ class TestStage2:
                 router = ["switcher.lang_emb", "switcher.w_router"]
                 frozen += router
                 trainable = [n for n in trainable if n not in router]
-            plan = model.stage2_freeze_plan()
-            assert sorted(plan.frozen) == sorted(frozen), routing
-            assert sorted(plan.trainable) == sorted(trainable), routing
+            model.enter_stage(1)
+            model.enter_stage(2)
+            assert model.stage == 2
+            got = {flag: sorted(n for n, t in model.registry.items() if t.requires_grad == flag)
+                   for flag in (False, True)}
+            assert got[False] == sorted(frozen), routing
+            assert got[True] == sorted(trainable), routing
 
     def test_router_gradients_nonzero_after_first_step(self, trained):
         corpus, cfg, model, *_ = trained
@@ -452,8 +455,7 @@ def stage2_frozen_model(routing="learned", seed=6):
     """A tiny model frozen for stage 2, and its corpus."""
     corpus = tiny_corpus()
     model = Model.build(replace(tiny_run_cfg().model, routing=routing), corpus.registry, init_seed=seed)
-    model.registry.freeze(model.stage2_freeze_plan().frozen)
-    model.stage = 2
+    model.enter_stage(2)
     return corpus, model
 
 
