@@ -36,6 +36,7 @@ from .encoder import Vocab
 from .errors import ConfigError, DataValidationError, NumericsError, RelmuxError
 from .evaluation import dump_predictions, evaluate_model, report_from_predictions, write_report
 from .model import Model
+from .optim import check_moments
 from .training import TrainLog, run_summary, stage1_resume_state, train_stage1, train_stage2
 
 EXIT_USAGE = 2
@@ -119,7 +120,10 @@ def cmd_train(args) -> int:
     if args.resume:
         model, _, extra = Model.load(args.resume, corpus.registry)
         if args.stage == 1:
-            stage1_resume_state(extra)
+            # the moments must fit the parameters stage 1 trains
+            _, _, moments, _ = stage1_resume_state(extra)
+            model.enter_stage(1)
+            check_moments({n: t.shape for n, t in model.registry.items() if t.requires_grad}, moments)
         elif model.stage < 1:
             raise ConfigError("--resume checkpoint has not completed stage 1")
     elif args.stage == 1:

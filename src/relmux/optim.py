@@ -80,12 +80,20 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
-        """Copy saved moments into the buffers; every unfrozen parameter needs
-        both of its moments, each of the parameter's shape."""
+        """Copy saved moments into the buffers, once ``check_moments`` has
+        passed them for the unfrozen parameters."""
+        check_moments({name: view.shape for name, view in self.m.items()}, arrays)
         for moments, prefix in ((self.m, "m"), (self.v, "v")):
             for name, view in moments.items():
-                saved = arrays.get(f"{prefix}.{name}")
-                if saved is None or saved.shape != view.shape:
-                    raise CheckpointError(f"optimizer state {prefix}.{name} is missing or misshapen")
-                view[...] = saved
+                view[...] = arrays[f"{prefix}.{name}"]
         self.step_count = step_count
+
+
+def check_moments(shapes: dict[str, tuple[int, ...]], arrays: dict[str, np.ndarray]) -> None:
+    """Raise CheckpointError unless ``arrays`` holds both moments of every
+    parameter named in ``shapes``, each of that parameter's shape."""
+    for prefix in ("m", "v"):
+        for name, shape in shapes.items():
+            saved = arrays.get(f"{prefix}.{name}")
+            if saved is None or saved.shape != shape:
+                raise CheckpointError(f"optimizer state {prefix}.{name} is missing or misshapen")

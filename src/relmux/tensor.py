@@ -7,6 +7,14 @@ accumulates gradients into every reachable tensor with ``requires_grad``.
 Inside a ``no_grad()`` scope no op records anything: prediction computes the
 same values without building a tape that nothing would walk.
 
+Gradients are owned like this. A leaf (a tensor made directly, such as a
+parameter) copies its first gradient, so no two leaves' ``.grad`` share
+memory. An interior node (an op result with a backward closure) adopts the
+array it is handed. A closure may hand one array, or views of it, to several
+parents, so no gradient is ever written in place: a later contribution makes
+a new sum. ``backward()`` drops each interior gradient once the node's
+closure has passed it on, so only leaves keep gradients afterwards.
+
 The engine is deliberately small: matmul over batched matrices, elementwise
 arithmetic with broadcasting, row softmax, layer norm, relu/tanh, row-wise
 cross entropy, the split/merge of attention heads, and the
@@ -62,15 +70,20 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # a copy: backward closures hand the same array, or a view of
-            # it, to several parents, and a later += must not reach them all
+        """Add ``g`` to the gradient, writing into neither: both may be
+        shared. A leaf copies its first gradient; an interior node adopts it,
+        made C-contiguous if need be (``np.require`` keeps a 0-d array 0-d)."""
+        if self.grad is not None:
+            self.grad = self.grad + g
+        elif self._backward is None:
             self.grad = np.array(g, dtype=np.float64, order="C")
         else:
-            self.grad += g
+            self.grad = np.require(g, np.float64, "C")
 
     def backward(self) -> None:
-        """Reverse-mode sweep from this scalar through the recorded tape."""
+        """Reverse-mode sweep from this scalar through the recorded tape.
+        Each interior gradient is dropped once its closure has run, so only
+        leaves keep one, and a second sweep adds exactly one more pass."""
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
         order = _toposort(self)
@@ -78,6 +91,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def _as_tensor(x) -> Tensor:

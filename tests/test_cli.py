@@ -412,6 +412,16 @@ def _drop_optimizer(doc):
     del doc["extra"]["optimizer"]
 
 
+def _drop_moment(doc):
+    del doc["extra"]["optimizer"]["m.aggregator.w_k"]
+
+
+def _misshape_moment(doc):
+    # the payload stays whole, so only the check against the parameter's shape can catch it
+    rec = doc["extra"]["optimizer"]["v.aggregator.w_k"]
+    rec["shape"] = [int(np.prod(rec["shape"]))]
+
+
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize("corrupt", [_drop_params, _truncate_payload, _poison_value, _flatten_param,
                                          _drop_param, _drop_model_config, _unknown_model_field,
@@ -435,7 +445,8 @@ class TestCorruptCheckpoint:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "ev").exists()
 
-    @pytest.mark.parametrize("corrupt", [_extra_string, _epochs_done_word, _rng_state_not_json, _drop_optimizer])
+    @pytest.mark.parametrize("corrupt", [_extra_string, _epochs_done_word, _rng_state_not_json, _drop_optimizer,
+                                         _drop_moment, _misshape_moment])
     def test_stage1_resume_exits_2_with_one_line(self, workspace, tmp_path, capsys, corrupt):
         ws, _, config = workspace
         doc = json.loads((ws / "run" / "stage1.ckpt").read_text(encoding="utf-8"))

@@ -320,6 +320,69 @@ class TestTapeLinks:
         assert np.array_equal(b.grad, np.ones(3))
 
 
+class TestGradientLifetime:
+    """Only leaves hold gradients after backward(), no two leaves share
+    gradient memory, and no gradient array is ever written in place."""
+
+    def test_second_backward_over_one_tape_counts_once_more(self):
+        x = Tensor(1.5, requires_grad=True)
+        y = T.mul(T.mul(x, 2.0), 3.0)
+        y.backward()
+        assert x.grad == 6.0
+        y.backward()
+        assert x.grad == 12.0
+
+    def test_two_passes_give_twice_one_pass_bitwise(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        loss = tsum(T.layer_norm(T.tanh(T.matmul(x, w)), Tensor(np.ones(2)), Tensor(np.zeros(2))))
+        loss.backward()
+        once = {"x": x.grad.copy(), "w": w.grad.copy()}
+        loss.backward()
+        assert x.grad.tobytes() == (2.0 * once["x"]).tobytes()
+        assert w.grad.tobytes() == (2.0 * once["w"]).tobytes()
+
+    def test_only_leaves_keep_gradients(self, rng):
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        h = T.tanh(T.matmul(a, b))
+        loss = tsum(T.add(T.concat([h, T.mul(h, 2.0)], axis=0), T.repeat_rows(T.narrow(h, 0, 0, 1), 4)))
+        order = T._toposort(loss)
+        loss.backward()
+        interior = [node for node in order if node._backward is not None]
+        assert len(interior) >= 7 and all(node.grad is None for node in interior)
+        assert a.grad is not None and b.grad is not None
+
+    def test_leaves_never_share_gradient_memory(self, rng):
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        tsum(T.add(a, b)).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        # concat hands each leaf a contiguous view of one upstream array
+        parts = [Tensor(rng.normal(size=(n, 3)), requires_grad=True) for n in (1, 2, 3)]
+        tsum(T.concat(parts, axis=0)).backward()
+        for i, p in enumerate(parts):
+            for q in parts[i + 1:]:
+                assert not np.shares_memory(p.grad, q.grad)
+
+    def test_leaf_used_twice_gets_the_exact_sum(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w1, w2 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        tsum(T.add(T.mul(x, w1), T.mul(x, w2))).backward()
+        assert x.grad.tobytes() == (w1 + w2).tobytes()
+
+    def test_shared_gradient_survives_a_later_accumulation(self, rng):
+        a = Tensor(rng.normal(size=3), requires_grad=True)
+        p, q = T.tanh(a), T.relu(a)
+        g = np.ones(3)
+        T.add(p, q)._backward(g)
+        # both interior parents adopt the one upstream array, uncopied
+        assert np.shares_memory(p.grad, g) and np.shares_memory(q.grad, g)
+        p._accumulate(np.full(3, 2.0))
+        assert np.array_equal(p.grad, np.full(3, 3.0))
+        assert np.array_equal(q.grad, np.ones(3)) and np.array_equal(g, np.ones(3))
+
+
 class TestNoGrad:
     def test_results_of_trainable_inputs_record_no_tape(self, rng):
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
