@@ -7,8 +7,8 @@ token sees tokens of the other sentences; each output row stays at its
 sentence position. A batch stacks its groups as (G, s*m, d) and attends
 within every group in one pass. In stage-2 training and at evaluation time
 each sentence is a group of its own.
-Single head, scaled by 1/sqrt(d), no output projection or residual; PAD keys
-are masked out.
+It is ``tensor.attention`` with a single head, scaled by 1/sqrt(d), with no
+output projection or residual; PAD keys are masked out.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
-from .encoder import masked_attention
 from .params import ParamRegistry, matrix_init
 from .tensor import Tensor
 
@@ -35,9 +34,8 @@ def aggregate(hidden: Tensor, key_mask: np.ndarray, reg: ParamRegistry, cfg: Mod
     L rows are its member sentences concatenated along the token axis.
     ``key_mask`` is (n, L), False on PAD. Groups never attend to each other.
     Returns (n, L, d)."""
-    key_mask = np.asarray(key_mask, dtype=bool)
-    if hidden.data.ndim != 3 or key_mask.shape != hidden.shape[:2]:
-        raise ValueError(f"group boundary mismatch: hidden {hidden.shape} vs key mask {key_mask.shape}")
+    # Projecting the (n, L, d) stack, not its 2-D rows, gives the same forward
+    # bits but sums aggregator.w_*'s gradient over the n groups, not the rows
+    # at once: another order, and other stage-1 bits.
     q, k, v = (T.matmul(hidden, reg[name]) for name in AGGREGATOR_PARAMS)
-    return masked_attention(q, k, v, key_mask)
-
+    return T.attention(q, k, v, key_mask, 1)

@@ -2,9 +2,9 @@
 
 Input layout is [CLS] [LANG_n] content... [SEP] [PAD]..., gold spans shifted by
 the two prepended specials. The encoder is token + learned position
-embeddings followed by pre-norm blocks (multi-head self-attention with PAD key
-masking, then a feed-forward, each with a residual). The pooled vector is the
-[CLS] row of the final hidden states, taken verbatim.
+embeddings followed by pre-norm blocks (``tensor.attention`` with PAD key
+masking over n_heads heads, then a feed-forward, each with a residual). The
+pooled vector is the [CLS] row of the final hidden states, taken verbatim.
 
 A tokenized sentence holds only its real tokens. ``encode`` alone pads: it
 lays a batch out at its longest length and hands on the PAD key mask it builds.
@@ -149,17 +149,6 @@ def build_encoder_params(reg: ParamRegistry, cfg: ModelConfig, vocab_size: int, 
         reg.add(f"{p}.b_ffn2", np.zeros(d))
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray) -> Tensor:
-    """Scaled dot-product attention over a stack of b independent (m, k)
-    blocks, (b, m, k) each: one block per sequence and head. ``key_mask`` is
-    (b, m), False on keys that nobody may attend to (PAD); their scores get
-    NEG_INF added. Returns (b, m, k)."""
-    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
-    if not key_mask.all():
-        scores = T.add(scores, Tensor(np.where(key_mask, 0.0, NEG_INF)[:, None, :]))
-    return T.matmul(T.softmax_rows(scores), v)
-
-
 def encode(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelConfig) -> EncoderOutput:
     """Encode n sentences at once. Each is padded to the longest length m; the
     row-wise ops run once over all n*m rows, attention runs per sentence and
@@ -178,13 +167,11 @@ def encode(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelCon
         T.gather_rows(reg["encoder.tok_emb"], ids.reshape(-1)),
         T.gather_rows(reg["encoder.pos_emb"], np.tile(positions, n)),
     )
-    head_mask = np.repeat(key_mask, cfg.n_heads, axis=0)
     for b in range(cfg.n_blocks):
         p = f"encoder.block{b}"
         a = T.layer_norm(x, reg[f"{p}.ln1.gain"], reg[f"{p}.ln1.bias"])
         q, k, v = (T.add(T.matmul(a, reg[f"{p}.w_{name}"]), reg[f"{p}.b_{name}"]) for name in "qkv")
-        heads = (T.split_heads(t, n, cfg.n_heads) for t in (q, k, v))
-        attn = T.merge_heads(masked_attention(*heads, head_mask), cfg.n_heads)
+        attn = T.attention(q, k, v, key_mask, cfg.n_heads)
         x = T.add(x, T.add(T.matmul(attn, reg[f"{p}.w_o"]), reg[f"{p}.b_o"]))
         f = T.layer_norm(x, reg[f"{p}.ln2.gain"], reg[f"{p}.ln2.bias"])
         ff = T.add(T.matmul(f, reg[f"{p}.w_ffn1"]), reg[f"{p}.b_ffn1"])

@@ -16,8 +16,8 @@ a new sum. ``backward()`` drops each interior gradient once the node's
 closure has passed it on, so only leaves keep gradients afterwards.
 
 The engine is deliberately small: matmul over batched matrices, elementwise
-arithmetic with broadcasting, row softmax, layer norm, relu/tanh, row-wise
-cross entropy, the split/merge of attention heads, and the
+arithmetic with broadcasting, row softmax, masked multi-head attention as one
+node, layer norm, relu/tanh, row-wise cross entropy, and the
 slicing/concatenation plumbing the model needs. No higher-order derivatives.
 """
 
@@ -208,16 +208,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose expects at least 2 axes, got {a.shape}")
-    out = Tensor(np.swapaxes(a.data, -1, -2).copy(), _needs_grad(a), (a,), "transpose")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(np.swapaxes(g, -1, -2))
-    return out
-
-
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice along one axis (gradient scattered back, rest zero)."""
     if a.data.ndim != 2 or axis not in (0, 1):
@@ -309,36 +299,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return out
 
 
-def split_heads(a: Tensor, n_seq: int, n_heads: int) -> Tensor:
-    """Rows of ``n_seq`` stacked sequences, (n_seq*m, n_heads*k), to one
-    (m, k) block per sequence and head: (n_seq*n_heads, m, k). Head h owns
-    columns [h*k, (h+1)*k), the layout merge_heads restores."""
-    if a.data.ndim != 2 or a.shape[0] % n_seq or a.shape[1] % n_heads:
-        raise ShapeError(f"cannot split {a.shape} into {n_seq} sequences of {n_heads} heads")
-    rows, d = a.shape
-    m, k = rows // n_seq, d // n_heads
-    split = a.data.reshape(n_seq, m, n_heads, k).transpose(0, 2, 1, 3).reshape(n_seq * n_heads, m, k)
-    out = Tensor(split, _needs_grad(a), (a,), "split_heads")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(
-            g.reshape(n_seq, n_heads, m, k).transpose(0, 2, 1, 3).reshape(rows, d))
-    return out
-
-
-def merge_heads(a: Tensor, n_heads: int) -> Tensor:
-    """Inverse of split_heads: (n_seq*n_heads, m, k) to (n_seq*m, n_heads*k)."""
-    if a.data.ndim != 3 or a.shape[0] % n_heads:
-        raise ShapeError(f"cannot merge {a.shape} over {n_heads} heads")
-    blocks, m, k = a.shape
-    n_seq = blocks // n_heads
-    merged = a.data.reshape(n_seq, n_heads, m, k).transpose(0, 2, 1, 3).reshape(n_seq * m, n_heads * k)
-    out = Tensor(merged, _needs_grad(a), (a,), "merge_heads")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(
-            g.reshape(n_seq, m, n_heads, k).transpose(0, 2, 1, 3).reshape(a.shape))
-    return out
-
-
 def add_n(tensors: list[Tensor]) -> Tensor:
     """n-ary sum of same-shape tensors; keeps the tape shallow for batch losses."""
     if not tensors:
@@ -375,24 +335,76 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the trailing dimension, stabilized by max subtraction.
+def _softmax_(s: np.ndarray, op: str) -> np.ndarray:
+    """Row softmax over the trailing axis, written into ``s``; NaN raises."""
+    if np.isnan(s).any():
+        raise NumericsError(f"{op}: NaN in input")
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
-    Rows are nonnegative and sum to 1 within accumulated rounding. NaN input
-    raises NumericsError rather than propagating.
-    """
+
+def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return (g - (g * p).sum(axis=-1, keepdims=True)) * p
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Softmax over the trailing dimension, stabilized by max subtraction: rows
+    are nonnegative and sum to 1 within rounding. NaN input raises."""
     if a.data.ndim < 1 or a.shape[-1] < 1:
         raise ShapeError(f"softmax_rows needs a trailing dimension, got {a.shape}")
-    if np.isnan(a.data).any():
-        raise NumericsError("softmax_rows: NaN in input")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax_(a.data.copy(), "softmax_rows")
     out = Tensor(p, _needs_grad(a), (a,), "softmax_rows")
+    if out.requires_grad:
+        out._backward = lambda g: a._accumulate(_softmax_grad(g, p))
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, n_heads: int) -> Tensor:
+    """Masked scaled dot-product attention as one tape node. ``q``, ``k`` and
+    ``v`` share one shape, (n*m, d) or (n, m, d): n sequences of m rows.
+    ``key_mask`` is (n, m), False on PAD keys, whose scores get NEG_INF. Head
+    h owns columns [h*d/n_heads, (h+1)*d/n_heads) and attends within its own
+    sequence, scaled by 1/sqrt(d/n_heads). Returns q's shape. The backward is
+    FlashAttention's closed form untiled (arXiv:2205.14135); both passes run
+    the ufuncs of separate matmul, scale, mask and softmax ops in their order,
+    so the bits are those ops'."""
+    key_mask = np.asarray(key_mask, dtype=bool)
+    layouts = (key_mask.size,), key_mask.shape
+    if not q.shape == k.shape == v.shape or key_mask.ndim != 2 or q.shape[:-1] not in layouts:
+        raise ShapeError(f"sequence boundary mismatch: q, k, v {q.shape}, {k.shape}, {v.shape}, mask {key_mask.shape}")
+    (n, m), d = key_mask.shape, q.shape[-1]
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"cannot split {d} columns into {n_heads} heads")
+    hd = d // n_heads
+
+    def split(x):  # rows to one (m, hd) block per sequence and head
+        return x.reshape(n, m, n_heads, hd).transpose(0, 2, 1, 3).reshape(n * n_heads, m, hd)
+
+    def merge(x):  # the inverse of split, back to q's shape
+        return x.reshape(n, n_heads, m, hd).transpose(0, 2, 1, 3).reshape(q.shape)
+
+    qh, vh = split(q.data), split(v.data)
+    kT = split(k.data).swapaxes(-1, -2).copy()
+    scale = np.asarray(1.0 / np.sqrt(hd))
+    p = qh @ kT
+    p *= scale
+    if not key_mask.all():
+        p += np.repeat(np.where(key_mask, 0.0, NEG_INF), n_heads, axis=0)[:, None, :]
+    _softmax_(p, "attention")
+    out = Tensor(merge(p @ vh), _needs_grad(q, k, v), (q, k, v), "attention")
 
     def _bw(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        a._accumulate((g - dot) * p)
+        g = split(g)
+        dp = g @ vh.swapaxes(-1, -2)
+        if v.requires_grad:
+            v._accumulate(merge(p.swapaxes(-1, -2) @ g))
+        ds = _softmax_grad(dp, p) * scale
+        if q.requires_grad:
+            q._accumulate(merge(ds @ kT.swapaxes(-1, -2)))
+        if k.requires_grad:
+            k._accumulate(merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
 
     out._backward = _bw if out.requires_grad else None
     return out

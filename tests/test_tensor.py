@@ -13,7 +13,7 @@ from relmux import tensor as T
 from relmux.errors import CheckpointError, NumericsError
 from relmux.optim import AdamW
 from relmux.params import ParamRegistry
-from relmux.tensor import ShapeError, Tensor
+from relmux.tensor import NEG_INF, ShapeError, Tensor
 
 from gradcheck import finite_diff_check, tsum
 from oracles import oracle_adamw_step, oracle_cross_entropy
@@ -199,38 +199,100 @@ class TestCrossEntropy:
             T.cross_entropy(Tensor([np.nan, 0.0]), 1)
 
 
-class TestHeads:
-    def test_split_heads_layout(self, rng):
-        # 2 sequences of 3 positions, 2 heads of 2 columns
-        x = rng.normal(size=(6, 4))
-        split = T.split_heads(Tensor(x), 2, 2).data
-        assert split.shape == (4, 3, 2)
-        for seq in range(2):
-            for head in range(2):
-                assert np.array_equal(split[seq * 2 + head], x[seq * 3:(seq + 1) * 3, head * 2:(head + 1) * 2])
+def composed_attention(q, k, v, key_mask, n_heads, g):
+    """Attention and its q, k, v gradients under the upstream gradient ``g``,
+    by the sequence of separate numpy steps that attention's composed tape
+    ops ran (head split, key transpose, scale, mask, softmax, two matmuls,
+    head merge), each array built as those ops built it."""
+    (n, m), d = key_mask.shape, q.shape[-1]
+    hd = d // n_heads
 
-    def test_merge_inverts_split(self, rng):
-        x = rng.normal(size=(6, 4))
-        assert np.array_equal(T.merge_heads(T.split_heads(Tensor(x), 2, 2), 2).data, x)
+    def split(x):
+        return x.reshape(n, m, n_heads, hd).transpose(0, 2, 1, 3).reshape(n * n_heads, m, hd)
 
-    def test_split_merge_gradients(self, rng):
-        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-        blocks = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(6, 6)))
+    def merge(x):
+        return x.reshape(n, n_heads, m, hd).transpose(0, 2, 1, 3).reshape(q.shape)
 
-        def f():
-            # split, mix each (sequence, head) block, merge back
-            mixed = T.matmul(T.matmul(T.split_heads(x, 2, 2), T.transpose(T.split_heads(x, 2, 2))), blocks)
-            return tsum(T.mul(T.merge_heads(mixed, 2), w))
+    qh, kh, vh = split(q), split(k), split(v)
+    kT = np.swapaxes(kh, -1, -2).copy()
+    scale = np.asarray(1.0 / np.sqrt(hd))
+    scores = (qh @ kT) * scale
+    scores = scores + np.where(np.repeat(key_mask, n_heads, axis=0), 0.0, NEG_INF)[:, None, :]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = merge(p @ vh)
+    go = split(g)
+    dp = go @ vh.swapaxes(-1, -2)
+    dv = merge(p.swapaxes(-1, -2) @ go)
+    ds = ((dp - (dp * p).sum(axis=-1, keepdims=True)) * p) * scale
+    dq = merge(ds @ kT.swapaxes(-1, -2))
+    dk = merge(np.swapaxes(qh.swapaxes(-1, -2) @ ds, -1, -2))
+    return out, dq, dk, dv
 
-        report = finite_diff_check(f, {"x": x, "blocks": blocks}, max_coords=24)
+
+class TestAttention:
+    # 2 sequences of 4 positions, the second with one PAD key; 2 heads of 3 columns
+    MASK = np.array([[True] * 4, [True] * 3 + [False]])
+
+    def qkv(self, rng, shape=(8, 6)):
+        return [Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3)]
+
+    def test_bitwise_equal_to_the_composed_ops(self, rng):
+        q, k, v = self.qkv(rng)
+        g = rng.normal(size=(8, 6))
+        tsum(T.mul(T.attention(q, k, v, self.MASK, 2), Tensor(g))).backward()
+        out, dq, dk, dv = composed_attention(q.data, k.data, v.data, self.MASK, 2, g)
+        assert np.array_equal(T.attention(q, k, v, self.MASK, 2).data, out)
+        for t, want in ((q, dq), (k, dk), (v, dv)):
+            assert np.array_equal(t.grad, want)
+
+    def test_gradient_vs_finite_differences(self, rng):
+        q, k, v = self.qkv(rng)
+        w = Tensor(rng.normal(size=(8, 6)))
+        report = finite_diff_check(lambda: tsum(T.mul(T.attention(q, k, v, self.MASK, 2), w)),
+                                   {"q": q, "k": k, "v": v}, max_coords=24)
         assert report.max_rel_error < 1e-6
 
-    def test_indivisible_split_rejected(self):
+    def test_pad_keys_get_exactly_zero_gradient(self, rng):
+        q, k, v = self.qkv(rng)
+        tsum(T.mul(T.attention(q, k, v, self.MASK, 2), Tensor(rng.normal(size=(8, 6))))).backward()
+        # row 7 is the second sequence's PAD position
+        assert np.array_equal(k.grad[7], np.zeros(6)) and np.array_equal(v.grad[7], np.zeros(6))
+        assert np.all(k.grad[:7] != 0.0) and np.all(v.grad[:7] != 0.0)
+
+    def test_head_column_layout(self, rng):
+        q, k, v = self.qkv(rng)
+        out = T.attention(q, k, v, self.MASK, 2).data
+        # head h is one-head attention over columns [3h, 3h+3) of each sequence alone
+        for seq in range(2):
+            rows = slice(seq * 4, seq * 4 + 4)
+            for head in range(2):
+                cols = slice(head * 3, head * 3 + 3)
+                alone = T.attention(*(Tensor(t.data[rows, cols]) for t in (q, k, v)), self.MASK[seq:seq + 1], 1)
+                assert np.array_equal(out[rows, cols], alone.data)
+        # the same rows stacked as (n, m, d) give the same bits in that shape
+        stacked = T.attention(*(Tensor(t.data.reshape(2, 4, 6)) for t in (q, k, v)), self.MASK, 2)
+        assert np.array_equal(stacked.data, out.reshape(2, 4, 6))
+
+    def test_shapes_rejected(self):
+        x = Tensor(np.zeros((8, 6)))
         with pytest.raises(ShapeError):
-            T.split_heads(Tensor(np.zeros((5, 4))), 2, 2)
+            T.attention(x, x, Tensor(np.zeros((8, 4))), self.MASK, 2)
+        with pytest.raises(ShapeError, match="boundary"):
+            T.attention(x, x, x, np.ones((3, 2), dtype=bool), 2)
+        with pytest.raises(ShapeError, match="boundary"):
+            T.attention(*(Tensor(np.zeros((4, 2, 6))),) * 3, self.MASK, 2)
         with pytest.raises(ShapeError):
-            T.merge_heads(Tensor(np.zeros((3, 2, 2))), 2)
+            T.attention(x, x, x, self.MASK, 4)
+        # a ShapeError is a ValueError
+        with pytest.raises(ValueError):
+            T.attention(x, x, x, self.MASK, 0)
+
+    def test_nan_score_raises_numerics_error(self, rng):
+        q, k, v = self.qkv(rng)
+        q.data[2, 1] = np.nan
+        with pytest.raises(NumericsError, match="NaN"):
+            T.attention(q, k, v, self.MASK, 2)
 
 
 class TestPlumbingOps:
