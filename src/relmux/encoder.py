@@ -8,6 +8,10 @@ pooled vector is the [CLS] row of the final hidden states, taken verbatim.
 
 A tokenized sentence holds only its real tokens. ``encode`` alone pads: it
 lays a batch out at its longest length and hands on the PAD key mask it builds.
+PAD rows are left as the blocks compute them, never zeroed, because nothing
+reads them: a PAD key gets attention weight exactly 0 here and in the
+aggregator, the entity scorers add NEG_INF at every non-content position, and
+the relation head reads only [CLS]. So a PAD row's gradient is exactly 0.
 """
 
 from __future__ import annotations
@@ -85,9 +89,8 @@ class TokenizedSentence:
     def length(self) -> int:
         return int(self.input_ids.shape[0])
 
-    def content_position_mask(self, m: int | None = None) -> np.ndarray:
-        """Additive mask: 0 on content positions, NEG_INF on specials and padding."""
-        m = m or self.length
+    def content_position_mask(self, m: int) -> np.ndarray:
+        """Additive mask over m positions: 0 on content, NEG_INF on specials and padding."""
         mask = np.full(m, NEG_INF)
         mask[CONTENT_START : CONTENT_START + self.n_content] = 0.0
         return mask
@@ -151,8 +154,9 @@ def build_encoder_params(reg: ParamRegistry, cfg: ModelConfig, vocab_size: int, 
 
 def encode(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelConfig) -> EncoderOutput:
     """Encode n sentences at once. Each is padded to the longest length m; the
-    row-wise ops run once over all n*m rows, attention runs per sentence and
-    head under the PAD key mask, and PAD rows are zeroed at the end."""
+    row-wise ops run once over all n*m rows, and attention runs per sentence
+    and head under the PAD key mask. PAD rows come out as computed: no reader
+    takes a value or passes a gradient through them (see the module doc)."""
     lengths = np.array([ts.length for ts in sentences])
     n, m = len(sentences), int(lengths.max())
     positions = np.arange(m)
@@ -177,7 +181,5 @@ def encode(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelCon
         ff = T.add(T.matmul(f, reg[f"{p}.w_ffn1"]), reg[f"{p}.b_ffn1"])
         ff = T.add(T.matmul(T.relu(ff), reg[f"{p}.w_ffn2"]), reg[f"{p}.b_ffn2"])
         x = T.add(x, ff)
-    if not key_mask.all():
-        x = T.mul(x, Tensor(key_mask.reshape(-1, 1).astype(np.float64)))
     return EncoderOutput(hidden=x, pooled=T.gather_rows(x, np.arange(n) * m), key_mask=key_mask)
 

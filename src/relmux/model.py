@@ -15,11 +15,12 @@ real aggregator rows, packed back to back. It runs ``_forward`` over
 sentences of one exact length at a time, so no PAD is involved, and over at
 most a batch's worth of them per pass, which bounds the pass's activations.
 On the benchmark corpus (seed 101) the table holds 10,032 rows for 1,074
-sentences, 5.7 MB of float64 at d = 64 with the [CLS] rows. A stage-2 step gathers its
-sentences' rows from the table and runs the switcher's training mix and the
-entity scorers over those real rows only; the entity cross entropy alone
-lays the scores out padded, with NEG_INF off each sentence's rows. Both
-stages share one joint loss, ``_ere_loss``.
+sentences, 5.7 MB of float64 at d = 64 with the [CLS] rows. A stage-2 step
+gathers its sentences' [CLS] rows, and the real rows of only its
+relation-bearing sentences, which are all the entity scorers read; the
+switcher's training mix and the entity scorers run over those rows alone.
+The entity cross entropy alone lays the scores out padded, with NEG_INF off
+each sentence's rows. Both stages share one joint loss, ``_ere_loss``.
 
 Prediction reads the same kind of table, built per call over the examples
 to predict and recording no tape: ``predict_all`` encodes them once, one
@@ -101,7 +102,7 @@ class PrefixEntry:
 def _row_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The row indices ``start .. start + length - 1`` of each span, back to back."""
     ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+    return np.arange(lengths.sum()) + np.repeat(starts - (ends - lengths), lengths)
 
 
 class _NoDraw:
@@ -115,12 +116,12 @@ class _NoDraw:
 
 
 class Model:
-    def __init__(self, cfg: ModelConfig, languages: LanguageRegistry, vocab: Vocab, registry: ParamRegistry, stage: int = 0):
+    def __init__(self, cfg: ModelConfig, languages: LanguageRegistry, vocab: Vocab, registry: ParamRegistry):
         self.cfg = cfg
         self.languages = languages
         self.vocab = vocab
         self.registry = registry
-        self.stage = stage
+        self.stage = 0
 
     # -- construction ------------------------------------------------------
 
@@ -195,14 +196,14 @@ class Model:
         alpha: float, beta: float, stats: dict | None,
     ) -> Tensor:
         """Joint loss averaged over n sentences. ``pooled_encoder`` holds their
-        (n, d) encoder [CLS] rows and ``features`` their rows back to back,
-        ``lengths[i]`` of them for sentence i: stage 1's padded rows, or stage
-        2's real ones. The relation term is one row-wise cross entropy over
-        all n. The entity scorers run over the rows of the sentences that bear
-        a relation; each entity key is one cross entropy over those sentences,
-        their scores laid out one row per sentence: as they come when the
-        lengths are equal, else scattered into (n_b, longest length) with
-        NEG_INF off each sentence's rows."""
+        (n, d) encoder [CLS] rows. ``features`` holds the rows of only the
+        sentences that bear a relation, back to back, ``lengths[i]`` of them
+        for the i-th such sentence: stage 1's padded rows, or stage 2's real
+        ones. The relation term is one row-wise cross entropy over all n. The
+        entity scorers run over ``features``; each entity key is one cross
+        entropy over the bearing sentences, their scores laid out one row per
+        sentence: as they come when the lengths are equal, else scattered
+        into (n_b, longest length) with NEG_INF off each sentence's rows."""
         n = len(tss)
         allowed = self.languages.schema.allowed
         for ts in tss:
@@ -212,17 +213,14 @@ class Model:
         entity_ces = []
         bearing = np.flatnonzero(rels)
         if bearing.size:
-            lens = lengths[bearing]
-            if bearing.size < n:
-                features = T.gather_rows(features, _row_spans((np.cumsum(lengths) - lengths)[bearing], lens))
             # Equal lengths (stage 1's padded rows) take the equal-share path:
             # a gather per row would give the same values, but would sum
             # relation.emb's gradient in another order.
-            equal = bool((lens == lens[0]).all())
-            scores = self._entity_scores([tss[i] for i in bearing], features, rels[bearing], None if equal else lens)
+            equal = bool((lengths == lengths[0]).all())
+            scores = self._entity_scores([tss[i] for i in bearing], features, rels[bearing], None if equal else lengths)
             if not equal:
-                m = int(lens.max())
-                slots = _row_spans(np.arange(bearing.size) * m, lens)
+                m = int(lengths.max())
+                slots = _row_spans(np.arange(bearing.size) * m, lengths)
                 scores = {key: T.scatter_rows(t, slots, bearing.size * m, NEG_INF) for key, t in scores.items()}
             golds = np.array([tss[i].head_span + tss[i].tail_span for i in bearing])
             entity_ces = [T.cross_entropy(scores[key], golds[:, j]) for j, key in enumerate(ENTITY_KEYS)]
@@ -244,7 +242,11 @@ class Model:
             raise ValueError("stage-1 concatenation groups must all have the same size")
         tss = [ts for group in groups for ts in group]
         pooled, fused = self._forward(tss, s)
-        lengths = np.full(len(tss), fused.shape[0] // len(tss))
+        m = fused.shape[0] // len(tss)
+        bearing = np.flatnonzero([ts.relation for ts in tss])
+        lengths = np.full(bearing.size, m)
+        if bearing.size < len(tss):
+            fused = T.gather_rows(fused, _row_spans(bearing * m, lengths))
         return self._ere_loss(tss, pooled, fused, lengths, alpha, beta, stats)
 
     def frozen_prefix(self, tss: list[TokenizedSentence], chunk: int) -> list[PrefixEntry]:
@@ -278,18 +280,19 @@ class Model:
         self, batch: list[PrefixEntry], alpha: float, beta: float, stats: dict | None = None
     ) -> Tensor:
         """Mean joint loss over single sentences of one ``frozen_prefix``
-        table: their real rows through the switcher's training mix, each row
-        under its sentence's language, then the heads."""
+        table: every [CLS] row to the relation head, and only the
+        relation-bearing sentences' real rows through the switcher's training
+        mix, each row under its sentence's language, to the entity heads."""
         table = batch[0].table
         if any(entry.table is not table for entry in batch):
             raise ValueError("a stage-2 batch must come from one frozen-prefix table")
-        tss = [entry.ts for entry in batch]
-        lengths = np.array([entry.length for entry in batch])
         pooled = T.gather_rows(table.pooled, [entry.index for entry in batch])
-        rows = T.gather_rows(table.rows, _row_spans(np.array([entry.start for entry in batch]), lengths))
-        langs = np.repeat([ts.lang for ts in tss], lengths)
-        switched = switch_train(rows, langs, self.registry, self.cfg)
-        return self._ere_loss(tss, pooled, switched, lengths, alpha, beta, stats)
+        bearing = [entry for entry in batch if entry.ts.relation]
+        lengths = np.array([entry.length for entry in bearing], dtype=np.intp)
+        rows = T.gather_rows(table.rows, _row_spans(np.array([entry.start for entry in bearing]), lengths))
+        if bearing:
+            rows = switch_train(rows, np.repeat([entry.lang for entry in bearing], lengths), self.registry, self.cfg)
+        return self._ere_loss([entry.ts for entry in batch], pooled, rows, lengths, alpha, beta, stats)
 
     # -- prediction --------------------------------------------------------
 

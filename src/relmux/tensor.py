@@ -1,11 +1,15 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Every value in the model (parameters and activations) is a Tensor wrapping a
-row-major numpy float64 array. Operations record a backward closure; calling
-``backward()`` on a scalar walks the tape in reverse topological order and
-accumulates gradients into every reachable tensor with ``requires_grad``.
-Inside a ``no_grad()`` scope no op records anything: prediction computes the
-same values without building a tape that nothing would walk.
+row-major numpy float64 array. ``Tensor()`` makes only leaves. Every op
+returns through ``_result``, which holds the one rule for what joins the
+tape: a result links its inputs and its backward closure only when grad mode
+is on and some input requires a gradient; otherwise it is a leaf that still
+carries its op's name. Calling ``backward()`` on a scalar walks the tape in
+reverse topological order and accumulates gradients into every reachable
+tensor with ``requires_grad``. Inside a ``no_grad()`` scope no op records
+anything: prediction computes the same values without building a tape that
+nothing would walk.
 
 Gradients are owned like this. A leaf (a tensor made directly, such as a
 parameter) copies its first gradient, so no two leaves' ``.grad`` share
@@ -44,15 +48,13 @@ class ShapeError(ValueError):
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), op: str = "leaf"):
+    def __init__(self, data, requires_grad: bool = False):
+        """A leaf of the tape; an op's result is made by ``_result``."""
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.op = op
-        # A result that needs no gradient is a leaf of the tape: nothing
-        # upstream of it can receive a gradient through it, so backward()
-        # never has to walk that far.
-        self._parents = _parents if requires_grad else ()
+        self.op = "leaf"
+        self._parents = ()
         self._backward = None
 
     @property
@@ -138,13 +140,18 @@ def no_grad():
         _grad_enabled = saved
 
 
-def _needs_grad(*tensors: Tensor) -> bool:
-    if not _grad_enabled:
-        return False
-    for t in tensors:
-        if t.requires_grad:
-            return True
-    return False
+def _result(data, parents: tuple, op: str, backward) -> Tensor:
+    """The result of ``op`` over ``parents``, linked to them and to the
+    ``backward`` closure only when grad mode is on and some parent requires a
+    gradient. Otherwise it is a leaf: nothing upstream of it can receive a
+    gradient through it, so backward() never walks that far."""
+    out = Tensor(data)
+    out.op = op
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = backward
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -161,7 +168,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data, _needs_grad(a, b), (a, b), "add")
 
     def _bw(g):
         if a.requires_grad:
@@ -169,14 +175,12 @@ def add(a: Tensor, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(a.data + b.data, (a, b), "add", _bw)
 
 
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise (broadcasting) product; also covers scaling by a float."""
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data, _needs_grad(a, b), (a, b), "mul")
 
     def _bw(g):
         if a.requires_grad:
@@ -184,8 +188,7 @@ def mul(a: Tensor, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(a.data * b.data, (a, b), "mul", _bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -196,7 +199,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data @ b.data
     except ValueError:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}") from None
-    out = Tensor(data, _needs_grad(a, b), (a, b), "matmul")
 
     def _bw(g):
         if a.requires_grad:
@@ -204,8 +206,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(data, (a, b), "matmul", _bw)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -215,22 +216,19 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     if start < 0 or start + length > a.shape[axis]:
         raise ShapeError(f"narrow [{start}:{start + length}) out of range for {a.shape} axis {axis}")
     sl = (slice(start, start + length), slice(None)) if axis == 0 else (slice(None), slice(start, start + length))
-    out = Tensor(a.data[sl].copy(), _needs_grad(a), (a,), "narrow")
 
     def _bw(g):
         full = np.zeros_like(a.data)
         full[sl] = g
         a._accumulate(full)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(a.data[sl].copy(), (a,), "narrow", _bw)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ShapeError("concat of empty list")
     datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=axis), _needs_grad(*tensors), tuple(tensors), "concat")
 
     def _bw(g):
         offset = 0
@@ -241,8 +239,7 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
                 t._accumulate(g[sl])
             offset += length
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(np.concatenate(datas, axis=axis), tuple(tensors), "concat", _bw)
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
@@ -253,15 +250,13 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         raise ShapeError("gather_rows expects a flat index list")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"gather_rows index out of range for table {table.shape}")
-    out = Tensor(table.data[idx], _needs_grad(table), (table,), "gather_rows")
 
     def _bw(g):
         full = np.zeros_like(table.data)
         np.add.at(full, idx, g)
         table._accumulate(full)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(table.data[idx], (table,), "gather_rows", _bw)
 
 
 def scatter_rows(a: Tensor, indices, rows: int, fill: float) -> Tensor:
@@ -275,10 +270,7 @@ def scatter_rows(a: Tensor, indices, rows: int, fill: float) -> Tensor:
         raise ShapeError(f"scatter_rows index out of range for {rows} rows")
     data = np.full((rows,) + a.shape[1:], fill)
     data[idx] = a.data
-    out = Tensor(data, _needs_grad(a), (a,), "scatter_rows")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g[idx])
-    return out
+    return _result(data, (a,), "scatter_rows", lambda g: a._accumulate(g[idx]))
 
 
 def repeat_rows(a: Tensor, n: int) -> Tensor:
@@ -286,17 +278,12 @@ def repeat_rows(a: Tensor, n: int) -> Tensor:
     gradient sums back over the copies."""
     if a.data.ndim != 2:
         raise ShapeError(f"repeat_rows expects shape (k, d), got {a.shape}")
-    out = Tensor(np.repeat(a.data, n, axis=0), _needs_grad(a), (a,), "repeat_rows")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g.reshape(a.shape[0], n, a.shape[1]).sum(axis=1))
-    return out
+    return _result(np.repeat(a.data, n, axis=0), (a,), "repeat_rows",
+                   lambda g: a._accumulate(g.reshape(a.shape[0], n, a.shape[1]).sum(axis=1)))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.reshape(shape).copy(), _needs_grad(a), (a,), "reshape")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g.reshape(a.shape))
-    return out
+    return _result(a.data.reshape(shape).copy(), (a,), "reshape", lambda g: a._accumulate(g.reshape(a.shape)))
 
 
 def add_n(tensors: list[Tensor]) -> Tensor:
@@ -308,31 +295,23 @@ def add_n(tensors: list[Tensor]) -> Tensor:
         if t.shape != tensors[0].shape:
             raise ShapeError(f"add_n shape mismatch: {t.shape} vs {tensors[0].shape}")
         acc += t.data
-    out = Tensor(acc, _needs_grad(*tensors), tuple(tensors), "add_n")
 
     def _bw(g):
         for t in tensors:
             if t.requires_grad:
                 t._accumulate(g)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(acc, tuple(tensors), "add_n", _bw)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), _needs_grad(a), (a,), "relu")
-    if out.requires_grad:
-        # subgradient 0 at exactly 0
-        out._backward = lambda g: a._accumulate(g * (a.data > 0.0))
-    return out
+    # subgradient 0 at exactly 0
+    return _result(np.maximum(a.data, 0.0), (a,), "relu", lambda g: a._accumulate(g * (a.data > 0.0)))
 
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
-    out = Tensor(t, _needs_grad(a), (a,), "tanh")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(g * (1.0 - t * t))
-    return out
+    return _result(t, (a,), "tanh", lambda g: a._accumulate(g * (1.0 - t * t)))
 
 
 def _softmax_(s: np.ndarray, op: str) -> np.ndarray:
@@ -355,10 +334,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     if a.data.ndim < 1 or a.shape[-1] < 1:
         raise ShapeError(f"softmax_rows needs a trailing dimension, got {a.shape}")
     p = _softmax_(a.data.copy(), "softmax_rows")
-    out = Tensor(p, _needs_grad(a), (a,), "softmax_rows")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(_softmax_grad(g, p))
-    return out
+    return _result(p, (a,), "softmax_rows", lambda g: a._accumulate(_softmax_grad(g, p)))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, n_heads: int) -> Tensor:
@@ -393,7 +369,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, n_heads: int) -> Tensor
     if not key_mask.all():
         p += np.repeat(np.where(key_mask, 0.0, NEG_INF), n_heads, axis=0)[:, None, :]
     _softmax_(p, "attention")
-    out = Tensor(merge(p @ vh), _needs_grad(q, k, v), (q, k, v), "attention")
 
     def _bw(g):
         g = split(g)
@@ -406,11 +381,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, n_heads: int) -> Tensor
         if k.requires_grad:
             k._accumulate(merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(merge(p @ vh), (q, k, v), "attention", _bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row standardization followed by an elementwise affine map."""
     d = x.shape[-1]
     if d < 2:
@@ -423,9 +397,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
     mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     y = xc * inv
-    out = Tensor(gain.data * y + bias.data, _needs_grad(x, gain, bias), (x, gain, bias), "layer_norm")
 
     def _bw(g):
         if gain.requires_grad:
@@ -438,8 +411,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
             m2 = (gy * y).sum(axis=-1, keepdims=True) / d
             x._accumulate((gy - m1 - y * m2) * inv)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(gain.data * y + bias.data, (x, gain, bias), "layer_norm", _bw)
 
 
 def cross_entropy(logits: Tensor, gold) -> Tensor:
@@ -463,12 +435,10 @@ def cross_entropy(logits: Tensor, gold) -> Tensor:
     total = e.sum(axis=-1)
     p = e / total[:, None]
     loss = -(shifted[rows, gold] - np.log(total)).sum()
-    out = Tensor(loss, _needs_grad(logits), (logits,), "cross_entropy")
 
     def _bw(g):
         d = p.copy()
         d[rows, gold] -= 1.0
         logits._accumulate((float(g) * d).reshape(logits.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(loss, (logits,), "cross_entropy", _bw)

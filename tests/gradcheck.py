@@ -15,15 +15,13 @@ from typing import Callable
 
 import numpy as np
 
+from relmux import tensor as T
 from relmux.tensor import Tensor
 
 
 def tsum(a: Tensor) -> Tensor:
     """The sum of every entry of ``a``, as a scalar on the tape."""
-    out = Tensor(a.data.sum(), a.requires_grad, (a,), "sum")
-    if out.requires_grad:
-        out._backward = lambda g: a._accumulate(np.full_like(a.data, float(g)))
-    return out
+    return T._result(a.data.sum(), (a,), "sum", lambda g: a._accumulate(np.full_like(a.data, float(g))))
 
 
 @dataclass

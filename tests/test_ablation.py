@@ -69,7 +69,7 @@ class TestDrivers:
             scored += 1
             # the entity scores read the mixed features, whatever the relation head reads
             want = model._entity_scores([ts], feats, [pred.relation])
-            content = ts.content_position_mask() == 0.0
+            content = ts.content_position_mask(ts.length) == 0.0
             for key, t in want.items():
                 gap = np.abs(pred.entity_scores[key] - t.data.reshape(-1))[content].max()
                 assert gap <= 1e-12, (key, gap)

@@ -104,6 +104,18 @@ class TestGenerate:
         for name in ("train.txt", "registry.json", "vocab.txt"):
             assert (tmp_path / "c" / name).read_bytes() == (ws / "corpus" / name).read_bytes()
 
+    def test_out_root_prefixes_relative_out_only(self, workspace, tmp_path, monkeypatch):
+        _, langs, _ = workspace
+        root, cwd = tmp_path / "root", tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("RELMUX_OUT_ROOT", str(root))
+        assert main(["generate", "--langs", str(langs), "--seed", "3", "--out", "rel"]) == 0
+        assert (root / "rel" / "train.txt").exists() and not (cwd / "rel").exists()
+        assert main(["generate", "--langs", str(langs), "--seed", "3", "--out", str(tmp_path / "abs")]) == 0
+        assert (tmp_path / "abs" / "train.txt").exists()
+        assert [p.name for p in root.iterdir()] == ["rel"] and not any(cwd.iterdir())
+
     def test_invalid_langs_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 99}), encoding="utf-8")

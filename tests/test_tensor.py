@@ -1,6 +1,7 @@
 """Tensor engine: forward values against hand arithmetic and oracles, gradients
 against central finite differences, and the optimizer contracts."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -380,6 +381,67 @@ class TestTapeLinks:
         loss.backward()
         assert np.array_equal(a.grad, np.full(3, 3.0))
         assert np.array_equal(b.grad, np.ones(3))
+
+
+# One call per public op, by name: the arrays of its tensor inputs, in the
+# order the op takes them, and the call that applies it to those tensors.
+_ARRAYS = np.random.default_rng(0)
+TAPE_RULE_CASES = {
+    "add": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=3)], T.add),
+    "mul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(2, 3))], T.mul),
+    "matmul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4))], T.matmul),
+    "narrow": ([_ARRAYS.normal(size=(4, 3))], lambda a: T.narrow(a, 0, 1, 2)),
+    "concat": ([_ARRAYS.normal(size=(1, 3)), _ARRAYS.normal(size=(2, 3))], lambda a, b: T.concat([a, b], axis=0)),
+    "gather_rows": ([_ARRAYS.normal(size=(4, 3))], lambda a: T.gather_rows(a, [2, 0, 2])),
+    "scatter_rows": ([_ARRAYS.normal(size=(2, 3))], lambda a: T.scatter_rows(a, [3, 1], 4, NEG_INF)),
+    "repeat_rows": ([_ARRAYS.normal(size=(2, 3))], lambda a: T.repeat_rows(a, 2)),
+    "reshape": ([_ARRAYS.normal(size=(2, 3))], lambda a: T.reshape(a, (3, 2))),
+    "add_n": ([_ARRAYS.normal(size=(2, 3)) for _ in range(3)], lambda *ts: T.add_n(list(ts))),
+    "relu": ([_ARRAYS.normal(size=(2, 3))], T.relu),
+    "tanh": ([_ARRAYS.normal(size=(2, 3))], T.tanh),
+    "softmax_rows": ([_ARRAYS.normal(size=(2, 3))], T.softmax_rows),
+    "attention": ([_ARRAYS.normal(size=(4, 4)) for _ in range(3)],
+                  lambda q, k, v: T.attention(q, k, v, np.array([[True, True], [True, False]]), 2)),
+    "layer_norm": ([_ARRAYS.normal(size=(2, 3)), np.ones(3), np.zeros(3)], T.layer_norm),
+    "cross_entropy": ([_ARRAYS.normal(size=(2, 3))], lambda z: T.cross_entropy(z, [0, 2])),
+}
+
+
+class TestTapeRule:
+    """Every op's result joins the tape exactly when grad mode is on and some
+    input requires a gradient; otherwise it is a leaf that keeps its op name."""
+
+    def test_cases_cover_every_public_op(self):
+        public = {
+            name for name, f in vars(T).items()
+            if not name.startswith("_") and inspect.isfunction(f) and f.__module__ == T.__name__
+            and inspect.signature(f, eval_str=True).return_annotation is Tensor
+        }
+        assert set(TAPE_RULE_CASES) == public
+
+    @pytest.mark.parametrize("name", sorted(TAPE_RULE_CASES))
+    def test_one_trainable_input_joins_the_tape(self, name):
+        arrays, op = TAPE_RULE_CASES[name]
+        for trainable in range(len(arrays)):
+            inputs = [Tensor(a, requires_grad=i == trainable) for i, a in enumerate(arrays)]
+            out = op(*inputs)
+            assert out.requires_grad and out._backward is not None and out.op == name
+            assert out._parents == tuple(inputs)
+
+    @pytest.mark.parametrize("name", sorted(TAPE_RULE_CASES))
+    def test_frozen_inputs_give_a_named_leaf(self, name):
+        arrays, op = TAPE_RULE_CASES[name]
+        out = op(*(Tensor(a) for a in arrays))
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert out.op == name
+
+    @pytest.mark.parametrize("name", sorted(TAPE_RULE_CASES))
+    def test_trainable_input_under_no_grad_gives_a_named_leaf(self, name):
+        arrays, op = TAPE_RULE_CASES[name]
+        with T.no_grad():
+            out = op(*(Tensor(a, requires_grad=True) for a in arrays))
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert out.op == name
 
 
 class TestGradientLifetime:

@@ -12,7 +12,7 @@ from relmux.ablation import _restrict_corpus
 from relmux.config import ModelConfig, RunConfig, TrainConfig
 from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus, language_pools
 from relmux.aggregator import aggregate, build_aggregator_params
-from relmux.encoder import build_encoder_params, encode
+from relmux.encoder import PAD_ID, build_encoder_params, encode
 from relmux.errors import NumericsError
 from relmux.evaluation import evaluate_model
 from relmux.heads import ENTITY_KEYS, build_head_params, entity_scores, masked_argmax_relation, relation_logits
@@ -86,7 +86,7 @@ def composed_sentence_loss(model, ts, pooled_encoder, feats, alpha, beta):
     entity_ces = []
     if ts.relation != 0:
         rel_emb = T.narrow(reg["relation.emb"], 0, ts.relation, 1)
-        scores = entity_scores(feats, rel_emb, ts.content_position_mask(), reg)
+        scores = entity_scores(feats, rel_emb, ts.content_position_mask(ts.length), reg)
         golds = ts.head_span + ts.tail_span
         entity_ces = [T.cross_entropy(scores[key], g) for key, g in zip(ENTITY_KEYS, golds)]
     return sentence_ere_loss(rel_ce, entity_ces, alpha, beta)
@@ -146,7 +146,7 @@ def composed_predict(model, ex, k):
     if relation == 0:
         return logits, None
     rel_emb = T.narrow(reg["relation.emb"], 0, relation, 1)
-    scores = entity_scores(feats, rel_emb, ts.content_position_mask(), reg)
+    scores = entity_scores(feats, rel_emb, ts.content_position_mask(ts.length), reg)
     return logits, {key: t.data.reshape(-1) for key, t in scores.items()}
 
 
@@ -277,6 +277,27 @@ class TestStage1:
         assert set(got_grads) == set(want_grads)
         for name, g in want_grads.items():
             assert np.allclose(got_grads[name], g, rtol=0.0, atol=1e-12), name
+
+    def test_pad_embedding_moves_no_loss_or_gradient(self):
+        # a PAD key gets attention weight exactly 0 in the encoder and the
+        # aggregator, the entity scorers mask every non-content position and
+        # the relation head reads only [CLS]: no PAD row's value is read
+        corpus = tiny_corpus()
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=3)
+        model.enter_stage(1)
+        groups = [[model.tokenize(ex) for ex in corpus.train[i : i + 2]] for i in range(0, 12, 2)]
+        tss = [ts for group in groups for ts in group]
+        assert len({ts.length for ts in tss}) > 1 and any(ts.relation for ts in tss)
+
+        def loss_and_grads():
+            model.registry.zero_grad()
+            loss = model.stage1_batch_loss(groups, 2.0, 1.0)
+            loss.backward()
+            return loss.data.tobytes(), {n: t.grad.tobytes() for n, t in model.registry.items() if t.grad is not None}
+
+        before = loss_and_grads()
+        model.registry["encoder.tok_emb"].data[PAD_ID] += np.random.default_rng(1).normal(0.0, 5.0, model.cfg.d_model)
+        assert loss_and_grads() == before
 
     def test_unequal_groups_rejected(self):
         corpus = tiny_corpus()
