@@ -34,19 +34,23 @@ def build_head_params(reg: ParamRegistry, cfg: ModelConfig, n_relations: int, rn
 
 
 def relation_logits(pooled: Tensor, reg: ParamRegistry) -> Tensor:
-    """Unmasked relation logits from the pooled vector (used for the training loss)."""
+    """Unmasked relation logits of pooled rows: (n, d) for the training loss,
+    or (n, 1, d) in prediction, which takes one product per row, bit for bit
+    what one sentence alone gets."""
     return T.matmul(pooled, reg["relation.w_cls"])
 
 
-def lang_relation_mask(allowed_row: np.ndarray) -> np.ndarray:
-    """Additive mask over relations: 0 where allowed, NEG_INF where unattested."""
-    return np.where(np.asarray(allowed_row, dtype=bool), 0.0, NEG_INF)
+def lang_relation_mask(allowed: np.ndarray, langs) -> np.ndarray:
+    """Additive mask, one row per entry of ``langs``: 0 where that language
+    attests a relation, NEG_INF where it does not."""
+    return np.where(np.asarray(allowed, dtype=bool)[langs], 0.0, NEG_INF)
 
 
-def masked_argmax_relation(logits: np.ndarray, allowed_row: np.ndarray) -> int:
-    masked = logits.reshape(-1) + lang_relation_mask(allowed_row)
+def masked_argmax_relation(logits: np.ndarray, allowed: np.ndarray, langs) -> np.ndarray:
+    """The predicted relation of each row of (n, R) ``logits``, among those
+    attested in the row's language ``langs[i]``."""
     # np.argmax already breaks ties toward the lower index
-    return int(np.argmax(masked))
+    return np.argmax(logits + lang_relation_mask(allowed, langs), axis=1)
 
 
 def check_gold_allowed(gold: int, allowed_row: np.ndarray, example_id: str) -> None:
@@ -60,38 +64,50 @@ def entity_scores(
     position_mask: np.ndarray,
     reg: ParamRegistry,
 ) -> dict[str, Tensor]:
-    """Four per-position score vectors of length m, specials masked to NEG_INF.
+    """Four per-position score columns, specials masked to NEG_INF.
 
     Each token feature is concatenated with the relation embedding, projected
     down, squashed by tanh, then projected to a scalar score. Several
-    sentences of equal length score at once: ``relation_emb`` holds one row
-    per sentence and ``features`` their stacked positions.
+    sentences score at once: ``relation_emb`` holds one row per sentence and
+    ``features`` their m stacked positions, as (m, d) with (m, 1) scores, or,
+    for sentences of one length L, as (g, L, d) with (g, L, 1) scores, whose
+    scalar projection takes one product per sentence, bit for bit what one
+    sentence alone gets.
     """
-    m = features.shape[0]
+    *lead, d = features.shape
     k = relation_emb.shape[0]
-    if relation_emb.data.ndim != 2 or relation_emb.shape[1] != features.shape[1] or m % k:
+    if len(lead) not in (1, 2) or relation_emb.data.ndim != 2 or relation_emb.shape[1] != d or lead[0] % k:
         raise T.ShapeError(f"relation embedding shape {relation_emb.shape} invalid for features {features.shape}")
-    paired = T.concat([features, T.repeat_rows(relation_emb, m // k)], axis=1)
-    mask = Tensor(np.asarray(position_mask, dtype=np.float64).reshape(m, 1))
+    m = features.data.size // d
+    flat = T.reshape(features, (m, d)) if len(lead) > 1 else features
+    paired = T.concat([flat, T.repeat_rows(relation_emb, m // k)], axis=1)
+    mask = Tensor(np.asarray(position_mask, dtype=np.float64).reshape(*lead, 1))
     scores: dict[str, Tensor] = {}
     for key in ENTITY_KEYS:
         down = T.tanh(T.matmul(paired, reg[f"entity.{key}.w_down"]))
+        if len(lead) > 1:
+            down = T.reshape(down, (*lead, d))
         scores[key] = T.add(T.matmul(down, reg[f"entity.{key}.w_index"]), mask)
     return scores
 
 
-def decode_spans(score_arrays: dict[str, np.ndarray]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Greedy span decode: start = argmax of the start scores, end = argmax of
-    the end scores restricted to positions >= start. Ties break low."""
+def decode_spans(score_arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy span decode of each row of (g, L) score arrays: start = argmax of
+    the start scores, end = argmax of the end scores restricted to positions
+    >= start. Ties break low. Returns the head and tail spans as (g, 2)
+    arrays of (start, end)."""
     spans = []
     for start_key, end_key in (("hs", "he"), ("ts", "te")):
-        start_scores = np.asarray(score_arrays[start_key]).reshape(-1)
-        end_scores = np.asarray(score_arrays[end_key]).reshape(-1)
-        if np.max(start_scores) <= NEG_INF or np.max(end_scores) <= NEG_INF:
+        start_scores = np.asarray(score_arrays[start_key])
+        end_scores = np.asarray(score_arrays[end_key])
+        if (start_scores.max(axis=1) <= NEG_INF).any() or (end_scores.max(axis=1) <= NEG_INF).any():
             raise DataValidationError("all positions masked; cannot decode a span")
-        start = int(np.argmax(start_scores))
-        end = start + int(np.argmax(end_scores[start:]))
-        spans.append((start, end))
+        start = np.argmax(start_scores, axis=1)
+        # -inf, not NEG_INF: a later position that itself scores NEG_INF must
+        # still beat every position before the start
+        before = np.arange(end_scores.shape[1]) < start[:, None]
+        end = np.argmax(np.where(before, -np.inf, end_scores), axis=1)
+        spans.append(np.stack([start, end], axis=1))
     return spans[0], spans[1]
 
 

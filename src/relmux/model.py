@@ -27,9 +27,12 @@ to predict and recording no tape: ``predict_all`` encodes them once, one
 pass per exact length. From stage 2 on it takes each language's top-k
 decision once and switches that language's real rows in a few passes of at
 most ``_SWITCH_PASS`` sentences, writing them back into the call's own
-table. ``predict`` then runs only the heads for one sentence of the table:
-classify the relation from its encoder [CLS] row under the language mask,
-then decode the spans from its rows conditioned on the predicted relation.
+table. The heads then run over whole arrays: one relation product over
+every [CLS] row and one masked argmax under each row's language, then entity
+scoring and span decoding for the sentences that predict a relation, in
+passes over at most ``_SWITCH_PASS`` sentences of one exact length. Every
+product is laid out so that each sentence gets the bits it gets alone.
+``predict`` only packages one sentence's outputs as a ``TriplePrediction``.
 """
 
 from __future__ import annotations
@@ -58,8 +61,9 @@ from .params import ParamRegistry, load_checkpoint, save_checkpoint
 from .switcher import ROUTER_PARAMS, build_switcher_params, eval_decisions, switch_eval, switch_train
 from .tensor import NEG_INF, Tensor
 
-# sentences of one language per switcher pass in prediction; bounds the
-# rows a pass gathers and switches
+# sentences per pass in prediction: of one language through the switcher,
+# or of one exact length through the entity heads; bounds the rows a pass
+# gathers and works on
 _SWITCH_PASS = 64
 
 
@@ -178,12 +182,13 @@ class Model:
     ) -> dict[str, Tensor]:
         """Entity scores of n sentences whose feature rows lie back to back,
         ``lengths[i]`` of them for sentence i, or an equal share each when
-        ``lengths`` is None, every row conditioned on the embedding of its
-        sentence's relation."""
+        ``lengths`` is None, then also as (n, m, d) blocks, every row
+        conditioned on the embedding of its sentence's relation."""
         emb = self.registry["relation.emb"]
         if lengths is None:
-            # entity_scores repeats each sentence's relation row over its rows
-            m = features.shape[0] // len(tss)
+            # entity_scores repeats each sentence's relation row over its m
+            # rows, stacked as (n*m, d) or (n, m, d)
+            m = features.data.size // (len(tss) * features.shape[-1])
             rel_emb = T.gather_rows(emb, relations)
             mask = np.concatenate([ts.content_position_mask(m) for ts in tss])
         else:
@@ -306,50 +311,63 @@ class Model:
         once, and ``switch_eval`` applies it to the real rows of at most
         ``_SWITCH_PASS`` of that language's sentences per pass; the switched
         rows overwrite their frozen ones in this call's table, which nothing
-        else holds. ``predict`` then runs the heads of one sentence at a
-        time. Nothing here is differentiated, so no op records a tape."""
+        else holds. The heads then run over whole arrays: one relation
+        product over every [CLS] row and one masked argmax under each row's
+        language; then, for the sentences that predict a relation, entity
+        scoring and span decoding in passes over at most ``_SWITCH_PASS``
+        sentences of one exact length. Each product gives every sentence
+        the bits it gets alone. ``predict`` then packages each example's
+        outputs. Nothing here is differentiated, so no op records a tape."""
         if not examples:
             return []
         entries = self.frozen_prefix([self.tokenize(ex) for ex in examples], len(examples))
+        rows = entries[0].table.rows.data
         if self.stage >= 2:
             decisions = eval_decisions(self.registry, self.cfg, top_k)
-            rows = entries[0].table.rows.data
             for pool in language_pools(entries):
                 decision = decisions[pool[0].lang]
                 for c in range(0, len(pool), _SWITCH_PASS):
                     part = pool[c : c + _SWITCH_PASS]
                     idx = _row_spans(np.array([e.start for e in part]), np.array([e.length for e in part]))
                     rows[idx] = switch_eval(Tensor(rows[idx]), decision, self.registry, self.cfg).data
-        return [self.predict(entry, dump_scores) for entry in entries]
+        pooled = entries[0].table.pooled.data[[e.index for e in entries], None]
+        logits = relation_logits(Tensor(pooled), self.registry).data[:, 0]
+        relations = masked_argmax_relation(logits, self.languages.schema.allowed, [e.lang for e in entries])
+        spans = np.tile(SENTINEL_SPAN * 2, (len(entries), 1))
+        dumped: list[dict[str, np.ndarray] | None] = [None] * len(entries)
+        bearing = np.flatnonzero(relations)
+        lengths = np.array([entries[i].length for i in bearing], dtype=np.intp)
+        for length in np.unique(lengths):
+            members = bearing[lengths == length]
+            for c in range(0, members.size, _SWITCH_PASS):
+                part = members[c : c + _SWITCH_PASS]
+                idx = _row_spans(np.array([entries[i].start for i in part]), np.full(part.size, length))
+                features = Tensor(rows[idx].reshape(part.size, length, -1))
+                scores = self._entity_scores([entries[i].ts for i in part], features, relations[part])
+                arrays = {key: t.data.reshape(part.size, length) for key, t in scores.items()}
+                spans[part] = np.concatenate(decode_spans(arrays), axis=1) - CONTENT_START
+                if dump_scores:
+                    for j, i in enumerate(part):
+                        dumped[i] = {key: a[j].copy() for key, a in arrays.items()}
+        return [self.predict(e, logits[i], relations[i], spans[i], dumped[i]) for i, e in enumerate(entries)]
 
-    def predict(self, entry: PrefixEntry, dump_scores: bool = False) -> TriplePrediction:
-        """Deterministic triple prediction for one entry of ``predict_all``'s
-        table, inside its no-tape scope, whose rows are already switched from
-        stage 2 on; only the heads run here. Spans are reported in
-        content-token coordinates so they compare directly with gold spans."""
-        ts = entry.ts
-        pooled = T.narrow(entry.table.pooled, 0, entry.index, 1)
-        features = T.narrow(entry.table.rows, 0, entry.start, entry.length)
-        logits = relation_logits(pooled, self.registry).data.reshape(-1)
-        relation = masked_argmax_relation(logits, self.languages.schema.allowed[ts.lang])
-        if relation == 0:
-            return TriplePrediction(
-                example_id=ts.example_id,
-                relation=0,
-                head_span=SENTINEL_SPAN,
-                tail_span=SENTINEL_SPAN,
-                relation_logits=logits,
-            )
-        scores = self._entity_scores([ts], features, [relation])
-        score_arrays = {key: t.data.reshape(-1).copy() for key, t in scores.items()}
-        head, tail = decode_spans(score_arrays)
+    def predict(
+        self, entry: PrefixEntry, logits: np.ndarray, relation: int, spans: np.ndarray,
+        scores: dict[str, np.ndarray] | None = None,
+    ) -> TriplePrediction:
+        """The prediction of one entry of ``predict_all``'s table, packaged
+        from its heads outputs: its relation logits and masked-argmax
+        relation, its head and tail spans as (start, end, start, end) in
+        content-token coordinates, so they compare directly with gold spans
+        (the sentinel for no relation), and its entity scores if dumped."""
+        hs, he, ts, te = (int(p) for p in spans)
         return TriplePrediction(
-            example_id=ts.example_id,
-            relation=relation,
-            head_span=(head[0] - CONTENT_START, head[1] - CONTENT_START),
-            tail_span=(tail[0] - CONTENT_START, tail[1] - CONTENT_START),
+            example_id=entry.ts.example_id,
+            relation=int(relation),
+            head_span=(hs, he),
+            tail_span=(ts, te),
             relation_logits=logits,
-            entity_scores=score_arrays if dump_scores else None,
+            entity_scores=scores,
         )
 
     # -- checkpointing -----------------------------------------------------

@@ -63,7 +63,7 @@ class TestDrivers:
             pooled, fused = model._forward([ts], 1)
             feats = switch_train(fused, ts.lang, model.registry, model.cfg)
             logits = relation_logits(pooled, model.registry).data
-            assert pred.relation == masked_argmax_relation(logits, model.languages.schema.allowed[ts.lang])
+            assert pred.relation == masked_argmax_relation(logits, model.languages.schema.allowed, [ts.lang])[0]
             if pred.relation == 0:
                 continue
             scored += 1

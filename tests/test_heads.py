@@ -47,22 +47,33 @@ class TestClassifyRelation:
         reg["relation.w_cls"].data[:] = 0.0
         logits = relation_logits(Tensor(np.ones((1, 4))), reg).data
         assert np.allclose(logits, 0.0)
-        allowed = np.array([False, True, True, False, True])
-        assert masked_argmax_relation(logits, allowed) == 1
+        allowed = np.array([[False, True, True, False, True]])
+        assert masked_argmax_relation(logits, allowed, [0]).tolist() == [1]
 
     def test_mask_restricts_to_allowed(self, rng):
-        allowed = np.array([True, False, False, False, False])
-        for _ in range(20):
-            logits = rng.normal(size=5)
-            assert masked_argmax_relation(logits, allowed) == 0
+        allowed = np.array([[True, False, False, False, False]])
+        picks = masked_argmax_relation(rng.normal(size=(20, 5)), allowed, [0] * 20)
+        assert picks.tolist() == [0] * 20
 
-    @given(st.lists(st.floats(-100, 100), min_size=5, max_size=5), st.integers(0, 30))
+    @given(st.lists(st.floats(-100, 100), min_size=15, max_size=15), st.integers(0, 30))
     def test_masked_relation_never_argmax(self, logits, seed):
-        allowed = np.random.default_rng(seed).random(5) > 0.5
-        if not allowed.any():
-            allowed[2] = True
-        pick = masked_argmax_relation(np.array(logits), allowed)
-        assert allowed[pick]
+        # three rows, each under its own language's mask row
+        draw = np.random.default_rng(seed)
+        allowed = draw.random((2, 5)) > 0.5
+        allowed[:, 2] |= ~allowed.any(axis=1)
+        langs = draw.integers(0, 2, size=3)
+        picks = masked_argmax_relation(np.array(logits).reshape(3, 5), allowed, langs)
+        assert allowed[langs, picks].all()
+
+    def test_rows_match_one_row_at_a_time(self, rng):
+        allowed = rng.random((3, 5)) > 0.4
+        allowed[:, 0] = True
+        langs = rng.integers(0, 3, size=12)
+        logits = rng.normal(size=(12, 5))
+        picks = masked_argmax_relation(logits, allowed, langs)
+        for row, lang, pick in zip(logits, langs, picks):
+            masked = np.where(allowed[lang], row, -np.inf)
+            assert pick == int(np.argmax(masked))
 
     def test_seeded_logits_match_matrix_vector_oracle(self, rng):
         cfg = toy_cfg()
@@ -111,6 +122,25 @@ class TestEntityScores:
                                         reg[f"entity.{key}.w_index"].data, mask)
             assert compare(key, scores[key].data.reshape(-1), want, 1e-10).passed
 
+    def test_one_length_blocks_score_each_sentence_as_alone(self, rng):
+        reg = build_reg(toy_cfg(), seed=2)
+        g, m = 5, 6
+        features = rng.normal(size=(g, m, 4))
+        rels = rng.normal(size=(g, 4))
+        masks = np.where(rng.random((g, m)) < 0.3, NEG_INF, 0.0)
+        block = entity_scores(Tensor(features), Tensor(rels), masks.reshape(-1), reg)
+        for i in range(g):
+            alone = entity_scores(Tensor(features[i]), Tensor(rels[i : i + 1]), masks[i], reg)
+            for key, t in block.items():
+                assert t.shape == (g, m, 1)
+                assert t.data[i].tobytes() == alone[key].data.tobytes(), (i, key)
+
+    def test_block_relation_rows_must_align_with_sentences(self, rng):
+        # 12 rows split evenly over 2 relation rows, but not over 3 sentences
+        reg = build_reg(toy_cfg())
+        with pytest.raises(T.ShapeError):
+            entity_scores(Tensor(rng.normal(size=(3, 4, 4))), Tensor(rng.normal(size=(2, 4))), np.zeros(12), reg)
+
     def test_combined_head_gradient_check(self, rng):
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=5)
@@ -130,44 +160,75 @@ class TestEntityScores:
         assert report.max_rel_error < 1e-4
 
 
+def sequential_decode(start_scores, end_scores):
+    """The decode rule for one row: start = argmax, end = the best end at or
+    after it, both breaking ties low."""
+    start = int(np.argmax(start_scores))
+    return start, start + int(np.argmax(end_scores[start:]))
+
+
 class TestDecodeSpans:
     def _scores(self, hs, he, ts=None, te=None):
-        m = len(hs)
+        # one row of (1, m) score arrays
         ts = ts if ts is not None else hs
         te = te if te is not None else he
-        return {"hs": np.array(hs, float), "he": np.array(he, float),
-                "ts": np.array(ts, float), "te": np.array(te, float)}
+        return {key: np.array([v], float) for key, v in (("hs", hs), ("he", he), ("ts", ts), ("te", te))}
 
     def test_simple_peaks(self):
         s = self._scores(hs=[0, 0, 5, 0, 0, 0], he=[0, 0, 0, 0, 5, 0])
         head, tail = decode_spans(s)
-        assert head == (2, 4)
+        assert head.tolist() == [[2, 4]]
 
     def test_end_constrained_to_follow_start(self):
         # end's global peak precedes the start; the best end at >= start wins
         s = self._scores(hs=[0, 0, 0, 5, 0, 0], he=[9, 0, 0, 0, 0, 3])
         head, _ = decode_spans(s)
-        assert head == (3, 5)
+        assert head.tolist() == [[3, 5]]
+
+    def test_masked_ends_after_the_start_still_follow_it(self):
+        # every end after the start is masked; the end stays at the start
+        # rather than falling back on the unmasked position before it
+        s = self._scores(hs=[0, 5, 0], he=[5, NEG_INF, NEG_INF])
+        head, _ = decode_spans(s)
+        assert head.tolist() == [[1, 1]]
 
     def test_all_masked_is_error(self):
-        s = {k: np.full(4, NEG_INF) for k in ("hs", "he", "ts", "te")}
+        s = {k: np.full((1, 4), NEG_INF) for k in ("hs", "he", "ts", "te")}
         with pytest.raises(DataValidationError):
             decode_spans(s)
+
+    @pytest.mark.parametrize("key", ["hs", "he", "ts", "te"])
+    def test_one_all_masked_row_in_a_batch_is_error(self, rng, key):
+        s = {k: rng.normal(size=(3, 5)) for k in ("hs", "he", "ts", "te")}
+        s[key][1] = NEG_INF
+        with pytest.raises(DataValidationError):
+            decode_spans(s)
+
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_rows_follow_the_sequential_rule(self, g, m, seed):
+        # few distinct values, NEG_INF among them, so ties are common
+        draw = np.random.default_rng(seed)
+        values = np.array([NEG_INF, -1.0, 0.0, 0.5, 2.0])
+        s = {k: values[draw.integers(1 if k in ("hs", "ts") else 0, 5, size=(g, m))] for k in ("hs", "he", "ts", "te")}
+        for k in ("he", "te"):
+            s[k][:, 0] = 0.0  # no row all masked
+        head, tail = decode_spans(s)
+        assert head.shape == tail.shape == (g, 2)
+        for i in range(g):
+            assert tuple(head[i]) == sequential_decode(s["hs"][i], s["he"][i])
+            assert tuple(tail[i]) == sequential_decode(s["ts"][i], s["te"][i])
 
     def test_sequential_rule_with_bruteforce_diagnostic(self, rng):
         # the decode rule is sequential by construction; the exhaustive
         # pair-argmax may pick another span, but never one that scores less
-        for _ in range(200):
-            start = rng.normal(size=6)
-            end = rng.normal(size=6)
-            s = {"hs": start, "he": end, "ts": start, "te": end}
-            head, _ = decode_spans(s)
-            seq_start = int(np.argmax(start))
-            seq_end = seq_start + int(np.argmax(end[seq_start:]))
-            assert head == (seq_start, seq_end)
-            pair = oracle_pair_argmax(start, end)
+        start = rng.normal(size=(200, 6))
+        end = rng.normal(size=(200, 6))
+        heads, _ = decode_spans({"hs": start, "he": end, "ts": start, "te": end})
+        for row_start, row_end, head in zip(start, end, heads):
+            assert tuple(head) == sequential_decode(row_start, row_end)
+            pair = oracle_pair_argmax(row_start, row_end)
             assert pair[0] <= pair[1]
-            assert start[pair[0]] + end[pair[1]] >= start[head[0]] + end[head[1]]
+            assert row_start[pair[0]] + row_end[pair[1]] >= row_start[head[0]] + row_end[head[1]]
 
 
 class TestOraclePairArgmax:

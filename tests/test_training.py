@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relmux import model as model_module
 from relmux import tensor as T
 from relmux.ablation import _restrict_corpus
 from relmux.config import ModelConfig, RunConfig, TrainConfig
@@ -142,7 +143,7 @@ def composed_predict(model, ex, k):
         decision = top_k_decision(routing_probs(ts.lang, reg, cfg), cfg.eval_top_k if k is None else k)
         feats = switch_eval(feats, decision, reg, cfg)
     logits = relation_logits(eo.pooled, reg).data.reshape(-1)
-    relation = masked_argmax_relation(logits, model.languages.schema.allowed[ts.lang])
+    relation = int(masked_argmax_relation(logits[None], model.languages.schema.allowed, [ts.lang])[0])
     if relation == 0:
         return logits, None
     rel_emb = T.narrow(reg["relation.emb"], 0, relation, 1)
@@ -656,6 +657,30 @@ class TestPredictComposition:
         examples = corpus.dev * (_SWITCH_PASS // int(per_lang.min()) + 1)
         assert (np.bincount([ex.lang for ex in examples]) > _SWITCH_PASS).all()
         self._assert_bitwise_the_composition(model, examples)
+
+    def test_one_length_over_several_head_passes_is_bitwise_the_composition(self, monkeypatch):
+        # the dev sentences of one length, repeated until more of them predict
+        # a relation than one head pass takes; a pass that scores or decodes
+        # another pass's rows, or skips some, shows as a changed score
+        corpus = tiny_corpus()
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=4)
+        model.stage = 2
+        bearing = next(ex for ex, pred in zip(corpus.dev, model.predict_all(corpus.dev)) if pred.relation)
+        examples = [ex for ex in corpus.dev if len(ex.tokens) == len(bearing.tokens)] * (_SWITCH_PASS + 1)
+        passes = []
+        decode = model_module.decode_spans
+
+        def counted(score_arrays):
+            passes.append(score_arrays["hs"].shape)
+            return decode(score_arrays)
+
+        monkeypatch.setattr(model_module, "decode_spans", counted)
+        self._assert_bitwise_the_composition(model, examples)
+        # the relation head reads no switched row, so every k has the same
+        # sentences to score, all of one length: at least two passes per k
+        assert len({m for _, m in passes}) == 1
+        assert all(g <= _SWITCH_PASS for g, _ in passes)
+        assert len(passes) > model.cfg.n_sub_modules
 
     @pytest.mark.parametrize("routing", ["learned", "identity"])
     def test_eval_decisions_are_each_languages_top_k(self, routing):
