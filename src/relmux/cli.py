@@ -2,7 +2,8 @@
 
 Subcommands cover the whole workflow:
 
-  generate  synthesize a multilingual corpus from a language + schema spec
+  generate  synthesize a multilingual corpus from one language registry and
+            relation schema file
   train     stage-1 or stage-2 training (stage 2 resumes a stage-1 checkpoint)
   eval      score a checkpoint on a corpus split and write reports, with the
             router heatmap CSV for a learned-routing stage-2 checkpoint
@@ -27,7 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .ablation import ABLATION_NAMES, run_ablation
-from .config import RunConfig, load_run_config, read_json_object, save_config_snapshot
+from .config import RunConfig, load_run_config, save_config_snapshot
 from .corpus import (
     SPLITS, Corpus, GeneratorConfig, LanguageRegistry, check_group_size, generate_corpus, load_corpus,
     save_corpus,
@@ -44,31 +45,19 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _out_path(path: str) -> Path:
-    """``path``, under RELMUX_OUT_ROOT when it is relative and the variable is set."""
+def _resolve_out(path: str) -> Path:
+    """The directory ``path``, created, under RELMUX_OUT_ROOT when it is
+    relative and the variable is set."""
     root = os.environ.get("RELMUX_OUT_ROOT")
     p = Path(path)
-    return Path(root) / p if root and not p.is_absolute() else p
-
-
-def _resolve_out(path: str) -> Path:
-    p = _out_path(path)
+    if root and not p.is_absolute():
+        p = Path(root) / p
     p.mkdir(parents=True, exist_ok=True)
     return p
 
 
-def _load_lang_schema(langs_path: str, schema_path: str) -> LanguageRegistry:
-    """The language registry and relation schema may live in one file or two;
-    both flags may point at the same JSON document."""
-    doc = read_json_object(langs_path, "language registry")
-    if schema_path and schema_path != langs_path:
-        schema_doc = read_json_object(schema_path, "relation schema")
-        doc.update((key, schema_doc[key]) for key in ("relations", "allowed") if key in schema_doc)
-    return LanguageRegistry.from_json(doc)
-
-
 def cmd_generate(args) -> int:
-    registry_in = _load_lang_schema(args.langs, args.schema or args.langs)
+    registry_in = LanguageRegistry.load(args.langs)
     gen = GeneratorConfig(no_relation_fraction=args.no_relation_fraction, family_share=args.family_share)
     corpus = generate_corpus(registry_in.languages, registry_in.schema, seed=args.seed, gen=gen)
     out = _resolve_out(args.out)
@@ -76,7 +65,7 @@ def cmd_generate(args) -> int:
     vocab = Vocab(corpus.registry.content_vocab(), corpus.registry.n_languages)
     vocab.save(out / "vocab.txt")
     (out / "generate_snapshot.json").write_text(
-        json.dumps({"seed": args.seed, "langs": args.langs, "schema": args.schema,
+        json.dumps({"seed": args.seed, "langs": args.langs,
                     "no_relation_fraction": gen.no_relation_fraction,
                     "family_share": gen.family_share}, sort_keys=True, indent=1) + "\n",
         encoding="utf-8",
@@ -90,9 +79,9 @@ def cmd_generate(args) -> int:
 
 
 def _load_run(args) -> tuple[RunConfig, Corpus]:
-    """The validated run config, its ``out_dir`` the resolved ``--out``, and
-    its corpus. The output directory is not created yet: a command creates
-    it once every check that can reject the run has passed."""
+    """The validated run config and its corpus. The ``--out`` directory is
+    not created yet: a command creates it once every check that can reject
+    the run has passed."""
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
@@ -100,7 +89,6 @@ def _load_run(args) -> tuple[RunConfig, Corpus]:
         cfg = replace(cfg, corpus_dir=args.corpus)
     if not cfg.corpus_dir:
         raise ConfigError("no corpus directory: set corpus_dir in the config or pass --corpus")
-    cfg = replace(cfg, out_dir=str(_out_path(args.out)))
     cfg.validate()
     return cfg, load_corpus(cfg.corpus_dir)
 
@@ -132,7 +120,7 @@ def cmd_train(args) -> int:
         raise ConfigError("stage 2 requires --resume pointing at a stage-1 checkpoint")
     # stage 1 draws groups of concat_sentences languages, stage 2 groups of one
     _check_inputs(model, corpus, cfg.train.concat_sentences if args.stage == 1 else 1)
-    out = _resolve_out(cfg.out_dir)
+    out = _resolve_out(args.out)
     save_config_snapshot(cfg, out / "config_snapshot.json")
     log = TrainLog()
     if args.stage == 1:
@@ -172,9 +160,9 @@ def cmd_ablate(args) -> int:
     cfg, corpus = _load_run(args)
     _check_inputs(Model.build(cfg.model, corpus.registry, init_seed=cfg.train.seed), corpus,
                   cfg.train.concat_sentences)
-    out = _resolve_out(cfg.out_dir)
+    out = _resolve_out(args.out)
     save_config_snapshot(cfg, out / "config_snapshot.json")
-    rows = run_ablation(args.name, corpus, cfg, out, jobs=args.jobs)
+    rows = run_ablation(args.name, corpus, cfg, out)
     print(f"ablation {args.name}: {len(rows)} rows written to {out / (args.name + '.csv')}")
     return 0
 
@@ -185,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="synthesize a multilingual corpus")
-    p.add_argument("--langs", required=True, help="language registry JSON")
-    p.add_argument("--schema", default=None, help="relation schema JSON (may equal --langs)")
+    p.add_argument("--langs", required=True, help="language registry and relation schema JSON")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--no-relation-fraction", type=float, default=GeneratorConfig.no_relation_fraction,
@@ -217,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--corpus", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="parallel variant runs")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ablate)
 

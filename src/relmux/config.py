@@ -81,6 +81,8 @@ class TrainConfig:
             raise ConfigError("patience must be >= 1")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -88,7 +90,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     corpus_dir: str = ""
-    out_dir: str = ""
 
     def validate(self) -> None:
         self.model.validate()

@@ -387,6 +387,8 @@ def generate_corpus(
     gen.validate()
     if not languages:
         raise ConfigError("need at least one language")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     LanguageRegistry(languages=list(languages), schema=schema)  # validates
     rng = np.random.default_rng(np.random.PCG64(seed))
 

@@ -65,15 +65,6 @@ class Vocab:
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
 
-    @classmethod
-    def load(cls, path: str | Path, n_languages: int) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        expected_specials = 3 + n_languages
-        v = cls(lines[expected_specials:], n_languages)
-        if v.tokens != lines:
-            raise DataValidationError(f"vocabulary file {path} does not match the expected layout")
-        return v
-
 
 @dataclass
 class TokenizedSentence:

@@ -380,11 +380,10 @@ class Model:
             "relations": list(self.languages.schema.relations),
         }
         if run_cfg is not None:
-            # filesystem paths stay out of checkpoints so identical runs into
-            # different directories produce identical bytes
+            # the corpus path stays out of checkpoints so identical runs on
+            # copies of one corpus produce identical bytes
             run_doc = run_cfg.to_json()
             run_doc["corpus_dir"] = ""
-            run_doc["out_dir"] = ""
             snap["run"] = run_doc
         return snap
 

@@ -54,12 +54,6 @@ class ParamRegistry:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -77,9 +71,6 @@ class ParamRegistry:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Take ``arrays`` as the parameter values, without a copy; names and

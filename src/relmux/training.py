@@ -216,7 +216,7 @@ def train_stage2(
 
 def run_summary(out_dir: str | Path, run_cfg: RunConfig, fields: dict) -> None:
     cfg_doc = run_cfg.to_json()
-    canonical = json.dumps({k: v for k, v in cfg_doc.items() if k not in ("out_dir",)}, sort_keys=True)
+    canonical = json.dumps(cfg_doc, sort_keys=True)
     doc = {
         "config": cfg_doc,
         "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),

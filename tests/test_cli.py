@@ -90,20 +90,6 @@ class TestGenerate:
         rc = main(["train", "--stage", "1", "--config", str(cfgp), "--out", str(tmp_path / "r")])
         assert rc == 2  # concat_sentences=2 > 1 language, surfaced as a config error
 
-    def test_split_langs_and_schema_files_match_single_file(self, workspace, tmp_path):
-        ws, langs, _ = workspace
-        doc = json.loads(langs.read_text())
-        langs_only = {k: v for k, v in doc.items() if k in ("schema_version", "languages")}
-        schema_only = {k: v for k, v in doc.items() if k in ("schema_version", "relations", "allowed")}
-        lp = tmp_path / "langs.json"
-        sp = tmp_path / "schema.json"
-        lp.write_text(json.dumps(langs_only), encoding="utf-8")
-        sp.write_text(json.dumps(schema_only), encoding="utf-8")
-        assert main(["generate", "--langs", str(lp), "--schema", str(sp),
-                     "--seed", "3", "--out", str(tmp_path / "c")]) == 0
-        for name in ("train.txt", "registry.json", "vocab.txt"):
-            assert (tmp_path / "c" / name).read_bytes() == (ws / "corpus" / name).read_bytes()
-
     def test_out_root_prefixes_relative_out_only(self, workspace, tmp_path, monkeypatch):
         _, langs, _ = workspace
         root, cwd = tmp_path / "root", tmp_path / "cwd"
@@ -202,9 +188,12 @@ class TestTrain:
         dict(RUN_DOC, model=dict(RUN_DOC["model"], ffn_dim=0)),
         dict(RUN_DOC, model=dict(RUN_DOC["model"], n_blocks=-1)),
         dict(RUN_DOC, train=dict(RUN_DOC["train"], patience=0)),
+        dict(RUN_DOC, train=dict(RUN_DOC["train"], seed=-1)),
+        dict(RUN_DOC, out_dir="x"),
     ], ids=["non_object_document", "non_object_model", "zero_heads", "nan_lr",
             "string_d_model", "fractional_batch_size", "corpus_dir_int", "one_wide_d_model",
-            "zero_d_model", "negative_d_model", "zero_ffn_dim", "negative_n_blocks", "zero_patience"])
+            "zero_d_model", "negative_d_model", "zero_ffn_dim", "negative_n_blocks", "zero_patience",
+            "negative_seed", "out_dir_key"])
     def test_malformed_config_rejected_before_training(self, workspace, tmp_path, capsys, doc):
         ws, _, _ = workspace
         if isinstance(doc, dict):
@@ -247,6 +236,7 @@ class TestTrain:
             "one language for groups of two": (2, ["--stage", "1", "--corpus", str(tmp_path / "corpus")]),
             "no training sentence": (2, ["--stage", "2", "--resume", stage1, "--corpus", str(tmp_path / "untrained")]),
             "stage 2 without --resume": (2, ["--stage", "2"]),
+            "a negative --seed": (2, ["--stage", "1", "--seed", "-1"]),
             "checkpoint of other languages": (2, ["--stage", "2", "--resume", stage1,
                                                   "--corpus", str(tmp_path / "corpus")]),
             # argparse keeps the last --config
@@ -277,6 +267,7 @@ class TestTrain:
         corpus = str(ws / "corpus")
         runs = {
             "generate from a malformed registry": (2, ["generate", "--langs", str(bad_langs)]),
+            "generate at a negative seed": (2, ["generate", "--langs", str(langs), "--seed", "-1"]),
             "eval at a k over T": (2, ["eval", "--ckpt", stage2, "--corpus", corpus, "--topk", "99"]),
             "eval of a missing checkpoint": (2, ["eval", "--ckpt", str(tmp_path / "none.ckpt"), "--corpus", corpus]),
             "ablate with sentences longer than max_len": (3, ["ablate", "--name", "topk_sweep",
