@@ -22,16 +22,22 @@ switcher's training mix and the entity scorers run over those rows alone.
 The entity cross entropy alone lays the scores out padded, with NEG_INF off
 each sentence's rows. Both stages share one joint loss, ``_ere_loss``.
 
-Prediction reads the same kind of table, built per call over the examples
-to predict and recording no tape: ``predict_all`` encodes them once, one
-pass per exact length. From stage 2 on it takes each language's top-k
+Prediction reads the same kind of table over the examples to predict,
+recording no tape: ``predict_all`` encodes them in one pass per exact
+length. The model keeps the last such table with the examples and the
+bytes of every ``encoder.`` and ``aggregator.`` array it was built from,
+and reuses it while both compare equal. So evaluating one split at several
+k builds its table once, and a training step, a load or any other change
+to those values makes the next call build afresh, with no step that has to
+invalidate it. From stage 2 on ``predict_all`` takes each language's top-k
 decision once and switches that language's real rows in a few passes of at
-most ``_SWITCH_PASS`` sentences, writing them back into the call's own
-table. The heads then run over whole arrays: one relation product over
-every [CLS] row and one masked argmax under each row's language, then entity
-scoring and span decoding for the sentences that predict a relation, in
-passes over at most ``_SWITCH_PASS`` sentences of one exact length. Every
-product is laid out so that each sentence gets the bits it gets alone.
+most ``_SWITCH_PASS`` sentences into an array of the call's own; the kept
+table is read-only. The heads then run over whole
+arrays: one relation product over every [CLS] row and one masked argmax
+under each row's language, then entity scoring and span decoding for the
+sentences that predict a relation, in passes over at most ``_SWITCH_PASS``
+sentences of one exact length. Every product is laid out so that each
+sentence gets the bits it gets alone.
 ``predict`` only packages one sentence's outputs as a ``TriplePrediction``.
 """
 
@@ -60,6 +66,9 @@ from .heads import (
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
 from .switcher import ROUTER_PARAMS, build_switcher_params, eval_decisions, switch_eval, switch_train
 from .tensor import NEG_INF, Tensor
+
+# the names whose values the frozen prefix reads, and stage 2 freezes
+_PREFIX_PARAMS = ("encoder.", "aggregator.")
 
 # sentences per pass in prediction: of one language through the switcher,
 # or of one exact length through the entity heads; bounds the rows a pass
@@ -126,6 +135,8 @@ class Model:
         self.vocab = vocab
         self.registry = registry
         self.stage = 0
+        # predict_all's last table, with the inputs it was built from
+        self._kept: tuple[tuple, list[PrefixEntry]] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -153,7 +164,7 @@ class Model:
         which it never runs; stage 2 the ``encoder.`` and ``aggregator.`` names,
         and under identity routing the router, whose tables are then vestigial.
         Every other parameter trains."""
-        frozen = ("switcher.",) if stage == 1 else ("encoder.", "aggregator.")
+        frozen = ("switcher.",) if stage == 1 else _PREFIX_PARAMS
         router = ROUTER_PARAMS if stage == 2 and self.cfg.routing == "identity" else ()
         self.stage = stage
         self.registry.unfreeze_all()
@@ -301,17 +312,37 @@ class Model:
 
     # -- prediction --------------------------------------------------------
 
+    def _prediction_table(self, examples: list[Example]) -> list[PrefixEntry]:
+        """The ``frozen_prefix`` entries of ``examples`` in one table, which
+        depends on nothing but the examples and the ``encoder.`` and
+        ``aggregator.`` values. The last one built is kept with copies of
+        those inputs, and reused while they compare equal: the examples by
+        value and every array bit for bit. A miss drops the kept table before
+        building its successor. The kept table's arrays are read-only."""
+        params = [(n, t.shape, t.data.tobytes()) for n, t in self.registry.items() if n.startswith(_PREFIX_PARAMS)]
+        key = (list(examples), params)
+        if self._kept is not None and self._kept[0] == key:
+            return self._kept[1]
+        self._kept = None
+        entries = self.frozen_prefix([self.tokenize(ex) for ex in examples], len(examples))
+        table = entries[0].table
+        table.pooled.data.flags.writeable = table.rows.data.flags.writeable = False
+        self._kept = key, entries
+        return entries
+
     @T.no_grad()
     def predict_all(
         self, examples: list[Example], top_k: int | None = None, dump_scores: bool = False
     ) -> list[TriplePrediction]:
-        """One prediction per example, in order. The examples are tokenized
-        and encoded once, as one ``frozen_prefix`` table with one pass per
-        exact length. From stage 2 on each language's top-k decision is taken
-        once, and ``switch_eval`` applies it to the real rows of at most
+        """One prediction per example, in order. The examples' ``frozen_prefix``
+        table, with one pass per exact length, is the kept one when it was
+        built from equal examples and equal values (``_prediction_table``),
+        so successive calls over one split at different k encode it once.
+        From stage 2 on each language's top-k decision is taken once, and
+        ``switch_eval`` applies it to the real rows of at most
         ``_SWITCH_PASS`` of that language's sentences per pass; the switched
-        rows overwrite their frozen ones in this call's table, which nothing
-        else holds. The heads then run over whole arrays: one relation
+        rows go to an array of this call's own, and the table is left as it
+        was. The heads then run over whole arrays: one relation
         product over every [CLS] row and one masked argmax under each row's
         language; then, for the sentences that predict a relation, entity
         scoring and span decoding in passes over at most ``_SWITCH_PASS``
@@ -320,16 +351,18 @@ class Model:
         outputs. Nothing here is differentiated, so no op records a tape."""
         if not examples:
             return []
-        entries = self.frozen_prefix([self.tokenize(ex) for ex in examples], len(examples))
+        entries = self._prediction_table(examples)
         rows = entries[0].table.rows.data
         if self.stage >= 2:
+            # every row is some sentence's, and every sentence in one pool
+            frozen, rows = rows, np.empty_like(rows)
             decisions = eval_decisions(self.registry, self.cfg, top_k)
             for pool in language_pools(entries):
                 decision = decisions[pool[0].lang]
                 for c in range(0, len(pool), _SWITCH_PASS):
                     part = pool[c : c + _SWITCH_PASS]
                     idx = _row_spans(np.array([e.start for e in part]), np.array([e.length for e in part]))
-                    rows[idx] = switch_eval(Tensor(rows[idx]), decision, self.registry, self.cfg).data
+                    rows[idx] = switch_eval(Tensor(frozen[idx]), decision, self.registry, self.cfg).data
         pooled = entries[0].table.pooled.data[[e.index for e in entries], None]
         logits = relation_logits(Tensor(pooled), self.registry).data[:, 0]
         relations = masked_argmax_relation(logits, self.languages.schema.allowed, [e.lang for e in entries])

@@ -244,7 +244,9 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Row lookup table[i] for each index, a new array (a fancy index never
-    aliases its source); gradient scatter-adds into the table."""
+    aliases its source); gradient scatter-adds into the table. The scatter is
+    one ``np.bincount`` over flat element indices, which adds each element's
+    terms in index order from 0.0, as ``np.add.at`` would, bit for bit."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("gather_rows expects a flat index list")
@@ -252,9 +254,9 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         raise ShapeError(f"gather_rows index out of range for table {table.shape}")
 
     def _bw(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        table._accumulate(full)
+        width = int(np.prod(table.shape[1:]))
+        flat = (idx[:, None] * width + np.arange(width)).ravel()
+        table._accumulate(np.bincount(flat, weights=g.ravel(), minlength=table.data.size).reshape(table.shape))
 
     return _result(table.data[idx], (table,), "gather_rows", _bw)
 

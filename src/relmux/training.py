@@ -15,9 +15,11 @@ output of every training sentence once (``Model.frozen_prefix``, in passes of
 at most ``batch_size`` sentences of one length), and its pools hold that
 table's entries, so a step runs only the switcher and the heads. The table
 lives as long as the ``train_stage2`` call. The per-epoch dev evaluation
-goes through ``Model.predict_all``, which encodes the dev split once per
-call into a table of its own, decides each language's top-k once, and runs
-the heads in whole-array passes rather than one sentence at a time.
+goes through ``Model.predict_all``, which encodes the dev split into a
+table at the first evaluation and keeps it for the later ones, since stage 2
+changes none of the values it holds; it decides each language's top-k once
+per evaluation, and runs the heads in whole-array passes rather than one
+sentence at a time.
 
 Both stages checkpoint at epoch boundaries with enough state (optimizer
 moments, rng state, epoch counter) that an interrupted stage-1 run resumed

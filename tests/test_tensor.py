@@ -306,6 +306,21 @@ class TestPlumbingOps:
         assert np.array_equal(table.data, before)
         assert np.array_equal(T.gather_rows(table, [4, 1, 1]).data, before[[4, 1, 1]])
 
+    @pytest.mark.parametrize("shape", [(9, 4), (6,), (5, 2, 3), (700, 32)])
+    def test_gather_rows_gradient_is_bitwise_add_at(self, rng, shape):
+        # repeated indices sum terms of magnitudes 1e-8 to 1e8, some of them
+        # signed zeros and some cancelling, so any other order of addition or
+        # start value shows in the bytes
+        table = Tensor(rng.normal(size=shape), requires_grad=True)
+        idx = np.concatenate([rng.integers(0, shape[0] - 1, size=3 * shape[0]), [0, 0, 0]])
+        w = rng.normal(size=(idx.size,) + shape[1:]) * 10.0 ** rng.integers(-8, 9, size=(idx.size,) + shape[1:])
+        w[::7] = -0.0
+        w[-2] = -w[-3]
+        tsum(T.mul(T.gather_rows(table, idx), w)).backward()
+        want = np.zeros(shape)
+        np.add.at(want, idx, w)
+        assert table.grad.tobytes() == want.tobytes()
+
     def test_composite_gradients(self, rng):
         table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
 

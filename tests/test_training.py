@@ -646,8 +646,8 @@ class TestPredictComposition:
 
     def test_languages_switched_over_several_passes_are_bitwise_the_composition(self):
         # the dev split repeated until every language's sentences fill more
-        # than one switcher pass; each pass writes its rows back into the
-        # shared table, so a row switched twice or by another language's
+        # than one switcher pass; each pass writes its rows into one array of
+        # the call's, so a row switched twice or by another language's
         # decision, or a pass that skips rows, shows as a changed score
         corpus = tiny_corpus()
         model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=4)
@@ -734,6 +734,89 @@ class TestPredictionCalls:
         seen = self._record(model)
         train_stage2(model, corpus, cfg, tmp_path)
         assert seen == [ex.id for ex in corpus.dev] * 2
+
+
+def predictions_bytes(preds) -> list:
+    """Every field of each prediction, arrays as bytes."""
+    return [(p.example_id, p.relation, p.head_span, p.tail_span, p.relation_logits.tobytes(),
+             sorted((k, a.tobytes()) for k, a in (p.entity_scores or {}).items())) for p in preds]
+
+
+class TestKeptPredictionTable:
+    """``predict_all`` keeps its last table and reuses it only while the
+    examples and the frozen-prefix values it was built from compare equal."""
+
+    @staticmethod
+    def _record_builds(model) -> list:
+        """The table of every ``frozen_prefix`` call ``model`` makes from now on."""
+        built = []
+        frozen_prefix = model.frozen_prefix
+
+        def recorded(tss, chunk):
+            entries = frozen_prefix(tss, chunk)
+            built.append(entries[0].table)
+            return entries
+
+        model.frozen_prefix = recorded
+        return built
+
+    def test_every_k_reads_one_table(self):
+        corpus, model = stage2_frozen_model()
+        built = self._record_builds(model)
+        TestPredictComposition._assert_bitwise_the_composition(model, corpus.dev)
+        assert len(built) == 1
+
+    def test_stage2_dev_evals_build_the_dev_table_once(self, tmp_path):
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg()  # two epochs, and patience enough for both
+        model = Model.build(cfg.model, corpus.registry, init_seed=4)
+        model.stage = 1
+        built = self._record_builds(model)
+        log = TrainLog()
+        train_stage2(model, corpus, cfg, tmp_path, log)
+        assert len([l for l in log.lines if "dev_triple_f1" in l]) == 2
+        # the train table, then the dev table
+        assert [t.pooled.shape[0] for t in built] == [len(corpus.train), len(corpus.dev)]
+
+    @pytest.mark.parametrize("name", ["encoder.pos_emb", "aggregator.w_v"])
+    def test_changed_value_rebuilds_as_a_fresh_load_predicts(self, tmp_path, name):
+        corpus, model = stage2_frozen_model()
+        built = self._record_builds(model)
+        before = predictions_bytes(model.predict_all(corpus.dev, dump_scores=True))
+        model.registry[name].data[0] *= 1.5
+        after = predictions_bytes(model.predict_all(corpus.dev, dump_scores=True))
+        assert len(built) == 2
+        assert after != before
+        model.save(tmp_path / "m.ckpt")
+        fresh, _, _ = Model.load(tmp_path / "m.ckpt", corpus.registry)
+        assert after == predictions_bytes(fresh.predict_all(corpus.dev, dump_scores=True))
+
+    def test_equal_examples_reuse_the_table_and_a_replaced_one_rebuilds(self):
+        corpus, model = stage2_frozen_model()
+        built = self._record_builds(model)
+        model.predict_all(corpus.dev)
+        copies = [replace(ex) for ex in corpus.dev]
+        assert copies == corpus.dev and copies[0] is not corpus.dev[0]
+        model.predict_all(copies, top_k=1)
+        assert len(built) == 1
+        swapped = [corpus.test[0]] + corpus.dev[1:]
+        got = predictions_bytes(model.predict_all(swapped, dump_scores=True))
+        assert len(built) == 2
+        _, fresh = stage2_frozen_model()
+        assert got == predictions_bytes(fresh.predict_all(swapped, dump_scores=True))
+
+    def test_prediction_leaves_the_kept_table_as_it_was(self):
+        corpus, model = stage2_frozen_model()
+        built = self._record_builds(model)
+        model.predict_all(corpus.dev)
+        table = built[0]
+        before = (table.pooled.data.tobytes(), table.rows.data.tobytes())
+        for k in range(1, model.cfg.n_sub_modules + 1):
+            model.predict_all(corpus.dev, top_k=k)
+        assert len(built) == 1
+        assert (table.pooled.data.tobytes(), table.rows.data.tobytes()) == before
+        with pytest.raises(ValueError):
+            table.rows.data[0] = 0.0
 
 
 class TestCheckpointRoundTrip:
