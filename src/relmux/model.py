@@ -382,21 +382,25 @@ class Model:
                 if dump_scores:
                     for j, i in enumerate(part):
                         dumped[i] = {key: a[j].copy() for key, a in arrays.items()}
-        return [self.predict(e, logits[i], relations[i], spans[i], dumped[i]) for i, e in enumerate(entries)]
+        # relations and spans become Python ints in one pass per array, so a
+        # predict call makes no numpy scalar
+        outputs = zip(entries, logits, relations.tolist(), spans.tolist(), dumped)
+        return [self.predict(e, row, relation, span, scores) for e, row, relation, span, scores in outputs]
 
     def predict(
-        self, entry: PrefixEntry, logits: np.ndarray, relation: int, spans: np.ndarray,
+        self, entry: PrefixEntry, logits: np.ndarray, relation: int, spans: list[int],
         scores: dict[str, np.ndarray] | None = None,
     ) -> TriplePrediction:
         """The prediction of one entry of ``predict_all``'s table, packaged
         from its heads outputs: its relation logits and masked-argmax
         relation, its head and tail spans as (start, end, start, end) in
         content-token coordinates, so they compare directly with gold spans
-        (the sentinel for no relation), and its entity scores if dumped."""
-        hs, he, ts, te = (int(p) for p in spans)
+        (the sentinel for no relation), and its entity scores if dumped.
+        The relation and the spans arrive as Python ints."""
+        hs, he, ts, te = spans
         return TriplePrediction(
             example_id=entry.ts.example_id,
-            relation=int(relation),
+            relation=relation,
             head_span=(hs, he),
             tail_span=(ts, te),
             relation_logits=logits,

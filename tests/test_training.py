@@ -613,7 +613,8 @@ class TestPredictComposition:
     def _assert_bitwise_the_composition(model, examples):
         """Every prediction of ``examples``, at every k from stage 2 on, has
         the relation logits and dumped entity scores of ``composed_predict``
-        bit for bit, and some predict a relation."""
+        bit for bit, its relation and spans as Python ints, and some predict
+        a relation."""
         top_ks = range(1, model.cfg.n_sub_modules + 1) if model.stage == 2 else [None]
         scored = 0
         for k in top_ks:
@@ -623,6 +624,7 @@ class TestPredictComposition:
             for pred in preds:
                 logits, scores = want[pred.example_id]
                 assert pred.relation_logits.tobytes() == logits.tobytes()
+                assert {type(v) for v in (pred.relation, *pred.head_span, *pred.tail_span)} == {int}
                 if scores is None:
                     assert pred.relation == 0 and pred.entity_scores is None
                     continue
