@@ -39,6 +39,9 @@ class ModelConfig:
             raise ConfigError("d_model must be >= 2, and ffn_dim and n_blocks >= 1")
         if self.n_heads < 1:
             raise ConfigError("n_heads must be >= 1")
+        if self.max_len < 4:
+            # the shortest sentence: [CLS] [LANG_n], one token, [SEP]
+            raise ConfigError(f"max_len must be >= 4, got {self.max_len}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.bottleneck <= self.d_model:

@@ -582,13 +582,12 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
 # Training-batch sampling
 
 
-def language_pools(items: list) -> list[list]:
-    """``items`` grouped by their ``.lang``, in language-id order; a language
-    with no items gets no pool."""
-    by_lang: dict[int, list] = {}
-    for item in items:
-        by_lang.setdefault(item.lang, []).append(item)
-    return [by_lang[lang] for lang in sorted(by_lang)]
+def index_pools(keys) -> list[np.ndarray]:
+    """The indices of ``keys`` grouped by equal key, in ascending key order,
+    each pool in index order; a key that never occurs gets no pool. Keyed by
+    language, these are the pools ``sample_stage1_batch`` draws from."""
+    keys = np.asarray(keys)
+    return [np.flatnonzero(keys == key) for key in np.unique(keys)]
 
 
 def check_group_size(s: int, n_languages: int) -> None:
@@ -599,10 +598,10 @@ def check_group_size(s: int, n_languages: int) -> None:
 
 
 def sample_stage1_batch(pools: list[list], s: int, batch_size: int, rng: np.random.Generator) -> list[list]:
-    """Sample ``batch_size`` groups of ``s`` items from ``language_pools``
-    output, with pairwise-distinct languages: uniform over languages first,
-    then uniform within the language. Stage 1 concatenates each group; stage 2
-    draws groups of one.
+    """Sample ``batch_size`` groups of ``s`` items from per-language pools
+    (``index_pools`` of the languages), with pairwise-distinct languages:
+    uniform over languages first, then uniform within the language. Stage 1
+    concatenates each group; stage 2 draws groups of one.
     """
     check_group_size(s, len(pools))
     groups: list[list] = []

@@ -10,39 +10,34 @@ through the cross-sentence aggregator and trains everything jointly.
 
 Stage 2 freezes the encoder and the aggregator, so their output for a
 sentence never changes during the stage. ``frozen_prefix`` computes it once
-per training sentence, as a table: each sentence's encoder [CLS] row and its
-real aggregator rows, packed back to back. It runs ``_forward`` over
-sentences of one exact length at a time, so no PAD is involved, and over at
-most a batch's worth of them per pass, which bounds the pass's activations.
-On the benchmark corpus (seed 101) the table holds 10,032 rows for 1,074
-sentences, 5.7 MB of float64 at d = 64 with the [CLS] rows. A stage-2 step
-gathers its sentences' [CLS] rows, and the real rows of only its
-relation-bearing sentences, which are all the entity scorers read; the
-switcher's training mix and the entity scorers run over those rows alone.
-The entity cross entropy alone lays the scores out padded, with NEG_INF off
-each sentence's rows. Both stages share one joint loss, ``_ere_loss``.
+per training sentence, as one ``FrozenPrefix`` table: each sentence's
+encoder [CLS] row and its real aggregator rows, packed back to back, with
+int arrays that give, in input order, each sentence's [CLS] row, first row,
+length and language. It runs ``_forward`` over sentences of one exact length
+at a time, so no PAD is involved, in passes of at most ``_PASS``. A stage-2
+batch is an array of sentence indices into the table. A step gathers its
+sentences' [CLS] rows, and the real rows of only its relation-bearing
+sentences, which are all the entity scorers read; the switcher's training
+mix and the entity scorers run over those rows alone. The entity cross
+entropy alone lays the scores out padded, with NEG_INF off each sentence's
+rows. Both stages share one joint loss, ``_ere_loss``.
 
 Prediction reads the same kind of table over the examples to predict,
-recording no tape: ``predict_all`` encodes them in one pass per exact
-length. The model keeps the last such table with the examples and the
-bytes of every ``encoder.`` and ``aggregator.`` array it was built from,
-and reuses it while both compare equal. So evaluating one split at several
-k builds its table once, and a training step, a load or any other change
-to those values makes the next call build afresh, with no step that has to
-invalidate it. From stage 2 on ``predict_all`` takes each language's top-k
-decision once and switches that language's real rows in a few passes of at
-most ``_SWITCH_PASS`` sentences into an array of the call's own; the kept
-table is read-only. The heads then run over whole
-arrays: one relation product over every [CLS] row and one masked argmax
-under each row's language, then entity scoring and span decoding for the
-sentences that predict a relation, in passes over at most ``_SWITCH_PASS``
-sentences of one exact length. Every product is laid out so that each
-sentence gets the bits it gets alone.
-``predict`` only packages one sentence's outputs as a ``TriplePrediction``.
+recording no tape. The model keeps the last such table with the examples
+and the bytes of every ``encoder.`` and ``aggregator.`` array it was built
+from, and reuses it while both compare equal, so evaluating one split at
+several k builds its table once; any change to those values makes the next
+call build afresh. From stage 2 on ``predict_all`` switches each language's
+real rows under its top-k decision into an array of the call's own; the
+kept table is read-only. The heads then run over whole arrays, in passes of
+one exact length for entity scoring, each product laid out so that every
+sentence gets the bits it gets alone. ``predict`` only packages one
+sentence's outputs as a ``TriplePrediction``.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +45,7 @@ import numpy as np
 from . import tensor as T
 from .aggregator import aggregate, build_aggregator_params
 from .config import ModelConfig, RunConfig
-from .corpus import SENTINEL_SPAN, Example, LanguageRegistry, language_pools
+from .corpus import SENTINEL_SPAN, Example, LanguageRegistry, index_pools
 from .encoder import CONTENT_START, TokenizedSentence, Vocab, build_encoder_params, encode, tokenize
 from .errors import CheckpointError, ConfigError
 from .heads import (
@@ -70,10 +65,10 @@ from .tensor import NEG_INF, Tensor
 # the names whose values the frozen prefix reads, and stage 2 freezes
 _PREFIX_PARAMS = ("encoder.", "aggregator.")
 
-# sentences per pass in prediction: of one language through the switcher,
-# or of one exact length through the entity heads; bounds the rows a pass
-# gathers and works on
-_SWITCH_PASS = 64
+# sentences per pass, of one exact length through the encoder and the
+# aggregator or through the entity heads, or of one language through the
+# switcher in prediction; bounds the rows a pass works on
+_PASS = 64
 
 
 def sentence_ere_loss(relation_ce: Tensor, entity_ces: list[Tensor], alpha: float, beta: float) -> Tensor:
@@ -88,34 +83,39 @@ def sentence_ere_loss(relation_ce: Tensor, entity_ces: list[Tensor], alpha: floa
 
 @dataclass(frozen=True, eq=False)
 class FrozenPrefix:
-    """The frozen part of the stage-2 forward for a list of sentences: their
+    """The frozen part of the stage-2 forward for the sentences ``tss``: their
     encoder [CLS] rows, (n, d), and their real aggregator rows packed back to
-    back, (sum of lengths, d)."""
+    back, (sum of lengths, d). Sentence i's [CLS] row is ``pooled[index[i]]``,
+    its rows are the ``lengths[i]`` rows of ``rows`` from ``starts[i]`` on,
+    and its language is ``langs[i]``; every array is in the order of ``tss``."""
 
+    tss: list[TokenizedSentence]
     pooled: Tensor
     rows: Tensor
+    index: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    langs: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class PrefixEntry:
-    """One sentence of a ``FrozenPrefix``: row ``index`` of its ``pooled``,
-    and ``length`` rows of its ``rows`` from ``start`` on."""
-
-    ts: TokenizedSentence
-    table: FrozenPrefix
-    index: int
-    start: int
-    length: int
-
-    @property
-    def lang(self) -> int:
-        return self.ts.lang
+def _passes(keys: np.ndarray):
+    """(key, indices) for each pass over the indices of ``keys``: grouped by
+    equal key in ascending key order (``index_pools``), each group cut into
+    passes of at most ``_PASS``."""
+    for pool in index_pools(keys):
+        for c in range(0, pool.size, _PASS):
+            yield keys[pool[0]], pool[c : c + _PASS]
 
 
 def _row_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The row indices ``start .. start + length - 1`` of each span, back to back."""
     ends = np.cumsum(lengths)
     return np.arange(lengths.sum()) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _vocab_sha256(languages: LanguageRegistry) -> str:
+    """The sha256 of the content vocabulary, which ``encoder.tok_emb`` embeds."""
+    return hashlib.sha256("\n".join(languages.content_vocab()).encode("utf-8")).hexdigest()
 
 
 class _NoDraw:
@@ -136,7 +136,7 @@ class Model:
         self.registry = registry
         self.stage = 0
         # predict_all's last table, with the inputs it was built from
-        self._kept: tuple[tuple, list[PrefixEntry]] | None = None
+        self._kept: tuple[tuple, FrozenPrefix] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -265,144 +265,125 @@ class Model:
             fused = T.gather_rows(fused, _row_spans(bearing * m, lengths))
         return self._ere_loss(tss, pooled, fused, lengths, alpha, beta, stats)
 
-    def frozen_prefix(self, tss: list[TokenizedSentence], chunk: int) -> list[PrefixEntry]:
-        """One ``FrozenPrefix`` of ``tss``, as one entry per sentence in the
-        order of ``tss``. ``_forward`` runs over sentences of one exact real
-        length at a time, at most ``chunk`` of them per pass, so no PAD row
-        is computed and how many share a pass does not change a value.
+    def frozen_prefix(self, tss: list[TokenizedSentence]) -> FrozenPrefix:
+        """The ``FrozenPrefix`` of ``tss``. ``_forward`` runs over sentences of
+        one exact real length at a time, at most ``_PASS`` of them per pass,
+        so no PAD row is computed and how many share a pass does not change a
+        value.
 
         Nothing here turns the tape off: under stage 2's freezing no op
         records one, and a model with trainable encoder or aggregator
         parameters gets a table that passes their gradients on."""
-        lengths = np.array([ts.length for ts in tss])
-        order: list[int] = []
-        pooled, rows = [], []
-        for length in sorted(set(lengths.tolist())):
-            members = np.flatnonzero(lengths == length).tolist()
-            for c in range(0, len(members), chunk):
-                part = members[c : c + chunk]
-                p, f = self._forward([tss[i] for i in part], 1)
-                order += part
-                pooled.append(p)
-                rows.append(f)
-        table = FrozenPrefix(pooled=T.concat(pooled, axis=0), rows=T.concat(rows, axis=0))
-        starts = np.empty(len(tss), dtype=np.intp)
-        index = np.empty(len(tss), dtype=np.intp)
+        lengths = np.array([ts.length for ts in tss], dtype=np.intp)
+        order, pooled, rows = [], [], []
+        for _, part in _passes(lengths):
+            p, f = self._forward([tss[i] for i in part], 1)
+            order.append(part)
+            pooled.append(p)
+            rows.append(f)
+        order = np.concatenate(order)
+        starts, index = np.empty_like(lengths), np.empty_like(lengths)
         starts[order] = np.cumsum(lengths[order]) - lengths[order]
         index[order] = np.arange(len(tss))
-        return [PrefixEntry(ts, table, int(index[i]), int(starts[i]), int(lengths[i])) for i, ts in enumerate(tss)]
+        return FrozenPrefix(tss, T.concat(pooled, axis=0), T.concat(rows, axis=0), index, starts, lengths,
+                            np.array([ts.lang for ts in tss], dtype=np.intp))
 
     def stage2_batch_loss(
-        self, batch: list[PrefixEntry], alpha: float, beta: float, stats: dict | None = None
+        self, table: FrozenPrefix, batch: np.ndarray, alpha: float, beta: float, stats: dict | None = None
     ) -> Tensor:
-        """Mean joint loss over single sentences of one ``frozen_prefix``
-        table: every [CLS] row to the relation head, and only the
+        """Mean joint loss over the sentences of ``table`` at the indices
+        ``batch``: every [CLS] row to the relation head, and only the
         relation-bearing sentences' real rows through the switcher's training
         mix, each row under its sentence's language, to the entity heads."""
-        table = batch[0].table
-        if any(entry.table is not table for entry in batch):
-            raise ValueError("a stage-2 batch must come from one frozen-prefix table")
-        pooled = T.gather_rows(table.pooled, [entry.index for entry in batch])
-        bearing = [entry for entry in batch if entry.ts.relation]
-        lengths = np.array([entry.length for entry in bearing], dtype=np.intp)
-        rows = T.gather_rows(table.rows, _row_spans(np.array([entry.start for entry in bearing]), lengths))
-        if bearing:
-            rows = switch_train(rows, np.repeat([entry.lang for entry in bearing], lengths), self.registry, self.cfg)
-        return self._ere_loss([entry.ts for entry in batch], pooled, rows, lengths, alpha, beta, stats)
+        tss = [table.tss[i] for i in batch]
+        pooled = T.gather_rows(table.pooled, table.index[batch])
+        bearing = batch[np.flatnonzero([ts.relation for ts in tss])]
+        lengths = table.lengths[bearing]
+        rows = T.gather_rows(table.rows, _row_spans(table.starts[bearing], lengths))
+        if bearing.size:
+            rows = switch_train(rows, np.repeat(table.langs[bearing], lengths), self.registry, self.cfg)
+        return self._ere_loss(tss, pooled, rows, lengths, alpha, beta, stats)
 
     # -- prediction --------------------------------------------------------
 
-    def _prediction_table(self, examples: list[Example]) -> list[PrefixEntry]:
-        """The ``frozen_prefix`` entries of ``examples`` in one table, which
-        depends on nothing but the examples and the ``encoder.`` and
-        ``aggregator.`` values. The last one built is kept with copies of
-        those inputs, and reused while they compare equal: the examples by
-        value and every array bit for bit. A miss drops the kept table before
-        building its successor. The kept table's arrays are read-only."""
+    def _prediction_table(self, examples: list[Example]) -> FrozenPrefix:
+        """The ``frozen_prefix`` table of ``examples``, which depends on
+        nothing but the examples and the ``encoder.`` and ``aggregator.``
+        values. The last one built is kept with copies of those inputs, and
+        reused while they compare equal: the examples by value and every
+        array bit for bit. A miss drops the kept table before building its
+        successor. The kept table's arrays are read-only."""
         params = [(n, t.shape, t.data.tobytes()) for n, t in self.registry.items() if n.startswith(_PREFIX_PARAMS)]
         key = (list(examples), params)
         if self._kept is not None and self._kept[0] == key:
             return self._kept[1]
         self._kept = None
-        entries = self.frozen_prefix([self.tokenize(ex) for ex in examples], len(examples))
-        table = entries[0].table
+        table = self.frozen_prefix([self.tokenize(ex) for ex in examples])
         table.pooled.data.flags.writeable = table.rows.data.flags.writeable = False
-        self._kept = key, entries
-        return entries
+        self._kept = key, table
+        return table
 
     @T.no_grad()
     def predict_all(
         self, examples: list[Example], top_k: int | None = None, dump_scores: bool = False
     ) -> list[TriplePrediction]:
-        """One prediction per example, in order. The examples' ``frozen_prefix``
-        table, with one pass per exact length, is the kept one when it was
-        built from equal examples and equal values (``_prediction_table``),
-        so successive calls over one split at different k encode it once.
-        From stage 2 on each language's top-k decision is taken once, and
-        ``switch_eval`` applies it to the real rows of at most
-        ``_SWITCH_PASS`` of that language's sentences per pass; the switched
-        rows go to an array of this call's own, and the table is left as it
-        was. The heads then run over whole arrays: one relation
-        product over every [CLS] row and one masked argmax under each row's
-        language; then, for the sentences that predict a relation, entity
-        scoring and span decoding in passes over at most ``_SWITCH_PASS``
-        sentences of one exact length. Each product gives every sentence
-        the bits it gets alone. ``predict`` then packages each example's
-        outputs. Nothing here is differentiated, so no op records a tape."""
+        """One prediction per example, in order, recording no tape. The
+        examples' ``frozen_prefix`` table is the kept one while its inputs
+        compare equal (``_prediction_table``). From stage 2 on ``switch_eval``
+        applies each language's top-k decision, taken once, to that
+        language's real rows, ``_PASS`` sentences at a time, into an array of
+        this call's own. The heads then run over whole arrays: one relation
+        product and masked argmax over every [CLS] row, then, for the
+        sentences that predict a relation, entity scoring and span decoding
+        in passes of one exact length. Each product gives every sentence the
+        bits it gets alone. ``predict`` packages each sentence's outputs."""
         if not examples:
             return []
-        entries = self._prediction_table(examples)
-        rows = entries[0].table.rows.data
+        table = self._prediction_table(examples)
+        rows = table.rows.data
         if self.stage >= 2:
-            # every row is some sentence's, and every sentence in one pool
+            # every row is some sentence's, and every sentence in one pass
             frozen, rows = rows, np.empty_like(rows)
             decisions = eval_decisions(self.registry, self.cfg, top_k)
-            for pool in language_pools(entries):
-                decision = decisions[pool[0].lang]
-                for c in range(0, len(pool), _SWITCH_PASS):
-                    part = pool[c : c + _SWITCH_PASS]
-                    idx = _row_spans(np.array([e.start for e in part]), np.array([e.length for e in part]))
-                    rows[idx] = switch_eval(Tensor(frozen[idx]), decision, self.registry, self.cfg).data
-        pooled = entries[0].table.pooled.data[[e.index for e in entries], None]
-        logits = relation_logits(Tensor(pooled), self.registry).data[:, 0]
-        relations = masked_argmax_relation(logits, self.languages.schema.allowed, [e.lang for e in entries])
-        spans = np.tile(SENTINEL_SPAN * 2, (len(entries), 1))
-        dumped: list[dict[str, np.ndarray] | None] = [None] * len(entries)
+            for lang, part in _passes(table.langs):
+                idx = _row_spans(table.starts[part], table.lengths[part])
+                rows[idx] = switch_eval(Tensor(frozen[idx]), decisions[lang], self.registry, self.cfg).data
+        logits = relation_logits(Tensor(table.pooled.data[table.index, None]), self.registry).data[:, 0]
+        relations = masked_argmax_relation(logits, self.languages.schema.allowed, table.langs)
+        spans = np.tile(SENTINEL_SPAN * 2, (len(examples), 1))
+        dumped: list[dict[str, np.ndarray] | None] = [None] * len(examples)
         bearing = np.flatnonzero(relations)
-        lengths = np.array([entries[i].length for i in bearing], dtype=np.intp)
-        for length in np.unique(lengths):
-            members = bearing[lengths == length]
-            for c in range(0, members.size, _SWITCH_PASS):
-                part = members[c : c + _SWITCH_PASS]
-                idx = _row_spans(np.array([entries[i].start for i in part]), np.full(part.size, length))
-                features = Tensor(rows[idx].reshape(part.size, length, -1))
-                scores = self._entity_scores([entries[i].ts for i in part], features, relations[part])
-                arrays = {key: t.data.reshape(part.size, length) for key, t in scores.items()}
-                spans[part] = np.concatenate(decode_spans(arrays), axis=1) - CONTENT_START
-                if dump_scores:
-                    for j, i in enumerate(part):
-                        dumped[i] = {key: a[j].copy() for key, a in arrays.items()}
+        for length, part in _passes(table.lengths[bearing]):
+            part = bearing[part]
+            idx = _row_spans(table.starts[part], np.full(part.size, length))
+            features = Tensor(rows[idx].reshape(part.size, length, -1))
+            scores = self._entity_scores([table.tss[i] for i in part], features, relations[part])
+            arrays = {key: t.data.reshape(part.size, length) for key, t in scores.items()}
+            spans[part] = np.concatenate(decode_spans(arrays), axis=1) - CONTENT_START
+            if dump_scores:
+                for j, i in enumerate(part):
+                    dumped[i] = {key: a[j].copy() for key, a in arrays.items()}
         # relations and spans become Python ints in one pass per array, so a
         # predict call makes no numpy scalar
-        outputs = zip(entries, logits, relations.tolist(), spans.tolist(), dumped)
-        return [self.predict(e, row, relation, span, scores) for e, row, relation, span, scores in outputs]
+        outputs = zip(table.tss, logits, relations.tolist(), spans.tolist(), dumped)
+        return [self.predict(ts, row, relation, span, scores) for ts, row, relation, span, scores in outputs]
 
     def predict(
-        self, entry: PrefixEntry, logits: np.ndarray, relation: int, spans: list[int],
+        self, ts: TokenizedSentence, logits: np.ndarray, relation: int, spans: list[int],
         scores: dict[str, np.ndarray] | None = None,
     ) -> TriplePrediction:
-        """The prediction of one entry of ``predict_all``'s table, packaged
+        """The prediction of one sentence of ``predict_all``'s table, packaged
         from its heads outputs: its relation logits and masked-argmax
         relation, its head and tail spans as (start, end, start, end) in
         content-token coordinates, so they compare directly with gold spans
         (the sentinel for no relation), and its entity scores if dumped.
         The relation and the spans arrive as Python ints."""
-        hs, he, ts, te = spans
+        head_start, head_end, tail_start, tail_end = spans
         return TriplePrediction(
-            example_id=entry.ts.example_id,
+            example_id=ts.example_id,
             relation=relation,
-            head_span=(hs, he),
-            tail_span=(ts, te),
+            head_span=(head_start, head_end),
+            tail_span=(tail_start, tail_end),
             relation_logits=logits,
             entity_scores=scores,
         )
@@ -415,6 +396,7 @@ class Model:
             "model": RunConfig(model=self.cfg).to_json()["model"],
             "language_codes": [l.code for l in self.languages.languages],
             "relations": list(self.languages.schema.relations),
+            "vocab_sha256": _vocab_sha256(self.languages),
         }
         if run_cfg is not None:
             # the corpus path stays out of checkpoints so identical runs on
@@ -429,9 +411,10 @@ class Model:
 
     @classmethod
     def load(cls, path, languages: LanguageRegistry) -> tuple["Model", dict, dict | None]:
-        """Rebuild a model from a checkpoint, validating every shape and the
-        language/relation inventory against the supplied registry. The
-        parameters are the checkpoint's arrays; nothing is drawn at random."""
+        """Rebuild a model from a checkpoint, validating every shape, the
+        model config, and the language/relation inventory and content
+        vocabulary against the supplied registry. The parameters are the
+        checkpoint's arrays; nothing is drawn at random."""
         snap, arrays, extra = load_checkpoint(path)
         codes = [l.code for l in languages.languages]
         if snap.get("language_codes") != codes:
@@ -440,8 +423,11 @@ class Model:
             )
         if snap.get("relations") != list(languages.schema.relations):
             raise CheckpointError("checkpoint relation inventory does not match the corpus registry")
+        if snap.get("vocab_sha256") != _vocab_sha256(languages):
+            raise CheckpointError("checkpoint vocabulary does not match the corpus vocabulary")
         try:
             cfg = ModelConfig.from_json(snap["model"])
+            cfg.validate()
         except (KeyError, ConfigError) as exc:
             raise CheckpointError(f"checkpoint model config is malformed: {exc!r}") from None
         model = cls._assemble(cfg, languages, _NoDraw())

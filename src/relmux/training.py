@@ -7,14 +7,15 @@ switcher, the router, the relation classifier and embeddings, and the entity
 matrices on batches of single sentences, early-stopping on dev triple
 micro-F1 and keeping the best-dev parameters. Each stage starts with
 ``Model.enter_stage``, which decides what it freezes, tokenizes the train
-split once into per-language pools, and draws every batch with one sampler:
-groups of s in stage 1, groups of one in stage 2.
+split once, and draws every batch as sentence indices with one sampler from
+per-language index pools (``corpus.index_pools``): groups of s in stage 1,
+groups of one in stage 2.
 
 Right after freezing, stage 2 computes the frozen encoder and aggregator
-output of every training sentence once (``Model.frozen_prefix``, in passes of
-at most ``batch_size`` sentences of one length), and its pools hold that
-table's entries, so a step runs only the switcher and the heads. The table
-lives as long as the ``train_stage2`` call. The per-epoch dev evaluation
+output of every training sentence once, as one ``Model.frozen_prefix``
+table, and a step indexes that table's arrays with its batch, so it runs
+only the switcher and the heads. The table lives as long as the
+``train_stage2`` call. The per-epoch dev evaluation
 goes through ``Model.predict_all``, which encodes the dev split into a
 table at the first evaluation and keeps it for the later ones, since stage 2
 changes none of the values it holds; it decides each language's top-k once
@@ -32,12 +33,13 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, TrainConfig
-from .corpus import Corpus, language_pools, sample_stage1_batch
+from .corpus import Corpus, index_pools, sample_stage1_batch
 from .errors import CheckpointError, NumericsError
 from .evaluation import evaluate_model
 from .model import Model
@@ -64,7 +66,7 @@ def _check_finite(loss_value: float, stage: int, step: int) -> None:
 
 
 def _train_step(
-    opt: AdamW, batch_loss, batch: list, tc: TrainConfig, log: TrainLog, stage: int, epoch: int, step: int
+    opt: AdamW, batch_loss, batch, tc: TrainConfig, log: TrainLog, stage: int, epoch: int, step: int
 ) -> int:
     """One optimizer step on ``batch``'s mean loss; returns the new step count."""
     opt.zero_grad()
@@ -145,14 +147,15 @@ def train_stage1(
             "rng_state": json.dumps(_rng_state(rng), sort_keys=True),
         }
 
-    pools = language_pools([model.tokenize(ex) for ex in corpus.train])
+    tss = [model.tokenize(ex) for ex in corpus.train]
+    pools = index_pools([ts.lang for ts in tss])
     per_epoch = steps_per_epoch(len(corpus.train), s * tc.batch_size)
     step = opt.step_count
     ckpt_path = out / "stage1.ckpt"
     for epoch in range(start_epoch, tc.stage1_epochs):
         t0 = time.time()
         for _ in range(per_epoch):
-            groups = sample_stage1_batch(pools, s, tc.batch_size, rng)
+            groups = [[tss[i] for i in group] for group in sample_stage1_batch(pools, s, tc.batch_size, rng)]
             step = _train_step(opt, model.stage1_batch_loss, groups, tc, log, 1, epoch, step)
         model.save(ckpt_path, run_cfg, stage1_extra(epoch + 1))
         log.log(stage=1, epoch=epoch, epoch_seconds=round(time.time() - t0, 3))
@@ -180,7 +183,9 @@ def train_stage2(
     model.enter_stage(2)
     opt = AdamW(model.registry, tc.lr, tc.weight_decay)
     rng = np.random.default_rng(np.random.PCG64(tc.seed + 2))
-    pools = language_pools(model.frozen_prefix([model.tokenize(ex) for ex in corpus.train], tc.batch_size))
+    table = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train])
+    pools = index_pools(table.langs)
+    batch_loss = partial(model.stage2_batch_loss, table)
     per_epoch = steps_per_epoch(len(corpus.train), tc.batch_size)
     ckpt_path = out / "stage2.ckpt"
     best_f1 = -1.0
@@ -190,8 +195,8 @@ def train_stage2(
     for epoch in range(tc.stage2_max_epochs):
         t0 = time.time()
         for _ in range(per_epoch):
-            batch = [entry for (entry,) in sample_stage1_batch(pools, 1, tc.batch_size, rng)]
-            step = _train_step(opt, model.stage2_batch_loss, batch, tc, log, 2, epoch, step)
+            batch = np.array([i for (i,) in sample_stage1_batch(pools, 1, tc.batch_size, rng)])
+            step = _train_step(opt, batch_loss, batch, tc, log, 2, epoch, step)
         report = evaluate_model(model, corpus.dev, corpus.registry)
         dev_f1 = report.overall.triple_f1
         log.log(stage=2, epoch=epoch, dev_triple_f1=dev_f1, epoch_seconds=round(time.time() - t0, 3))

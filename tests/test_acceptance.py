@@ -201,7 +201,7 @@ def test_criterion_gradient_integrity():
     ).max_rel_error
     params_all = dict(model.registry.items())
     worst["stage2_loss"] = finite_diff_check(
-        lambda: model.stage2_batch_loss(model.frozen_prefix(tss, 2), 2.0, 1.0),
+        lambda: model.stage2_batch_loss(model.frozen_prefix(tss), np.arange(len(tss)), 2.0, 1.0),
         params_all, max_coords=3, rng=np.random.default_rng(2),
     ).max_rel_error
 

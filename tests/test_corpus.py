@@ -16,7 +16,7 @@ from relmux.corpus import (
     RelationSchema,
     SENTINEL_SPAN,
     generate_corpus,
-    language_pools,
+    index_pools,
     load_corpus,
     load_examples,
     sample_stage1_batch,
@@ -27,6 +27,11 @@ from relmux.errors import ConfigError, DataValidationError
 from oracles import CHI2_CRIT_999, chi_square_stat
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def example_pools(examples):
+    """The examples grouped by language, as the sampler's pools."""
+    return [[examples[i] for i in pool] for pool in index_pools([ex.lang for ex in examples])]
 
 
 def make_languages(sizes=(400, 200, 100, 50)):
@@ -157,7 +162,7 @@ class TestGeneration:
         mono = generate_corpus(make_languages()[:1], make_schema(1), seed=0)
         assert mono.train
         with pytest.raises(ConfigError, match="languages"):
-            sample_stage1_batch(language_pools(mono.train), 2, 4, np.random.default_rng(0))
+            sample_stage1_batch(example_pools(mono.train), 2, 4, np.random.default_rng(0))
 
     def test_tiniest_resource_keeps_one_training_sentence(self):
         # dev and test each round 10% of one sentence to zero, so train keeps it
@@ -241,23 +246,28 @@ class TestExampleIO:
 
 
 class TestStage1Sampling:
+    def test_index_pools_group_indices_by_key_in_key_order(self):
+        pools = index_pools([2, 0, 2, 1, 0, 2])
+        assert [pool.tolist() for pool in pools] == [[1, 4], [3], [0, 2, 5]]
+        assert index_pools([]) == []
+
     def test_groups_have_distinct_languages(self, corpus, rng):
-        for group in sample_stage1_batch(language_pools(corpus.train), 3, 16, rng):
+        for group in sample_stage1_batch(example_pools(corpus.train), 3, 16, rng):
             assert len({e.lang for e in group}) == 3
 
     def test_s1_degenerates_to_single_sentences(self, corpus, rng):
-        groups = sample_stage1_batch(language_pools(corpus.train), 1, 8, rng)
+        groups = sample_stage1_batch(example_pools(corpus.train), 1, 8, rng)
         assert all(len(g) == 1 for g in groups)
 
     def test_s_larger_than_languages_rejected(self, corpus, rng):
         with pytest.raises(ConfigError):
-            sample_stage1_batch(language_pools(corpus.train), 5, 4, rng)
+            sample_stage1_batch(example_pools(corpus.train), 5, 4, rng)
 
     @pytest.mark.parametrize("n_langs", [1, 2, 3, 4])
     def test_groups_of_one_draw_as_language_then_sentence(self, corpus, n_langs):
         # stage 2's batches are groups of one; they must be the draws of a
         # uniform language, then a uniform sentence in it, on the same stream
-        pools = language_pools(corpus.train)[:n_langs]
+        pools = example_pools(corpus.train)[:n_langs]
         rng, twin = np.random.default_rng(11), np.random.default_rng(11)
         got = [ex for (ex,) in sample_stage1_batch(pools, 1, 2000, rng)]
         want = []
@@ -271,7 +281,7 @@ class TestStage1Sampling:
         rng = np.random.default_rng(123)
         draws = 10000
         counts = Counter()
-        for group in sample_stage1_batch(language_pools(corpus.train), 2, draws, rng):
+        for group in sample_stage1_batch(example_pools(corpus.train), 2, draws, rng):
             counts[frozenset(e.lang for e in group)] += 1
         pairs = list(combinations(range(4), 2))
         expect = draws / len(pairs)

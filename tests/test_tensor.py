@@ -4,6 +4,7 @@ against central finite differences, and the optimizer contracts."""
 import inspect
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -563,11 +564,11 @@ class TestNoGrad:
         def step(predict_first: bool):
             model = Model.build(replace(cfg.model), corpus.registry, init_seed=2)
             model.enter_stage(2)
-            batch = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train[:8]], cfg.train.batch_size)
+            table = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train[:8]])
             if predict_first:
                 model.predict_all(corpus.dev[:4])
             opt = AdamW(model.registry, lr=cfg.train.lr)
-            _train_step(opt, model.stage2_batch_loss, batch, cfg.train, TrainLog(), 2, 0, 0)
+            _train_step(opt, partial(model.stage2_batch_loss, table), np.arange(8), cfg.train, TrainLog(), 2, 0, 0)
             return {n: (t.grad.tobytes(), t.data.tobytes()) for n, t in model.registry.items() if t.grad is not None}
 
         plain, after_predict = step(False), step(True)

@@ -2,6 +2,7 @@
 and the degenerate s=1 contract."""
 
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,13 @@ from relmux import model as model_module
 from relmux import tensor as T
 from relmux.ablation import _restrict_corpus
 from relmux.config import ModelConfig, RunConfig, TrainConfig
-from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus, language_pools
+from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus, index_pools
 from relmux.aggregator import aggregate, build_aggregator_params
 from relmux.encoder import PAD_ID, build_encoder_params, encode
 from relmux.errors import NumericsError
 from relmux.evaluation import evaluate_model
 from relmux.heads import ENTITY_KEYS, build_head_params, entity_scores, masked_argmax_relation, relation_logits
-from relmux.model import _SWITCH_PASS, Model, sentence_ere_loss
+from relmux.model import _PASS, Model, sentence_ere_loss
 from relmux.optim import AdamW
 from relmux.params import ParamRegistry, load_checkpoint
 from relmux.switcher import (
@@ -390,11 +391,12 @@ class TestNoRelationBatch:
         model = Model.build(cfg.model, corpus.registry, init_seed=0)
         model.enter_stage(2)
         tss = [ts for group in self._no_relation_by_language(model, corpus).values() for ts in group]
-        batch = model.frozen_prefix(tss, cfg.train.batch_size)
+        table = model.frozen_prefix(tss)
         names = ("entity.te.w_index", "switcher.sub0.layer0.w_up")
         before = {n: model.registry[n].data.copy() for n in names}
         opt = AdamW(model.registry, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
-        assert _train_step(opt, model.stage2_batch_loss, batch, cfg.train, TrainLog(), 2, 0, 0) == 1
+        batch_loss = partial(model.stage2_batch_loss, table)
+        assert _train_step(opt, batch_loss, np.arange(len(tss)), cfg.train, TrainLog(), 2, 0, 0) == 1
         for name in names:
             assert model.registry[name].grad is None, name
             assert self._decayed_only(model, name, before[name], cfg.train), name
@@ -437,8 +439,8 @@ class TestStage2:
     def test_router_gradients_nonzero_after_first_step(self, trained):
         corpus, cfg, model, *_ = trained
         model.registry.zero_grad()
-        batch = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train[:4]], cfg.train.batch_size)
-        loss = model.stage2_batch_loss(batch, 2.0, 1.0)
+        table = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train[:4]])
+        loss = model.stage2_batch_loss(table, np.arange(4), 2.0, 1.0)
         loss.backward()
         assert np.linalg.norm(model.registry["switcher.lang_emb"].grad) > 0
         assert np.linalg.norm(model.registry["switcher.w_router"].grad) > 0
@@ -483,14 +485,16 @@ def stage2_frozen_model(routing="learned", seed=6):
 
 class TestBatchedStage2:
     @pytest.mark.parametrize("routing", ["learned", "identity"])
-    def test_batch_matches_sentence_at_a_time(self, routing):
-        """A batch drawn from a frozen-prefix table, of several languages,
-        holding one sentence twice and one without a relation, gives the
-        loss and every gradient of the sentence-at-a-time composition, both
-        when its relation-bearing sentences differ in length and when they
-        share one. Nothing is frozen, so the table passes gradients on to
-        the encoder and the aggregator, and a row gathered from the wrong
-        place would show there too."""
+    def test_batch_matches_sentence_at_a_time(self, routing, monkeypatch):
+        """A batch drawn from a frozen-prefix table built in passes of two,
+        of several languages, holding one sentence's index twice and one
+        without a relation, gives the loss and every gradient of the
+        sentence-at-a-time composition, both when its relation-bearing
+        sentences differ in length and when they share one. Nothing is
+        frozen, so the table passes gradients on to the encoder and the
+        aggregator, and a row gathered from the wrong place would show there
+        too."""
+        monkeypatch.setattr(model_module, "_PASS", 2)
         corpus = tiny_corpus()
         cfg = replace(tiny_run_cfg().model, routing=routing)
         model = Model.build(cfg, corpus.registry, init_seed=6)
@@ -501,9 +505,10 @@ class TestBatchedStage2:
         langs_at = {n: {ex.lang for ex in bearing if len(ex.tokens) == n} for n in {len(ex.tokens) for ex in bearing}}
         common = max(langs_at, key=lambda n: len(langs_at[n]))
         no_relation = next(ex for ex in corpus.train if ex.relation == 0)
-        mixed = [pool[i] for i in range(2) for pool in language_pools(corpus.train)] + [no_relation]
-        equal = [pool[i] for pool in language_pools([ex for ex in bearing if len(ex.tokens) == common])
-                 for i in range(min(2, len(pool)))] + [no_relation]
+        mixed = [corpus.train[pool[i]] for i in range(2) for pool in index_pools([ex.lang for ex in corpus.train])]
+        mixed.append(no_relation)
+        same = [ex for ex in bearing if len(ex.tokens) == common]
+        equal = [same[i] for pool in index_pools([ex.lang for ex in same]) for i in pool[:2]] + [no_relation]
 
         def loss_and_grads(loss_fn):
             model.registry.zero_grad()
@@ -520,8 +525,8 @@ class TestBatchedStage2:
 
             def table_loss():
                 # a fresh table per loss: its rows hold the last backward's gradients
-                entries = model.frozen_prefix([model.tokenize(ex) for ex in batch], 2)
-                return model.stage2_batch_loss(entries + [entries[again]], 2.0, 1.0)
+                table = model.frozen_prefix([model.tokenize(ex) for ex in batch])
+                return model.stage2_batch_loss(table, np.r_[np.arange(len(batch)), again], 2.0, 1.0)
 
             got_loss, got = loss_and_grads(table_loss)
             want_loss, want = loss_and_grads(lambda: composed_stage2_loss(model, batch + [batch[again]], 2.0, 1.0))
@@ -531,33 +536,50 @@ class TestBatchedStage2:
             for name, g in want.items():
                 assert np.abs(got[name] - g).max() <= 1e-12, (bearing_lengths, name)
 
-    def test_chunked_table_is_bitwise_the_whole_bucket_table(self):
+    def test_chunked_table_is_bitwise_the_whole_bucket_table(self, monkeypatch):
         corpus, model = stage2_frozen_model()
         tss = [model.tokenize(ex) for ex in corpus.train]
-        chunk = 3
         lengths = [ts.length for ts in tss]
-        assert max(lengths.count(n) for n in set(lengths)) > chunk
-        chunked = model.frozen_prefix(tss, chunk)
-        whole = model.frozen_prefix(tss, len(tss))
-        for ts, a, b in zip(tss, chunked, whole):
-            assert a.ts is ts and b.ts is ts and a.length == b.length == ts.length
-            assert a.table.pooled.data[a.index].tobytes() == b.table.pooled.data[b.index].tobytes()
-            rows_a = a.table.rows.data[a.start : a.start + a.length]
-            rows_b = b.table.rows.data[b.start : b.start + b.length]
+        assert max(lengths.count(n) for n in set(lengths)) > 3
+        passes = []
+        forward = model._forward
+
+        def recorded(part, s):
+            passes.append(len(part))
+            return forward(part, s)
+
+        model._forward = recorded
+        tables = {}
+        for size in (3, len(tss)):
+            monkeypatch.setattr(model_module, "_PASS", size)
+            passes.clear()
+            tables[size] = model.frozen_prefix(tss)
+            assert max(passes) <= size and sum(passes) == len(tss)
+        # the whole split takes one pass per length, and passes of 3 take more
+        assert len(passes) == len(set(lengths))
+        chunked, whole = tables[3], tables[len(tss)]
+        for table in (chunked, whole):
+            assert table.tss is tss
+            assert table.lengths.tolist() == lengths
+            assert table.langs.tolist() == [ts.lang for ts in tss]
+        for i in range(len(tss)):
+            assert chunked.pooled.data[chunked.index[i]].tobytes() == whole.pooled.data[whole.index[i]].tobytes()
+            rows_a = chunked.rows.data[chunked.starts[i] : chunked.starts[i] + lengths[i]]
+            rows_b = whole.rows.data[whole.starts[i] : whole.starts[i] + lengths[i]]
             assert rows_a.tobytes() == rows_b.tobytes()
 
     def test_step_runs_no_frozen_layer(self, monkeypatch):
         import relmux.model
 
         corpus, model = stage2_frozen_model()
-        entries = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train], 8)
+        table = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train])
 
         def frozen_layer(*args, **kwargs):
             raise AssertionError("a stage-2 step ran a frozen layer")
 
         monkeypatch.setattr(relmux.model, "encode", frozen_layer)
         monkeypatch.setattr(relmux.model, "aggregate", frozen_layer)
-        loss = model.stage2_batch_loss(entries[:8], 2.0, 1.0)
+        loss = model.stage2_batch_loss(table, np.arange(8), 2.0, 1.0)
         frozen = {id(t) for n, t in model.registry.items() if n.startswith(("encoder.", "aggregator."))}
         tape = T._toposort(loss)
         assert len(tape) > 1
@@ -656,8 +678,8 @@ class TestPredictComposition:
         model.stage = 2
         per_lang = np.bincount([ex.lang for ex in corpus.dev])
         assert per_lang.min() > 0
-        examples = corpus.dev * (_SWITCH_PASS // int(per_lang.min()) + 1)
-        assert (np.bincount([ex.lang for ex in examples]) > _SWITCH_PASS).all()
+        examples = corpus.dev * (_PASS // int(per_lang.min()) + 1)
+        assert (np.bincount([ex.lang for ex in examples]) > _PASS).all()
         self._assert_bitwise_the_composition(model, examples)
 
     def test_one_length_over_several_head_passes_is_bitwise_the_composition(self, monkeypatch):
@@ -668,7 +690,7 @@ class TestPredictComposition:
         model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=4)
         model.stage = 2
         bearing = next(ex for ex, pred in zip(corpus.dev, model.predict_all(corpus.dev)) if pred.relation)
-        examples = [ex for ex in corpus.dev if len(ex.tokens) == len(bearing.tokens)] * (_SWITCH_PASS + 1)
+        examples = [ex for ex in corpus.dev if len(ex.tokens) == len(bearing.tokens)] * (_PASS + 1)
         passes = []
         decode = model_module.decode_spans
 
@@ -681,7 +703,7 @@ class TestPredictComposition:
         # the relation head reads no switched row, so every k has the same
         # sentences to score, all of one length: at least two passes per k
         assert len({m for _, m in passes}) == 1
-        assert all(g <= _SWITCH_PASS for g, _ in passes)
+        assert all(g <= _PASS for g, _ in passes)
         assert len(passes) > model.cfg.n_sub_modules
 
     @pytest.mark.parametrize("routing", ["learned", "identity"])
@@ -711,9 +733,9 @@ class TestPredictionCalls:
         seen: list[str] = []
         predict = model.predict
 
-        def recorded(entry, *a, **kw):
-            seen.append(entry.ts.example_id)
-            return predict(entry, *a, **kw)
+        def recorded(ts, *a, **kw):
+            seen.append(ts.example_id)
+            return predict(ts, *a, **kw)
 
         model.predict = recorded
         return seen
@@ -754,10 +776,10 @@ class TestKeptPredictionTable:
         built = []
         frozen_prefix = model.frozen_prefix
 
-        def recorded(tss, chunk):
-            entries = frozen_prefix(tss, chunk)
-            built.append(entries[0].table)
-            return entries
+        def recorded(tss):
+            table = frozen_prefix(tss)
+            built.append(table)
+            return table
 
         model.frozen_prefix = recorded
         return built
@@ -835,6 +857,25 @@ class TestCheckpointRoundTrip:
         assert again.registry.names() == model.registry.names()
         for name, t in model.registry.items():
             assert again.registry[name].data.tobytes() == t.data.tobytes(), name
+
+    def test_load_rejects_a_corpus_of_another_vocabulary(self, tmp_path):
+        # one content token renamed in every language that has it: the same
+        # languages, relations and vocabulary size, so every shape matches,
+        # but tok_emb's rows would embed other tokens
+        from relmux.errors import CheckpointError
+
+        corpus = tiny_corpus()
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=3)
+        model.save(tmp_path / "m.ckpt")
+        token = corpus.registry.content_vocab()[0]
+        languages = [replace(l, vocab=tuple(sorted("zz" + t if t == token else t for t in l.vocab)))
+                     for l in corpus.registry.languages]
+        other = replace(corpus.registry, languages=languages)
+        assert len(other.content_vocab()) == len(corpus.registry.content_vocab())
+        assert other.content_vocab() != corpus.registry.content_vocab()
+        with pytest.raises(CheckpointError, match="vocabulary"):
+            Model.load(tmp_path / "m.ckpt", other)
+        Model.load(tmp_path / "m.ckpt", corpus.registry)
 
     def test_save_failing_halfway_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         corpus = tiny_corpus()
