@@ -24,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .ablation import ABLATION_NAMES, run_ablation
@@ -107,6 +107,12 @@ def cmd_train(args) -> int:
     extra = None
     if args.resume:
         model, _, extra = Model.load(args.resume, corpus.registry)
+        # the run trains the checkpoint's model, so the config must describe it
+        differs = (f.name for f in fields(cfg.model) if getattr(cfg.model, f.name) != getattr(model.cfg, f.name))
+        name = next(differs, None)
+        if name is not None:
+            raise ConfigError(f"config model.{name} is {getattr(cfg.model, name)!r}, "
+                              f"but the --resume checkpoint's is {getattr(model.cfg, name)!r}")
         if args.stage == 1:
             # the moments must fit the parameters stage 1 trains
             _, _, moments, _ = stage1_resume_state(extra)

@@ -68,19 +68,19 @@ def entity_scores(
 
     Each token feature is concatenated with the relation embedding, projected
     down, squashed by tanh, then projected to a scalar score. Several
-    sentences score at once: ``relation_emb`` holds one row per sentence and
-    ``features`` their m stacked positions, as (m, d) with (m, 1) scores, or,
-    for sentences of one length L, as (g, L, d) with (g, L, 1) scores, whose
-    scalar projection takes one product per sentence, bit for bit what one
-    sentence alone gets.
+    sentences score at once: ``features`` holds their m real positions back
+    to back, as (m, d) with (m, 1) scores, or, for sentences of one length L,
+    as (g, L, d) with (g, L, 1) scores, whose scalar projection takes one
+    product per sentence, bit for bit what one sentence alone gets.
+    ``relation_emb`` holds one (m, d) row per position: the embedding of
+    that position's sentence's relation.
     """
     *lead, d = features.shape
-    k = relation_emb.shape[0]
-    if len(lead) not in (1, 2) or relation_emb.data.ndim != 2 or relation_emb.shape[1] != d or lead[0] % k:
-        raise T.ShapeError(f"relation embedding shape {relation_emb.shape} invalid for features {features.shape}")
     m = features.data.size // d
+    if len(lead) not in (1, 2) or relation_emb.shape != (m, d):
+        raise T.ShapeError(f"relation embedding shape {relation_emb.shape} invalid for features {features.shape}")
     flat = T.reshape(features, (m, d)) if len(lead) > 1 else features
-    paired = T.concat([flat, T.repeat_rows(relation_emb, m // k)], axis=1)
+    paired = T.concat([flat, relation_emb], axis=1)
     mask = Tensor(np.asarray(position_mask, dtype=np.float64).reshape(*lead, 1))
     scores: dict[str, Tensor] = {}
     for key in ENTITY_KEYS:

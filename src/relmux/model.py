@@ -8,6 +8,10 @@ of s consecutive sentences under the PAD key mask that ``encode`` built.
 Stage-1 training concatenates groups of sentences in different languages
 through the cross-sentence aggregator and trains everything jointly.
 
+Every caller hands the entity scorers one layout: the real rows of only the
+relation-bearing sentences, back to back, with their lengths, each row
+paired with its own sentence's relation embedding. No scorer reads a PAD row.
+
 Stage 2 freezes the encoder and the aggregator, so their output for a
 sentence never changes during the stage. ``frozen_prefix`` computes it once
 per training sentence, as one ``FrozenPrefix`` table: each sentence's
@@ -17,10 +21,10 @@ length and language. It runs ``_forward`` over sentences of one exact length
 at a time, so no PAD is involved, in passes of at most ``_PASS``. A stage-2
 batch is an array of sentence indices into the table. A step gathers its
 sentences' [CLS] rows, and the real rows of only its relation-bearing
-sentences, which are all the entity scorers read; the switcher's training
-mix and the entity scorers run over those rows alone. The entity cross
-entropy alone lays the scores out padded, with NEG_INF off each sentence's
-rows. Both stages share one joint loss, ``_ere_loss``.
+sentences; the switcher's training mix and the entity scorers run over
+those rows alone. Both stages share one joint loss, ``_ere_loss``, whose
+entity cross entropy alone lays the scores out padded, with NEG_INF off each
+sentence's rows.
 
 Prediction reads the same kind of table over the examples to predict,
 recording no tape. The model keeps the last such table with the examples
@@ -188,23 +192,13 @@ class Model:
                           self.registry, self.cfg)
         return eo.pooled, T.reshape(fused, (rows, d))
 
-    def _entity_scores(
-        self, tss: list[TokenizedSentence], features: Tensor, relations, lengths: np.ndarray | None = None
-    ) -> dict[str, Tensor]:
-        """Entity scores of n sentences whose feature rows lie back to back,
-        ``lengths[i]`` of them for sentence i, or an equal share each when
-        ``lengths`` is None, then also as (n, m, d) blocks, every row
-        conditioned on the embedding of its sentence's relation."""
-        emb = self.registry["relation.emb"]
-        if lengths is None:
-            # entity_scores repeats each sentence's relation row over its m
-            # rows, stacked as (n*m, d) or (n, m, d)
-            m = features.data.size // (len(tss) * features.shape[-1])
-            rel_emb = T.gather_rows(emb, relations)
-            mask = np.concatenate([ts.content_position_mask(m) for ts in tss])
-        else:
-            rel_emb = T.gather_rows(emb, np.repeat(relations, lengths))
-            mask = np.concatenate([ts.content_position_mask(int(m)) for ts, m in zip(tss, lengths)])
+    def _entity_scores(self, tss: list[TokenizedSentence], features: Tensor, relations, lengths) -> dict[str, Tensor]:
+        """Entity scores of n sentences whose real feature rows lie back to
+        back, ``lengths[i]`` of them for sentence i, or, when the lengths are
+        equal, as (n, m, d) blocks; every row conditioned on the embedding of
+        its sentence's relation, gathered once per row."""
+        rel_emb = T.gather_rows(self.registry["relation.emb"], np.repeat(relations, lengths))
+        mask = np.concatenate([ts.content_position_mask(int(m)) for ts, m in zip(tss, lengths)])
         return entity_scores(features, rel_emb, mask, self.registry)
 
     def _ere_loss(
@@ -212,14 +206,13 @@ class Model:
         alpha: float, beta: float, stats: dict | None,
     ) -> Tensor:
         """Joint loss averaged over n sentences. ``pooled_encoder`` holds their
-        (n, d) encoder [CLS] rows. ``features`` holds the rows of only the
-        sentences that bear a relation, back to back, ``lengths[i]`` of them
-        for the i-th such sentence: stage 1's padded rows, or stage 2's real
-        ones. The relation term is one row-wise cross entropy over all n. The
-        entity scorers run over ``features``; each entity key is one cross
-        entropy over the bearing sentences, their scores laid out one row per
-        sentence: as they come when the lengths are equal, else scattered
-        into (n_b, longest length) with NEG_INF off each sentence's rows."""
+        (n, d) encoder [CLS] rows. ``features`` holds the real rows of only
+        the sentences that bear a relation, back to back, ``lengths[i]`` of
+        them for the i-th such sentence. The relation term is one row-wise
+        cross entropy over all n. The entity scorers run over ``features``;
+        each entity key is one cross entropy over the bearing sentences, their
+        scores scattered one row per sentence into (n_b, longest length),
+        with NEG_INF off each sentence's rows."""
         n = len(tss)
         allowed = self.languages.schema.allowed
         for ts in tss:
@@ -229,15 +222,10 @@ class Model:
         entity_ces = []
         bearing = np.flatnonzero(rels)
         if bearing.size:
-            # Equal lengths (stage 1's padded rows) take the equal-share path:
-            # a gather per row would give the same values, but would sum
-            # relation.emb's gradient in another order.
-            equal = bool((lengths == lengths[0]).all())
-            scores = self._entity_scores([tss[i] for i in bearing], features, rels[bearing], None if equal else lengths)
-            if not equal:
-                m = int(lengths.max())
-                slots = _row_spans(np.arange(bearing.size) * m, lengths)
-                scores = {key: T.scatter_rows(t, slots, bearing.size * m, NEG_INF) for key, t in scores.items()}
+            scores = self._entity_scores([tss[i] for i in bearing], features, rels[bearing], lengths)
+            m = int(lengths.max())
+            slots = _row_spans(np.arange(bearing.size) * m, lengths)
+            scores = {key: T.scatter_rows(t, slots, bearing.size * m, NEG_INF) for key, t in scores.items()}
             golds = np.array([tss[i].head_span + tss[i].tail_span for i in bearing])
             entity_ces = [T.cross_entropy(scores[key], golds[:, j]) for j, key in enumerate(ENTITY_KEYS)]
         if stats is not None:
@@ -252,7 +240,8 @@ class Model:
         self, groups: list[list[TokenizedSentence]], alpha: float, beta: float, stats: dict | None = None
     ) -> Tensor:
         """Mean joint loss over the sentences of equal-size concatenation
-        groups, each group aggregated over its members' rows."""
+        groups, each group aggregated over its members' rows; only the
+        relation-bearing sentences' real rows go on to the entity heads."""
         s = len(groups[0])
         if any(len(group) != s for group in groups):
             raise ValueError("stage-1 concatenation groups must all have the same size")
@@ -260,10 +249,9 @@ class Model:
         pooled, fused = self._forward(tss, s)
         m = fused.shape[0] // len(tss)
         bearing = np.flatnonzero([ts.relation for ts in tss])
-        lengths = np.full(bearing.size, m)
-        if bearing.size < len(tss):
-            fused = T.gather_rows(fused, _row_spans(bearing * m, lengths))
-        return self._ere_loss(tss, pooled, fused, lengths, alpha, beta, stats)
+        lengths = np.array([tss[i].length for i in bearing], dtype=np.intp)
+        rows = T.gather_rows(fused, _row_spans(bearing * m, lengths))
+        return self._ere_loss(tss, pooled, rows, lengths, alpha, beta, stats)
 
     def frozen_prefix(self, tss: list[TokenizedSentence]) -> FrozenPrefix:
         """The ``FrozenPrefix`` of ``tss``. ``_forward`` runs over sentences of
@@ -355,9 +343,9 @@ class Model:
         bearing = np.flatnonzero(relations)
         for length, part in _passes(table.lengths[bearing]):
             part = bearing[part]
-            idx = _row_spans(table.starts[part], np.full(part.size, length))
-            features = Tensor(rows[idx].reshape(part.size, length, -1))
-            scores = self._entity_scores([table.tss[i] for i in part], features, relations[part])
+            lengths = table.lengths[part]
+            features = Tensor(rows[_row_spans(table.starts[part], lengths)].reshape(part.size, length, -1))
+            scores = self._entity_scores([table.tss[i] for i in part], features, relations[part], lengths)
             arrays = {key: t.data.reshape(part.size, length) for key, t in scores.items()}
             spans[part] = np.concatenate(decode_spans(arrays), axis=1) - CONTENT_START
             if dump_scores:

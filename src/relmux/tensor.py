@@ -275,15 +275,6 @@ def scatter_rows(a: Tensor, indices, rows: int, fill: float) -> Tensor:
     return _result(data, (a,), "scatter_rows", lambda g: a._accumulate(g[idx]))
 
 
-def repeat_rows(a: Tensor, n: int) -> Tensor:
-    """Repeat each row of a (k, d) tensor n times, into (k*n, d); the
-    gradient sums back over the copies."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"repeat_rows expects shape (k, d), got {a.shape}")
-    return _result(np.repeat(a.data, n, axis=0), (a,), "repeat_rows",
-                   lambda g: a._accumulate(g.reshape(a.shape[0], n, a.shape[1]).sum(axis=1)))
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _result(a.data.reshape(shape).copy(), (a,), "reshape", lambda g: a._accumulate(g.reshape(a.shape)))
 

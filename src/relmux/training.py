@@ -174,6 +174,7 @@ def train_stage2(
 ) -> Path:
     """Fine-tune the switcher and heads from a stage-1 model; encoder and
     aggregator are frozen. Keeps the best-dev checkpoint (dev triple micro-F1)."""
+    run_cfg.validate()
     if model.stage < 1:
         raise CheckpointError("stage 2 requires a stage-1 checkpoint to start from")
     tc = run_cfg.train

@@ -68,7 +68,7 @@ class TestDrivers:
                 continue
             scored += 1
             # the entity scores read the mixed features, whatever the relation head reads
-            want = model._entity_scores([ts], feats, [pred.relation])
+            want = model._entity_scores([ts], feats, [pred.relation], [ts.length])
             content = ts.content_position_mask(ts.length) == 0.0
             for key, t in want.items():
                 gap = np.abs(pred.entity_scores[key] - t.data.reshape(-1))[content].max()

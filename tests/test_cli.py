@@ -253,6 +253,22 @@ class TestTrain:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(prefix[code]), why
 
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_resume_with_another_model_config_exits_2(self, workspace, tmp_path, capsys, stage):
+        # the run would train the checkpoint's model but record the config's
+        ws, _, config = workspace
+        other = tmp_path / "other.json"
+        model = dict(RUN_DOC["model"], n_blocks=3, eval_top_k=3)
+        other.write_text(json.dumps(dict(json.loads(config.read_text()), model=model)), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["train", "--stage", str(stage), "--config", str(other),
+                   "--resume", str(ws / "run" / "stage1.ckpt"), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert not (tmp_path / "r").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert "model.n_blocks is 3" in err[0] and "eval_top_k" not in err[0], err
+
     def test_rejected_generate_eval_and_ablate_leave_no_output_directory(self, workspace, tmp_path, capsys):
         ws, langs, config = workspace
         bad_langs = tmp_path / "bad.json"

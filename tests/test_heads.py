@@ -95,7 +95,8 @@ class TestEntityScores:
         for key in ("hs", "he", "ts", "te"):
             reg[f"entity.{key}.w_down"].data[:] = 0.0
         mask = np.array([NEG_INF, 0.0, 0.0, NEG_INF])
-        scores = entity_scores(Tensor(rng.normal(size=(4, 4))), Tensor(rng.normal(size=(1, 4))), mask, reg)
+        features, rel = rng.normal(size=(4, 4)), rng.normal(size=(1, 4))
+        scores = entity_scores(Tensor(features), Tensor(np.repeat(rel, 4, axis=0)), mask, reg)
         for vec in scores.values():
             out = vec.data.reshape(-1)
             assert out[1] == 0.0 and out[2] == 0.0
@@ -104,8 +105,8 @@ class TestEntityScores:
     def test_four_vectors_of_length_m(self, rng):
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=1)
-        scores = entity_scores(Tensor(rng.normal(size=(6, 4))), Tensor(rng.normal(size=(1, 4))),
-                               np.zeros(6), reg)
+        features, rel = rng.normal(size=(6, 4)), rng.normal(size=(1, 4))
+        scores = entity_scores(Tensor(features), Tensor(np.repeat(rel, 6, axis=0)), np.zeros(6), reg)
         assert set(scores) == {"hs", "he", "ts", "te"}
         for vec in scores.values():
             assert vec.shape == (6, 1)
@@ -116,7 +117,8 @@ class TestEntityScores:
         features = rng.normal(size=(3, 4))
         rel = rng.normal(size=(1, 4))
         mask = np.array([0.0, 0.0, NEG_INF])
-        scores = entity_scores(Tensor(features), Tensor(rel), mask, reg)
+        # one relation row per feature row; the oracle pairs every row with the one row
+        scores = entity_scores(Tensor(features), Tensor(np.repeat(rel, 3, axis=0)), mask, reg)
         for key in ("hs", "he", "ts", "te"):
             want = oracle_entity_scores(features, rel, reg[f"entity.{key}.w_down"].data,
                                         reg[f"entity.{key}.w_index"].data, mask)
@@ -128,18 +130,21 @@ class TestEntityScores:
         features = rng.normal(size=(g, m, 4))
         rels = rng.normal(size=(g, 4))
         masks = np.where(rng.random((g, m)) < 0.3, NEG_INF, 0.0)
-        block = entity_scores(Tensor(features), Tensor(rels), masks.reshape(-1), reg)
+        block = entity_scores(Tensor(features), Tensor(np.repeat(rels, m, axis=0)), masks.reshape(-1), reg)
         for i in range(g):
-            alone = entity_scores(Tensor(features[i]), Tensor(rels[i : i + 1]), masks[i], reg)
+            alone = entity_scores(Tensor(features[i]), Tensor(np.repeat(rels[i : i + 1], m, axis=0)), masks[i], reg)
             for key, t in block.items():
                 assert t.shape == (g, m, 1)
                 assert t.data[i].tobytes() == alone[key].data.tobytes(), (i, key)
 
     def test_block_relation_rows_must_align_with_sentences(self, rng):
-        # 12 rows split evenly over 2 relation rows, but not over 3 sentences
+        # 12 feature rows need 12 relation rows: neither 2 rows nor one per
+        # sentence is broadcast over them
         reg = build_reg(toy_cfg())
-        with pytest.raises(T.ShapeError):
-            entity_scores(Tensor(rng.normal(size=(3, 4, 4))), Tensor(rng.normal(size=(2, 4))), np.zeros(12), reg)
+        features = rng.normal(size=(3, 4, 4))
+        for k in (2, 3):
+            with pytest.raises(T.ShapeError):
+                entity_scores(Tensor(features), Tensor(rng.normal(size=(k, 4))), np.zeros(12), reg)
 
     def test_combined_head_gradient_check(self, rng):
         cfg = toy_cfg()
@@ -151,7 +156,7 @@ class TestEntityScores:
                   **{n: t for n, t in reg.items() if n.startswith("entity.")}}
 
         def f():
-            scores = entity_scores(features, rel, mask, reg)
+            scores = entity_scores(features, T.gather_rows(rel, [0] * 4), mask, reg)
             ces = [T.cross_entropy(scores[k], g) for k, g in
                    (("hs", 0), ("he", 1), ("ts", 2), ("te", 3))]
             return T.mul(T.add_n(ces), 0.5)
@@ -292,6 +297,6 @@ class TestPredict:
         mask = ts.content_position_mask(feats.shape[0])
         out = {}
         for rel in (1, 2):
-            emb = T.narrow(model.registry["relation.emb"], 0, rel, 1)
+            emb = T.gather_rows(model.registry["relation.emb"], [rel] * feats.shape[0])
             out[rel] = entity_scores(feats, emb, mask, model.registry)["hs"].data.copy()
         assert not np.allclose(out[1], out[2])

@@ -330,19 +330,10 @@ class TestPlumbingOps:
             h = T.relu(T.tanh(rows))
             c = T.concat([h, h], axis=1)
             n = T.narrow(c, 1, 1, 3)
-            r = T.repeat_rows(T.narrow(n, 0, 0, 1), 3)
+            r = T.gather_rows(T.narrow(n, 0, 0, 1), [0] * 3)
             return tsum(T.mul(r, r))
 
         report = finite_diff_check(f, {"table": table}, max_coords=15)
-        assert report.max_rel_error < 1e-6
-
-    def test_repeat_rows_of_several_rows(self, rng):
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(8, 3)))
-        out = T.repeat_rows(a, 4)
-        assert np.array_equal(out.data[:4], np.tile(a.data[:1], (4, 1)))
-        assert np.array_equal(out.data[4:], np.tile(a.data[1:], (4, 1)))
-        report = finite_diff_check(lambda: tsum(T.mul(T.repeat_rows(a, 4), w)), {"a": a})
         assert report.max_rel_error < 1e-6
 
     def test_backward_requires_scalar(self, rng):
@@ -400,7 +391,6 @@ TAPE_RULE_CASES = {
     "concat": ([_ARRAYS.normal(size=(1, 3)), _ARRAYS.normal(size=(2, 3))], lambda a, b: T.concat([a, b], axis=0)),
     "gather_rows": ([_ARRAYS.normal(size=(4, 3))], lambda a: T.gather_rows(a, [2, 0, 2])),
     "scatter_rows": ([_ARRAYS.normal(size=(2, 3))], lambda a: T.scatter_rows(a, [3, 1], 4, NEG_INF)),
-    "repeat_rows": ([_ARRAYS.normal(size=(2, 3))], lambda a: T.repeat_rows(a, 2)),
     "reshape": ([_ARRAYS.normal(size=(2, 3))], lambda a: T.reshape(a, (3, 2))),
     "add_n": ([_ARRAYS.normal(size=(2, 3)) for _ in range(3)], lambda *ts: T.add_n(list(ts))),
     "relu": ([_ARRAYS.normal(size=(2, 3))], T.relu),
@@ -476,7 +466,7 @@ class TestGradientLifetime:
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         h = T.tanh(T.matmul(a, b))
-        loss = tsum(T.add(T.concat([h, T.mul(h, 2.0)], axis=0), T.repeat_rows(T.narrow(h, 0, 0, 1), 4)))
+        loss = tsum(T.add(T.concat([h, T.mul(h, 2.0)], axis=0), T.gather_rows(T.narrow(h, 0, 0, 1), [0] * 4)))
         order = T._toposort(loss)
         loss.backward()
         interior = [node for node in order if node._backward is not None]

@@ -15,7 +15,7 @@ from relmux.config import ModelConfig, RunConfig, TrainConfig
 from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus, index_pools
 from relmux.aggregator import aggregate, build_aggregator_params
 from relmux.encoder import PAD_ID, build_encoder_params, encode
-from relmux.errors import NumericsError
+from relmux.errors import ConfigError, NumericsError
 from relmux.evaluation import evaluate_model
 from relmux.heads import ENTITY_KEYS, build_head_params, entity_scores, masked_argmax_relation, relation_logits
 from relmux.model import _PASS, Model, sentence_ere_loss
@@ -87,7 +87,7 @@ def composed_sentence_loss(model, ts, pooled_encoder, feats, alpha, beta):
     rel_ce = T.cross_entropy(relation_logits(pooled_encoder, reg), ts.relation)
     entity_ces = []
     if ts.relation != 0:
-        rel_emb = T.narrow(reg["relation.emb"], 0, ts.relation, 1)
+        rel_emb = T.gather_rows(reg["relation.emb"], [ts.relation] * ts.length)
         scores = entity_scores(feats, rel_emb, ts.content_position_mask(ts.length), reg)
         golds = ts.head_span + ts.tail_span
         entity_ces = [T.cross_entropy(scores[key], g) for key, g in zip(ENTITY_KEYS, golds)]
@@ -147,7 +147,7 @@ def composed_predict(model, ex, k):
     relation = int(masked_argmax_relation(logits[None], model.languages.schema.allowed, [ts.lang])[0])
     if relation == 0:
         return logits, None
-    rel_emb = T.narrow(reg["relation.emb"], 0, relation, 1)
+    rel_emb = T.gather_rows(reg["relation.emb"], [relation] * ts.length)
     scores = entity_scores(feats, rel_emb, ts.content_position_mask(ts.length), reg)
     return logits, {key: t.data.reshape(-1) for key, t in scores.items()}
 
@@ -300,6 +300,25 @@ class TestStage1:
         before = loss_and_grads()
         model.registry["encoder.tok_emb"].data[PAD_ID] += np.random.default_rng(1).normal(0.0, 5.0, model.cfg.d_model)
         assert loss_and_grads() == before
+
+    def test_entity_heads_read_only_the_bearing_sentences_real_rows(self, monkeypatch):
+        corpus = tiny_corpus()
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=3)
+        model.enter_stage(1)
+        groups = [[model.tokenize(ex) for ex in corpus.train[i : i + 2]] for i in range(0, 12, 2)]
+        tss = [ts for group in groups for ts in group]
+        bearing = [ts for ts in tss if ts.relation]
+        assert len({ts.length for ts in bearing}) > 1 and len(bearing) < len(tss)
+        seen = []
+
+        def spy(features, relation_emb, position_mask, reg):
+            seen.append((features.shape, relation_emb.shape, len(position_mask)))
+            return entity_scores(features, relation_emb, position_mask, reg)
+
+        monkeypatch.setattr(model_module, "entity_scores", spy)
+        model.stage1_batch_loss(groups, 2.0, 1.0)
+        rows = sum(ts.length for ts in bearing)
+        assert seen == [((rows, model.cfg.d_model), (rows, model.cfg.d_model), rows)]
 
     def test_unequal_groups_rejected(self):
         corpus = tiny_corpus()
@@ -460,6 +479,16 @@ class TestStage2:
 
         with pytest.raises(CheckpointError):
             train_stage2(fresh, corpus, cfg, tmp_path, TrainLog())
+
+    def test_stage2_validates_its_run_config(self, tmp_path):
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg()
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
+        model.enter_stage(1)
+        for bad in (replace(cfg.train, batch_size=0), replace(cfg.train, patience=0)):
+            with pytest.raises(ConfigError):
+                train_stage2(model, corpus, replace(cfg, train=bad), tmp_path / "out", TrainLog())
+        assert not (tmp_path / "out").exists()
 
     def test_early_stopping_respects_patience(self, tmp_path):
         corpus = tiny_corpus()
@@ -625,7 +654,7 @@ class TestConditioningOnTrainedModel:
         mask = ts.content_position_mask(feats.shape[0])
         outputs = {}
         for rel in (1, 2):
-            emb = T.narrow(model.registry["relation.emb"], 0, rel, 1)
+            emb = T.gather_rows(model.registry["relation.emb"], [rel] * feats.shape[0])
             outputs[rel] = entity_scores(feats, emb, mask, model.registry)["hs"].data.copy()
         assert not np.allclose(outputs[1], outputs[2])
 
