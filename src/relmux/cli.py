@@ -47,12 +47,15 @@ EXIT_NUMERIC = 4
 
 def _resolve_out(path: str) -> Path:
     """The directory ``path``, created, under RELMUX_OUT_ROOT when it is
-    relative and the variable is set."""
+    relative and the variable is set; a ``ConfigError`` if it cannot be."""
     root = os.environ.get("RELMUX_OUT_ROOT")
     p = Path(path)
     if root and not p.is_absolute():
         p = Path(root) / p
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out directory {p}: {exc.strerror}") from None
     return p
 
 

@@ -16,6 +16,7 @@ live together in one JSON config with a schema_version field.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -498,12 +499,12 @@ def _format_span(span: tuple[int, int]) -> str:
     return f"{span[0]}:{span[1]}"
 
 
-def _parse_span(text: str, lineno: int) -> tuple[int, int]:
+def _parse_span(text: str, where: str) -> tuple[int, int]:
     try:
         s, e = text.split(":")
         return int(s), int(e)
     except ValueError:
-        raise DataValidationError(f"line {lineno}: malformed span {text!r}") from None
+        raise DataValidationError(f"{where}: malformed span {text!r}") from None
 
 
 def save_examples(path: str | Path, examples: list[Example], registry: LanguageRegistry) -> None:
@@ -527,40 +528,47 @@ def save_examples(path: str | Path, examples: list[Example], registry: LanguageR
 
 
 def load_examples(path: str | Path, registry: LanguageRegistry) -> list[Example]:
-    """Parse and validate a corpus file; errors carry 1-based line numbers."""
+    """Parse and validate a UTF-8 corpus file; errors carry the file and a 1-based line number."""
     p = Path(path)
     if not p.exists():
         raise DataValidationError(f"corpus file not found: {p}")
+    try:
+        fh = io.StringIO(p.read_bytes().decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataValidationError(f"{p}: line {lineno}: not UTF-8 text") from None
     examples: list[Example] = []
-    with p.open(encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != f"schema_version={SCHEMA_VERSION}":
-            raise DataValidationError(f"{p}: line 1: expected schema_version={SCHEMA_VERSION}, got {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields: dict[str, str] = {}
-            for part in line.split("\t"):
-                if "=" not in part:
-                    raise DataValidationError(f"{p}: line {lineno}: malformed field {part!r}")
-                key, value = part.split("=", 1)
-                fields[key] = value
-            missing = {"id", "lang", "tokens", "head", "tail", "rel"} - set(fields)
-            if missing:
-                raise DataValidationError(f"{p}: line {lineno}: missing fields {sorted(missing)}")
-            lang = registry.lang_by_code(fields["lang"])
-            relation = registry.schema.index(fields["rel"])
-            ex = Example(
-                id=fields["id"],
-                lang=lang.id,
-                tokens=tuple(fields["tokens"].split()),
-                head_span=_parse_span(fields["head"], lineno),
-                tail_span=_parse_span(fields["tail"], lineno),
-                relation=relation,
-            )
-            ex.validate(registry.schema, where=f"{p}: line {lineno}")
-            examples.append(ex)
+    header = fh.readline().strip()
+    if header != f"schema_version={SCHEMA_VERSION}":
+        raise DataValidationError(f"{p}: line 1: expected schema_version={SCHEMA_VERSION}, got {header!r}")
+    for lineno, raw_line in enumerate(fh, start=2):
+        line = raw_line.rstrip("\n")
+        if not line:
+            continue
+        where = f"{p}: line {lineno}"
+        fields: dict[str, str] = {}
+        for part in line.split("\t"):
+            if "=" not in part:
+                raise DataValidationError(f"{where}: malformed field {part!r}")
+            key, value = part.split("=", 1)
+            if key in fields:
+                raise DataValidationError(f"{where}: repeated field {key!r}")
+            fields[key] = value
+        missing = {"id", "lang", "tokens", "head", "tail", "rel"} - set(fields)
+        if missing:
+            raise DataValidationError(f"{where}: missing fields {sorted(missing)}")
+        lang = registry.lang_by_code(fields["lang"])
+        relation = registry.schema.index(fields["rel"])
+        ex = Example(
+            id=fields["id"],
+            lang=lang.id,
+            tokens=tuple(fields["tokens"].split()),
+            head_span=_parse_span(fields["head"], where),
+            tail_span=_parse_span(fields["tail"], where),
+            relation=relation,
+        )
+        ex.validate(registry.schema, where=where)
+        examples.append(ex)
     return examples
 
 

@@ -1,17 +1,15 @@
 """Trainable transformer encoder producing per-token and pooled representations.
 
-Input layout is [CLS] [LANG_n] content... [SEP] [PAD]..., gold spans shifted by
-the two prepended specials. The encoder is token + learned position
-embeddings followed by pre-norm blocks (``tensor.attention`` with PAD key
-masking over n_heads heads, then a feed-forward, each with a residual). The
-pooled vector is the [CLS] row of the final hidden states, taken verbatim.
+Input layout is [CLS] [LANG_n] content... [SEP], gold spans shifted by the
+two prepended specials. The encoder is token + learned position embeddings
+followed by pre-norm blocks (``tensor.attention`` within each sentence over
+n_heads heads, then a feed-forward, each with a residual). The pooled vector
+is the [CLS] row of the final hidden states, taken verbatim.
 
-A tokenized sentence holds only its real tokens. ``encode`` alone pads: it
-lays a batch out at its longest length and hands on the PAD key mask it builds.
-PAD rows are left as the blocks compute them, never zeroed, because nothing
-reads them: a PAD key gets attention weight exactly 0 here and in the
-aggregator, the entity scorers add NEG_INF at every non-content position, and
-the relation head reads only [CLS]. So a PAD row's gradient is exactly 0.
+A tokenized sentence holds only its real tokens, and ``encode`` keeps it so:
+it packs a batch's sentences' rows back to back and hands ``tensor.attention``
+one length per sentence, so no PAD row is ever computed. The [PAD] vocabulary
+entry is row 0 of ``encoder.tok_emb``, which no sentence reads.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ class TokenizedSentence:
         return int(self.input_ids.shape[0])
 
     def content_position_mask(self, m: int) -> np.ndarray:
-        """Additive mask over m positions: 0 on content, NEG_INF on specials and padding."""
+        """Additive mask over m positions: 0 on content, NEG_INF elsewhere."""
         mask = np.full(m, NEG_INF)
         mask[CONTENT_START : CONTENT_START + self.n_content] = 0.0
         return mask
@@ -116,13 +114,6 @@ def tokenize(example: Example, vocab: Vocab, max_len: int) -> TokenizedSentence:
     )
 
 
-@dataclass
-class EncoderOutput:
-    hidden: Tensor          # (n*m, d): the rows of n sentences of m positions
-    pooled: Tensor          # (n, d), each sentence's [CLS] row
-    key_mask: np.ndarray    # (n, m) bool, False exactly on PAD
-
-
 def build_encoder_params(reg: ParamRegistry, cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> None:
     d, ffn = cfg.d_model, cfg.ffn_dim
     reg.add("encoder.tok_emb", embedding_init(rng, vocab_size, d))
@@ -143,34 +134,29 @@ def build_encoder_params(reg: ParamRegistry, cfg: ModelConfig, vocab_size: int, 
         reg.add(f"{p}.b_ffn2", np.zeros(d))
 
 
-def encode(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelConfig) -> EncoderOutput:
-    """Encode n sentences at once. Each is padded to the longest length m; the
-    row-wise ops run once over all n*m rows, and attention runs per sentence
-    and head under the PAD key mask. PAD rows come out as computed: no reader
-    takes a value or passes a gradient through them (see the module doc)."""
+def encode(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Encode n sentences at once: their real rows, R in all, packed back to
+    back in input order. The row-wise ops run once over all R rows, and
+    attention runs within each sentence. Returns the final hidden rows,
+    (R, d), and each sentence's [CLS] row, (n, d)."""
     lengths = np.array([ts.length for ts in sentences])
-    n, m = len(sentences), int(lengths.max())
-    positions = np.arange(m)
-    key_mask = positions < lengths[:, None]
-    ids = np.full((n, m), PAD_ID, dtype=np.intp)
-    for row, ts in zip(ids, sentences):
-        row[: ts.length] = ts.input_ids
+    starts = np.cumsum(lengths) - lengths
+    ids = np.concatenate([ts.input_ids for ts in sentences])
     vocab_size = reg["encoder.tok_emb"].shape[0]
     if ids.max() >= vocab_size:
         raise DataValidationError(f"token id {int(ids.max())} out of vocabulary range {vocab_size}")
     x = T.add(
-        T.gather_rows(reg["encoder.tok_emb"], ids.reshape(-1)),
-        T.gather_rows(reg["encoder.pos_emb"], np.tile(positions, n)),
+        T.gather_rows(reg["encoder.tok_emb"], ids),
+        T.gather_rows(reg["encoder.pos_emb"], np.arange(ids.size) - np.repeat(starts, lengths)),
     )
     for b in range(cfg.n_blocks):
         p = f"encoder.block{b}"
         a = T.layer_norm(x, reg[f"{p}.ln1.gain"], reg[f"{p}.ln1.bias"])
         q, k, v = (T.add(T.matmul(a, reg[f"{p}.w_{name}"]), reg[f"{p}.b_{name}"]) for name in "qkv")
-        attn = T.attention(q, k, v, key_mask, cfg.n_heads)
+        attn = T.attention(q, k, v, lengths, cfg.n_heads)
         x = T.add(x, T.add(T.matmul(attn, reg[f"{p}.w_o"]), reg[f"{p}.b_o"]))
         f = T.layer_norm(x, reg[f"{p}.ln2.gain"], reg[f"{p}.ln2.bias"])
         ff = T.add(T.matmul(f, reg[f"{p}.w_ffn1"]), reg[f"{p}.b_ffn1"])
         ff = T.add(T.matmul(T.relu(ff), reg[f"{p}.w_ffn2"]), reg[f"{p}.b_ffn2"])
         x = T.add(x, ff)
-    return EncoderOutput(hidden=x, pooled=T.gather_rows(x, np.arange(n) * m), key_mask=key_mask)
-
+    return x, T.gather_rows(x, starts)

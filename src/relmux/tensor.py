@@ -20,8 +20,8 @@ a new sum. ``backward()`` drops each interior gradient once the node's
 closure has passed it on, so only leaves keep gradients afterwards.
 
 The engine is deliberately small: matmul over batched matrices, elementwise
-arithmetic with broadcasting, row softmax, masked multi-head attention as one
-node, layer norm, relu/tanh, row-wise cross entropy, and the
+arithmetic with broadcasting, row softmax, multi-head attention over packed
+sequences as one node, layer norm, relu/tanh, row-wise cross entropy, and the
 slicing/concatenation plumbing the model needs. No higher-order derivatives.
 """
 
@@ -35,7 +35,7 @@ from .errors import NumericsError
 
 # Additive mask value standing in for -infinity. exp(NEG_INF + s) underflows
 # to exactly 0.0 for any score s of sane magnitude, so masked positions get
-# exactly zero attention weight and zero gradient without inf/nan arithmetic.
+# exactly zero softmax weight and zero gradient without inf/nan arithmetic.
 NEG_INF = -1.0e9
 
 LN_EPS = 1e-5
@@ -330,51 +330,58 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _result(p, (a,), "softmax_rows", lambda g: a._accumulate(_softmax_grad(g, p)))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, n_heads: int) -> Tensor:
-    """Masked scaled dot-product attention as one tape node. ``q``, ``k`` and
-    ``v`` share one shape, (n*m, d) or (n, m, d): n sequences of m rows.
-    ``key_mask`` is (n, m), False on PAD keys, whose scores get NEG_INF. Head
-    h owns columns [h*d/n_heads, (h+1)*d/n_heads) and attends within its own
-    sequence, scaled by 1/sqrt(d/n_heads). Returns q's shape. The backward is
-    FlashAttention's closed form untiled (arXiv:2205.14135); both passes run
-    the ufuncs of separate matmul, scale, mask and softmax ops in their order,
-    so the bits are those ops'."""
-    key_mask = np.asarray(key_mask, dtype=bool)
-    layouts = (key_mask.size,), key_mask.shape
-    if not q.shape == k.shape == v.shape or key_mask.ndim != 2 or q.shape[:-1] not in layouts:
-        raise ShapeError(f"sequence boundary mismatch: q, k, v {q.shape}, {k.shape}, {v.shape}, mask {key_mask.shape}")
-    (n, m), d = key_mask.shape, q.shape[-1]
+def attention(q: Tensor, k: Tensor, v: Tensor, lengths, n_heads: int) -> Tensor:
+    """Scaled dot-product attention within each of n sequences, as one tape
+    node. ``q``, ``k`` and ``v`` are (R, d): the sequences' rows packed back
+    to back, ``lengths[i]`` of them for sequence i. Head h owns columns
+    [h*d/n_heads, (h+1)*d/n_heads) and attends within its own sequence,
+    scaled by 1/sqrt(d/n_heads). Returns (R, d). The sequences of each length
+    run as one batched problem, unpadded, so a sequence gets the same bits
+    whatever shares the call. The backward is FlashAttention's closed form
+    untiled (arXiv:2205.14135); both passes run the ufuncs of separate
+    matmul, scale and softmax ops in their order, so the bits are those ops'."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if (not q.shape == k.shape == v.shape or q.data.ndim != 2 or lengths.ndim != 1 or not lengths.size
+            or lengths.min() < 1 or lengths.sum() != q.shape[0]):
+        raise ShapeError(f"sequence boundary mismatch: q, k, v {q.shape}, {k.shape}, {v.shape}, lengths {lengths}")
+    d = q.shape[1]
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"cannot split {d} columns into {n_heads} heads")
     hd = d // n_heads
-
-    def split(x):  # rows to one (m, hd) block per sequence and head
-        return x.reshape(n, m, n_heads, hd).transpose(0, 2, 1, 3).reshape(n * n_heads, m, hd)
-
-    def merge(x):  # the inverse of split, back to q's shape
-        return x.reshape(n, n_heads, m, hd).transpose(0, 2, 1, 3).reshape(q.shape)
-
-    qh, vh = split(q.data), split(v.data)
-    kT = split(k.data).swapaxes(-1, -2).copy()
     scale = np.asarray(1.0 / np.sqrt(hd))
-    p = qh @ kT
-    p *= scale
-    if not key_mask.all():
-        p += np.repeat(np.where(key_mask, 0.0, NEG_INF), n_heads, axis=0)[:, None, :]
-    _softmax_(p, "attention")
+
+    def split(x, m):  # rows of length-m sequences to one (m, hd) block per sequence and head
+        return x.reshape(-1, m, n_heads, hd).transpose(0, 2, 1, 3).reshape(-1, m, hd)
+
+    def merge(x, m):  # the inverse of split
+        return x.reshape(-1, n_heads, m, hd).transpose(0, 2, 1, 3).reshape(-1, d)
+
+    out, saved = np.empty_like(q.data), []
+    for m in np.unique(lengths).tolist():
+        same = lengths == m
+        rows = slice(None) if same.all() else np.flatnonzero(np.repeat(same, lengths))  # every sequence of length m
+        qh, vh = split(q.data[rows], m), split(v.data[rows], m)
+        kT = split(k.data[rows], m).swapaxes(-1, -2).copy()
+        p = qh @ kT
+        p *= scale
+        _softmax_(p, "attention")
+        out[rows] = merge(p @ vh, m)
+        saved.append((rows, m, qh, kT, vh, p))
 
     def _bw(g):
-        g = split(g)
-        dp = g @ vh.swapaxes(-1, -2)
-        if v.requires_grad:
-            v._accumulate(merge(p.swapaxes(-1, -2) @ g))
-        ds = _softmax_grad(dp, p) * scale
-        if q.requires_grad:
-            q._accumulate(merge(ds @ kT.swapaxes(-1, -2)))
-        if k.requires_grad:
-            k._accumulate(merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)))
+        dq, dk, dv = np.empty_like(g), np.empty_like(g), np.empty_like(g)
+        for rows, m, qh, kT, vh, p in saved:
+            go = split(g[rows], m)
+            dp = go @ vh.swapaxes(-1, -2)
+            dv[rows] = merge(p.swapaxes(-1, -2) @ go, m)
+            ds = _softmax_grad(dp, p) * scale
+            dq[rows] = merge(ds @ kT.swapaxes(-1, -2), m)
+            dk[rows] = merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2), m)
+        for t, grad in ((v, dv), (q, dq), (k, dk)):
+            if t.requires_grad:
+                t._accumulate(grad)
 
-    return _result(merge(p @ vh), (q, k, v), "attention", _bw)
+    return _result(out, (q, k, v), "attention", _bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -1,5 +1,6 @@
 """Cross-sentence aggregator: analytic attention cases, agreement with the
-straight-line oracle, permutation symmetry, and gradient integrity."""
+straight-line oracle, permutation symmetry, group independence, and gradient
+integrity."""
 
 import numpy as np
 import pytest
@@ -27,11 +28,10 @@ def build_reg(cfg, seed=0):
     return reg
 
 
-def group_of_one(h, mask, reg, cfg):
+def group_of_one(h, reg, cfg):
     """One sentence's (m, d) rows through ``aggregate`` as a group of one."""
     h = h if isinstance(h, Tensor) else Tensor(np.asarray(h, dtype=np.float64))
-    m, d = h.shape
-    return T.reshape(aggregate(T.reshape(h, (1, m, d)), np.asarray(mask).reshape(1, m), reg, cfg), (m, d))
+    return aggregate(h, [h.shape[0]], reg, cfg)
 
 
 class TestAggregate:
@@ -41,7 +41,7 @@ class TestAggregate:
         reg["aggregator.w_q"].data[:] = 0.0
         reg["aggregator.w_k"].data[:] = 0.0
         h = rng.normal(size=(3, 4))
-        out = group_of_one(h, np.ones(3, dtype=bool), reg, cfg)
+        out = group_of_one(h, reg, cfg)
         v = h @ reg["aggregator.w_v"].data
         assert np.allclose(out.data, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
@@ -49,111 +49,114 @@ class TestAggregate:
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=5)
         h = rng.normal(size=(1, 4))
-        out = group_of_one(h, np.ones(1, dtype=bool), reg, cfg)
+        out = group_of_one(h, reg, cfg)
         assert np.allclose(out.data, h @ reg["aggregator.w_v"].data, atol=1e-14)
 
     def test_group_matches_straight_line_oracle(self, rng):
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=7)
         h1, h2 = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
-        m1, m2 = np.ones(3, dtype=bool), np.ones(2, dtype=bool)
-        got = aggregate(Tensor(np.concatenate([h1, h2])[None]), np.concatenate([m1, m2])[None], reg, cfg).data[0]
+        got = aggregate(Tensor(np.concatenate([h1, h2])), [5], reg, cfg).data
         want = oracle_attention(
             np.concatenate([h1, h2]),
             reg["aggregator.w_q"].data,
             reg["aggregator.w_k"].data,
             reg["aggregator.w_v"].data,
-            np.concatenate([m1, m2]),
+            np.ones(5, dtype=bool),
         )
         report = compare("aggregate", got, want, tolerance=1e-10)
         assert report.passed, report
 
     def test_oracle_agreement_over_many_seeds(self):
+        # a group of three rows next to a group of one
         cfg = toy_cfg()
         for seed in range(100):
             r = np.random.default_rng(seed)
             reg = build_reg(cfg, seed=seed)
             h = r.normal(size=(4, 4))
-            mask = np.array([True, True, True, False])
-            out = group_of_one(h, mask, reg, cfg)
+            out = aggregate(Tensor(h), [3, 1], reg, cfg)
             want = oracle_attention(
                 h, reg["aggregator.w_q"].data, reg["aggregator.w_k"].data,
-                reg["aggregator.w_v"].data, mask,
+                reg["aggregator.w_v"].data, np.array([True, True, True, False]),
             )
             assert compare(f"seed{seed}", out.data[:3], want[:3], 1e-10).passed
 
     def test_pad_extension_invariance(self, rng):
-        # appending masked PAD rows (exact zeros, as the encoder emits) leaves
-        # real rows unchanged up to reduction reordering
+        # appending rows of exact zeros (what PAD rows used to be) as a group
+        # of their own leaves the real rows unchanged up to reduction reordering
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=6)
         h = rng.normal(size=(3, 4))
-        base = group_of_one(h, np.ones(3, dtype=bool), reg, cfg)
+        base = group_of_one(h, reg, cfg)
         extended = np.concatenate([h, np.zeros((2, 4))])
-        mask = np.array([True, True, True, False, False])
-        padded = group_of_one(extended, mask, reg, cfg)
+        padded = aggregate(Tensor(extended), [3, 2], reg, cfg)
         assert np.allclose(base.data, padded.data[:3], atol=1e-12)
 
     def test_pad_keys_masked(self, rng):
+        # garbage in a row past the group's length reaches none of its rows
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=2)
         h = rng.normal(size=(4, 4))
         h_pad = h.copy()
-        h_pad[3] = 99.0  # garbage in the PAD row
-        mask = np.array([True, True, True, False])
-        a = group_of_one(h, mask, reg, cfg)
-        b = group_of_one(h_pad, mask, reg, cfg)
+        h_pad[3] = 99.0
+        a = aggregate(Tensor(h), [3, 1], reg, cfg)
+        b = aggregate(Tensor(h_pad), [3, 1], reg, cfg)
         assert np.array_equal(a.data[:3], b.data[:3])
 
     def test_member_boundary_mismatch_rejected(self, rng):
         cfg = toy_cfg()
         reg = build_reg(cfg)
         with pytest.raises(ValueError, match="boundary"):
-            aggregate(Tensor(rng.normal(size=(1, 3, 4))), np.ones((1, 2), dtype=bool), reg, cfg)
+            aggregate(Tensor(rng.normal(size=(3, 4))), [2], reg, cfg)
 
     def test_group_order_permutation_symmetric(self, rng):
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=9)
         h1, h2 = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
-        mask = np.ones((1, 5), dtype=bool)
-        fwd = aggregate(Tensor(np.concatenate([h1, h2])[None]), mask, reg, cfg).data[0]
-        rev = aggregate(Tensor(np.concatenate([h2, h1])[None]), mask, reg, cfg).data[0]
+        fwd = aggregate(Tensor(np.concatenate([h1, h2])), [5], reg, cfg).data
+        rev = aggregate(Tensor(np.concatenate([h2, h1])), [5], reg, cfg).data
         assert np.allclose(fwd[:3], rev[2:], atol=1e-12)
         assert np.allclose(fwd[3:], rev[:2], atol=1e-12)
 
     def test_attention_rows_are_stochastic(self, rng):
-        # re-derive the attention matrix and verify row sums over unmasked keys
+        # with w_v the identity each output row is the attention-weighted mean
+        # of its group's rows: re-derive the weights over the group of four,
+        # check they sum to 1, and that the row of the group of one is itself
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=4)
+        reg["aggregator.w_v"].data[:] = np.eye(4)
         h = rng.normal(size=(5, 4))
-        mask = np.array([True, True, True, True, False])
-        q = h @ reg["aggregator.w_q"].data
-        k = h @ reg["aggregator.w_k"].data
-        scores = q @ k.T / np.sqrt(cfg.d_model) + np.where(mask, 0.0, -1e9)
+        out = aggregate(Tensor(h), [4, 1], reg, cfg).data
+        q = h[:4] @ reg["aggregator.w_q"].data
+        k = h[:4] @ reg["aggregator.w_k"].data
+        scores = q @ k.T / np.sqrt(cfg.d_model)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
         assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-12)
-        assert np.allclose(attn[:, ~mask], 0.0, atol=0)
+        assert np.allclose(out[:4], attn @ h[:4], atol=1e-12)
+        assert np.array_equal(out[4], h[4])
 
     def test_cross_sentence_attention_is_live(self, rng):
         # a 2-sentence group must differ from two independent single passes
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=11)
         h1, h2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        grouped = aggregate(Tensor(np.concatenate([h1, h2])[None]), np.ones((1, 6), dtype=bool), reg, cfg)
-        solo1 = group_of_one(h1, np.ones(3, dtype=bool), reg, cfg)
-        assert not np.allclose(grouped.data[0, :3], solo1.data)
+        grouped = aggregate(Tensor(np.concatenate([h1, h2])), [6], reg, cfg)
+        solo1 = group_of_one(h1, reg, cfg)
+        assert not np.allclose(grouped.data[:3], solo1.data)
 
     def test_stacked_groups_do_not_attend_to_each_other(self, rng):
-        # n groups in one call equal n separate calls; PAD keys stay masked
+        # n groups in one call give the bits of n separate calls, and no
+        # value in one group's rows, garbage included, reaches another's
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=12)
-        h1, h2 = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        m1, m2 = np.array([True, True, True, False]), np.ones(4, dtype=bool)
-        stacked = aggregate(Tensor(np.stack([h1, h2])), np.stack([m1, m2]), reg, cfg)
-        for group, h, mask in ((0, h1, m1), (1, h2, m2)):
-            alone = group_of_one(h, mask, reg, cfg)
-            assert np.allclose(stacked.data[group][mask], alone.data[mask], atol=1e-12)
+        h1, h2 = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
+        stacked = aggregate(Tensor(np.concatenate([h1, h2])), [3, 4], reg, cfg).data
+        assert np.array_equal(stacked[:3], group_of_one(h1, reg, cfg).data)
+        assert np.array_equal(stacked[3:], group_of_one(h2, reg, cfg).data)
+        h2[1] = 99.0
+        again = aggregate(Tensor(np.concatenate([h1, h2])), [3, 4], reg, cfg).data
+        assert np.array_equal(again[:3], stacked[:3]) and not np.array_equal(again[3:], stacked[3:])
 
     def test_gradient_vs_finite_differences(self, rng):
         cfg = toy_cfg()
@@ -163,7 +166,7 @@ class TestAggregate:
         params = {"h": h, **dict(reg.items())}
 
         def f():
-            out = group_of_one(h, np.ones(3, dtype=bool), reg, cfg)
+            out = group_of_one(h, reg, cfg)
             return tsum(T.mul(out, w))
 
         report = finite_diff_check(f, params, max_coords=6, rng=np.random.default_rng(0))

@@ -159,6 +159,42 @@ class TestTrain:
                       "stage1_log.jsonl", "stage2_log.jsonl", "run_summary.json"):
             assert (out / name).exists()
 
+    @pytest.mark.parametrize("damage", ["not_utf8", "repeated_field"])
+    def test_damaged_dev_split_exits_3_naming_the_file(self, workspace, tmp_path, capsys, damage):
+        ws, _, config = workspace
+        corpus = tmp_path / "corpus"
+        shutil.copytree(ws / "corpus", corpus)
+        dev = corpus / "dev.txt"
+        lines = dev.read_bytes().split(b"\n")
+        if damage == "not_utf8":
+            lines[2] = lines[2].replace(b"tokens=", b"tokens=\xff", 1)
+        else:
+            lines[2] += b"\tid=again"
+        dev.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["train", "--stage", "1", "--config", str(config), "--corpus", str(corpus),
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data validation error: {dev}: line 3: "), err
+
+    @pytest.mark.parametrize("command", ["generate", "train", "eval"])
+    def test_out_naming_an_existing_file_exits_2_with_one_line(self, workspace, tmp_path, capsys, command):
+        ws, langs, config = workspace
+        argv = {
+            "generate": ["generate", "--langs", str(langs), "--seed", "0"],
+            "train": ["train", "--stage", "1", "--config", str(config)],
+            "eval": ["eval", "--ckpt", str(ws / "run" / "stage2.ckpt"), "--corpus", str(ws / "corpus")],
+        }[command]
+        out = tmp_path / "taken"
+        out.write_text("keep\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot create --out directory {out}"), err
+        assert out.read_text(encoding="utf-8") == "keep\n"
+
     def test_stage2_without_resume_is_usage_error(self, workspace):
         ws, _, config = workspace
         rc = main(["train", "--stage", "2", "--config", str(config), "--out", str(ws / "x")])

@@ -2,6 +2,7 @@
 word-order rendering, group sampling statistics, and error surfaces."""
 
 import hashlib
+import re
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -226,6 +227,34 @@ class TestExampleIO:
         path = tmp_path / "bad.txt"
         path.write_text("schema_version=1\nnot a record\n", encoding="utf-8")
         with pytest.raises(DataValidationError, match="line 2"):
+            load_examples(path, corpus.registry)
+
+    def test_file_that_is_not_utf8_rejected_with_file_and_line(self, corpus, tmp_path):
+        path = tmp_path / "dev.txt"
+        path.write_bytes(b"schema_version=1\n"
+                         b"id=x-1\tlang=valo\ttokens=a b\thead=0:0\ttail=1:1\trel=has-kind\n"
+                         b"id=x-2\tlang=valo\ttokens=a \xff\thead=0:0\ttail=1:1\trel=has-kind\n")
+        with pytest.raises(DataValidationError, match=re.escape(f"{path}: line 3: not UTF-8")):
+            load_examples(path, corpus.registry)
+
+    def test_repeated_field_rejected_with_file_and_line(self, corpus, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            "schema_version=1\n"
+            "id=x-1\tlang=valo\ttokens=a b\thead=0:0\ttail=1:1\trel=has-kind\tid=x-2\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataValidationError, match=re.escape(f"{path}: line 2: repeated field 'id'")):
+            load_examples(path, corpus.registry)
+
+    def test_malformed_span_rejected_with_file_and_line(self, corpus, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            "schema_version=1\n"
+            "id=x-1\tlang=valo\ttokens=a b\thead=0-0\ttail=1:1\trel=has-kind\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataValidationError, match=re.escape(f"{path}: line 2: malformed span '0-0'")):
             load_examples(path, corpus.registry)
 
     def test_missing_header_rejected(self, corpus, tmp_path):

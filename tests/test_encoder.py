@@ -1,6 +1,7 @@
-"""Tokenizer layout and span shifting, encoder shapes, PAD invariance of a
-short sentence batched with a longer one, the independent forward-pass
-oracle, and the whole-encoder gradient check."""
+"""Tokenizer layout and span shifting, encoder shapes and its packed rows,
+the independent forward-pass oracle, and the whole-encoder gradient check.
+That a sentence's rows are bitwise the same alone and in a mixed-length
+batch is checked through ``Model._forward`` in test_training.py."""
 
 import numpy as np
 import pytest
@@ -52,8 +53,7 @@ def build_registry(cfg, seed=0):
 
 
 def short_and_long(cfg):
-    """A 6-token sentence and a 10-token one, so that batched after the long
-    one the short one is padded by 4 positions."""
+    """A 6-token sentence and a 10-token one."""
     vocab = make_vocab()
     short = tokenize(make_example(), vocab, max_len=cfg.max_len)
     long = tokenize(make_example(tokens=CONTENT[3:10], head=(0, 0), tail=(6, 6)), vocab, max_len=cfg.max_len)
@@ -110,46 +110,51 @@ class TestEncode:
         cfg = toy_cfg()
         reg = build_registry(cfg)
         ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        out = encode([ts], reg, cfg)
-        assert out.hidden.shape == (ts.length, cfg.d_model)
-        assert out.pooled.shape == (1, cfg.d_model)
+        hidden, pooled = encode([ts], reg, cfg)
+        assert hidden.shape == (ts.length, cfg.d_model)
+        assert pooled.shape == (1, cfg.d_model)
 
     def test_pooled_is_cls_row_exactly(self):
         cfg = toy_cfg()
         reg = build_registry(cfg)
         short, long = short_and_long(cfg)
-        out = encode([long, short], reg, cfg)
-        assert np.array_equal(out.pooled.data, out.hidden.data[[0, long.length]])
+        hidden, pooled = encode([long, short], reg, cfg)
+        assert np.array_equal(pooled.data, hidden.data[[0, long.length]])
 
-    def test_key_mask_false_exactly_on_pad(self):
+    def test_rows_are_the_real_tokens_back_to_back(self):
+        # one row per real token, in input order, each position counted from
+        # its own sentence's [CLS]: each sentence's rows are bitwise its rows
+        # encoded alone
         cfg = toy_cfg()
         reg = build_registry(cfg)
         short, long = short_and_long(cfg)
-        out = encode([long, short], reg, cfg)
-        assert out.key_mask.tolist() == [[True] * 10, [True] * 6 + [False] * 4]
-        assert out.hidden.data[: long.length + short.length].all(axis=1).all()
+        hidden, _ = encode([long, short], reg, cfg)
+        assert hidden.shape == (long.length + short.length, cfg.d_model)
+        for rows, ts in ((slice(0, long.length), long), (slice(long.length, None), short)):
+            alone, _ = encode([ts], reg, cfg)
+            assert np.array_equal(hidden.data[rows], alone.data)
 
     def test_changing_pad_id_never_changes_non_pad_rows(self):
-        # a PAD key gets attention weight exactly 0, so no value of the PAD
-        # embedding can reach a real row
+        # no sentence holds PAD and encode adds none, so no value of the PAD
+        # embedding reaches any row
         cfg = toy_cfg()
         reg = build_registry(cfg)
         short, long = short_and_long(cfg)
-        real = long.length + short.length
-        base = encode([long, short], reg, cfg).hidden.data[:real].copy()
+        base = encode([long, short], reg, cfg)[0].data.copy()
         reg["encoder.tok_emb"].data[PAD_ID] += np.random.default_rng(1).normal(0.0, 5.0, cfg.d_model)
-        assert np.array_equal(encode([long, short], reg, cfg).hidden.data[:real], base)
+        assert np.array_equal(encode([long, short], reg, cfg)[0].data, base)
 
     def test_pad_extension_invariance(self):
-        # the short sentence's rows, padded in a batch, are its rows encoded alone
+        # the short sentence's rows, packed after the long one, are its rows
+        # encoded alone
         cfg = toy_cfg()
         reg = build_registry(cfg)
         short, long = short_and_long(cfg)
-        alone = encode([short], reg, cfg)
-        batched = encode([long, short], reg, cfg)
-        rows = batched.hidden.data[long.length : long.length + short.length]
-        assert np.allclose(rows, alone.hidden.data, rtol=0, atol=1e-12)
-        assert np.allclose(batched.pooled.data[1], alone.pooled.data[0], rtol=0, atol=1e-12)
+        alone_hidden, alone_pooled = encode([short], reg, cfg)
+        hidden, pooled = encode([long, short], reg, cfg)
+        rows = hidden.data[long.length : long.length + short.length]
+        assert np.allclose(rows, alone_hidden.data, rtol=0, atol=1e-12)
+        assert np.allclose(pooled.data[1], alone_pooled.data[0], rtol=0, atol=1e-12)
 
     def test_out_of_vocab_id_rejected(self):
         cfg = toy_cfg()
@@ -164,7 +169,7 @@ class TestEncode:
         cfg = toy_cfg(d_model=4, n_blocks=1, n_heads=2, ffn_dim=8)
         reg = build_registry(cfg, seed=42)
         ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        got = encode([ts], reg, cfg).hidden.data
+        got = encode([ts], reg, cfg)[0].data
         params = {name: t.data for name, t in reg.items()}
         want = oracle_encoder_forward(ts.input_ids, np.ones(ts.length, dtype=bool), params, cfg.n_blocks, cfg.n_heads)
         report = compare("encoder_forward", got, want, tolerance=1e-10)
@@ -178,7 +183,7 @@ class TestEncode:
         weights = T.Tensor(np.random.default_rng(5).normal(size=(ts.length, cfg.d_model)))
         params = dict(reg.items())
         report = finite_diff_check(
-            lambda: tsum(T.mul(encode([ts], reg, cfg).hidden, weights)),
+            lambda: tsum(T.mul(encode([ts], reg, cfg)[0], weights)),
             params,
             max_coords=4,
             rng=np.random.default_rng(0),

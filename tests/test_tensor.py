@@ -201,25 +201,25 @@ class TestCrossEntropy:
             T.cross_entropy(Tensor([np.nan, 0.0]), 1)
 
 
-def composed_attention(q, k, v, key_mask, n_heads, g):
-    """Attention and its q, k, v gradients under the upstream gradient ``g``,
-    by the sequence of separate numpy steps that attention's composed tape
-    ops ran (head split, key transpose, scale, mask, softmax, two matmuls,
-    head merge), each array built as those ops built it."""
-    (n, m), d = key_mask.shape, q.shape[-1]
+def composed_attention(q, k, v, n_heads, g):
+    """One sequence's attention and its q, k, v gradients under the upstream
+    gradient ``g``, all (m, d), by the sequence of separate numpy steps that
+    attention's composed tape ops ran (head split, key transpose, scale,
+    softmax, two matmuls, head merge), each array built as those ops built
+    it."""
+    m, d = q.shape
     hd = d // n_heads
 
     def split(x):
-        return x.reshape(n, m, n_heads, hd).transpose(0, 2, 1, 3).reshape(n * n_heads, m, hd)
+        return x.reshape(1, m, n_heads, hd).transpose(0, 2, 1, 3).reshape(n_heads, m, hd)
 
     def merge(x):
-        return x.reshape(n, n_heads, m, hd).transpose(0, 2, 1, 3).reshape(q.shape)
+        return x.reshape(1, n_heads, m, hd).transpose(0, 2, 1, 3).reshape(m, d)
 
     qh, kh, vh = split(q), split(k), split(v)
     kT = np.swapaxes(kh, -1, -2).copy()
     scale = np.asarray(1.0 / np.sqrt(hd))
     scores = (qh @ kT) * scale
-    scores = scores + np.where(np.repeat(key_mask, n_heads, axis=0), 0.0, NEG_INF)[:, None, :]
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     out = merge(p @ vh)
@@ -233,68 +233,89 @@ def composed_attention(q, k, v, key_mask, n_heads, g):
 
 
 class TestAttention:
-    # 2 sequences of 4 positions, the second with one PAD key; 2 heads of 3 columns
-    MASK = np.array([[True] * 4, [True] * 3 + [False]])
+    # 4 sequences packed back to back, two of them of one length, out of
+    # length order; 2 heads of 3 columns
+    LENGTHS = [3, 5, 3, 2]
+    ROWS = sum(LENGTHS)
 
-    def qkv(self, rng, shape=(8, 6)):
-        return [Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3)]
+    def qkv(self, rng):
+        return [Tensor(rng.normal(size=(self.ROWS, 6)), requires_grad=True) for _ in range(3)]
+
+    def spans(self):
+        starts = np.cumsum(self.LENGTHS) - self.LENGTHS
+        return [slice(a, a + m) for a, m in zip(starts.tolist(), self.LENGTHS)]
 
     def test_bitwise_equal_to_the_composed_ops(self, rng):
         q, k, v = self.qkv(rng)
-        g = rng.normal(size=(8, 6))
-        tsum(T.mul(T.attention(q, k, v, self.MASK, 2), Tensor(g))).backward()
-        out, dq, dk, dv = composed_attention(q.data, k.data, v.data, self.MASK, 2, g)
-        assert np.array_equal(T.attention(q, k, v, self.MASK, 2).data, out)
-        for t, want in ((q, dq), (k, dk), (v, dv)):
-            assert np.array_equal(t.grad, want)
+        g = rng.normal(size=(self.ROWS, 6))
+        out = T.attention(q, k, v, self.LENGTHS, 2)
+        tsum(T.mul(out, Tensor(g))).backward()
+        for rows in self.spans():
+            want = composed_attention(q.data[rows], k.data[rows], v.data[rows], 2, g[rows])
+            for got, w in zip((out.data, q.grad, k.grad, v.grad), want):
+                assert np.array_equal(got[rows], w)
 
     def test_gradient_vs_finite_differences(self, rng):
         q, k, v = self.qkv(rng)
-        w = Tensor(rng.normal(size=(8, 6)))
-        report = finite_diff_check(lambda: tsum(T.mul(T.attention(q, k, v, self.MASK, 2), w)),
+        w = Tensor(rng.normal(size=(self.ROWS, 6)))
+        report = finite_diff_check(lambda: tsum(T.mul(T.attention(q, k, v, self.LENGTHS, 2), w)),
                                    {"q": q, "k": k, "v": v}, max_coords=24)
         assert report.max_rel_error < 1e-6
 
-    def test_pad_keys_get_exactly_zero_gradient(self, rng):
+    def test_no_value_or_gradient_crosses_sequences(self, rng):
         q, k, v = self.qkv(rng)
-        tsum(T.mul(T.attention(q, k, v, self.MASK, 2), Tensor(rng.normal(size=(8, 6))))).backward()
-        # row 7 is the second sequence's PAD position
-        assert np.array_equal(k.grad[7], np.zeros(6)) and np.array_equal(v.grad[7], np.zeros(6))
-        assert np.all(k.grad[:7] != 0.0) and np.all(v.grad[:7] != 0.0)
+        base = T.attention(q, k, v, self.LENGTHS, 2).data
+        spans = self.spans()
+        for j, rows in enumerate(spans):
+            # moving sequence j's inputs moves its outputs alone
+            moved = [Tensor(t.data.copy()) for t in (q, k, v)]
+            for t in moved:
+                t.data[rows] += rng.normal(size=t.data[rows].shape)
+            out = T.attention(*moved, self.LENGTHS, 2).data
+            for i, other in enumerate(spans):
+                assert np.array_equal(out[other], base[other]) == (i != j)
+            # a loss on sequence j's outputs alone sends gradient to its rows alone
+            weights = np.zeros((self.ROWS, 6))
+            weights[rows] = rng.normal(size=weights[rows].shape)
+            for t in (q, k, v):
+                t.grad = None
+            tsum(T.mul(T.attention(q, k, v, self.LENGTHS, 2), Tensor(weights))).backward()
+            outside = np.ones(self.ROWS, dtype=bool)
+            outside[rows] = False
+            for t in (q, k, v):
+                assert np.all(t.grad[rows] != 0.0) and not t.grad[outside].any()
 
     def test_head_column_layout(self, rng):
         q, k, v = self.qkv(rng)
-        out = T.attention(q, k, v, self.MASK, 2).data
+        out = T.attention(q, k, v, self.LENGTHS, 2).data
         # head h is one-head attention over columns [3h, 3h+3) of each sequence alone
-        for seq in range(2):
-            rows = slice(seq * 4, seq * 4 + 4)
+        for rows, m in zip(self.spans(), self.LENGTHS):
             for head in range(2):
                 cols = slice(head * 3, head * 3 + 3)
-                alone = T.attention(*(Tensor(t.data[rows, cols]) for t in (q, k, v)), self.MASK[seq:seq + 1], 1)
+                alone = T.attention(*(Tensor(t.data[rows, cols]) for t in (q, k, v)), [m], 1)
                 assert np.array_equal(out[rows, cols], alone.data)
-        # the same rows stacked as (n, m, d) give the same bits in that shape
-        stacked = T.attention(*(Tensor(t.data.reshape(2, 4, 6)) for t in (q, k, v)), self.MASK, 2)
-        assert np.array_equal(stacked.data, out.reshape(2, 4, 6))
 
     def test_shapes_rejected(self):
-        x = Tensor(np.zeros((8, 6)))
+        x = Tensor(np.zeros((self.ROWS, 6)))
         with pytest.raises(ShapeError):
-            T.attention(x, x, Tensor(np.zeros((8, 4))), self.MASK, 2)
+            T.attention(x, x, Tensor(np.zeros((self.ROWS, 4))), self.LENGTHS, 2)
+        # lengths that do not sum to the rows, a zero length, no sequence, 3-D input
+        for lengths in ([3, 5, 3], [3, 5, 3, 3], [3, 5, 0, 3, 2], [], [[3, 5], [3, 2]]):
+            with pytest.raises(ShapeError, match="boundary"):
+                T.attention(x, x, x, lengths, 2)
         with pytest.raises(ShapeError, match="boundary"):
-            T.attention(x, x, x, np.ones((3, 2), dtype=bool), 2)
-        with pytest.raises(ShapeError, match="boundary"):
-            T.attention(*(Tensor(np.zeros((4, 2, 6))),) * 3, self.MASK, 2)
+            T.attention(*(Tensor(np.zeros((1, self.ROWS, 6))),) * 3, self.LENGTHS, 2)
         with pytest.raises(ShapeError):
-            T.attention(x, x, x, self.MASK, 4)
+            T.attention(x, x, x, self.LENGTHS, 4)
         # a ShapeError is a ValueError
         with pytest.raises(ValueError):
-            T.attention(x, x, x, self.MASK, 0)
+            T.attention(x, x, x, self.LENGTHS, 0)
 
     def test_nan_score_raises_numerics_error(self, rng):
         q, k, v = self.qkv(rng)
         q.data[2, 1] = np.nan
         with pytest.raises(NumericsError, match="NaN"):
-            T.attention(q, k, v, self.MASK, 2)
+            T.attention(q, k, v, self.LENGTHS, 2)
 
 
 class TestPlumbingOps:
@@ -397,7 +418,7 @@ TAPE_RULE_CASES = {
     "tanh": ([_ARRAYS.normal(size=(2, 3))], T.tanh),
     "softmax_rows": ([_ARRAYS.normal(size=(2, 3))], T.softmax_rows),
     "attention": ([_ARRAYS.normal(size=(4, 4)) for _ in range(3)],
-                  lambda q, k, v: T.attention(q, k, v, np.array([[True, True], [True, False]]), 2)),
+                  lambda q, k, v: T.attention(q, k, v, [3, 1], 2)),
     "layer_norm": ([_ARRAYS.normal(size=(2, 3)), np.ones(3), np.zeros(3)], T.layer_norm),
     "cross_entropy": ([_ARRAYS.normal(size=(2, 3))], lambda z: T.cross_entropy(z, [0, 2])),
 }

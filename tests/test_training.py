@@ -11,8 +11,10 @@ import pytest
 from relmux import model as model_module
 from relmux import tensor as T
 from relmux.ablation import _restrict_corpus
-from relmux.config import ModelConfig, RunConfig, TrainConfig
-from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus, index_pools
+from relmux.config import ModelConfig, RunConfig, TrainConfig, load_run_config
+from relmux.corpus import (
+    GeneratorConfig, LanguageRegistry, LanguageSpec, RelationSchema, generate_corpus, index_pools,
+)
 from relmux.aggregator import aggregate, build_aggregator_params
 from relmux.encoder import PAD_ID, build_encoder_params, encode
 from relmux.errors import ConfigError, NumericsError
@@ -28,6 +30,8 @@ from relmux.training import TrainLog, _train_step, train_stage1, train_stage2
 from relmux.tensor import Tensor
 
 from gradcheck import finite_diff_check
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def tiny_corpus(seed=5, sizes=(32, 28, 20)):
@@ -104,13 +108,12 @@ def composed_stage1_loss(model, groups, alpha, beta):
         tss = [model.tokenize(ex) for ex in group]
         encoded = [encode([ts], reg, cfg) for ts in tss]
         total = sum(ts.length for ts in tss)
-        h_cat = T.reshape(T.concat([eo.hidden for eo in encoded], axis=0), (1, total, cfg.d_model))
-        fused = T.reshape(aggregate(h_cat, np.ones((1, total), dtype=bool), reg, cfg), (total, cfg.d_model))
+        fused = aggregate(T.concat([hidden for hidden, _ in encoded], axis=0), [total], reg, cfg)
         offset = 0
-        for ts, eo in zip(tss, encoded):
+        for ts, (_, pooled) in zip(tss, encoded):
             feats = T.narrow(fused, 0, offset, ts.length)
             offset += ts.length
-            losses.append(composed_sentence_loss(model, ts, eo.pooled, feats, alpha, beta))
+            losses.append(composed_sentence_loss(model, ts, pooled, feats, alpha, beta))
     return batch_mean(losses)
 
 
@@ -122,11 +125,9 @@ def composed_stage2_loss(model, batch, alpha, beta):
     losses = []
     for ex in batch:
         ts = model.tokenize(ex)
-        m, d = ts.length, cfg.d_model
-        eo = encode([ts], reg, cfg)
-        fused = T.reshape(aggregate(T.reshape(eo.hidden, (1, m, d)), np.ones((1, m), dtype=bool), reg, cfg), (m, d))
-        feats = switch_train(fused, ts.lang, reg, cfg)
-        losses.append(composed_sentence_loss(model, ts, eo.pooled, feats, alpha, beta))
+        hidden, pooled = encode([ts], reg, cfg)
+        feats = switch_train(aggregate(hidden, [ts.length], reg, cfg), ts.lang, reg, cfg)
+        losses.append(composed_sentence_loss(model, ts, pooled, feats, alpha, beta))
     return batch_mean(losses)
 
 
@@ -137,13 +138,12 @@ def composed_predict(model, ex, k):
     then the entity scores under the predicted relation."""
     reg, cfg = model.registry, model.cfg
     ts = model.tokenize(ex)
-    m, d = ts.length, cfg.d_model
-    eo = encode([ts], reg, cfg)
-    feats = T.reshape(aggregate(T.reshape(eo.hidden, (1, m, d)), np.ones((1, m), dtype=bool), reg, cfg), (m, d))
+    hidden, pooled = encode([ts], reg, cfg)
+    feats = aggregate(hidden, [ts.length], reg, cfg)
     if model.stage >= 2:
         decision = top_k_decision(routing_probs(ts.lang, reg, cfg), cfg.eval_top_k if k is None else k)
         feats = switch_eval(feats, decision, reg, cfg)
-    logits = relation_logits(eo.pooled, reg).data.reshape(-1)
+    logits = relation_logits(pooled, reg).data.reshape(-1)
     relation = int(masked_argmax_relation(logits[None], model.languages.schema.allowed, [ts.lang])[0])
     if relation == 0:
         return logits, None
@@ -281,9 +281,8 @@ class TestStage1:
             assert np.allclose(got_grads[name], g, rtol=0.0, atol=1e-12), name
 
     def test_pad_embedding_moves_no_loss_or_gradient(self):
-        # a PAD key gets attention weight exactly 0 in the encoder and the
-        # aggregator, the entity scorers mask every non-content position and
-        # the relation head reads only [CLS]: no PAD row's value is read
+        # no sentence holds PAD and nothing pads a batch of mixed lengths, so
+        # no value of the PAD embedding reaches a loss or a gradient
         corpus = tiny_corpus()
         model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=3)
         model.enter_stage(1)
@@ -510,6 +509,41 @@ def stage2_frozen_model(routing="learned", seed=6):
     model = Model.build(replace(tiny_run_cfg().model, routing=routing), corpus.registry, init_seed=seed)
     model.enter_stage(2)
     return corpus, model
+
+
+@pytest.fixture(scope="module")
+def benchmark_sentences():
+    """A fresh model under the benchmark config, and its benchmark corpus's
+    tokenized training sentences."""
+    registry_in = LanguageRegistry.load(CONFIGS / "benchmark_langs.json")
+    corpus = generate_corpus(registry_in.languages, registry_in.schema, seed=1,
+                             gen=GeneratorConfig(family_share=0.85))
+    model = Model.build(load_run_config(CONFIGS / "benchmark.json").model, corpus.registry, init_seed=1)
+    model.enter_stage(1)
+    return model, [model.tokenize(ex) for ex in corpus.train]
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("s, batches", [(1, 50), (2, 30)])
+    def test_group_rows_are_bitwise_the_same_alone_and_in_a_mixed_batch(self, benchmark_sentences, s, batches):
+        """``_forward`` gives every group of s sentences, inside a batch of
+        eight groups of mixed lengths, the encoder [CLS] rows and the
+        aggregator rows it gives the group alone, bit for bit."""
+        model, tss = benchmark_sentences
+        rng = np.random.default_rng(s)
+        for _ in range(batches):
+            batch = [tss[i] for i in rng.choice(len(tss), size=8 * s, replace=False)]
+            assert len({ts.length for ts in batch}) > 1
+            pooled, rows = model._forward(batch, s)
+            start = 0
+            for g in range(8):
+                group = batch[g * s : (g + 1) * s]
+                pooled_alone, rows_alone = model._forward(group, s)
+                end = start + rows_alone.shape[0]
+                assert pooled.data[g * s : (g + 1) * s].tobytes() == pooled_alone.data.tobytes()
+                assert rows.data[start:end].tobytes() == rows_alone.data.tobytes()
+                start = end
+            assert start == rows.shape[0]
 
 
 class TestBatchedStage2:
