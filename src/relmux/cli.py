@@ -11,7 +11,8 @@ Subcommands cover the whole workflow:
 
 Every command is deterministic given (config, seed, inputs), writes its
 resolved config snapshot next to its outputs, and never mutates input files.
-A command creates its --out directory only once its inputs have passed every
+A command rejects an --out path that is neither a directory nor absent before
+any work, and creates the directory only once its inputs have passed every
 check that can reject them.
 Exit codes: 0 success, 2 usage/config error, 3 data validation error,
 4 numerical failure. The RELMUX_OUT_ROOT environment variable supplies the
@@ -45,26 +46,39 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _resolve_out(path: str) -> Path:
-    """The directory ``path``, created, under RELMUX_OUT_ROOT when it is
-    relative and the variable is set; a ``ConfigError`` if it cannot be."""
+def _out_dir(path: str) -> Path:
+    """The --out directory ``path``, under RELMUX_OUT_ROOT when it is relative
+    and the variable is set, not created yet. A ``ConfigError`` unless it is a
+    directory, or absent with a directory as its nearest existing ancestor,
+    so a command rejects it before any work."""
     root = os.environ.get("RELMUX_OUT_ROOT")
     p = Path(path)
     if root and not p.is_absolute():
         p = Path(root) / p
     try:
-        p.mkdir(parents=True, exist_ok=True)
+        existing = next(a for a in (p, *p.parents) if a.exists())
     except OSError as exc:
         raise ConfigError(f"cannot create --out directory {p}: {exc.strerror}") from None
+    if not existing.is_dir():
+        raise ConfigError(f"cannot create --out directory {p}: {existing} is not a directory")
     return p
 
 
+def _create(out: Path) -> Path:
+    """Create the --out directory ``out``; a ``ConfigError`` if it cannot be."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out directory {out}: {exc.strerror}") from None
+    return out
+
+
 def cmd_generate(args) -> int:
+    out = _out_dir(args.out)
     registry_in = LanguageRegistry.load(args.langs)
     gen = GeneratorConfig(no_relation_fraction=args.no_relation_fraction, family_share=args.family_share)
     corpus = generate_corpus(registry_in.languages, registry_in.schema, seed=args.seed, gen=gen)
-    out = _resolve_out(args.out)
-    save_corpus(out, corpus)
+    save_corpus(_create(out), corpus)
     vocab = Vocab(corpus.registry.content_vocab(), corpus.registry.n_languages)
     vocab.save(out / "vocab.txt")
     (out / "generate_snapshot.json").write_text(
@@ -106,6 +120,7 @@ def _check_inputs(model: Model, corpus: Corpus, group_size: int) -> None:
 
 
 def cmd_train(args) -> int:
+    out = _out_dir(args.out)
     cfg, corpus = _load_run(args)
     extra = None
     if args.resume:
@@ -129,8 +144,7 @@ def cmd_train(args) -> int:
         raise ConfigError("stage 2 requires --resume pointing at a stage-1 checkpoint")
     # stage 1 draws groups of concat_sentences languages, stage 2 groups of one
     _check_inputs(model, corpus, cfg.train.concat_sentences if args.stage == 1 else 1)
-    out = _resolve_out(args.out)
-    save_config_snapshot(cfg, out / "config_snapshot.json")
+    save_config_snapshot(cfg, _create(out) / "config_snapshot.json")
     log = TrainLog()
     if args.stage == 1:
         ckpt = train_stage1(model, corpus, cfg, out, log, resume_extra=extra)
@@ -148,6 +162,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out = _out_dir(args.out)
     corpus = load_corpus(args.corpus)
     model, _, _ = Model.load(args.ckpt, corpus.registry)
     if args.topk is not None and not 1 <= args.topk <= model.cfg.n_sub_modules:
@@ -155,8 +170,7 @@ def cmd_eval(args) -> int:
     examples = corpus.split(args.split)
     preds = model.predict_all(examples, top_k=args.topk, dump_scores=args.dump_scores)
     report = report_from_predictions(preds, examples, corpus.registry, model=model)
-    out = _resolve_out(args.out)
-    write_report(report, out)
+    write_report(report, _create(out))
     dump_predictions(preds, examples, corpus.registry, out / "predictions.jsonl", include_scores=args.dump_scores)
     snapshot = {"ckpt": str(args.ckpt), "split": args.split, "topk": args.topk}
     (out / "eval_snapshot.json").write_text(json.dumps(snapshot, sort_keys=True, indent=1) + "\n", encoding="utf-8")
@@ -166,11 +180,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    out = _out_dir(args.out)
     cfg, corpus = _load_run(args)
     _check_inputs(Model.build(cfg.model, corpus.registry, init_seed=cfg.train.seed), corpus,
                   cfg.train.concat_sentences)
-    out = _resolve_out(args.out)
-    save_config_snapshot(cfg, out / "config_snapshot.json")
+    save_config_snapshot(cfg, _create(out) / "config_snapshot.json")
     rows = run_ablation(args.name, corpus, cfg, out)
     print(f"ablation {args.name}: {len(rows)} rows written to {out / (args.name + '.csv')}")
     return 0

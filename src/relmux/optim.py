@@ -12,10 +12,14 @@ An unfrozen parameter that got no gradient (a batch with no relation-bearing
 sentence never reaches the entity scorers) steps as if its gradient were
 zero: its moments decay and weight decay still applies.
 
-The moments of all unfrozen parameters live in two flat buffers, and
-``m[name]``/``v[name]`` are views into them. A step concatenates the
-gradients once and applies the rule to every value in one pass; the formula
-is elementwise, so the result is bit for bit that of one pass per parameter.
+The values, gradients and moments of all unfrozen parameters live in flat
+buffers. Each parameter's ``.data`` becomes a view into ``values``, as
+``m[name]`` and ``v[name]`` are views into the moments, so whatever sets a
+parameter after the optimizer exists must write into its array, not rebind
+it. A step copies the gradients into their buffer and applies the rule to
+every value in one pass, through preallocated buffers, so it allocates
+nothing; the formula is elementwise and runs the same ufuncs in the same
+order, so the result is bit for bit that of one pass per parameter.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .params import ParamRegistry
+from .tensor import Tensor
 
 
 class AdamW:
@@ -36,20 +41,25 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
+        trainable = [(name, t) for name, t in registry.items() if t.requires_grad]
+        total = sum(t.size for _, t in trainable)
+        self.values = np.zeros(total)
+        self._m, self._v, self._g, self._u, self._w = (np.zeros(total) for _ in range(5))
         # moment buffers exist for exactly the unfrozen set
-        trainable = [(name, t.shape, t.size) for name, t in registry.items() if t.requires_grad]
-        total = sum(size for _, _, size in trainable)
-        self._m = np.zeros(total)
-        self._v = np.zeros(total)
-        self._slices: dict[str, slice] = {}
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        # each trainable parameter with its slice of the gradient buffer
+        self._grads: list[tuple[Tensor, np.ndarray]] = []
         offset = 0
-        for name, shape, size in trainable:
-            sl = self._slices[name] = slice(offset, offset + size)
-            self.m[name] = self._m[sl].reshape(shape)
-            self.v[name] = self._v[sl].reshape(shape)
-            offset += size
+        for name, t in trainable:
+            sl = slice(offset, offset + t.size)
+            view = self.values[sl].reshape(t.shape)
+            view[...] = t.data
+            t.data = view
+            self.m[name] = self._m[sl].reshape(t.shape)
+            self.v[name] = self._v[sl].reshape(t.shape)
+            self._grads.append((t, self._g[sl].reshape(t.shape)))
+            offset += t.size
 
     def zero_grad(self) -> None:
         self.registry.zero_grad()
@@ -59,18 +69,23 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        params = [self.registry[name] for name in self._slices]
-        g = np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.reshape(-1) for p in params])
-        m, v = self._m, self._v
+        for p, g in self._grads:
+            if p.grad is None:
+                g.fill(0.0)
+            else:
+                g[...] = p.grad
+        m, v, g, u, w = self._m, self._v, self._g, self._u, self._w
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(g, 1.0 - self.beta1, out=u)
         v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        update += self.weight_decay * np.concatenate([p.data.reshape(-1) for p in params])
-        update *= self.lr
-        for sl, p in zip(self._slices.values(), params):
-            p.data -= update[sl].reshape(p.shape)
+        v += np.multiply(np.multiply(g, g, out=u), 1.0 - self.beta2, out=u)
+        np.sqrt(np.divide(v, bc2, out=w), out=w)
+        w += self.eps
+        np.divide(m, bc1, out=u)
+        u /= w
+        u += np.multiply(self.values, self.weight_decay, out=w)
+        u *= self.lr
+        self.values -= u
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}

@@ -73,8 +73,9 @@ class ParamRegistry:
             t.grad = None
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take ``arrays`` as the parameter values, without a copy; names and
-        shapes must match the registry exactly."""
+        """Copy ``arrays`` into the parameters' own arrays, which may be views
+        of an optimizer's buffer; names and shapes must match the registry
+        exactly."""
         missing = [n for n in self._params if n not in arrays]
         extra = [n for n in arrays if n not in self._params]
         if missing or extra:
@@ -83,7 +84,7 @@ class ParamRegistry:
             a = arrays[name]
             if tuple(a.shape) != t.shape:
                 raise CheckpointError(f"shape mismatch for {name}: checkpoint {a.shape} vs model {t.shape}")
-            t.data = np.asarray(a, dtype=np.float64)
+            t.data[...] = a
 
 
 def _encode_array(a: np.ndarray) -> dict:

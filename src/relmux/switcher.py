@@ -2,13 +2,15 @@
 
 The router maps a language id to a probability vector over the T sub-modules
 (softmax of a language embedding projected by the router matrix). Each
-sub-module is a stack of residual bottleneck blocks LN(relu(h W_u) W_d + h).
-Training mixes all T sub-module outputs by their routing probabilities, which
-keeps the router differentiable; evaluation keeps only the k most probable
-sub-modules and renormalizes their weights, so k = T reproduces the training
-mix exactly. Routing depends on the language alone, so ``eval_decisions``
-decides every language's top-k set once, and ``switch_eval`` applies one
-decision to all of a language's rows in a pass.
+sub-module is a stack of residual bottleneck blocks LN(relu(h W_u) W_d + h),
+one ``T.bottleneck`` tape node each. Training mixes all T sub-module outputs
+by their routing probabilities, which keeps the router differentiable;
+evaluation keeps only the k most probable sub-modules and renormalizes their
+weights, so k = T reproduces the training mix exactly. Both mixes are one
+``T.mix`` node over the same ``apply_submodule`` outputs. Routing depends on
+the language alone, so ``eval_decisions`` decides every language's top-k set
+once, and ``switch_eval`` applies one decision to all of a language's rows in
+a pass.
 With identity routing every language owns one dedicated sub-module and the
 router parameters are unused.
 """
@@ -83,49 +85,39 @@ def top_k_decision(probs: np.ndarray, k: int) -> SwitchDecision:
 
 
 def apply_submodule(t_idx: int, h: Tensor, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
-    """Run one sub-module's residual bottleneck stack over (m, d) features."""
-    depth = cfg.sub_layers[t_idx]
+    """Run one sub-module's residual bottleneck stack over (m, d) features,
+    one ``T.bottleneck`` node per layer."""
     out = h
-    for layer in range(depth):
+    for layer in range(cfg.sub_layers[t_idx]):
         p = f"switcher.sub{t_idx}.layer{layer}"
-        branch = T.matmul(T.relu(T.matmul(out, reg[f"{p}.w_up"])), reg[f"{p}.w_down"])
-        out = T.layer_norm(T.add(branch, out), reg[f"{p}.ln.gain"], reg[f"{p}.ln.bias"])
+        out = T.bottleneck(out, reg[f"{p}.w_up"], reg[f"{p}.w_down"], reg[f"{p}.ln.gain"], reg[f"{p}.ln.bias"])
     return out
 
 
-def mix_with_weights(h: Tensor, weights: list[tuple[int, Tensor | float]], reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
-    """Weighted sum of sub-module outputs. Float zero weights are skipped, so a
-    one-hot mix is bitwise identical to the single sub-module's output; a
-    Tensor weight always runs its sub-module, which then gets a gradient
-    (exactly zero where the weight is zero)."""
-    terms = []
-    for t_idx, w in weights:
-        if isinstance(w, float) and w == 0.0:
-            continue
-        out = apply_submodule(t_idx, h, reg, cfg)
-        terms.append(T.mul(out, w))
-    if not terms:
+def mix_with_weights(h: Tensor, weights: list[tuple[int, float]], reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
+    """Weighted sum of sub-module outputs. Zero weights are skipped, so a
+    one-hot mix is bitwise identical to the single sub-module's output."""
+    kept = [(t_idx, w) for t_idx, w in weights if w != 0.0]
+    if not kept:
         raise ConfigError("switch mix has no nonzero weights")
-    return terms[0] if len(terms) == 1 else T.add_n(terms)
+    return T.mix([apply_submodule(t_idx, h, reg, cfg) for t_idx, _ in kept], [[w for _, w in kept]])
 
 
 def switch_train(h: Tensor, lang, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
     """Training mix over all T sub-modules, differentiable through the router.
     ``lang`` is one language id for all rows of ``h``, or one id per row, so
-    each sub-module runs once over rows of several languages."""
+    each sub-module runs once over rows of several languages. Every
+    sub-module runs, so each gets a gradient, exactly zero where its
+    probability is zero."""
     probs = route(lang, reg, cfg)
-    # each (1, 1) or (rows, 1) weight broadcasts over (rows, d)
-    return mix_with_weights(h, [(t, T.narrow(probs, 1, t, 1)) for t in range(cfg.n_sub_modules)], reg, cfg)
+    return T.mix([apply_submodule(t, h, reg, cfg) for t in range(cfg.n_sub_modules)], probs)
 
 
 def switch_eval(h: Tensor, decision: SwitchDecision, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
     """Evaluation mix over a decision's retained sub-modules with its
     renormalized weights, applied to every row of ``h``; each retained
     sub-module runs once over all of them."""
-    pairs: list[tuple[int, Tensor | float]] = [
-        (t_idx, float(w)) for t_idx, w in zip(decision.retained, decision.weights)
-    ]
-    return mix_with_weights(h, pairs, reg, cfg)
+    return mix_with_weights(h, list(zip(decision.retained, map(float, decision.weights))), reg, cfg)
 
 
 def router_matrix(reg: ParamRegistry, cfg: ModelConfig) -> np.ndarray:

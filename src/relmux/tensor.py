@@ -21,8 +21,11 @@ closure has passed it on, so only leaves keep gradients afterwards.
 
 The engine is deliberately small: matmul over batched matrices, elementwise
 arithmetic with broadcasting, row softmax, multi-head attention over packed
-sequences as one node, layer norm, relu/tanh, row-wise cross entropy, and the
-slicing/concatenation plumbing the model needs. No higher-order derivatives.
+sequences as one node, layer norm, relu/tanh, row-wise cross entropy, the
+row gather/scatter and concatenation plumbing the model needs, and two fused
+nodes for the switcher: a residual bottleneck block and a weighted mix of
+same-shape terms. A fused node runs the ufuncs of the ops it replaces in
+their order, so its bits are theirs. No higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -74,11 +77,14 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` to the gradient, writing into neither: both may be
         shared. A leaf copies its first gradient; an interior node adopts it,
-        made C-contiguous if need be (``np.require`` keeps a 0-d array 0-d)."""
+        as it is when it is already a C-contiguous float64 ndarray, else made
+        one (``np.require`` keeps a 0-d array 0-d)."""
         if self.grad is not None:
             self.grad = self.grad + g
         elif self._backward is None:
             self.grad = np.array(g, dtype=np.float64, order="C")
+        elif type(g) is np.ndarray and g.dtype == np.float64 and g.flags.c_contiguous:
+            self.grad = g
         else:
             self.grad = np.require(g, np.float64, "C")
 
@@ -207,22 +213,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _result(data, (a, b), "matmul", _bw)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis (gradient scattered back, rest zero)."""
-    if a.data.ndim != 2 or axis not in (0, 1):
-        raise ShapeError(f"narrow expects a 2-D tensor, got {a.shape}")
-    if start < 0 or start + length > a.shape[axis]:
-        raise ShapeError(f"narrow [{start}:{start + length}) out of range for {a.shape} axis {axis}")
-    sl = (slice(start, start + length), slice(None)) if axis == 0 else (slice(None), slice(start, start + length))
-
-    def _bw(g):
-        full = np.zeros_like(a.data)
-        full[sl] = g
-        a._accumulate(full)
-
-    return _result(a.data[sl].copy(), (a,), "narrow", _bw)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -384,6 +374,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths, n_heads: int) -> Tensor:
     return _result(out, (q, k, v), "attention", _bw)
 
 
+def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``x`` standardized, with the rows' 1/sqrt(var + LN_EPS).
+    Each row mean is a sum over the row divided by d: the same add.reduce and
+    true_divide that ndarray.mean runs, bit for bit, without its Python-level
+    overhead."""
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
+    xc = x - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xc *= inv
+    return xc, inv
+
+
+def _standardize_grad(gy: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The gradient through ``_standardize`` of the gradient ``gy`` of ``y``."""
+    d = y.shape[-1]
+    m1 = gy.sum(axis=-1, keepdims=True) / d
+    m2 = (gy * y).sum(axis=-1, keepdims=True) / d
+    out = gy - m1
+    out -= y * m2
+    out *= inv
+    return out
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row standardization followed by an elementwise affine map."""
     d = x.shape[-1]
@@ -391,14 +406,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError("layer_norm over a single feature is degenerate")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
-    # Each row mean is a sum over the row divided by d: the same add.reduce
-    # and true_divide that ndarray.mean runs, bit for bit, without its
-    # Python-level overhead.
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    y = xc * inv
+    y, inv = _standardize(x.data)
 
     def _bw(g):
         if gain.requires_grad:
@@ -406,12 +414,75 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
         if x.requires_grad:
-            gy = g * gain.data
-            m1 = gy.sum(axis=-1, keepdims=True) / d
-            m2 = (gy * y).sum(axis=-1, keepdims=True) / d
-            x._accumulate((gy - m1 - y * m2) * inv)
+            x._accumulate(_standardize_grad(g * gain.data, y, inv))
 
     return _result(gain.data * y + bias.data, (x, gain, bias), "layer_norm", _bw)
+
+
+def bottleneck(x: Tensor, w_up: Tensor, w_down: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """One residual bottleneck block, LN(relu(x w_up) w_down + x) over (rows,
+    d) ``x``, as one tape node. Both passes run the ufuncs of separate matmul,
+    relu, matmul, add and ``layer_norm`` ops in their order, so the bits are
+    those ops'; x's two gradient terms are added once, inside the node."""
+    d = x.shape[-1]
+    if (x.data.ndim != 2 or d < 2 or w_up.data.ndim != 2 or w_up.shape[0] != d
+            or w_down.shape != w_up.shape[::-1] or gain.shape != (d,) or bias.shape != (d,)):
+        raise ShapeError(f"bottleneck shapes incompatible: x {x.shape}, w_up {w_up.shape}, "
+                         f"w_down {w_down.shape}, gain {gain.shape}, bias {bias.shape}")
+    act = x.data @ w_up.data
+    np.maximum(act, 0.0, out=act)  # act > 0 exactly where the pre-activation is
+    s = act @ w_down.data
+    s += x.data
+    y, inv = _standardize(s)
+    out = gain.data * y
+    out += bias.data
+
+    def _bw(g):
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * y, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        ds = _standardize_grad(g * gain.data, y, inv)
+        if w_down.requires_grad:
+            w_down._accumulate(act.swapaxes(-1, -2) @ ds)
+        if x.requires_grad or w_up.requires_grad:
+            dpre = ds @ w_down.data.swapaxes(-1, -2)
+            dpre *= act > 0.0
+            if w_up.requires_grad:
+                w_up._accumulate(x.data.swapaxes(-1, -2) @ dpre)
+            if x.requires_grad:
+                dx = dpre @ w_up.data.swapaxes(-1, -2)
+                dx += ds
+                x._accumulate(dx)
+
+    return _result(out, (x, w_up, w_down, gain, bias), "bottleneck", _bw)
+
+
+def mix(terms: list[Tensor], probs) -> Tensor:
+    """The sum over t of ``terms[t] * probs[:, t:t+1]``, as one tape node:
+    same-shape (rows, d) terms weighted by the columns of (1, T) or (rows, T)
+    ``probs``, added in t order as ``add_n`` does. The bits are those of one
+    ``mul`` per term by its column of ``probs`` and their ``add_n``."""
+    probs = _as_tensor(probs)
+    w = probs.data
+    if (not terms or terms[0].data.ndim != 2 or any(t.shape != terms[0].shape for t in terms)
+            or w.ndim != 2 or w.shape[1] != len(terms) or w.shape[0] not in (1, terms[0].shape[0])):
+        raise ShapeError(f"mix of {[t.shape for t in terms]} by probs {probs.shape}")
+    out, term_t = terms[0].data * w[:, :1], np.empty_like(terms[0].data)
+    for t in range(1, len(terms)):
+        out += np.multiply(terms[t].data, w[:, t : t + 1], out=term_t)
+
+    def _bw(g):
+        if probs.requires_grad:
+            gw = np.empty_like(w)
+            for t, term in enumerate(terms):
+                gw[:, t : t + 1] = _unbroadcast(g * term.data, (w.shape[0], 1))
+            probs._accumulate(gw)
+        for t, term in enumerate(terms):
+            if term.requires_grad:
+                term._accumulate(g * w[:, t : t + 1])
+
+    return _result(out, (*terms, probs), "mix", _bw)
 
 
 def cross_entropy(logits: Tensor, gold) -> Tensor:

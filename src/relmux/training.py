@@ -190,7 +190,7 @@ def train_stage2(
     per_epoch = steps_per_epoch(len(corpus.train), tc.batch_size)
     ckpt_path = out / "stage2.ckpt"
     best_f1 = -1.0
-    best_arrays: dict[str, np.ndarray] | None = None
+    best_values: np.ndarray | None = None
     epochs_without_gain = 0
     step = 0
     for epoch in range(tc.stage2_max_epochs):
@@ -205,8 +205,9 @@ def train_stage2(
         if dev_f1 >= best_f1:
             # ties keep the most recent parameters
             best_f1 = dev_f1
-            # only the trainable set moves; the frozen set needs no snapshot
-            best_arrays = {n: t.data.copy() for n, t in model.registry.items() if t.requires_grad}
+            # only the trainable set moves, and it is the optimizer's flat
+            # buffer; the frozen set needs no snapshot
+            best_values = opt.values.copy()
         if improved:
             epochs_without_gain = 0
         else:
@@ -214,9 +215,9 @@ def train_stage2(
             if epochs_without_gain >= tc.patience:
                 log.log(stage=2, epoch=epoch, early_stop=True)
                 break
-    if best_arrays is not None:
-        for name, arr in best_arrays.items():
-            model.registry[name].data = arr
+    if best_values is not None:
+        # in place, so every trainable parameter stays a view of the buffer
+        opt.values[...] = best_values
     model.save(ckpt_path, run_cfg, {"stage": 2, "best_dev_triple_f1": best_f1})
     log.save(out / "stage2_log.jsonl")
     return ckpt_path

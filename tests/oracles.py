@@ -191,6 +191,30 @@ def oracle_adamw_step(
     return p - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
 
 
+def oracle_adamw_rule(
+    p: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    grad: np.ndarray | None,
+    t: int,
+    lr: float,
+    weight_decay: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> None:
+    """Step ``t`` (from 1) of AdamW on one parameter array ``p`` and its
+    moments ``m`` and ``v``, all updated in place, one parameter at a time;
+    a parameter that got no gradient (``grad`` None) steps on zeros."""
+    g = np.zeros_like(p) if grad is None else grad
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    update = (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    p -= lr * (update + weight_decay * p)
+
+
 def oracle_cross_entropy(logits: np.ndarray, gold: int) -> float:
     logits = np.asarray(logits, dtype=np.float64).reshape(-1)
     return float(-np.log(_softmax_row(logits)[gold]))

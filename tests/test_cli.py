@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import relmux
+from relmux import cli as cli_module
 from relmux.cli import main
+from relmux.model import Model
 
 LANGS_DOC = {
     "schema_version": 1,
@@ -194,6 +196,31 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: cannot create --out directory {out}"), err
         assert out.read_text(encoding="utf-8") == "keep\n"
+
+    @pytest.mark.parametrize("command", ["generate", "eval"])
+    @pytest.mark.parametrize("where", ["a file", "below a file"])
+    def test_out_that_cannot_be_a_directory_is_rejected_before_the_work(
+        self, workspace, tmp_path, capsys, monkeypatch, command, where
+    ):
+        ws, langs, _ = workspace
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{command} did its work before checking --out")
+
+        if command == "generate":
+            monkeypatch.setattr(cli_module, "generate_corpus", never)
+            argv = ["generate", "--langs", str(langs), "--seed", "0"]
+        else:
+            monkeypatch.setattr(Model, "predict_all", never)
+            argv = ["eval", "--ckpt", str(ws / "run" / "stage2.ckpt"), "--corpus", str(ws / "corpus")]
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n", encoding="utf-8")
+        out = taken if where == "a file" else taken / "sub"
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot create --out directory {out}"), err
+        assert taken.read_text(encoding="utf-8") == "keep\n" and list(tmp_path.iterdir()) == [taken]
 
     def test_stage2_without_resume_is_usage_error(self, workspace):
         ws, _, config = workspace

@@ -161,6 +161,38 @@ class TestSwitch:
         got = mix_with_weights(h, [(0, 0.0), (1, 1.0), (2, 0.0)], reg, cfg)
         assert np.array_equal(got.data, want.data)
 
+    @pytest.mark.parametrize("lang", [1, [0, 2, 1, 0, 2]])
+    def test_switch_train_is_bitwise_the_composed_ops(self, rng, lang):
+        # one node per block and one mix node give the bits of a matmul, relu,
+        # matmul, add and layer_norm per block, and of one mul per sub-module
+        # by its column of the routing probabilities and their add_n
+        cfg = toy_cfg()
+        reg = build_reg(cfg, seed=6)
+        reg["switcher.lang_emb"].data[...] = rng.normal(size=reg["switcher.lang_emb"].shape)
+        h = Tensor(rng.normal(size=(5, 4)))
+        g = Tensor(rng.normal(size=(5, 4)))
+
+        def composed():
+            probs = route(lang, reg, cfg)
+            terms = []
+            for t_idx, depth in enumerate(cfg.sub_layers):
+                out = h
+                for layer in range(depth):
+                    p = f"switcher.sub{t_idx}.layer{layer}"
+                    branch = T.matmul(T.relu(T.matmul(out, reg[f"{p}.w_up"])), reg[f"{p}.w_down"])
+                    out = T.layer_norm(T.add(branch, out), reg[f"{p}.ln.gain"], reg[f"{p}.ln.bias"])
+                column = T.matmul(probs, Tensor(np.eye(cfg.n_sub_modules)[:, t_idx : t_idx + 1]))
+                terms.append(T.mul(out, column))
+            return T.add_n(terms)
+
+        def run(f):
+            reg.zero_grad()
+            out = f()
+            tsum(T.mul(out, g)).backward()
+            return out.data.tobytes(), {name: t.grad.tobytes() for name, t in reg.items()}
+
+        assert run(lambda: switch_train(h, lang, reg, cfg)) == run(composed)
+
     def test_eval_full_k_equals_train_mode(self, rng):
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=8)

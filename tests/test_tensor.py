@@ -18,7 +18,7 @@ from relmux.params import ParamRegistry
 from relmux.tensor import NEG_INF, ShapeError, Tensor
 
 from gradcheck import finite_diff_check, tsum
-from oracles import oracle_adamw_step, oracle_cross_entropy
+from oracles import oracle_adamw_rule, oracle_adamw_step, oracle_cross_entropy
 
 
 class TestMatmul:
@@ -350,8 +350,8 @@ class TestPlumbingOps:
             rows = T.gather_rows(table, [0, 2, 2, 4])
             h = T.relu(T.tanh(rows))
             c = T.concat([h, h], axis=1)
-            n = T.narrow(c, 1, 1, 3)
-            r = T.gather_rows(T.narrow(n, 0, 0, 1), [0] * 3)
+            n = T.reshape(c, (12, 2))
+            r = T.gather_rows(T.gather_rows(n, [1, 5]), [0] * 3)
             return tsum(T.mul(r, r))
 
         report = finite_diff_check(f, {"table": table}, max_coords=15)
@@ -408,7 +408,6 @@ TAPE_RULE_CASES = {
     "add": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=3)], T.add),
     "mul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(2, 3))], T.mul),
     "matmul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4))], T.matmul),
-    "narrow": ([_ARRAYS.normal(size=(4, 3))], lambda a: T.narrow(a, 0, 1, 2)),
     "concat": ([_ARRAYS.normal(size=(1, 3)), _ARRAYS.normal(size=(2, 3))], lambda a, b: T.concat([a, b], axis=0)),
     "gather_rows": ([_ARRAYS.normal(size=(4, 3))], lambda a: T.gather_rows(a, [2, 0, 2])),
     "scatter_rows": ([_ARRAYS.normal(size=(2, 3))], lambda a: T.scatter_rows(a, [3, 1], 4, NEG_INF)),
@@ -420,6 +419,10 @@ TAPE_RULE_CASES = {
     "attention": ([_ARRAYS.normal(size=(4, 4)) for _ in range(3)],
                   lambda q, k, v: T.attention(q, k, v, [3, 1], 2)),
     "layer_norm": ([_ARRAYS.normal(size=(2, 3)), np.ones(3), np.zeros(3)], T.layer_norm),
+    "bottleneck": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4)), _ARRAYS.normal(size=(4, 3)),
+                    np.ones(3), np.zeros(3)], T.bottleneck),
+    "mix": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(2, 3)), _ARRAYS.dirichlet(np.ones(2), size=2)],
+            lambda a, b, p: T.mix([a, b], p)),
     "cross_entropy": ([_ARRAYS.normal(size=(2, 3))], lambda z: T.cross_entropy(z, [0, 2])),
 }
 
@@ -461,6 +464,118 @@ class TestTapeRule:
         assert out.op == name
 
 
+def _column(probs: Tensor, t: int) -> Tensor:
+    """Column t of ``probs`` as a product with a one-hot column: every other
+    term is an exact zero, so the forward and the gradient are exact."""
+    return T.matmul(probs, Tensor(np.eye(probs.shape[1])[:, t : t + 1]))
+
+
+def _run(f, inputs: list[Tensor], g: np.ndarray) -> tuple[bytes, list[bytes | None]]:
+    """The bytes of ``f()`` and of every input's gradient of sum(f() * g)."""
+    for t in inputs:
+        t.grad = None
+    out = f()
+    tsum(T.mul(out, Tensor(g))).backward()
+    return out.data.tobytes(), [None if t.grad is None else t.grad.tobytes() for t in inputs]
+
+
+class TestFusedOps:
+    """``bottleneck`` and ``mix`` give the bits of the composed ops they
+    replace, in the forward and in every input's gradient."""
+
+    BOTTLENECK_INPUTS = ("x", "w_up", "w_down", "gain", "bias")
+
+    def _bottleneck_inputs(self, rng, trainable) -> list[Tensor]:
+        arrays = [rng.normal(size=(7, 5)), rng.normal(size=(5, 9)), rng.normal(size=(9, 5)),
+                  rng.normal(size=5), rng.normal(size=5)]
+        return [Tensor(a, requires_grad=name in trainable) for name, a in zip(self.BOTTLENECK_INPUTS, arrays)]
+
+    @pytest.mark.parametrize("trainable", [
+        BOTTLENECK_INPUTS, ("w_up", "w_down", "gain", "bias"), ("x",), ("w_down",), ("w_up",), ("gain", "bias"),
+    ])
+    def test_bottleneck_is_bitwise_the_composed_block(self, rng, trainable):
+        inputs = self._bottleneck_inputs(rng, trainable)
+        x, w_up, w_down, gain, bias = inputs
+        g = rng.normal(size=(7, 5))
+        fused = _run(lambda: T.bottleneck(*inputs), inputs, g)
+        composed = _run(lambda: T.layer_norm(T.add(T.matmul(T.relu(T.matmul(x, w_up)), w_down), x), gain, bias),
+                        inputs, g)
+        assert fused == composed
+        assert [grad is not None for grad in fused[1]] == [name in trainable for name in self.BOTTLENECK_INPUTS]
+
+    def test_bottleneck_gradient_vs_finite_differences(self, rng):
+        inputs = self._bottleneck_inputs(rng, self.BOTTLENECK_INPUTS)
+        g = Tensor(rng.normal(size=(7, 5)))
+        report = finite_diff_check(lambda: tsum(T.mul(T.bottleneck(*inputs), g)),
+                                   dict(zip(self.BOTTLENECK_INPUTS, inputs)), max_coords=12)
+        assert report.max_rel_error < 1e-6
+
+    def test_bottleneck_rejects_mismatched_shapes(self, rng):
+        x, w_up, w_down, gain, bias = self._bottleneck_inputs(rng, ())
+        with pytest.raises(ShapeError):
+            T.bottleneck(x, w_up, w_up, gain, bias)
+        with pytest.raises(ShapeError):
+            T.bottleneck(x, w_up, w_down, Tensor(np.ones(4)), bias)
+
+    @pytest.mark.parametrize("prob_rows", [1, 6])
+    def test_mix_is_bitwise_the_composed_sum(self, rng, prob_rows):
+        terms = [Tensor(rng.normal(size=(6, 4)), requires_grad=True) for _ in range(3)]
+        probs = Tensor(rng.dirichlet(np.ones(3), size=prob_rows), requires_grad=True)
+        inputs = [*terms, probs]
+        g = rng.normal(size=(6, 4))
+        fused = _run(lambda: T.mix(terms, probs), inputs, g)
+        composed = _run(lambda: T.add_n([T.mul(term, _column(probs, t)) for t, term in enumerate(terms)]), inputs, g)
+        assert fused == composed
+        assert all(grad is not None for grad in fused[1])
+
+    def test_mix_through_a_softmax_is_bitwise_the_composed_sum(self, rng):
+        # the router's probabilities are an interior node, as in switch_train
+        terms = [Tensor(rng.normal(size=(6, 4)), requires_grad=True) for _ in range(4)]
+        logits = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        inputs = [*terms, logits]
+        g = rng.normal(size=(6, 4))
+        fused = _run(lambda: T.mix(terms, T.softmax_rows(logits)), inputs, g)
+
+        def composed():
+            probs = T.softmax_rows(logits)
+            return T.add_n([T.mul(term, _column(probs, t)) for t, term in enumerate(terms)])
+
+        assert fused == _run(composed, inputs, g)
+
+    def test_mix_with_float_weights_is_bitwise_the_composed_sum(self, rng):
+        terms = [Tensor(rng.normal(size=(5, 4)), requires_grad=True) for _ in range(3)]
+        weights = [0.25, 0.125, 0.625]
+        g = rng.normal(size=(5, 4))
+        fused = _run(lambda: T.mix(terms, [weights]), terms, g)
+        composed = _run(lambda: T.add_n([T.mul(term, w) for term, w in zip(terms, weights)]), terms, g)
+        assert fused == composed
+
+    def test_one_hot_mix_is_its_term(self, rng):
+        term = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        g = rng.normal(size=(5, 4))
+        out, (grad,) = _run(lambda: T.mix([term], [[1.0]]), [term], g)
+        assert out == term.data.tobytes() and grad == g.tobytes()
+
+    def test_mix_gradient_vs_finite_differences(self, rng):
+        terms = [Tensor(rng.normal(size=(6, 4)), requires_grad=True) for _ in range(3)]
+        logits = {rows: Tensor(rng.normal(size=(rows, 3)), requires_grad=True) for rows in (1, 6)}
+        g = Tensor(rng.normal(size=(6, 4)))
+        for rows, z in logits.items():
+            params = {f"term{t}": term for t, term in enumerate(terms)} | {"logits": z}
+            report = finite_diff_check(lambda: tsum(T.mul(T.mix(terms, T.softmax_rows(z)), g)), params, max_coords=12)
+            assert report.max_rel_error < 1e-6, rows
+
+    def test_mix_rejects_mismatched_shapes(self, rng):
+        terms = [Tensor(rng.normal(size=(6, 4))) for _ in range(2)]
+        for probs in (np.ones((1, 3)), np.ones((2, 2)), np.ones(2)):
+            with pytest.raises(ShapeError):
+                T.mix(terms, probs)
+        with pytest.raises(ShapeError):
+            T.mix([terms[0], Tensor(np.ones((5, 4)))], np.ones((1, 2)))
+        with pytest.raises(ShapeError):
+            T.mix([], np.ones((1, 0)))
+
+
 class TestGradientLifetime:
     """Only leaves hold gradients after backward(), no two leaves share
     gradient memory, and no gradient array is ever written in place."""
@@ -487,7 +602,7 @@ class TestGradientLifetime:
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         h = T.tanh(T.matmul(a, b))
-        loss = tsum(T.add(T.concat([h, T.mul(h, 2.0)], axis=0), T.gather_rows(T.narrow(h, 0, 0, 1), [0] * 4)))
+        loss = tsum(T.add(T.concat([h, T.mul(h, 2.0)], axis=0), T.gather_rows(h, [0] * 4)))
         order = T._toposort(loss)
         loss.backward()
         interior = [node for node in order if node._backward is not None]
@@ -652,32 +767,45 @@ class TestAdamW:
         assert run(explicit_zero=False) == run(explicit_zero=True)
 
     def test_flat_step_is_bitwise_the_per_parameter_rule(self, rng):
-        shapes = {"w": (3, 4), "b": (4,), "frozen": (2, 2), "emb": (5, 3), "gain": (1,)}
+        shapes = {"w": (3, 4), "b": (4,), "frozen": (2, 2), "emb": (5, 3), "unused": (2, 3), "gain": (1,)}
         lr, wd = 3e-3, 0.1
         reg = ParamRegistry()
         for name, shape in shapes.items():
             reg.add(name, rng.normal(size=shape))
         reg.freeze(["frozen"])
+        frozen = reg["frozen"].data.copy()
         want = {n: reg[n].data.copy() for n in shapes if n != "frozen"}
         moments = {n: (np.zeros(shapes[n]), np.zeros(shapes[n])) for n in want}
         opt = AdamW(reg, lr=lr, weight_decay=wd)
         for t in range(1, 6):
+            opt.zero_grad()
             for name in shapes:
-                reg[name].grad = rng.normal(size=shapes[name]) * 10.0 ** rng.integers(-3, 3)
+                # "unused" gets a gradient on odd steps only
+                if name != "unused" or t % 2:
+                    reg[name].grad = rng.normal(size=shapes[name]) * 10.0 ** rng.integers(-3, 3)
             opt.step()
             for name, p in want.items():
-                # the rule one parameter at a time, as the optimizer once applied it
-                g, (m, v) = reg[name].grad, moments[name]
-                m *= 0.9
-                m += (1.0 - 0.9) * g
-                v *= 0.999
-                v += (1.0 - 0.999) * (g * g)
-                update = (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
-                p -= lr * (update + wd * p)
-            for name, p in want.items():
+                oracle_adamw_rule(p, *moments[name], reg[name].grad, t, lr, wd)
                 assert reg[name].data.tobytes() == p.tobytes(), (t, name)
                 assert opt.m[name].tobytes() == moments[name][0].tobytes()
                 assert opt.v[name].tobytes() == moments[name][1].tobytes()
+        assert reg["frozen"].data.tobytes() == frozen.tobytes()
+
+    def test_parameters_are_views_of_the_flat_buffer(self, rng):
+        reg = ParamRegistry()
+        for name, shape in {"w": (3, 4), "frozen": (2,), "b": (4,)}.items():
+            reg.add(name, rng.normal(size=shape))
+        reg.freeze(["frozen"])
+        before = {n: t.data.copy() for n, t in reg.items()}
+        opt = AdamW(reg, lr=0.1)
+        assert opt.values.size == 16
+        for name, t in reg.items():
+            assert np.shares_memory(t.data, opt.values) == t.requires_grad, name
+            assert t.data.tobytes() == before[name].tobytes() and t.data.flags.c_contiguous
+        reg["w"].grad = np.ones((3, 4))
+        opt.step()
+        assert not np.array_equal(reg["w"].data, before["w"]) and not np.array_equal(reg["b"].data, before["b"])
+        assert np.shares_memory(reg["w"].data, opt.values) and np.shares_memory(reg["b"].data, opt.values)
 
     def test_loaded_state_continues_bitwise(self, rng):
         def registry():

@@ -4,11 +4,13 @@ and the degenerate s=1 contract."""
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from relmux import model as model_module
+from relmux import training as training_module
 from relmux import tensor as T
 from relmux.ablation import _restrict_corpus
 from relmux.config import ModelConfig, RunConfig, TrainConfig, load_run_config
@@ -111,7 +113,7 @@ def composed_stage1_loss(model, groups, alpha, beta):
         fused = aggregate(T.concat([hidden for hidden, _ in encoded], axis=0), [total], reg, cfg)
         offset = 0
         for ts, (_, pooled) in zip(tss, encoded):
-            feats = T.narrow(fused, 0, offset, ts.length)
+            feats = T.gather_rows(fused, np.arange(offset, offset + ts.length))
             offset += ts.length
             losses.append(composed_sentence_loss(model, ts, pooled, feats, alpha, beta))
     return batch_mean(losses)
@@ -488,6 +490,37 @@ class TestStage2:
             with pytest.raises(ConfigError):
                 train_stage2(model, corpus, replace(cfg, train=bad), tmp_path / "out", TrainLog())
         assert not (tmp_path / "out").exists()
+
+    def test_best_dev_restore_writes_into_the_optimizer_buffer(self, tmp_path, monkeypatch):
+        # scripted dev F1s make epoch 1 the best and stop at epoch 3, so the
+        # restore has something to undo
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg(stage1_epochs=1, stage2_max_epochs=6, patience=2)
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
+        train_stage1(model, corpus, cfg, tmp_path / "s1", TrainLog())
+        opts, at_eval = [], []
+
+        class RecordingAdamW(AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opts.append(self)
+
+        scripted = iter([0.5, 0.7, 0.6, 0.65])
+
+        def scripted_eval(model, examples, registry):
+            at_eval.append(opts[-1].values.copy())
+            return SimpleNamespace(overall=SimpleNamespace(triple_f1=next(scripted)))
+
+        monkeypatch.setattr(training_module, "AdamW", RecordingAdamW)
+        monkeypatch.setattr(training_module, "evaluate_model", scripted_eval)
+        ckpt = train_stage2(model, corpus, cfg, tmp_path / "s2", TrainLog())
+        (opt,) = opts
+        assert len(at_eval) == 4 and at_eval[1].tobytes() != at_eval[3].tobytes()
+        assert opt.values.tobytes() == at_eval[1].tobytes()
+        trainable = [(name, t) for name, t in model.registry.items() if t.requires_grad]
+        assert trainable and all(np.shares_memory(t.data, opt.values) for _, t in trainable)
+        _, params, _ = load_checkpoint(ckpt)
+        assert all(params[name].tobytes() == t.data.tobytes() for name, t in trainable)
 
     def test_early_stopping_respects_patience(self, tmp_path):
         corpus = tiny_corpus()
