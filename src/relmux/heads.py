@@ -6,7 +6,9 @@ before the argmax. Entity recognition then scores every token position four
 ways (head-start, head-end, tail-start, tail-end) from the token feature
 concatenated with the relation embedding; spans decode greedily (start argmax,
 then best end at or after it). Training teacher-forces the gold relation's
-embedding; prediction feeds the predicted relation's embedding.
+embedding; prediction feeds the predicted relation's embedding. Both heads
+take rows, in training and prediction alike, and end in one product per row
+(``T.row_matmul``), so a sentence gets the bits it gets alone in any batch.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ def build_head_params(reg: ParamRegistry, cfg: ModelConfig, n_relations: int, rn
 
 
 def relation_logits(pooled: Tensor, reg: ParamRegistry) -> Tensor:
-    """Unmasked relation logits of pooled rows: (n, d) for the training loss,
-    or (n, 1, d) in prediction, which takes one product per row, bit for bit
-    what one sentence alone gets."""
-    return T.matmul(pooled, reg["relation.w_cls"])
+    """Unmasked (n, R) relation logits of (n, d) pooled rows, one product per
+    row, so each row gets the bits it gets alone."""
+    return T.row_matmul(pooled, reg["relation.w_cls"])
 
 
 def lang_relation_mask(allowed: np.ndarray, langs) -> np.ndarray:
@@ -64,30 +65,19 @@ def entity_scores(
     position_mask: np.ndarray,
     reg: ParamRegistry,
 ) -> dict[str, Tensor]:
-    """Four per-position score columns, specials masked to NEG_INF.
-
-    Each token feature is concatenated with the relation embedding, projected
-    down, squashed by tanh, then projected to a scalar score. Several
-    sentences score at once: ``features`` holds their m real positions back
-    to back, as (m, d) with (m, 1) scores, or, for sentences of one length L,
-    as (g, L, d) with (g, L, 1) scores, whose scalar projection takes one
-    product per sentence, bit for bit what one sentence alone gets.
-    ``relation_emb`` holds one (m, d) row per position: the embedding of
-    that position's sentence's relation.
-    """
-    *lead, d = features.shape
-    m = features.data.size // d
-    if len(lead) not in (1, 2) or relation_emb.shape != (m, d):
+    """Four (m, 1) score columns of the m real positions of one or more
+    sentences, back to back in (m, d) ``features``, specials masked to
+    NEG_INF: each row concatenated with its row of ``relation_emb``, the
+    embedding of its sentence's relation, projected down, squashed by tanh,
+    then projected to a scalar score, one product per row."""
+    if features.data.ndim != 2 or relation_emb.shape != features.shape:
         raise T.ShapeError(f"relation embedding shape {relation_emb.shape} invalid for features {features.shape}")
-    flat = T.reshape(features, (m, d)) if len(lead) > 1 else features
-    paired = T.concat([flat, relation_emb], axis=1)
-    mask = Tensor(np.asarray(position_mask, dtype=np.float64).reshape(*lead, 1))
+    paired = T.concat([features, relation_emb], axis=1)
+    mask = Tensor(np.asarray(position_mask, dtype=np.float64).reshape(features.shape[0], 1))
     scores: dict[str, Tensor] = {}
     for key in ENTITY_KEYS:
         down = T.tanh(T.matmul(paired, reg[f"entity.{key}.w_down"]))
-        if len(lead) > 1:
-            down = T.reshape(down, (*lead, d))
-        scores[key] = T.add(T.matmul(down, reg[f"entity.{key}.w_index"]), mask)
+        scores[key] = T.add(T.row_matmul(down, reg[f"entity.{key}.w_index"]), mask)
     return scores
 
 

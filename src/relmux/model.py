@@ -24,8 +24,8 @@ sentence indices into the table. A step gathers its
 sentences' [CLS] rows, and the real rows of only its relation-bearing
 sentences; the switcher's training mix and the entity scorers run over
 those rows alone. Both stages share one joint loss, ``_ere_loss``, whose
-entity cross entropy alone lays the scores out padded, with NEG_INF off each
-sentence's rows.
+entity cross entropies take the packed score columns with each sentence's
+length.
 
 Prediction reads the same kind of table over the examples to predict,
 recording no tape. The model keeps the last such table with the examples
@@ -34,10 +34,10 @@ from, and reuses it while both compare equal, so evaluating one split at
 several k builds its table once; any change to those values makes the next
 call build afresh. From stage 2 on ``predict_all`` switches each language's
 real rows under its top-k decision into an array of the call's own; the
-kept table is read-only. The heads then run over whole arrays, in passes of
-one exact length for entity scoring, each product laid out so that every
-sentence gets the bits it gets alone. ``predict`` only packages one
-sentence's outputs as a ``TriplePrediction``.
+kept table is read-only. The heads then take rows, as in training; entity
+scoring runs in passes of one exact length only so that span decoding reads
+(g, L) views of its score columns. ``predict`` only packages one sentence's
+outputs as a ``TriplePrediction``.
 """
 
 from __future__ import annotations
@@ -65,13 +65,13 @@ from .heads import (
 )
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
 from .switcher import ROUTER_PARAMS, build_switcher_params, eval_decisions, switch_eval, switch_train
-from .tensor import NEG_INF, Tensor
+from .tensor import Tensor
 
 # the names whose values the frozen prefix reads, and stage 2 freezes
 _PREFIX_PARAMS = ("encoder.", "aggregator.")
 
 # sentences per pass, of one exact length through the encoder and the
-# aggregator or through the entity heads, or of one language through the
+# aggregator or prediction's entity heads, or of one language through the
 # switcher in prediction; bounds the rows a pass works on
 _PASS = 64
 
@@ -191,9 +191,8 @@ class Model:
 
     def _entity_scores(self, tss: list[TokenizedSentence], features: Tensor, relations, lengths) -> dict[str, Tensor]:
         """Entity scores of n sentences whose real feature rows lie back to
-        back, ``lengths[i]`` of them for sentence i, or, when the lengths are
-        equal, as (n, m, d) blocks; every row conditioned on the embedding of
-        its sentence's relation, gathered once per row."""
+        back, ``lengths[i]`` of them for sentence i; every row conditioned on
+        the embedding of its sentence's relation, gathered once per row."""
         rel_emb = T.gather_rows(self.registry["relation.emb"], np.repeat(relations, lengths))
         mask = np.concatenate([ts.content_position_mask(int(m)) for ts, m in zip(tss, lengths)])
         return entity_scores(features, rel_emb, mask, self.registry)
@@ -207,9 +206,8 @@ class Model:
         the sentences that bear a relation, back to back, ``lengths[i]`` of
         them for the i-th such sentence. The relation term is one row-wise
         cross entropy over all n. The entity scorers run over ``features``;
-        each entity key is one cross entropy over the bearing sentences, their
-        scores scattered one row per sentence into (n_b, longest length),
-        with NEG_INF off each sentence's rows."""
+        each entity key is one cross entropy over the bearing sentences'
+        packed score columns, one row of ``lengths[i]`` classes each."""
         n = len(tss)
         allowed = self.languages.schema.allowed
         for ts in tss:
@@ -220,11 +218,8 @@ class Model:
         bearing = np.flatnonzero(rels)
         if bearing.size:
             scores = self._entity_scores([tss[i] for i in bearing], features, rels[bearing], lengths)
-            m = int(lengths.max())
-            slots = _row_spans(np.arange(bearing.size) * m, lengths)
-            scores = {key: T.scatter_rows(t, slots, bearing.size * m, NEG_INF) for key, t in scores.items()}
             golds = np.array([tss[i].head_span + tss[i].tail_span for i in bearing])
-            entity_ces = [T.cross_entropy(scores[key], golds[:, j]) for j, key in enumerate(ENTITY_KEYS)]
+            entity_ces = [T.cross_entropy(scores[key], golds[:, j], lengths) for j, key in enumerate(ENTITY_KEYS)]
         if stats is not None:
             stats["relation_ce"] = stats.get("relation_ce", 0.0) + rel_ce.item()
             stats["entity_ce"] = stats.get("entity_ce", 0.0) + sum(t.item() for t in entity_ces)
@@ -319,11 +314,11 @@ class Model:
         compare equal (``_prediction_table``). From stage 2 on ``switch_eval``
         applies each language's top-k decision, taken once, to that
         language's real rows, ``_PASS`` sentences at a time, into an array of
-        this call's own. The heads then run over whole arrays: one relation
-        product and masked argmax over every [CLS] row, then, for the
-        sentences that predict a relation, entity scoring and span decoding
-        in passes of one exact length. Each product gives every sentence the
-        bits it gets alone. ``predict`` packages each sentence's outputs."""
+        this call's own. The heads then take rows, as in training: every [CLS]
+        row to the relation head and the masked argmax, then the real rows of
+        the sentences that predict a relation to entity scoring and span
+        decoding, in passes of one exact length, whose (g·L, 1) score columns
+        are (g, L) views. ``predict`` packages each sentence's outputs."""
         if not examples:
             return []
         table = self._prediction_table(examples)
@@ -335,7 +330,7 @@ class Model:
             for lang, part in _passes(table.langs):
                 idx = _row_spans(table.starts[part], table.lengths[part])
                 rows[idx] = switch_eval(Tensor(frozen[idx]), decisions[lang], self.registry, self.cfg).data
-        logits = relation_logits(Tensor(table.pooled.data[table.index, None]), self.registry).data[:, 0]
+        logits = relation_logits(Tensor(table.pooled.data[table.index]), self.registry).data
         relations = masked_argmax_relation(logits, self.languages.schema.allowed, table.langs)
         spans = np.tile(SENTINEL_SPAN * 2, (len(examples), 1))
         dumped: list[dict[str, np.ndarray] | None] = [None] * len(examples)
@@ -343,7 +338,7 @@ class Model:
         for length, part in _passes(table.lengths[bearing]):
             part = bearing[part]
             lengths = table.lengths[part]
-            features = Tensor(rows[_row_spans(table.starts[part], lengths)].reshape(part.size, length, -1))
+            features = Tensor(rows[_row_spans(table.starts[part], lengths)])
             scores = self._entity_scores([table.tss[i] for i in part], features, relations[part], lengths)
             arrays = {key: t.data.reshape(part.size, length) for key, t in scores.items()}
             spans[part] = np.concatenate(decode_spans(arrays), axis=1) - CONTENT_START

@@ -19,13 +19,14 @@ parents, so no gradient is ever written in place: a later contribution makes
 a new sum. ``backward()`` drops each interior gradient once the node's
 closure has passed it on, so only leaves keep gradients afterwards.
 
-The engine is deliberately small: matmul over batched matrices, elementwise
-arithmetic with broadcasting, row softmax, multi-head attention over packed
-sequences as one node, layer norm, relu/tanh, row-wise cross entropy, the
-row gather/scatter and concatenation plumbing the model needs, and two fused
-nodes for the switcher: a residual bottleneck block and a weighted mix of
-same-shape terms. A fused node runs the ufuncs of the ops it replaces in
-their order, so its bits are theirs. No higher-order derivatives.
+The engine is deliberately small: matmul over batched matrices or one
+product per row, elementwise arithmetic with broadcasting, row softmax,
+multi-head attention over packed sequences as one node, layer norm,
+relu/tanh, cross entropy over equal or packed rows, the row gather and
+concatenation plumbing the model needs, and two fused nodes for the
+switcher: a residual bottleneck block and a weighted mix of same-shape
+terms. A fused node runs the ufuncs of the ops it replaces in their order,
+so its bits are theirs. No higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -215,6 +216,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), "matmul", _bw)
 
 
+def row_matmul(x: Tensor, w: Tensor) -> Tensor:
+    """(m, d) rows times a (d, k) matrix, one product per row, so that a row
+    gets the same bits alone as in any batch. The backward is ``matmul``'s."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"row_matmul shapes incompatible: {x.shape} x {w.shape}")
+
+    def _bw(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+
+    return _result((x.data[:, None, :] @ w.data)[:, 0], (x, w), "row_matmul", _bw)
+
+
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ShapeError("concat of empty list")
@@ -249,24 +265,6 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         table._accumulate(np.bincount(flat, weights=g.ravel(), minlength=table.data.size).reshape(table.shape))
 
     return _result(table.data[idx], (table,), "gather_rows", _bw)
-
-
-def scatter_rows(a: Tensor, indices, rows: int, fill: float) -> Tensor:
-    """The inverse of gather_rows: a (rows, ...) result holding row j of
-    ``a`` at row ``indices[j]`` and ``fill`` everywhere else. The indices
-    must be distinct; the gradient gathers back from them."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size != a.shape[0]:
-        raise ShapeError(f"scatter_rows needs one index per row of {a.shape}, got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ShapeError(f"scatter_rows index out of range for {rows} rows")
-    data = np.full((rows,) + a.shape[1:], fill)
-    data[idx] = a.data
-    return _result(data, (a,), "scatter_rows", lambda g: a._accumulate(g[idx]))
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _result(a.data.reshape(shape).copy(), (a,), "reshape", lambda g: a._accumulate(g.reshape(a.shape)))
 
 
 def add_n(tensors: list[Tensor]) -> Tensor:
@@ -485,17 +483,29 @@ def mix(terms: list[Tensor], probs) -> Tensor:
     return _result(out, (*terms, probs), "mix", _bw)
 
 
-def cross_entropy(logits: Tensor, gold) -> Tensor:
+def cross_entropy(logits: Tensor, gold, lengths=None) -> Tensor:
     """Negative log softmax probability of the gold class, summed over rows.
 
     ``gold`` is one class index, or a vector of one index per row. ``logits``
-    may be any shape that ravels to ``(len(gold), n_classes)``.
+    may be any shape that ravels to ``(len(gold), n_classes)``. With
+    ``lengths``, row i has ``lengths[i]`` classes, packed back to back in
+    (sum of lengths, 1) ``logits`` and laid out as (len(gold), longest) with
+    NEG_INF past each row's length, which gets exactly zero probability.
     """
     gold = np.asarray(gold, dtype=np.intp).reshape(-1)
     rows = np.arange(gold.size)
-    if gold.size == 0 or logits.size % gold.size:
-        raise ShapeError(f"logits {logits.shape} do not split into {gold.size} rows")
-    z = logits.data.reshape(gold.size, -1)
+    if lengths is None:
+        if gold.size == 0 or logits.size % gold.size:
+            raise ShapeError(f"logits {logits.shape} do not split into {gold.size} rows")
+        z = logits.data.reshape(gold.size, -1)
+    else:
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if (not gold.size or lengths.shape != gold.shape or logits.shape != (lengths.sum(), 1)
+                or (gold >= lengths).any()):
+            raise ShapeError(f"logits {logits.shape}, gold {gold.tolist()}: not rows of lengths {lengths.tolist()}")
+        inside = np.arange(lengths.max()) < lengths[:, None]
+        z = np.full(inside.shape, NEG_INF)
+        z[inside] = logits.data[:, 0]
     n = z.shape[1]
     if gold.min() < 0 or gold.max() >= n:
         raise IndexError(f"gold index {gold.tolist()} out of range for {n} classes")
@@ -510,6 +520,6 @@ def cross_entropy(logits: Tensor, gold) -> Tensor:
     def _bw(g):
         d = p.copy()
         d[rows, gold] -= 1.0
-        logits._accumulate((float(g) * d).reshape(logits.shape))
+        logits._accumulate((float(g) * (d if lengths is None else d[inside])).reshape(logits.shape))
 
     return _result(loss, (logits,), "cross_entropy", _bw)

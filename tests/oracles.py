@@ -220,6 +220,29 @@ def oracle_cross_entropy(logits: np.ndarray, gold: int) -> float:
     return float(-np.log(_softmax_row(logits)[gold]))
 
 
+def oracle_packed_cross_entropy(
+    scores: np.ndarray, gold: np.ndarray, lengths: np.ndarray, upstream: float
+) -> tuple[float, np.ndarray]:
+    """The summed cross entropy of rows of unequal length packed back to back
+    in (sum of lengths, 1) ``scores``, and its gradient under the scalar
+    ``upstream``, as the rectangular cross entropy computes them once the rows
+    are scattered into (n, longest) filled with MASK_NEG."""
+    n, longest = len(lengths), int(max(lengths))
+    slots = np.concatenate([i * longest + np.arange(m) for i, m in enumerate(lengths)])
+    padded = np.full((n * longest, 1), MASK_NEG)
+    padded[slots] = scores
+    z = padded.reshape(n, longest)
+    rows = np.arange(n)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1)
+    p = e / total[:, None]
+    loss = -(shifted[rows, gold] - np.log(total)).sum()
+    d = p.copy()
+    d[rows, gold] -= 1.0
+    return float(loss), (float(upstream) * d).reshape(n * longest, 1)[slots]
+
+
 def oracle_report(rows: list[tuple], languages: list[str], relations: list[str]) -> dict:
     """Per-language, overall, macro-average and per-relation metrics of one
     prediction per sentence.

@@ -347,11 +347,17 @@ def test_criterion_stage2_benefit(benchmark_runs):
     macro2 = float(np.mean(list(s2.values())))
     improved = [c for c in codes if s2[c] > s1[c]]
     ok = macro2 >= macro1 - 1e-12 and len(improved) >= len(codes) / 2
+    # information only: each seed's overall triple-F1, so a change that moves
+    # bits shows its effect in the log
+    per_seed = "; ".join(
+        f"seed {r['seed']} {r['dev_stage1'].overall.triple_f1:.3f}/{r['dev_stage2'].overall.triple_f1:.3f}/"
+        f"{r['test_stage2'].overall.triple_f1:.3f}" for r in benchmark_runs
+    )
     criterion(
         "stage-2 benefit",
         ok,
         f"3-seed mean dev triple-F1 {macro1:.3f} -> {macro2:.3f}, improved on "
-        f"{len(improved)}/{len(codes)} languages ({improved})",
+        f"{len(improved)}/{len(codes)} languages ({improved}); overall triple-F1 dev-s1/dev-s2/test {per_seed}",
     )
 
 

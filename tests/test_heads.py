@@ -83,6 +83,16 @@ class TestClassifyRelation:
         want = oracle_relation_logits(pooled, reg["relation.w_cls"].data)
         assert compare("relation_logits", got, want, 1e-12).passed
 
+    def test_each_row_is_bitwise_the_row_alone(self, rng):
+        reg = build_reg(toy_cfg(), seed=4)
+        pooled = rng.normal(size=(32, 4)) * 10.0 ** rng.integers(-2, 3, size=(32, 1))
+        logits = relation_logits(Tensor(pooled), reg).data
+        assert logits.shape == (32, 5)
+        for i in range(32):
+            assert logits[i].tobytes() == relation_logits(Tensor(pooled[i : i + 1]), reg).data.tobytes(), i
+        with pytest.raises(T.ShapeError):
+            relation_logits(Tensor(pooled[:, None]), reg)
+
     def test_gold_disallowed_is_data_error(self):
         with pytest.raises(DataValidationError):
             check_gold_allowed(2, np.array([True, True, False]), "x-1")
@@ -124,27 +134,34 @@ class TestEntityScores:
                                         reg[f"entity.{key}.w_index"].data, mask)
             assert compare(key, scores[key].data.reshape(-1), want, 1e-10).passed
 
-    def test_one_length_blocks_score_each_sentence_as_alone(self, rng):
-        reg = build_reg(toy_cfg(), seed=2)
-        g, m = 5, 6
-        features = rng.normal(size=(g, m, 4))
-        rels = rng.normal(size=(g, 4))
-        masks = np.where(rng.random((g, m)) < 0.3, NEG_INF, 0.0)
-        block = entity_scores(Tensor(features), Tensor(np.repeat(rels, m, axis=0)), masks.reshape(-1), reg)
-        for i in range(g):
-            alone = entity_scores(Tensor(features[i]), Tensor(np.repeat(rels[i : i + 1], m, axis=0)), masks[i], reg)
-            for key, t in block.items():
-                assert t.shape == (g, m, 1)
-                assert t.data[i].tobytes() == alone[key].data.tobytes(), (i, key)
+    def test_packed_rows_score_each_sentence_as_alone(self, rng):
+        # sentences of mixed lengths back to back, each under its own relation
+        # row, at the benchmark's width; a sentence has at least four rows,
+        # [CLS], [LANG], one token and [SEP]
+        reg = build_reg(toy_cfg(d_model=32), seed=2)
+        lengths = [6, 4, 6, 9, 4, 5]
+        features = rng.normal(size=(sum(lengths), 32)) * 10.0 ** rng.integers(-2, 3, size=(sum(lengths), 1))
+        rels = np.repeat(rng.normal(size=(len(lengths), 32)), lengths, axis=0)
+        masks = np.where(rng.random(sum(lengths)) < 0.3, NEG_INF, 0.0)
+        packed = entity_scores(Tensor(features), Tensor(rels), masks, reg)
+        for rows in np.split(np.arange(sum(lengths)), np.cumsum(lengths)[:-1]):
+            alone = entity_scores(Tensor(features[rows]), Tensor(rels[rows]), masks[rows], reg)
+            for key, t in packed.items():
+                assert t.shape == (sum(lengths), 1)
+                assert t.data[rows].tobytes() == alone[key].data.tobytes(), (rows, key)
 
-    def test_block_relation_rows_must_align_with_sentences(self, rng):
+    def test_relation_rows_must_align_with_feature_rows(self, rng):
         # 12 feature rows need 12 relation rows: neither 2 rows nor one per
-        # sentence is broadcast over them
+        # sentence is broadcast over them; features are (m, d) rows only
         reg = build_reg(toy_cfg())
-        features = rng.normal(size=(3, 4, 4))
-        for k in (2, 3):
+        features = rng.normal(size=(12, 4))
+        for k in (1, 2, 3):
             with pytest.raises(T.ShapeError):
                 entity_scores(Tensor(features), Tensor(rng.normal(size=(k, 4))), np.zeros(12), reg)
+        with pytest.raises(T.ShapeError):
+            entity_scores(Tensor(features.reshape(3, 4, 4)), Tensor(rng.normal(size=(12, 4))), np.zeros(12), reg)
+        with pytest.raises(ValueError):
+            entity_scores(Tensor(features), Tensor(rng.normal(size=(12, 4))), np.zeros(4), reg)
 
     def test_combined_head_gradient_check(self, rng):
         cfg = toy_cfg()

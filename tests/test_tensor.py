@@ -15,10 +15,10 @@ from relmux import tensor as T
 from relmux.errors import CheckpointError, NumericsError
 from relmux.optim import AdamW
 from relmux.params import ParamRegistry
-from relmux.tensor import NEG_INF, ShapeError, Tensor
+from relmux.tensor import ShapeError, Tensor
 
 from gradcheck import finite_diff_check, tsum
-from oracles import oracle_adamw_rule, oracle_adamw_step, oracle_cross_entropy
+from oracles import oracle_adamw_rule, oracle_adamw_step, oracle_cross_entropy, oracle_packed_cross_entropy
 
 
 class TestMatmul:
@@ -66,6 +66,45 @@ class TestMatmul:
     def test_batch_shape_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError, match=r"\(3, 2, 4\).*\(2, 4, 5\)"):
             T.matmul(Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros((2, 4, 5))))
+
+
+class TestRowMatmul:
+    # 32 rows of mixed magnitudes by a 64-column matrix: a 2-D product of
+    # this shape need not give a row the bits it gets alone
+    def operands(self, rng, k):
+        x = rng.normal(size=(32, 64)) * 10.0 ** rng.integers(-3, 4, size=(32, 1))
+        return x, rng.normal(size=(64, k))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_each_row_is_bitwise_the_row_alone(self, rng, k):
+        x, w = self.operands(rng, k)
+        out = T.row_matmul(Tensor(x), Tensor(w)).data
+        assert out.shape == (32, k) and out.flags.c_contiguous
+        for i in range(32):
+            assert out[i].tobytes() == T.row_matmul(Tensor(x[i : i + 1]), Tensor(w)).data.tobytes(), i
+        # any other batch of the same rows, too
+        perm = rng.permutation(32)
+        assert T.row_matmul(Tensor(x[perm]), Tensor(w)).data.tobytes() == out[perm].tobytes()
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_gradients_are_bitwise_matmuls(self, rng, k):
+        x, w = (Tensor(a, requires_grad=True) for a in self.operands(rng, k))
+        g = rng.normal(size=(32, k))
+        _, grads = _run(lambda: T.row_matmul(x, w), [x, w], g)
+        assert grads == _run(lambda: T.matmul(x, w), [x, w], g)[1]
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_gradient_vs_finite_differences(self, rng, k):
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, k)), requires_grad=True)
+        g = Tensor(rng.normal(size=(6, k)))
+        report = finite_diff_check(lambda: tsum(T.mul(T.row_matmul(x, w), g)), {"x": x, "w": w}, max_coords=16)
+        assert report.max_rel_error < 1e-6
+
+    def test_shapes_rejected(self):
+        for a, b in (((3, 4), (3, 2)), ((2, 3, 4), (4, 2)), ((3, 4), (4,)), ((4,), (4, 2))):
+            with pytest.raises(ShapeError, match="row_matmul"):
+                T.row_matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
 
 class TestSoftmaxRows:
@@ -199,6 +238,45 @@ class TestCrossEntropy:
     def test_nan_logits_raise_numerics_error(self):
         with pytest.raises(NumericsError, match="NaN"):
             T.cross_entropy(Tensor([np.nan, 0.0]), 1)
+
+    # packed rows of unequal length, the longest not first, one of length 1
+    LENGTHS = np.array([3, 6, 1, 6, 4])
+    GOLD = np.array([2, 5, 0, 1, 3])
+
+    @pytest.mark.parametrize("upstream", [1.0, 0.37])
+    def test_packed_rows_are_bitwise_the_padded_layout(self, rng, upstream):
+        scores = Tensor(rng.normal(size=(self.LENGTHS.sum(), 1)) * 5.0, requires_grad=True)
+        loss = T.cross_entropy(scores, self.GOLD, self.LENGTHS)
+        T.mul(loss, upstream).backward()
+        want_loss, want_grad = oracle_packed_cross_entropy(scores.data, self.GOLD, self.LENGTHS, upstream)
+        assert loss.item() == want_loss
+        assert scores.grad.shape == scores.shape and scores.grad.tobytes() == want_grad.tobytes()
+
+    def test_packed_rows_are_the_sum_of_single_rows(self, rng):
+        scores = rng.normal(size=(self.LENGTHS.sum(), 1))
+        got = T.cross_entropy(Tensor(scores), self.GOLD, self.LENGTHS).item()
+        starts = np.cumsum(self.LENGTHS) - self.LENGTHS
+        want = sum(oracle_cross_entropy(scores[a : a + m], int(g)) for a, m, g in zip(starts, self.LENGTHS, self.GOLD))
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_packed_gradient_vs_finite_differences(self, rng):
+        scores = Tensor(rng.normal(size=(self.LENGTHS.sum(), 1)), requires_grad=True)
+        report = finite_diff_check(lambda: T.cross_entropy(scores, self.GOLD, self.LENGTHS), {"scores": scores})
+        assert report.max_rel_error < 1e-6
+
+    def test_packed_rows_rejected(self):
+        scores = Tensor(np.zeros((self.LENGTHS.sum(), 1)))
+        # lengths that do not sum to the rows, one length too few, a zero length
+        for lengths in ([3, 6, 1, 6, 3], [3, 6, 1, 6, 5], [3, 6, 7, 4], [3, 6, 0, 7, 4]):
+            with pytest.raises(ShapeError, match="lengths"):
+                T.cross_entropy(scores, self.GOLD, lengths)
+        with pytest.raises(ShapeError, match="lengths"):
+            T.cross_entropy(Tensor(np.zeros(self.LENGTHS.sum())), self.GOLD, self.LENGTHS)
+        # a gold index past its own row, though inside the longest
+        with pytest.raises(ShapeError, match="lengths"):
+            T.cross_entropy(scores, [2, 5, 1, 1, 3], self.LENGTHS)
+        with pytest.raises(IndexError):
+            T.cross_entropy(scores, [2, 5, -1, 1, 3], self.LENGTHS)
 
 
 def composed_attention(q, k, v, n_heads, g):
@@ -345,16 +423,17 @@ class TestPlumbingOps:
 
     def test_composite_gradients(self, rng):
         table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
 
         def f():
             rows = T.gather_rows(table, [0, 2, 2, 4])
             h = T.relu(T.tanh(rows))
             c = T.concat([h, h], axis=1)
-            n = T.reshape(c, (12, 2))
-            r = T.gather_rows(T.gather_rows(n, [1, 5]), [0] * 3)
+            n = T.row_matmul(c, w)
+            r = T.gather_rows(T.gather_rows(n, [1, 3]), [0] * 3)
             return tsum(T.mul(r, r))
 
-        report = finite_diff_check(f, {"table": table}, max_coords=15)
+        report = finite_diff_check(f, {"table": table, "w": w}, max_coords=15)
         assert report.max_rel_error < 1e-6
 
     def test_backward_requires_scalar(self, rng):
@@ -408,10 +487,9 @@ TAPE_RULE_CASES = {
     "add": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=3)], T.add),
     "mul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(2, 3))], T.mul),
     "matmul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4))], T.matmul),
+    "row_matmul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4))], T.row_matmul),
     "concat": ([_ARRAYS.normal(size=(1, 3)), _ARRAYS.normal(size=(2, 3))], lambda a, b: T.concat([a, b], axis=0)),
     "gather_rows": ([_ARRAYS.normal(size=(4, 3))], lambda a: T.gather_rows(a, [2, 0, 2])),
-    "scatter_rows": ([_ARRAYS.normal(size=(2, 3))], lambda a: T.scatter_rows(a, [3, 1], 4, NEG_INF)),
-    "reshape": ([_ARRAYS.normal(size=(2, 3))], lambda a: T.reshape(a, (3, 2))),
     "add_n": ([_ARRAYS.normal(size=(2, 3)) for _ in range(3)], lambda *ts: T.add_n(list(ts))),
     "relu": ([_ARRAYS.normal(size=(2, 3))], T.relu),
     "tanh": ([_ARRAYS.normal(size=(2, 3))], T.tanh),

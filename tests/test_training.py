@@ -579,6 +579,31 @@ class TestBatchInvariance:
             assert start == rows.shape[0]
 
 
+    def test_head_outputs_are_bitwise_the_same_alone_and_in_a_mixed_batch(self, benchmark_sentences):
+        """A sentence's relation logits and four entity score columns, taken
+        alone, are the bits of its rows inside a batch of sentences of mixed
+        lengths, each under its own relation."""
+        model, tss = benchmark_sentences
+        rng = np.random.default_rng(3)
+        n_relations = model.languages.n_relations
+        for _ in range(10):
+            batch = [tss[i] for i in rng.choice(len(tss), size=32, replace=False)]
+            lengths = np.array([ts.length for ts in batch])
+            assert len(set(lengths.tolist())) > 1
+            relations = rng.integers(1, n_relations, size=32)
+            pooled, rows = model._forward(batch, 1)
+            logits = relation_logits(pooled, model.registry).data
+            scores = model._entity_scores(batch, rows, relations, lengths)
+            starts = np.cumsum(lengths) - lengths
+            for i, ts in enumerate(batch):
+                pooled_alone, rows_alone = model._forward([ts], 1)
+                assert logits[i].tobytes() == relation_logits(pooled_alone, model.registry).data.tobytes()
+                alone = model._entity_scores([ts], rows_alone, relations[i : i + 1], [ts.length])
+                span = slice(starts[i], starts[i] + ts.length)
+                for key, t in scores.items():
+                    assert t.data[span].tobytes() == alone[key].data.tobytes(), (i, key)
+
+
 class TestBatchedStage2:
     @pytest.mark.parametrize("routing", ["learned", "identity"])
     def test_batch_matches_sentence_at_a_time(self, routing, monkeypatch):
