@@ -19,7 +19,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig
+from .config import RunConfig, write_atomic
 from .corpus import Corpus, LanguageRegistry, LanguageSpec, RelationSchema
 from .errors import ConfigError
 from .evaluation import evaluate_model
@@ -67,7 +67,7 @@ def write_rows_csv(rows: list[dict], path: Path) -> None:
     lines = ["variant,language,triple_f1"]
     for row in rows:
         lines.append(f"{row['variant']},{row['language']},{repr(float(row['triple_f1']))}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def ablate_concat_count(corpus: Corpus, run_cfg: RunConfig, out_dir: Path) -> list[dict]:
@@ -180,5 +180,5 @@ def run_ablation(name: str, corpus: Corpus, run_cfg: RunConfig, out_dir: str | P
     out.mkdir(parents=True, exist_ok=True)
     rows = DRIVERS[name](corpus, run_cfg, out)
     write_rows_csv(rows, out / f"{name}.csv")
-    (out / f"{name}.json").write_text(json.dumps(rows, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_atomic(out / f"{name}.json", json.dumps(rows, sort_keys=True, indent=1) + "\n")
     return rows

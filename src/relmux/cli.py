@@ -29,7 +29,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .ablation import ABLATION_NAMES, run_ablation
-from .config import RunConfig, load_run_config, save_config_snapshot
+from .config import RunConfig, load_run_config, save_config_snapshot, write_atomic
 from .corpus import (
     SPLITS, Corpus, GeneratorConfig, LanguageRegistry, check_group_size, generate_corpus, load_corpus,
     save_corpus,
@@ -81,12 +81,10 @@ def cmd_generate(args) -> int:
     save_corpus(_create(out), corpus)
     vocab = Vocab(corpus.registry.content_vocab(), corpus.registry.n_languages)
     vocab.save(out / "vocab.txt")
-    (out / "generate_snapshot.json").write_text(
-        json.dumps({"seed": args.seed, "langs": args.langs,
-                    "no_relation_fraction": gen.no_relation_fraction,
-                    "family_share": gen.family_share}, sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    write_atomic(out / "generate_snapshot.json",
+                 json.dumps({"seed": args.seed, "langs": args.langs,
+                             "no_relation_fraction": gen.no_relation_fraction,
+                             "family_share": gen.family_share}, sort_keys=True, indent=1) + "\n")
     print(f"{'language':<10} {'train':>7} {'dev':>6} {'test':>6}")
     for lang in corpus.registry.languages:
         counts = [sum(1 for e in corpus.split(s) if e.lang == lang.id) for s in SPLITS]
@@ -173,7 +171,7 @@ def cmd_eval(args) -> int:
     write_report(report, _create(out))
     dump_predictions(preds, examples, corpus.registry, out / "predictions.jsonl", include_scores=args.dump_scores)
     snapshot = {"ckpt": str(args.ckpt), "split": args.split, "topk": args.topk}
-    (out / "eval_snapshot.json").write_text(json.dumps(snapshot, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_atomic(out / "eval_snapshot.json", json.dumps(snapshot, sort_keys=True, indent=1) + "\n")
     print(f"split={args.split} micro triple-F1 {report.overall.triple_f1:.4f} "
           f"macro {report.macro_avg['triple_f1']:.4f}; reports in {out}")
     return 0

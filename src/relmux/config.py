@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -153,6 +154,19 @@ def read_json_object(path: str | Path, what: str, error: type[ConfigError] = Con
     return doc
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a temporary file beside ``path``, then
+    rename it over ``path``: a write that fails leaves the previous file
+    whole and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     cfg = RunConfig.from_json(read_json_object(path, "config"))
     cfg.validate()
@@ -160,6 +174,4 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def save_config_snapshot(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(cfg.to_json(), sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_atomic(path, json.dumps(cfg.to_json(), sort_keys=True, indent=1) + "\n")

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import write_atomic
 from .corpus import Example, LanguageRegistry
 from .errors import RelmuxError
 from .heads import TriplePrediction
@@ -215,21 +216,19 @@ def write_report(report: MetricsReport, out_dir: str | Path) -> None:
     report.check_invariants()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report.to_json(), sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    (out / "report.txt").write_text(format_report_table(report) + "\n", encoding="utf-8")
+    write_atomic(out / "report.json", json.dumps(report.to_json(), sort_keys=True, indent=1) + "\n")
+    write_atomic(out / "report.txt", format_report_table(report) + "\n")
     grid_lines = ["language,relation,f1,support"]
     for code in sorted(report.relation_grid):
         for rel in sorted(report.relation_grid[code]):
             cell = report.relation_grid[code][rel]
             grid_lines.append(f"{code},{rel},{repr(float(cell['f1']))},{cell['support']}")
-    (out / "relation_grid.csv").write_text("\n".join(grid_lines) + "\n", encoding="utf-8")
+    write_atomic(out / "relation_grid.csv", "\n".join(grid_lines) + "\n")
     if report.router_heatmap is not None:
         heat_lines = ["sub_module," + ",".join(report.heatmap_languages)]
         for t, row in enumerate(report.router_heatmap):
             heat_lines.append(f"sub_{t + 1}," + ",".join(repr(float(x)) for x in row))
-        (out / "router_heatmap.csv").write_text("\n".join(heat_lines) + "\n", encoding="utf-8")
+        write_atomic(out / "router_heatmap.csv", "\n".join(heat_lines) + "\n")
 
 
 def dump_predictions(
@@ -240,23 +239,23 @@ def dump_predictions(
     include_scores: bool = False,
 ) -> None:
     """One JSON record per sentence with the gold and predicted triple."""
-    pairs = _paired(preds, examples)
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for pred, gold in pairs:
-            rec = {
-                "id": gold.id,
-                "lang": registry.languages[gold.lang].code,
-                "gold": {
-                    "relation": registry.schema.relations[gold.relation],
-                    "head_span": list(gold.head_span),
-                    "tail_span": list(gold.tail_span),
-                },
-                "pred": {
-                    "relation": registry.schema.relations[pred.relation],
-                    "head_span": list(pred.head_span),
-                    "tail_span": list(pred.tail_span),
-                },
-            }
-            if include_scores and pred.entity_scores is not None:
-                rec["entity_scores"] = {k: [float(x) for x in v] for k, v in pred.entity_scores.items()}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    lines = []
+    for pred, gold in _paired(preds, examples):
+        rec = {
+            "id": gold.id,
+            "lang": registry.languages[gold.lang].code,
+            "gold": {
+                "relation": registry.schema.relations[gold.relation],
+                "head_span": list(gold.head_span),
+                "tail_span": list(gold.tail_span),
+            },
+            "pred": {
+                "relation": registry.schema.relations[pred.relation],
+                "head_span": list(pred.head_span),
+                "tail_span": list(pred.tail_span),
+            },
+        }
+        if include_scores and pred.entity_scores is not None:
+            rec["entity_scores"] = {k: [float(x) for x in v] for k, v in pred.entity_scores.items()}
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    write_atomic(path, "".join(lines))

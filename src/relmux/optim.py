@@ -7,19 +7,20 @@ Update rule per unfrozen parameter p with gradient g:
     p <- p - lr * ( m_hat / (sqrt(v_hat) + eps) + weight_decay * p )
 
 where m_hat, v_hat are bias-corrected, beta1 = 0.9, beta2 = 0.999 and
-eps = 1e-8. Frozen parameters are never touched and carry no moment buffers.
-An unfrozen parameter that got no gradient (a batch with no relation-bearing
-sentence never reaches the entity scorers) steps as if its gradient were
-zero: its moments decay and weight decay still applies.
+eps = 1e-8. Frozen parameters are never touched and hold no gradient or
+moments. An unfrozen parameter that got no gradient (a batch with no
+relation-bearing sentence never reaches the entity scorers) keeps the zeros
+``zero_grad`` left: its moments decay and weight decay still applies.
 
 The values, gradients and moments of all unfrozen parameters live in flat
-buffers. Each parameter's ``.data`` becomes a view into ``values``, as
-``m[name]`` and ``v[name]`` are views into the moments, so whatever sets a
-parameter after the optimizer exists must write into its array, not rebind
-it. A step copies the gradients into their buffer and applies the rule to
-every value in one pass, through preallocated buffers, so it allocates
-nothing; the formula is elementwise and runs the same ufuncs in the same
-order, so the result is bit for bit that of one pass per parameter.
+buffers. Each parameter's ``.data`` and ``.grad`` become views into
+``values`` and ``_g``, as ``m[name]`` and ``v[name]`` are views into the
+moments, so whatever sets them after the optimizer exists must write into
+the array, not rebind it. The tape adds each gradient into its view, so a
+step gathers nothing: it applies the rule to every value in one pass through
+preallocated buffers and allocates nothing. The formula is elementwise and
+runs the same ufuncs in the same order, so the result is bit for bit that of
+one pass per parameter.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .errors import CheckpointError
 from .params import ParamRegistry
-from .tensor import Tensor
 
 
 class AdamW:
@@ -37,10 +37,10 @@ class AdamW:
     eps = 1e-8
 
     def __init__(self, registry: ParamRegistry, lr: float = 1e-3, weight_decay: float = 0.1) -> None:
-        self.registry = registry
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
+        registry.zero_grad()
         trainable = [(name, t) for name, t in registry.items() if t.requires_grad]
         total = sum(t.size for _, t in trainable)
         self.values = np.zeros(total)
@@ -48,8 +48,6 @@ class AdamW:
         # moment buffers exist for exactly the unfrozen set
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        # each trainable parameter with its slice of the gradient buffer
-        self._grads: list[tuple[Tensor, np.ndarray]] = []
         offset = 0
         for name, t in trainable:
             sl = slice(offset, offset + t.size)
@@ -58,22 +56,17 @@ class AdamW:
             t.data = view
             self.m[name] = self._m[sl].reshape(t.shape)
             self.v[name] = self._v[sl].reshape(t.shape)
-            self._grads.append((t, self._g[sl].reshape(t.shape)))
+            t.grad = self._g[sl].reshape(t.shape)
             offset += t.size
 
     def zero_grad(self) -> None:
-        self.registry.zero_grad()
+        self._g.fill(0.0)
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for p, g in self._grads:
-            if p.grad is None:
-                g.fill(0.0)
-            else:
-                g[...] = p.grad
         m, v, g, u, w = self._m, self._v, self._g, self._u, self._w
         m *= self.beta1
         m += np.multiply(g, 1.0 - self.beta1, out=u)

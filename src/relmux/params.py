@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
-from .config import read_json_object
+from .config import read_json_object, write_atomic
 from .errors import CheckpointError
 from .tensor import Tensor
 
@@ -115,14 +114,7 @@ def save_checkpoint(path: str | Path, config: dict, registry: ParamRegistry, ext
     }
     if extra is not None:
         doc["extra"] = extra
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict | None]:

@@ -12,12 +12,12 @@ anything: prediction computes the same values without building a tape that
 nothing would walk.
 
 Gradients are owned like this. A leaf (a tensor made directly, such as a
-parameter) copies its first gradient, so no two leaves' ``.grad`` share
-memory. An interior node (an op result with a backward closure) adopts the
-array it is handed. A closure may hand one array, or views of it, to several
-parents, so no gradient is ever written in place: a later contribution makes
-a new sum. ``backward()`` drops each interior gradient once the node's
-closure has passed it on, so only leaves keep gradients afterwards.
+parameter) owns its ``.grad``: it copies its first gradient and adds each
+later one into it in place, so an optimizer may bind it to a buffer view.
+An interior node (an op result with a backward closure) adopts the array it
+is handed. A closure may hand one array, or views of it, to several parents,
+so no interior gradient is written in place: a later one makes a new sum.
+``backward()`` drops each interior gradient once its closure has run.
 
 The engine is deliberately small: matmul over batched matrices or one
 product per row, elementwise arithmetic with broadcasting, row softmax,
@@ -76,12 +76,16 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g: np.ndarray) -> None:
-        """Add ``g`` to the gradient, writing into neither: both may be
-        shared. A leaf copies its first gradient; an interior node adopts it,
-        as it is when it is already a C-contiguous float64 ndarray, else made
-        one (``np.require`` keeps a 0-d array 0-d)."""
+        """Add ``g``, which may be shared, to the gradient. A leaf owns its
+        gradient: it copies the first and adds each later one into it in
+        place. An interior node adopts its first, as it is when it is already
+        a C-contiguous float64 ndarray, else made one (``np.require`` keeps a
+        0-d array 0-d), and makes a new sum for each later one."""
         if self.grad is not None:
-            self.grad = self.grad + g
+            if self._backward is None:
+                self.grad += g
+            else:
+                self.grad = self.grad + g
         elif self._backward is None:
             self.grad = np.array(g, dtype=np.float64, order="C")
         elif type(g) is np.ndarray and g.dtype == np.float64 and g.flags.c_contiguous:

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, TrainConfig
+from .config import RunConfig, TrainConfig, write_atomic
 from .corpus import Corpus, index_pools, sample_stage1_batch
 from .errors import CheckpointError, NumericsError
 from .evaluation import evaluate_model
@@ -55,9 +55,7 @@ class TrainLog:
         self.lines.append(kv)
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for line in self.lines:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
+        write_atomic(path, "".join(json.dumps(line, sort_keys=True) + "\n" for line in self.lines))
 
 
 def _check_finite(loss_value: float, stage: int, step: int) -> None:
@@ -231,6 +229,4 @@ def run_summary(out_dir: str | Path, run_cfg: RunConfig, fields: dict) -> None:
         "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         **fields,
     }
-    Path(out_dir, "run_summary.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_atomic(Path(out_dir, "run_summary.json"), json.dumps(doc, sort_keys=True, indent=1) + "\n")

@@ -50,8 +50,10 @@ def finite_diff_check(
     Large tensors are spot-checked on ``max_coords`` sampled coordinates.
     """
     rng = rng or np.random.default_rng(0)
+    # in place, so a gradient that is a view of an optimizer's buffer stays one
     for p in params.values():
-        p.grad = None
+        if p.grad is not None:
+            p.grad.fill(0.0)
     loss = f()
     loss.backward()
     analytic = {}
@@ -88,5 +90,5 @@ def finite_diff_check(
         report.max_rel_error = max(report.max_rel_error, worst)
     # leave gradients as the analytic values for caller inspection
     for name, p in params.items():
-        p.grad = analytic[name]
+        p.grad[...] = analytic[name]
     return report

@@ -1,11 +1,15 @@
-"""Scoring rules, micro-F1, report structure and invariants, and the router
-heatmap a report carries and writes."""
+"""Scoring rules, micro-F1, report structure and invariants, the router
+heatmap a report carries and writes, and crash-safe output files."""
+
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from relmux.ablation import write_rows_csv
+from relmux.config import RunConfig, TrainConfig, save_config_snapshot, write_atomic
 from relmux.corpus import Example, LanguageRegistry, LanguageSpec, RelationSchema
 from relmux.evaluation import (
     MetricsInvariantError,
@@ -19,7 +23,9 @@ from relmux.evaluation import (
     write_report,
 )
 from relmux.heads import TriplePrediction
+from relmux.params import ParamRegistry, save_checkpoint
 from relmux.switcher import router_matrix
+from relmux.training import TrainLog, run_summary
 
 from oracles import oracle_report
 
@@ -304,3 +310,56 @@ class TestHeatmapExport:
         probs = router_matrix(model.registry, model.cfg)
         for t, line in enumerate(lines[1:]):
             assert line == f"sub_{t + 1}," + ",".join(repr(float(x)) for x in probs[t])
+
+
+def _write_report(out, v):
+    from relmux.config import ModelConfig
+    from relmux.model import Model
+
+    registry = make_registry()
+    cfg = ModelConfig(d_model=8, n_blocks=1, n_heads=2, ffn_dim=16, max_len=16,
+                      n_sub_modules=3, sub_layers=(1,) * 3, bottleneck=12, eval_top_k=2)
+    model = Model.build(cfg, registry, init_seed=0)
+    model.stage = 2  # so the report carries a heatmap: all four files
+    golds = [ex(id="e0", lang=0), ex(id="e1", lang=1)]
+    write_report(report_from_predictions([pred(g, relation=1 + v) for g in golds], golds, registry, model=model), out)
+
+
+def _write_checkpoint(out, v):
+    reg = ParamRegistry()
+    reg.add("w", np.full(3, float(v)))
+    save_checkpoint(out / "stage1.ckpt", {}, reg, {"stage": 1})
+
+
+# each writes version ``v`` of its files into the directory ``out``
+WRITERS = {
+    "report": _write_report,
+    "checkpoint": _write_checkpoint,
+    "train_log": lambda out, v: TrainLog(lines=[{"step": v}]).save(out / "stage1_log.jsonl"),
+    "run_summary": lambda out, v: run_summary(out, RunConfig(), {"v": v}),
+    "config_snapshot": lambda out, v: save_config_snapshot(RunConfig(train=TrainConfig(seed=v)), out / "config.json"),
+    "predictions": lambda out, v: dump_predictions([pred(ex(), relation=1 + v)], [ex()], make_registry(),
+                                                   out / "predictions.jsonl"),
+    "rows_csv": lambda out, v: write_rows_csv([{"variant": "all", "language": "valo", "triple_f1": v}],
+                                              out / "rows.csv"),
+    "write_atomic": lambda out, v: write_atomic(out / "eval_snapshot.json", f'{{"topk": {v}}}\n'),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_failed_write_leaves_the_previous_file_whole(tmp_path, monkeypatch, writer):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir(), new.mkdir()
+    WRITERS[writer](old, 0)
+    WRITERS[writer](new, 1)
+    before = {p.name: p.read_bytes() for p in old.iterdir()}
+    assert before and before != {p.name: p.read_bytes() for p in new.iterdir()}
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        WRITERS[writer](old, 1)
+    # the previous bytes, and no temporary file beside them
+    assert {p.name: p.read_bytes() for p in old.iterdir()} == before

@@ -656,7 +656,8 @@ class TestFusedOps:
 
 class TestGradientLifetime:
     """Only leaves hold gradients after backward(), no two leaves share
-    gradient memory, and no gradient array is ever written in place."""
+    gradient memory, a leaf adds each later contribution into the gradient
+    it owns, and no interior gradient is ever written in place."""
 
     def test_second_backward_over_one_tape_counts_once_more(self):
         x = Tensor(1.5, requires_grad=True)
@@ -704,6 +705,18 @@ class TestGradientLifetime:
         w1, w2 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
         tsum(T.add(T.mul(x, w1), T.mul(x, w2))).backward()
         assert x.grad.tobytes() == (w1 + w2).tobytes()
+
+    def test_leaf_adds_a_later_contribution_in_place(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        g1, g2 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        g2_before = g2.copy()
+        x._accumulate(g1)
+        # the first contribution is copied, so the leaf owns its gradient
+        owned = x.grad
+        assert not np.shares_memory(owned, g1) and owned.tobytes() == g1.tobytes()
+        x._accumulate(g2)
+        assert x.grad is owned and owned.tobytes() == (g1 + g2).tobytes()
+        assert g2.tobytes() == g2_before.tobytes() and not np.shares_memory(owned, g2)
 
     def test_shared_gradient_survives_a_later_accumulation(self, rng):
         a = Tensor(rng.normal(size=3), requires_grad=True)
@@ -789,7 +802,6 @@ class TestAdamW:
     def test_decay_only_step(self):
         reg = self._registry(2.0)
         opt = AdamW(reg, lr=0.1, weight_decay=0.5)
-        reg["p"].grad = np.zeros(1)
         opt.step()
         assert reg["p"].data[0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5), abs=1e-15)
 
@@ -800,11 +812,12 @@ class TestAdamW:
         reg.freeze(["frozen"])
         before = reg["frozen"].data.copy()
         opt = AdamW(reg, lr=0.1, weight_decay=0.5)
-        reg["w"].grad = np.array([1.0, 1.0])
+        reg["w"].grad[...] = [1.0, 1.0]
         reg["frozen"].grad = np.array([10.0, 10.0])  # even with a gradient present
         opt.step()
         assert np.array_equal(reg["frozen"].data, before)
-        assert not np.array_equal(reg["w"].data, [1.0, -2.0])
+        want = [oracle_adamw_step(p, 1.0, 0.1, 0.5, 0.9, 0.999, 1e-8) for p in (1.0, -2.0)]
+        assert reg["w"].data == pytest.approx(want, abs=1e-15)
 
     def test_moment_buffers_only_for_unfrozen(self):
         reg = ParamRegistry()
@@ -819,30 +832,33 @@ class TestAdamW:
         reg = self._registry(1.0)
         lr, wd, b1, b2, eps = 1e-2, 0.1, 0.9, 0.999, 1e-8
         opt = AdamW(reg, lr=lr, weight_decay=wd)
-        reg["p"].grad = np.array([0.5])
+        reg["p"].grad[...] = 0.5
         opt.step()
         want = oracle_adamw_step(1.0, 0.5, lr, wd, b1, b2, eps)
         assert reg["p"].data[0] == pytest.approx(want, abs=1e-15)
 
     def test_missing_grad_steps_as_a_zero_grad(self, rng):
-        # a parameter no loss term reached still decays, bit for bit as if
-        # its gradient had been zeros
+        # a parameter no loss term reached keeps the zeros zero_grad left:
+        # it still decays, bit for bit the rule on a zero gradient, and no
+        # gradient of an earlier step lingers
         init = {"w": rng.normal(size=(3, 2)), "unused": rng.normal(size=(4,))}
-
-        def run(explicit_zero: bool):
-            reg = ParamRegistry()
-            for name, value in init.items():
-                reg.add(name, value.copy())
-            opt = AdamW(reg, lr=1e-2, weight_decay=0.1)
-            for step in range(3):
-                opt.zero_grad()
-                reg["w"].grad = np.full((3, 2), 0.5 * (step + 1))
-                if explicit_zero or step == 0:
-                    reg["unused"].grad = np.zeros(4)
-                opt.step()
-            return {n: reg[n].data.tobytes() for n in init}, {n: a.tobytes() for n, a in opt.state_arrays().items()}
-
-        assert run(explicit_zero=False) == run(explicit_zero=True)
+        lr, wd = 1e-2, 0.1
+        reg = ParamRegistry()
+        for name, value in init.items():
+            reg.add(name, value.copy())
+        want = {n: value.copy() for n, value in init.items()}
+        moments = {n: (np.zeros(value.shape), np.zeros(value.shape)) for n, value in init.items()}
+        opt = AdamW(reg, lr=lr, weight_decay=wd)
+        for step in range(3):
+            opt.zero_grad()
+            grads = {"w": np.full((3, 2), 0.5 * (step + 1)), "unused": np.full(4, 1.0 if step == 0 else 0.0)}
+            reg["w"].grad[...] = grads["w"]
+            if step == 0:
+                reg["unused"].grad[...] = grads["unused"]
+            opt.step()
+            for name, p in want.items():
+                oracle_adamw_rule(p, *moments[name], grads[name], step + 1, lr, wd)
+                assert reg[name].data.tobytes() == p.tobytes(), (step, name)
 
     def test_flat_step_is_bitwise_the_per_parameter_rule(self, rng):
         shapes = {"w": (3, 4), "b": (4,), "frozen": (2, 2), "emb": (5, 3), "unused": (2, 3), "gain": (1,)}
@@ -860,7 +876,11 @@ class TestAdamW:
             for name in shapes:
                 # "unused" gets a gradient on odd steps only
                 if name != "unused" or t % 2:
-                    reg[name].grad = rng.normal(size=shapes[name]) * 10.0 ** rng.integers(-3, 3)
+                    g = rng.normal(size=shapes[name]) * 10.0 ** rng.integers(-3, 3)
+                    if name == "frozen":
+                        reg[name].grad = g
+                    else:
+                        reg[name].grad[...] = g
             opt.step()
             for name, p in want.items():
                 oracle_adamw_rule(p, *moments[name], reg[name].grad, t, lr, wd)
@@ -880,10 +900,30 @@ class TestAdamW:
         for name, t in reg.items():
             assert np.shares_memory(t.data, opt.values) == t.requires_grad, name
             assert t.data.tobytes() == before[name].tobytes() and t.data.flags.c_contiguous
-        reg["w"].grad = np.ones((3, 4))
+        reg["w"].grad[...] = 1.0
         opt.step()
-        assert not np.array_equal(reg["w"].data, before["w"]) and not np.array_equal(reg["b"].data, before["b"])
+        for name, g in (("w", np.ones((3, 4))), ("b", np.zeros(4))):
+            want = before[name].copy()
+            oracle_adamw_rule(want, np.zeros(want.shape), np.zeros(want.shape), g, 1, 0.1, 0.1)
+            assert reg[name].data.tobytes() == want.tobytes(), name
         assert np.shares_memory(reg["w"].data, opt.values) and np.shares_memory(reg["b"].data, opt.values)
+
+    def test_gradients_are_views_of_the_flat_gradient_buffer(self, rng):
+        reg = ParamRegistry()
+        for name, shape in {"w": (3, 4), "frozen": (2,), "b": (4,)}.items():
+            reg.add(name, rng.normal(size=shape))
+            reg[name].grad = np.ones(shape)
+        reg.freeze(["frozen"])
+        opt = AdamW(reg, lr=0.1)
+        opt._g[:] = np.arange(opt._g.size)
+        opt.zero_grad()
+        assert reg["frozen"].grad is None
+        trainable = [reg["w"], reg["b"]]
+        for t in trainable:
+            assert t.grad.shape == t.shape and t.grad.flags.c_contiguous and not t.grad.any()
+        # each view is its parameter's own slice, in registration order
+        opt._g[:] = np.arange(opt._g.size)
+        assert np.concatenate([t.grad.ravel() for t in trainable]).tobytes() == opt._g.tobytes()
 
     def test_loaded_state_continues_bitwise(self, rng):
         def registry():
@@ -897,7 +937,7 @@ class TestAdamW:
         def steps(opt, reg, todo):
             for g in todo:
                 for name, value in g.items():
-                    reg[name].grad = value
+                    reg[name].grad[...] = value
                 opt.step()
 
         straight_reg = registry()
@@ -910,7 +950,13 @@ class TestAdamW:
         resumed = AdamW(part_reg)
         resumed.load_state_arrays(saved, part.step_count)
         steps(resumed, part_reg, grads[2:])
+        want = {name: t.data.copy() for name, t in registry().items()}
+        moments = {name: (np.zeros(p.shape), np.zeros(p.shape)) for name, p in want.items()}
+        for t, g in enumerate(grads, 1):
+            for name, p in want.items():
+                oracle_adamw_rule(p, *moments[name], g[name], t, 1e-3, 0.1)
         for name in ("w", "b"):
+            assert straight_reg[name].data.tobytes() == want[name].tobytes()
             assert part_reg[name].data.tobytes() == straight_reg[name].data.tobytes()
         with pytest.raises(CheckpointError):
             AdamW(registry()).load_state_arrays(dict(saved, **{"m.w": np.zeros(6)}), 2)

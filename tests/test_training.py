@@ -342,6 +342,9 @@ class TestStage1:
         train_stage1(model2, corpus, cfg, tmp_path / "resumed", TrainLog(), resume_extra=extra)
         for name in straight.registry.names():
             assert np.array_equal(straight.registry[name].data, model2.registry[name].data), name
+        # the whole training state: params, moments, rng state and step count
+        ckpt = "stage1.ckpt"
+        assert (tmp_path / "resumed" / ckpt).read_bytes() == (tmp_path / "straight" / ckpt).read_bytes()
 
     def test_stage1_freezes_exactly_the_switcher(self, tmp_path):
         corpus = tiny_corpus()
@@ -391,6 +394,12 @@ class TestNoRelationBatch:
         # no gradient and zero moments: the update is weight decay alone
         return model.registry[name].data.tobytes() == (before - (tc.weight_decay * before) * tc.lr).tobytes()
 
+    @staticmethod
+    def _unreached(model, loss, name):
+        # exactly zero, and not on the step's tape
+        p = model.registry[name]
+        return not p.grad.any() and all(node is not p for node in T._toposort(loss))
+
     def test_stage1_step(self):
         corpus = tiny_corpus()
         cfg = tiny_run_cfg()
@@ -402,8 +411,10 @@ class TestNoRelationBatch:
         opt = AdamW(model.registry, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
         step = _train_step(opt, model.stage1_batch_loss, groups, cfg.train, TrainLog(), 1, 0, 0)
         assert step == 1
-        assert model.registry["entity.hs.w_down"].grad is None
+        loss = model.stage1_batch_loss(groups, cfg.train.alpha, cfg.train.beta, {})
+        assert self._unreached(model, loss, "entity.hs.w_down")
         assert self._decayed_only(model, "entity.hs.w_down", before, cfg.train)
+        assert model.registry["switcher.sub0.layer0.w_up"].grad is None
 
     def test_stage2_step(self):
         corpus = tiny_corpus()
@@ -416,11 +427,14 @@ class TestNoRelationBatch:
         before = {n: model.registry[n].data.copy() for n in names}
         opt = AdamW(model.registry, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
         batch_loss = partial(model.stage2_batch_loss, table)
-        assert _train_step(opt, batch_loss, np.arange(len(tss)), cfg.train, TrainLog(), 2, 0, 0) == 1
+        batch = np.arange(len(tss))
+        assert _train_step(opt, batch_loss, batch, cfg.train, TrainLog(), 2, 0, 0) == 1
+        loss = batch_loss(batch, cfg.train.alpha, cfg.train.beta, {})
         for name in names:
-            assert model.registry[name].grad is None, name
+            assert self._unreached(model, loss, name), name
             assert self._decayed_only(model, name, before[name], cfg.train), name
-        assert model.registry["relation.w_cls"].grad is not None
+        assert model.registry["relation.w_cls"].grad.any()
+        assert model.registry["encoder.tok_emb"].grad is None
 
 
 class TestStage2:
