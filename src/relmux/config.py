@@ -85,6 +85,8 @@ class TrainConfig:
             raise ConfigError("patience must be >= 1")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_json_object
+from .config import read_json_object, write_atomic
 from .errors import ConfigError, DataValidationError
 
 SCHEMA_VERSION = 1
@@ -211,9 +211,7 @@ class LanguageRegistry:
         return cls(languages=languages, schema=RelationSchema(relations=relations, allowed=allowed))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        write_atomic(path, json.dumps(self.to_json(), sort_keys=True, indent=1) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "LanguageRegistry":
@@ -524,7 +522,7 @@ def save_examples(path: str | Path, examples: list[Example], registry: LanguageR
                 )
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_examples(path: str | Path, registry: LanguageRegistry) -> list[Example]:

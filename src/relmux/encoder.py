@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .config import ModelConfig
+from .config import ModelConfig, write_atomic
 from .corpus import Example
 from .errors import DataValidationError
 from .params import ParamRegistry, embedding_init, matrix_init
@@ -61,7 +61,7 @@ class Vocab:
             raise DataValidationError(f"token {token!r} not in vocabulary") from None
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
+        write_atomic(path, "\n".join(self.tokens) + "\n")
 
 
 @dataclass

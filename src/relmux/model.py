@@ -33,8 +33,8 @@ and the bytes of every ``encoder.`` and ``aggregator.`` array it was built
 from, and reuses it while both compare equal, so evaluating one split at
 several k builds its table once; any change to those values makes the next
 call build afresh. From stage 2 on ``predict_all`` switches each language's
-real rows under its top-k decision into an array of the call's own; the
-kept table is read-only. The heads then take rows, as in training; entity
+real rows under its row of ``eval_weights`` into an array of the call's own;
+the kept table is read-only. The heads then take rows, as in training; entity
 scoring runs in passes of one exact length only so that span decoding reads
 (g, L) views of its score columns. ``predict`` only packages one sentence's
 outputs as a ``TriplePrediction``.
@@ -64,7 +64,7 @@ from .heads import (
     relation_logits,
 )
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
-from .switcher import ROUTER_PARAMS, build_switcher_params, eval_decisions, switch_eval, switch_train
+from .switcher import ROUTER_PARAMS, build_switcher_params, eval_weights, switch_eval, switch_train
 from .tensor import Tensor
 
 # the names whose values the frozen prefix reads, and stage 2 freezes
@@ -312,13 +312,14 @@ class Model:
         """One prediction per example, in order, recording no tape. The
         examples' ``frozen_prefix`` table is the kept one while its inputs
         compare equal (``_prediction_table``). From stage 2 on ``switch_eval``
-        applies each language's top-k decision, taken once, to that
-        language's real rows, ``_PASS`` sentences at a time, into an array of
-        this call's own. The heads then take rows, as in training: every [CLS]
-        row to the relation head and the masked argmax, then the real rows of
-        the sentences that predict a relation to entity scoring and span
-        decoding, in passes of one exact length, whose (g·L, 1) score columns
-        are (g, L) views. ``predict`` packages each sentence's outputs."""
+        applies each language's row of top-k weights, all taken at once by
+        ``eval_weights``, to that language's real rows, ``_PASS`` sentences at
+        a time, into an array of this call's own. The heads then take rows,
+        as in training: every [CLS] row to the relation head and the masked
+        argmax, then the real rows of the sentences that predict a relation
+        to entity scoring and span decoding, in passes of one exact length,
+        whose (g·L, 1) score columns are (g, L) views. ``predict`` packages
+        each sentence's outputs."""
         if not examples:
             return []
         table = self._prediction_table(examples)
@@ -326,10 +327,10 @@ class Model:
         if self.stage >= 2:
             # every row is some sentence's, and every sentence in one pass
             frozen, rows = rows, np.empty_like(rows)
-            decisions = eval_decisions(self.registry, self.cfg, top_k)
+            weights = eval_weights(self.registry, self.cfg, top_k)
             for lang, part in _passes(table.langs):
                 idx = _row_spans(table.starts[part], table.lengths[part])
-                rows[idx] = switch_eval(Tensor(frozen[idx]), decisions[lang], self.registry, self.cfg).data
+                rows[idx] = switch_eval(Tensor(frozen[idx]), weights[lang], self.registry, self.cfg).data
         logits = relation_logits(Tensor(table.pooled.data[table.index]), self.registry).data
         relations = masked_argmax_relation(logits, self.languages.schema.allowed, table.langs)
         spans = np.tile(SENTINEL_SPAN * 2, (len(examples), 1))

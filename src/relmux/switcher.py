@@ -6,18 +6,18 @@ sub-module is a stack of residual bottleneck blocks LN(relu(h W_u) W_d + h),
 one ``T.bottleneck`` tape node each. Training mixes all T sub-module outputs
 by their routing probabilities, which keeps the router differentiable;
 evaluation keeps only the k most probable sub-modules and renormalizes their
-weights, so k = T reproduces the training mix exactly. Both mixes are one
-``T.mix`` node over the same ``apply_submodule`` outputs. Routing depends on
-the language alone, so ``eval_decisions`` decides every language's top-k set
-once, and ``switch_eval`` applies one decision to all of a language's rows in
-a pass.
+weights, so k = T reproduces the training mix exactly. An evaluation mix is
+a row of T weights like the training mix's routing probabilities, with
+exact zeros off the kept set. Both mixes are one ``T.mix`` node over the
+same ``apply_submodule`` outputs. Routing depends on the language alone, so
+``eval_weights`` takes every language's row once, as one (n_languages, T)
+array, and ``switch_eval`` applies one row to all of a language's rows in a
+pass, running only the sub-modules of nonzero weight.
 With identity routing every language owns one dedicated sub-module and the
 router parameters are unused.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,29 +59,18 @@ def route(lang, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
     return T.softmax_rows(T.matmul(emb, reg["switcher.w_router"]))
 
 
-def routing_probs(lang: int, reg: ParamRegistry, cfg: ModelConfig) -> np.ndarray:
-    return route(lang, reg, cfg).data.reshape(-1).copy()
-
-
-@dataclass(frozen=True)
-class SwitchDecision:
-    """The retained top-k set with renormalized weights."""
-
-    retained: tuple[int, ...]
-    weights: tuple[float, ...]
-
-
-def top_k_decision(probs: np.ndarray, k: int) -> SwitchDecision:
-    """Keep the k most probable sub-modules; ties break toward the lower index."""
-    flat = np.asarray(probs, dtype=np.float64).reshape(-1)
-    t_total = flat.size
-    if not 1 <= k <= t_total:
-        raise ConfigError(f"top-k value {k} out of range [1, {t_total}]")
-    order = np.lexsort((np.arange(t_total), -flat))
-    retained = tuple(sorted(int(i) for i in order[:k]))
-    kept = flat[list(retained)]
-    weights = kept / kept.sum()
-    return SwitchDecision(retained=retained, weights=tuple(weights))
+def top_k_weights(probs: np.ndarray, k: int) -> np.ndarray:
+    """Each row of (..., T) probabilities with only its k largest kept, ties
+    toward the lower index, divided by their sum taken in ascending index
+    order; every other weight is exactly zero."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if not 1 <= k <= probs.shape[-1]:
+        raise ConfigError(f"top-k value {k} out of range [1, {probs.shape[-1]}]")
+    kept = np.sort(np.argsort(-probs, axis=-1, kind="stable")[..., :k], axis=-1)
+    values = np.take_along_axis(probs, kept, -1)
+    weights = np.zeros_like(probs)
+    np.put_along_axis(weights, kept, values / values.sum(-1, keepdims=True), -1)
+    return weights
 
 
 def apply_submodule(t_idx: int, h: Tensor, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
@@ -94,15 +83,6 @@ def apply_submodule(t_idx: int, h: Tensor, reg: ParamRegistry, cfg: ModelConfig)
     return out
 
 
-def mix_with_weights(h: Tensor, weights: list[tuple[int, float]], reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
-    """Weighted sum of sub-module outputs. Zero weights are skipped, so a
-    one-hot mix is bitwise identical to the single sub-module's output."""
-    kept = [(t_idx, w) for t_idx, w in weights if w != 0.0]
-    if not kept:
-        raise ConfigError("switch mix has no nonzero weights")
-    return T.mix([apply_submodule(t_idx, h, reg, cfg) for t_idx, _ in kept], [[w for _, w in kept]])
-
-
 def switch_train(h: Tensor, lang, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
     """Training mix over all T sub-modules, differentiable through the router.
     ``lang`` is one language id for all rows of ``h``, or one id per row, so
@@ -113,21 +93,23 @@ def switch_train(h: Tensor, lang, reg: ParamRegistry, cfg: ModelConfig) -> Tenso
     return T.mix([apply_submodule(t, h, reg, cfg) for t in range(cfg.n_sub_modules)], probs)
 
 
-def switch_eval(h: Tensor, decision: SwitchDecision, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
-    """Evaluation mix over a decision's retained sub-modules with its
-    renormalized weights, applied to every row of ``h``; each retained
-    sub-module runs once over all of them."""
-    return mix_with_weights(h, list(zip(decision.retained, map(float, decision.weights))), reg, cfg)
+def switch_eval(h: Tensor, weights: np.ndarray, reg: ParamRegistry, cfg: ModelConfig) -> Tensor:
+    """Evaluation mix of every row of ``h`` under one row of T weights, as
+    ``eval_weights`` gives it: only the sub-modules of nonzero weight run,
+    each once over all the rows, so a one-hot row gives that sub-module's
+    output bit for bit."""
+    kept = np.flatnonzero(weights)
+    return T.mix([apply_submodule(t, h, reg, cfg) for t in kept.tolist()], weights[None, kept])
 
 
 def router_matrix(reg: ParamRegistry, cfg: ModelConfig) -> np.ndarray:
-    """Full (T, n_languages) matrix of routing probabilities."""
-    cols = [routing_probs(n, reg, cfg) for n in range(reg["switcher.lang_emb"].shape[0])]
-    return np.stack(cols, axis=1)
+    """Full (T, n_languages) matrix of routing probabilities, one ``route``
+    per language: a one-row product may take other bits than the same row
+    of a batched one."""
+    return np.stack([route(n, reg, cfg).data[0] for n in range(reg["switcher.lang_emb"].shape[0])], axis=1)
 
 
-def eval_decisions(reg: ParamRegistry, cfg: ModelConfig, k: int | None = None) -> list[SwitchDecision]:
-    """Each language's top-k decision, indexed by language id, from the columns
-    of ``router_matrix``; k defaults to the configured ``eval_top_k``."""
-    k = cfg.eval_top_k if k is None else k
-    return [top_k_decision(col, k) for col in router_matrix(reg, cfg).T]
+def eval_weights(reg: ParamRegistry, cfg: ModelConfig, k: int | None = None) -> np.ndarray:
+    """Each language's evaluation mix, (n_languages, T): the top-k weights of
+    its ``router_matrix`` column; k defaults to the configured ``eval_top_k``."""
+    return top_k_weights(router_matrix(reg, cfg).T, cfg.eval_top_k if k is None else k)

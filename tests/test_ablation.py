@@ -104,10 +104,10 @@ class TestDrivers:
         model, snap, _ = Model.load(tmp_path / "one_per_language" / "stage2.ckpt", corpus.registry)
         assert model.cfg.routing == "identity"
         assert model.cfg.n_sub_modules == corpus.registry.n_languages
-        from relmux.switcher import routing_probs
+        from relmux.switcher import router_matrix
 
         for lang in range(corpus.registry.n_languages):
-            probs = routing_probs(lang, model.registry, model.cfg)
+            probs = router_matrix(model.registry, model.cfg)[:, lang]
             assert probs[lang] == 1.0
 
     def test_unknown_name_rejected(self, mini, tmp_path):

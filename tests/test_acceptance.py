@@ -36,12 +36,10 @@ from relmux.params import ParamRegistry, load_checkpoint
 from relmux.switcher import (
     apply_submodule,
     build_switcher_params,
-    mix_with_weights,
     router_matrix,
-    routing_probs,
     switch_eval,
     switch_train,
-    top_k_decision,
+    top_k_weights,
 )
 from relmux.tensor import Tensor
 from relmux.training import TrainLog, train_stage1, train_stage2
@@ -229,18 +227,18 @@ def test_criterion_switcher_algebra():
     full_gap = 0.0
     for lang in range(n_languages):
         train_out = switch_train(h, lang, reg, cfg)
-        eval_out = switch_eval(h, top_k_decision(routing_probs(lang, reg, cfg), cfg.n_sub_modules), reg, cfg)
+        eval_out = switch_eval(h, top_k_weights(router_matrix(reg, cfg)[:, lang], cfg.n_sub_modules), reg, cfg)
         full_gap = max(full_gap, float(np.abs(train_out.data - eval_out.data).max()))
 
-    one_hot = mix_with_weights(h, [(0, 0.0), (1, 0.0), (2, 1.0), (3, 0.0), (4, 0.0), (5, 0.0)], reg, cfg)
+    one_hot = switch_eval(h, np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), reg, cfg)
     exact = np.array_equal(one_hot.data, apply_submodule(2, h, reg, cfg).data)
 
     nested = True
     for lang in range(n_languages):
-        probs = routing_probs(lang, reg, cfg)
+        probs = router_matrix(reg, cfg)[:, lang]
         prev: set = set()
         for k in range(1, cfg.n_sub_modules + 1):
-            cur = set(top_k_decision(probs, k).retained)
+            cur = set(np.flatnonzero(top_k_weights(probs, k)).tolist())
             nested = nested and prev <= cur
             prev = cur
 
@@ -441,7 +439,7 @@ def test_router_family_structure(benchmark_runs):
         corpus = run["corpus"]
         mat = router_matrix(model.registry, model.cfg)
         retained = {
-            l.code: set(top_k_decision(mat[:, l.id], 3).retained)
+            l.code: set(np.flatnonzero(top_k_weights(mat[:, l.id], 3)).tolist())
             for l in corpus.registry.languages
         }
         families: dict[str, list[str]] = {}

@@ -255,10 +255,12 @@ class TestTrain:
         dict(RUN_DOC, out_dir="x"),
         dict(RUN_DOC, model=dict(RUN_DOC["model"], max_len=-1)),
         dict(RUN_DOC, model=dict(RUN_DOC["model"], max_len=0)),
+        dict(RUN_DOC, train=dict(RUN_DOC["train"], weight_decay=-0.5)),
     ], ids=["non_object_document", "non_object_model", "zero_heads", "nan_lr",
             "string_d_model", "fractional_batch_size", "corpus_dir_int", "one_wide_d_model",
             "zero_d_model", "negative_d_model", "zero_ffn_dim", "negative_n_blocks", "zero_patience",
-            "negative_seed", "out_dir_key", "negative_max_len", "zero_max_len"])
+            "negative_seed", "out_dir_key", "negative_max_len", "zero_max_len",
+            "negative_weight_decay"])
     def test_malformed_config_rejected_before_training(self, workspace, tmp_path, capsys, doc):
         ws, _, _ = workspace
         if isinstance(doc, dict):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from relmux.ablation import write_rows_csv
 from relmux.config import RunConfig, TrainConfig, save_config_snapshot, write_atomic
-from relmux.corpus import Example, LanguageRegistry, LanguageSpec, RelationSchema
+from relmux.corpus import Example, LanguageRegistry, LanguageSpec, RelationSchema, save_examples
+from relmux.encoder import Vocab
 from relmux.evaluation import (
     MetricsInvariantError,
     MetricsReport,
@@ -343,6 +344,9 @@ WRITERS = {
     "rows_csv": lambda out, v: write_rows_csv([{"variant": "all", "language": "valo", "triple_f1": v}],
                                               out / "rows.csv"),
     "write_atomic": lambda out, v: write_atomic(out / "eval_snapshot.json", f'{{"topk": {v}}}\n'),
+    "corpus_split": lambda out, v: save_examples(out / "train.txt", [ex(n=5 + v)], make_registry()),
+    "registry": lambda out, v: make_registry(1 + v).save(out / "registry.json"),
+    "vocab": lambda out, v: Vocab([f"t{i}" for i in range(3 + v)], 2).save(out / "vocab.txt"),
 }
 
 

@@ -11,13 +11,12 @@ from relmux.params import ParamRegistry
 from relmux.switcher import (
     apply_submodule,
     build_switcher_params,
-    mix_with_weights,
+    eval_weights,
     route,
     router_matrix,
-    routing_probs,
     switch_eval,
     switch_train,
-    top_k_decision,
+    top_k_weights,
 )
 from relmux.tensor import Tensor
 
@@ -45,7 +44,7 @@ class TestRoute:
         cfg = toy_cfg()
         reg = build_reg(cfg)
         reg["switcher.w_router"].data[:] = 0.0
-        probs = routing_probs(0, reg, cfg)
+        probs = router_matrix(reg, cfg)[:, 0]
         assert np.allclose(probs, 1.0 / cfg.n_sub_modules, atol=1e-15)
 
     def test_formula_oracle(self):
@@ -55,7 +54,7 @@ class TestRoute:
         reg["switcher.lang_emb"].data[0] = np.array([1.0, 0.0, 0.0, 0.0])
         reg["switcher.w_router"].data[:] = 0.0
         reg["switcher.w_router"].data[0] = np.array([1.0, 2.0, 3.0])
-        probs = routing_probs(0, reg, cfg)
+        probs = router_matrix(reg, cfg)[:, 0]
         want = np.exp([1.0, 2.0, 3.0]) / np.exp([1.0, 2.0, 3.0]).sum()
         assert np.allclose(probs, want, atol=1e-15)
 
@@ -65,7 +64,7 @@ class TestRoute:
             reg = ParamRegistry()
             build_switcher_params(reg, cfg, 3, np.random.default_rng(seed))
             reg["switcher.lang_emb"].data *= 100.0  # exaggerate the logits
-            p = routing_probs(seed % 3, reg, cfg)
+            p = router_matrix(reg, cfg)[:, seed % 3]
             assert abs(p.sum() - 1.0) < 1e-12
 
     def test_unknown_language_rejected(self):
@@ -130,26 +129,26 @@ class TestApplySubmodule:
 
 class TestTopK:
     def test_retained_are_largest_with_renormalized_weights(self):
-        d = top_k_decision(np.array([0.4, 0.3, 0.2, 0.1]), 2)
-        assert d.retained == (0, 1)
-        assert np.allclose(d.weights, [4 / 7, 3 / 7], atol=1e-15)
+        w = top_k_weights(np.array([0.4, 0.3, 0.2, 0.1]), 2)
+        assert np.flatnonzero(w).tolist() == [0, 1]
+        assert np.allclose(w, [4 / 7, 3 / 7, 0.0, 0.0], atol=1e-15)
 
     def test_ties_break_toward_lower_index(self):
-        d = top_k_decision(np.array([0.25, 0.25, 0.25, 0.25]), 2)
-        assert d.retained == (0, 1)
+        w = top_k_weights(np.array([0.25, 0.25, 0.25, 0.25]), 2)
+        assert np.flatnonzero(w).tolist() == [0, 1]
 
     def test_nested_in_k(self, rng):
         for _ in range(50):
             probs = rng.dirichlet(np.ones(6))
             prev: set[int] = set()
             for k in range(1, 7):
-                cur = set(top_k_decision(probs, k).retained)
+                cur = set(np.flatnonzero(top_k_weights(probs, k)).tolist())
                 assert prev <= cur
                 prev = cur
 
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
-            top_k_decision(np.array([0.5, 0.5]), 3)
+            top_k_weights(np.array([0.5, 0.5]), 3)
 
 
 class TestSwitch:
@@ -158,7 +157,7 @@ class TestSwitch:
         reg = build_reg(cfg, seed=4)
         h = Tensor(rng.normal(size=(3, 4)))
         want = apply_submodule(1, h, reg, cfg)
-        got = mix_with_weights(h, [(0, 0.0), (1, 1.0), (2, 0.0)], reg, cfg)
+        got = switch_eval(h, np.array([0.0, 1.0, 0.0]), reg, cfg)
         assert np.array_equal(got.data, want.data)
 
     @pytest.mark.parametrize("lang", [1, [0, 2, 1, 0, 2]])
@@ -198,9 +197,9 @@ class TestSwitch:
         reg = build_reg(cfg, seed=8)
         h = Tensor(rng.normal(size=(4, 4)))
         train_out = switch_train(h, 2, reg, cfg)
-        decision = top_k_decision(routing_probs(2, reg, cfg), cfg.n_sub_modules)
-        eval_out = switch_eval(h, decision, reg, cfg)
-        assert decision.retained == tuple(range(cfg.n_sub_modules))
+        weights = top_k_weights(router_matrix(reg, cfg)[:, 2], cfg.n_sub_modules)
+        eval_out = switch_eval(h, weights, reg, cfg)
+        assert np.flatnonzero(weights).tolist() == list(range(cfg.n_sub_modules))
         assert np.allclose(train_out.data, eval_out.data, atol=1e-12)
 
     def test_renormalization_example(self, rng):
@@ -208,8 +207,7 @@ class TestSwitch:
         reg = build_reg(cfg, seed=2)
         h = Tensor(rng.normal(size=(2, 4)))
         probs = np.array([0.4, 0.3, 0.2, 0.1])
-        decision = top_k_decision(probs, 2)
-        got = mix_with_weights(h, list(zip(decision.retained, map(float, decision.weights))), reg, cfg)
+        got = switch_eval(h, top_k_weights(probs, 2), reg, cfg)
         want = T.add(
             T.mul(apply_submodule(0, h, reg, cfg), 4 / 7),
             T.mul(apply_submodule(1, h, reg, cfg), 3 / 7),
@@ -234,15 +232,15 @@ class TestSwitch:
             reg["switcher.lang_emb"].data *= 30.0
             h = Tensor(r.normal(size=(3, 4)))
             full = switch_train(h, 0, reg, cfg).data
-            probs = routing_probs(0, reg, cfg)
+            probs = router_matrix(reg, cfg)[:, 0]
             max_norm = max(
                 float(np.linalg.norm(apply_submodule(t, h, reg, cfg).data))
                 for t in range(cfg.n_sub_modules)
             )
             for k in range(1, 6):
-                decision = top_k_decision(probs, k)
-                out = switch_eval(h, decision, reg, cfg)
-                leftover = 1.0 - probs[list(decision.retained)].sum()
+                weights = top_k_weights(probs, k)
+                out = switch_eval(h, weights, reg, cfg)
+                leftover = 1.0 - probs[np.flatnonzero(weights)].sum()
                 gap = float(np.linalg.norm(out.data - full))
                 assert gap <= 2.0 * leftover * max_norm + 1e-12
 
@@ -252,7 +250,7 @@ class TestSwitch:
         full = switch_train(h, 0, reg, cfg).data
         gaps = []
         for k in range(1, 6):
-            out = switch_eval(h, top_k_decision(routing_probs(0, reg, cfg), k), reg, cfg)
+            out = switch_eval(h, top_k_weights(router_matrix(reg, cfg)[:, 0], k), reg, cfg)
             gaps.append(float(np.linalg.norm(out.data - full)))
         for a, b in zip(gaps, gaps[1:]):
             assert b <= a + 1e-12
@@ -264,7 +262,7 @@ class TestSwitch:
         h = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         out = switch_train(h, 0, reg, cfg)
         tsum(T.mul(out, Tensor(rng.normal(size=(3, 4))))).backward()
-        probs = routing_probs(0, reg, cfg)
+        probs = router_matrix(reg, cfg)[:, 0]
         for t_idx in range(cfg.n_sub_modules):
             if probs[t_idx] > 0:
                 g = reg[f"switcher.sub{t_idx}.layer0.w_up"].grad
@@ -276,8 +274,24 @@ class TestSwitch:
         cfg = toy_cfg(routing="identity", n_sub_modules=3, sub_layers=(1, 1, 1))
         reg = build_reg(cfg, seed=1)
         for lang in range(3):
-            probs = routing_probs(lang, reg, cfg)
+            probs = router_matrix(reg, cfg)[:, lang]
             assert probs[lang] == 1.0 and probs.sum() == 1.0
+
+    def test_identity_routing_top_k_runs_only_the_own_submodule(self, rng):
+        # k = 2 keeps a zero weight beside the language's own 1.0, which
+        # switch_eval skips
+        cfg = toy_cfg(routing="identity", n_sub_modules=3, sub_layers=(1, 1, 1), eval_top_k=2)
+        reg = build_reg(cfg, seed=1)
+        h = Tensor(rng.normal(size=(3, 4)))
+        weights = eval_weights(reg, cfg)
+        assert weights.shape == (3, cfg.n_sub_modules)
+        wants = [apply_submodule(t, h, reg, cfg).data.tobytes() for t in range(3)]
+        for lang in range(3):
+            assert np.flatnonzero(weights[lang]).tolist() == [lang]
+            # every other sub-module gives NaN, so running one at weight 0 shows
+            for t in range(3):
+                reg[f"switcher.sub{t}.layer0.ln.bias"].data[:] = 0.0 if t == lang else np.nan
+            assert switch_eval(h, weights[lang], reg, cfg).data.tobytes() == wants[lang]
 
     def test_router_matrix_columns_sum_to_one(self):
         cfg = toy_cfg()

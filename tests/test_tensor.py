@@ -67,6 +67,23 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(3, 2, 4\).*\(2, 4, 5\)"):
             T.matmul(Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros((2, 4, 5))))
 
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_a_row_gets_the_same_bits_at_any_row_count_from_two(self, d):
+        # TestBatchInvariance rests on this BLAS property of the 2-D products
+        # over packed rows (the encoder's projections and feed-forward, the
+        # switcher's blocks, the entity heads' w_down); numpy does not
+        # promise it. One row takes another gemm path and may differ, so the
+        # counts start at 2. Every config has ffn_dim = bottleneck = 2d.
+        rng, b = np.random.default_rng(d), 2 * d
+        for p, q in [(d, d), (2 * d, d), (d, b), (b, d)]:
+            w = Tensor(rng.normal(size=(p, q)))
+            x = rng.normal(size=(202, p))
+            full = T.matmul(Tensor(x), w).data
+            for start in (0, 1):
+                for n in range(2, 201):
+                    part = T.matmul(Tensor(x[start : start + n]), w).data
+                    assert part.tobytes() == full[start : start + n].tobytes(), (p, q, start, n)
+
 
 class TestRowMatmul:
     # 32 rows of mixed magnitudes by a 64-column matrix: a 2-D product of

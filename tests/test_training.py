@@ -26,7 +26,7 @@ from relmux.model import _PASS, Model, sentence_ere_loss
 from relmux.optim import AdamW
 from relmux.params import ParamRegistry, load_checkpoint
 from relmux.switcher import (
-    build_switcher_params, eval_decisions, router_matrix, routing_probs, switch_eval, switch_train, top_k_decision,
+    build_switcher_params, eval_weights, router_matrix, switch_eval, switch_train, top_k_weights,
 )
 from relmux.training import TrainLog, _train_step, train_stage1, train_stage2
 from relmux.tensor import Tensor
@@ -143,8 +143,8 @@ def composed_predict(model, ex, k):
     hidden, pooled = encode([ts], reg, cfg)
     feats = aggregate(hidden, [ts.length], reg, cfg)
     if model.stage >= 2:
-        decision = top_k_decision(routing_probs(ts.lang, reg, cfg), cfg.eval_top_k if k is None else k)
-        feats = switch_eval(feats, decision, reg, cfg)
+        weights = top_k_weights(router_matrix(reg, cfg)[:, ts.lang], cfg.eval_top_k if k is None else k)
+        feats = switch_eval(feats, weights, reg, cfg)
     logits = relation_logits(pooled, reg).data.reshape(-1)
     relation = int(masked_argmax_relation(logits[None], model.languages.schema.allowed, [ts.lang])[0])
     if relation == 0:
@@ -807,7 +807,7 @@ class TestPredictComposition:
         # the dev split repeated until every language's sentences fill more
         # than one switcher pass; each pass writes its rows into one array of
         # the call's, so a row switched twice or by another language's
-        # decision, or a pass that skips rows, shows as a changed score
+        # weights, or a pass that skips rows, shows as a changed score
         corpus = tiny_corpus()
         model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=4)
         model.stage = 2
@@ -849,13 +849,13 @@ class TestPredictComposition:
         reg = model.registry
         reg["switcher.lang_emb"].data = np.random.default_rng(7).normal(size=reg["switcher.lang_emb"].shape)
         n_langs = corpus.registry.n_languages
-        assert eval_decisions(reg, cfg) == eval_decisions(reg, cfg, cfg.eval_top_k)
+        assert eval_weights(reg, cfg).tobytes() == eval_weights(reg, cfg, cfg.eval_top_k).tobytes()
         for k in range(1, cfg.n_sub_modules + 1):
-            decisions = eval_decisions(reg, cfg, k)
-            assert len(decisions) == n_langs
+            weights = eval_weights(reg, cfg, k)
+            assert weights.shape == (n_langs, cfg.n_sub_modules)
             for lang in range(n_langs):
-                want = top_k_decision(routing_probs(lang, reg, cfg), k)
-                assert decisions[lang] == want
+                want = top_k_weights(router_matrix(reg, cfg)[:, lang], k)
+                assert weights[lang].tobytes() == want.tobytes()
 
 
 class TestPredictionCalls:
