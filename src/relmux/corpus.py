@@ -7,7 +7,10 @@ optional filler words, and the gold head/tail spans are recorded after
 reordering. Languages in the same family share a configurable fraction of
 surface forms, which is what makes cross-lingual transfer measurable on the
 synthetic data. Train/dev/test splits are disjoint by frame, and generation
-is a pure function of (language specs, relation schema, seed).
+is a pure function of (language specs, relation schema, seed). Surface words
+take a draw per syllable, except that a crowded syllable-count tier is drawn
+as one block and the generator rewound to the syllables used, which leaves the
+stream, and so the corpus, as a draw per syllable would.
 
 Corpus files are UTF-8, one record per line of tab-separated key=value fields
 (see save_examples / load_examples); the language registry and relation schema
@@ -271,7 +274,19 @@ class GeneratorConfig:
 
 
 class _SurfaceBank:
-    """Deterministic factory of unique surface forms from a syllable alphabet."""
+    """Deterministic factory of unique surface forms from a syllable alphabet.
+
+    ``word`` tries up to 40 random words of one syllable count (a tier) before
+    it moves to one syllable longer, for at most 250 tiers. A tier's first try
+    draws its syllables one at a time. After a collision the other 39 tries are
+    drawn as one block, and the generator is rewound and advanced by exactly
+    the syllables the tries up to the first unused word took. A sized draw
+    yields the values of as many single draws, so the stream, and with it the
+    corpus, is the one a draw per syllable would give.
+    """
+
+    TIER_TRIES = 40
+    TIERS = 250
 
     def __init__(self, syllables: tuple[str, ...], rng: np.random.Generator):
         self.syllables = syllables
@@ -279,15 +294,23 @@ class _SurfaceBank:
         self.used: set[str] = set()
 
     def word(self, n_syl: int) -> str:
-        # escalate word length once a syllable-count tier gets crowded
-        for attempt in range(10000):
-            length = n_syl + attempt // 40
-            w = "".join(
-                self.syllables[int(self.rng.integers(len(self.syllables)))] for _ in range(length)
-            )
+        rng, syl, n = self.rng, self.syllables, len(self.syllables)
+        for length in range(n_syl, n_syl + self.TIERS):
+            w = "".join(syl[int(rng.integers(n))] for _ in range(length))
             if w not in self.used:
                 self.used.add(w)
                 return w
+            # the tier is crowded: draw its other tries at once, since a block
+            # costs about as much as four single draws
+            state = rng.bit_generator.state
+            block = [syl[i] for i in rng.integers(n, size=(self.TIER_TRIES - 1) * length).tolist()]
+            for end in range(length, len(block) + 1, length):
+                w = "".join(block[end - length:end])
+                if w not in self.used:
+                    rng.bit_generator.state = state
+                    rng.integers(n, size=end)
+                    self.used.add(w)
+                    return w
         raise ConfigError("surface alphabet exhausted; reduce concept count")
 
     def surface(self, max_tokens: int = 2) -> tuple[str, ...]:
@@ -340,31 +363,24 @@ def _render(
     fillers: list[str],
     rng: np.random.Generator,
 ) -> tuple[list[str], tuple[int, int], tuple[int, int]]:
-    """Order constituents per the language's word order and record entity spans."""
-    s_part = ("S", list(subj))
-    o_part = ("O", list(obj))
-    if cue is None:
-        parts = [s_part, o_part]
-    else:
-        v_part = ("V", list(cue))
-        parts = {
-            "SVO": [s_part, v_part, o_part],
-            "SOV": [s_part, o_part, v_part],
-            "VSO": [v_part, s_part, o_part],
-        }[lang.word_order]
+    """Order constituents per the language's word order and record entity spans.
 
+    A word order names its roles in sentence order; without a cue the V drops out.
+    """
     tokens: list[str] = []
     head_span = tail_span = SENTINEL_SPAN
-    for role, words in parts:
+    for role in lang.word_order if cue is not None else "SO":
         if rng.random() < FILLER_PROB:
             tokens.append(fillers[int(rng.integers(len(fillers)))])
         start = len(tokens)
-        tokens.extend(words)
-        end = len(tokens) - 1
         if role == "S":
-            head_span = (start, end)
+            tokens.extend(subj)
+            head_span = (start, len(tokens) - 1)
         elif role == "O":
-            tail_span = (start, end)
+            tokens.extend(obj)
+            tail_span = (start, len(tokens) - 1)
+        else:
+            tokens.extend(cue)
     if rng.random() < FILLER_PROB:
         tokens.append(fillers[int(rng.integers(len(fillers)))])
     return tokens, head_span, tail_span

@@ -326,3 +326,20 @@ def chi_square_stat(observed: np.ndarray, expected: np.ndarray) -> float:
 
 # chi-square critical values at significance 0.001, indexed by degrees of freedom
 CHI2_CRIT_999 = {1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 5: 20.52, 6: 22.46, 9: 27.88, 10: 29.59, 14: 36.12, 15: 37.70}
+
+
+class OracleAlphabetExhausted(Exception):
+    """``oracle_word`` found no unused word within its 10,000 tries."""
+
+
+def oracle_word(syllables: tuple[str, ...], rng: np.random.Generator, used: set[str], n_syl: int) -> str:
+    """A new surface word drawn one syllable at a time: 40 tries per syllable
+    count, then one syllable longer, for 10,000 tries in all. This is the
+    stream the corpus generator's surface bank must reproduce draw for draw."""
+    for attempt in range(10000):
+        length = n_syl + attempt // 40
+        w = "".join(syllables[int(rng.integers(len(syllables)))] for _ in range(length))
+        if w not in used:
+            used.add(w)
+            return w
+    raise OracleAlphabetExhausted("surface alphabet exhausted")

@@ -230,8 +230,15 @@ def test_criterion_switcher_algebra():
         eval_out = switch_eval(h, top_k_weights(router_matrix(reg, cfg)[:, lang], cfg.n_sub_modules), reg, cfg)
         full_gap = max(full_gap, float(np.abs(train_out.data - eval_out.data).max()))
 
+    want = apply_submodule(2, h, reg, cfg).data
+    # every other sub-module gives NaN, so running one at weight 0 shows;
+    # the checks below read only the router
+    for t, depth in enumerate(cfg.sub_layers):
+        for layer in range(depth):
+            if t != 2:
+                reg[f"switcher.sub{t}.layer{layer}.ln.bias"].data[:] = np.nan
     one_hot = switch_eval(h, np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), reg, cfg)
-    exact = np.array_equal(one_hot.data, apply_submodule(2, h, reg, cfg).data)
+    exact = np.array_equal(one_hot.data, want)
 
     nested = True
     for lang in range(n_languages):

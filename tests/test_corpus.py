@@ -16,6 +16,9 @@ from relmux.corpus import (
     LanguageSpec,
     RelationSchema,
     SENTINEL_SPAN,
+    _ENTITY_SYLLABLES,
+    _FILLER_SYLLABLES,
+    _SurfaceBank,
     generate_corpus,
     index_pools,
     load_corpus,
@@ -25,7 +28,7 @@ from relmux.corpus import (
 )
 from relmux.errors import ConfigError, DataValidationError
 
-from oracles import CHI2_CRIT_999, chi_square_stat
+from oracles import CHI2_CRIT_999, OracleAlphabetExhausted, chi_square_stat, oracle_word
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -190,6 +193,56 @@ def test_generated_corpus_matches_pinned_hash(spec, seed, gen_kw, expected, tmp_
     for name in ("registry.json", "train.txt", "dev.txt", "test.txt"):
         h.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
     assert h.hexdigest() == expected
+
+
+
+class _EveryWordUsed(set):
+    """A used-word set that holds every word, so each try collides."""
+
+    def __contains__(self, word):
+        return True
+
+
+class TestSurfaceBankStream:
+    """The surface bank draws a crowded tier as one block and rewinds; its
+    words and the generator state after each word must match a draw per
+    syllable, or every corpus after the first collision would move."""
+
+    def _lockstep(self, syllables, n_syl, n_words):
+        """Run the bank and the oracle from equal seeds, with one uniform draw
+        between words as the generator's family coin takes; returns the words."""
+        bank = _SurfaceBank(syllables, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        oracle_used = set()
+        words = []
+        for _ in range(n_words):
+            w = bank.word(n_syl)
+            assert oracle_word(syllables, rng, oracle_used, n_syl) == w
+            assert bank.rng.bit_generator.state == rng.bit_generator.state
+            assert bank.rng.random() == rng.random()
+            words.append(w)
+        assert bank.used == oracle_used
+        return words
+
+    def test_entity_words_fill_tier_two_and_open_tier_three(self):
+        words = self._lockstep(_ENTITY_SYLLABLES, 2, 220)
+        # entity syllables are two letters: tier 2 fills all its 144 words
+        # and the rest open tier 3
+        assert Counter(len(w) // 2 for w in words) == {2: 144, 3: 76}
+
+    def test_filler_words_of_one_syllable(self):
+        words = self._lockstep(_FILLER_SYLLABLES, 1, 20)
+        assert sorted(w for w in words if len(w) == 2) == sorted(_FILLER_SYLLABLES)
+
+    def test_exhausted_alphabet_raises_after_the_same_draws(self):
+        bank = _SurfaceBank(_FILLER_SYLLABLES[:2], np.random.default_rng(3))
+        bank.used = _EveryWordUsed()
+        rng = np.random.default_rng(3)
+        with pytest.raises(ConfigError, match="exhausted"):
+            bank.word(1)
+        with pytest.raises(OracleAlphabetExhausted):
+            oracle_word(_FILLER_SYLLABLES[:2], rng, _EveryWordUsed(), 1)
+        assert bank.rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestExampleIO:

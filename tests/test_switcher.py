@@ -157,6 +157,11 @@ class TestSwitch:
         reg = build_reg(cfg, seed=4)
         h = Tensor(rng.normal(size=(3, 4)))
         want = apply_submodule(1, h, reg, cfg)
+        # every other sub-module gives NaN, so running one at weight 0 shows
+        for t, depth in enumerate(cfg.sub_layers):
+            for layer in range(depth):
+                if t != 1:
+                    reg[f"switcher.sub{t}.layer{layer}.ln.bias"].data[:] = np.nan
         got = switch_eval(h, np.array([0.0, 1.0, 0.0]), reg, cfg)
         assert np.array_equal(got.data, want.data)
 
