@@ -113,8 +113,8 @@ def _check_inputs(model: Model, corpus: Corpus, group_size: int) -> None:
     train split whose languages cannot fill groups of ``group_size``, or a
     train or dev sentence that ``model`` cannot take."""
     check_group_size(group_size, len({ex.lang for ex in corpus.train}))
-    for ex in corpus.train + corpus.dev:
-        model.tokenize(ex)
+    model.tokenize(corpus.train)
+    model.tokenize(corpus.dev)
 
 
 def cmd_train(args) -> int:

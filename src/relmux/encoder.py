@@ -6,9 +6,10 @@ followed by pre-norm blocks (``tensor.attention`` within each sentence over
 n_heads heads, then a feed-forward, each with a residual). The pooled vector
 is the [CLS] row of the final hidden states, taken verbatim.
 
-A tokenized sentence holds only its real tokens, and ``encode`` keeps it so:
-it packs a batch's sentences' rows back to back and hands ``tensor.attention``
-one length per sentence, so no PAD row is ever computed. The [PAD] vocabulary
+``tokenize`` turns a split into one ``TokenizedSplit``, one int array per
+field with the real token ids packed back to back; ``encode`` takes a
+batch's packed ids with their lengths and hands ``tensor.attention`` one
+length per sentence, so no PAD row is ever computed. The [PAD] vocabulary
 entry is row 0 of ``encoder.tok_emb``, which no sentence reads.
 """
 
@@ -24,7 +25,7 @@ from .config import ModelConfig, write_atomic
 from .corpus import Example
 from .errors import DataValidationError
 from .params import ParamRegistry, embedding_init, matrix_init
-from .tensor import NEG_INF, Tensor
+from .tensor import Tensor
 
 PAD, CLS, SEP = "[PAD]", "[CLS]", "[SEP]"
 PAD_ID, CLS_ID, SEP_ID = 0, 1, 2
@@ -64,53 +65,45 @@ class Vocab:
         write_atomic(path, "\n".join(self.tokens) + "\n")
 
 
-@dataclass
-class TokenizedSentence:
-    example_id: str
-    lang: int
-    input_ids: np.ndarray        # (m,) int, real tokens only
-    head_span: tuple[int, int]   # shifted, or sentinel
-    tail_span: tuple[int, int]
-    relation: int
-    n_content: int
+@dataclass(frozen=True, eq=False)
+class TokenizedSplit:
+    """n examples tokenized, one array per field. Sentence i's ``lengths[i]``
+    real token ids lie at ``ids[starts[i]:]``, its ``lengths[i] - 3`` content
+    tokens from ``CONTENT_START`` on; ``spans[i]`` is its head and tail span,
+    (start, end, start, end), shifted by ``CONTENT_START``, or the sentinel."""
 
-    @property
-    def length(self) -> int:
-        return int(self.input_ids.shape[0])
-
-    def content_position_mask(self, m: int) -> np.ndarray:
-        """Additive mask over m positions: 0 on content, NEG_INF elsewhere."""
-        mask = np.full(m, NEG_INF)
-        mask[CONTENT_START : CONTENT_START + self.n_content] = 0.0
-        return mask
+    ids: np.ndarray          # (sum of lengths,) int, real tokens only, back to back
+    starts: np.ndarray       # (n,) int
+    lengths: np.ndarray      # (n,) int
+    langs: np.ndarray        # (n,) int
+    relations: np.ndarray    # (n,) int
+    spans: np.ndarray        # (n, 4) int
+    example_ids: tuple[str, ...]
 
 
-def tokenize(example: Example, vocab: Vocab, max_len: int) -> TokenizedSentence:
-    if not example.tokens:
-        raise DataValidationError(f"example {example.id} has no content tokens")
-    needed = CONTENT_START + len(example.tokens) + 1
-    if needed > max_len:
-        raise DataValidationError(
-            f"example {example.id}: {len(example.tokens)} content tokens need length "
-            f"{needed} > max_len {max_len}; refusing to truncate gold spans"
-        )
-    ids = [CLS_ID, vocab.lang_token_id(example.lang)]
-    ids += [vocab.id_of(tok) for tok in example.tokens]
-    ids.append(SEP_ID)
-
-    def shift(span: tuple[int, int]) -> tuple[int, int]:
-        if span == (-1, -1):
-            return span
-        return (span[0] + CONTENT_START, span[1] + CONTENT_START)
-
-    return TokenizedSentence(
-        example_id=example.id,
-        lang=example.lang,
-        input_ids=np.asarray(ids, dtype=np.intp),
-        head_span=shift(example.head_span),
-        tail_span=shift(example.tail_span),
-        relation=example.relation,
-        n_content=len(example.tokens),
+def tokenize(examples: list[Example], vocab: Vocab, max_len: int) -> TokenizedSplit:
+    ids, lengths = [], []
+    for ex in examples:
+        if not ex.tokens:
+            raise DataValidationError(f"example {ex.id} has no content tokens")
+        needed = CONTENT_START + len(ex.tokens) + 1
+        if needed > max_len:
+            raise DataValidationError(
+                f"example {ex.id}: {len(ex.tokens)} content tokens need length "
+                f"{needed} > max_len {max_len}; refusing to truncate gold spans"
+            )
+        ids += [CLS_ID, vocab.lang_token_id(ex.lang), *map(vocab.id_of, ex.tokens), SEP_ID]
+        lengths.append(needed)
+    lengths = np.array(lengths, dtype=np.intp)
+    spans = np.array([ex.head_span + ex.tail_span for ex in examples], dtype=np.intp).reshape(-1, 4)
+    return TokenizedSplit(
+        ids=np.array(ids, dtype=np.intp),
+        starts=np.cumsum(lengths) - lengths,
+        lengths=lengths,
+        langs=np.array([ex.lang for ex in examples], dtype=np.intp),
+        relations=np.array([ex.relation for ex in examples], dtype=np.intp),
+        spans=np.where(spans == -1, spans, spans + CONTENT_START),
+        example_ids=tuple(ex.id for ex in examples),
     )
 
 
@@ -134,14 +127,12 @@ def build_encoder_params(reg: ParamRegistry, cfg: ModelConfig, vocab_size: int, 
         reg.add(f"{p}.b_ffn2", np.zeros(d))
 
 
-def encode(sentences: list[TokenizedSentence], reg: ParamRegistry, cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Encode n sentences at once: their real rows, R in all, packed back to
-    back in input order. The row-wise ops run once over all R rows, and
-    attention runs within each sentence. Returns the final hidden rows,
-    (R, d), and each sentence's [CLS] row, (n, d)."""
-    lengths = np.array([ts.length for ts in sentences])
+def encode(ids: np.ndarray, lengths: np.ndarray, reg: ParamRegistry, cfg: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Encode n sentences at once: their real token ids, R in all, packed
+    back to back, ``lengths[i]`` of them for sentence i. The row-wise ops run
+    once over all R rows, and attention runs within each sentence. Returns
+    the final hidden rows, (R, d), and each sentence's [CLS] row, (n, d)."""
     starts = np.cumsum(lengths) - lengths
-    ids = np.concatenate([ts.input_ids for ts in sentences])
     vocab_size = reg["encoder.tok_emb"].shape[0]
     if ids.max() >= vocab_size:
         raise DataValidationError(f"token id {int(ids.max())} out of vocabulary range {vocab_size}")

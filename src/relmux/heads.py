@@ -54,11 +54,6 @@ def masked_argmax_relation(logits: np.ndarray, allowed: np.ndarray, langs) -> np
     return np.argmax(logits + lang_relation_mask(allowed, langs), axis=1)
 
 
-def check_gold_allowed(gold: int, allowed_row: np.ndarray, example_id: str) -> None:
-    if not bool(np.asarray(allowed_row, dtype=bool).reshape(-1)[gold]):
-        raise DataValidationError(f"example {example_id}: gold relation {gold} is masked for its language")
-
-
 def entity_scores(
     features: Tensor,
     relation_emb: Tensor,

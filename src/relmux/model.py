@@ -2,8 +2,10 @@
 pipelines, the joint loss, prediction, and checkpoint round-trips.
 ``enter_stage`` alone decides, by name prefix, what a training stage freezes.
 
-Both training stages and prediction share one forward, ``_forward``, over
-one layout: the real rows of n sentences packed back to back, with their
+Every split is one ``TokenizedSplit`` of arrays, which ``Model.tokenize``
+checks against the schema, and a batch is an index array into it. Both
+training stages and prediction share one forward, ``_forward``, over one
+layout: the real rows of n sentences packed back to back, with their
 lengths. ``encode`` runs over all of them in one pass, and the aggregator
 attends within each group of s consecutive sentences, one span of rows.
 Neither pads, so a sentence or a group gets the same bits alone as in any
@@ -15,17 +17,17 @@ embedding.
 
 Stage 2 freezes the encoder and the aggregator, so their output for a
 sentence never changes during the stage. ``frozen_prefix`` computes it once
-per training sentence, as one ``FrozenPrefix`` table: each sentence's
-encoder [CLS] row and its real aggregator rows, packed back to back, with
-int arrays that give, in input order, each sentence's [CLS] row, first row,
-length and language. It runs ``_forward`` over sentences of one exact length
+per training sentence, as one ``FrozenPrefix`` table: the split's record,
+each sentence's encoder [CLS] row and its real aggregator rows, packed back
+to back, with int arrays that give, in input order, each sentence's [CLS]
+row and first row. It runs ``_forward`` over sentences of one exact length
 at a time, in passes of at most ``_PASS``. A stage-2 batch is an array of
 sentence indices into the table. A step gathers its
 sentences' [CLS] rows, and the real rows of only its relation-bearing
 sentences; the switcher's training mix and the entity scorers run over
 those rows alone. Both stages share one joint loss, ``_ere_loss``, whose
 entity cross entropies take the packed score columns with each sentence's
-length.
+length, and whose golds are the record's relation and span arrays.
 
 Prediction reads the same kind of table over the examples to predict,
 recording no tape. The model keeps the last such table with the examples
@@ -51,13 +53,12 @@ from . import tensor as T
 from .aggregator import aggregate, build_aggregator_params
 from .config import ModelConfig, RunConfig
 from .corpus import SENTINEL_SPAN, Example, LanguageRegistry, index_pools
-from .encoder import CONTENT_START, TokenizedSentence, Vocab, build_encoder_params, encode, tokenize
-from .errors import CheckpointError, ConfigError
+from .encoder import CONTENT_START, TokenizedSplit, Vocab, build_encoder_params, encode, tokenize
+from .errors import CheckpointError, ConfigError, DataValidationError
 from .heads import (
     ENTITY_KEYS,
     TriplePrediction,
     build_head_params,
-    check_gold_allowed,
     decode_spans,
     entity_scores,
     masked_argmax_relation,
@@ -65,7 +66,7 @@ from .heads import (
 )
 from .params import ParamRegistry, load_checkpoint, save_checkpoint
 from .switcher import ROUTER_PARAMS, build_switcher_params, eval_weights, switch_eval, switch_train
-from .tensor import Tensor
+from .tensor import NEG_INF, Tensor
 
 # the names whose values the frozen prefix reads, and stage 2 freezes
 _PREFIX_PARAMS = ("encoder.", "aggregator.")
@@ -88,19 +89,17 @@ def sentence_ere_loss(relation_ce: Tensor, entity_ces: list[Tensor], alpha: floa
 
 @dataclass(frozen=True, eq=False)
 class FrozenPrefix:
-    """The frozen part of the stage-2 forward for the sentences ``tss``: their
-    encoder [CLS] rows, (n, d), and their real aggregator rows packed back to
-    back, (sum of lengths, d). Sentence i's [CLS] row is ``pooled[index[i]]``,
-    its rows are the ``lengths[i]`` rows of ``rows`` from ``starts[i]`` on,
-    and its language is ``langs[i]``; every array is in the order of ``tss``."""
+    """The frozen part of the stage-2 forward for the sentences of ``split``:
+    their encoder [CLS] rows, (n, d), and their real aggregator rows packed
+    back to back, (sum of lengths, d). Sentence i's [CLS] row is
+    ``pooled[index[i]]`` and its rows are the ``split.lengths[i]`` rows of
+    ``rows`` from ``starts[i]`` on; both arrays are in the order of ``split``."""
 
-    tss: list[TokenizedSentence]
+    split: TokenizedSplit
     pooled: Tensor
     rows: Tensor
     index: np.ndarray
     starts: np.ndarray
-    lengths: np.ndarray
-    langs: np.ndarray
 
 
 def _passes(keys: np.ndarray):
@@ -177,48 +176,56 @@ class Model:
 
     # -- shared forward pieces --------------------------------------------
 
-    def tokenize(self, example: Example) -> TokenizedSentence:
-        return tokenize(example, self.vocab, self.cfg.max_len)
+    def tokenize(self, examples: list[Example]) -> TokenizedSplit:
+        """``examples`` as one ``TokenizedSplit``; a ``DataValidationError``
+        names the first example whose gold relation its language masks."""
+        split = tokenize(examples, self.vocab, self.cfg.max_len)
+        masked = np.flatnonzero(~np.asarray(self.languages.schema.allowed, dtype=bool)[split.langs, split.relations])
+        if masked.size:
+            i = masked[0]
+            raise DataValidationError(f"example {split.example_ids[i]}: gold relation {split.relations[i]} "
+                                      "is masked for its language")
+        return split
 
-    def _forward(self, tss: list[TokenizedSentence], s: int) -> tuple[Tensor, Tensor]:
+    def _forward(self, split: TokenizedSplit, batch: np.ndarray, s: int) -> tuple[Tensor, Tensor]:
         """The encoder [CLS] rows, (n, d), and the aggregator output, (R, d),
-        of n sentences whose R real rows lie back to back in input order. The
-        aggregator attends within each group of s consecutive sentences'
-        rows."""
-        hidden, pooled = encode(tss, self.registry, self.cfg)
-        lengths = np.array([ts.length for ts in tss])
+        of the n sentences of ``split`` at the indices ``batch``, their R real
+        rows back to back in that order. The aggregator attends within each
+        group of s consecutive sentences' rows."""
+        lengths = split.lengths[batch]
+        hidden, pooled = encode(split.ids[_row_spans(split.starts[batch], lengths)], lengths, self.registry, self.cfg)
         return pooled, aggregate(hidden, lengths.reshape(-1, s).sum(1), self.registry, self.cfg)
 
-    def _entity_scores(self, tss: list[TokenizedSentence], features: Tensor, relations, lengths) -> dict[str, Tensor]:
+    def _entity_scores(self, features: Tensor, relations: np.ndarray, lengths: np.ndarray) -> dict[str, Tensor]:
         """Entity scores of n sentences whose real feature rows lie back to
         back, ``lengths[i]`` of them for sentence i; every row conditioned on
-        the embedding of its sentence's relation, gathered once per row."""
+        the embedding of its sentence's relation, gathered once per row. The
+        position mask is 0 on content, ``CONTENT_START <= pos < length - 1``,
+        and NEG_INF on the specials."""
         rel_emb = T.gather_rows(self.registry["relation.emb"], np.repeat(relations, lengths))
-        mask = np.concatenate([ts.content_position_mask(int(m)) for ts, m in zip(tss, lengths)])
+        pos = _row_spans(np.zeros_like(lengths), lengths)
+        mask = np.where((pos >= CONTENT_START) & (pos < np.repeat(lengths, lengths) - 1), 0.0, NEG_INF)
         return entity_scores(features, rel_emb, mask, self.registry)
 
     def _ere_loss(
-        self, tss: list[TokenizedSentence], pooled_encoder: Tensor, features: Tensor, lengths: np.ndarray,
-        alpha: float, beta: float, stats: dict | None,
+        self, relations: np.ndarray, spans: np.ndarray, pooled_encoder: Tensor, features: Tensor,
+        lengths: np.ndarray, alpha: float, beta: float, stats: dict | None,
     ) -> Tensor:
-        """Joint loss averaged over n sentences. ``pooled_encoder`` holds their
+        """Joint loss averaged over n sentences, with gold ``relations``, (n,),
+        and shifted gold ``spans``, (n, 4). ``pooled_encoder`` holds their
         (n, d) encoder [CLS] rows. ``features`` holds the real rows of only
         the sentences that bear a relation, back to back, ``lengths[i]`` of
         them for the i-th such sentence. The relation term is one row-wise
         cross entropy over all n. The entity scorers run over ``features``;
         each entity key is one cross entropy over the bearing sentences'
         packed score columns, one row of ``lengths[i]`` classes each."""
-        n = len(tss)
-        allowed = self.languages.schema.allowed
-        for ts in tss:
-            check_gold_allowed(ts.relation, allowed[ts.lang], ts.example_id)
-        rels = np.array([ts.relation for ts in tss])
-        rel_ce = T.cross_entropy(relation_logits(pooled_encoder, self.registry), rels)
+        n = relations.size
+        rel_ce = T.cross_entropy(relation_logits(pooled_encoder, self.registry), relations)
         entity_ces = []
-        bearing = np.flatnonzero(rels)
+        bearing = np.flatnonzero(relations)
         if bearing.size:
-            scores = self._entity_scores([tss[i] for i in bearing], features, rels[bearing], lengths)
-            golds = np.array([tss[i].head_span + tss[i].tail_span for i in bearing])
+            scores = self._entity_scores(features, relations[bearing], lengths)
+            golds = spans[bearing]
             entity_ces = [T.cross_entropy(scores[key], golds[:, j], lengths) for j, key in enumerate(ENTITY_KEYS)]
         if stats is not None:
             stats["relation_ce"] = stats.get("relation_ce", 0.0) + rel_ce.item()
@@ -229,23 +236,21 @@ class Model:
     # -- stage losses ------------------------------------------------------
 
     def stage1_batch_loss(
-        self, groups: list[list[TokenizedSentence]], alpha: float, beta: float, stats: dict | None = None
+        self, split: TokenizedSplit, batch: np.ndarray, alpha: float, beta: float, stats: dict | None = None
     ) -> Tensor:
-        """Mean joint loss over the sentences of equal-size concatenation
-        groups, each group aggregated over its members' rows; only the
-        relation-bearing sentences' real rows go on to the entity heads."""
-        s = len(groups[0])
-        if any(len(group) != s for group in groups):
-            raise ValueError("stage-1 concatenation groups must all have the same size")
-        tss = [ts for group in groups for ts in group]
-        pooled, fused = self._forward(tss, s)
-        lengths = np.array([ts.length for ts in tss], dtype=np.intp)
-        bearing = np.flatnonzero([ts.relation for ts in tss])
+        """Mean joint loss over the sentences of ``split`` at the indices of
+        ``batch``, (groups, s), row-major: each row is one concatenation group,
+        aggregated over its members' rows; only the relation-bearing
+        sentences' real rows go on to the entity heads."""
+        flat = batch.reshape(-1)
+        pooled, fused = self._forward(split, flat, batch.shape[1])
+        lengths, relations = split.lengths[flat], split.relations[flat]
+        bearing = np.flatnonzero(relations)
         rows = T.gather_rows(fused, _row_spans((np.cumsum(lengths) - lengths)[bearing], lengths[bearing]))
-        return self._ere_loss(tss, pooled, rows, lengths[bearing], alpha, beta, stats)
+        return self._ere_loss(relations, split.spans[flat], pooled, rows, lengths[bearing], alpha, beta, stats)
 
-    def frozen_prefix(self, tss: list[TokenizedSentence]) -> FrozenPrefix:
-        """The ``FrozenPrefix`` of ``tss``. ``_forward`` runs over sentences of
+    def frozen_prefix(self, split: TokenizedSplit) -> FrozenPrefix:
+        """The ``FrozenPrefix`` of ``split``. ``_forward`` runs over sentences of
         one exact length at a time, at most ``_PASS`` of them per pass. No
         value depends on a sentence's pass-mates; the passes stay so that each
         attention call is one batched problem. Passes in input order built
@@ -256,19 +261,18 @@ class Model:
         Nothing here turns the tape off: under stage 2's freezing no op
         records one, and a model with trainable encoder or aggregator
         parameters gets a table that passes their gradients on."""
-        lengths = np.array([ts.length for ts in tss], dtype=np.intp)
+        lengths = split.lengths
         order, pooled, rows = [], [], []
         for _, part in _passes(lengths):
-            p, f = self._forward([tss[i] for i in part], 1)
+            p, f = self._forward(split, part, 1)
             order.append(part)
             pooled.append(p)
             rows.append(f)
         order = np.concatenate(order)
         starts, index = np.empty_like(lengths), np.empty_like(lengths)
         starts[order] = np.cumsum(lengths[order]) - lengths[order]
-        index[order] = np.arange(len(tss))
-        return FrozenPrefix(tss, T.concat(pooled, axis=0), T.concat(rows, axis=0), index, starts, lengths,
-                            np.array([ts.lang for ts in tss], dtype=np.intp))
+        index[order] = np.arange(lengths.size)
+        return FrozenPrefix(split, T.concat(pooled, axis=0), T.concat(rows, axis=0), index, starts)
 
     def stage2_batch_loss(
         self, table: FrozenPrefix, batch: np.ndarray, alpha: float, beta: float, stats: dict | None = None
@@ -277,14 +281,15 @@ class Model:
         ``batch``: every [CLS] row to the relation head, and only the
         relation-bearing sentences' real rows through the switcher's training
         mix, each row under its sentence's language, to the entity heads."""
-        tss = [table.tss[i] for i in batch]
+        split = table.split
         pooled = T.gather_rows(table.pooled, table.index[batch])
-        bearing = batch[np.flatnonzero([ts.relation for ts in tss])]
-        lengths = table.lengths[bearing]
+        relations = split.relations[batch]
+        bearing = batch[np.flatnonzero(relations)]
+        lengths = split.lengths[bearing]
         rows = T.gather_rows(table.rows, _row_spans(table.starts[bearing], lengths))
         if bearing.size:
-            rows = switch_train(rows, np.repeat(table.langs[bearing], lengths), self.registry, self.cfg)
-        return self._ere_loss(tss, pooled, rows, lengths, alpha, beta, stats)
+            rows = switch_train(rows, np.repeat(split.langs[bearing], lengths), self.registry, self.cfg)
+        return self._ere_loss(relations, split.spans[batch], pooled, rows, lengths, alpha, beta, stats)
 
     # -- prediction --------------------------------------------------------
 
@@ -300,7 +305,7 @@ class Model:
         if self._kept is not None and self._kept[0] == key:
             return self._kept[1]
         self._kept = None
-        table = self.frozen_prefix([self.tokenize(ex) for ex in examples])
+        table = self.frozen_prefix(self.tokenize(examples))
         table.pooled.data.flags.writeable = table.rows.data.flags.writeable = False
         self._kept = key, table
         return table
@@ -323,24 +328,24 @@ class Model:
         if not examples:
             return []
         table = self._prediction_table(examples)
-        rows = table.rows.data
+        split, rows = table.split, table.rows.data
         if self.stage >= 2:
             # every row is some sentence's, and every sentence in one pass
             frozen, rows = rows, np.empty_like(rows)
             weights = eval_weights(self.registry, self.cfg, top_k)
-            for lang, part in _passes(table.langs):
-                idx = _row_spans(table.starts[part], table.lengths[part])
+            for lang, part in _passes(split.langs):
+                idx = _row_spans(table.starts[part], split.lengths[part])
                 rows[idx] = switch_eval(Tensor(frozen[idx]), weights[lang], self.registry, self.cfg).data
         logits = relation_logits(Tensor(table.pooled.data[table.index]), self.registry).data
-        relations = masked_argmax_relation(logits, self.languages.schema.allowed, table.langs)
+        relations = masked_argmax_relation(logits, self.languages.schema.allowed, split.langs)
         spans = np.tile(SENTINEL_SPAN * 2, (len(examples), 1))
         dumped: list[dict[str, np.ndarray] | None] = [None] * len(examples)
         bearing = np.flatnonzero(relations)
-        for length, part in _passes(table.lengths[bearing]):
+        for length, part in _passes(split.lengths[bearing]):
             part = bearing[part]
-            lengths = table.lengths[part]
+            lengths = split.lengths[part]
             features = Tensor(rows[_row_spans(table.starts[part], lengths)])
-            scores = self._entity_scores([table.tss[i] for i in part], features, relations[part], lengths)
+            scores = self._entity_scores(features, relations[part], lengths)
             arrays = {key: t.data.reshape(part.size, length) for key, t in scores.items()}
             spans[part] = np.concatenate(decode_spans(arrays), axis=1) - CONTENT_START
             if dump_scores:
@@ -348,11 +353,11 @@ class Model:
                     dumped[i] = {key: a[j].copy() for key, a in arrays.items()}
         # relations and spans become Python ints in one pass per array, so a
         # predict call makes no numpy scalar
-        outputs = zip(table.tss, logits, relations.tolist(), spans.tolist(), dumped)
-        return [self.predict(ts, row, relation, span, scores) for ts, row, relation, span, scores in outputs]
+        outputs = zip(split.example_ids, logits, relations.tolist(), spans.tolist(), dumped)
+        return [self.predict(*output) for output in outputs]
 
     def predict(
-        self, ts: TokenizedSentence, logits: np.ndarray, relation: int, spans: list[int],
+        self, example_id: str, logits: np.ndarray, relation: int, spans: list[int],
         scores: dict[str, np.ndarray] | None = None,
     ) -> TriplePrediction:
         """The prediction of one sentence of ``predict_all``'s table, packaged
@@ -363,7 +368,7 @@ class Model:
         The relation and the spans arrive as Python ints."""
         head_start, head_end, tail_start, tail_end = spans
         return TriplePrediction(
-            example_id=ts.example_id,
+            example_id=example_id,
             relation=relation,
             head_span=(head_start, head_end),
             tail_span=(tail_start, tail_end),

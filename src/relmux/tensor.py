@@ -508,7 +508,7 @@ def cross_entropy(logits: Tensor, gold, lengths=None) -> Tensor:
                 or (gold >= lengths).any()):
             raise ShapeError(f"logits {logits.shape}, gold {gold.tolist()}: not rows of lengths {lengths.tolist()}")
         inside = np.arange(lengths.max()) < lengths[:, None]
-        z = np.full(inside.shape, NEG_INF)
+        z = np.where(inside, 0.0, NEG_INF)
         z[inside] = logits.data[:, 0]
     n = z.shape[1]
     if gold.min() < 0 or gold.max() >= n:

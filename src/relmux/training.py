@@ -7,9 +7,11 @@ switcher, the router, the relation classifier and embeddings, and the entity
 matrices on batches of single sentences, early-stopping on dev triple
 micro-F1 and keeping the best-dev parameters. Each stage starts with
 ``Model.enter_stage``, which decides what it freezes, tokenizes the train
-split once, and draws every batch as sentence indices with one sampler from
-per-language index pools (``corpus.index_pools``): groups of s in stage 1,
-groups of one in stage 2.
+split once into one ``TokenizedSplit`` record, which checks every gold
+relation before any step, and draws every batch as sentence indices into
+that record with one sampler from per-language index pools
+(``corpus.index_pools`` of the record's ``langs``): a (batch, s) array of
+groups in stage 1, a flat array in stage 2.
 
 Right after freezing, stage 2 computes the frozen encoder and aggregator
 output of every training sentence once, as one ``Model.frozen_prefix``
@@ -39,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, TrainConfig, write_atomic
-from .corpus import Corpus, index_pools, sample_stage1_batch
+from .corpus import Corpus, check_group_size, index_pools, sample_stage1_batch
 from .errors import CheckpointError, NumericsError
 from .evaluation import evaluate_model
 from .model import Model
@@ -145,16 +147,17 @@ def train_stage1(
             "rng_state": json.dumps(_rng_state(rng), sort_keys=True),
         }
 
-    tss = [model.tokenize(ex) for ex in corpus.train]
-    pools = index_pools([ts.lang for ts in tss])
+    split = model.tokenize(corpus.train)
+    pools = index_pools(split.langs)
+    batch_loss = partial(model.stage1_batch_loss, split)
     per_epoch = steps_per_epoch(len(corpus.train), s * tc.batch_size)
     step = opt.step_count
     ckpt_path = out / "stage1.ckpt"
     for epoch in range(start_epoch, tc.stage1_epochs):
         t0 = time.time()
         for _ in range(per_epoch):
-            groups = [[tss[i] for i in group] for group in sample_stage1_batch(pools, s, tc.batch_size, rng)]
-            step = _train_step(opt, model.stage1_batch_loss, groups, tc, log, 1, epoch, step)
+            batch = np.array(sample_stage1_batch(pools, s, tc.batch_size, rng))
+            step = _train_step(opt, batch_loss, batch, tc, log, 1, epoch, step)
         model.save(ckpt_path, run_cfg, stage1_extra(epoch + 1))
         log.log(stage=1, epoch=epoch, epoch_seconds=round(time.time() - t0, 3))
     if tc.stage1_epochs == 0 or start_epoch >= tc.stage1_epochs:
@@ -182,8 +185,10 @@ def train_stage2(
     model.enter_stage(2)
     opt = AdamW(model.registry, tc.lr, tc.weight_decay)
     rng = np.random.default_rng(np.random.PCG64(tc.seed + 2))
-    table = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train])
-    pools = index_pools(table.langs)
+    split = model.tokenize(corpus.train)
+    pools = index_pools(split.langs)
+    check_group_size(1, len(pools))
+    table = model.frozen_prefix(split)
     batch_loss = partial(model.stage2_batch_loss, table)
     per_epoch = steps_per_epoch(len(corpus.train), tc.batch_size)
     ckpt_path = out / "stage2.ckpt"
@@ -194,7 +199,7 @@ def train_stage2(
     for epoch in range(tc.stage2_max_epochs):
         t0 = time.time()
         for _ in range(per_epoch):
-            batch = np.array([i for (i,) in sample_stage1_batch(pools, 1, tc.batch_size, rng)])
+            batch = np.array(sample_stage1_batch(pools, 1, tc.batch_size, rng)).reshape(-1)
             step = _train_step(opt, batch_loss, batch, tc, log, 2, epoch, step)
         report = evaluate_model(model, corpus.dev, corpus.registry)
         dev_f1 = report.overall.triple_f1

@@ -11,6 +11,7 @@ import pytest
 from relmux.ablation import run_ablation
 from relmux.config import ModelConfig, RunConfig, TrainConfig
 from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus
+from relmux.encoder import CONTENT_START
 from relmux.heads import masked_argmax_relation, relation_logits
 from relmux.switcher import switch_train
 
@@ -59,17 +60,17 @@ class TestDrivers:
         scored = 0
         examples = corpus.test[:20]
         for exm, pred in zip(examples, model.predict_all(examples, top_k=t_total, dump_scores=True)):
-            ts = model.tokenize(exm)
-            pooled, fused = model._forward([ts], 1)
-            feats = switch_train(fused, ts.lang, model.registry, model.cfg)
+            split = model.tokenize([exm])
+            pooled, fused = model._forward(split, np.arange(1), 1)
+            feats = switch_train(fused, exm.lang, model.registry, model.cfg)
             logits = relation_logits(pooled, model.registry).data
-            assert pred.relation == masked_argmax_relation(logits, model.languages.schema.allowed, [ts.lang])[0]
+            assert pred.relation == masked_argmax_relation(logits, model.languages.schema.allowed, split.langs)[0]
             if pred.relation == 0:
                 continue
             scored += 1
             # the entity scores read the mixed features, whatever the relation head reads
-            want = model._entity_scores([ts], feats, [pred.relation], [ts.length])
-            content = ts.content_position_mask(ts.length) == 0.0
+            want = model._entity_scores(feats, np.array([pred.relation]), split.lengths)
+            content = slice(CONTENT_START, split.lengths[0] - 1)
             for key, t in want.items():
                 gap = np.abs(pred.entity_scores[key] - t.data.reshape(-1))[content].max()
                 assert gap <= 1e-12, (key, gap)

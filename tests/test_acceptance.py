@@ -190,16 +190,15 @@ def test_criterion_gradient_integrity():
         n_sub_modules=3, sub_layers=(2, 1, 1), bottleneck=12, eval_top_k=2,
     )
     model = Model.build(cfg, registry, init_seed=11)
-    tss = [model.tokenize(ex) for ex in examples]
-    groups = [tss[:2]]
+    split = model.tokenize(examples)
     params_s1 = {n: t for n, t in model.registry.items() if not n.startswith("switcher.")}
     worst["stage1_loss"] = finite_diff_check(
-        lambda: model.stage1_batch_loss(groups, 2.0, 1.0),
+        lambda: model.stage1_batch_loss(split, np.array([[0, 1]]), 2.0, 1.0),
         params_s1, max_coords=3, rng=np.random.default_rng(1),
     ).max_rel_error
     params_all = dict(model.registry.items())
     worst["stage2_loss"] = finite_diff_check(
-        lambda: model.stage2_batch_loss(model.frozen_prefix(tss), np.arange(len(tss)), 2.0, 1.0),
+        lambda: model.stage2_batch_loss(model.frozen_prefix(split), np.arange(len(examples)), 2.0, 1.0),
         params_all, max_coords=3, rng=np.random.default_rng(2),
     ).max_rel_error
 

@@ -53,11 +53,16 @@ def build_registry(cfg, seed=0):
 
 
 def short_and_long(cfg):
-    """A 6-token sentence and a 10-token one."""
+    """A 6-token sentence and a 10-token one, each tokenized alone, and the
+    two packed long first."""
     vocab = make_vocab()
-    short = tokenize(make_example(), vocab, max_len=cfg.max_len)
-    long = tokenize(make_example(tokens=CONTENT[3:10], head=(0, 0), tail=(6, 6)), vocab, max_len=cfg.max_len)
-    return short, long
+    short_ex = make_example()
+    long_ex = make_example(tokens=CONTENT[3:10], head=(0, 0), tail=(6, 6))
+    return tuple(tokenize(exs, vocab, max_len=cfg.max_len) for exs in ([short_ex], [long_ex], [long_ex, short_ex]))
+
+
+def enc(split, reg, cfg):
+    return encode(split.ids, split.lengths, reg, cfg)
 
 
 class TestVocab:
@@ -78,48 +83,66 @@ class TestVocab:
 
 class TestTokenize:
     def test_layout_and_span_shift(self):
-        ts = tokenize(make_example(), make_vocab(), max_len=16)
+        ts = tokenize([make_example()], make_vocab(), max_len=16)
         # [CLS] [LANG_0] tok0 tok1 tok2 [SEP]
-        assert ts.length == 6
-        assert ts.input_ids[0] == CLS_ID and ts.input_ids[1] == 3 and ts.input_ids[-1] == SEP_ID
-        assert ts.head_span == (2, 3)
-        assert ts.tail_span == (4, 4)
-        assert CONTENT_START == 2 and ts.n_content == 3
+        assert ts.lengths.tolist() == [6] and ts.starts.tolist() == [0]
+        assert ts.ids[0] == CLS_ID and ts.ids[1] == 3 and ts.ids[-1] == SEP_ID
+        assert ts.spans.tolist() == [[2, 3, 4, 4]]
+        assert CONTENT_START == 2 and ts.example_ids == ("x-1",)
+
+    def test_split_packs_sentences_back_to_back_and_keeps_the_sentinel(self):
+        none = Example(id="x-2", lang=1, tokens=("tok3", "tok4"), head_span=(-1, -1), tail_span=(-1, -1), relation=0)
+        ts = tokenize([make_example(), none], make_vocab(), max_len=16)
+        assert ts.lengths.tolist() == [6, 5] and ts.starts.tolist() == [0, 6]
+        assert ts.ids[6:].tolist() == [CLS_ID, 4, 8, 9, SEP_ID]
+        assert ts.langs.tolist() == [0, 1] and ts.relations.tolist() == [1, 0]
+        assert ts.spans.tolist() == [[2, 3, 4, 4], [-1, -1, -1, -1]]
+        assert ts.example_ids == ("x-1", "x-2")
 
     def test_empty_content_rejected(self):
         ex = Example(id="e", lang=0, tokens=(), head_span=(-1, -1), tail_span=(-1, -1), relation=0)
-        with pytest.raises(DataValidationError):
-            tokenize(ex, make_vocab(), max_len=16)
+        with pytest.raises(DataValidationError, match="example e has no content tokens"):
+            tokenize([make_example(), ex], make_vocab(), max_len=16)
 
     def test_overflow_refused_not_truncated(self):
         ex = make_example(tokens=tuple(f"tok{i % 10}" for i in range(20)), head=(0, 0), tail=(1, 1))
         with pytest.raises(DataValidationError, match="max_len"):
-            tokenize(ex, make_vocab(), max_len=16)
+            tokenize([ex], make_vocab(), max_len=16)
+
+    def test_a_sentence_that_exactly_fills_max_len_is_taken_and_one_token_more_refused(self):
+        fits = make_example(tokens=tuple(f"tok{i % 10}" for i in range(13)), head=(0, 0), tail=(12, 12))
+        assert tokenize([fits], make_vocab(), max_len=16).lengths.tolist() == [16]
+        over = make_example(tokens=fits.tokens + ("tok0",), head=(0, 0), tail=(13, 13))
+        with pytest.raises(DataValidationError, match="14 content tokens need length 17 > max_len 16"):
+            tokenize([over], make_vocab(), max_len=16)
+
+    def test_unknown_token_rejected(self):
+        with pytest.raises(DataValidationError, match="'nope' not in vocabulary"):
+            tokenize([make_example(tokens=("tok0", "nope"), head=(0, 0), tail=(1, 1))], make_vocab(), max_len=16)
 
     def test_round_trip_content_alignment(self):
         ex = make_example()
         v = make_vocab()
-        ts = tokenize(ex, v, max_len=16)
-        content_ids = ts.input_ids[CONTENT_START : CONTENT_START + ts.n_content]
+        ts = tokenize([ex], v, max_len=16)
+        content_ids = ts.ids[CONTENT_START : ts.lengths[0] - 1]
         assert tuple(v.tokens[i] for i in content_ids) == ex.tokens
-
 
 
 class TestEncode:
     def test_output_shapes(self):
         cfg = toy_cfg()
         reg = build_registry(cfg)
-        ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        hidden, pooled = encode([ts], reg, cfg)
-        assert hidden.shape == (ts.length, cfg.d_model)
+        ts = tokenize([make_example()], make_vocab(), max_len=cfg.max_len)
+        hidden, pooled = enc(ts, reg, cfg)
+        assert hidden.shape == (ts.lengths[0], cfg.d_model)
         assert pooled.shape == (1, cfg.d_model)
 
     def test_pooled_is_cls_row_exactly(self):
         cfg = toy_cfg()
         reg = build_registry(cfg)
-        short, long = short_and_long(cfg)
-        hidden, pooled = encode([long, short], reg, cfg)
-        assert np.array_equal(pooled.data, hidden.data[[0, long.length]])
+        _, _, both = short_and_long(cfg)
+        hidden, pooled = enc(both, reg, cfg)
+        assert np.array_equal(pooled.data, hidden.data[both.starts])
 
     def test_rows_are_the_real_tokens_back_to_back(self):
         # one row per real token, in input order, each position counted from
@@ -127,11 +150,12 @@ class TestEncode:
         # encoded alone
         cfg = toy_cfg()
         reg = build_registry(cfg)
-        short, long = short_and_long(cfg)
-        hidden, _ = encode([long, short], reg, cfg)
-        assert hidden.shape == (long.length + short.length, cfg.d_model)
-        for rows, ts in ((slice(0, long.length), long), (slice(long.length, None), short)):
-            alone, _ = encode([ts], reg, cfg)
+        short, long, both = short_and_long(cfg)
+        hidden, _ = enc(both, reg, cfg)
+        n_long = long.lengths[0]
+        assert hidden.shape == (n_long + short.lengths[0], cfg.d_model)
+        for rows, ts in ((slice(0, n_long), long), (slice(n_long, None), short)):
+            alone, _ = enc(ts, reg, cfg)
             assert np.array_equal(hidden.data[rows], alone.data)
 
     def test_changing_pad_id_never_changes_non_pad_rows(self):
@@ -139,39 +163,51 @@ class TestEncode:
         # embedding reaches any row
         cfg = toy_cfg()
         reg = build_registry(cfg)
-        short, long = short_and_long(cfg)
-        base = encode([long, short], reg, cfg)[0].data.copy()
+        _, _, both = short_and_long(cfg)
+        base = enc(both, reg, cfg)[0].data.copy()
         reg["encoder.tok_emb"].data[PAD_ID] += np.random.default_rng(1).normal(0.0, 5.0, cfg.d_model)
-        assert np.array_equal(encode([long, short], reg, cfg)[0].data, base)
+        assert np.array_equal(enc(both, reg, cfg)[0].data, base)
 
     def test_pad_extension_invariance(self):
         # the short sentence's rows, packed after the long one, are its rows
         # encoded alone
         cfg = toy_cfg()
         reg = build_registry(cfg)
-        short, long = short_and_long(cfg)
-        alone_hidden, alone_pooled = encode([short], reg, cfg)
-        hidden, pooled = encode([long, short], reg, cfg)
-        rows = hidden.data[long.length : long.length + short.length]
+        short, long, both = short_and_long(cfg)
+        alone_hidden, alone_pooled = enc(short, reg, cfg)
+        hidden, pooled = enc(both, reg, cfg)
+        rows = hidden.data[long.lengths[0] :]
         assert np.allclose(rows, alone_hidden.data, rtol=0, atol=1e-12)
         assert np.allclose(pooled.data[1], alone_pooled.data[0], rtol=0, atol=1e-12)
 
     def test_out_of_vocab_id_rejected(self):
         cfg = toy_cfg()
         reg = build_registry(cfg)
-        ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        ts.input_ids[2] = len(make_vocab()) + 5
+        ts = tokenize([make_example()], make_vocab(), max_len=cfg.max_len)
+        ids = ts.ids.copy()
+        ids[2] = len(make_vocab()) + 5
         with pytest.raises(DataValidationError):
-            encode([ts], reg, cfg)
+            encode(ids, ts.lengths, reg, cfg)
+
+    def test_the_last_vocabulary_id_is_taken_and_the_next_refused(self):
+        cfg = toy_cfg()
+        reg = build_registry(cfg)
+        ts = tokenize([make_example()], make_vocab(), max_len=cfg.max_len)
+        ids = ts.ids.copy()
+        ids[2] = len(make_vocab()) - 1
+        assert encode(ids, ts.lengths, reg, cfg)[0].shape == (6, cfg.d_model)
+        ids[2] = len(make_vocab())
+        with pytest.raises(DataValidationError, match=f"token id {len(make_vocab())} out of vocabulary range"):
+            encode(ids, ts.lengths, reg, cfg)
 
     def test_matches_straight_line_oracle(self):
         # single block, d=4, 2 heads, 3 content tokens, seeded weights
         cfg = toy_cfg(d_model=4, n_blocks=1, n_heads=2, ffn_dim=8)
         reg = build_registry(cfg, seed=42)
-        ts = tokenize(make_example(), make_vocab(), max_len=cfg.max_len)
-        got = encode([ts], reg, cfg)[0].data
+        ts = tokenize([make_example()], make_vocab(), max_len=cfg.max_len)
+        got = enc(ts, reg, cfg)[0].data
         params = {name: t.data for name, t in reg.items()}
-        want = oracle_encoder_forward(ts.input_ids, np.ones(ts.length, dtype=bool), params, cfg.n_blocks, cfg.n_heads)
+        want = oracle_encoder_forward(ts.ids, np.ones(ts.lengths[0], dtype=bool), params, cfg.n_blocks, cfg.n_heads)
         report = compare("encoder_forward", got, want, tolerance=1e-10)
         assert report.passed, report
 
@@ -179,11 +215,11 @@ class TestEncode:
         cfg = toy_cfg(d_model=8, n_blocks=1, n_heads=2, ffn_dim=16)
         reg = build_registry(cfg, seed=3)
         ex = make_example(tokens=("tok0", "tok1"), head=(0, 0), tail=(1, 1))
-        ts = tokenize(ex, make_vocab(), max_len=cfg.max_len)
-        weights = T.Tensor(np.random.default_rng(5).normal(size=(ts.length, cfg.d_model)))
+        ts = tokenize([ex], make_vocab(), max_len=cfg.max_len)
+        weights = T.Tensor(np.random.default_rng(5).normal(size=(ts.lengths[0], cfg.d_model)))
         params = dict(reg.items())
         report = finite_diff_check(
-            lambda: tsum(T.mul(encode([ts], reg, cfg)[0], weights)),
+            lambda: tsum(T.mul(enc(ts, reg, cfg)[0], weights)),
             params,
             max_coords=4,
             rng=np.random.default_rng(0),

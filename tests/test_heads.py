@@ -11,7 +11,6 @@ from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus
 from relmux.errors import DataValidationError
 from relmux.heads import (
     build_head_params,
-    check_gold_allowed,
     decode_spans,
     entity_scores,
     masked_argmax_relation,
@@ -92,10 +91,6 @@ class TestClassifyRelation:
             assert logits[i].tobytes() == relation_logits(Tensor(pooled[i : i + 1]), reg).data.tobytes(), i
         with pytest.raises(T.ShapeError):
             relation_logits(Tensor(pooled[:, None]), reg)
-
-    def test_gold_disallowed_is_data_error(self):
-        with pytest.raises(DataValidationError):
-            check_gold_allowed(2, np.array([True, True, False]), "x-1")
 
 
 class TestEntityScores:
@@ -309,11 +304,9 @@ class TestPredict:
     def test_relation_conditioning_changes_entity_scores(self, tiny_setup):
         corpus, model = tiny_setup
         ex = next(e for e in corpus.train if e.relation != 0)
-        ts = model.tokenize(ex)
-        _, feats = model._forward([ts], 1)
-        mask = ts.content_position_mask(feats.shape[0])
+        split = model.tokenize([ex])
+        _, feats = model._forward(split, np.arange(1), 1)
         out = {}
         for rel in (1, 2):
-            emb = T.gather_rows(model.registry["relation.emb"], [rel] * feats.shape[0])
-            out[rel] = entity_scores(feats, emb, mask, model.registry)["hs"].data.copy()
+            out[rel] = model._entity_scores(feats, np.array([rel]), split.lengths)["hs"].data.copy()
         assert not np.allclose(out[1], out[2])

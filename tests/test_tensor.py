@@ -798,7 +798,7 @@ class TestNoGrad:
         def step(predict_first: bool):
             model = Model.build(replace(cfg.model), corpus.registry, init_seed=2)
             model.enter_stage(2)
-            table = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train[:8]])
+            table = model.frozen_prefix(model.tokenize(corpus.train[:8]))
             if predict_first:
                 model.predict_all(corpus.dev[:4])
             opt = AdamW(model.registry, lr=cfg.train.lr)

@@ -18,8 +18,8 @@ from relmux.corpus import (
     GeneratorConfig, LanguageRegistry, LanguageSpec, RelationSchema, generate_corpus, index_pools,
 )
 from relmux.aggregator import aggregate, build_aggregator_params
-from relmux.encoder import PAD_ID, build_encoder_params, encode
-from relmux.errors import ConfigError, NumericsError
+from relmux.encoder import CONTENT_START, PAD_ID, build_encoder_params, encode
+from relmux.errors import ConfigError, DataValidationError, NumericsError
 from relmux.evaluation import evaluate_model
 from relmux.heads import ENTITY_KEYS, build_head_params, entity_scores, masked_argmax_relation, relation_logits
 from relmux.model import _PASS, Model, sentence_ere_loss
@@ -29,7 +29,7 @@ from relmux.switcher import (
     build_switcher_params, eval_weights, router_matrix, switch_eval, switch_train, top_k_weights,
 )
 from relmux.training import TrainLog, _train_step, train_stage1, train_stage2
-from relmux.tensor import Tensor
+from relmux.tensor import NEG_INF, Tensor
 
 from gradcheck import finite_diff_check
 
@@ -86,17 +86,26 @@ def batch_mean(losses: list[Tensor]) -> Tensor:
     return T.mul(total, 1.0 / len(losses))
 
 
+def content_mask(length: int) -> np.ndarray:
+    """One sentence's additive position mask: 0 on its content, NEG_INF on
+    its specials."""
+    mask = np.full(length, NEG_INF)
+    mask[CONTENT_START : length - 1] = 0.0
+    return mask
+
+
 def composed_sentence_loss(model, ts, pooled_encoder, feats, alpha, beta):
-    """One sentence's joint loss from its encoder [CLS] row and its (m, d)
-    features, each entity key its own cross entropy."""
+    """One sentence's joint loss, ``ts`` the one-row split of it, from its
+    encoder [CLS] row and its (m, d) features, each entity key its own cross
+    entropy."""
     reg = model.registry
-    rel_ce = T.cross_entropy(relation_logits(pooled_encoder, reg), ts.relation)
+    relation, length = int(ts.relations[0]), int(ts.lengths[0])
+    rel_ce = T.cross_entropy(relation_logits(pooled_encoder, reg), relation)
     entity_ces = []
-    if ts.relation != 0:
-        rel_emb = T.gather_rows(reg["relation.emb"], [ts.relation] * ts.length)
-        scores = entity_scores(feats, rel_emb, ts.content_position_mask(ts.length), reg)
-        golds = ts.head_span + ts.tail_span
-        entity_ces = [T.cross_entropy(scores[key], g) for key, g in zip(ENTITY_KEYS, golds)]
+    if relation != 0:
+        rel_emb = T.gather_rows(reg["relation.emb"], [relation] * length)
+        scores = entity_scores(feats, rel_emb, content_mask(length), reg)
+        entity_ces = [T.cross_entropy(scores[key], g) for key, g in zip(ENTITY_KEYS, ts.spans[0].tolist())]
     return sentence_ere_loss(rel_ce, entity_ces, alpha, beta)
 
 
@@ -107,14 +116,15 @@ def composed_stage1_loss(model, groups, alpha, beta):
     reg, cfg = model.registry, model.cfg
     losses = []
     for group in groups:
-        tss = [model.tokenize(ex) for ex in group]
-        encoded = [encode([ts], reg, cfg) for ts in tss]
-        total = sum(ts.length for ts in tss)
+        tss = [model.tokenize([ex]) for ex in group]
+        encoded = [encode(ts.ids, ts.lengths, reg, cfg) for ts in tss]
+        total = sum(int(ts.lengths[0]) for ts in tss)
         fused = aggregate(T.concat([hidden for hidden, _ in encoded], axis=0), [total], reg, cfg)
         offset = 0
         for ts, (_, pooled) in zip(tss, encoded):
-            feats = T.gather_rows(fused, np.arange(offset, offset + ts.length))
-            offset += ts.length
+            length = int(ts.lengths[0])
+            feats = T.gather_rows(fused, np.arange(offset, offset + length))
+            offset += length
             losses.append(composed_sentence_loss(model, ts, pooled, feats, alpha, beta))
     return batch_mean(losses)
 
@@ -126,9 +136,9 @@ def composed_stage2_loss(model, batch, alpha, beta):
     reg, cfg = model.registry, model.cfg
     losses = []
     for ex in batch:
-        ts = model.tokenize(ex)
-        hidden, pooled = encode([ts], reg, cfg)
-        feats = switch_train(aggregate(hidden, [ts.length], reg, cfg), ts.lang, reg, cfg)
+        ts = model.tokenize([ex])
+        hidden, pooled = encode(ts.ids, ts.lengths, reg, cfg)
+        feats = switch_train(aggregate(hidden, ts.lengths, reg, cfg), ex.lang, reg, cfg)
         losses.append(composed_sentence_loss(model, ts, pooled, feats, alpha, beta))
     return batch_mean(losses)
 
@@ -139,18 +149,19 @@ def composed_predict(model, ex, k):
     one, switch_eval from stage 2 on, the relation head and the masked argmax,
     then the entity scores under the predicted relation."""
     reg, cfg = model.registry, model.cfg
-    ts = model.tokenize(ex)
-    hidden, pooled = encode([ts], reg, cfg)
-    feats = aggregate(hidden, [ts.length], reg, cfg)
+    ts = model.tokenize([ex])
+    length = int(ts.lengths[0])
+    hidden, pooled = encode(ts.ids, ts.lengths, reg, cfg)
+    feats = aggregate(hidden, ts.lengths, reg, cfg)
     if model.stage >= 2:
-        weights = top_k_weights(router_matrix(reg, cfg)[:, ts.lang], cfg.eval_top_k if k is None else k)
+        weights = top_k_weights(router_matrix(reg, cfg)[:, ex.lang], cfg.eval_top_k if k is None else k)
         feats = switch_eval(feats, weights, reg, cfg)
     logits = relation_logits(pooled, reg).data.reshape(-1)
-    relation = int(masked_argmax_relation(logits[None], model.languages.schema.allowed, [ts.lang])[0])
+    relation = int(masked_argmax_relation(logits[None], model.languages.schema.allowed, [ex.lang])[0])
     if relation == 0:
         return logits, None
-    rel_emb = T.gather_rows(reg["relation.emb"], [relation] * ts.length)
-    scores = entity_scores(feats, rel_emb, ts.content_position_mask(ts.length), reg)
+    rel_emb = T.gather_rows(reg["relation.emb"], [relation] * length)
+    scores = entity_scores(feats, rel_emb, content_mask(length), reg)
     return logits, {key: t.data.reshape(-1) for key, t in scores.items()}
 
 
@@ -193,9 +204,9 @@ class TestLossFormula:
         corpus = tiny_corpus()
         cfg = tiny_run_cfg()
         model = Model.build(cfg.model, corpus.registry, init_seed=0)
-        batch = [model.tokenize(e) for e in corpus.train if e.relation != 0][:2]
+        split = model.tokenize([e for e in corpus.train if e.relation != 0][:2])
         model.registry.zero_grad()
-        loss = model.stage1_batch_loss([batch], alpha=2.0, beta=0.0)
+        loss = model.stage1_batch_loss(split, np.array([[0, 1]]), alpha=2.0, beta=0.0)
         loss.backward()
         g = model.registry["relation.w_cls"].grad
         assert g is None or np.allclose(g, 0.0)
@@ -206,10 +217,10 @@ class TestLossFormula:
         model = Model.build(replace(cfg.model, d_model=8, ffn_dim=16, bottleneck=12),
                             corpus.registry, init_seed=1)
         pair = [corpus.train[0], next(e for e in corpus.train if e.lang != corpus.train[0].lang)]
-        groups = [[model.tokenize(e) for e in pair]]
+        split = model.tokenize(pair)
         params = {n: t for n, t in model.registry.items() if not n.startswith("switcher.")}
         report = finite_diff_check(
-            lambda: model.stage1_batch_loss(groups, 2.0, 1.0),
+            lambda: model.stage1_batch_loss(split, np.array([[0, 1]]), 2.0, 1.0),
             params, max_coords=2, rng=np.random.default_rng(0),
         )
         assert report.max_rel_error < 1e-4
@@ -250,7 +261,7 @@ class TestStage1:
         model = Model.build(cfg.model, corpus.registry, init_seed=0)
         # an equivalent manual single-sentence pipeline gives the same value
         manual = composed_stage1_loss(model, [[corpus.train[0]]], 2.0, 1.0)
-        solo = model.stage1_batch_loss([[model.tokenize(corpus.train[0])]], 2.0, 1.0)
+        solo = model.stage1_batch_loss(model.tokenize(corpus.train[:1]), np.array([[0]]), 2.0, 1.0)
         assert solo.item() == pytest.approx(manual.item(), abs=1e-15)
 
     @pytest.mark.parametrize("s", [1, 2])
@@ -274,8 +285,8 @@ class TestStage1:
             loss.backward()
             return loss.item(), {n: t.grad.copy() for n, t in model.registry.items() if t.grad is not None}
 
-        tokenized = [[model.tokenize(ex) for ex in group] for group in groups]
-        got, got_grads = grads(lambda: model.stage1_batch_loss(tokenized, 2.0, 1.0))
+        split = model.tokenize(batch)
+        got, got_grads = grads(lambda: model.stage1_batch_loss(split, np.arange(len(batch)).reshape(-1, s), 2.0, 1.0))
         want, want_grads = grads(lambda: composed_stage1_loss(model, groups, 2.0, 1.0))
         assert got == pytest.approx(want, abs=1e-12)
         assert set(got_grads) == set(want_grads)
@@ -288,13 +299,12 @@ class TestStage1:
         corpus = tiny_corpus()
         model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=3)
         model.enter_stage(1)
-        groups = [[model.tokenize(ex) for ex in corpus.train[i : i + 2]] for i in range(0, 12, 2)]
-        tss = [ts for group in groups for ts in group]
-        assert len({ts.length for ts in tss}) > 1 and any(ts.relation for ts in tss)
+        split = model.tokenize(corpus.train[:12])
+        assert len(set(split.lengths.tolist())) > 1 and split.relations.any()
 
         def loss_and_grads():
             model.registry.zero_grad()
-            loss = model.stage1_batch_loss(groups, 2.0, 1.0)
+            loss = model.stage1_batch_loss(split, np.arange(12).reshape(6, 2), 2.0, 1.0)
             loss.backward()
             return loss.data.tobytes(), {n: t.grad.tobytes() for n, t in model.registry.items() if t.grad is not None}
 
@@ -306,10 +316,9 @@ class TestStage1:
         corpus = tiny_corpus()
         model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=3)
         model.enter_stage(1)
-        groups = [[model.tokenize(ex) for ex in corpus.train[i : i + 2]] for i in range(0, 12, 2)]
-        tss = [ts for group in groups for ts in group]
-        bearing = [ts for ts in tss if ts.relation]
-        assert len({ts.length for ts in bearing}) > 1 and len(bearing) < len(tss)
+        split = model.tokenize(corpus.train[:12])
+        bearing = split.relations != 0
+        assert len(set(split.lengths[bearing].tolist())) > 1 and bearing.sum() < 12
         seen = []
 
         def spy(features, relation_emb, position_mask, reg):
@@ -317,16 +326,9 @@ class TestStage1:
             return entity_scores(features, relation_emb, position_mask, reg)
 
         monkeypatch.setattr(model_module, "entity_scores", spy)
-        model.stage1_batch_loss(groups, 2.0, 1.0)
-        rows = sum(ts.length for ts in bearing)
+        model.stage1_batch_loss(split, np.arange(12).reshape(6, 2), 2.0, 1.0)
+        rows = int(split.lengths[bearing].sum())
         assert seen == [((rows, model.cfg.d_model), (rows, model.cfg.d_model), rows)]
-
-    def test_unequal_groups_rejected(self):
-        corpus = tiny_corpus()
-        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=0)
-        with pytest.raises(ValueError, match="same size"):
-            model.stage1_batch_loss([[model.tokenize(ex) for ex in group]
-                                     for group in (corpus.train[:2], corpus.train[2:3])], 2.0, 1.0)
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         corpus = tiny_corpus()
@@ -382,11 +384,12 @@ class TestNoRelationBatch:
     and in stage 2 the switcher, no gradient; the step still runs."""
 
     @staticmethod
-    def _no_relation_by_language(model, corpus):
+    def _no_relation_by_language(corpus):
+        """The indices of the training sentences without a relation, by language."""
         by_lang: dict[int, list] = {}
-        for ex in corpus.train:
+        for i, ex in enumerate(corpus.train):
             if ex.relation == 0:
-                by_lang.setdefault(ex.lang, []).append(model.tokenize(ex))
+                by_lang.setdefault(ex.lang, []).append(i)
         return by_lang
 
     @staticmethod
@@ -405,13 +408,14 @@ class TestNoRelationBatch:
         cfg = tiny_run_cfg()
         model = Model.build(cfg.model, corpus.registry, init_seed=0)
         model.enter_stage(1)
-        by_lang = self._no_relation_by_language(model, corpus)
-        groups = [[by_lang[0][0], by_lang[1][0]], [by_lang[2][0], by_lang[0][1]]]
+        by_lang = self._no_relation_by_language(corpus)
+        batch = np.array([[by_lang[0][0], by_lang[1][0]], [by_lang[2][0], by_lang[0][1]]])
+        batch_loss = partial(model.stage1_batch_loss, model.tokenize(corpus.train))
         before = model.registry["entity.hs.w_down"].data.copy()
         opt = AdamW(model.registry, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
-        step = _train_step(opt, model.stage1_batch_loss, groups, cfg.train, TrainLog(), 1, 0, 0)
+        step = _train_step(opt, batch_loss, batch, cfg.train, TrainLog(), 1, 0, 0)
         assert step == 1
-        loss = model.stage1_batch_loss(groups, cfg.train.alpha, cfg.train.beta, {})
+        loss = batch_loss(batch, cfg.train.alpha, cfg.train.beta, {})
         assert self._unreached(model, loss, "entity.hs.w_down")
         assert self._decayed_only(model, "entity.hs.w_down", before, cfg.train)
         assert model.registry["switcher.sub0.layer0.w_up"].grad is None
@@ -421,13 +425,12 @@ class TestNoRelationBatch:
         cfg = tiny_run_cfg()
         model = Model.build(cfg.model, corpus.registry, init_seed=0)
         model.enter_stage(2)
-        tss = [ts for group in self._no_relation_by_language(model, corpus).values() for ts in group]
-        table = model.frozen_prefix(tss)
+        batch = np.array([i for pool in self._no_relation_by_language(corpus).values() for i in pool])
+        table = model.frozen_prefix(model.tokenize(corpus.train))
         names = ("entity.te.w_index", "switcher.sub0.layer0.w_up")
         before = {n: model.registry[n].data.copy() for n in names}
         opt = AdamW(model.registry, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
         batch_loss = partial(model.stage2_batch_loss, table)
-        batch = np.arange(len(tss))
         assert _train_step(opt, batch_loss, batch, cfg.train, TrainLog(), 2, 0, 0) == 1
         loss = batch_loss(batch, cfg.train.alpha, cfg.train.beta, {})
         for name in names:
@@ -473,7 +476,7 @@ class TestStage2:
     def test_router_gradients_nonzero_after_first_step(self, trained):
         corpus, cfg, model, *_ = trained
         model.registry.zero_grad()
-        table = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train[:4]])
+        table = model.frozen_prefix(model.tokenize(corpus.train[:4]))
         loss = model.stage2_batch_loss(table, np.arange(4), 2.0, 1.0)
         loss.backward()
         assert np.linalg.norm(model.registry["switcher.lang_emb"].grad) > 0
@@ -561,13 +564,13 @@ def stage2_frozen_model(routing="learned", seed=6):
 @pytest.fixture(scope="module")
 def benchmark_sentences():
     """A fresh model under the benchmark config, and its benchmark corpus's
-    tokenized training sentences."""
+    tokenized training split."""
     registry_in = LanguageRegistry.load(CONFIGS / "benchmark_langs.json")
     corpus = generate_corpus(registry_in.languages, registry_in.schema, seed=1,
                              gen=GeneratorConfig(family_share=0.85))
     model = Model.build(load_run_config(CONFIGS / "benchmark.json").model, corpus.registry, init_seed=1)
     model.enter_stage(1)
-    return model, [model.tokenize(ex) for ex in corpus.train]
+    return model, model.tokenize(corpus.train)
 
 
 class TestBatchInvariance:
@@ -576,16 +579,16 @@ class TestBatchInvariance:
         """``_forward`` gives every group of s sentences, inside a batch of
         eight groups of mixed lengths, the encoder [CLS] rows and the
         aggregator rows it gives the group alone, bit for bit."""
-        model, tss = benchmark_sentences
+        model, split = benchmark_sentences
         rng = np.random.default_rng(s)
         for _ in range(batches):
-            batch = [tss[i] for i in rng.choice(len(tss), size=8 * s, replace=False)]
-            assert len({ts.length for ts in batch}) > 1
-            pooled, rows = model._forward(batch, s)
+            batch = rng.choice(split.lengths.size, size=8 * s, replace=False)
+            assert len(set(split.lengths[batch].tolist())) > 1
+            pooled, rows = model._forward(split, batch, s)
             start = 0
             for g in range(8):
                 group = batch[g * s : (g + 1) * s]
-                pooled_alone, rows_alone = model._forward(group, s)
+                pooled_alone, rows_alone = model._forward(split, group, s)
                 end = start + rows_alone.shape[0]
                 assert pooled.data[g * s : (g + 1) * s].tobytes() == pooled_alone.data.tobytes()
                 assert rows.data[start:end].tobytes() == rows_alone.data.tobytes()
@@ -597,23 +600,23 @@ class TestBatchInvariance:
         """A sentence's relation logits and four entity score columns, taken
         alone, are the bits of its rows inside a batch of sentences of mixed
         lengths, each under its own relation."""
-        model, tss = benchmark_sentences
+        model, split = benchmark_sentences
         rng = np.random.default_rng(3)
         n_relations = model.languages.n_relations
         for _ in range(10):
-            batch = [tss[i] for i in rng.choice(len(tss), size=32, replace=False)]
-            lengths = np.array([ts.length for ts in batch])
+            batch = rng.choice(split.lengths.size, size=32, replace=False)
+            lengths = split.lengths[batch]
             assert len(set(lengths.tolist())) > 1
             relations = rng.integers(1, n_relations, size=32)
-            pooled, rows = model._forward(batch, 1)
+            pooled, rows = model._forward(split, batch, 1)
             logits = relation_logits(pooled, model.registry).data
-            scores = model._entity_scores(batch, rows, relations, lengths)
+            scores = model._entity_scores(rows, relations, lengths)
             starts = np.cumsum(lengths) - lengths
-            for i, ts in enumerate(batch):
-                pooled_alone, rows_alone = model._forward([ts], 1)
+            for i in range(batch.size):
+                pooled_alone, rows_alone = model._forward(split, batch[i : i + 1], 1)
                 assert logits[i].tobytes() == relation_logits(pooled_alone, model.registry).data.tobytes()
-                alone = model._entity_scores([ts], rows_alone, relations[i : i + 1], [ts.length])
-                span = slice(starts[i], starts[i] + ts.length)
+                alone = model._entity_scores(rows_alone, relations[i : i + 1], lengths[i : i + 1])
+                span = slice(starts[i], starts[i] + lengths[i])
                 for key, t in scores.items():
                     assert t.data[span].tobytes() == alone[key].data.tobytes(), (i, key)
 
@@ -660,7 +663,7 @@ class TestBatchedStage2:
 
             def table_loss():
                 # a fresh table per loss: its rows hold the last backward's gradients
-                table = model.frozen_prefix([model.tokenize(ex) for ex in batch])
+                table = model.frozen_prefix(model.tokenize(batch))
                 return model.stage2_batch_loss(table, np.r_[np.arange(len(batch)), again], 2.0, 1.0)
 
             got_loss, got = loss_and_grads(table_loss)
@@ -673,31 +676,28 @@ class TestBatchedStage2:
 
     def test_chunked_table_is_bitwise_the_whole_bucket_table(self, monkeypatch):
         corpus, model = stage2_frozen_model()
-        tss = [model.tokenize(ex) for ex in corpus.train]
-        lengths = [ts.length for ts in tss]
+        split = model.tokenize(corpus.train)
+        lengths = split.lengths.tolist()
         assert max(lengths.count(n) for n in set(lengths)) > 3
         passes = []
         forward = model._forward
 
-        def recorded(part, s):
+        def recorded(split, part, s):
             passes.append(len(part))
-            return forward(part, s)
+            return forward(split, part, s)
 
         model._forward = recorded
         tables = {}
-        for size in (3, len(tss)):
+        for size in (3, len(lengths)):
             monkeypatch.setattr(model_module, "_PASS", size)
             passes.clear()
-            tables[size] = model.frozen_prefix(tss)
-            assert max(passes) <= size and sum(passes) == len(tss)
+            tables[size] = model.frozen_prefix(split)
+            assert max(passes) <= size and sum(passes) == len(lengths)
         # the whole split takes one pass per length, and passes of 3 take more
         assert len(passes) == len(set(lengths))
-        chunked, whole = tables[3], tables[len(tss)]
-        for table in (chunked, whole):
-            assert table.tss is tss
-            assert table.lengths.tolist() == lengths
-            assert table.langs.tolist() == [ts.lang for ts in tss]
-        for i in range(len(tss)):
+        chunked, whole = tables[3], tables[len(lengths)]
+        assert chunked.split is split and whole.split is split
+        for i in range(len(lengths)):
             assert chunked.pooled.data[chunked.index[i]].tobytes() == whole.pooled.data[whole.index[i]].tobytes()
             rows_a = chunked.rows.data[chunked.starts[i] : chunked.starts[i] + lengths[i]]
             rows_b = whole.rows.data[whole.starts[i] : whole.starts[i] + lengths[i]]
@@ -707,7 +707,7 @@ class TestBatchedStage2:
         import relmux.model
 
         corpus, model = stage2_frozen_model()
-        table = model.frozen_prefix([model.tokenize(ex) for ex in corpus.train])
+        table = model.frozen_prefix(model.tokenize(corpus.train))
 
         def frozen_layer(*args, **kwargs):
             raise AssertionError("a stage-2 step ran a frozen layer")
@@ -748,6 +748,53 @@ class TestLossProperties:
         for line in step_lines:
             assert {"stage", "step", "loss", "relation_ce", "entity_ce", "lr"} <= set(line)
 
+    def test_logged_parts_recompose_every_step_loss(self, tmp_path):
+        # each step's loss is beta * relation_ce + (alpha / 2) * entity_ce,
+        # both parts means over the step's sentences, in both stages
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg(stage1_epochs=2, stage2_max_epochs=1, alpha=3.0, beta=0.5)
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
+        log = TrainLog()
+        train_stage1(model, corpus, cfg, tmp_path / "s1", log)
+        train_stage2(model, corpus, cfg, tmp_path / "s2", log)
+        step_lines = [l for l in log.lines if "loss" in l]
+        assert {l["stage"] for l in step_lines} == {1, 2}
+        assert all(l["entity_ce"] > 0.0 for l in step_lines)
+        for line in step_lines:
+            parts = cfg.train.beta * line["relation_ce"] + cfg.train.alpha / 2.0 * line["entity_ce"]
+            assert parts == pytest.approx(line["loss"], rel=1e-12), line
+
+
+class TestTokenizedTrainSplit:
+    def test_masked_gold_relation_is_refused_before_any_step(self, tmp_path):
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg()
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
+        first = next(ex for ex in corpus.train if ex.relation != 0)
+        model.languages.schema.allowed[first.lang, first.relation] = False
+        log = TrainLog()
+        with pytest.raises(DataValidationError,
+                           match=f"^example {first.id}: gold relation {first.relation} is masked for its language$"):
+            train_stage1(model, corpus, cfg, tmp_path, log)
+        assert log.lines == [] and not (tmp_path / "stage1.ckpt").exists()
+        with pytest.raises(DataValidationError, match=first.id):
+            model.tokenize(corpus.train)
+
+    def test_empty_split_has_zero_rows_and_training_refuses_it(self, tmp_path):
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg()
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
+        split = model.tokenize([])
+        assert split.ids.shape == split.lengths.shape == split.relations.shape == (0,)
+        assert split.spans.shape == (0, 4) and split.example_ids == ()
+        assert model.predict_all([]) == []
+        empty = replace(corpus, train=[])
+        with pytest.raises(ConfigError, match="group size"):
+            train_stage1(model, empty, cfg, tmp_path / "s1")
+        model.stage = 1
+        with pytest.raises(ConfigError, match="group size"):
+            train_stage2(model, empty, cfg, tmp_path / "s2")
+
 
 class TestConditioningOnTrainedModel:
     def test_relation_embedding_permutation_changes_scores(self, trained):
@@ -755,9 +802,9 @@ class TestConditioningOnTrainedModel:
         from relmux.heads import entity_scores
 
         ex = next(e for e in corpus.train if e.relation != 0)
-        ts = model.tokenize(ex)
-        _, feats = model._forward([ts], 1)
-        mask = ts.content_position_mask(feats.shape[0])
+        split = model.tokenize([ex])
+        _, feats = model._forward(split, np.arange(1), 1)
+        mask = content_mask(feats.shape[0])
         outputs = {}
         for rel in (1, 2):
             emb = T.gather_rows(model.registry["relation.emb"], [rel] * feats.shape[0])
@@ -868,9 +915,9 @@ class TestPredictionCalls:
         seen: list[str] = []
         predict = model.predict
 
-        def recorded(ts, *a, **kw):
-            seen.append(ts.example_id)
-            return predict(ts, *a, **kw)
+        def recorded(example_id, *a, **kw):
+            seen.append(example_id)
+            return predict(example_id, *a, **kw)
 
         model.predict = recorded
         return seen
@@ -911,8 +958,8 @@ class TestKeptPredictionTable:
         built = []
         frozen_prefix = model.frozen_prefix
 
-        def recorded(tss):
-            table = frozen_prefix(tss)
+        def recorded(split):
+            table = frozen_prefix(split)
             built.append(table)
             return table
 
