@@ -6,9 +6,12 @@ before the argmax. Entity recognition then scores every token position four
 ways (head-start, head-end, tail-start, tail-end) from the token feature
 concatenated with the relation embedding; spans decode greedily (start argmax,
 then best end at or after it). Training teacher-forces the gold relation's
-embedding; prediction feeds the predicted relation's embedding. Both heads
-take rows, in training and prediction alike, and end in one product per row
-(``T.row_matmul``), so a sentence gets the bits it gets alone in any batch.
+embedding, and masks the specials to NEG_INF plus their score; prediction
+feeds the predicted relation's embedding and scores only content positions,
+so the special positions of its dumped scores read exactly NEG_INF. Both
+heads take rows, in training and prediction alike, and end in one product
+per row (``T.row_matmul``), so a sentence gets the bits it gets alone in any
+batch.
 """
 
 from __future__ import annotations
@@ -60,9 +63,10 @@ def entity_scores(
     position_mask: np.ndarray,
     reg: ParamRegistry,
 ) -> dict[str, Tensor]:
-    """Four (m, 1) score columns of the m real positions of one or more
-    sentences, back to back in (m, d) ``features``, specials masked to
-    NEG_INF: each row concatenated with its row of ``relation_emb``, the
+    """Four (m, 1) score columns of m positions of one or more sentences,
+    back to back in (m, d) ``features``, plus the additive ``position_mask``
+    (NEG_INF on the specials in training; prediction passes content rows
+    only, with zeros): each row concatenated with its row of ``relation_emb``, the
     embedding of its sentence's relation, projected down, squashed by tanh,
     then projected to a scalar score, one product per row."""
     if features.data.ndim != 2 or relation_emb.shape != features.shape:

@@ -11,9 +11,9 @@ attends within each group of s consecutive sentences, one span of rows.
 Neither pads, so a sentence or a group gets the same bits alone as in any
 batch. Stage-1 training concatenates groups of sentences in different
 languages through the cross-sentence aggregator and trains everything
-jointly. The entity scorers get the same layout: the real rows of only the
-relation-bearing sentences, each paired with its sentence's relation
-embedding.
+jointly. In training the entity scorers get the same layout: the real rows
+of only the relation-bearing sentences, each paired with its sentence's
+relation embedding.
 
 Stage 2 freezes the encoder and the aggregator, so their output for a
 sentence never changes during the stage. ``frozen_prefix`` computes it once
@@ -34,12 +34,16 @@ recording no tape. The model keeps the last such table with the examples
 and the bytes of every ``encoder.`` and ``aggregator.`` array it was built
 from, and reuses it while both compare equal, so evaluating one split at
 several k builds its table once; any change to those values makes the next
-call build afresh. From stage 2 on ``predict_all`` switches each language's
-real rows under its row of ``eval_weights`` into an array of the call's own;
-the kept table is read-only. The heads then take rows, as in training; entity
-scoring runs in passes of one exact length only so that span decoding reads
-(g, L) views of its score columns. ``predict`` only packages one sentence's
-outputs as a ``TriplePrediction``.
+call build afresh. ``predict_all`` takes the relation first, from the [CLS]
+rows, then works only on the rows its outputs read: the content rows of the
+sentences that predict a relation. From stage 2 on it gathers them into an
+array of the call's own (the kept table is read-only) and switches them
+under each language's row of ``eval_weights``; entity scoring then runs in
+passes of one exact content length, so that span decoding reads (g, n)
+views of its score columns and gives spans in content coordinates. No
+product there gets a one-row operand (``_two_rows``). Dumped scores keep
+each sentence's length, with its special positions exactly NEG_INF.
+``predict`` only packages one sentence's outputs as a ``TriplePrediction``.
 """
 
 from __future__ import annotations
@@ -115,6 +119,14 @@ def _row_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The row indices ``start .. start + length - 1`` of each span, back to back."""
     ends = np.cumsum(lengths)
     return np.arange(lengths.sum()) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _two_rows(rows: np.ndarray) -> Tensor:
+    """``rows`` as a tensor of at least two rows, a lone row run twice: numpy
+    takes a one-row product down its gemv path, which may give the row other
+    bits than any product of two or more rows does. Callers keep the first
+    ``len(rows)`` output rows."""
+    return Tensor(np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)
 
 
 def _vocab_sha256(languages: LanguageRegistry) -> str:
@@ -316,41 +328,51 @@ class Model:
     ) -> list[TriplePrediction]:
         """One prediction per example, in order, recording no tape. The
         examples' ``frozen_prefix`` table is the kept one while its inputs
-        compare equal (``_prediction_table``). From stage 2 on ``switch_eval``
-        applies each language's row of top-k weights, all taken at once by
-        ``eval_weights``, to that language's real rows, ``_PASS`` sentences at
-        a time, into an array of this call's own. The heads then take rows,
-        as in training: every [CLS] row to the relation head and the masked
-        argmax, then the real rows of the sentences that predict a relation
-        to entity scoring and span decoding, in passes of one exact length,
-        whose (g·L, 1) score columns are (g, L) views. ``predict`` packages
-        each sentence's outputs."""
+        compare equal (``_prediction_table``). Every [CLS] row goes to the
+        relation head and the masked argmax first; the rest works only on
+        the rows the outputs read, the content rows of the sentences that
+        predict a relation. From stage 2 on they are gathered into an array
+        of this call's own, and ``switch_eval`` applies each language's row
+        of top-k weights, all taken at once by ``eval_weights``, to its
+        sentences' rows, ``_PASS`` sentences at a time, in place. Entity
+        scoring and span decoding then run in passes of one exact content
+        length n, whose (g·n, 1) score columns are (g, n) views, so spans
+        come out in content coordinates. No product gets a one-row operand
+        (``_two_rows``). Dumped scores keep the sentence's length; the
+        specials read exactly NEG_INF. ``predict`` packages each sentence's
+        outputs."""
         if not examples:
             return []
         table = self._prediction_table(examples)
-        split, rows = table.split, table.rows.data
-        if self.stage >= 2:
-            # every row is some sentence's, and every sentence in one pass
-            frozen, rows = rows, np.empty_like(rows)
-            weights = eval_weights(self.registry, self.cfg, top_k)
-            for lang, part in _passes(split.langs):
-                idx = _row_spans(table.starts[part], split.lengths[part])
-                rows[idx] = switch_eval(Tensor(frozen[idx]), weights[lang], self.registry, self.cfg).data
+        split = table.split
         logits = relation_logits(Tensor(table.pooled.data[table.index]), self.registry).data
         relations = masked_argmax_relation(logits, self.languages.schema.allowed, split.langs)
         spans = np.tile(SENTINEL_SPAN * 2, (len(examples), 1))
         dumped: list[dict[str, np.ndarray] | None] = [None] * len(examples)
         bearing = np.flatnonzero(relations)
-        for length, part in _passes(split.lengths[bearing]):
+        # each bearing sentence's content rows start at its offset in rows
+        sizes = split.lengths[bearing] - (CONTENT_START + 1)
+        offsets, rows = table.starts[bearing] + CONTENT_START, table.rows.data
+        if self.stage >= 2:
+            rows = rows[_row_spans(offsets, sizes)]
+            offsets = np.cumsum(sizes) - sizes
+            weights = eval_weights(self.registry, self.cfg, top_k)
+            for lang, part in _passes(split.langs[bearing]):
+                idx = _row_spans(offsets[part], sizes[part])
+                switched = switch_eval(_two_rows(rows[idx]), weights[lang], self.registry, self.cfg)
+                rows[idx] = switched.data[: idx.size]
+        for size, part in _passes(sizes):
+            idx = _row_spans(offsets[part], sizes[part])
+            rel_emb = self.registry["relation.emb"].data[np.repeat(relations[bearing[part]], size)]
+            features = _two_rows(rows[idx])
+            scores = entity_scores(features, _two_rows(rel_emb), np.zeros(features.shape[0]), self.registry)
+            arrays = {key: t.data[: idx.size].reshape(part.size, size) for key, t in scores.items()}
             part = bearing[part]
-            lengths = split.lengths[part]
-            features = Tensor(rows[_row_spans(table.starts[part], lengths)])
-            scores = self._entity_scores(features, relations[part], lengths)
-            arrays = {key: t.data.reshape(part.size, length) for key, t in scores.items()}
-            spans[part] = np.concatenate(decode_spans(arrays), axis=1) - CONTENT_START
+            spans[part] = np.concatenate(decode_spans(arrays), axis=1)
             if dump_scores:
                 for j, i in enumerate(part):
-                    dumped[i] = {key: a[j].copy() for key, a in arrays.items()}
+                    dumped[i] = {key: np.pad(a[j], (CONTENT_START, 1), constant_values=NEG_INF)
+                                 for key, a in arrays.items()}
         # relations and spans become Python ints in one pass per array, so a
         # predict call makes no numpy scalar
         outputs = zip(split.example_ids, logits, relations.tolist(), spans.tolist(), dumped)

@@ -133,6 +133,20 @@ class TestReports:
         with pytest.raises(MetricsInvariantError):
             report.check_invariants()
 
+    def test_dominance_tolerance_is_inclusive(self):
+        # triple-F1 may exceed min(relation, entity-pair) by 1e-12 exactly,
+        # and by no more
+        for triple, raises in ((0.5 + 1e-12, False), (np.nextafter(0.5 + 1e-12, 1.0), True)):
+            m = LanguageMetrics(relation_f1=0.5, entity_pair_f1=0.75, triple_f1=triple,
+                                head_f1=0.5, tail_f1=0.5, n_sentences=4, n_entity_bearing=4)
+            report = MetricsReport(per_language={"x": m}, overall=m, macro_avg={},
+                                   relation_grid={}, router_heatmap=None, heatmap_languages=None)
+            if raises:
+                with pytest.raises(MetricsInvariantError):
+                    report.check_invariants()
+            else:
+                report.check_invariants()
+
     def test_scoring_independent_of_order(self):
         registry = make_registry()
         golds = [ex(id=f"e{i}", relation=1 + i % 2, lang=i % 2) for i in range(8)]

@@ -75,6 +75,17 @@ class TestRoute:
         with pytest.raises(DataValidationError):
             route(7, reg, cfg)
 
+    @pytest.mark.parametrize("routing", ["learned", "identity"])
+    def test_language_at_the_table_size_rejected(self, routing):
+        # ids 0 .. n_languages - 1 route; n_languages itself is unknown
+        from relmux.errors import DataValidationError
+
+        cfg = toy_cfg(routing=routing)
+        reg = build_reg(cfg)
+        assert route([0, 2], reg, cfg).shape == (2, cfg.n_sub_modules)
+        with pytest.raises(DataValidationError, match="unknown language"):
+            route([0, 3], reg, cfg)
+
     def test_differentiable_wrt_router_params(self, rng):
         cfg = toy_cfg()
         reg = build_reg(cfg, seed=3)

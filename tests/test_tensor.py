@@ -234,6 +234,13 @@ class TestCrossEntropy:
         with pytest.raises(IndexError):
             T.cross_entropy(Tensor([1.0, 2.0]), 5)
 
+    def test_gold_at_the_class_count_is_refused_by_name(self):
+        # the last class is a gold; one past it is the op's own IndexError,
+        # not numpy's from the gather
+        T.cross_entropy(Tensor(np.zeros((2, 3))), [0, 2])
+        with pytest.raises(IndexError, match="out of range for 3 classes"):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+
     def test_rowwise_is_sum_of_single_rows(self, rng):
         logits = rng.normal(size=(3, 4))
         gold = np.array([2, 0, 3])
@@ -414,6 +421,12 @@ class TestAttention:
 
 
 class TestPlumbingOps:
+    def test_gather_rows_refuses_an_index_at_the_table_size(self, rng):
+        table = Tensor(rng.normal(size=(5, 3)))
+        assert np.array_equal(T.gather_rows(table, [4]).data, table.data[[4]])
+        with pytest.raises(ShapeError, match="out of range"):
+            T.gather_rows(table, [0, 5])
+
     def test_gather_rows_result_does_not_alias_the_table(self, rng):
         table = Tensor(rng.normal(size=(5, 3)))
         before = table.data.copy()
@@ -604,6 +617,14 @@ class TestFusedOps:
         report = finite_diff_check(lambda: tsum(T.mul(T.bottleneck(*inputs), g)),
                                    dict(zip(self.BOTTLENECK_INPUTS, inputs)), max_coords=12)
         assert report.max_rel_error < 1e-6
+
+    def test_bottleneck_takes_two_features_and_refuses_one(self, rng):
+        x, w_up, w_down, gain, bias = (Tensor(rng.normal(size=s)) for s in ((3, 2), (2, 4), (4, 2), 2, 2))
+        composed = T.layer_norm(T.add(T.matmul(T.relu(T.matmul(x, w_up)), w_down), x), gain, bias)
+        assert T.bottleneck(x, w_up, w_down, gain, bias).data.tobytes() == composed.data.tobytes()
+        x, w_up, w_down, gain, bias = (Tensor(rng.normal(size=s)) for s in ((3, 1), (1, 4), (4, 1), 1, 1))
+        with pytest.raises(ShapeError, match="bottleneck shapes"):
+            T.bottleneck(x, w_up, w_down, gain, bias)
 
     def test_bottleneck_rejects_mismatched_shapes(self, rng):
         x, w_up, w_down, gain, bias = self._bottleneck_inputs(rng, ())

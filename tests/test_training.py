@@ -15,7 +15,8 @@ from relmux import tensor as T
 from relmux.ablation import _restrict_corpus
 from relmux.config import ModelConfig, RunConfig, TrainConfig, load_run_config
 from relmux.corpus import (
-    GeneratorConfig, LanguageRegistry, LanguageSpec, RelationSchema, generate_corpus, index_pools,
+    SENTINEL_SPAN, Example, GeneratorConfig, LanguageRegistry, LanguageSpec, RelationSchema, generate_corpus,
+    index_pools,
 )
 from relmux.aggregator import aggregate, build_aggregator_params
 from relmux.encoder import CONTENT_START, PAD_ID, build_encoder_params, encode
@@ -816,9 +817,10 @@ class TestPredictComposition:
     @staticmethod
     def _assert_bitwise_the_composition(model, examples):
         """Every prediction of ``examples``, at every k from stage 2 on, has
-        the relation logits and dumped entity scores of ``composed_predict``
-        bit for bit, its relation and spans as Python ints, and some predict
-        a relation."""
+        the relation logits of ``composed_predict`` bit for bit, and dumped
+        entity scores of the sentence's length with its content positions
+        bit for bit the composition's and its specials exactly NEG_INF; its
+        relation and spans are Python ints, and some predict a relation."""
         top_ks = range(1, model.cfg.n_sub_modules + 1) if model.stage == 2 else [None]
         scored = 0
         for k in top_ks:
@@ -835,7 +837,10 @@ class TestPredictComposition:
                 scored += 1
                 assert pred.entity_scores.keys() == scores.keys()
                 for key, value in scores.items():
-                    assert pred.entity_scores[key].tobytes() == value.tobytes(), key
+                    got, content = pred.entity_scores[key], content_mask(value.size) == 0.0
+                    assert got.shape == value.shape, key
+                    assert got[content].tobytes() == value[content].tobytes(), key
+                    assert (got[~content] == NEG_INF).all(), key
         assert scored > 0
 
     @pytest.mark.parametrize("stage", [1, 2])
@@ -903,6 +908,71 @@ class TestPredictComposition:
             for lang in range(n_langs):
                 want = top_k_weights(router_matrix(reg, cfg)[:, lang], k)
                 assert weights[lang].tobytes() == want.tobytes()
+
+
+def one_token_pair(model, corpus):
+    """Two one-content-token examples of one language that both predict a
+    relation; prediction's relation logits read no switched row, so they
+    predict one at every k."""
+    for lang in corpus.registry.languages:
+        candidates = [Example(f"one-{lang.code}-{tok}", lang.id, (tok,), SENTINEL_SPAN, SENTINEL_SPAN, 0)
+                      for tok in lang.vocab]
+        bearing = [ex for ex, pred in zip(candidates, model.predict_all(candidates)) if pred.relation]
+        if len(bearing) >= 2:
+            return bearing[:2]
+    raise AssertionError("no language has two one-token sentences that predict a relation")
+
+
+class TestOneContentRow:
+    """A lone relation-bearing sentence with one content token is one content
+    row, which prediction must not hand a product alone: a one-row operand
+    takes numpy's gemv path, which may give it other bits."""
+
+    @staticmethod
+    def _model(stage):
+        corpus = tiny_corpus()
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=4)
+        model.stage = stage
+        return corpus, model
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_predicted_alone_it_gets_the_bits_it_gets_in_a_larger_call(self, stage):
+        # in the larger call its row shares the switcher pass with its
+        # language's dev rows and the head pass with its partner's row
+        corpus, model = self._model(stage)
+        partner, ex = one_token_pair(model, corpus)
+        for k in range(1, model.cfg.n_sub_modules + 1) if stage == 2 else [None]:
+            alone = model.predict_all([ex], top_k=k, dump_scores=True)[0]
+            inside = model.predict_all(corpus.dev + [partner, ex], top_k=k, dump_scores=True)[-1]
+            assert alone.relation == inside.relation != 0
+            assert (alone.head_span, alone.tail_span) == (inside.head_span, inside.tail_span) == ((0, 0), (0, 0))
+            assert alone.relation_logits.tobytes() == inside.relation_logits.tobytes()
+            for key, scores in alone.entity_scores.items():
+                assert scores.shape == (CONTENT_START + 2,)
+                assert scores[CONTENT_START].tobytes() == inside.entity_scores[key][CONTENT_START].tobytes(), key
+        TestPredictComposition._assert_bitwise_the_composition(model, [ex])
+
+    def test_no_product_gets_a_one_row_operand(self, monkeypatch):
+        corpus, model = self._model(2)
+        _, ex = one_token_pair(model, corpus)
+        names = {id(t): n for n, t in model.registry.items()}
+        seen = []
+        for op_name in ("matmul", "bottleneck"):
+            op = getattr(T, op_name)
+
+            def recorded(x, w, *a, op=op):
+                seen.append((names.get(id(w)), x.shape[0]))
+                return op(x, w, *a)
+
+            monkeypatch.setattr(T, op_name, recorded)
+        model.predict_all([ex], top_k=1)
+        # router_matrix routes one language per product in every caller, so
+        # its one-row product has no batched twin
+        products = [(name, m) for name, m in seen if name != "switcher.w_router"]
+        ran = {str(name) for name, _ in products}
+        assert {f"entity.{key}.w_down" for key in ENTITY_KEYS} <= ran
+        assert any(name.startswith("switcher.sub") for name in ran)
+        assert min(m for _, m in products) >= 2
 
 
 class TestPredictionCalls:
