@@ -571,8 +571,11 @@ def load_examples(path: str | Path, registry: LanguageRegistry) -> list[Example]
         missing = {"id", "lang", "tokens", "head", "tail", "rel"} - set(fields)
         if missing:
             raise DataValidationError(f"{where}: missing fields {sorted(missing)}")
-        lang = registry.lang_by_code(fields["lang"])
-        relation = registry.schema.index(fields["rel"])
+        try:
+            lang = registry.lang_by_code(fields["lang"])
+            relation = registry.schema.index(fields["rel"])
+        except DataValidationError as exc:
+            raise DataValidationError(f"{where}: {exc}") from None
         ex = Example(
             id=fields["id"],
             lang=lang.id,

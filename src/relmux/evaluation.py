@@ -9,8 +9,9 @@ the model also predicts no_relation. Pooling every metric over one population
 makes the dominance chain triple <= min(relation, entity pair) hold by
 construction; the report writer still checks it and refuses to emit a
 violating report. With one prediction per sentence every micro-F1 here
-coincides with accuracy, so the whole report is built from one table of
-per-sentence outcomes.
+coincides with accuracy. A split is scored as two ``(n, 5)`` int arrays,
+gold and predicted, each row (relation, head start, head end, tail start,
+tail end), compared whole.
 A report carries the router heatmap of a learned-routing stage-2 model, and
 the writer writes ``router_heatmap.csv`` exactly when the report carries one.
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,37 +35,20 @@ class MetricsInvariantError(RelmuxError):
     """A produced evaluation violated a structural metric invariant."""
 
 
-class TripleScore(NamedTuple):
-    """One sentence's outcomes, in the order of ``LanguageMetrics``'s F1s."""
-
-    relation_ok: bool
-    pair_ok: bool
-    triple_ok: bool
-    head_ok: bool
-    tail_ok: bool
+def _triples(items) -> np.ndarray:
+    """``(n, 5)`` int rows (relation, head start, head end, tail start, tail
+    end) of objects with ``.relation``, ``.head_span`` and ``.tail_span``:
+    gold ``Example``s and ``TriplePrediction``s alike."""
+    return np.array([(x.relation, *x.head_span, *x.tail_span) for x in items], dtype=np.intp).reshape(-1, 5)
 
 
-def score_triple(pred: TriplePrediction, gold: Example) -> TripleScore:
-    if pred.example_id != gold.id:
-        raise ValueError(f"prediction {pred.example_id} scored against example {gold.id}")
-    relation_ok = pred.relation == gold.relation
-    # For a no_relation gold both spans are sentinels, so the exact-match rule
-    # below degenerates to "did the model also predict no_relation".
-    head_ok = pred.head_span == gold.head_span
-    tail_ok = pred.tail_span == gold.tail_span
-    pair_ok = head_ok and tail_ok
-    return TripleScore(relation_ok, pair_ok, pair_ok and relation_ok, head_ok, tail_ok)
-
-
-def _paired(preds: list[TriplePrediction], examples: list[Example]) -> list[tuple[TriplePrediction, Example]]:
-    """Each prediction with its example; unequal lengths or a prediction made
-    for another example are an error."""
+def _check_paired(preds: list[TriplePrediction], examples: list[Example]) -> None:
+    """Refuse unequal lengths, or a prediction made for another example."""
     if len(preds) != len(examples):
         raise ValueError(f"{len(preds)} predictions for {len(examples)} examples")
     for pred, gold in zip(preds, examples):
         if pred.example_id != gold.id:
             raise ValueError(f"prediction {pred.example_id} paired with example {gold.id}")
-    return list(zip(preds, examples))
 
 
 def micro_f1(tp: int, fp: int, fn: int) -> float:
@@ -87,10 +70,10 @@ class LanguageMetrics:
 
     @classmethod
     def from_outcomes(cls, outcomes: np.ndarray, gold_relations: np.ndarray) -> "LanguageMetrics":
-        """Metrics of the sentences with these ``(n, 5)`` outcome rows (columns
-        in ``TripleScore`` order) and gold relations. Each sentence carries one
-        prediction, so a wrong one is both a false positive and a false
-        negative."""
+        """Metrics of the sentences with these ``(n, 5)`` 0/1 outcome rows
+        (columns in the order of this class's F1 fields) and gold relations.
+        Each sentence carries one prediction, so a wrong one is both a false
+        positive and a false negative."""
         n = len(outcomes)
         f1s = [micro_f1(tp, n - tp, n - tp) for tp in outcomes.sum(axis=0).tolist()]
         return cls(*f1s, n_sentences=n, n_entity_bearing=int(np.count_nonzero(gold_relations)))
@@ -141,18 +124,19 @@ def report_from_predictions(
     registry: LanguageRegistry,
     model=None,
 ) -> MetricsReport:
-    # one row per sentence: language, gold relation, predicted relation, outcomes
-    table = np.array(
-        [(g.lang, g.relation, p.relation, *score_triple(p, g)) for p, g in _paired(preds, examples)],
-        dtype=np.intp,
-    ).reshape(-1, 3 + len(TripleScore._fields))
-    langs, gold, predicted = table[:, :3].T
-    outcomes = table[:, 3:]
+    _check_paired(preds, examples)
+    langs = np.array([g.lang for g in examples], dtype=np.intp)
+    gold_rows, pred_rows = _triples(examples), _triples(preds)
+    # exact match per column; a no_relation gold's spans are sentinels, which
+    # a prediction carries exactly when it also predicts no_relation
+    match = gold_rows == pred_rows
+    gold, predicted, right = gold_rows[:, 0], pred_rows[:, 0], match[:, 0]
+    head_ok, tail_ok = match[:, 1:3].all(axis=1), match[:, 3:].all(axis=1)
+    outcomes = np.column_stack([right, head_ok & tail_ok, match.all(axis=1), head_ok, tail_ok])
 
     # relation grid counts per (language, relation); a wrong prediction is a
     # false positive of the relation it predicted
     support, tp, fp = np.zeros((3, registry.n_languages, registry.n_relations), dtype=np.intp)
-    right = gold == predicted
     np.add.at(support, (langs, gold), 1)
     np.add.at(tp, (langs[right], gold[right]), 1)
     np.add.at(fp, (langs[~right], predicted[~right]), 1)
@@ -239,8 +223,9 @@ def dump_predictions(
     include_scores: bool = False,
 ) -> None:
     """One JSON record per sentence with the gold and predicted triple."""
+    _check_paired(preds, examples)
     lines = []
-    for pred, gold in _paired(preds, examples):
+    for pred, gold in zip(preds, examples):
         rec = {
             "id": gold.id,
             "lang": registry.languages[gold.lang].code,

@@ -36,9 +36,9 @@ from, and reuses it while both compare equal, so evaluating one split at
 several k builds its table once; any change to those values makes the next
 call build afresh. ``predict_all`` takes the relation first, from the [CLS]
 rows, then works only on the rows its outputs read: the content rows of the
-sentences that predict a relation. From stage 2 on it gathers them into an
-array of the call's own (the kept table is read-only) and switches them
-under each language's row of ``eval_weights``; entity scoring then runs in
+sentences that predict a relation, gathered into an array of the call's own
+(the kept table is read-only). From stage 2 on it switches them under each
+language's row of ``eval_weights``; entity scoring then runs in
 passes of one exact content length, so that span decoding reads (g, n)
 views of its score columns and gives spans in content coordinates. No
 product there gets a one-row operand (``_two_rows``). Dumped scores keep
@@ -331,10 +331,10 @@ class Model:
         compare equal (``_prediction_table``). Every [CLS] row goes to the
         relation head and the masked argmax first; the rest works only on
         the rows the outputs read, the content rows of the sentences that
-        predict a relation. From stage 2 on they are gathered into an array
-        of this call's own, and ``switch_eval`` applies each language's row
-        of top-k weights, all taken at once by ``eval_weights``, to its
-        sentences' rows, ``_PASS`` sentences at a time, in place. Entity
+        predict a relation, gathered into an array of this call's own. From
+        stage 2 on ``switch_eval`` applies each language's row of top-k
+        weights, all taken at once by ``eval_weights``, to its sentences'
+        rows, ``_PASS`` sentences at a time, in place. Entity
         scoring and span decoding then run in passes of one exact content
         length n, whose (g·n, 1) score columns are (g, n) views, so spans
         come out in content coordinates. No product gets a one-row operand
@@ -350,12 +350,12 @@ class Model:
         spans = np.tile(SENTINEL_SPAN * 2, (len(examples), 1))
         dumped: list[dict[str, np.ndarray] | None] = [None] * len(examples)
         bearing = np.flatnonzero(relations)
-        # each bearing sentence's content rows start at its offset in rows
+        # the bearing sentences' content rows, back to back in an array of
+        # this call's own, the j-th sentence's from offsets[j]
         sizes = split.lengths[bearing] - (CONTENT_START + 1)
-        offsets, rows = table.starts[bearing] + CONTENT_START, table.rows.data
+        rows = table.rows.data[_row_spans(table.starts[bearing] + CONTENT_START, sizes)]
+        offsets = np.cumsum(sizes) - sizes
         if self.stage >= 2:
-            rows = rows[_row_spans(offsets, sizes)]
-            offsets = np.cumsum(sizes) - sizes
             weights = eval_weights(self.registry, self.cfg, top_k)
             for lang, part in _passes(split.langs[bearing]):
                 idx = _row_spans(offsets[part], sizes[part])

@@ -161,7 +161,7 @@ class TestTrain:
                       "stage1_log.jsonl", "stage2_log.jsonl", "run_summary.json"):
             assert (out / name).exists()
 
-    @pytest.mark.parametrize("damage", ["not_utf8", "repeated_field"])
+    @pytest.mark.parametrize("damage", ["not_utf8", "repeated_field", "unknown_lang", "unknown_rel"])
     def test_damaged_dev_split_exits_3_naming_the_file(self, workspace, tmp_path, capsys, damage):
         ws, _, config = workspace
         corpus = tmp_path / "corpus"
@@ -170,8 +170,11 @@ class TestTrain:
         lines = dev.read_bytes().split(b"\n")
         if damage == "not_utf8":
             lines[2] = lines[2].replace(b"tokens=", b"tokens=\xff", 1)
-        else:
+        elif damage == "repeated_field":
             lines[2] += b"\tid=again"
+        else:  # a code the registry does not know
+            field = b"lang=" if damage == "unknown_lang" else b"rel="
+            lines[2] = lines[2].replace(field, field + b"qq", 1)
         dev.write_bytes(b"\n".join(lines))
         capsys.readouterr()
         out = tmp_path / "out"

@@ -20,7 +20,6 @@ from relmux.evaluation import (
     format_report_table,
     micro_f1,
     report_from_predictions,
-    score_triple,
     write_report,
 )
 from relmux.heads import TriplePrediction
@@ -62,34 +61,40 @@ def pred(example, relation=None, head=None, tail=None):
 
 
 class TestScoreTriple:
+    """The exact-match rule, read from the ``micro`` row of one- or
+    two-sentence reports: with one sentence each F1 is 1.0 or 0.0."""
+
+    @staticmethod
+    def _outcomes(preds, golds):
+        m = report_from_predictions(preds, golds, make_registry()).overall
+        return m.relation_f1, m.entity_pair_f1, m.triple_f1, m.head_f1, m.tail_f1
+
     def test_identical_all_true(self):
         e = ex()
-        s = score_triple(pred(e), e)
-        assert s.relation_ok and s.pair_ok and s.triple_ok and s.head_ok and s.tail_ok
+        assert self._outcomes([pred(e)], [e]) == (1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_correct_spans_wrong_relation(self):
         e = ex(relation=1)
-        s = score_triple(pred(e, relation=2), e)
-        assert s.pair_ok and not s.relation_ok and not s.triple_ok
+        assert self._outcomes([pred(e, relation=2)], [e]) == (0.0, 1.0, 0.0, 1.0, 1.0)
 
     def test_head_off_by_one(self):
         e = ex(head=(0, 1))
-        s = score_triple(pred(e, head=(1, 1)), e)
-        assert not s.head_ok and not s.pair_ok and not s.triple_ok
+        assert self._outcomes([pred(e, head=(1, 1))], [e]) == (1.0, 0.0, 0.0, 0.0, 1.0)
+        # either endpoint alone breaks the match
+        assert self._outcomes([pred(e, head=(0, 0))], [e]) == (1.0, 0.0, 0.0, 0.0, 1.0)
 
     def test_id_mismatch_rejected(self):
-        e = ex()
-        p = pred(e)
-        p.example_id = "other"
-        with pytest.raises(ValueError):
-            score_triple(p, e)
+        golds = [ex(id="e0"), ex(id="e1")]
+        preds = [pred(golds[0]), pred(golds[1])]
+        preds[1].example_id = "other"
+        with pytest.raises(ValueError, match="prediction other paired with example e1"):
+            report_from_predictions(preds, golds, make_registry())
 
     def test_no_relation_gold_counts_via_sentinels(self):
         e = ex(relation=0)
-        agree = score_triple(pred(e, relation=0), e)
-        assert agree.relation_ok and agree.pair_ok and agree.triple_ok
-        disagree = score_triple(pred(e, relation=1, head=(0, 0), tail=(1, 1)), e)
-        assert not disagree.relation_ok and not disagree.pair_ok and not disagree.triple_ok
+        assert self._outcomes([pred(e, relation=0)], [e]) == (1.0, 1.0, 1.0, 1.0, 1.0)
+        disagree = pred(e, relation=1, head=(0, 0), tail=(1, 1))
+        assert self._outcomes([disagree], [e]) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestMicroF1:
