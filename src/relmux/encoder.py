@@ -1,10 +1,11 @@
 """Trainable transformer encoder producing per-token and pooled representations.
 
-Input layout is [CLS] [LANG_n] content... [SEP], gold spans shifted by the
-two prepended specials. The encoder is token + learned position embeddings
-followed by pre-norm blocks (``tensor.attention`` within each sentence over
-n_heads heads, then a feed-forward, each with a residual). The pooled vector
-is the [CLS] row of the final hidden states, taken verbatim.
+Input layout is [CLS] [LANG_n] content... [SEP], so content token j is row
+``CONTENT_START + j``; gold spans stay in content coordinates. The encoder
+is token + learned position embeddings followed by pre-norm blocks
+(``tensor.attention`` within each sentence over n_heads heads, then a
+feed-forward, each with a residual). The pooled vector is the [CLS] row of
+the final hidden states, taken verbatim.
 
 ``tokenize`` turns a split into one ``TokenizedSplit``, one int array per
 field with the real token ids packed back to back; ``encode`` takes a
@@ -70,7 +71,8 @@ class TokenizedSplit:
     """n examples tokenized, one array per field. Sentence i's ``lengths[i]``
     real token ids lie at ``ids[starts[i]:]``, its ``lengths[i] - 3`` content
     tokens from ``CONTENT_START`` on; ``spans[i]`` is its head and tail span,
-    (start, end, start, end), shifted by ``CONTENT_START``, or the sentinel."""
+    (start, end, start, end), in content coordinates as in ``Example``, or
+    the sentinel."""
 
     ids: np.ndarray          # (sum of lengths,) int, real tokens only, back to back
     starts: np.ndarray       # (n,) int
@@ -95,14 +97,13 @@ def tokenize(examples: list[Example], vocab: Vocab, max_len: int) -> TokenizedSp
         ids += [CLS_ID, vocab.lang_token_id(ex.lang), *map(vocab.id_of, ex.tokens), SEP_ID]
         lengths.append(needed)
     lengths = np.array(lengths, dtype=np.intp)
-    spans = np.array([ex.head_span + ex.tail_span for ex in examples], dtype=np.intp).reshape(-1, 4)
     return TokenizedSplit(
         ids=np.array(ids, dtype=np.intp),
         starts=np.cumsum(lengths) - lengths,
         lengths=lengths,
         langs=np.array([ex.lang for ex in examples], dtype=np.intp),
         relations=np.array([ex.relation for ex in examples], dtype=np.intp),
-        spans=np.where(spans == -1, spans, spans + CONTENT_START),
+        spans=np.array([ex.head_span + ex.tail_span for ex in examples], dtype=np.intp).reshape(-1, 4),
         example_ids=tuple(ex.id for ex in examples),
     )
 

@@ -2,16 +2,15 @@
 
 The relation is predicted first, by projecting the encoder's [CLS] row; at
 evaluation time relations unattested in the sentence's language are masked out
-before the argmax. Entity recognition then scores every token position four
+before the argmax. Entity recognition then scores every content position four
 ways (head-start, head-end, tail-start, tail-end) from the token feature
 concatenated with the relation embedding; spans decode greedily (start argmax,
-then best end at or after it). Training teacher-forces the gold relation's
-embedding, and masks the specials to NEG_INF plus their score; prediction
-feeds the predicted relation's embedding and scores only content positions,
-so the special positions of its dumped scores read exactly NEG_INF. Both
-heads take rows, in training and prediction alike, and end in one product
-per row (``T.row_matmul``), so a sentence gets the bits it gets alone in any
-batch.
+then best end at or after it), in content coordinates, as gold is. Training
+teacher-forces the gold relation's embedding and prediction feeds the
+predicted one's; the special positions of prediction's dumped scores read
+exactly NEG_INF. Both heads take rows, in training and prediction alike, and
+end in one product per row (``T.row_matmul``), so a sentence gets the bits
+it gets alone in any batch.
 """
 
 from __future__ import annotations
@@ -57,27 +56,17 @@ def masked_argmax_relation(logits: np.ndarray, allowed: np.ndarray, langs) -> np
     return np.argmax(logits + lang_relation_mask(allowed, langs), axis=1)
 
 
-def entity_scores(
-    features: Tensor,
-    relation_emb: Tensor,
-    position_mask: np.ndarray,
-    reg: ParamRegistry,
-) -> dict[str, Tensor]:
-    """Four (m, 1) score columns of m positions of one or more sentences,
-    back to back in (m, d) ``features``, plus the additive ``position_mask``
-    (NEG_INF on the specials in training; prediction passes content rows
-    only, with zeros): each row concatenated with its row of ``relation_emb``, the
-    embedding of its sentence's relation, projected down, squashed by tanh,
-    then projected to a scalar score, one product per row."""
+def entity_scores(features: Tensor, relation_emb: Tensor, reg: ParamRegistry) -> dict[str, Tensor]:
+    """Four (m, 1) score columns of m content positions of one or more
+    sentences, back to back in (m, d) ``features``: each row concatenated
+    with its row of ``relation_emb``, the embedding of its sentence's
+    relation, projected down, squashed by tanh, then projected to a scalar
+    score, one product per row."""
     if features.data.ndim != 2 or relation_emb.shape != features.shape:
         raise T.ShapeError(f"relation embedding shape {relation_emb.shape} invalid for features {features.shape}")
     paired = T.concat([features, relation_emb], axis=1)
-    mask = Tensor(np.asarray(position_mask, dtype=np.float64).reshape(features.shape[0], 1))
-    scores: dict[str, Tensor] = {}
-    for key in ENTITY_KEYS:
-        down = T.tanh(T.matmul(paired, reg[f"entity.{key}.w_down"]))
-        scores[key] = T.add(T.row_matmul(down, reg[f"entity.{key}.w_index"]), mask)
-    return scores
+    return {key: T.row_matmul(T.tanh(T.matmul(paired, reg[f"entity.{key}.w_down"])), reg[f"entity.{key}.w_index"])
+            for key in ENTITY_KEYS}
 
 
 def decode_spans(score_arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

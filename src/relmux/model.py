@@ -11,9 +11,7 @@ attends within each group of s consecutive sentences, one span of rows.
 Neither pads, so a sentence or a group gets the same bits alone as in any
 batch. Stage-1 training concatenates groups of sentences in different
 languages through the cross-sentence aggregator and trains everything
-jointly. In training the entity scorers get the same layout: the real rows
-of only the relation-bearing sentences, each paired with its sentence's
-relation embedding.
+jointly.
 
 Stage 2 freezes the encoder and the aggregator, so their output for a
 sentence never changes during the stage. ``frozen_prefix`` computes it once
@@ -22,28 +20,24 @@ each sentence's encoder [CLS] row and its real aggregator rows, packed back
 to back, with int arrays that give, in input order, each sentence's [CLS]
 row and first row. It runs ``_forward`` over sentences of one exact length
 at a time, in passes of at most ``_PASS``. A stage-2 batch is an array of
-sentence indices into the table. A step gathers its
-sentences' [CLS] rows, and the real rows of only its relation-bearing
-sentences; the switcher's training mix and the entity scorers run over
-those rows alone. Both stages share one joint loss, ``_ere_loss``, whose
-entity cross entropies take the packed score columns with each sentence's
-length, and whose golds are the record's relation and span arrays.
+sentence indices into the table.
 
-Prediction reads the same kind of table over the examples to predict,
-recording no tape. The model keeps the last such table with the examples
-and the bytes of every ``encoder.`` and ``aggregator.`` array it was built
-from, and reuses it while both compare equal, so evaluating one split at
-several k builds its table once; any change to those values makes the next
-call build afresh. ``predict_all`` takes the relation first, from the [CLS]
-rows, then works only on the rows its outputs read: the content rows of the
-sentences that predict a relation, gathered into an array of the call's own
-(the kept table is read-only). From stage 2 on it switches them under each
-language's row of ``eval_weights``; entity scoring then runs in
-passes of one exact content length, so that span decoding reads (g, n)
-views of its score columns and gives spans in content coordinates. No
-product there gets a one-row operand (``_two_rows``). Dumped scores keep
-each sentence's length, with its special positions exactly NEG_INF.
-``predict`` only packages one sentence's outputs as a ``TriplePrediction``.
+Past the forward, training and prediction alike read only the rows their
+outputs need (``_content_rows``): every [CLS] row goes to the relation
+head, and only the content rows of the sentences that bear a relation go
+through the switcher (from stage 2 on) to the entity heads, each paired
+with its sentence's relation embedding, so spans are in content
+coordinates, as gold is; training also leaves out sentences of one content
+token (``_scored``). Both stages share one joint loss, ``_ere_loss``.
+
+Prediction builds the same kind of table over the examples to predict,
+recording no tape, and keeps the last one while its examples and the
+``encoder.`` and ``aggregator.`` values it was built from compare equal, so
+evaluating one split at several k builds its table once. ``predict_all``
+takes the relation first, from the [CLS] rows, then switches and scores the
+content rows of the sentences that predict one, with no one-row operand in
+any product (``_two_rows``). ``predict`` only packages one sentence's
+outputs as a ``TriplePrediction``.
 """
 
 from __future__ import annotations
@@ -119,6 +113,24 @@ def _row_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The row indices ``start .. start + length - 1`` of each span, back to back."""
     ends = np.cumsum(lengths)
     return np.arange(lengths.sum()) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _content_rows(starts: np.ndarray, lengths: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Of the sentences whose ``lengths`` real rows start at ``starts``, the
+    positions of those ``keep`` marks, their content-token counts, and the
+    indices of their content rows, ``CONTENT_START .. length - 2``, back to
+    back."""
+    kept = np.flatnonzero(keep)
+    sizes = lengths[kept] - (CONTENT_START + 1)
+    return kept, sizes, _row_spans(starts[kept] + CONTENT_START, sizes)
+
+
+def _scored(relations: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Which sentences' entity terms a training loss computes: those that
+    bear a relation over two or more content tokens. Over one token each
+    entity key has one class, whose cross entropy is exactly 0 with a zero
+    gradient; leaving the row out keeps every product at two rows or more."""
+    return (relations != 0) & (lengths > CONTENT_START + 2)
 
 
 def _two_rows(rows: np.ndarray) -> Tensor:
@@ -208,37 +220,32 @@ class Model:
         hidden, pooled = encode(split.ids[_row_spans(split.starts[batch], lengths)], lengths, self.registry, self.cfg)
         return pooled, aggregate(hidden, lengths.reshape(-1, s).sum(1), self.registry, self.cfg)
 
-    def _entity_scores(self, features: Tensor, relations: np.ndarray, lengths: np.ndarray) -> dict[str, Tensor]:
-        """Entity scores of n sentences whose real feature rows lie back to
-        back, ``lengths[i]`` of them for sentence i; every row conditioned on
-        the embedding of its sentence's relation, gathered once per row. The
-        position mask is 0 on content, ``CONTENT_START <= pos < length - 1``,
-        and NEG_INF on the specials."""
-        rel_emb = T.gather_rows(self.registry["relation.emb"], np.repeat(relations, lengths))
-        pos = _row_spans(np.zeros_like(lengths), lengths)
-        mask = np.where((pos >= CONTENT_START) & (pos < np.repeat(lengths, lengths) - 1), 0.0, NEG_INF)
-        return entity_scores(features, rel_emb, mask, self.registry)
+    def _entity_scores(self, features: Tensor, relations: np.ndarray, sizes: np.ndarray) -> dict[str, Tensor]:
+        """Entity scores of n sentences whose content feature rows lie back to
+        back, ``sizes[i]`` of them for sentence i; every row conditioned on
+        the embedding of its sentence's relation, gathered once per row."""
+        rel_emb = T.gather_rows(self.registry["relation.emb"], np.repeat(relations, sizes))
+        return entity_scores(features, rel_emb, self.registry)
 
     def _ere_loss(
         self, relations: np.ndarray, spans: np.ndarray, pooled_encoder: Tensor, features: Tensor,
-        lengths: np.ndarray, alpha: float, beta: float, stats: dict | None,
+        scored: np.ndarray, sizes: np.ndarray, alpha: float, beta: float, stats: dict | None,
     ) -> Tensor:
         """Joint loss averaged over n sentences, with gold ``relations``, (n,),
-        and shifted gold ``spans``, (n, 4). ``pooled_encoder`` holds their
-        (n, d) encoder [CLS] rows. ``features`` holds the real rows of only
-        the sentences that bear a relation, back to back, ``lengths[i]`` of
-        them for the i-th such sentence. The relation term is one row-wise
-        cross entropy over all n. The entity scorers run over ``features``;
-        each entity key is one cross entropy over the bearing sentences'
-        packed score columns, one row of ``lengths[i]`` classes each."""
+        and gold ``spans``, (n, 4). ``pooled_encoder`` holds their (n, d)
+        encoder [CLS] rows. ``features`` holds the content rows of only the
+        sentences at the positions ``scored`` (``_scored``), back to back,
+        ``sizes[i]`` of them for the i-th such sentence. The relation term is
+        one row-wise cross entropy over all n. The entity scorers run over
+        ``features``; each entity key is one cross entropy over the scored
+        sentences' packed score columns, one row of ``sizes[i]`` classes each."""
         n = relations.size
         rel_ce = T.cross_entropy(relation_logits(pooled_encoder, self.registry), relations)
         entity_ces = []
-        bearing = np.flatnonzero(relations)
-        if bearing.size:
-            scores = self._entity_scores(features, relations[bearing], lengths)
-            golds = spans[bearing]
-            entity_ces = [T.cross_entropy(scores[key], golds[:, j], lengths) for j, key in enumerate(ENTITY_KEYS)]
+        if scored.size:
+            scores = self._entity_scores(features, relations[scored], sizes)
+            golds = spans[scored]
+            entity_ces = [T.cross_entropy(scores[key], golds[:, j], sizes) for j, key in enumerate(ENTITY_KEYS)]
         if stats is not None:
             stats["relation_ce"] = stats.get("relation_ce", 0.0) + rel_ce.item()
             stats["entity_ce"] = stats.get("entity_ce", 0.0) + sum(t.item() for t in entity_ces)
@@ -252,14 +259,14 @@ class Model:
     ) -> Tensor:
         """Mean joint loss over the sentences of ``split`` at the indices of
         ``batch``, (groups, s), row-major: each row is one concatenation group,
-        aggregated over its members' rows; only the relation-bearing
-        sentences' real rows go on to the entity heads."""
+        aggregated over its members' rows; only the ``_scored`` sentences'
+        content rows go on to the entity heads."""
         flat = batch.reshape(-1)
         pooled, fused = self._forward(split, flat, batch.shape[1])
         lengths, relations = split.lengths[flat], split.relations[flat]
-        bearing = np.flatnonzero(relations)
-        rows = T.gather_rows(fused, _row_spans((np.cumsum(lengths) - lengths)[bearing], lengths[bearing]))
-        return self._ere_loss(relations, split.spans[flat], pooled, rows, lengths[bearing], alpha, beta, stats)
+        scored, sizes, rows = _content_rows(np.cumsum(lengths) - lengths, lengths, _scored(relations, lengths))
+        return self._ere_loss(relations, split.spans[flat], pooled, T.gather_rows(fused, rows), scored, sizes,
+                              alpha, beta, stats)
 
     def frozen_prefix(self, split: TokenizedSplit) -> FrozenPrefix:
         """The ``FrozenPrefix`` of ``split``. ``_forward`` runs over sentences of
@@ -291,17 +298,16 @@ class Model:
     ) -> Tensor:
         """Mean joint loss over the sentences of ``table`` at the indices
         ``batch``: every [CLS] row to the relation head, and only the
-        relation-bearing sentences' real rows through the switcher's training
+        ``_scored`` sentences' content rows through the switcher's training
         mix, each row under its sentence's language, to the entity heads."""
         split = table.split
         pooled = T.gather_rows(table.pooled, table.index[batch])
-        relations = split.relations[batch]
-        bearing = batch[np.flatnonzero(relations)]
-        lengths = split.lengths[bearing]
-        rows = T.gather_rows(table.rows, _row_spans(table.starts[bearing], lengths))
-        if bearing.size:
-            rows = switch_train(rows, np.repeat(split.langs[bearing], lengths), self.registry, self.cfg)
-        return self._ere_loss(relations, split.spans[batch], pooled, rows, lengths, alpha, beta, stats)
+        relations, lengths = split.relations[batch], split.lengths[batch]
+        scored, sizes, content = _content_rows(table.starts[batch], lengths, _scored(relations, lengths))
+        rows = T.gather_rows(table.rows, content)
+        if scored.size:
+            rows = switch_train(rows, np.repeat(split.langs[batch[scored]], sizes), self.registry, self.cfg)
+        return self._ere_loss(relations, split.spans[batch], pooled, rows, scored, sizes, alpha, beta, stats)
 
     # -- prediction --------------------------------------------------------
 
@@ -349,11 +355,10 @@ class Model:
         relations = masked_argmax_relation(logits, self.languages.schema.allowed, split.langs)
         spans = np.tile(SENTINEL_SPAN * 2, (len(examples), 1))
         dumped: list[dict[str, np.ndarray] | None] = [None] * len(examples)
-        bearing = np.flatnonzero(relations)
         # the bearing sentences' content rows, back to back in an array of
         # this call's own, the j-th sentence's from offsets[j]
-        sizes = split.lengths[bearing] - (CONTENT_START + 1)
-        rows = table.rows.data[_row_spans(table.starts[bearing] + CONTENT_START, sizes)]
+        bearing, sizes, content = _content_rows(table.starts, split.lengths, relations)
+        rows = table.rows.data[content]
         offsets = np.cumsum(sizes) - sizes
         if self.stage >= 2:
             weights = eval_weights(self.registry, self.cfg, top_k)
@@ -365,7 +370,7 @@ class Model:
             idx = _row_spans(offsets[part], sizes[part])
             rel_emb = self.registry["relation.emb"].data[np.repeat(relations[bearing[part]], size)]
             features = _two_rows(rows[idx])
-            scores = entity_scores(features, _two_rows(rel_emb), np.zeros(features.shape[0]), self.registry)
+            scores = entity_scores(features, _two_rows(rel_emb), self.registry)
             arrays = {key: t.data[: idx.size].reshape(part.size, size) for key, t in scores.items()}
             part = bearing[part]
             spans[part] = np.concatenate(decode_spans(arrays), axis=1)

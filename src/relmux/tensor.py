@@ -300,9 +300,10 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _softmax_(s: np.ndarray, op: str) -> np.ndarray:
-    """Row softmax over the trailing axis, written into ``s``; NaN raises."""
-    if np.isnan(s).any():
-        raise NumericsError(f"{op}: NaN in input")
+    """Row softmax over the trailing axis, written into ``s``; a NaN or an
+    infinity raises."""
+    if not np.isfinite(s).all():
+        raise NumericsError(f"{op}: NaN or infinity in input")
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
@@ -315,7 +316,8 @@ def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the trailing dimension, stabilized by max subtraction: rows
-    are nonnegative and sum to 1 within rounding. NaN input raises."""
+    are nonnegative and sum to 1 within rounding. A NaN or an infinity in the
+    input raises."""
     if a.data.ndim < 1 or a.shape[-1] < 1:
         raise ShapeError(f"softmax_rows needs a trailing dimension, got {a.shape}")
     p = _softmax_(a.data.copy(), "softmax_rows")
@@ -513,8 +515,8 @@ def cross_entropy(logits: Tensor, gold, lengths=None) -> Tensor:
     n = z.shape[1]
     if gold.min() < 0 or gold.max() >= n:
         raise IndexError(f"gold index {gold.tolist()} out of range for {n} classes")
-    if np.isnan(z).any():
-        raise NumericsError("cross_entropy: NaN in logits")
+    if not np.isfinite(z).all():
+        raise NumericsError("cross_entropy: NaN or infinity in logits")
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1)

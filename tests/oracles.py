@@ -140,7 +140,6 @@ def oracle_entity_scores(
     rel_emb: np.ndarray,
     w_down: np.ndarray,
     w_index: np.ndarray,
-    position_mask: np.ndarray,
 ) -> np.ndarray:
     """One entity head: concat -> down-projection -> tanh -> scalar score."""
     features = np.asarray(features, dtype=np.float64)
@@ -149,7 +148,7 @@ def oracle_entity_scores(
     out = np.zeros(m)
     for i in range(m):
         paired = np.concatenate([features[i], rel_emb])
-        out[i] = np.tanh(paired @ w_down) @ w_index.reshape(-1) + position_mask[i]
+        out[i] = np.tanh(paired @ w_down) @ w_index.reshape(-1)
     return out
 
 

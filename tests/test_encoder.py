@@ -87,7 +87,8 @@ class TestTokenize:
         # [CLS] [LANG_0] tok0 tok1 tok2 [SEP]
         assert ts.lengths.tolist() == [6] and ts.starts.tolist() == [0]
         assert ts.ids[0] == CLS_ID and ts.ids[1] == 3 and ts.ids[-1] == SEP_ID
-        assert ts.spans.tolist() == [[2, 3, 4, 4]]
+        # the spans are not shifted: they stay the example's content coordinates
+        assert ts.spans.tolist() == [[0, 1, 2, 2]]
         assert CONTENT_START == 2 and ts.example_ids == ("x-1",)
 
     def test_split_packs_sentences_back_to_back_and_keeps_the_sentinel(self):
@@ -96,7 +97,7 @@ class TestTokenize:
         assert ts.lengths.tolist() == [6, 5] and ts.starts.tolist() == [0, 6]
         assert ts.ids[6:].tolist() == [CLS_ID, 4, 8, 9, SEP_ID]
         assert ts.langs.tolist() == [0, 1] and ts.relations.tolist() == [1, 0]
-        assert ts.spans.tolist() == [[2, 3, 4, 4], [-1, -1, -1, -1]]
+        assert ts.spans.tolist() == [[0, 1, 2, 2], [-1, -1, -1, -1]]
         assert ts.example_ids == ("x-1", "x-2")
 
     def test_empty_content_rejected(self):

@@ -143,6 +143,12 @@ class TestSoftmaxRows:
         with pytest.raises(NumericsError, match="NaN"):
             T.softmax_rows(Tensor([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_input_rejected(self, bad):
+        # +inf would come out a NaN row; -inf alone a finite one, refused alike
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match="infinity"):
+            T.softmax_rows(Tensor([[0.0, 1.0], [bad, 0.0]]))
+
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_rows_sum_to_one(self, values):
         out = T.softmax_rows(Tensor(values))
@@ -262,6 +268,15 @@ class TestCrossEntropy:
     def test_nan_logits_raise_numerics_error(self):
         with pytest.raises(NumericsError, match="NaN"):
             T.cross_entropy(Tensor([np.nan, 0.0]), 1)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_logits_raise_numerics_error(self, bad):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match="infinity"):
+                T.cross_entropy(Tensor([bad, 0.0]), 1)
+            # packed rows too: the infinity sits in the second row's columns
+            with pytest.raises(NumericsError, match="infinity"):
+                T.cross_entropy(Tensor([[0.0], [1.0], [bad], [0.0]]), [0, 1], [2, 2])
 
     # packed rows of unequal length, the longest not first, one of length 1
     LENGTHS = np.array([3, 6, 1, 6, 4])
@@ -417,6 +432,13 @@ class TestAttention:
         q, k, v = self.qkv(rng)
         q.data[2, 1] = np.nan
         with pytest.raises(NumericsError, match="NaN"):
+            T.attention(q, k, v, self.LENGTHS, 2)
+
+    def test_overflowing_score_raises_numerics_error(self, rng):
+        # finite q and k whose product overflows to infinity in one sequence
+        q, k, v = self.qkv(rng)
+        q.data[7:13] = k.data[7:13] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match="infinity"):
             T.attention(q, k, v, self.LENGTHS, 2)
 
 

@@ -87,25 +87,25 @@ def batch_mean(losses: list[Tensor]) -> Tensor:
     return T.mul(total, 1.0 / len(losses))
 
 
-def content_mask(length: int) -> np.ndarray:
-    """One sentence's additive position mask: 0 on its content, NEG_INF on
+def content_positions(length: int) -> np.ndarray:
+    """One sentence's positions as booleans: True on its content, False on
     its specials."""
-    mask = np.full(length, NEG_INF)
-    mask[CONTENT_START : length - 1] = 0.0
-    return mask
+    return (CONTENT_START <= np.arange(length)) & (np.arange(length) < length - 1)
 
 
 def composed_sentence_loss(model, ts, pooled_encoder, feats, alpha, beta):
     """One sentence's joint loss, ``ts`` the one-row split of it, from its
-    encoder [CLS] row and its (m, d) features, each entity key its own cross
-    entropy."""
+    encoder [CLS] row and its (length, d) features, whose content rows go to
+    the entity heads, each entity key its own cross entropy over the content
+    positions."""
     reg = model.registry
     relation, length = int(ts.relations[0]), int(ts.lengths[0])
     rel_ce = T.cross_entropy(relation_logits(pooled_encoder, reg), relation)
     entity_ces = []
     if relation != 0:
-        rel_emb = T.gather_rows(reg["relation.emb"], [relation] * length)
-        scores = entity_scores(feats, rel_emb, content_mask(length), reg)
+        content = T.gather_rows(feats, np.arange(CONTENT_START, length - 1))
+        rel_emb = T.gather_rows(reg["relation.emb"], [relation] * content.shape[0])
+        scores = entity_scores(content, rel_emb, reg)
         entity_ces = [T.cross_entropy(scores[key], g) for key, g in zip(ENTITY_KEYS, ts.spans[0].tolist())]
     return sentence_ere_loss(rel_ce, entity_ces, alpha, beta)
 
@@ -162,7 +162,7 @@ def composed_predict(model, ex, k):
     if relation == 0:
         return logits, None
     rel_emb = T.gather_rows(reg["relation.emb"], [relation] * length)
-    scores = entity_scores(feats, rel_emb, content_mask(length), reg)
+    scores = entity_scores(feats, rel_emb, reg)
     return logits, {key: t.data.reshape(-1) for key, t in scores.items()}
 
 
@@ -322,14 +322,14 @@ class TestStage1:
         assert len(set(split.lengths[bearing].tolist())) > 1 and bearing.sum() < 12
         seen = []
 
-        def spy(features, relation_emb, position_mask, reg):
-            seen.append((features.shape, relation_emb.shape, len(position_mask)))
-            return entity_scores(features, relation_emb, position_mask, reg)
+        def spy(features, relation_emb, reg):
+            seen.append((features.shape, relation_emb.shape))
+            return entity_scores(features, relation_emb, reg)
 
         monkeypatch.setattr(model_module, "entity_scores", spy)
         model.stage1_batch_loss(split, np.arange(12).reshape(6, 2), 2.0, 1.0)
-        rows = int(split.lengths[bearing].sum())
-        assert seen == [((rows, model.cfg.d_model), (rows, model.cfg.d_model), rows)]
+        rows = int((split.lengths[bearing] - (CONTENT_START + 1)).sum())
+        assert seen == [((rows, model.cfg.d_model), (rows, model.cfg.d_model))]
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         corpus = tiny_corpus()
@@ -805,11 +805,11 @@ class TestConditioningOnTrainedModel:
         ex = next(e for e in corpus.train if e.relation != 0)
         split = model.tokenize([ex])
         _, feats = model._forward(split, np.arange(1), 1)
-        mask = content_mask(feats.shape[0])
+        feats = T.gather_rows(feats, np.arange(CONTENT_START, feats.shape[0] - 1))
         outputs = {}
         for rel in (1, 2):
             emb = T.gather_rows(model.registry["relation.emb"], [rel] * feats.shape[0])
-            outputs[rel] = entity_scores(feats, emb, mask, model.registry)["hs"].data.copy()
+            outputs[rel] = entity_scores(feats, emb, model.registry)["hs"].data.copy()
         assert not np.allclose(outputs[1], outputs[2])
 
 
@@ -837,7 +837,7 @@ class TestPredictComposition:
                 scored += 1
                 assert pred.entity_scores.keys() == scores.keys()
                 for key, value in scores.items():
-                    got, content = pred.entity_scores[key], content_mask(value.size) == 0.0
+                    got, content = pred.entity_scores[key], content_positions(value.size)
                     assert got.shape == value.shape, key
                     assert got[content].tobytes() == value[content].tobytes(), key
                     assert (got[~content] == NEG_INF).all(), key
@@ -923,6 +923,115 @@ def one_token_pair(model, corpus):
     raise AssertionError("no language has two one-token sentences that predict a relation")
 
 
+def record_products(model, monkeypatch) -> list:
+    """From now on, for every ``T.matmul`` and ``T.bottleneck`` call: the
+    parameter name of its second operand (None for an activation) and the
+    row count of its first."""
+    names = {id(t): n for n, t in model.registry.items()}
+    seen = []
+    for op_name in ("matmul", "bottleneck"):
+        op = getattr(T, op_name)
+
+        def recorded(x, w, *a, op=op):
+            seen.append((names.get(id(w)), x.shape[0]))
+            return op(x, w, *a)
+
+        monkeypatch.setattr(T, op_name, recorded)
+    return seen
+
+
+def loss_grads_bytes(model, loss_fn) -> tuple:
+    """The bytes of ``loss_fn()``'s loss, of the stats it fills and of every
+    parameter gradient its backward leaves, after checking that all are
+    finite."""
+    model.registry.zero_grad()
+    stats = {}
+    loss = loss_fn(stats)
+    loss.backward()
+    grads = {n: t.grad for n, t in model.registry.items() if t.grad is not None}
+    assert np.isfinite(loss.data) and all(np.isfinite(g).all() for g in grads.values())
+    assert np.isfinite(list(stats.values())).all()
+    return loss.data.tobytes(), stats, {n: g.tobytes() for n, g in grads.items()}
+
+
+class TestTrainingReadsContentRowsOnly:
+    """The training heads and stage 2's switcher read only the content rows
+    of the sentences they score, as prediction does."""
+
+    @staticmethod
+    def _special_rows(starts, lengths) -> np.ndarray:
+        """The [CLS], [LANG_n] and [SEP] rows of sentences whose real rows
+        start at ``starts``."""
+        return np.concatenate([starts, starts + CONTENT_START - 1, starts + lengths - 1])
+
+    def test_nan_in_stage1_special_aggregator_rows_moves_no_bit(self, monkeypatch):
+        corpus = tiny_corpus()
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=3)
+        model.enter_stage(1)
+        split = model.tokenize(corpus.train[:12])
+        batch = np.arange(12).reshape(6, 2)
+        assert split.relations.any() and not split.relations.all()
+        step = partial(model.stage1_batch_loss, split, batch, 2.0, 1.0)
+        clean = loss_grads_bytes(model, step)
+
+        def poisoned(rows, group_lengths, reg, cfg):
+            out = aggregate(rows, group_lengths, reg, cfg)
+            out.data[self._special_rows(split.starts, split.lengths)] = np.nan
+            return out
+
+        monkeypatch.setattr(model_module, "aggregate", poisoned)
+        assert loss_grads_bytes(model, step) == clean
+        assert "entity.hs.w_down" in clean[2] and "encoder.tok_emb" in clean[2]
+
+    def test_nan_in_stage2_special_table_rows_moves_no_bit(self):
+        corpus, model = stage2_frozen_model()
+        table = model.frozen_prefix(model.tokenize(corpus.train))
+        batch = np.arange(16)
+        assert table.split.relations[batch].any() and not table.split.relations[batch].all()
+        step = partial(model.stage2_batch_loss, table, batch, 2.0, 1.0)
+        clean = loss_grads_bytes(model, step)
+        table.rows.data[self._special_rows(table.starts, table.split.lengths)] = np.nan
+        assert loss_grads_bytes(model, step) == clean
+        assert "entity.hs.w_down" in clean[2] and "switcher.sub0.layer0.w_up" in clean[2]
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_a_one_token_sentence_gives_no_product_a_one_row_operand(self, stage, monkeypatch):
+        """A relation-bearing sentence of one content token has one class per
+        entity key, whose cross entropy is exactly 0 with a zero gradient:
+        the batch losses leave its row out, so no product gets it alone,
+        and the loss and every gradient are still the composition's, which
+        scores it."""
+        corpus = tiny_corpus()
+        model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=6)
+        lang = corpus.registry.languages[0]
+        one = Example("one-token", lang.id, (lang.vocab[0],), (0, 0), (0, 0), 1)
+        longer = next(ex for ex in corpus.train if ex.relation != 0 and len(ex.tokens) >= 2)
+        no_relation = [ex for ex in corpus.train if ex.relation == 0][:3]
+        for batch in ([one] + no_relation, [one, longer] + no_relation[:2]):
+            split = model.tokenize(batch)
+            seen = record_products(model, monkeypatch)
+            if stage == 1:
+                groups = [batch[:2], batch[2:]]
+                got = loss_grads_bytes(model, partial(model.stage1_batch_loss, split, np.arange(4).reshape(2, 2),
+                                                      2.0, 1.0))
+            else:
+                table = model.frozen_prefix(split)
+                seen.clear()
+                got = loss_grads_bytes(model, partial(model.stage2_batch_loss, table, np.arange(4), 2.0, 1.0))
+            monkeypatch.undo()
+            assert all(m >= 2 for _, m in seen)
+            entity_rows = [m for name, m in seen if name == "entity.hs.w_down"]
+            assert entity_rows == ([len(longer.tokens)] if longer in batch else [])
+            model.registry.zero_grad()
+            want = composed_stage1_loss(model, groups, 2.0, 1.0) if stage == 1 else \
+                composed_stage2_loss(model, batch, 2.0, 1.0)
+            want.backward()
+            assert abs(np.frombuffer(got[0])[0] - want.item()) <= 1e-12
+            for name, t in model.registry.items():
+                g = np.frombuffer(got[2][name]) if name in got[2] else 0.0
+                assert np.abs(g - (0.0 if t.grad is None else t.grad.reshape(-1))).max() <= 1e-12, name
+
+
 class TestOneContentRow:
     """A lone relation-bearing sentence with one content token is one content
     row, which prediction must not hand a product alone: a one-row operand
@@ -955,16 +1064,7 @@ class TestOneContentRow:
     def test_no_product_gets_a_one_row_operand(self, monkeypatch):
         corpus, model = self._model(2)
         _, ex = one_token_pair(model, corpus)
-        names = {id(t): n for n, t in model.registry.items()}
-        seen = []
-        for op_name in ("matmul", "bottleneck"):
-            op = getattr(T, op_name)
-
-            def recorded(x, w, *a, op=op):
-                seen.append((names.get(id(w)), x.shape[0]))
-                return op(x, w, *a)
-
-            monkeypatch.setattr(T, op_name, recorded)
+        seen = record_products(model, monkeypatch)
         model.predict_all([ex], top_k=1)
         # router_matrix routes one language per product in every caller, so
         # its one-row product has no batched twin
