@@ -131,8 +131,10 @@ def build_encoder_params(reg: ParamRegistry, cfg: ModelConfig, vocab_size: int, 
 def encode(ids: np.ndarray, lengths: np.ndarray, reg: ParamRegistry, cfg: ModelConfig) -> tuple[Tensor, Tensor]:
     """Encode n sentences at once: their real token ids, R in all, packed
     back to back, ``lengths[i]`` of them for sentence i. The row-wise ops run
-    once over all R rows, and attention runs within each sentence. Returns
-    the final hidden rows, (R, d), and each sentence's [CLS] row, (n, d)."""
+    once over all R rows, and attention runs within each sentence. Each
+    projection, q, k, v, o, ffn1 and ffn2, is one ``T.matmul`` node that
+    adds its bias. Returns the final hidden rows, (R, d), and each
+    sentence's [CLS] row, (n, d)."""
     starts = np.cumsum(lengths) - lengths
     vocab_size = reg["encoder.tok_emb"].shape[0]
     if ids.max() >= vocab_size:
@@ -144,11 +146,10 @@ def encode(ids: np.ndarray, lengths: np.ndarray, reg: ParamRegistry, cfg: ModelC
     for b in range(cfg.n_blocks):
         p = f"encoder.block{b}"
         a = T.layer_norm(x, reg[f"{p}.ln1.gain"], reg[f"{p}.ln1.bias"])
-        q, k, v = (T.add(T.matmul(a, reg[f"{p}.w_{name}"]), reg[f"{p}.b_{name}"]) for name in "qkv")
+        q, k, v = (T.matmul(a, reg[f"{p}.w_{name}"], reg[f"{p}.b_{name}"]) for name in "qkv")
         attn = T.attention(q, k, v, lengths, cfg.n_heads)
-        x = T.add(x, T.add(T.matmul(attn, reg[f"{p}.w_o"]), reg[f"{p}.b_o"]))
+        x = T.add(x, T.matmul(attn, reg[f"{p}.w_o"], reg[f"{p}.b_o"]))
         f = T.layer_norm(x, reg[f"{p}.ln2.gain"], reg[f"{p}.ln2.bias"])
-        ff = T.add(T.matmul(f, reg[f"{p}.w_ffn1"]), reg[f"{p}.b_ffn1"])
-        ff = T.add(T.matmul(T.relu(ff), reg[f"{p}.w_ffn2"]), reg[f"{p}.b_ffn2"])
-        x = T.add(x, ff)
+        ff = T.relu(T.matmul(f, reg[f"{p}.w_ffn1"], reg[f"{p}.b_ffn1"]))
+        x = T.add(x, T.matmul(ff, reg[f"{p}.w_ffn2"], reg[f"{p}.b_ffn2"]))
     return x, T.gather_rows(x, starts)

@@ -43,17 +43,11 @@ def relation_logits(pooled: Tensor, reg: ParamRegistry) -> Tensor:
     return T.row_matmul(pooled, reg["relation.w_cls"])
 
 
-def lang_relation_mask(allowed: np.ndarray, langs) -> np.ndarray:
-    """Additive mask, one row per entry of ``langs``: 0 where that language
-    attests a relation, NEG_INF where it does not."""
-    return np.where(np.asarray(allowed, dtype=bool)[langs], 0.0, NEG_INF)
-
-
 def masked_argmax_relation(logits: np.ndarray, allowed: np.ndarray, langs) -> np.ndarray:
     """The predicted relation of each row of (n, R) ``logits``, among those
-    attested in the row's language ``langs[i]``."""
+    attested in the row's language ``langs[i]``: the rest get NEG_INF added."""
     # np.argmax already breaks ties toward the lower index
-    return np.argmax(logits + lang_relation_mask(allowed, langs), axis=1)
+    return np.argmax(logits + np.where(np.asarray(allowed, dtype=bool)[langs], 0.0, NEG_INF), axis=1)
 
 
 def entity_scores(features: Tensor, relation_emb: Tensor, reg: ParamRegistry) -> dict[str, Tensor]:

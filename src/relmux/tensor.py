@@ -19,14 +19,14 @@ is handed. A closure may hand one array, or views of it, to several parents,
 so no interior gradient is written in place: a later one makes a new sum.
 ``backward()`` drops each interior gradient once its closure has run.
 
-The engine is deliberately small: matmul over batched matrices or one
-product per row, elementwise arithmetic with broadcasting, row softmax,
-multi-head attention over packed sequences as one node, layer norm,
-relu/tanh, cross entropy over equal or packed rows, the row gather and
-concatenation plumbing the model needs, and two fused nodes for the
-switcher: a residual bottleneck block and a weighted mix of same-shape
-terms. A fused node runs the ufuncs of the ops it replaces in their order,
-so its bits are theirs. No higher-order derivatives.
+The engine is deliberately small: 2-D rows times a matrix, with an optional
+bias added in the same node, or one product per row, elementwise arithmetic
+with broadcasting, row softmax, multi-head attention over packed sequences
+as one node, layer norm, relu/tanh, cross entropy over equal or packed rows,
+the row gather and concatenation plumbing the model needs, and two fused
+nodes for the switcher: a residual bottleneck block and a weighted mix of
+same-shape terms. A fused node runs the ufuncs of the ops it replaces in
+their order, so its bits are theirs. No higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -202,37 +202,41 @@ def mul(a: Tensor, b) -> Tensor:
     return _result(a.data * b.data, (a, b), "mul", _bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading (batch) axes broadcast."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    try:
-        data = a.data @ b.data
-    except ValueError:
-        raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}") from None
+def _product_backward(op: str, x: Tensor, w: Tensor, b: Tensor | None = None):
+    """The backward of (m, d) rows ``x`` times a (d, k) matrix ``w``, plus an
+    optional (k,) bias ``b``, once those shapes are checked: ``b`` gets the
+    gradient's column sums, ``x`` gets g @ w.T and ``w`` gets x.T @ g."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or (b is not None and b.shape != w.shape[1:])):
+        raise ShapeError(f"{op} shapes incompatible: {x.shape} x {w.shape}" + ("" if b is None else f" + {b.shape}"))
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-
-    return _result(data, (a, b), "matmul", _bw)
-
-
-def row_matmul(x: Tensor, w: Tensor) -> Tensor:
-    """(m, d) rows times a (d, k) matrix, one product per row, so that a row
-    gets the same bits alone as in any batch. The backward is ``matmul``'s."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"row_matmul shapes incompatible: {x.shape} x {w.shape}")
-
-    def _bw(g):
+        if b is not None and b.requires_grad:
+            b._accumulate(g.sum(axis=0))
         if x.requires_grad:
             x._accumulate(g @ w.data.T)
         if w.requires_grad:
             w._accumulate(x.data.T @ g)
 
-    return _result((x.data[:, None, :] @ w.data)[:, 0], (x, w), "row_matmul", _bw)
+    return _bw
+
+
+def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """(m, d) rows times a (d, k) matrix, plus an optional (k,) bias added
+    in the same node: the bits of a product and a broadcasting ``add``."""
+    bw = _product_backward("matmul", x, w, b)
+    out = x.data @ w.data
+    if b is None:
+        return _result(out, (x, w), "matmul", bw)
+    out += b.data
+    return _result(out, (x, w, b), "matmul", bw)
+
+
+def row_matmul(x: Tensor, w: Tensor) -> Tensor:
+    """(m, d) rows times a (d, k) matrix, one product per row, so that a row
+    gets the same bits alone as in any batch. The backward is ``matmul``'s."""
+    bw = _product_backward("row_matmul", x, w)
+    return _result((x.data[:, None, :] @ w.data)[:, 0], (x, w), "row_matmul", bw)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:

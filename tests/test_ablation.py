@@ -8,10 +8,10 @@ full desk scale in the acceptance suite.
 import numpy as np
 import pytest
 
+from relmux import tensor as T
 from relmux.ablation import run_ablation
 from relmux.config import ModelConfig, RunConfig, TrainConfig
 from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus
-from relmux.encoder import CONTENT_START
 from relmux.heads import masked_argmax_relation, relation_logits
 from relmux.switcher import switch_train
 
@@ -52,7 +52,7 @@ class TestDrivers:
         rows = run_ablation("topk_sweep", corpus, cfg, tmp_path)
         assert {r["variant"] for r in rows} == {"k=1", "k=2", "k=3"}
         # re-evaluate the trained checkpoint with explicit train-mode mixing
-        from relmux.model import Model
+        from relmux.model import Model, _content_rows
 
         model, snap, _ = Model.load(tmp_path / "base" / "stage2.ckpt", corpus.registry)
 
@@ -62,17 +62,17 @@ class TestDrivers:
         for exm, pred in zip(examples, model.predict_all(examples, top_k=t_total, dump_scores=True)):
             split = model.tokenize([exm])
             pooled, fused = model._forward(split, np.arange(1), 1)
-            feats = switch_train(fused, exm.lang, model.registry, model.cfg)
             logits = relation_logits(pooled, model.registry).data
             assert pred.relation == masked_argmax_relation(logits, model.languages.schema.allowed, split.langs)[0]
             if pred.relation == 0:
                 continue
             scored += 1
-            # the entity scores read the mixed features, whatever the relation head reads
-            want = model._entity_scores(feats, np.array([pred.relation]), split.lengths)
-            content = slice(CONTENT_START, split.lengths[0] - 1)
+            # the entity scores read the mixed content rows, whatever the relation head reads
+            _, sizes, content = _content_rows(split.starts, split.lengths, [True])
+            feats = switch_train(T.gather_rows(fused, content), exm.lang, model.registry, model.cfg)
+            want = model._entity_scores(feats, np.array([pred.relation]), sizes)
             for key, t in want.items():
-                gap = np.abs(pred.entity_scores[key] - t.data.reshape(-1))[content].max()
+                gap = np.abs(pred.entity_scores[key][content] - t.data.reshape(-1)).max()
                 assert gap <= 1e-12, (key, gap)
         assert scored > 0
 

@@ -80,6 +80,14 @@ class TestVocab:
         with pytest.raises(DataValidationError):
             make_vocab().id_of("nope")
 
+    def test_the_last_language_id_is_taken_and_the_next_refused(self):
+        v = make_vocab(2)
+        assert v.lang_token_id(1) == v.id_of("[LANG_1]")
+        # language id 2 would map to id 5, the first content token
+        for lang in (2, -1):
+            with pytest.raises(DataValidationError, match=f"language id {lang} out of range"):
+                v.lang_token_id(lang)
+
 
 class TestTokenize:
     def test_layout_and_span_shift(self):

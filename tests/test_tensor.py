@@ -3,6 +3,7 @@ against central finite differences, and the optimizer contracts."""
 
 import inspect
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -41,31 +42,38 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
             T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))))
 
-    def test_batched_gradient_vs_finite_differences(self, rng):
-        a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 2, 5)))
-        report = finite_diff_check(lambda: tsum(T.mul(T.matmul(a, b), w)), {"a": a, "b": b}, max_coords=24)
-        assert report.max_rel_error < 1e-6
+    def test_batch_shape_mismatch_rejected(self):
+        # a batched (3-D) or 1-D operand on either side is refused, even
+        # where numpy's matmul would broadcast it
+        for a, b in (((3, 2, 4), (4, 5)), ((2, 4), (3, 4, 5)), ((3, 2, 4), (3, 4, 5)), ((4,), (4, 5))):
+            with pytest.raises(ShapeError, match=rf"matmul.*{re.escape(str(a))}.*{re.escape(str(b))}"):
+                T.matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
-    def test_broadcast_weight_gradient_vs_finite_differences(self, rng):
-        # a 2-D weight shared by every matrix of the batch sums its gradient
-        a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 2, 5)))
-        report = finite_diff_check(lambda: tsum(T.mul(T.matmul(a, b), w)), {"a": a, "b": b}, max_coords=24)
-        assert report.max_rel_error < 1e-6
-        assert b.grad.shape == (4, 5)
+    @pytest.mark.parametrize("trainable", [("x", "w", "b"), ("x",), ("w",), ("b",), ("w", "b")], ids=",".join)
+    def test_bias_is_bitwise_a_product_then_add(self, rng, trainable):
+        # the value and every gradient of one biased node are those of a
+        # product node followed by a broadcasting add node
+        arrays = {"x": rng.normal(size=(33, 6)), "w": rng.normal(size=(6, 5)), "b": rng.normal(size=5)}
+        x, w, b = (Tensor(a, requires_grad=name in trainable) for name, a in arrays.items())
+        g = rng.normal(size=(33, 5))
+        fused = _run(lambda: T.matmul(x, w, b), [x, w, b], g)
+        assert fused == _run(lambda: T.add(T.matmul(x, w), b), [x, w, b], g)
+        assert all((grad is None) == (t not in trainable) for t, grad in zip("xwb", fused[1]))
 
-    def test_batched_equals_per_matrix_products(self, rng):
-        a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
-        out = T.matmul(Tensor(a), Tensor(b)).data
-        for i in range(3):
-            assert np.allclose(out[i], a[i] @ b[i], atol=1e-14)
+    def test_biased_gradient_vs_finite_differences(self, rng):
+        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        g = Tensor(rng.normal(size=(5, 3)))
+        report = finite_diff_check(lambda: tsum(T.mul(T.matmul(x, w, b), g)), {"x": x, "w": w, "b": b},
+                                   max_coords=20)
+        assert report.max_rel_error < 1e-6 and set(report.per_param) == {"x", "w", "b"}
 
-    def test_batch_shape_mismatch_rejected(self, rng):
-        with pytest.raises(ShapeError, match=r"\(3, 2, 4\).*\(2, 4, 5\)"):
-            T.matmul(Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros((2, 4, 5))))
+    def test_wrong_bias_shape_rejected(self):
+        # only a (k,) bias is taken, not one an add would broadcast
+        for shape in ((4,), (2,), (1, 3), (3, 1), ()):
+            with pytest.raises(ShapeError, match=rf"\(2, 4\) x \(4, 3\) \+ {re.escape(str(shape))}"):
+                T.matmul(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(shape)))
 
     @pytest.mark.parametrize("d", [32, 64])
     def test_a_row_gets_the_same_bits_at_any_row_count_from_two(self, d):
@@ -532,13 +540,15 @@ class TestTapeLinks:
         assert np.array_equal(b.grad, np.ones(3))
 
 
-# One call per public op, by name: the arrays of its tensor inputs, in the
-# order the op takes them, and the call that applies it to those tensors.
+# One call per public op, by name, and one per further form of an op, as
+# "op+form": the arrays of its tensor inputs, in the order the op takes them,
+# and the call that applies it to those tensors.
 _ARRAYS = np.random.default_rng(0)
 TAPE_RULE_CASES = {
     "add": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=3)], T.add),
     "mul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(2, 3))], T.mul),
     "matmul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4))], T.matmul),
+    "matmul+bias": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4)), _ARRAYS.normal(size=4)], T.matmul),
     "row_matmul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4))], T.row_matmul),
     "concat": ([_ARRAYS.normal(size=(1, 3)), _ARRAYS.normal(size=(2, 3))], lambda a, b: T.concat([a, b], axis=0)),
     "gather_rows": ([_ARRAYS.normal(size=(4, 3))], lambda a: T.gather_rows(a, [2, 0, 2])),
@@ -557,6 +567,10 @@ TAPE_RULE_CASES = {
 }
 
 
+def _op_name(case: str) -> str:
+    return case.partition("+")[0]
+
+
 class TestTapeRule:
     """Every op's result joins the tape exactly when grad mode is on and some
     input requires a gradient; otherwise it is a leaf that keeps its op name."""
@@ -567,7 +581,7 @@ class TestTapeRule:
             if not name.startswith("_") and inspect.isfunction(f) and f.__module__ == T.__name__
             and inspect.signature(f, eval_str=True).return_annotation is Tensor
         }
-        assert set(TAPE_RULE_CASES) == public
+        assert {_op_name(case) for case in TAPE_RULE_CASES} == public
 
     @pytest.mark.parametrize("name", sorted(TAPE_RULE_CASES))
     def test_one_trainable_input_joins_the_tape(self, name):
@@ -575,7 +589,7 @@ class TestTapeRule:
         for trainable in range(len(arrays)):
             inputs = [Tensor(a, requires_grad=i == trainable) for i, a in enumerate(arrays)]
             out = op(*inputs)
-            assert out.requires_grad and out._backward is not None and out.op == name
+            assert out.requires_grad and out._backward is not None and out.op == _op_name(name)
             assert out._parents == tuple(inputs)
 
     @pytest.mark.parametrize("name", sorted(TAPE_RULE_CASES))
@@ -583,7 +597,7 @@ class TestTapeRule:
         arrays, op = TAPE_RULE_CASES[name]
         out = op(*(Tensor(a) for a in arrays))
         assert not out.requires_grad and out._parents == () and out._backward is None
-        assert out.op == name
+        assert out.op == _op_name(name)
 
     @pytest.mark.parametrize("name", sorted(TAPE_RULE_CASES))
     def test_trainable_input_under_no_grad_gives_a_named_leaf(self, name):
@@ -591,7 +605,7 @@ class TestTapeRule:
         with T.no_grad():
             out = op(*(Tensor(a, requires_grad=True) for a in arrays))
         assert not out.requires_grad and out._parents == () and out._backward is None
-        assert out.op == name
+        assert out.op == _op_name(name)
 
 
 def _column(probs: Tensor, t: int) -> Tensor:

@@ -23,7 +23,7 @@ from relmux.encoder import CONTENT_START, PAD_ID, build_encoder_params, encode
 from relmux.errors import ConfigError, DataValidationError, NumericsError
 from relmux.evaluation import evaluate_model
 from relmux.heads import ENTITY_KEYS, build_head_params, entity_scores, masked_argmax_relation, relation_logits
-from relmux.model import _PASS, Model, sentence_ere_loss
+from relmux.model import _PASS, Model, _content_rows, _scored, sentence_ere_loss
 from relmux.optim import AdamW
 from relmux.params import ParamRegistry, load_checkpoint
 from relmux.switcher import (
@@ -598,9 +598,9 @@ class TestBatchInvariance:
 
 
     def test_head_outputs_are_bitwise_the_same_alone_and_in_a_mixed_batch(self, benchmark_sentences):
-        """A sentence's relation logits and four entity score columns, taken
-        alone, are the bits of its rows inside a batch of sentences of mixed
-        lengths, each under its own relation."""
+        """A sentence's relation logits and, over its content rows, its four
+        entity score columns, taken alone, are the bits of its rows inside a
+        batch of sentences of mixed lengths, each under its own relation."""
         model, split = benchmark_sentences
         rng = np.random.default_rng(3)
         n_relations = model.languages.n_relations
@@ -611,13 +611,19 @@ class TestBatchInvariance:
             relations = rng.integers(1, n_relations, size=32)
             pooled, rows = model._forward(split, batch, 1)
             logits = relation_logits(pooled, model.registry).data
-            scores = model._entity_scores(rows, relations, lengths)
-            starts = np.cumsum(lengths) - lengths
+            # the content rows and counts that stage1_batch_loss scores
+            scored, sizes, content = _content_rows(np.cumsum(lengths) - lengths, lengths, _scored(relations, lengths))
+            assert len(set(sizes.tolist())) > 1
+            scores = model._entity_scores(T.gather_rows(rows, content), relations[scored], sizes)
+            offsets = dict(zip(scored.tolist(), (np.cumsum(sizes) - sizes).tolist()))
             for i in range(batch.size):
                 pooled_alone, rows_alone = model._forward(split, batch[i : i + 1], 1)
                 assert logits[i].tobytes() == relation_logits(pooled_alone, model.registry).data.tobytes()
-                alone = model._entity_scores(rows_alone, relations[i : i + 1], lengths[i : i + 1])
-                span = slice(starts[i], starts[i] + lengths[i])
+                if i not in offsets:
+                    continue
+                _, size, content_alone = _content_rows(np.zeros(1, dtype=np.intp), lengths[i : i + 1], [True])
+                alone = model._entity_scores(T.gather_rows(rows_alone, content_alone), relations[i : i + 1], size)
+                span = slice(offsets[i], offsets[i] + size[0])
                 for key, t in scores.items():
                     assert t.data[span].tobytes() == alone[key].data.tobytes(), (i, key)
 
