@@ -628,15 +628,23 @@ def sample_stage1_batch(pools: list[list], s: int, batch_size: int, rng: np.rand
     uniform over languages first, then uniform within the language. Stage 1
     concatenates each group; stage 2 draws groups of one.
     """
-    check_group_size(s, len(pools))
+    n = len(pools)
+    check_group_size(s, n)
     groups: list[list] = []
     for _ in range(batch_size):
+        # the draws of rng.choice(n, s, replace=False) for n up to 10,000, made
+        # one integers call each: Floyd's sample of s of n, then a
+        # Fisher-Yates shuffle of it
+        langs: list[int] = []
+        for j in range(n - s, n):
+            i = int(rng.integers(j + 1))
+            langs.append(j if i in langs else i)
+        for i in range(s - 1, 0, -1):
+            j = int(rng.integers(i + 1))
+            langs[i], langs[j] = langs[j], langs[i]
         group = []
-        # a choice of one consumes the stream as one integers draw, at a
-        # seventh of the cost
-        langs = [rng.integers(len(pools))] if s == 1 else rng.choice(len(pools), size=s, replace=False)
         for i in langs:
-            pool = pools[int(i)]
+            pool = pools[i]
             group.append(pool[int(rng.integers(len(pool)))])
         groups.append(group)
     return groups

@@ -3,15 +3,16 @@
 Input layout is [CLS] [LANG_n] content... [SEP], so content token j is row
 ``CONTENT_START + j``; gold spans stay in content coordinates. The encoder
 is token + learned position embeddings followed by pre-norm blocks
-(``tensor.attention`` within each sentence over n_heads heads, then a
-feed-forward, each with a residual). The pooled vector is the [CLS] row of
-the final hidden states, taken verbatim.
+(attention within each sentence over n_heads heads, then a feed-forward,
+each with a residual), each block one ``tensor.encoder_block`` node. The
+pooled vector is the [CLS] row of the final hidden states, taken verbatim.
 
 ``tokenize`` turns a split into one ``TokenizedSplit``, one int array per
 field with the real token ids packed back to back; ``encode`` takes a
-batch's packed ids with their lengths and hands ``tensor.attention`` one
-length per sentence, so no PAD row is ever computed. The [PAD] vocabulary
-entry is row 0 of ``encoder.tok_emb``, which no sentence reads.
+batch's packed ids with their lengths and hands its blocks one
+``tensor.length_plan`` of one length per sentence, so no PAD row is ever
+computed. The [PAD] vocabulary entry is row 0 of ``encoder.tok_emb``, which
+no sentence reads.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .tensor import Tensor
 PAD, CLS, SEP = "[PAD]", "[CLS]", "[SEP]"
 PAD_ID, CLS_ID, SEP_ID = 0, 1, 2
 CONTENT_START = 2  # [CLS] [LANG_n] precede every sentence's content
+# a block's parameters, after "encoder.block<b>.", in the order T.encoder_block takes them
+BLOCK_PARAMS = ("ln1.gain", "ln1.bias", "w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o",
+                "ln2.gain", "ln2.bias", "w_ffn1", "b_ffn1", "w_ffn2", "b_ffn2")
 
 
 class Vocab:
@@ -131,25 +135,16 @@ def build_encoder_params(reg: ParamRegistry, cfg: ModelConfig, vocab_size: int, 
 def encode(ids: np.ndarray, lengths: np.ndarray, reg: ParamRegistry, cfg: ModelConfig) -> tuple[Tensor, Tensor]:
     """Encode n sentences at once: their real token ids, R in all, packed
     back to back, ``lengths[i]`` of them for sentence i. The row-wise ops run
-    once over all R rows, and attention runs within each sentence. Each
-    projection, q, k, v, o, ffn1 and ffn2, is one ``T.matmul`` node that
-    adds its bias. Returns the final hidden rows, (R, d), and each
-    sentence's [CLS] row, (n, d)."""
+    once over all R rows, and attention runs within each sentence. The
+    embedding is one ``T.embed`` node and each block one ``T.encoder_block``
+    node; the blocks share one ``T.length_plan``. Returns the final hidden
+    rows, (R, d), and each sentence's [CLS] row, (n, d)."""
     starts = np.cumsum(lengths) - lengths
     vocab_size = reg["encoder.tok_emb"].shape[0]
     if ids.max() >= vocab_size:
         raise DataValidationError(f"token id {int(ids.max())} out of vocabulary range {vocab_size}")
-    x = T.add(
-        T.gather_rows(reg["encoder.tok_emb"], ids),
-        T.gather_rows(reg["encoder.pos_emb"], np.arange(ids.size) - np.repeat(starts, lengths)),
-    )
+    x = T.embed(reg["encoder.tok_emb"], reg["encoder.pos_emb"], ids, np.arange(ids.size) - np.repeat(starts, lengths))
+    plan = T.length_plan(lengths)
     for b in range(cfg.n_blocks):
-        p = f"encoder.block{b}"
-        a = T.layer_norm(x, reg[f"{p}.ln1.gain"], reg[f"{p}.ln1.bias"])
-        q, k, v = (T.matmul(a, reg[f"{p}.w_{name}"], reg[f"{p}.b_{name}"]) for name in "qkv")
-        attn = T.attention(q, k, v, lengths, cfg.n_heads)
-        x = T.add(x, T.matmul(attn, reg[f"{p}.w_o"], reg[f"{p}.b_o"]))
-        f = T.layer_norm(x, reg[f"{p}.ln2.gain"], reg[f"{p}.ln2.bias"])
-        ff = T.relu(T.matmul(f, reg[f"{p}.w_ffn1"], reg[f"{p}.b_ffn1"]))
-        x = T.add(x, T.matmul(ff, reg[f"{p}.w_ffn2"], reg[f"{p}.b_ffn2"]))
+        x = T.encoder_block(x, [reg[f"encoder.block{b}.{name}"] for name in BLOCK_PARAMS], plan, cfg.n_heads)
     return x, T.gather_rows(x, starts)

@@ -55,12 +55,11 @@ def entity_scores(features: Tensor, relation_emb: Tensor, reg: ParamRegistry) ->
     sentences, back to back in (m, d) ``features``: each row concatenated
     with its row of ``relation_emb``, the embedding of its sentence's
     relation, projected down, squashed by tanh, then projected to a scalar
-    score, one product per row."""
+    score, one product per row: one ``T.tanh_score`` node per key."""
     if features.data.ndim != 2 or relation_emb.shape != features.shape:
         raise T.ShapeError(f"relation embedding shape {relation_emb.shape} invalid for features {features.shape}")
     paired = T.concat([features, relation_emb], axis=1)
-    return {key: T.row_matmul(T.tanh(T.matmul(paired, reg[f"entity.{key}.w_down"])), reg[f"entity.{key}.w_index"])
-            for key in ENTITY_KEYS}
+    return {key: T.tanh_score(paired, reg[f"entity.{key}.w_down"], reg[f"entity.{key}.w_index"]) for key in ENTITY_KEYS}
 
 
 def decode_spans(score_arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

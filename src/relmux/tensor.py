@@ -22,11 +22,13 @@ so no interior gradient is written in place: a later one makes a new sum.
 The engine is deliberately small: 2-D rows times a matrix, with an optional
 bias added in the same node, or one product per row, elementwise arithmetic
 with broadcasting, row softmax, multi-head attention over packed sequences
-as one node, layer norm, relu/tanh, cross entropy over equal or packed rows,
-the row gather and concatenation plumbing the model needs, and two fused
-nodes for the switcher: a residual bottleneck block and a weighted mix of
-same-shape terms. A fused node runs the ufuncs of the ops it replaces in
-their order, so its bits are theirs. No higher-order derivatives.
+as one node, cross entropy over equal or packed rows, the row gather and
+concatenation plumbing the model needs, and fused nodes: a token plus
+position embedding and a pre-norm transformer block for the encoder, a
+tanh-squashed score per entity key, and for the switcher a residual
+bottleneck block and a weighted mix of same-shape terms. A fused node runs
+the ufuncs of the ops it replaces in their order, so its bits are theirs. No
+higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -221,6 +223,12 @@ def _product_backward(op: str, x: Tensor, w: Tensor, b: Tensor | None = None):
     return _bw
 
 
+def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    out = x @ w.data
+    out += b.data
+    return out
+
+
 def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """(m, d) rows times a (d, k) matrix, plus an optional (k,) bias added
     in the same node: the bits of a product and a broadcasting ``add``."""
@@ -237,6 +245,28 @@ def row_matmul(x: Tensor, w: Tensor) -> Tensor:
     gets the same bits alone as in any batch. The backward is ``matmul``'s."""
     bw = _product_backward("row_matmul", x, w)
     return _result((x.data[:, None, :] @ w.data)[:, 0], (x, w), "row_matmul", bw)
+
+
+def tanh_score(x: Tensor, w_down: Tensor, w_index: Tensor) -> Tensor:
+    """``row_matmul(tanh(matmul(x, w_down)), w_index)`` as one tape node:
+    (m, d) rows projected by a (d, e) matrix, squashed by tanh, then scored
+    by an (e, k) matrix one product per row. Both passes run the ufuncs of
+    the three ops in their order, so the bits are theirs."""
+    down = _product_backward("tanh_score", x, w_down)
+    if w_index.data.ndim != 2 or w_index.shape[0] != w_down.shape[1]:
+        raise ShapeError(f"tanh_score shapes incompatible: {w_down.shape} then {w_index.shape}")
+    t = x.data @ w_down.data
+    np.tanh(t, out=t)
+
+    def _bw(g):
+        if w_index.requires_grad:
+            w_index._accumulate(t.T @ g)
+        if x.requires_grad or w_down.requires_grad:
+            dt = g @ w_index.data.T
+            dt *= 1.0 - t * t
+            down(dt)
+
+    return _result((t[:, None, :] @ w_index.data)[:, 0], (x, w_down, w_index), "tanh_score", _bw)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -256,23 +286,49 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return _result(np.concatenate(datas, axis=axis), tuple(tensors), "concat", _bw)
 
 
-def gather_rows(table: Tensor, indices) -> Tensor:
-    """Row lookup table[i] for each index, a new array (a fancy index never
-    aliases its source); gradient scatter-adds into the table. The scatter is
-    one ``np.bincount`` over flat element indices, which adds each element's
-    terms in index order from 0.0, as ``np.add.at`` would, bit for bit."""
+def _row_index(table: Tensor, indices, op: str) -> np.ndarray:
+    """``indices`` as a flat intp array of rows of ``table``."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
-        raise ShapeError("gather_rows expects a flat index list")
+        raise ShapeError(f"{op} expects a flat index list")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ShapeError(f"gather_rows index out of range for table {table.shape}")
+        raise ShapeError(f"{op} index out of range for table {table.shape}")
+    return idx
+
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, table: Tensor) -> None:
+    """Add the rows of ``g`` into the gradient of ``table`` at the rows
+    ``idx``: one ``np.bincount`` over flat element indices, which adds each
+    element's terms in index order from 0.0, as ``np.add.at`` would, bit for
+    bit."""
+    width = int(np.prod(table.shape[1:]))
+    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    table._accumulate(np.bincount(flat, weights=g.ravel(), minlength=table.data.size).reshape(table.shape))
+
+
+def gather_rows(table: Tensor, indices) -> Tensor:
+    """Row lookup table[i] for each index, a new array (a fancy index never
+    aliases its source); the gradient scatter-adds into the table."""
+    idx = _row_index(table, indices, "gather_rows")
+    return _result(table.data[idx], (table,), "gather_rows", lambda g: _scatter_rows(g, idx, table))
+
+
+def embed(tok: Tensor, pos: Tensor, ids, positions) -> Tensor:
+    """tok[ids] + pos[positions] as one tape node: the bits of two
+    ``gather_rows`` and their ``add``, and each table's gradient is
+    ``gather_rows``' scatter."""
+    ids, positions = _row_index(tok, ids, "embed"), _row_index(pos, positions, "embed")
+    if ids.shape != positions.shape or tok.shape[1:] != pos.shape[1:]:
+        raise ShapeError(f"embed of {ids.size} token and {positions.size} position rows, tables {tok.shape}, {pos.shape}")
+    out = tok.data[ids]
+    out += pos.data[positions]
 
     def _bw(g):
-        width = int(np.prod(table.shape[1:]))
-        flat = (idx[:, None] * width + np.arange(width)).ravel()
-        table._accumulate(np.bincount(flat, weights=g.ravel(), minlength=table.data.size).reshape(table.shape))
+        for table, idx in ((tok, ids), (pos, positions)):
+            if table.requires_grad:
+                _scatter_rows(g, idx, table)
 
-    return _result(table.data[idx], (table,), "gather_rows", _bw)
+    return _result(out, (tok, pos), "embed", _bw)
 
 
 def add_n(tensors: list[Tensor]) -> Tensor:
@@ -291,16 +347,6 @@ def add_n(tensors: list[Tensor]) -> Tensor:
                 t._accumulate(g)
 
     return _result(acc, tuple(tensors), "add_n", _bw)
-
-
-def relu(a: Tensor) -> Tensor:
-    # subgradient 0 at exactly 0
-    return _result(np.maximum(a.data, 0.0), (a,), "relu", lambda g: a._accumulate(g * (a.data > 0.0)))
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    return _result(t, (a,), "tanh", lambda g: a._accumulate(g * (1.0 - t * t)))
 
 
 def _softmax_(s: np.ndarray, op: str) -> np.ndarray:
@@ -328,20 +374,33 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _result(p, (a,), "softmax_rows", lambda g: a._accumulate(_softmax_grad(g, p)))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, lengths, n_heads: int) -> Tensor:
-    """Scaled dot-product attention within each of n sequences, as one tape
-    node. ``q``, ``k`` and ``v`` are (R, d): the sequences' rows packed back
-    to back, ``lengths[i]`` of them for sequence i. Head h owns columns
-    [h*d/n_heads, (h+1)*d/n_heads) and attends within its own sequence,
-    scaled by 1/sqrt(d/n_heads). Returns (R, d). The sequences of each length
-    run as one batched problem, unpadded, so a sequence gets the same bits
-    whatever shares the call. The backward is FlashAttention's closed form
-    untiled (arXiv:2205.14135); both passes run the ufuncs of separate
-    matmul, scale and softmax ops in their order, so the bits are those ops'."""
+def length_plan(lengths) -> tuple[int, list[tuple[int, slice | np.ndarray]]]:
+    """The attention plan of sequences packed back to back, ``lengths[i]``
+    rows for sequence i: their row count R, and for each distinct length m,
+    in increasing order, m with the rows of every length-m sequence (a slice
+    of all R rows when every sequence has length m). ``attention`` and
+    ``encoder_block`` run the sequences of each length as one batched problem,
+    so an ``encode`` call makes its plan once for all of its blocks."""
     lengths = np.asarray(lengths, dtype=np.intp)
-    if (not q.shape == k.shape == v.shape or q.data.ndim != 2 or lengths.ndim != 1 or not lengths.size
-            or lengths.min() < 1 or lengths.sum() != q.shape[0]):
-        raise ShapeError(f"sequence boundary mismatch: q, k, v {q.shape}, {k.shape}, {v.shape}, lengths {lengths}")
+    if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
+        raise ShapeError(f"sequence boundary mismatch: lengths {lengths}")
+    ms, counts = np.unique(lengths, return_counts=True)
+    if ms.size == 1:
+        return int(lengths.sum()), [(int(ms[0]), slice(None))]
+    # every row, stably sorted by its sequence's length
+    order = np.argsort(np.repeat(lengths, lengths), kind="stable")
+    ends = np.cumsum(ms * counts).tolist()
+    return ends[-1], [(m, order[end - m * n : end]) for m, n, end in zip(ms.tolist(), counts.tolist(), ends)]
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, plan, n_heads: int):
+    """Multi-head attention of (R, d) ``q``, ``k`` and ``v`` within each
+    sequence of ``plan``: the (R, d) output, and the backward, which maps the
+    output's gradient to those of q, k and v. Head h owns columns
+    [h*d/n_heads, (h+1)*d/n_heads) and is scaled by 1/sqrt(d/n_heads). The
+    backward is FlashAttention's closed form untiled (arXiv:2205.14135); both
+    passes run the ufuncs of separate matmul, scale and softmax ops in their
+    order, so the bits are those ops'."""
     d = q.shape[1]
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"cannot split {d} columns into {n_heads} heads")
@@ -354,19 +413,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths, n_heads: int) -> Tensor:
     def merge(x, m):  # the inverse of split
         return x.reshape(-1, n_heads, m, hd).transpose(0, 2, 1, 3).reshape(-1, d)
 
-    out, saved = np.empty_like(q.data), []
-    for m in np.unique(lengths).tolist():
-        same = lengths == m
-        rows = slice(None) if same.all() else np.flatnonzero(np.repeat(same, lengths))  # every sequence of length m
-        qh, vh = split(q.data[rows], m), split(v.data[rows], m)
-        kT = split(k.data[rows], m).swapaxes(-1, -2).copy()
+    out, saved = np.empty_like(q), []
+    for m, rows in plan[1]:
+        qh, vh = split(q[rows], m), split(v[rows], m)
+        kT = split(k[rows], m).swapaxes(-1, -2).copy()
         p = qh @ kT
         p *= scale
         _softmax_(p, "attention")
         out[rows] = merge(p @ vh, m)
         saved.append((rows, m, qh, kT, vh, p))
 
-    def _bw(g):
+    def backward(g):
         dq, dk, dv = np.empty_like(g), np.empty_like(g), np.empty_like(g)
         for rows, m, qh, kT, vh, p in saved:
             go = split(g[rows], m)
@@ -375,6 +432,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, lengths, n_heads: int) -> Tensor:
             ds = _softmax_grad(dp, p) * scale
             dq[rows] = merge(ds @ kT.swapaxes(-1, -2), m)
             dk[rows] = merge((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2), m)
+        return dq, dk, dv
+
+    return out, backward
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, lengths, n_heads: int) -> Tensor:
+    """Scaled dot-product attention within each of n sequences, as one tape
+    node. ``q``, ``k`` and ``v`` are (R, d): the sequences' rows packed back
+    to back, ``lengths[i]`` of them for sequence i. Head h owns columns
+    [h*d/n_heads, (h+1)*d/n_heads) and attends within its own sequence.
+    Returns (R, d). The sequences of each length run as one batched problem,
+    unpadded, so a sequence gets the same bits whatever shares the call."""
+    plan = length_plan(lengths)
+    if not q.shape == k.shape == v.shape or q.data.ndim != 2 or plan[0] != q.shape[0]:
+        raise ShapeError(f"sequence boundary mismatch: q, k, v {q.shape}, {k.shape}, {v.shape}, lengths {lengths}")
+    out, attend_bw = _attend(q.data, k.data, v.data, plan, n_heads)
+
+    def _bw(g):
+        dq, dk, dv = attend_bw(g)
         for t, grad in ((v, dv), (q, dq), (k, dk)):
             if t.requires_grad:
                 t._accumulate(grad)
@@ -407,24 +483,63 @@ def _standardize_grad(gy: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndar
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row standardization followed by an elementwise affine map."""
-    d = x.shape[-1]
-    if d < 2:
-        raise ShapeError("layer_norm over a single feature is degenerate")
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm affine params must have shape ({d},)")
-    y, inv = _standardize(x.data)
+def encoder_block(x: Tensor, weights, plan, n_heads: int) -> Tensor:
+    """One pre-norm transformer block over (R, d) rows ``x`` as one tape
+    node: a = LN1(x); x2 = x + o(attention(q(a), k(a), v(a))); out = x2 +
+    ffn2(relu(ffn1(LN2(x2)))), each projection with its bias. ``weights``
+    are, in that order, LN1's gain and bias, the matrix and bias of q, k, v
+    and o, LN2's gain and bias, and the matrix and bias of ffn1 and ffn2.
+    ``plan`` is the ``length_plan`` of x's sequences. Both passes run the
+    ufuncs of separate layer norm, biased ``matmul``, ``attention``, ``add``
+    and relu ops in their order, so the bits are those ops'; a's three
+    gradient terms are added as (q + k) + v, and a term of two is summed in
+    place on a fresh array."""
+    g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w1, c1, w2, c2 = weights
+    d, f = x.shape[-1], w1.shape[-1]
+    want = [(d,), (d,), (d, d), (d,), (d, d), (d,), (d, d), (d,), (d, d), (d,), (d,), (d,), (d, f), (f,), (f, d), (d,)]
+    if x.data.ndim != 2 or d < 2 or x.shape[0] != plan[0] or [w.shape for w in weights] != want:
+        raise ShapeError(f"encoder_block shapes incompatible: x {x.shape} of {plan[0]} rows, "
+                         f"weights {[w.shape for w in weights]}")
+    y1, inv1 = _standardize(x.data)
+    a = g1.data * y1
+    a += b1.data
+    q, k, v = (_affine(a, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    att, attend_bw = _attend(q, k, v, plan, n_heads)
+    x2 = _affine(att, wo, bo)
+    x2 += x.data
+    y2, inv2 = _standardize(x2)
+    h = g2.data * y2
+    h += b2.data
+    act = _affine(h, w1, c1)
+    np.maximum(act, 0.0, out=act)  # act > 0 exactly where the pre-activation is
+    out = _affine(act, w2, c2)
+    out += x2
 
     def _bw(g):
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * y, gain.shape))
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
+        dact = g @ w2.data.T
+        dact *= act > 0.0
+        dh = dact @ w1.data.T
+        dx2 = _standardize_grad(dh * g2.data, y2, inv2)
+        dx2 += g
+        dq, dk, dv = attend_bw(dx2 @ wo.data.T)
+        da = dq @ wq.data.T
+        da += dk @ wk.data.T
+        da += dv @ wv.data.T
+        dx = _standardize_grad(da * g1.data, y1, inv1)
+        dx += dx2
+        for t, grad in ((c2, g), (c1, dact), (b2, dh), (bo, dx2), (bq, dq), (bk, dk), (bv, dv), (b1, da)):
+            if t.requires_grad:
+                t._accumulate(grad.sum(axis=0))
+        for t, rows, grad in ((w2, act, g), (w1, h, dact), (wo, att, dx2), (wq, a, dq), (wk, a, dk), (wv, a, dv)):
+            if t.requires_grad:
+                t._accumulate(rows.T @ grad)
+        for t, rows, grad in ((g2, y2, dh), (g1, y1, da)):
+            if t.requires_grad:
+                t._accumulate((grad * rows).sum(axis=0))
         if x.requires_grad:
-            x._accumulate(_standardize_grad(g * gain.data, y, inv))
+            x._accumulate(dx)
 
-    return _result(gain.data * y + bias.data, (x, gain, bias), "layer_norm", _bw)
+    return _result(out, (x, *weights), "encoder_block", _bw)
 
 
 def bottleneck(x: Tensor, w_up: Tensor, w_down: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -2,7 +2,11 @@
 
 Everything here is re-derived straight-line numpy (explicit loops where that
 keeps the code obviously correct) with no imports from the production modules,
-so agreement between an oracle and the real implementation is meaningful.
+so agreement between an oracle and the real implementation is meaningful. The
+one exception is the last section: ``layer_norm``, ``relu`` and ``tanh`` are
+tape ops on the engine's ``Tensor``, the separate ops that the fused encoder
+block, entity score and switcher nodes replace, kept so that tests can compose
+them and compare bits.
 """
 
 from __future__ import annotations
@@ -10,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from relmux import tensor as T
+from relmux.tensor import ShapeError, Tensor
 
 LN_EPS = 1e-5
 MASK_NEG = -1.0e9
@@ -342,3 +349,52 @@ def oracle_word(syllables: tuple[str, ...], rng: np.random.Generator, used: set[
             used.add(w)
             return w
     raise OracleAlphabetExhausted("surface alphabet exhausted")
+
+
+def oracle_sample_groups(pools: list[list], s: int, batch_size: int, rng: np.random.Generator) -> list[list]:
+    """``batch_size`` groups of one item from each of ``s`` distinct pools:
+    the pool indices from ``rng.choice(..., replace=False)`` (one ``integers``
+    draw when s is 1), then a uniform item of each pool in that order. This
+    is the stream the stage-1 sampler must reproduce draw for draw."""
+    groups = []
+    for _ in range(batch_size):
+        group = []
+        langs = [rng.integers(len(pools))] if s == 1 else rng.choice(len(pools), size=s, replace=False)
+        for i in langs:
+            pool = pools[int(i)]
+            group.append(pool[int(rng.integers(len(pool)))])
+        groups.append(group)
+    return groups
+
+
+# -- the separate tape ops that the fused nodes replace ------------------------
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row standardization followed by an elementwise affine map."""
+    d = x.shape[-1]
+    if d < 2:
+        raise ShapeError("layer_norm over a single feature is degenerate")
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"layer_norm affine params must have shape ({d},)")
+    y, inv = T._standardize(x.data)
+
+    def _bw(g):
+        if gain.requires_grad:
+            gain._accumulate(T._unbroadcast(g * y, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(T._unbroadcast(g, bias.shape))
+        if x.requires_grad:
+            x._accumulate(T._standardize_grad(g * gain.data, y, inv))
+
+    return T._result(gain.data * y + bias.data, (x, gain, bias), "layer_norm", _bw)
+
+
+def relu(a: Tensor) -> Tensor:
+    # subgradient 0 at exactly 0
+    return T._result(np.maximum(a.data, 0.0), (a,), "relu", lambda g: a._accumulate(g * (a.data > 0.0)))
+
+
+def tanh(a: Tensor) -> Tensor:
+    t = np.tanh(a.data)
+    return T._result(t, (a,), "tanh", lambda g: a._accumulate(g * (1.0 - t * t)))

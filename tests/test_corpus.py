@@ -28,7 +28,7 @@ from relmux.corpus import (
 )
 from relmux.errors import ConfigError, DataValidationError
 
-from oracles import CHI2_CRIT_999, OracleAlphabetExhausted, chi_square_stat, oracle_word
+from oracles import CHI2_CRIT_999, OracleAlphabetExhausted, chi_square_stat, oracle_sample_groups, oracle_word
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -358,6 +358,26 @@ class TestStage1Sampling:
             want.append(pool[int(twin.integers(len(pool)))])
         assert [ex.id for ex in got] == [ex.id for ex in want]
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("half_word_cached", [False, True])
+    @pytest.mark.parametrize("pool_sizes", ["one", "mixed"])
+    def test_groups_and_stream_are_those_of_the_choice_loop(self, pool_sizes, half_word_cached):
+        # every s for 1 to 11 languages; a 32-bit draw made first leaves the
+        # generator's cached upper half-word for the sampler's first draw
+        meta = np.random.default_rng(17)
+        for n in range(1, 12):
+            for s in range(1, n + 1):
+                sizes = np.ones(n, dtype=int) if pool_sizes == "one" else meta.integers(1, 5, size=n)
+                pools = [[f"{i}.{j}" for j in range(size)] for i, size in enumerate(sizes.tolist())]
+                seed = int(meta.integers(2**32))
+                rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+                if half_word_cached:
+                    rng.integers(1000)
+                    twin.integers(1000)
+                assert rng.bit_generator.state["has_uint32"] == int(half_word_cached)
+                got = sample_stage1_batch(pools, s, 12, rng)
+                assert got == oracle_sample_groups(pools, s, 12, twin), (n, s)
+                assert rng.bit_generator.state == twin.bit_generator.state, (n, s)
 
     def test_pair_frequencies_uniform(self, corpus):
         rng = np.random.default_rng(123)

@@ -21,7 +21,7 @@ from relmux.switcher import (
 from relmux.tensor import Tensor
 
 from gradcheck import tsum
-from oracles import compare, oracle_adapter
+from oracles import compare, layer_norm, oracle_adapter, relu
 
 
 def toy_cfg(**kw):
@@ -194,8 +194,8 @@ class TestSwitch:
                 out = h
                 for layer in range(depth):
                     p = f"switcher.sub{t_idx}.layer{layer}"
-                    branch = T.matmul(T.relu(T.matmul(out, reg[f"{p}.w_up"])), reg[f"{p}.w_down"])
-                    out = T.layer_norm(T.add(branch, out), reg[f"{p}.ln.gain"], reg[f"{p}.ln.bias"])
+                    branch = T.matmul(relu(T.matmul(out, reg[f"{p}.w_up"])), reg[f"{p}.w_down"])
+                    out = layer_norm(T.add(branch, out), reg[f"{p}.ln.gain"], reg[f"{p}.ln.bias"])
                 column = T.matmul(probs, Tensor(np.eye(cfg.n_sub_modules)[:, t_idx : t_idx + 1]))
                 terms.append(T.mul(out, column))
             return T.add_n(terms)

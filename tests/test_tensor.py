@@ -19,7 +19,9 @@ from relmux.params import ParamRegistry
 from relmux.tensor import ShapeError, Tensor
 
 from gradcheck import finite_diff_check, tsum
-from oracles import oracle_adamw_rule, oracle_adamw_step, oracle_cross_entropy, oracle_packed_cross_entropy
+from oracles import (
+    layer_norm, oracle_adamw_rule, oracle_adamw_step, oracle_cross_entropy, oracle_packed_cross_entropy, relu, tanh,
+)
 
 
 class TestMatmul:
@@ -180,16 +182,16 @@ class TestSoftmaxRows:
 class TestLayerNorm:
     def test_constant_row_is_zeroed(self):
         x = Tensor([[3.0, 3.0, 3.0, 3.0]])
-        out = T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
         assert np.allclose(out.data, 0.0, atol=1e-12)
 
     def test_two_point_row(self):
-        out = T.layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        out = layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
         assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-4)
 
     def test_single_feature_rejected(self):
         with pytest.raises(ShapeError):
-            T.layer_norm(Tensor([[1.0]]), Tensor(np.ones(1)), Tensor(np.zeros(1)))
+            layer_norm(Tensor([[1.0]]), Tensor(np.ones(1)), Tensor(np.zeros(1)))
 
     def test_gradient_vs_finite_differences(self, rng):
         x = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
@@ -197,7 +199,7 @@ class TestLayerNorm:
         bias = Tensor(rng.normal(size=8), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 8)))
         report = finite_diff_check(
-            lambda: tsum(T.mul(T.layer_norm(x, gain, bias), w)),
+            lambda: tsum(T.mul(layer_norm(x, gain, bias), w)),
             {"x": x, "gain": gain, "bias": bias},
             max_coords=16,
         )
@@ -206,19 +208,19 @@ class TestLayerNorm:
 
 class TestActivations:
     def test_relu_values(self):
-        assert np.array_equal(T.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
+        assert np.array_equal(relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
     def test_relu_subgradient_zero_at_zero(self):
         x = Tensor([0.0], requires_grad=True)
-        tsum(T.relu(x)).backward()
+        tsum(relu(x)).backward()
         assert x.grad[0] == 0.0
 
     def test_tanh_zero(self):
-        assert T.tanh(Tensor([0.0])).data[0] == 0.0
+        assert tanh(Tensor([0.0])).data[0] == 0.0
 
     def test_tanh_gradient_high_precision(self):
         x = Tensor([0.5], requires_grad=True)
-        report = finite_diff_check(lambda: tsum(T.tanh(x)), {"x": x}, step=1e-6)
+        report = finite_diff_check(lambda: tsum(tanh(x)), {"x": x}, step=1e-6)
         assert report.max_rel_error < 1e-8
 
 
@@ -487,7 +489,7 @@ class TestPlumbingOps:
 
         def f():
             rows = T.gather_rows(table, [0, 2, 2, 4])
-            h = T.relu(T.tanh(rows))
+            h = relu(tanh(rows))
             c = T.concat([h, h], axis=1)
             n = T.row_matmul(c, w)
             r = T.gather_rows(T.gather_rows(n, [1, 3]), [0] * 3)
@@ -520,7 +522,7 @@ class TestTapeLinks:
         frozen_w = Tensor(rng.normal(size=(4, 4)))
         w = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
         x = Tensor(rng.normal(size=(3, 4)))
-        prefix = T.relu(T.matmul(T.tanh(T.matmul(x, frozen_w)), frozen_w))
+        prefix = relu(T.matmul(tanh(T.matmul(x, frozen_w)), frozen_w))
         loss = tsum(T.matmul(prefix, w))
         order = T._toposort(loss)
         assert not [node for node in order if not node.requires_grad and node._parents]
@@ -553,17 +555,31 @@ TAPE_RULE_CASES = {
     "concat": ([_ARRAYS.normal(size=(1, 3)), _ARRAYS.normal(size=(2, 3))], lambda a, b: T.concat([a, b], axis=0)),
     "gather_rows": ([_ARRAYS.normal(size=(4, 3))], lambda a: T.gather_rows(a, [2, 0, 2])),
     "add_n": ([_ARRAYS.normal(size=(2, 3)) for _ in range(3)], lambda *ts: T.add_n(list(ts))),
-    "relu": ([_ARRAYS.normal(size=(2, 3))], T.relu),
-    "tanh": ([_ARRAYS.normal(size=(2, 3))], T.tanh),
+    "tanh_score": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4)), _ARRAYS.normal(size=(4, 1))],
+                   T.tanh_score),
+    "embed": ([_ARRAYS.normal(size=(5, 3)), _ARRAYS.normal(size=(4, 3))],
+              lambda tok, pos: T.embed(tok, pos, [4, 0, 4], [0, 1, 2])),
     "softmax_rows": ([_ARRAYS.normal(size=(2, 3))], T.softmax_rows),
     "attention": ([_ARRAYS.normal(size=(4, 4)) for _ in range(3)],
                   lambda q, k, v: T.attention(q, k, v, [3, 1], 2)),
-    "layer_norm": ([_ARRAYS.normal(size=(2, 3)), np.ones(3), np.zeros(3)], T.layer_norm),
+    "encoder_block": ([_ARRAYS.normal(size=(4, 4))] + [_ARRAYS.normal(size=shape) for shape in (
+                          (4,), (4,), (4, 4), (4,), (4, 4), (4,), (4, 4), (4,), (4, 4), (4,), (4,), (4,),
+                          (4, 6), (6,), (6, 4), (4,))],
+                      lambda x, *weights: T.encoder_block(x, weights, T.length_plan([3, 1]), 2)),
     "bottleneck": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4)), _ARRAYS.normal(size=(4, 3)),
                     np.ones(3), np.zeros(3)], T.bottleneck),
     "mix": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(2, 3)), _ARRAYS.dirichlet(np.ones(2), size=2)],
             lambda a, b, p: T.mix([a, b], p)),
     "cross_entropy": ([_ARRAYS.normal(size=(2, 3))], lambda z: T.cross_entropy(z, [0, 2])),
+}
+
+
+# The separate ops that the fused nodes replace, which tests compose from
+# oracles.py: they follow the same rule.
+ORACLE_TAPE_RULE_CASES = {
+    "relu": ([_ARRAYS.normal(size=(2, 3))], relu),
+    "tanh": ([_ARRAYS.normal(size=(2, 3))], tanh),
+    "layer_norm": ([_ARRAYS.normal(size=(2, 3)), np.ones(3), np.zeros(3)], layer_norm),
 }
 
 
@@ -583,25 +599,25 @@ class TestTapeRule:
         }
         assert {_op_name(case) for case in TAPE_RULE_CASES} == public
 
-    @pytest.mark.parametrize("name", sorted(TAPE_RULE_CASES))
+    @pytest.mark.parametrize("name", sorted(TAPE_RULE_CASES | ORACLE_TAPE_RULE_CASES))
     def test_one_trainable_input_joins_the_tape(self, name):
-        arrays, op = TAPE_RULE_CASES[name]
+        arrays, op = (TAPE_RULE_CASES | ORACLE_TAPE_RULE_CASES)[name]
         for trainable in range(len(arrays)):
             inputs = [Tensor(a, requires_grad=i == trainable) for i, a in enumerate(arrays)]
             out = op(*inputs)
             assert out.requires_grad and out._backward is not None and out.op == _op_name(name)
             assert out._parents == tuple(inputs)
 
-    @pytest.mark.parametrize("name", sorted(TAPE_RULE_CASES))
+    @pytest.mark.parametrize("name", sorted(TAPE_RULE_CASES | ORACLE_TAPE_RULE_CASES))
     def test_frozen_inputs_give_a_named_leaf(self, name):
-        arrays, op = TAPE_RULE_CASES[name]
+        arrays, op = (TAPE_RULE_CASES | ORACLE_TAPE_RULE_CASES)[name]
         out = op(*(Tensor(a) for a in arrays))
         assert not out.requires_grad and out._parents == () and out._backward is None
         assert out.op == _op_name(name)
 
-    @pytest.mark.parametrize("name", sorted(TAPE_RULE_CASES))
+    @pytest.mark.parametrize("name", sorted(TAPE_RULE_CASES | ORACLE_TAPE_RULE_CASES))
     def test_trainable_input_under_no_grad_gives_a_named_leaf(self, name):
-        arrays, op = TAPE_RULE_CASES[name]
+        arrays, op = (TAPE_RULE_CASES | ORACLE_TAPE_RULE_CASES)[name]
         with T.no_grad():
             out = op(*(Tensor(a, requires_grad=True) for a in arrays))
         assert not out.requires_grad and out._parents == () and out._backward is None
@@ -642,7 +658,7 @@ class TestFusedOps:
         x, w_up, w_down, gain, bias = inputs
         g = rng.normal(size=(7, 5))
         fused = _run(lambda: T.bottleneck(*inputs), inputs, g)
-        composed = _run(lambda: T.layer_norm(T.add(T.matmul(T.relu(T.matmul(x, w_up)), w_down), x), gain, bias),
+        composed = _run(lambda: layer_norm(T.add(T.matmul(relu(T.matmul(x, w_up)), w_down), x), gain, bias),
                         inputs, g)
         assert fused == composed
         assert [grad is not None for grad in fused[1]] == [name in trainable for name in self.BOTTLENECK_INPUTS]
@@ -656,7 +672,7 @@ class TestFusedOps:
 
     def test_bottleneck_takes_two_features_and_refuses_one(self, rng):
         x, w_up, w_down, gain, bias = (Tensor(rng.normal(size=s)) for s in ((3, 2), (2, 4), (4, 2), 2, 2))
-        composed = T.layer_norm(T.add(T.matmul(T.relu(T.matmul(x, w_up)), w_down), x), gain, bias)
+        composed = layer_norm(T.add(T.matmul(relu(T.matmul(x, w_up)), w_down), x), gain, bias)
         assert T.bottleneck(x, w_up, w_down, gain, bias).data.tobytes() == composed.data.tobytes()
         x, w_up, w_down, gain, bias = (Tensor(rng.normal(size=s)) for s in ((3, 1), (1, 4), (4, 1), 1, 1))
         with pytest.raises(ShapeError, match="bottleneck shapes"):
@@ -728,6 +744,159 @@ class TestFusedOps:
             T.mix([], np.ones((1, 0)))
 
 
+BLOCK_INPUTS = ("x", "ln1.gain", "ln1.bias", "w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o",
+                "ln2.gain", "ln2.bias", "w_ffn1", "b_ffn1", "w_ffn2", "b_ffn2")
+
+
+def composed_block(x, weights, lengths, n_heads):
+    """The pre-norm block as the separate ops that ``encoder_block`` fuses."""
+    g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w1, c1, w2, c2 = weights
+    a = layer_norm(x, g1, b1)
+    q, k, v = (T.matmul(a, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    x = T.add(x, T.matmul(T.attention(q, k, v, lengths, n_heads), wo, bo))
+    return T.add(x, T.matmul(relu(T.matmul(layer_norm(x, g2, b2), w1, c1)), w2, c2))
+
+
+class TestEncoderNodes:
+    """``encoder_block``, ``embed`` and ``tanh_score`` give the bits of the
+    composed ops they replace, in the forward and in every input's gradient."""
+
+    @staticmethod
+    def _block_inputs(rng, rows, trainable=BLOCK_INPUTS, d=6, f=10) -> list[Tensor]:
+        shapes = [(rows, d), (d,), (d,), *[(d, d), (d,)] * 4, (d,), (d,), (d, f), (f,), (f, d), (d,)]
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        arrays[1] += 1.0  # LN1's gain
+        arrays[11] += 1.0  # LN2's gain
+        return [Tensor(a, requires_grad=name in trainable) for name, a in zip(BLOCK_INPUTS, arrays)]
+
+    @pytest.mark.parametrize("lengths", [[3, 5, 3, 2, 1], [4, 4], [7]])
+    @pytest.mark.parametrize("trainable", [
+        BLOCK_INPUTS, BLOCK_INPUTS[1:], ("x",), ("ln1.gain", "ln1.bias"), ("w_q", "b_v"), ("w_o", "b_o"),
+        ("ln2.gain", "w_ffn1", "b_ffn2"),
+    ])
+    def test_encoder_block_is_bitwise_the_composed_block(self, rng, lengths, trainable):
+        inputs = self._block_inputs(rng, sum(lengths), trainable)
+        x, weights = inputs[0], inputs[1:]
+        g = rng.normal(size=x.shape)
+        fused = _run(lambda: T.encoder_block(x, weights, T.length_plan(lengths), 3), inputs, g)
+        assert fused == _run(lambda: composed_block(x, weights, lengths, 3), inputs, g)
+        assert [grad is not None for grad in fused[1]] == [name in trainable for name in BLOCK_INPUTS]
+
+    def test_two_blocks_sharing_one_plan_are_bitwise_the_composed_blocks(self, rng):
+        lengths = [2, 6, 2, 3]
+        first = self._block_inputs(rng, sum(lengths))
+        second = self._block_inputs(rng, sum(lengths))[1:]
+        inputs = first + second
+        g = rng.normal(size=first[0].shape)
+
+        def fused():
+            plan = T.length_plan(lengths)
+            return T.encoder_block(T.encoder_block(first[0], first[1:], plan, 2), second, plan, 2)
+
+        composed = _run(lambda: composed_block(composed_block(first[0], first[1:], lengths, 2), second, lengths, 2),
+                        inputs, g)
+        assert _run(fused, inputs, g) == composed
+
+    def test_encoder_block_gradient_vs_finite_differences(self, rng):
+        lengths = [3, 1, 4]
+        inputs = self._block_inputs(rng, sum(lengths), d=4, f=6)
+        g = Tensor(rng.normal(size=inputs[0].shape))
+        plan = T.length_plan(lengths)
+        report = finite_diff_check(lambda: tsum(T.mul(T.encoder_block(inputs[0], inputs[1:], plan, 2), g)),
+                                   dict(zip(BLOCK_INPUTS, inputs)), max_coords=6)
+        assert report.max_rel_error < 1e-6
+
+    def test_encoder_block_rejects_mismatched_shapes(self, rng):
+        x, *weights = self._block_inputs(rng, 7, ())
+        T.encoder_block(x, weights, T.length_plan([3, 4]), 3)
+        with pytest.raises(ShapeError, match="encoder_block shapes"):
+            T.encoder_block(x, weights, T.length_plan([3, 3]), 3)
+        for i in range(len(weights)):
+            wrong = list(weights)
+            wrong[i] = Tensor(np.ones(weights[i].shape[:-1] + (weights[i].shape[-1] + 1,)))
+            with pytest.raises(ShapeError, match="encoder_block shapes"):
+                T.encoder_block(x, wrong, T.length_plan([7]), 3)
+        with pytest.raises(ShapeError, match="heads"):
+            T.encoder_block(x, weights, T.length_plan([7]), 4)
+
+    def test_encoder_block_takes_two_features_and_refuses_one(self, rng):
+        inputs = self._block_inputs(rng, 5, d=2, f=3)
+        g = rng.normal(size=(5, 2))
+        fused = _run(lambda: T.encoder_block(inputs[0], inputs[1:], T.length_plan([2, 3]), 2), inputs, g)
+        assert fused == _run(lambda: composed_block(inputs[0], inputs[1:], [2, 3], 2), inputs, g)
+        one, *single = self._block_inputs(rng, 3, (), d=1, f=2)
+        with pytest.raises(ShapeError, match="encoder_block shapes"):
+            T.encoder_block(one, single, T.length_plan([3]), 1)
+
+    def test_length_plan_groups_rows_by_length(self):
+        rows, groups = T.length_plan([3, 5, 3, 2])
+        assert rows == 13 and [m for m, _ in groups] == [2, 3, 5]
+        assert [r.tolist() for _, r in groups] == [[11, 12], [0, 1, 2, 8, 9, 10], [3, 4, 5, 6, 7]]
+        assert T.length_plan([4, 4]) == (8, [(4, slice(None))])
+        for lengths in ([], [3, 0], [[3, 5]]):
+            with pytest.raises(ShapeError, match="boundary"):
+                T.length_plan(lengths)
+
+    @pytest.mark.parametrize("trainable", [(True, True), (True, False), (False, True)])
+    def test_embed_is_bitwise_two_gathers_and_their_add(self, rng, trainable):
+        inputs = [Tensor(rng.normal(size=(7, 4)), requires_grad=trainable[0]),
+                  Tensor(rng.normal(size=(5, 4)), requires_grad=trainable[1])]
+        tok, pos = inputs
+        ids, positions = [6, 3, 3, 0, 6, 1], [0, 1, 2, 0, 1, 4]
+        g = rng.normal(size=(6, 4))
+        fused = _run(lambda: T.embed(tok, pos, ids, positions), inputs, g)
+        composed = _run(lambda: T.add(T.gather_rows(tok, ids), T.gather_rows(pos, positions)), inputs, g)
+        assert fused == composed
+        assert [grad is not None for grad in fused[1]] == list(trainable)
+
+    def test_embed_gradient_vs_finite_differences(self, rng):
+        tok, pos = Tensor(rng.normal(size=(5, 3)), requires_grad=True), Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        g = Tensor(rng.normal(size=(5, 3)))
+        report = finite_diff_check(lambda: tsum(T.mul(T.embed(tok, pos, [4, 0, 4, 2, 1], [0, 1, 2, 3, 0]), g)),
+                                   {"tok": tok, "pos": pos}, max_coords=15)
+        assert report.max_rel_error < 1e-6
+
+    def test_embed_rejects_bad_indices(self, rng):
+        tok, pos = Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(4, 3)))
+        assert T.embed(tok, pos, [4], [3]).shape == (1, 3)
+        for ids, positions in (([5], [0]), ([0], [4]), ([-1], [0]), ([0, 1], [0]), ([[0]], [[0]])):
+            with pytest.raises(ShapeError):
+                T.embed(tok, pos, ids, positions)
+        with pytest.raises(ShapeError):
+            T.embed(tok, Tensor(np.zeros((4, 2))), [0], [0])
+
+    @pytest.mark.parametrize("trainable", [(True, True, True), (True, False, False), (False, True, False),
+                                           (False, False, True)])
+    def test_tanh_score_is_bitwise_the_composed_ops(self, rng, trainable):
+        inputs = [Tensor(rng.normal(size=shape), requires_grad=t) for shape, t in zip(((9, 6), (6, 5), (5, 1)), trainable)]
+        x, w_down, w_index = inputs
+        g = rng.normal(size=(9, 1))
+        fused = _run(lambda: T.tanh_score(x, w_down, w_index), inputs, g)
+        assert fused == _run(lambda: T.row_matmul(tanh(T.matmul(x, w_down)), w_index), inputs, g)
+        assert [grad is not None for grad in fused[1]] == list(trainable)
+
+    def test_tanh_score_rows_are_bitwise_the_rows_alone(self, rng):
+        x, w_down, w_index = (Tensor(rng.normal(size=shape)) for shape in ((5, 6), (6, 4), (4, 1)))
+        both = T.tanh_score(x, w_down, w_index).data
+        for rows in ([0, 1], [2, 3, 4]):
+            assert both[rows].tobytes() == T.tanh_score(T.gather_rows(x, rows), w_down, w_index).data.tobytes()
+
+    def test_tanh_score_gradient_vs_finite_differences(self, rng):
+        inputs = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((4, 6), (6, 3), (3, 2))]
+        g = Tensor(rng.normal(size=(4, 2)))
+        report = finite_diff_check(lambda: tsum(T.mul(T.tanh_score(*inputs), g)),
+                                   dict(zip(("x", "w_down", "w_index"), inputs)), max_coords=12)
+        assert report.max_rel_error < 1e-6
+
+    def test_tanh_score_rejects_mismatched_shapes(self, rng):
+        x, w_down = Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(6, 3)))
+        for w_index in ((2, 1), (3,), (1, 3, 1)):
+            with pytest.raises(ShapeError, match="tanh_score"):
+                T.tanh_score(x, w_down, Tensor(np.ones(w_index)))
+        with pytest.raises(ShapeError, match="tanh_score"):
+            T.tanh_score(x, Tensor(np.ones((5, 3))), Tensor(np.ones((3, 1))))
+
+
 class TestGradientLifetime:
     """Only leaves hold gradients after backward(), no two leaves share
     gradient memory, a leaf adds each later contribution into the gradient
@@ -744,7 +913,7 @@ class TestGradientLifetime:
     def test_two_passes_give_twice_one_pass_bitwise(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        loss = tsum(T.layer_norm(T.tanh(T.matmul(x, w)), Tensor(np.ones(2)), Tensor(np.zeros(2))))
+        loss = tsum(layer_norm(tanh(T.matmul(x, w)), Tensor(np.ones(2)), Tensor(np.zeros(2))))
         loss.backward()
         once = {"x": x.grad.copy(), "w": w.grad.copy()}
         loss.backward()
@@ -754,7 +923,7 @@ class TestGradientLifetime:
     def test_only_leaves_keep_gradients(self, rng):
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        h = T.tanh(T.matmul(a, b))
+        h = tanh(T.matmul(a, b))
         loss = tsum(T.add(T.concat([h, T.mul(h, 2.0)], axis=0), T.gather_rows(h, [0] * 4)))
         order = T._toposort(loss)
         loss.backward()
@@ -794,7 +963,7 @@ class TestGradientLifetime:
 
     def test_shared_gradient_survives_a_later_accumulation(self, rng):
         a = Tensor(rng.normal(size=3), requires_grad=True)
-        p, q = T.tanh(a), T.relu(a)
+        p, q = tanh(a), relu(a)
         g = np.ones(3)
         T.add(p, q)._backward(g)
         # both interior parents adopt the one upstream array, uncopied
@@ -810,13 +979,13 @@ class TestNoGrad:
         with T.no_grad():
             with T.no_grad():
                 pass
-            assert not T.relu(x).requires_grad
-        assert T.relu(x).requires_grad
+            assert not relu(x).requires_grad
+        assert relu(x).requires_grad
         with pytest.raises(NumericsError):
             with T.no_grad():
                 with T.no_grad():
                     T.softmax_rows(Tensor([[np.nan, 0.0]]))
-        assert T.relu(x).requires_grad
+        assert relu(x).requires_grad
 
     def test_registry_leaf_made_inside_stays_trainable(self):
         reg = ParamRegistry()
@@ -833,7 +1002,7 @@ class TestNoGrad:
         gain = Tensor(rng.normal(size=shape[1]))
         bias = Tensor(rng.normal(size=shape[1]))
         g = rng.normal(size=shape)
-        out = T.layer_norm(x, gain, bias)
+        out = layer_norm(x, gain, bias)
         tsum(T.mul(out, Tensor(g))).backward()
         # the ndarray.mean formulation
         xc = x.data - x.data.mean(axis=-1, keepdims=True)

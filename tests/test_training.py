@@ -930,17 +930,25 @@ def one_token_pair(model, corpus):
 
 
 def record_products(model, monkeypatch) -> list:
-    """From now on, for every ``T.matmul`` and ``T.bottleneck`` call: the
-    parameter name of its second operand (None for an activation) and the
-    row count of its first."""
+    """From now on, for every product of rows by a matrix that a
+    ``T.matmul`` call makes, and that ``T.bottleneck``, ``T.encoder_block``
+    and ``T.tanh_score`` make inside their nodes (their ``matmul``s when
+    composed): the parameter name of the matrix (None for an activation) and
+    the row count of the rows, which is the node's rows for each of them."""
     names = {id(t): n for n, t in model.registry.items()}
     seen = []
-    for op_name in ("matmul", "bottleneck"):
+    matrices = {
+        "matmul": lambda w, *_: [w],
+        "bottleneck": lambda w_up, w_down, *_: [w_up, w_down],
+        "encoder_block": lambda weights, *_: [*weights[2:10:2], *weights[12:16:2]],  # q, k, v, o, ffn1, ffn2
+        "tanh_score": lambda w_down, _: [w_down],
+    }
+    for op_name, products in matrices.items():
         op = getattr(T, op_name)
 
-        def recorded(x, w, *a, op=op):
-            seen.append((names.get(id(w)), x.shape[0]))
-            return op(x, w, *a)
+        def recorded(x, *a, op=op, products=products):
+            seen.extend((names.get(id(w)), x.shape[0]) for w in products(*a))
+            return op(x, *a)
 
         monkeypatch.setattr(T, op_name, recorded)
     return seen
