@@ -10,7 +10,9 @@ teacher-forces the gold relation's embedding and prediction feeds the
 predicted one's; the special positions of prediction's dumped scores read
 exactly NEG_INF. Both heads take rows, in training and prediction alike, and
 end in one product per row (``T.row_matmul``), so a sentence gets the bits
-it gets alone in any batch.
+it gets alone in any batch. The span decoder takes the entity heads' packed
+score columns with each sentence's size, the layout the training loss's
+``T.cross_entropy`` takes.
 """
 
 from __future__ import annotations
@@ -62,15 +64,18 @@ def entity_scores(features: Tensor, relation_emb: Tensor, reg: ParamRegistry) ->
     return {key: T.tanh_score(paired, reg[f"entity.{key}.w_down"], reg[f"entity.{key}.w_index"]) for key in ENTITY_KEYS}
 
 
-def decode_spans(score_arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy span decode of each row of (g, L) score arrays: start = argmax of
-    the start scores, end = argmax of the end scores restricted to positions
-    >= start. Ties break low. Returns the head and tail spans as (g, 2)
-    arrays of (start, end)."""
+def decode_spans(columns: dict[str, np.ndarray], sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy span decode of g sentences whose (m,) score ``columns`` hold
+    ``sizes[i]`` positions of sentence i back to back, laid out as
+    (g, max size) with NEG_INF past each size (``T.pad_packed``, as
+    ``T.cross_entropy`` lays out packed scores): start = argmax of the start
+    scores, end = argmax of the end scores restricted to positions >= start.
+    Ties break low, so a padded position never wins over a real one. Returns
+    the head and tail spans as (g, 2) arrays of (start, end)."""
+    sizes = np.asarray(sizes, dtype=np.intp)
     spans = []
     for start_key, end_key in (("hs", "he"), ("ts", "te")):
-        start_scores = np.asarray(score_arrays[start_key])
-        end_scores = np.asarray(score_arrays[end_key])
+        start_scores, end_scores = (T.pad_packed(columns[key], sizes)[0] for key in (start_key, end_key))
         if (start_scores.max(axis=1) <= NEG_INF).any() or (end_scores.max(axis=1) <= NEG_INF).any():
             raise DataValidationError("all positions masked; cannot decode a span")
         start = np.argmax(start_scores, axis=1)

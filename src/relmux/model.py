@@ -34,10 +34,11 @@ Prediction builds the same kind of table over the examples to predict,
 recording no tape, and keeps the last one while its examples and the
 ``encoder.`` and ``aggregator.`` values it was built from compare equal, so
 evaluating one split at several k builds its table once. ``predict_all``
-takes the relation first, from the [CLS] rows, then switches and scores the
-content rows of the sentences that predict one, with no one-row operand in
-any product (``_two_rows``). ``predict`` only packages one sentence's
-outputs as a ``TriplePrediction``.
+takes the relation first, from the [CLS] rows. Then, in one pass per at
+most ``_PASS`` sentences of one language that predict one, it switches their
+content rows and scores them through ``_entity_scores``, in the packed
+layout training uses, with no one-row operand in any product. ``predict``
+only packages one sentence's outputs as a ``TriplePrediction``.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ from .tensor import NEG_INF, Tensor
 _PREFIX_PARAMS = ("encoder.", "aggregator.")
 
 # sentences per pass, of one exact length through the encoder and the
-# aggregator or prediction's entity heads, or of one language through the
-# switcher in prediction; bounds the rows a pass works on
+# aggregator, or of one language through prediction's switcher and entity
+# heads; bounds the rows a pass works on
 _PASS = 64
 
 
@@ -131,14 +132,6 @@ def _scored(relations: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     entity key has one class, whose cross entropy is exactly 0 with a zero
     gradient; leaving the row out keeps every product at two rows or more."""
     return (relations != 0) & (lengths > CONTENT_START + 2)
-
-
-def _two_rows(rows: np.ndarray) -> Tensor:
-    """``rows`` as a tensor of at least two rows, a lone row run twice: numpy
-    takes a one-row product down its gemv path, which may give the row other
-    bits than any product of two or more rows does. Callers keep the first
-    ``len(rows)`` output rows."""
-    return Tensor(np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows)
 
 
 def _vocab_sha256(languages: LanguageRegistry) -> str:
@@ -337,16 +330,17 @@ class Model:
         compare equal (``_prediction_table``). Every [CLS] row goes to the
         relation head and the masked argmax first; the rest works only on
         the rows the outputs read, the content rows of the sentences that
-        predict a relation, gathered into an array of this call's own. From
-        stage 2 on ``switch_eval`` applies each language's row of top-k
-        weights, all taken at once by ``eval_weights``, to its sentences'
-        rows, ``_PASS`` sentences at a time, in place. Entity
-        scoring and span decoding then run in passes of one exact content
-        length n, whose (g·n, 1) score columns are (g, n) views, so spans
-        come out in content coordinates. No product gets a one-row operand
-        (``_two_rows``). Dumped scores keep the sentence's length; the
-        specials read exactly NEG_INF. ``predict`` packages each sentence's
-        outputs."""
+        predict a relation, in passes of at most ``_PASS`` such sentences of
+        one language. A pass gathers their rows back to back, from stage 2
+        on mixes them under the language's row of top-k weights, all taken
+        at once by ``eval_weights`` (``switch_eval``), scores them through
+        ``_entity_scores``, as training does, and decodes the packed score
+        columns with the sentences' sizes, so spans come out in content
+        coordinates. A pass of one content row runs its sentence twice, so
+        no product gets a one-row operand, which numpy takes down its gemv
+        path, with other bits than a product of two or more rows may get.
+        Dumped scores keep the sentence's length; the specials read exactly
+        NEG_INF. ``predict`` packages each sentence's outputs."""
         if not examples:
             return []
         table = self._prediction_table(examples)
@@ -355,29 +349,23 @@ class Model:
         relations = masked_argmax_relation(logits, self.languages.schema.allowed, split.langs)
         spans = np.tile(SENTINEL_SPAN * 2, (len(examples), 1))
         dumped: list[dict[str, np.ndarray] | None] = [None] * len(examples)
-        # the bearing sentences' content rows, back to back in an array of
-        # this call's own, the j-th sentence's from offsets[j]
         bearing, sizes, content = _content_rows(table.starts, split.lengths, relations)
-        rows = table.rows.data[content]
         offsets = np.cumsum(sizes) - sizes
-        if self.stage >= 2:
-            weights = eval_weights(self.registry, self.cfg, top_k)
-            for lang, part in _passes(split.langs[bearing]):
-                idx = _row_spans(offsets[part], sizes[part])
-                switched = switch_eval(_two_rows(rows[idx]), weights[lang], self.registry, self.cfg)
-                rows[idx] = switched.data[: idx.size]
-        for size, part in _passes(sizes):
-            idx = _row_spans(offsets[part], sizes[part])
-            rel_emb = self.registry["relation.emb"].data[np.repeat(relations[bearing[part]], size)]
-            features = _two_rows(rows[idx])
-            scores = entity_scores(features, _two_rows(rel_emb), self.registry)
-            arrays = {key: t.data[: idx.size].reshape(part.size, size) for key, t in scores.items()}
-            part = bearing[part]
-            spans[part] = np.concatenate(decode_spans(arrays), axis=1)
+        weights = eval_weights(self.registry, self.cfg, top_k) if self.stage >= 2 else None
+        for lang, part in _passes(split.langs[bearing]):
+            if sizes[part].sum() == 1:
+                part = np.repeat(part, 2)
+            sel, counts = bearing[part], sizes[part]
+            features = Tensor(table.rows.data[content[_row_spans(offsets[part], counts)]])
+            if weights is not None:
+                features = switch_eval(features, weights[lang], self.registry, self.cfg)
+            columns = {key: t.data[:, 0] for key, t in self._entity_scores(features, relations[sel], counts).items()}
+            spans[sel] = np.concatenate(decode_spans(columns, counts), axis=1)
             if dump_scores:
-                for j, i in enumerate(part):
+                pieces = {key: np.split(column, np.cumsum(counts)[:-1]) for key, column in columns.items()}
+                for j, i in enumerate(sel):
                     dumped[i] = {key: np.pad(a[j], (CONTENT_START, 1), constant_values=NEG_INF)
-                                 for key, a in arrays.items()}
+                                 for key, a in pieces.items()}
         # relations and spans become Python ints in one pass per array, so a
         # predict call makes no numpy scalar
         outputs = zip(split.example_ids, logits, relations.tolist(), spans.tolist(), dumped)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -97,10 +98,14 @@ def _decode_array(name: str, rec: dict) -> np.ndarray:
         shape = [int(x) for x in rec["shape"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"array {name!r} is malformed: {exc!r}") from None
-    need = int(np.prod(shape))
+    # Python ints, which do not wrap as a product in int64 would
+    need = math.prod(shape)
     if min(shape, default=0) < 0 or len(raw) != 8 * need:
         raise CheckpointError(f"array {name!r} holds {len(raw)} payload bytes, but shape {shape} needs {8 * need}")
-    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    try:
+        a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    except ValueError as exc:
+        raise CheckpointError(f"array {name!r} has a shape numpy refuses, {shape}: {exc}") from None
     if not np.isfinite(a).all():
         raise CheckpointError(f"array {name!r} holds non-finite values")
     return a

@@ -19,16 +19,15 @@ is handed. A closure may hand one array, or views of it, to several parents,
 so no interior gradient is written in place: a later one makes a new sum.
 ``backward()`` drops each interior gradient once its closure has run.
 
-The engine is deliberately small: 2-D rows times a matrix, with an optional
-bias added in the same node, or one product per row, elementwise arithmetic
-with broadcasting, row softmax, multi-head attention over packed sequences
-as one node, cross entropy over equal or packed rows, the row gather and
-concatenation plumbing the model needs, and fused nodes: a token plus
-position embedding and a pre-norm transformer block for the encoder, a
-tanh-squashed score per entity key, and for the switcher a residual
-bottleneck block and a weighted mix of same-shape terms. A fused node runs
-the ufuncs of the ops it replaces in their order, so its bits are theirs. No
-higher-order derivatives.
+The engine is deliberately small: 2-D rows times a matrix, as one product
+or one product per row, elementwise arithmetic with broadcasting, row
+softmax, multi-head attention over packed sequences as one node, cross
+entropy over equal or packed rows, the row gather and concatenation plumbing
+the model needs, and fused nodes: a token plus position embedding and a
+pre-norm transformer block for the encoder, a tanh-squashed score per entity
+key, and for the switcher a residual bottleneck block and a weighted mix of
+same-shape terms. A fused node runs the ufuncs of the ops it replaces in
+their order, so its bits are theirs. No higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -204,17 +203,13 @@ def mul(a: Tensor, b) -> Tensor:
     return _result(a.data * b.data, (a, b), "mul", _bw)
 
 
-def _product_backward(op: str, x: Tensor, w: Tensor, b: Tensor | None = None):
-    """The backward of (m, d) rows ``x`` times a (d, k) matrix ``w``, plus an
-    optional (k,) bias ``b``, once those shapes are checked: ``b`` gets the
-    gradient's column sums, ``x`` gets g @ w.T and ``w`` gets x.T @ g."""
-    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
-            or (b is not None and b.shape != w.shape[1:])):
-        raise ShapeError(f"{op} shapes incompatible: {x.shape} x {w.shape}" + ("" if b is None else f" + {b.shape}"))
+def _product_backward(op: str, x: Tensor, w: Tensor):
+    """The backward of (m, d) rows ``x`` times a (d, k) matrix ``w``, once
+    those shapes are checked: ``x`` gets g @ w.T and ``w`` gets x.T @ g."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"{op} shapes incompatible: {x.shape} x {w.shape}")
 
     def _bw(g):
-        if b is not None and b.requires_grad:
-            b._accumulate(g.sum(axis=0))
         if x.requires_grad:
             x._accumulate(g @ w.data.T)
         if w.requires_grad:
@@ -229,15 +224,10 @@ def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
     return out
 
 
-def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """(m, d) rows times a (d, k) matrix, plus an optional (k,) bias added
-    in the same node: the bits of a product and a broadcasting ``add``."""
-    bw = _product_backward("matmul", x, w, b)
-    out = x.data @ w.data
-    if b is None:
-        return _result(out, (x, w), "matmul", bw)
-    out += b.data
-    return _result(out, (x, w, b), "matmul", bw)
+def matmul(x: Tensor, w: Tensor) -> Tensor:
+    """(m, d) rows times a (d, k) matrix."""
+    bw = _product_backward("matmul", x, w)
+    return _result(x.data @ w.data, (x, w), "matmul", bw)
 
 
 def row_matmul(x: Tensor, w: Tensor) -> Tensor:
@@ -490,8 +480,8 @@ def encoder_block(x: Tensor, weights, plan, n_heads: int) -> Tensor:
     are, in that order, LN1's gain and bias, the matrix and bias of q, k, v
     and o, LN2's gain and bias, and the matrix and bias of ffn1 and ffn2.
     ``plan`` is the ``length_plan`` of x's sequences. Both passes run the
-    ufuncs of separate layer norm, biased ``matmul``, ``attention``, ``add``
-    and relu ops in their order, so the bits are those ops'; a's three
+    ufuncs of separate layer norm, ``matmul``, ``attention``, ``add`` and
+    relu ops in their order, so the bits are those ops'; a's three
     gradient terms are added as (q + k) + v, and a term of two is summed in
     place on a fresh array."""
     g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w1, c1, w2, c2 = weights
@@ -608,14 +598,24 @@ def mix(terms: list[Tensor], probs) -> Tensor:
     return _result(out, (*terms, probs), "mix", _bw)
 
 
+def pad_packed(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m,) ``values`` packed back to back, ``lengths[i]`` of them for row i,
+    laid out as (len(lengths), longest) with NEG_INF past each row's length,
+    and the mask of the positions that hold a value."""
+    inside = np.arange(lengths.max()) < lengths[:, None]
+    z = np.where(inside, 0.0, NEG_INF)
+    z[inside] = values
+    return z, inside
+
+
 def cross_entropy(logits: Tensor, gold, lengths=None) -> Tensor:
     """Negative log softmax probability of the gold class, summed over rows.
 
     ``gold`` is one class index, or a vector of one index per row. ``logits``
     may be any shape that ravels to ``(len(gold), n_classes)``. With
     ``lengths``, row i has ``lengths[i]`` classes, packed back to back in
-    (sum of lengths, 1) ``logits`` and laid out as (len(gold), longest) with
-    NEG_INF past each row's length, which gets exactly zero probability.
+    (sum of lengths, 1) ``logits`` and laid out by ``pad_packed``; the
+    NEG_INF past each row's length gets exactly zero probability.
     """
     gold = np.asarray(gold, dtype=np.intp).reshape(-1)
     rows = np.arange(gold.size)
@@ -628,9 +628,7 @@ def cross_entropy(logits: Tensor, gold, lengths=None) -> Tensor:
         if (not gold.size or lengths.shape != gold.shape or logits.shape != (lengths.sum(), 1)
                 or (gold >= lengths).any()):
             raise ShapeError(f"logits {logits.shape}, gold {gold.tolist()}: not rows of lengths {lengths.tolist()}")
-        inside = np.arange(lengths.max()) < lengths[:, None]
-        z = np.where(inside, 0.0, NEG_INF)
-        z[inside] = logits.data[:, 0]
+        z, inside = pad_packed(logits.data[:, 0], lengths)
     n = z.shape[1]
     if gold.min() < 0 or gold.max() >= n:
         raise IndexError(f"gold index {gold.tolist()} out of range for {n} classes")

@@ -42,7 +42,7 @@ SYMBOLS = {
 # no test can tell the swap apart.
 # An entry whose line has moved no longer matches, so its site runs again.
 EQUIVALENT: dict[str, str] = {
-    "tensor.py:93:39-60 == -> !=": "Tensor._accumulate's adopt condition: np.require hands back a C-contiguous "
+    "tensor.py:92:39-60 == -> !=": "Tensor._accumulate's adopt condition: np.require hands back a C-contiguous "
                                    "float64 g itself, so a float64 gradient is adopted either way, and no op "
                                    "hands on another dtype",
 }

@@ -3,6 +3,7 @@ byte-for-byte, and the exit-code contract."""
 
 import base64
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -16,6 +17,7 @@ import relmux
 from relmux import cli as cli_module
 from relmux.cli import main
 from relmux.model import Model
+from relmux.params import decode_extra_arrays, encode_extra_arrays
 
 LANGS_DOC = {
     "schema_version": 1,
@@ -511,6 +513,11 @@ def _misshape_moment(doc):
     rec["shape"] = [int(np.prod(rec["shape"]))]
 
 
+def _overflow_moment(doc):
+    # an int64 product of this shape wraps to 0, which an empty payload matches
+    doc["extra"]["optimizer"]["v.aggregator.w_k"] = {"shape": [2**32, 2**32], "data": ""}
+
+
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize("corrupt", [_drop_params, _truncate_payload, _poison_value, _flatten_param,
                                          _drop_param, _drop_model_config, _unknown_model_field,
@@ -534,8 +541,32 @@ class TestCorruptCheckpoint:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "ev").exists()
 
+    # the first two shapes' int64 products wrap to 0, which the empty payload
+    # matches; numpy refuses the third's dimension, whose product is 0
+    @pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 4], [0, 2**70]], ids=str)
+    def test_an_overflowing_or_over_large_shape_exits_2_with_one_line(self, workspace, tmp_path, capsys, shape):
+        ws, _, _ = workspace
+        doc = json.loads((ws / "run" / "stage2.ckpt").read_text(encoding="utf-8"))
+        doc["params"]["relation.w_cls"] = {"shape": shape, "data": ""}
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["eval", "--ckpt", str(bad), "--corpus", str(ws / "corpus"), "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        # the line names the payload size the shape needs, not a wrapped one
+        assert ("numpy refuses" if 0 in shape else f"needs {8 * math.prod(shape)}") in err[0], err
+        assert not (tmp_path / "ev").exists()
+
+    def test_a_zero_size_array_is_not_corrupt(self):
+        # the shape check refuses a negative dimension, not a zero one
+        arrays = {"empty": np.zeros((0, 3)), "scalar": np.array(2.5)}
+        back = decode_extra_arrays(encode_extra_arrays(arrays))
+        assert {n: (a.shape, a.tobytes()) for n, a in back.items()} == \
+            {n: (a.shape, a.tobytes()) for n, a in arrays.items()}
+
     @pytest.mark.parametrize("corrupt", [_extra_string, _epochs_done_word, _rng_state_not_json, _drop_optimizer,
-                                         _drop_moment, _misshape_moment])
+                                         _drop_moment, _misshape_moment, _overflow_moment])
     def test_stage1_resume_exits_2_with_one_line(self, workspace, tmp_path, capsys, corrupt):
         ws, _, config = workspace
         doc = json.loads((ws / "run" / "stage1.ckpt").read_text(encoding="utf-8"))

@@ -128,7 +128,8 @@ class TestEntityScores:
     def test_packed_rows_score_each_sentence_as_alone(self, rng):
         # sentences' content rows of mixed counts back to back, each under its
         # own relation row, at the benchmark's width; a lone row is the
-        # caller's to double (model._two_rows), so each sentence has two or more
+        # caller's to double (``predict_all`` runs it twice), so each sentence
+        # has two or more
         reg = build_reg(toy_cfg(d_model=32), seed=2)
         lengths = [3, 2, 3, 6, 2, 4]
         features = rng.normal(size=(sum(lengths), 32)) * 10.0 ** rng.integers(-2, 3, size=(sum(lengths), 1))
@@ -178,66 +179,95 @@ def sequential_decode(start_scores, end_scores):
 
 class TestDecodeSpans:
     def _scores(self, hs, he, ts=None, te=None):
-        # one row of (1, m) score arrays
+        # one sentence's (m,) score columns, and its size
         ts = ts if ts is not None else hs
         te = te if te is not None else he
-        return {key: np.array([v], float) for key, v in (("hs", hs), ("he", he), ("ts", ts), ("te", te))}
+        return {key: np.array(v, float) for key, v in (("hs", hs), ("he", he), ("ts", ts), ("te", te))}, [len(hs)]
 
     def test_simple_peaks(self):
         s = self._scores(hs=[0, 0, 5, 0, 0, 0], he=[0, 0, 0, 0, 5, 0])
-        head, tail = decode_spans(s)
+        head, tail = decode_spans(*s)
         assert head.tolist() == [[2, 4]]
 
     def test_end_constrained_to_follow_start(self):
         # end's global peak precedes the start; the best end at >= start wins
         s = self._scores(hs=[0, 0, 0, 5, 0, 0], he=[9, 0, 0, 0, 0, 3])
-        head, _ = decode_spans(s)
+        head, _ = decode_spans(*s)
         assert head.tolist() == [[3, 5]]
 
     def test_masked_ends_after_the_start_still_follow_it(self):
         # every end after the start is masked; the end stays at the start
         # rather than falling back on the unmasked position before it
         s = self._scores(hs=[0, 5, 0], he=[5, NEG_INF, NEG_INF])
-        head, _ = decode_spans(s)
+        head, _ = decode_spans(*s)
         assert head.tolist() == [[1, 1]]
 
     def test_all_masked_is_error(self):
-        s = {k: np.full((1, 4), NEG_INF) for k in ("hs", "he", "ts", "te")}
+        s = {k: np.full(4, NEG_INF) for k in ("hs", "he", "ts", "te")}
         with pytest.raises(DataValidationError):
-            decode_spans(s)
+            decode_spans(s, [4])
 
     @pytest.mark.parametrize("key", ["hs", "he", "ts", "te"])
     def test_one_all_masked_row_in_a_batch_is_error(self, rng, key):
-        s = {k: rng.normal(size=(3, 5)) for k in ("hs", "he", "ts", "te")}
-        s[key][1] = NEG_INF
+        # the middle sentence of three, of sizes 5, 3 and 5, is all masked
+        # under one key; the padding past its size does not hide that
+        sizes = np.array([5, 3, 5])
+        s = {k: rng.normal(size=sizes.sum()) for k in ("hs", "he", "ts", "te")}
+        s[key][5:8] = NEG_INF
         with pytest.raises(DataValidationError):
-            decode_spans(s)
+            decode_spans(s, sizes)
 
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_rows_follow_the_sequential_rule(self, g, m, seed):
-        # few distinct values, NEG_INF among them, so ties are common
+        # g sentences of sizes 1 .. m, packed; few distinct values, NEG_INF
+        # among them, so ties are common
         draw = np.random.default_rng(seed)
         values = np.array([NEG_INF, -1.0, 0.0, 0.5, 2.0])
-        s = {k: values[draw.integers(1 if k in ("hs", "ts") else 0, 5, size=(g, m))] for k in ("hs", "he", "ts", "te")}
+        sizes = draw.integers(1, m + 1, size=g)
+        s = {k: values[draw.integers(1 if k in ("hs", "ts") else 0, 5, size=sizes.sum())]
+             for k in ("hs", "he", "ts", "te")}
         for k in ("he", "te"):
-            s[k][:, 0] = 0.0  # no row all masked
-        head, tail = decode_spans(s)
+            s[k][np.cumsum(sizes) - sizes] = 0.0  # no row all masked
+        head, tail = decode_spans(s, sizes)
         assert head.shape == tail.shape == (g, 2)
+        rows = {k: np.split(v, np.cumsum(sizes)[:-1]) for k, v in s.items()}
         for i in range(g):
-            assert tuple(head[i]) == sequential_decode(s["hs"][i], s["he"][i])
-            assert tuple(tail[i]) == sequential_decode(s["ts"][i], s["te"][i])
+            assert tuple(head[i]) == sequential_decode(rows["hs"][i], rows["he"][i])
+            assert tuple(tail[i]) == sequential_decode(rows["ts"][i], rows["te"][i])
 
     def test_sequential_rule_with_bruteforce_diagnostic(self, rng):
         # the decode rule is sequential by construction; the exhaustive
         # pair-argmax may pick another span, but never one that scores less
         start = rng.normal(size=(200, 6))
         end = rng.normal(size=(200, 6))
-        heads, _ = decode_spans({"hs": start, "he": end, "ts": start, "te": end})
+        sizes = np.full(200, 6)
+        heads, _ = decode_spans({"hs": start.ravel(), "he": end.ravel(), "ts": start.ravel(), "te": end.ravel()},
+                                sizes)
         for row_start, row_end, head in zip(start, end, heads):
             assert tuple(head) == sequential_decode(row_start, row_end)
             pair = oracle_pair_argmax(row_start, row_end)
             assert pair[0] <= pair[1]
             assert row_start[pair[0]] + row_end[pair[1]] >= row_start[head[0]] + row_end[head[1]]
+
+    def test_mixed_sizes_in_one_call_decode_each_sentence_as_alone(self, rng):
+        # sentences of sizes 1 .. 7 in one call, each with one clear start
+        # peak and one clear end peak at or after it, so the greedy rule and
+        # the exhaustive pair-argmax agree on the sentence alone; a padded
+        # position or a neighbour's score must not move any of them
+        sizes = rng.permutation(np.repeat(np.arange(1, 8), 3))
+        columns = {k: [] for k in ("hs", "he", "ts", "te")}
+        for size in sizes:
+            for start_key, end_key in (("hs", "he"), ("ts", "te")):
+                start, end = np.sort(rng.integers(0, size, size=2))
+                for key, peak in ((start_key, start), (end_key, end)):
+                    row = rng.uniform(-1.0, 1.0, size=size)
+                    row[peak] = 5.0
+                    columns[key].append(row)
+        head, tail = decode_spans({k: np.concatenate(rows) for k, rows in columns.items()}, sizes)
+        assert head.shape == tail.shape == (sizes.size, 2)
+        for i in range(sizes.size):
+            assert tuple(head[i]) == oracle_pair_argmax(columns["hs"][i], columns["he"][i])
+            assert tuple(tail[i]) == oracle_pair_argmax(columns["ts"][i], columns["te"][i])
 
 
 class TestOraclePairArgmax:

@@ -47,6 +47,15 @@ class TestRoute:
         probs = router_matrix(reg, cfg)[:, 0]
         assert np.allclose(probs, 1.0 / cfg.n_sub_modules, atol=1e-15)
 
+    @pytest.mark.parametrize("d, t", [(4, 3), (32, 4), (64, 8)])
+    def test_a_fresh_build_routes_every_language_near_uniformly(self, d, t):
+        # the language embeddings start near zero, so routing starts from the
+        # data rather than from init noise: every probability within 1% of 1/T
+        cfg = toy_cfg(d_model=d, n_sub_modules=t, sub_layers=(1,) * t, eval_top_k=1)
+        for seed in range(5):
+            probs = router_matrix(build_reg(cfg, seed=seed, n_languages=6), cfg)
+            assert np.abs(probs * t - 1.0).max() < 0.01, (d, t, seed)
+
     def test_formula_oracle(self):
         cfg = toy_cfg()
         reg = build_reg(cfg)

@@ -51,32 +51,6 @@ class TestMatmul:
             with pytest.raises(ShapeError, match=rf"matmul.*{re.escape(str(a))}.*{re.escape(str(b))}"):
                 T.matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
-    @pytest.mark.parametrize("trainable", [("x", "w", "b"), ("x",), ("w",), ("b",), ("w", "b")], ids=",".join)
-    def test_bias_is_bitwise_a_product_then_add(self, rng, trainable):
-        # the value and every gradient of one biased node are those of a
-        # product node followed by a broadcasting add node
-        arrays = {"x": rng.normal(size=(33, 6)), "w": rng.normal(size=(6, 5)), "b": rng.normal(size=5)}
-        x, w, b = (Tensor(a, requires_grad=name in trainable) for name, a in arrays.items())
-        g = rng.normal(size=(33, 5))
-        fused = _run(lambda: T.matmul(x, w, b), [x, w, b], g)
-        assert fused == _run(lambda: T.add(T.matmul(x, w), b), [x, w, b], g)
-        assert all((grad is None) == (t not in trainable) for t, grad in zip("xwb", fused[1]))
-
-    def test_biased_gradient_vs_finite_differences(self, rng):
-        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=3), requires_grad=True)
-        g = Tensor(rng.normal(size=(5, 3)))
-        report = finite_diff_check(lambda: tsum(T.mul(T.matmul(x, w, b), g)), {"x": x, "w": w, "b": b},
-                                   max_coords=20)
-        assert report.max_rel_error < 1e-6 and set(report.per_param) == {"x", "w", "b"}
-
-    def test_wrong_bias_shape_rejected(self):
-        # only a (k,) bias is taken, not one an add would broadcast
-        for shape in ((4,), (2,), (1, 3), (3, 1), ()):
-            with pytest.raises(ShapeError, match=rf"\(2, 4\) x \(4, 3\) \+ {re.escape(str(shape))}"):
-                T.matmul(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(shape)))
-
     @pytest.mark.parametrize("d", [32, 64])
     def test_a_row_gets_the_same_bits_at_any_row_count_from_two(self, d):
         # TestBatchInvariance rests on this BLAS property of the 2-D products
@@ -550,7 +524,6 @@ TAPE_RULE_CASES = {
     "add": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=3)], T.add),
     "mul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(2, 3))], T.mul),
     "matmul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4))], T.matmul),
-    "matmul+bias": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4)), _ARRAYS.normal(size=4)], T.matmul),
     "row_matmul": ([_ARRAYS.normal(size=(2, 3)), _ARRAYS.normal(size=(3, 4))], T.row_matmul),
     "concat": ([_ARRAYS.normal(size=(1, 3)), _ARRAYS.normal(size=(2, 3))], lambda a, b: T.concat([a, b], axis=0)),
     "gather_rows": ([_ARRAYS.normal(size=(4, 3))], lambda a: T.gather_rows(a, [2, 0, 2])),
@@ -752,9 +725,9 @@ def composed_block(x, weights, lengths, n_heads):
     """The pre-norm block as the separate ops that ``encoder_block`` fuses."""
     g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w1, c1, w2, c2 = weights
     a = layer_norm(x, g1, b1)
-    q, k, v = (T.matmul(a, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-    x = T.add(x, T.matmul(T.attention(q, k, v, lengths, n_heads), wo, bo))
-    return T.add(x, T.matmul(relu(T.matmul(layer_norm(x, g2, b2), w1, c1)), w2, c2))
+    q, k, v = (T.add(T.matmul(a, w), b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    x = T.add(x, T.add(T.matmul(T.attention(q, k, v, lengths, n_heads), wo), bo))
+    return T.add(x, T.add(T.matmul(relu(T.add(T.matmul(layer_norm(x, g2, b2), w1), c1)), w2), c2))
 
 
 class TestEncoderNodes:

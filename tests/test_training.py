@@ -875,29 +875,37 @@ class TestPredictComposition:
         assert (np.bincount([ex.lang for ex in examples]) > _PASS).all()
         self._assert_bitwise_the_composition(model, examples)
 
-    def test_one_length_over_several_head_passes_is_bitwise_the_composition(self, monkeypatch):
-        # the dev sentences of one length, repeated until more of them predict
-        # a relation than one head pass takes; a pass that scores or decodes
-        # another pass's rows, or skips some, shows as a changed score
+    def test_one_language_over_several_head_passes_is_bitwise_the_composition(self, monkeypatch):
+        # the dev split repeated until each language's relation-bearing
+        # sentences fill more than one head pass; a pass that scores or
+        # decodes another pass's rows, or skips some, shows as a changed score
         corpus = tiny_corpus()
         model = Model.build(tiny_run_cfg().model, corpus.registry, init_seed=4)
         model.stage = 2
-        bearing = next(ex for ex, pred in zip(corpus.dev, model.predict_all(corpus.dev)) if pred.relation)
-        examples = [ex for ex in corpus.dev if len(ex.tokens) == len(bearing.tokens)] * (_PASS + 1)
+        bearing = [ex for ex, pred in zip(corpus.dev, model.predict_all(corpus.dev)) if pred.relation]
+        # every bearing dev sentence's content size names its language, so a
+        # decode call's sizes show which languages it took
+        lang_of = {len(ex.tokens): ex.lang for ex in bearing}
+        assert len({(len(ex.tokens), ex.lang) for ex in bearing}) == len(lang_of)
+        per_lang = np.bincount([ex.lang for ex in bearing])
+        assert per_lang.min() > 0
+        examples = corpus.dev * (_PASS // int(per_lang.min()) + 1)
         passes = []
         decode = model_module.decode_spans
 
-        def counted(score_arrays):
-            passes.append(score_arrays["hs"].shape)
-            return decode(score_arrays)
+        def counted(columns, sizes):
+            passes.append(sizes.tolist())
+            return decode(columns, sizes)
 
         monkeypatch.setattr(model_module, "decode_spans", counted)
         self._assert_bitwise_the_composition(model, examples)
         # the relation head reads no switched row, so every k has the same
-        # sentences to score, all of one length: at least two passes per k
-        assert len({m for _, m in passes}) == 1
-        assert all(g <= _PASS for g, _ in passes)
-        assert len(passes) > model.cfg.n_sub_modules
+        # sentences to score: each pass at most _PASS of one language, each
+        # language over two passes or more per k, sizes mixed within a pass
+        assert all(len({lang_of[n] for n in sizes}) == 1 and len(sizes) <= _PASS for sizes in passes)
+        langs = [lang_of[sizes[0]] for sizes in passes]
+        assert min(langs.count(lang) for lang in range(len(per_lang))) >= 2 * model.cfg.n_sub_modules
+        assert any(len(set(sizes)) > 1 for sizes in passes)
 
     @pytest.mark.parametrize("routing", ["learned", "identity"])
     def test_eval_decisions_are_each_languages_top_k(self, routing):
