@@ -198,6 +198,29 @@ class TestActivations:
         assert report.max_rel_error < 1e-8
 
 
+class TestPadPacked:
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    def test_each_row_holds_its_own_run_then_neg_inf(self, sizes):
+        # the row-by-row layout: row i is the next sizes[i] values, NEG_INF after
+        lengths = np.array(sizes)
+        values = np.arange(1.0, lengths.sum() + 1.0)
+        z, inside = T.pad_packed(values, lengths)
+        assert z.shape == inside.shape == (len(sizes), max(sizes))
+        start = 0
+        for row, mask, n in zip(z, inside, sizes):
+            assert row[:n].tolist() == values[start : start + n].tolist()
+            assert (row[n:] == T.NEG_INF).all()
+            assert mask.tolist() == [True] * n + [False] * (max(sizes) - n)
+            start += n
+
+    def test_the_mask_gathers_the_packed_values_back(self, rng):
+        lengths = np.array([3, 1, 4, 1, 5])
+        values = rng.normal(size=lengths.sum())
+        z, inside = T.pad_packed(values, lengths)
+        assert np.array_equal(z[inside], values)
+        assert (z[~inside] == T.NEG_INF).all()
+
+
 class TestCrossEntropy:
     def test_dominant_logit_loss_near_zero(self):
         logits = Tensor([50.0, 0.0, 0.0])
