@@ -24,9 +24,16 @@ changes none of the values it holds; it decides each language's top-k once
 per evaluation, and runs the heads in whole-array passes rather than one
 sentence at a time.
 
+The optimizer holds the step count: each step is logged under
+``AdamW.step_count``, so a stage starts at step 1 and a resumed stage 1 goes
+on from its checkpoint's count. Stage 2 stops once ``patience`` epochs in a
+row bring no strict dev gain; a tie keeps the later parameters but does not
+reset patience.
+
 Both stages checkpoint at epoch boundaries with enough state (optimizer
-moments, rng state, epoch counter) that an interrupted stage-1 run resumed
-from its last checkpoint reproduces the uninterrupted run bit for bit.
+moments and step count, rng state, epoch counter) that an interrupted
+stage-1 run resumed from its last checkpoint reproduces the uninterrupted
+run bit for bit.
 """
 
 from __future__ import annotations
@@ -60,33 +67,24 @@ class TrainLog:
         write_atomic(path, "".join(json.dumps(line, sort_keys=True) + "\n" for line in self.lines))
 
 
-def _check_finite(loss_value: float, stage: int, step: int) -> None:
-    if not np.isfinite(loss_value):
-        raise NumericsError(f"stage {stage} loss became {loss_value} at step {step}")
-
-
-def _train_step(
-    opt: AdamW, batch_loss, batch, tc: TrainConfig, log: TrainLog, stage: int, epoch: int, step: int
-) -> int:
-    """One optimizer step on ``batch``'s mean loss; returns the new step count."""
+def _train_step(opt: AdamW, batch_loss, batch, tc: TrainConfig, log: TrainLog, stage: int, epoch: int) -> None:
+    """One optimizer step on ``batch``'s mean loss, logged under the
+    optimizer's 1-based step count."""
     opt.zero_grad()
     stats: dict = {}
     loss = batch_loss(batch, tc.alpha, tc.beta, stats)
     value = loss.item()
-    _check_finite(value, stage, step)
+    if not np.isfinite(value):
+        raise NumericsError(f"stage {stage} loss became {value} at step {opt.step_count + 1}")
     loss.backward()
     # release the step's tape before the optimizer step, not on return
     del loss
     opt.step()
     n = max(1, stats.get("sentences", 1))
-    log.log(stage=stage, epoch=epoch, step=step + 1, loss=value,
+    log.log(stage=stage, epoch=epoch, step=opt.step_count, loss=value,
             relation_ce=stats.get("relation_ce", 0.0) / n,
             entity_ce=stats.get("entity_ce", 0.0) / n, lr=tc.lr)
-    return step + 1
 
-
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
 
 def _restore_rng(state: dict) -> np.random.Generator:
     rng = np.random.default_rng(np.random.PCG64(0))
@@ -144,23 +142,22 @@ def train_stage1(
             "epochs_done": epochs_done,
             "step_count": opt.step_count,
             "optimizer": encode_extra_arrays(opt.state_arrays()),
-            "rng_state": json.dumps(_rng_state(rng), sort_keys=True),
+            "rng_state": json.dumps(rng.bit_generator.state, sort_keys=True),
         }
 
     split = model.tokenize(corpus.train)
     pools = index_pools(split.langs)
     batch_loss = partial(model.stage1_batch_loss, split)
     per_epoch = steps_per_epoch(len(corpus.train), s * tc.batch_size)
-    step = opt.step_count
     ckpt_path = out / "stage1.ckpt"
     for epoch in range(start_epoch, tc.stage1_epochs):
         t0 = time.time()
         for _ in range(per_epoch):
             batch = np.array(sample_stage1_batch(pools, s, tc.batch_size, rng))
-            step = _train_step(opt, batch_loss, batch, tc, log, 1, epoch, step)
+            _train_step(opt, batch_loss, batch, tc, log, 1, epoch)
         model.save(ckpt_path, run_cfg, stage1_extra(epoch + 1))
         log.log(stage=1, epoch=epoch, epoch_seconds=round(time.time() - t0, 3))
-    if tc.stage1_epochs == 0 or start_epoch >= tc.stage1_epochs:
+    if start_epoch >= tc.stage1_epochs:
         model.save(ckpt_path, run_cfg, stage1_extra(start_epoch))
     log.save(out / "stage1_log.jsonl")
     return ckpt_path
@@ -193,34 +190,27 @@ def train_stage2(
     per_epoch = steps_per_epoch(len(corpus.train), tc.batch_size)
     ckpt_path = out / "stage2.ckpt"
     best_f1 = -1.0
-    best_values: np.ndarray | None = None
     epochs_without_gain = 0
-    step = 0
     for epoch in range(tc.stage2_max_epochs):
         t0 = time.time()
         for _ in range(per_epoch):
             batch = np.array(sample_stage1_batch(pools, 1, tc.batch_size, rng)).reshape(-1)
-            step = _train_step(opt, batch_loss, batch, tc, log, 2, epoch, step)
+            _train_step(opt, batch_loss, batch, tc, log, 2, epoch)
         report = evaluate_model(model, corpus.dev, corpus.registry)
         dev_f1 = report.overall.triple_f1
         log.log(stage=2, epoch=epoch, dev_triple_f1=dev_f1, epoch_seconds=round(time.time() - t0, 3))
-        improved = dev_f1 > best_f1
+        # dev F1 is at least 0, so the first epoch always gains and sets best_values
+        epochs_without_gain = 0 if dev_f1 > best_f1 else epochs_without_gain + 1
         if dev_f1 >= best_f1:
-            # ties keep the most recent parameters
             best_f1 = dev_f1
             # only the trainable set moves, and it is the optimizer's flat
             # buffer; the frozen set needs no snapshot
             best_values = opt.values.copy()
-        if improved:
-            epochs_without_gain = 0
-        else:
-            epochs_without_gain += 1
-            if epochs_without_gain >= tc.patience:
-                log.log(stage=2, epoch=epoch, early_stop=True)
-                break
-    if best_values is not None:
-        # in place, so every trainable parameter stays a view of the buffer
-        opt.values[...] = best_values
+        if epochs_without_gain >= tc.patience:
+            log.log(stage=2, epoch=epoch, early_stop=True)
+            break
+    # in place, so every trainable parameter stays a view of the buffer
+    opt.values[...] = best_values
     model.save(ckpt_path, run_cfg, {"stage": 2, "best_dev_triple_f1": best_f1})
     log.save(out / "stage2_log.jsonl")
     return ckpt_path

@@ -19,6 +19,8 @@ from relmux.cli import main
 from relmux.model import Model
 from relmux.params import decode_extra_arrays, encode_extra_arrays
 
+from test_training import inf_loss_on_call
+
 LANGS_DOC = {
     "schema_version": 1,
     "languages": [
@@ -371,6 +373,14 @@ class TestTrain:
             assert not out.exists(), why
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(prefix[code]), why
+
+    def test_nonfinite_loss_exits_4_with_one_line(self, workspace, tmp_path, capsys, monkeypatch):
+        _, _, config = workspace
+        inf_loss_on_call(monkeypatch, 3)
+        capsys.readouterr()
+        assert main(["train", "--stage", "1", "--config", str(config), "--out", str(tmp_path / "r")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: stage 1 loss became inf at step 3"]
 
     def test_train_rerun_identical_checkpoint(self, workspace, tmp_path):
         ws, _, config = workspace

@@ -1024,7 +1024,7 @@ class TestNoGrad:
             if predict_first:
                 model.predict_all(corpus.dev[:4])
             opt = AdamW(model.registry, lr=cfg.train.lr)
-            _train_step(opt, partial(model.stage2_batch_loss, table), np.arange(8), cfg.train, TrainLog(), 2, 0, 0)
+            _train_step(opt, partial(model.stage2_batch_loss, table), np.arange(8), cfg.train, TrainLog(), 2, 0)
             return {n: (t.grad.tobytes(), t.data.tobytes()) for n, t in model.registry.items() if t.grad is not None}
 
         plain, after_predict = step(False), step(True)

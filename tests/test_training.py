@@ -1,6 +1,7 @@
 """Two-stage training: the joint loss formula, freezing, determinism, resume,
 and the degenerate s=1 contract."""
 
+import math
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -25,7 +26,7 @@ from relmux.evaluation import evaluate_model
 from relmux.heads import ENTITY_KEYS, build_head_params, entity_scores, masked_argmax_relation, relation_logits
 from relmux.model import _PASS, Model, _content_rows, _scored, sentence_ere_loss
 from relmux.optim import AdamW
-from relmux.params import ParamRegistry, load_checkpoint
+from relmux.params import ParamRegistry, load_checkpoint, matrix_init
 from relmux.switcher import (
     build_switcher_params, eval_weights, router_matrix, switch_eval, switch_train, top_k_weights,
 )
@@ -78,6 +79,26 @@ def epoch_mean_losses(log: TrainLog, stage: int) -> list[float]:
         if line.get("stage") == stage and "loss" in line:
             by_epoch.setdefault(line["epoch"], []).append(line["loss"])
     return [float(np.mean(by_epoch[e])) for e in sorted(by_epoch)]
+
+
+def step_lines(log: TrainLog, stage: int) -> list[dict]:
+    return [l for l in log.lines if l["stage"] == stage and "loss" in l]
+
+
+def without_seconds(lines: list[dict]) -> list[dict]:
+    return [{k: v for k, v in l.items() if k != "epoch_seconds"} for l in lines]
+
+
+def inf_loss_on_call(monkeypatch, n: int) -> None:
+    """Make the n-th ``Model.stage1_batch_loss`` call return an infinite loss."""
+    real = Model.stage1_batch_loss
+    calls = []
+
+    def patched(self, *args):
+        calls.append(None)
+        return Tensor(np.inf) if len(calls) == n else real(self, *args)
+
+    monkeypatch.setattr(Model, "stage1_batch_loss", patched)
 
 
 def batch_mean(losses: list[Tensor]) -> Tensor:
@@ -182,6 +203,11 @@ class TestBuild:
         for pred, logits in zip(first.predict_all(examples), want):
             assert pred.relation_logits.tobytes() == logits.tobytes()
         assert first.cfg == before
+
+    @pytest.mark.parametrize("rows", [16, 64, 256])
+    def test_matrix_init_draws_at_fan_in_scale(self, rows):
+        draw = matrix_init(np.random.default_rng(rows), rows, 256)
+        assert draw.std(ddof=1) == pytest.approx(1.0 / np.sqrt(rows), rel=0.05)
 
 
 class TestLossFormula:
@@ -335,17 +361,39 @@ class TestStage1:
         corpus = tiny_corpus()
         cfg = tiny_run_cfg(stage1_epochs=4)
         straight = Model.build(cfg.model, corpus.registry, init_seed=0)
-        train_stage1(straight, corpus, cfg, tmp_path / "straight", TrainLog())
+        straight_log = TrainLog()
+        train_stage1(straight, corpus, cfg, tmp_path / "straight", straight_log)
 
         cfg_short = replace(cfg, train=replace(cfg.train, stage1_epochs=2))
         part = Model.build(cfg.model, corpus.registry, init_seed=0)
         train_stage1(part, corpus, cfg_short, tmp_path / "resumed", TrainLog())
         model2, snap, extra = Model.load(tmp_path / "resumed" / "stage1.ckpt", corpus.registry)
         assert extra is not None and extra["epochs_done"] == 2
-        train_stage1(model2, corpus, cfg, tmp_path / "resumed", TrainLog(), resume_extra=extra)
+        resumed_log = TrainLog()
+        train_stage1(model2, corpus, cfg, tmp_path / "resumed", resumed_log, resume_extra=extra)
+        # the step numbers go on from the optimizer's restored count
+        assert without_seconds(resumed_log.lines) == \
+            without_seconds([l for l in straight_log.lines if l["epoch"] >= 2])
         for name in straight.registry.names():
             assert np.array_equal(straight.registry[name].data, model2.registry[name].data), name
         # the whole training state: params, moments, rng state and step count
+        ckpt = "stage1.ckpt"
+        assert (tmp_path / "resumed" / ckpt).read_bytes() == (tmp_path / "straight" / ckpt).read_bytes()
+
+    @pytest.mark.parametrize("done, total", [(0, 1), (2, 2)])
+    def test_resume_at_either_end_writes_the_straight_runs_checkpoint(self, tmp_path, done, total):
+        # a zero-epoch checkpoint (no epoch done, no step taken) resumes as a
+        # fresh run; a finished one writes itself again into a new directory
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg(stage1_epochs=total)
+        train_stage1(Model.build(cfg.model, corpus.registry, init_seed=0), corpus, cfg, tmp_path / "straight")
+        cfg_part = replace(cfg, train=replace(cfg.train, stage1_epochs=done))
+        train_stage1(Model.build(cfg.model, corpus.registry, init_seed=0), corpus, cfg_part, tmp_path / "part")
+        model, _, extra = Model.load(tmp_path / "part" / "stage1.ckpt", corpus.registry)
+        assert extra["epochs_done"] == done
+        if done == 0:
+            assert extra["step_count"] == 0
+        train_stage1(model, corpus, cfg, tmp_path / "resumed", resume_extra=extra)
         ckpt = "stage1.ckpt"
         assert (tmp_path / "resumed" / ckpt).read_bytes() == (tmp_path / "straight" / ckpt).read_bytes()
 
@@ -365,6 +413,16 @@ class TestStage1:
         model.registry["encoder.tok_emb"].data[:] = np.nan
         with pytest.raises(NumericsError):
             train_stage1(model, corpus, cfg, tmp_path, TrainLog())
+
+    def test_nonfinite_loss_names_its_stage_and_logged_step(self, tmp_path, monkeypatch):
+        corpus = tiny_corpus()
+        cfg = tiny_run_cfg(stage1_epochs=2)
+        model = Model.build(cfg.model, corpus.registry, init_seed=0)
+        inf_loss_on_call(monkeypatch, 3)
+        log = TrainLog()
+        with pytest.raises(NumericsError, match=r"^stage 1 loss became inf at step 3$"):
+            train_stage1(model, corpus, cfg, tmp_path, log)
+        assert [l["step"] for l in step_lines(log, 1)] == [1, 2]
 
 
 @pytest.fixture(scope="module")
@@ -414,8 +472,8 @@ class TestNoRelationBatch:
         batch_loss = partial(model.stage1_batch_loss, model.tokenize(corpus.train))
         before = model.registry["entity.hs.w_down"].data.copy()
         opt = AdamW(model.registry, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
-        step = _train_step(opt, batch_loss, batch, cfg.train, TrainLog(), 1, 0, 0)
-        assert step == 1
+        _train_step(opt, batch_loss, batch, cfg.train, TrainLog(), 1, 0)
+        assert opt.step_count == 1
         loss = batch_loss(batch, cfg.train.alpha, cfg.train.beta, {})
         assert self._unreached(model, loss, "entity.hs.w_down")
         assert self._decayed_only(model, "entity.hs.w_down", before, cfg.train)
@@ -432,7 +490,8 @@ class TestNoRelationBatch:
         before = {n: model.registry[n].data.copy() for n in names}
         opt = AdamW(model.registry, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
         batch_loss = partial(model.stage2_batch_loss, table)
-        assert _train_step(opt, batch_loss, batch, cfg.train, TrainLog(), 2, 0, 0) == 1
+        _train_step(opt, batch_loss, batch, cfg.train, TrainLog(), 2, 0)
+        assert opt.step_count == 1
         loss = batch_loss(batch, cfg.train.alpha, cfg.train.beta, {})
         for name in names:
             assert self._unreached(model, loss, name), name
@@ -483,6 +542,22 @@ class TestStage2:
         assert np.linalg.norm(model.registry["switcher.lang_emb"].grad) > 0
         assert np.linalg.norm(model.registry["switcher.w_router"].grad) > 0
 
+    def test_each_stage_logs_its_steps_from_one(self, trained):
+        corpus, cfg, *_, log = trained
+        tc, n = cfg.train, len(corpus.train)
+        # stage 1 draws groups of concat_sentences sentences; neither stage stops early here
+        per_epoch = {1: math.ceil(n / (tc.concat_sentences * tc.batch_size)), 2: math.ceil(n / tc.batch_size)}
+        epochs = {1: tc.stage1_epochs, 2: tc.stage2_max_epochs}
+        for stage in (1, 2):
+            steps = [l["step"] for l in step_lines(log, stage)]
+            assert steps == list(range(1, epochs[stage] * per_epoch[stage] + 1)), stage
+
+    def test_epoch_seconds_are_a_wall_clock_duration(self, trained):
+        *_, log = trained
+        seconds = [(l["stage"], l["epoch_seconds"]) for l in log.lines if "epoch_seconds" in l]
+        assert [stage for stage, _ in seconds] == [1, 1, 2, 2, 2]
+        assert all(0.0 <= s < 3600.0 for _, s in seconds)
+
     def test_checkpoint_contains_stage_and_config(self, trained):
         corpus, cfg, model, stage1_arrays, ck1, ck2, log = trained
         snap, params, extra = load_checkpoint(ck2)
@@ -509,11 +584,13 @@ class TestStage2:
                 train_stage2(model, corpus, replace(cfg, train=bad), tmp_path / "out", TrainLog())
         assert not (tmp_path / "out").exists()
 
-    def test_best_dev_restore_writes_into_the_optimizer_buffer(self, tmp_path, monkeypatch):
-        # scripted dev F1s make epoch 1 the best and stop at epoch 3, so the
-        # restore has something to undo
+    @staticmethod
+    def scripted_run(tmp_path, monkeypatch, f1s, **train_kw):
+        """Stage 2 with ``training.evaluate_model`` returning the dev F1s ``f1s``
+        in turn: the model, its optimizer, the optimizer's values at each
+        evaluation, the log and the checkpoint path."""
         corpus = tiny_corpus()
-        cfg = tiny_run_cfg(stage1_epochs=1, stage2_max_epochs=6, patience=2)
+        cfg = tiny_run_cfg(stage1_epochs=1, **train_kw)
         model = Model.build(cfg.model, corpus.registry, init_seed=0)
         train_stage1(model, corpus, cfg, tmp_path / "s1", TrainLog())
         opts, at_eval = [], []
@@ -523,7 +600,7 @@ class TestStage2:
                 super().__init__(*args, **kwargs)
                 opts.append(self)
 
-        scripted = iter([0.5, 0.7, 0.6, 0.65])
+        scripted = iter(f1s)
 
         def scripted_eval(model, examples, registry):
             at_eval.append(opts[-1].values.copy())
@@ -531,14 +608,35 @@ class TestStage2:
 
         monkeypatch.setattr(training_module, "AdamW", RecordingAdamW)
         monkeypatch.setattr(training_module, "evaluate_model", scripted_eval)
-        ckpt = train_stage2(model, corpus, cfg, tmp_path / "s2", TrainLog())
+        log = TrainLog()
+        ckpt = train_stage2(model, corpus, cfg, tmp_path / "s2", log)
         (opt,) = opts
+        return model, opt, at_eval, log, ckpt
+
+    def test_best_dev_restore_writes_into_the_optimizer_buffer(self, tmp_path, monkeypatch):
+        # scripted dev F1s make epoch 1 the best and stop at epoch 3, so the
+        # restore has something to undo
+        model, opt, at_eval, _, ckpt = self.scripted_run(tmp_path, monkeypatch, [0.5, 0.7, 0.6, 0.65],
+                                                         stage2_max_epochs=6, patience=2)
         assert len(at_eval) == 4 and at_eval[1].tobytes() != at_eval[3].tobytes()
         assert opt.values.tobytes() == at_eval[1].tobytes()
         trainable = [(name, t) for name, t in model.registry.items() if t.requires_grad]
         assert trainable and all(np.shares_memory(t.data, opt.values) for _, t in trainable)
         _, params, _ = load_checkpoint(ckpt)
         assert all(params[name].tobytes() == t.data.tobytes() for name, t in trainable)
+
+    def test_a_tie_keeps_the_later_values(self, tmp_path, monkeypatch):
+        _, opt, at_eval, log, _ = self.scripted_run(tmp_path, monkeypatch, [0.5, 0.5, 0.4],
+                                                    stage2_max_epochs=3, patience=5)
+        assert len(at_eval) == 3 and at_eval[0].tobytes() != at_eval[1].tobytes()
+        assert opt.values.tobytes() == at_eval[1].tobytes()
+        assert not any(l.get("early_stop") for l in log.lines)
+
+    def test_a_tie_does_not_reset_patience(self, tmp_path, monkeypatch):
+        _, opt, at_eval, log, _ = self.scripted_run(tmp_path, monkeypatch, [0.5] * 6,
+                                                    stage2_max_epochs=6, patience=2)
+        assert len(at_eval) == 3 and opt.values.tobytes() == at_eval[2].tobytes()
+        assert [l["epoch"] for l in log.lines if l.get("early_stop")] == [2]
 
     def test_early_stopping_respects_patience(self, tmp_path):
         corpus = tiny_corpus()
