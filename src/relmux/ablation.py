@@ -19,7 +19,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, write_atomic
+from .config import MAX_CONCAT_TOKENS, RunConfig, write_atomic
 from .corpus import Corpus, LanguageRegistry, LanguageSpec, RelationSchema
 from .errors import ConfigError
 from .evaluation import evaluate_model
@@ -71,9 +71,10 @@ def write_rows_csv(rows: list[dict], path: Path) -> None:
 
 
 def ablate_concat_count(corpus: Corpus, run_cfg: RunConfig, out_dir: Path) -> list[dict]:
+    """Each group size s the corpus's languages and ``MAX_CONCAT_TOKENS`` allow."""
     variants = []
     for s in (1, 2, 3, 4):
-        if s > corpus.registry.n_languages:
+        if s > corpus.registry.n_languages or s * run_cfg.model.max_len > MAX_CONCAT_TOKENS:
             continue
         variant_cfg = replace(run_cfg, train=replace(run_cfg.train, concat_sentences=s))
         variants.append((f"s={s}", corpus, variant_cfg, out_dir / f"s{s}", None))
@@ -133,7 +134,9 @@ def _restrict_corpus(corpus: Corpus, keep_ids: list[int]) -> Corpus:
 
 
 def ablate_language_groups(corpus: Corpus, run_cfg: RunConfig, out_dir: Path) -> list[dict]:
-    """Full multilingual training vs the largest family group vs an SVO group."""
+    """Full multilingual training vs the largest family group vs an SVO group;
+    a group of fewer than two languages, or of fewer than the stage-1 group
+    size, is left out."""
     langs = corpus.registry.languages
     families: dict[str, list[int]] = {}
     for l in langs:
@@ -143,7 +146,7 @@ def ablate_language_groups(corpus: Corpus, run_cfg: RunConfig, out_dir: Path) ->
 
     variants = [("all", corpus, run_cfg, out_dir / "all", None)]
     for name, ids in groups.items():
-        if len(ids) < 2:
+        if len(ids) < max(2, run_cfg.train.concat_sentences):
             continue
         sub = _restrict_corpus(corpus, sorted(ids))
         variants.append((name, sub, run_cfg, out_dir / name, None))
@@ -151,10 +154,13 @@ def ablate_language_groups(corpus: Corpus, run_cfg: RunConfig, out_dir: Path) ->
 
 
 def ablate_no_selection(corpus: Corpus, run_cfg: RunConfig, out_dir: Path) -> list[dict]:
-    """Learned routing over T sub-modules vs one dedicated sub-module per language."""
+    """Learned routing over T sub-modules vs one dedicated sub-module per
+    language. Identity routing mixes every language's one sub-module alone at
+    any k, so its ``eval_top_k`` is only cut to the n sub-modules it has."""
     n = corpus.registry.n_languages
     depth = run_cfg.model.sub_layers[0]
-    identity_model = replace(run_cfg.model, routing="identity", n_sub_modules=n, sub_layers=(depth,) * n)
+    identity_model = replace(run_cfg.model, routing="identity", n_sub_modules=n, sub_layers=(depth,) * n,
+                             eval_top_k=min(run_cfg.model.eval_top_k, n))
     identity_cfg = replace(run_cfg, model=identity_model)
     return _sweep([
         ("routed", corpus, run_cfg, out_dir / "routed", None),

@@ -16,11 +16,11 @@ jointly.
 Stage 2 freezes the encoder and the aggregator, so their output for a
 sentence never changes during the stage. ``frozen_prefix`` computes it once
 per training sentence, as one ``FrozenPrefix`` table: the split's record,
-each sentence's encoder [CLS] row and its real aggregator rows, packed back
-to back, with int arrays that give, in input order, each sentence's [CLS]
-row and first row. It runs ``_forward`` over sentences of one exact length
-at a time, in passes of at most ``_PASS``. A stage-2 batch is an array of
-sentence indices into the table.
+each sentence's encoder [CLS] row in input order, and its real aggregator
+rows, packed back to back, with an int array of each sentence's first row.
+It runs ``_forward`` over sentences of one exact length at a time, in
+passes of at most ``_PASS``. A stage-2 batch is an array of sentence
+indices into the table.
 
 Past the forward, training and prediction alike read only the rows their
 outputs need (``_content_rows``): every [CLS] row goes to the relation
@@ -28,7 +28,9 @@ head, and only the content rows of the sentences that bear a relation go
 through the switcher (from stage 2 on) to the entity heads, each paired
 with its sentence's relation embedding, so spans are in content
 coordinates, as gold is; training also leaves out sentences of one content
-token (``_scored``). Both stages share one joint loss, ``_ere_loss``.
+token (``_scored``). Both stages share one batch loss, ``_batch_loss``;
+the switcher runs from stage 2 on (``Model.stage``), in training and
+prediction alike.
 
 Prediction builds the same kind of table over the examples to predict,
 recording no tape, and keeps the last one while its examples and the
@@ -89,15 +91,14 @@ def sentence_ere_loss(relation_ce: Tensor, entity_ces: list[Tensor], alpha: floa
 @dataclass(frozen=True, eq=False)
 class FrozenPrefix:
     """The frozen part of the stage-2 forward for the sentences of ``split``:
-    their encoder [CLS] rows, (n, d), and their real aggregator rows packed
-    back to back, (sum of lengths, d). Sentence i's [CLS] row is
-    ``pooled[index[i]]`` and its rows are the ``split.lengths[i]`` rows of
-    ``rows`` from ``starts[i]`` on; both arrays are in the order of ``split``."""
+    their encoder [CLS] rows, (n, d), in the order of ``split``, and their
+    real aggregator rows packed back to back, (sum of lengths, d). Sentence
+    i's rows are the ``split.lengths[i]`` rows of ``rows`` from ``starts[i]``
+    on."""
 
     split: TokenizedSplit
     pooled: Tensor
     rows: Tensor
-    index: np.ndarray
     starts: np.ndarray
 
 
@@ -139,16 +140,6 @@ def _vocab_sha256(languages: LanguageRegistry) -> str:
     return hashlib.sha256("\n".join(languages.content_vocab()).encode("utf-8")).hexdigest()
 
 
-class _NoDraw:
-    """Stands in for the init generator when a checkpoint supplies every
-    value: the builders then register zeros of the configured shapes, which
-    costs no random draws."""
-
-    @staticmethod
-    def normal(loc, scale, size):
-        return np.zeros(size)
-
-
 class Model:
     def __init__(self, cfg: ModelConfig, languages: LanguageRegistry, vocab: Vocab, registry: ParamRegistry):
         self.cfg = cfg
@@ -165,15 +156,12 @@ class Model:
     def build(cls, cfg: ModelConfig, languages: LanguageRegistry, init_seed: int) -> "Model":
         """A freshly initialized model; the vocabulary, language and relation
         counts come from ``languages``, and ``cfg`` is left as it is."""
-        return cls._assemble(cfg, languages, np.random.default_rng(np.random.PCG64(init_seed)))
-
-    @classmethod
-    def _assemble(cls, cfg: ModelConfig, languages: LanguageRegistry, rng) -> "Model":
         cfg.validate()
         if cfg.routing == "identity" and cfg.n_sub_modules != languages.n_languages:
             raise ConfigError("identity routing requires exactly one sub-module per language")
         vocab = Vocab(languages.content_vocab(), languages.n_languages)
         registry = ParamRegistry()
+        rng = np.random.default_rng(np.random.PCG64(init_seed))
         build_encoder_params(registry, cfg, len(vocab), rng)
         build_aggregator_params(registry, cfg, rng)
         build_switcher_params(registry, cfg, languages.n_languages, rng)
@@ -220,46 +208,49 @@ class Model:
         rel_emb = T.gather_rows(self.registry["relation.emb"], np.repeat(relations, sizes))
         return entity_scores(features, rel_emb, self.registry)
 
-    def _ere_loss(
-        self, relations: np.ndarray, spans: np.ndarray, pooled_encoder: Tensor, features: Tensor,
-        scored: np.ndarray, sizes: np.ndarray, alpha: float, beta: float, stats: dict | None,
+    def _batch_loss(
+        self, split: TokenizedSplit, batch: np.ndarray, pooled: Tensor, rows: Tensor, starts: np.ndarray,
+        alpha: float, beta: float, stats: dict | None,
     ) -> Tensor:
-        """Joint loss averaged over n sentences, with gold ``relations``, (n,),
-        and gold ``spans``, (n, 4). ``pooled_encoder`` holds their (n, d)
-        encoder [CLS] rows. ``features`` holds the content rows of only the
-        sentences at the positions ``scored`` (``_scored``), back to back,
-        ``sizes[i]`` of them for the i-th such sentence. The relation term is
-        one row-wise cross entropy over all n. The entity scorers run over
-        ``features``; each entity key is one cross entropy over the scored
-        sentences' packed score columns, one row of ``sizes[i]`` classes each."""
-        n = relations.size
-        rel_ce = T.cross_entropy(relation_logits(pooled_encoder, self.registry), relations)
+        """Joint loss averaged over the n sentences of ``split`` at the indices
+        ``batch``: ``pooled`` holds their (n, d) encoder [CLS] rows, and
+        sentence i's real aggregator rows are the ``split.lengths[batch[i]]``
+        rows of ``rows`` from ``starts[i]`` on. The relation term is one
+        row-wise cross entropy over all n. Only the ``_scored`` sentences'
+        content rows are gathered, back to back, ``sizes[i]`` of them for the
+        i-th such sentence; from stage 2 on they go through the switcher's
+        training mix, each row under its sentence's language, and then to the
+        entity scorers. Each entity key is one cross entropy over the packed
+        score columns, one row of ``sizes[i]`` classes each."""
+        relations, lengths = split.relations[batch], split.lengths[batch]
+        scored, sizes, content = _content_rows(starts, lengths, _scored(relations, lengths))
+        features = T.gather_rows(rows, content)
+        if scored.size and self.stage >= 2:
+            features = switch_train(features, np.repeat(split.langs[batch[scored]], sizes), self.registry, self.cfg)
+        rel_ce = T.cross_entropy(relation_logits(pooled, self.registry), relations)
         entity_ces = []
         if scored.size:
             scores = self._entity_scores(features, relations[scored], sizes)
-            golds = spans[scored]
+            golds = split.spans[batch[scored]]
             entity_ces = [T.cross_entropy(scores[key], golds[:, j], sizes) for j, key in enumerate(ENTITY_KEYS)]
         if stats is not None:
             stats["relation_ce"] = stats.get("relation_ce", 0.0) + rel_ce.item()
             stats["entity_ce"] = stats.get("entity_ce", 0.0) + sum(t.item() for t in entity_ces)
-            stats["sentences"] = stats.get("sentences", 0) + n
-        return T.mul(sentence_ere_loss(rel_ce, entity_ces, alpha, beta), 1.0 / n)
+            stats["sentences"] = stats.get("sentences", 0) + batch.size
+        return T.mul(sentence_ere_loss(rel_ce, entity_ces, alpha, beta), 1.0 / batch.size)
 
     # -- stage losses ------------------------------------------------------
 
     def stage1_batch_loss(
         self, split: TokenizedSplit, batch: np.ndarray, alpha: float, beta: float, stats: dict | None = None
     ) -> Tensor:
-        """Mean joint loss over the sentences of ``split`` at the indices of
-        ``batch``, (groups, s), row-major: each row is one concatenation group,
-        aggregated over its members' rows; only the ``_scored`` sentences'
-        content rows go on to the entity heads."""
+        """Mean joint loss (``_batch_loss``) over the sentences of ``split`` at
+        the indices of ``batch``, (groups, s), row-major: each row is one
+        concatenation group, aggregated over its members' rows."""
         flat = batch.reshape(-1)
         pooled, fused = self._forward(split, flat, batch.shape[1])
-        lengths, relations = split.lengths[flat], split.relations[flat]
-        scored, sizes, rows = _content_rows(np.cumsum(lengths) - lengths, lengths, _scored(relations, lengths))
-        return self._ere_loss(relations, split.spans[flat], pooled, T.gather_rows(fused, rows), scored, sizes,
-                              alpha, beta, stats)
+        lengths = split.lengths[flat]
+        return self._batch_loss(split, flat, pooled, fused, np.cumsum(lengths) - lengths, alpha, beta, stats)
 
     def frozen_prefix(self, split: TokenizedSplit) -> FrozenPrefix:
         """The ``FrozenPrefix`` of ``split``. ``_forward`` runs over sentences of
@@ -268,7 +259,9 @@ class Model:
         attention call is one batched problem. Passes in input order built
         the three benchmark splits' tables slower in 15, 15 and 13 of 20
         interleaved builds (medians 88.4, 86.9 and 81.4 ms against 88.9, 96.9
-        and 85.5 ms; 2 cores, one BLAS thread).
+        and 85.5 ms; 2 cores, one BLAS thread). One ``gather_rows`` puts the
+        [CLS] rows back in the order of ``split``; the aggregator rows stay in
+        pass order, behind ``starts``.
 
         Nothing here turns the tape off: under stage 2's freezing no op
         records one, and a model with trainable encoder or aggregator
@@ -284,23 +277,15 @@ class Model:
         starts, index = np.empty_like(lengths), np.empty_like(lengths)
         starts[order] = np.cumsum(lengths[order]) - lengths[order]
         index[order] = np.arange(lengths.size)
-        return FrozenPrefix(split, T.concat(pooled, axis=0), T.concat(rows, axis=0), index, starts)
+        return FrozenPrefix(split, T.gather_rows(T.concat(pooled, axis=0), index), T.concat(rows, axis=0), starts)
 
     def stage2_batch_loss(
         self, table: FrozenPrefix, batch: np.ndarray, alpha: float, beta: float, stats: dict | None = None
     ) -> Tensor:
-        """Mean joint loss over the sentences of ``table`` at the indices
-        ``batch``: every [CLS] row to the relation head, and only the
-        ``_scored`` sentences' content rows through the switcher's training
-        mix, each row under its sentence's language, to the entity heads."""
-        split = table.split
-        pooled = T.gather_rows(table.pooled, table.index[batch])
-        relations, lengths = split.relations[batch], split.lengths[batch]
-        scored, sizes, content = _content_rows(table.starts[batch], lengths, _scored(relations, lengths))
-        rows = T.gather_rows(table.rows, content)
-        if scored.size:
-            rows = switch_train(rows, np.repeat(split.langs[batch[scored]], sizes), self.registry, self.cfg)
-        return self._ere_loss(relations, split.spans[batch], pooled, rows, scored, sizes, alpha, beta, stats)
+        """Mean joint loss (``_batch_loss``) over the sentences of ``table`` at
+        the indices ``batch``, read from the table's rows."""
+        return self._batch_loss(table.split, batch, T.gather_rows(table.pooled, batch), table.rows,
+                                table.starts[batch], alpha, beta, stats)
 
     # -- prediction --------------------------------------------------------
 
@@ -345,7 +330,7 @@ class Model:
             return []
         table = self._prediction_table(examples)
         split = table.split
-        logits = relation_logits(Tensor(table.pooled.data[table.index]), self.registry).data
+        logits = relation_logits(table.pooled, self.registry).data
         relations = masked_argmax_relation(logits, self.languages.schema.allowed, split.langs)
         spans = np.tile(SENTINEL_SPAN * 2, (len(examples), 1))
         dumped: list[dict[str, np.ndarray] | None] = [None] * len(examples)
@@ -416,8 +401,8 @@ class Model:
     def load(cls, path, languages: LanguageRegistry) -> tuple["Model", dict, dict | None]:
         """Rebuild a model from a checkpoint, validating every shape, the
         model config, and the language/relation inventory and content
-        vocabulary against the supplied registry. The parameters are the
-        checkpoint's arrays; nothing is drawn at random."""
+        vocabulary against the supplied registry. ``build`` makes the model,
+        and every parameter value is then the checkpoint's array."""
         snap, arrays, extra = load_checkpoint(path)
         codes = [l.code for l in languages.languages]
         if snap.get("language_codes") != codes:
@@ -429,11 +414,9 @@ class Model:
         if snap.get("vocab_sha256") != _vocab_sha256(languages):
             raise CheckpointError("checkpoint vocabulary does not match the corpus vocabulary")
         try:
-            cfg = ModelConfig.from_json(snap["model"])
-            cfg.validate()
+            model = cls.build(ModelConfig.from_json(snap["model"]), languages, init_seed=0)
         except (KeyError, ConfigError) as exc:
             raise CheckpointError(f"checkpoint model config is malformed: {exc!r}") from None
-        model = cls._assemble(cfg, languages, _NoDraw())
         model.registry.load_arrays(arrays)
         model.stage = snap.get("stage", 0)
         if type(model.stage) is not int or model.stage not in (0, 1, 2):

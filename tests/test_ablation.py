@@ -5,13 +5,16 @@ substantive comparisons (monolingual vs multilingual, stage-2 benefit) run at
 full desk scale in the acceptance suite.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from relmux import ablation
 from relmux import tensor as T
-from relmux.ablation import run_ablation
+from relmux.ablation import _restrict_corpus, run_ablation
 from relmux.config import ModelConfig, RunConfig, TrainConfig
-from relmux.corpus import LanguageSpec, RelationSchema, generate_corpus
+from relmux.corpus import LanguageSpec, RelationSchema, check_group_size, generate_corpus
 from relmux.heads import masked_argmax_relation, relation_logits
 from relmux.switcher import switch_train
 
@@ -132,3 +135,56 @@ class TestDrivers:
         rows1 = run_ablation("topk_sweep", corpus, cfg, tmp_path / "a")
         rows2 = run_ablation("topk_sweep", corpus, cfg, tmp_path / "b")
         assert rows1 == rows2
+
+
+def recorded_variants(monkeypatch, name, corpus, cfg, out_dir):
+    """The (variant, language codes, config) of each variant the sweep
+    ``name`` trains, in order, with training and scoring stubbed out; each
+    config passes ``RunConfig.validate``, and its group size
+    ``check_group_size`` over the languages of its training split."""
+    seen = []
+
+    def train_two_stage(variant_corpus, run_cfg, variant_dir):
+        seen.append((variant_dir.name, [l.code for l in variant_corpus.registry.languages], run_cfg))
+        run_cfg.validate()
+        check_group_size(run_cfg.train.concat_sentences, len({ex.lang for ex in variant_corpus.train}))
+
+    def test_scores(model, variant_corpus, top_k=None):
+        return {**{l.code: 0.0 for l in variant_corpus.registry.languages}, "AVG": 0.0}
+
+    monkeypatch.setattr(ablation, "train_two_stage", train_two_stage)
+    monkeypatch.setattr(ablation, "_test_scores", test_scores)
+    run_ablation(name, corpus, cfg, out_dir)
+    return seen
+
+
+class TestVariantConfigs:
+    """Every variant a sweep trains is a valid run, whatever the base config
+    allows: no sweep fails after training its earlier variants."""
+
+    def test_concat_count_skips_groups_past_the_token_cap(self, mini, tmp_path, monkeypatch):
+        # 2 x 128 tokens fill the cap of 256 exactly, and 3 x 128 pass it
+        corpus, cfg = mini
+        cfg = replace(cfg, model=replace(cfg.model, max_len=128))
+        seen = recorded_variants(monkeypatch, "concat_count", corpus, cfg, tmp_path)
+        assert [(d, c.train.concat_sentences) for d, _, c in seen] == [("s1", 1), ("s2", 2)]
+
+    def test_language_groups_skips_groups_smaller_than_s(self, mini, tmp_path, monkeypatch):
+        corpus, cfg = mini
+        seen = recorded_variants(monkeypatch, "language_groups", corpus, cfg, tmp_path)
+        # the largest family and the SVO languages, each of two languages
+        assert [(d, codes) for d, codes, _ in seen] == [
+            ("all", ["valo", "vena", "koru", "zahr"]), ("family_valic", ["valo", "vena"]), ("svo", ["valo", "vena"]),
+        ]
+        cfg = replace(cfg, train=replace(cfg.train, concat_sentences=3))
+        seen = recorded_variants(monkeypatch, "language_groups", corpus, cfg, tmp_path)
+        assert [d for d, _, _ in seen] == ["all"]
+
+    def test_no_selection_cuts_eval_top_k_to_the_languages(self, mini, tmp_path, monkeypatch):
+        corpus, cfg = mini
+        three = _restrict_corpus(corpus, [0, 1, 2])
+        cfg = replace(cfg, model=replace(cfg.model, n_sub_modules=4, sub_layers=(1, 1, 1, 1), eval_top_k=4))
+        seen = recorded_variants(monkeypatch, "no_selection_T_experts", three, cfg, tmp_path)
+        assert [(d, c.model.routing, c.model.n_sub_modules, c.model.eval_top_k) for d, _, c in seen] == [
+            ("routed", "learned", 4, 4), ("one_per_language", "identity", 3, 3),
+        ]

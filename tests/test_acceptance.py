@@ -198,6 +198,7 @@ def test_criterion_gradient_integrity():
         params_s1, max_coords=3, rng=np.random.default_rng(1),
     ).max_rel_error
     params_all = dict(model.registry.items())
+    model.stage = 2  # the switcher runs, and nothing is frozen
     worst["stage2_loss"] = finite_diff_check(
         lambda: model.stage2_batch_loss(model.frozen_prefix(split), np.arange(len(examples)), 2.0, 1.0),
         params_all, max_coords=3, rng=np.random.default_rng(2),

@@ -16,6 +16,7 @@ import pytest
 import relmux
 from relmux import cli as cli_module
 from relmux.cli import main
+from relmux.corpus import SPLITS, load_corpus
 from relmux.model import Model
 from relmux.params import decode_extra_arrays, encode_extra_arrays
 
@@ -78,6 +79,19 @@ class TestGenerate:
         assert main(["generate", "--langs", str(langs), "--seed", "3", "--out", str(tmp_path / "c2")]) == 0
         for name in ("train.txt", "dev.txt", "test.txt", "registry.json", "vocab.txt"):
             assert (tmp_path / "c2" / name).read_bytes() == (ws / "corpus" / name).read_bytes()
+
+    def test_prints_each_languages_sentences_per_split(self, workspace, tmp_path, capsys):
+        _, langs, _ = workspace
+        capsys.readouterr()
+        assert main(["generate", "--langs", str(langs), "--seed", "3", "--out", str(tmp_path / "c")]) == 0
+        corpus = load_corpus(tmp_path / "c")
+        want = [[l.code] + [str(sum(ex.lang == l.id for ex in corpus.split(name))) for name in SPLITS]
+                for l in corpus.registry.languages]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["language", "train", "dev", "test"]
+        assert [line.split() for line in lines[1:-1]] == want
+        # the languages' resource sizes differ, so a count of another language's sentences would show
+        assert len({tuple(row[1:]) for row in want}) == len(want)
 
     def test_single_language_generates_then_stage1_fails_fast(self, tmp_path):
         doc = {
@@ -425,6 +439,14 @@ class TestEval:
         # k = T keeps every sub-module with its training weight
         report = json.loads((tmp_path / "full" / "report.json").read_text())
         assert report["overall"]["n_sentences"] > 0
+
+    @pytest.mark.parametrize("k, rc", [(0, 2), (1, 0), (3, 0), (4, 2)])
+    def test_topk_from_1_to_t_is_accepted(self, workspace, tmp_path, k, rc):
+        # the workspace config has T = 3 sub-modules
+        ws, _, _ = workspace
+        assert main(["eval", "--ckpt", str(ws / "run" / "stage2.ckpt"), "--corpus", str(ws / "corpus"),
+                     "--split", "dev", "--topk", str(k), "--out", str(tmp_path / "k")]) == rc
+        assert (tmp_path / "k" / "report.json").exists() == (rc == 0)
 
     def test_topk_out_of_range_exits_2(self, workspace, tmp_path):
         ws, _, _ = workspace
